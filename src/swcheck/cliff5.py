@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extalg import INDEX_TUPLES, KForm, REEB_INDEX
+from .extalg import PAIR_INDEX, KForm, horizontal_split
 
 _I = 1j
 
@@ -44,6 +44,11 @@ GAMMA: tuple[np.ndarray, ...] = (
     _frozen([[_I, 0, 0, 0], [0, -_I, 0, 0], [0, 0, _I, 0], [0, 0, 0, -_I]]),
 )
 
+_GAMMA_STACK = _frozen(GAMMA)
+
+#: kappa(e_i) kappa(e_j) for each 2-form basis pair (i, j), in basis order.
+_PAIR_PRODUCTS = _frozen(_GAMMA_STACK[PAIR_INDEX[0]] @ _GAMMA_STACK[PAIR_INDEX[1]])
+
 #: Reference spinor spanning the -2i eigenspace of kappa(deta); corresponds
 #: to the constant function 1 under the (0, *)-form identification.
 PSI0 = _frozen([0, 0, 0, 1])
@@ -61,23 +66,12 @@ def spinor_inner(u, v) -> complex:
     return complex(np.dot(np.asarray(u, dtype=complex), np.conj(v)))
 
 
-def spinor_norm_sq(psi) -> float:
-    p = np.asarray(psi, dtype=complex)
-    return float(np.real(np.dot(p, p.conj())))
-
-
 def clifford_vector(v, psi) -> np.ndarray:
     """Clifford action (sum_i v_i kappa(e_i)) psi of a frame vector.
 
     Linear in both arguments; v holds frame coordinates (index 5 = Reeb).
     """
-    v = np.asarray(v, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    out = np.zeros(4, dtype=complex)
-    for i in range(5):
-        if v[i] != 0:
-            out += v[i] * (GAMMA[i] @ psi)
-    return out
+    return np.asarray(v, dtype=complex) @ (_GAMMA_STACK @ np.asarray(psi, dtype=complex))
 
 
 def two_form_matrix(omega: KForm) -> np.ndarray:
@@ -88,12 +82,7 @@ def two_form_matrix(omega: KForm) -> np.ndarray:
     """
     if omega.degree != 2:
         raise ValueError(f"expected a 2-form, got degree {omega.degree}")
-    out = np.zeros((4, 4), dtype=complex)
-    for pos, (i, j) in enumerate(INDEX_TUPLES[2]):
-        c = omega.coeffs[pos]
-        if c != 0:
-            out += c * (GAMMA[i - 1] @ GAMMA[j - 1])
-    return out
+    return np.tensordot(omega.coeffs, _PAIR_PRODUCTS, 1)
 
 
 def clifford_two_form(omega: KForm, psi) -> np.ndarray:
@@ -134,13 +123,7 @@ def sigma_h(psi) -> KForm:
     Quadratic in psi; the coefficients are purely imaginary because the
     products kappa(e_i) kappa(e_j) with i != j are skew-Hermitian.
     """
-    psi = np.asarray(psi, dtype=complex)
-    coeffs = np.zeros(len(INDEX_TUPLES[2]), dtype=complex)
-    for pos, (i, j) in enumerate(INDEX_TUPLES[2]):
-        if j == REEB_INDEX:
-            continue
-        coeffs[pos] = np.dot(GAMMA[i - 1] @ (GAMMA[j - 1] @ psi), psi.conj())
-    return KForm(2, coeffs)
+    return horizontal_split(sigma_full(psi)).horizontal
 
 
 def sigma_full(psi) -> KForm:
@@ -148,13 +131,8 @@ def sigma_full(psi) -> KForm:
 
     Returned as the 2-form with frame coefficients <e_i e_j psi, psi> for
     i < j (the diagonal <e_i e_i psi, psi> = -|psi|^2 cancels against the
-    metric term, so sigma is antisymmetric).  Its horizontal part coincides
-    with sigma_h(psi).
+    metric term, so sigma is antisymmetric).  Its horizontal part is
+    sigma_h(psi).
     """
     psi = np.asarray(psi, dtype=complex)
-    coeffs = np.zeros(len(INDEX_TUPLES[2]), dtype=complex)
-    for pos, (i, j) in enumerate(INDEX_TUPLES[2]):
-        coeffs[pos] = np.dot(GAMMA[i - 1] @ (GAMMA[j - 1] @ psi), psi.conj())
-    return KForm(2, coeffs)
-
-
+    return KForm(2, (_PAIR_PRODUCTS @ psi) @ psi.conj())

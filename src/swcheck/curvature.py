@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extalg import INDEX_TUPLES, KForm, deta, sd_project
-
-#: Positions of the purely horizontal index pairs in the degree-2 layout.
-_HORIZONTAL_PAIR_POSITIONS = tuple(
-    (pos, idx) for pos, idx in enumerate(INDEX_TUPLES[2]) if 5 not in idx
-)
+from .extalg import PAIR_INDEX, VERTICAL, KForm, deta, sd_project
 
 #: Almost complex structure on the frame: J e1 = e2, J e3 = e4, J Reeb = 0.
 J_FRAME = np.array(
@@ -56,14 +51,22 @@ J_FRAME = np.array(
 )
 J_FRAME.flags.writeable = False
 
-#: J e_a for the four horizontal frame vectors.
-_J_COLUMNS = tuple(J_FRAME @ np.eye(5)[a] for a in range(4))
+#: Frame vectors (e_i, e_j) of the six horizontal pairs i < j, in 2-form
+#: basis order, as two stacks of shape (6, 5).
+HORIZONTAL_FRAME_PAIRS = tuple(np.eye(5)[ix[~VERTICAL[2]]] for ix in PAIR_INDEX)
+for _stack in HORIZONTAL_FRAME_PAIRS:
+    _stack.flags.writeable = False
 
 
 def deta_pair(x, y) -> float:
-    """deta(X, Y) = (x1 y2 - x2 y1) + (x3 y4 - x4 y3) on frame coordinates."""
-    return float(
-        x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
+    """deta(X, Y) = (x1 y2 - x2 y1) + (x3 y4 - x4 y3) on frame coordinates.
+
+    ``x`` and ``y`` may be stacks of vectors along a leading axis.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return (
+        x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0] + x[..., 2] * y[..., 3] - x[..., 3] * y[..., 2]
     )
 
 
@@ -174,10 +177,7 @@ def ricci_form(c: CurvatureData, convention: str = "proof", check: bool = True) 
         m = c.ric @ J_FRAME
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    coeffs = np.zeros(len(INDEX_TUPLES[2]), dtype=complex)
-    for pos, (i, j) in _HORIZONTAL_PAIR_POSITIONS:
-        coeffs[pos] = m[i - 1, j - 1]
-    return KForm(2, coeffs)
+    return KForm(2, np.where(VERTICAL[2], 0, m[PAIR_INDEX]))
 
 
 def rho_plus(c: CurvatureData, check: bool = True) -> KForm:
@@ -250,22 +250,22 @@ def bianchi_b(tau: TorsionEndomorphism, x, y) -> complex:
 
     B_a(X, Y) = deta(X, Y) tau(e_a) + deta(e_a, X) tau(Y) + deta(Y, e_a) tau(X)
     and B(X, Y) = (i/2) sum_a g(B_a(X, Y), J e_a) over the horizontal frame.
-    Antisymmetric in (X, Y); vanishes for every self-adjoint torsion.
+    Since deta(U, V) = g(J U, V) and J J^T = Id on horizontal vectors, the
+    sum over a contracts to
+
+        B(X, Y) = (i/2) (deta(X, Y) sum_ab J_ab tau_ab + X.tau.Y - Y.tau.X).
+
+    Antisymmetric in (X, Y); vanishes for every self-adjoint torsion.  ``x``
+    and ``y`` may be stacks of vectors, giving one value per pair.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if abs(x[4]) != 0 or abs(y[4]) != 0:
+    if np.any(x[..., 4]) or np.any(y[..., 4]):
         raise ValueError("B(X, Y) is defined for horizontal arguments")
     t = tau.tau
-    dxy = deta_pair(x, y)
-    tx, ty = t @ x, t @ y
-    de_x = (x[1], -x[0], x[3], -x[2])  # deta(e_a, X)
-    dy_e = (-y[1], y[0], -y[3], y[2])  # deta(Y, e_a)
-    total = 0.0
-    for a in range(4):
-        ba = dxy * t[:, a] + de_x[a] * ty + dy_e[a] * tx
-        total += float(np.dot(ba, _J_COLUMNS[a]))
-    return 0.5j * total
+    xty = np.sum((x @ t) * y, axis=-1)
+    ytx = np.sum((y @ t) * x, axis=-1)
+    return 0.5j * (deta_pair(x, y) * np.sum(J_FRAME * t) + xty - ytx)
 
 
 def ric_identity_check(c: CurvatureData, tau: TorsionEndomorphism | None = None) -> float:
@@ -281,15 +281,11 @@ def ric_identity_check(c: CurvatureData, tau: TorsionEndomorphism | None = None)
         tau = TorsionEndomorphism(np.zeros((5, 5)))
     direct = ricci_form(c, convention="proof", check=False)
     recon = ricci_form(c, convention="endomorphism", check=False)
-    eye5 = np.eye(5)
-    worst = 0.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            b = bianchi_b(tau, eye5[i], eye5[j])
-            lhs = 1j * recon.coefficient(i + 1, j + 1) + b
-            rhs = 1j * direct.coefficient(i + 1, j + 1)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    horizontal = ~VERTICAL[2]
+    b = bianchi_b(tau, *HORIZONTAL_FRAME_PAIRS)
+    lhs = 1j * recon.coeffs[horizontal] + b
+    rhs = 1j * direct.coeffs[horizontal]
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # -- (4,0) curvature tensor ---------------------------------------------------
@@ -358,18 +354,8 @@ class CurvatureTensor4:
 
     def ricci_trace(self) -> np.ndarray:
         """5x5 matrix of sum_a R(e_i, e_j, Z_a, Zbar_a); equals i rho_h."""
-        out = np.zeros((5, 5), dtype=complex)
-        for i in range(5):
-            for j in range(5):
-                ei = np.zeros(5)
-                ej = np.zeros(5)
-                ei[i] = 1.0
-                ej[j] = 1.0
-                for a in range(2):
-                    out[i, j] += self.evaluate(
-                        ei, ej, COMPLEX_FRAME[a], COMPLEX_FRAME[a + 2]
-                    )
-        return out
+        z = COMPLEX_FRAME
+        return np.einsum("ijkl,ak,al->ij", self.entries, z[:2], z[2:4])
 
 
 def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
@@ -390,37 +376,25 @@ def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
     rho = J_FRAME @ c.ric  # proof-convention Ricci form matrix, skew on H
     z = COMPLEX_FRAME
     # Target Ricci trace on (Z_a, Zbar_b): Hermitian 2x2.
-    m = np.zeros((2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            m[a, b] = 1j * (z[a] @ rho.astype(complex) @ z[b + 2])
+    m = 1j * (z[:2] @ rho.astype(complex) @ z[2:4].T)
     tr_p = np.trace(m) / 6.0
     p = (m - tr_p * np.eye(2)) / 4.0
 
-    lam = np.zeros((2, 2, 2, 2), dtype=complex)
     eye2 = np.eye(2)
-    for a in range(2):
-        for b in range(2):
-            for g in range(2):
-                for d in range(2):
-                    lam[a, b, g, d] = (
-                        p[a, b] * eye2[g, d]
-                        + eye2[a, b] * p[g, d]
-                        + p[a, d] * eye2[g, b]
-                        + eye2[a, d] * p[g, b]
-                    )
+    lam = (
+        np.einsum("ab,gd->abgd", p, eye2)
+        + np.einsum("ab,gd->abgd", eye2, p)
+        + np.einsum("ad,gb->abgd", p, eye2)
+        + np.einsum("ad,gb->abgd", eye2, p)
+    )
 
-    # Complex-frame component array; only mixed-type slots are populated.
+    # Complex-frame component array, indexed (Z1, Z2, Zbar1, Zbar2, Reeb);
+    # only mixed-type slots are populated, by pair antisymmetry from lam.
     gc = np.zeros((5, 5, 5, 5), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for g in range(2):
-                for d in range(2):
-                    v = lam[a, b, g, d]
-                    gc[a, b + 2, g, d + 2] = v
-                    gc[a, b + 2, d + 2, g] = -v
-                    gc[b + 2, a, g, d + 2] = -v
-                    gc[b + 2, a, d + 2, g] = v
+    gc[:2, 2:4, :2, 2:4] = lam
+    gc[:2, 2:4, 2:4, :2] = -lam.transpose(0, 1, 3, 2)
+    gc[2:4, :2, :2, 2:4] = -lam.transpose(1, 0, 2, 3)
+    gc[2:4, :2, 2:4, :2] = lam.transpose(1, 0, 3, 2)
 
     r = _REAL_IN_COMPLEX
     entries = np.einsum("ia,jb,kc,ld,abcd->ijkl", r, r, r, r, gc)
@@ -445,15 +419,8 @@ def symmetry_check(t: CurvatureTensor4) -> dict[str, float]:
     gc_bar = gc[np.ix_(conj_map, conj_map, conj_map, conj_map)]
     r_conj = float(np.max(np.abs(np.conj(gc) - gc_bar)))
 
-    r_exchange = 0.0
-    for a in range(2):
-        for b in range(2):
-            for g in range(2):
-                for d in range(2):
-                    r_exchange = max(
-                        r_exchange,
-                        abs(gc[a, b + 2, g, d + 2] - gc[g, b + 2, a, d + 2]),
-                    )
+    mixed = gc[:2, 2:4, :2, 2:4]
+    r_exchange = float(np.max(np.abs(mixed - mixed.transpose(2, 1, 0, 3))))
 
     r_t10 = float(np.max(np.abs(gc[:2, :2, :, :])))
 

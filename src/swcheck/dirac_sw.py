@@ -456,12 +456,6 @@ class SWPair:
     def on_synthetic(model: SyntheticModel, psi: SpinorField) -> "SWPair":
         return SWPair(psi=psi, synthetic=model)
 
-    @property
-    def model_name(self) -> str:
-        if self.synthetic is not None:
-            return "synthetic"
-        return self.connection.frame.name
-
     def f_a_at(self, point) -> KForm:
         """Curvature 2-form in frame components at a point.
 
@@ -521,24 +515,6 @@ def sw_residual(pair: SWPair, points=None) -> SWResidual:
         r_curv = max(r_curv, resid.norm_inf())
         sigma_vert = max(sigma_vert, sigma_v.norm_inf())
     return SWResidual(r_dirac, r_curv, sigma_vert)
-
-
-def residual_report(
-    check: str, pair: SWPair, residuals: SWResidual, n_points: int, seed, tol: float
-) -> dict:
-    """JSON-ready residual report."""
-    return {
-        "check": check,
-        "model": pair.model_name,
-        "points": n_points,
-        "seed": seed,
-        "residuals": {
-            "dirac": residuals.r_dirac,
-            "curvature": residuals.r_curv,
-            "sigma_vertical": residuals.sigma_vertical,
-        },
-        "pass": bool(residuals.r_dirac <= tol and residuals.r_curv <= tol),
-    }
 
 
 # -- the canonical solution ------------------------------------------------------

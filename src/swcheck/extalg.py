@@ -14,10 +14,24 @@ structure every downstream curvature identity relies on.  The choice is
 recorded here because none of the identities pins it any other way.
 
 Coefficients are complex throughout (curvature forms and spinor bilinears are
-imaginary valued).  Basis multi-indices are encoded as 5-bit masks and listed
-in lexicographic order within each degree, so a k-form is a flat coefficient
-vector of length C(5, k).  Everything in this module is a pure function on
-immutable values.
+imaginary valued).  Basis multi-indices are listed in lexicographic order
+within each degree (``INDEX_TUPLES``), so a k-form is a flat coefficient
+vector of length C(5, k).
+
+Every basis decision is made once, at import, from the one shuffle-sign rule
+``wedge_sign`` and frozen into read-only constant tables with entries in
+{-1, 0, 1}:
+
+* ``WEDGE[ka, kb][p, q, r]``: coefficient of basis form r in
+  e_p ^ e_q, for degrees ka + kb <= 5;
+* ``STAR[k]``: the (C(5, 5-k), C(5, k)) matrix of the Hodge star on
+  k-forms, read off ``WEDGE`` as e_I ^ *e_I = vol;
+* ``CONTACT_STAR``: the 10 x 10 matrix of beta -> *(eta ^ beta);
+* ``VERTICAL[k]``: which degree-k basis forms contain the Reeb index;
+* ``PAIR_INDEX``: zero-based frame indices (i, j) of the 2-form basis.
+
+The operations below are then single array operations on coefficient
+vectors.  Everything in this module is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -30,9 +44,8 @@ import numpy as np
 
 DIM = 5
 REEB_INDEX = 5
-_REEB_BIT = 1 << (REEB_INDEX - 1)
 
-# Lexicographically ordered index tuples and bit masks, per degree.
+# Lexicographically ordered index tuples, per degree.
 INDEX_TUPLES: dict[int, tuple[tuple[int, ...], ...]] = {
     k: tuple(combinations(range(1, DIM + 1), k)) for k in range(DIM + 1)
 }
@@ -45,16 +58,8 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
-MASKS: dict[int, tuple[int, ...]] = {
-    k: tuple(_mask(t) for t in INDEX_TUPLES[k]) for k in range(DIM + 1)
-}
-_MASK_TO_POS: dict[int, tuple[int, int]] = {
-    m: (k, p) for k in range(DIM + 1) for p, m in enumerate(MASKS[k])
-}
-
-
 def wedge_sign(mask_a: int, mask_b: int) -> int:
-    """Parity sign of merging two disjoint sorted index sets.
+    """Parity sign of merging two disjoint sorted index sets (as bit masks).
 
     Counts the transpositions needed to sort the concatenation (A, B); this
     is (-1)**#{(i, j) : i in A, j in B, i > j}.
@@ -68,6 +73,52 @@ def wedge_sign(mask_a: int, mask_b: int) -> int:
             if bin(higher).count("1") % 2:
                 sign = -sign
     return sign
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _wedge_table(ka: int, kb: int) -> np.ndarray:
+    out_index = INDEX_TUPLES[ka + kb]
+    t = np.zeros((len(INDEX_TUPLES[ka]), len(INDEX_TUPLES[kb]), len(out_index)))
+    for p, a in enumerate(INDEX_TUPLES[ka]):
+        for q, b in enumerate(INDEX_TUPLES[kb]):
+            if not set(a) & set(b):
+                r = out_index.index(tuple(sorted(a + b)))
+                t[p, q, r] = wedge_sign(_mask(a), _mask(b))
+    return _frozen(t)
+
+
+WEDGE: dict[tuple[int, int], np.ndarray] = {
+    (ka, kb): _wedge_table(ka, kb)
+    for ka in range(DIM + 1)
+    for kb in range(DIM + 1 - ka)
+}
+
+# *e_I = s e_J with e_I ^ e_J = s vol; k(5-k) is even, so the same sign
+# reads e_J ^ e_I = s vol, i.e. STAR[k][J, I] = WEDGE[5-k, k][J, I, vol].
+STAR: dict[int, np.ndarray] = {
+    k: _frozen(WEDGE[DIM - k, k][:, :, 0].copy()) for k in range(DIM + 1)
+}
+
+VERTICAL: dict[int, np.ndarray] = {
+    k: _frozen(np.array([REEB_INDEX in t for t in INDEX_TUPLES[k]], dtype=bool))
+    for k in range(DIM + 1)
+}
+
+PAIR_INDEX: tuple[np.ndarray, np.ndarray] = tuple(
+    _frozen(col.copy()) for col in (np.array(INDEX_TUPLES[2]) - 1).T
+)
+
+# beta -> *(eta ^ beta); eta ^ beta_q = sum_r WEDGE[1, 2][eta, q, r] e_r.
+CONTACT_STAR = _frozen(STAR[3] @ WEDGE[1, 2][REEB_INDEX - 1].T)
+
+# Stacked +1 / -1 eigenprojectors (Id +- CONTACT_STAR) / 2 of the contact star.
+_SD_SPLIT = _frozen(
+    np.stack([np.eye(10) + CONTACT_STAR, np.eye(10) - CONTACT_STAR]) / 2
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,14 +181,10 @@ class KForm:
             return 0j
         order = tuple(sorted(indices))
         sign = _permutation_sign(indices, order)
-        _, pos = _MASK_TO_POS[_mask(order)]
-        return sign * complex(self.coeffs[pos])
+        return sign * complex(self.coeffs[INDEX_TUPLES[self.degree].index(order)])
 
     def is_horizontal(self) -> bool:
-        for pos, m in enumerate(MASKS[self.degree]):
-            if m & _REEB_BIT and self.coeffs[pos] != 0:
-                return False
-        return True
+        return not np.any(self.coeffs[VERTICAL[self.degree]])
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
@@ -148,15 +195,11 @@ class KForm:
             raise ValueError("vector count must equal the degree")
         if self.degree == 0:
             return complex(self.coeffs[0])
-        vs = [np.asarray(v, dtype=complex) for v in vectors]
-        total = 0j
-        for pos, idx in enumerate(INDEX_TUPLES[self.degree]):
-            c = self.coeffs[pos]
-            if c == 0:
-                continue
-            sub = np.array([[v[i - 1] for i in idx] for v in vs])
-            total += c * np.linalg.det(sub)
-        return total
+        # minors[p]: determinant of the vectors' components on basis tuple p.
+        columns = np.array(INDEX_TUPLES[self.degree]) - 1
+        vs = np.array(vectors, dtype=complex)
+        minors = np.linalg.det(vs[:, columns].transpose(1, 0, 2))
+        return complex(self.coeffs @ minors)
 
     def __repr__(self):
         parts = []
@@ -192,8 +235,7 @@ def basis_form(*indices: int) -> KForm:
     if tuple(sorted(set(indices))) != tuple(indices):
         raise ValueError("indices must be strictly increasing")
     c = np.zeros(len(INDEX_TUPLES[k]), dtype=complex)
-    _, pos = _MASK_TO_POS[_mask(indices)]
-    c[pos] = 1
+    c[INDEX_TUPLES[k].index(tuple(indices))] = 1
     return KForm(k, c)
 
 
@@ -221,24 +263,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     k = a.degree + b.degree
     if k > DIM:
         raise ValueError(f"degree overflow: {a.degree} + {b.degree} > {DIM}")
-    out = np.zeros(len(INDEX_TUPLES[k]), dtype=complex)
-    masks_a, masks_b = MASKS[a.degree], MASKS[b.degree]
-    for pa, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        ma = masks_a[pa]
-        for pb, cb in enumerate(b.coeffs):
-            if cb == 0:
-                continue
-            mb = masks_b[pb]
-            if ma & mb:
-                continue
-            _, pos = _MASK_TO_POS[ma | mb]
-            out[pos] += wedge_sign(ma, mb) * ca * cb
-    return KForm(k, out)
-
-
-_FULL_MASK = (1 << DIM) - 1
+    return KForm(k, np.einsum("p,q,pqr->r", a.coeffs, b.coeffs, WEDGE[a.degree, b.degree]))
 
 
 def hodge_star(a: KForm) -> KForm:
@@ -247,16 +272,7 @@ def hodge_star(a: KForm) -> KForm:
     On basis forms *e_I = sign(I) e_{I^c} with e_I ^ e_{I^c} = sign(I) vol,
     so alpha ^ *alpha = |alpha|^2 vol for real alpha; extended C-linearly.
     """
-    k = a.degree
-    out = np.zeros(len(INDEX_TUPLES[DIM - k]), dtype=complex)
-    for pos, m in enumerate(MASKS[k]):
-        c = a.coeffs[pos]
-        if c == 0:
-            continue
-        mc = _FULL_MASK ^ m
-        _, cpos = _MASK_TO_POS[mc]
-        out[cpos] += wedge_sign(m, mc) * c
-    return KForm(DIM - k, out)
+    return KForm(DIM - a.degree, STAR[a.degree] @ a.coeffs)
 
 
 class HorizontalSplit(NamedTuple):
@@ -272,14 +288,10 @@ def horizontal_split(a: KForm) -> HorizontalSplit:
     """
     if a.degree != 2:
         raise ValueError(f"horizontal_split needs a 2-form, got degree {a.degree}")
-    h = np.array(a.coeffs)
-    v = np.array(a.coeffs)
-    for pos, m in enumerate(MASKS[2]):
-        if m & _REEB_BIT:
-            h[pos] = 0
-        else:
-            v[pos] = 0
-    return HorizontalSplit(KForm(2, h), KForm(2, v))
+    vertical = VERTICAL[2]
+    return HorizontalSplit(
+        KForm(2, np.where(vertical, 0, a.coeffs)), KForm(2, np.where(vertical, a.coeffs, 0))
+    )
 
 
 def _require_horizontal(beta: KForm):
@@ -295,7 +307,7 @@ def contact_star(beta: KForm) -> KForm:
     An involution on the 6-dimensional space of horizontal 2-forms.
     """
     _require_horizontal(beta)
-    return hodge_star(wedge(e(REEB_INDEX), beta))
+    return KForm(2, CONTACT_STAR @ beta.coeffs)
 
 
 class SDSplit(NamedTuple):
@@ -306,8 +318,8 @@ class SDSplit(NamedTuple):
 def sd_project(beta: KForm) -> SDSplit:
     """Orthogonal decomposition into +1 / -1 eigenparts of the contact star."""
     _require_horizontal(beta)
-    star = contact_star(beta)
-    return SDSplit((beta + star) / 2, (beta - star) / 2)
+    plus, minus = _SD_SPLIT @ beta.coeffs
+    return SDSplit(KForm(2, plus), KForm(2, minus))
 
 
 def form_inner(a: KForm, b: KForm) -> complex:

@@ -25,6 +25,7 @@ satisfies T(X, Y) = +deta(X, Y) Reeb.  The axiom checker uses that sign
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -632,6 +633,12 @@ class ModelBundle:
 
 def _parse_field(path: str, src) -> PolyExpr:
     if isinstance(src, (int, float)):
+        try:
+            value = float(src)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ModelFormatError(f"{path}: number {value} is not finite")
         return PolyExpr.const(src)
     if not isinstance(src, str):
         raise ModelFormatError(f"{path}: expected a string or number")
@@ -728,6 +735,9 @@ def load_model(source) -> ModelBundle:
         ric = np.asarray(csrc["ric"], dtype=float)
         if ric.shape != (5, 5):
             raise ModelFormatError("curvature.ric: expected a 5 x 5 matrix")
+        if not np.all(np.isfinite(ric)):
+            r, c = np.argwhere(~np.isfinite(ric))[0]
+            raise ModelFormatError(f"curvature.ric[{r}][{c}]: number {ric[r, c]} is not finite")
         curv = CurvatureData(ric)
         bad = curv.violations()
         if bad:

@@ -19,6 +19,7 @@ and parse(print(p)) == p holds exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -212,6 +213,8 @@ def _tokens(src: str) -> Iterator[tuple[str, object, int]]:
         m = _NUMBER_RE.match(src, i)
         if m:
             val = float(m.group())
+            if math.isinf(val):
+                raise PolySyntaxError(f"numeric literal {m.group()!r} overflows", m.start())
             i = m.end()
             if i < n and src[i] == "i":
                 yield "imag", val * 1j, m.start()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from swcheck import cli, cliff5
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from swcheck.models import load_model, model_to_dict
 
@@ -124,6 +125,32 @@ class TestUsageErrors:
         assert str(path) in err
         assert "eta[0]" in err and "position" in err
 
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [
+            ("curvature", {"ric": [[float("nan")] * 5] * 5}, "curvature.ric[0][0]"),
+            ("gamma", "1e400*x1", "gamma[0][1][2]"),
+            ("eta", float("inf"), "eta[4]"),
+        ],
+    )
+    def test_non_finite_model_input_is_usage_error(self, field, value, where, tmp_path, capsys):
+        # max() reductions and the `abs(v) > tol` admissibility test both
+        # drop NaN, so such a file must be refused at load time or it passes.
+        data = model_to_dict(load_model("heisenberg"))
+        if field == "gamma":
+            data["gamma"] = [[["0"] * 5 for _ in range(5)] for _ in range(5)]
+            data["gamma"][0][1][2] = value
+        elif field == "eta":
+            data["eta"][4] = value
+        else:
+            data[field] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data))
+        code = run(["model", "--model", str(path), "--samples", "5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert str(path) in err and where in err
+
     def test_curvature_block_violation_is_usage_error(self, tmp_path, capsys):
         data = model_to_dict(load_model("heisenberg"))
         ric = np.zeros((5, 5))
@@ -135,6 +162,40 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "constraint R12=0 violated" in err
+
+
+class TestSampleCounts:
+    """``--samples`` sets the number of random draws in clifford and selfdual."""
+
+    @staticmethod
+    def _calls(monkeypatch, capsys, module, name, argv):
+        original = getattr(module, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        code, rep = _run(argv, capsys)
+        monkeypatch.setattr(module, name, original)
+        assert code == EXIT_PASS
+        assert rep["parameters"]["samples"] == int(argv[-1])
+        return len(calls)
+
+    def test_clifford_sigma_full_draws(self, monkeypatch, capsys):
+        counts = [
+            self._calls(monkeypatch, capsys, cliff5, "sigma_full", ["clifford", "--samples", n])
+            for n in ("3", "10")
+        ]
+        # sigma_h(PSI0) adds the same fixed number of calls to both runs.
+        assert counts[1] - counts[0] == 7
+
+    def test_selfdual_sd_project_draws(self, monkeypatch, capsys):
+        for n in (3, 10):
+            assert self._calls(
+                monkeypatch, capsys, cli, "sd_project", ["selfdual", "--samples", str(n)]
+            ) == n
 
 
 class TestReports:

@@ -174,6 +174,42 @@ class TestBianchiCorrection:
         y = np.array([1.1, 0.4, -0.7, 0.2, 0.0])
         assert bianchi_b(tau, x, y) == pytest.approx(-bianchi_b(tau, y, x))
 
+    def test_matches_definition_off_the_admissible_set(self):
+        # Oracle: B(X, Y) = (i/2) sum_a g(B_a(X, Y), J e_a) with
+        # B_a = deta(X, Y) tau(e_a) + deta(e_a, X) tau(Y) + deta(Y, e_a) tau(X),
+        # written out term by term for non-self-adjoint torsion.
+        def deta_xy(x, y):
+            return x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]
+
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            t = rng.normal(size=(5, 5))
+            t[4, :] = t[:, 4] = 0
+            tau = TorsionEndomorphism(t)
+            x = np.append(rng.normal(size=4), 0.0)
+            y = np.append(rng.normal(size=4), 0.0)
+            total = 0.0
+            for a in range(4):
+                b_a = (
+                    deta_xy(x, y) * (t @ EI[a])
+                    + deta_xy(EI[a], x) * (t @ y)
+                    + deta_xy(y, EI[a]) * (t @ x)
+                )
+                total += np.dot(b_a, J_FRAME @ EI[a])
+            assert abs(bianchi_b(tau, x, y) - 0.5j * total) < 1e-12
+
+    def test_stacked_arguments_match_single_pairs(self):
+        rng = np.random.default_rng(13)
+        t = rng.normal(size=(5, 5))
+        t[4, :] = t[:, 4] = 0
+        tau = TorsionEndomorphism(t)
+        xs = np.hstack([rng.normal(size=(6, 4)), np.zeros((6, 1))])
+        ys = np.hstack([rng.normal(size=(6, 4)), np.zeros((6, 1))])
+        stacked = bianchi_b(tau, xs, ys)
+        assert stacked.shape == (6,)
+        for k in range(6):
+            assert abs(stacked[k] - bianchi_b(tau, xs[k], ys[k])) < 1e-14
+
     def test_rejects_vertical_arguments(self):
         tau = random_admissible_torsion(0)
         with pytest.raises(ValueError):

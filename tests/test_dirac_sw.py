@@ -365,13 +365,3 @@ class TestCanonicalSolution:
         sol = canonical_solution(-2.0)
         expected = admissible_ricci(-0.5, -0.5, 0.0, 0.0)
         assert np.array_equal(sol.model.curvature.ric, expected.ric)
-
-    def test_residual_report_shape(self):
-        from swcheck.dirac_sw import residual_report
-
-        sol = canonical_solution(-4.0)
-        res = sw_residual(sol.pair)
-        rep = residual_report("solution", sol.pair, res, 1, 0, 1e-12)
-        assert rep["pass"] is True
-        assert rep["model"] == "synthetic"
-        assert set(rep["residuals"]) == {"dirac", "curvature", "sigma_vertical"}

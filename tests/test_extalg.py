@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from swcheck.extalg import (
+    CONTACT_STAR,
     INDEX_TUPLES,
+    PAIR_INDEX,
+    STAR,
+    VERTICAL,
+    WEDGE,
     KForm,
     anti_self_dual_basis,
     basis_form,
@@ -24,6 +29,34 @@ from swcheck.extalg import (
 
 def _eq(a: KForm, b: KForm) -> bool:
     return a.degree == b.degree and np.array_equal(a.coeffs, b.coeffs)
+
+
+class TestTables:
+    def test_entries_are_signs_and_read_only(self):
+        for table in [*WEDGE.values(), *STAR.values(), CONTACT_STAR]:
+            assert set(np.unique(table)) <= {-1.0, 0.0, 1.0}
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 2.0
+
+    def test_wedge_table_shapes_and_basis_products(self):
+        for (ka, kb), table in WEDGE.items():
+            n = [len(INDEX_TUPLES[k]) for k in (ka, kb, ka + kb)]
+            assert table.shape == tuple(n)
+            # Each pair of disjoint basis forms lands on exactly one basis form.
+            hits = np.abs(table).sum(axis=2)
+            for p, a in enumerate(INDEX_TUPLES[ka]):
+                for q, b in enumerate(INDEX_TUPLES[kb]):
+                    assert hits[p, q] == (0 if set(a) & set(b) else 1)
+
+    def test_vertical_mask_and_pair_index(self):
+        for k in range(6):
+            assert VERTICAL[k].tolist() == [5 in t for t in INDEX_TUPLES[k]]
+        assert [(i + 1, j + 1) for i, j in zip(*PAIR_INDEX)] == list(INDEX_TUPLES[2])
+
+    def test_contact_star_is_an_involution_on_horizontal_forms(self):
+        horizontal = np.diag(~VERTICAL[2]).astype(float)
+        assert np.array_equal(CONTACT_STAR @ CONTACT_STAR, horizontal)
+        assert not np.any(CONTACT_STAR[:, VERTICAL[2]])
 
 
 class TestWedge:

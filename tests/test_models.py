@@ -235,6 +235,21 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match=r"eta\[0\].*position"):
             load_model(data)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_number_rejected(self, value):
+        data = model_to_dict(load_model("heisenberg"))
+        data["J"][0][1] = value
+        with pytest.raises(ModelFormatError, match=r"J\[0\]\[1\]: .* not finite"):
+            load_model(data)
+
+    def test_non_finite_ricci_entry_rejected(self):
+        data = model_to_dict(load_model("heisenberg"))
+        ric = np.zeros((5, 5))
+        ric[2, 3] = np.nan
+        data["curvature"] = {"ric": ric.tolist()}
+        with pytest.raises(ModelFormatError, match=r"curvature\.ric\[2\]\[3\]"):
+            load_model(data)
+
     def test_missing_field(self):
         with pytest.raises(ModelFormatError, match="missing field"):
             load_model({"eta": ["0", "0", "0", "0", "1"]})

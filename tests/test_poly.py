@@ -57,6 +57,11 @@ class TestParsing:
             parse_poly("x1 + + *")
         assert "position" in str(err.value)
 
+    def test_overflowing_literal_rejected(self):
+        with pytest.raises(PolySyntaxError, match="overflows") as err:
+            parse_poly("x1 + 1e400*t")
+        assert err.value.position == 5
+
     def test_fractional_exponent_rejected(self):
         with pytest.raises(PolySyntaxError):
             parse_poly("x1^1.5")
