@@ -47,7 +47,7 @@ GAMMA: tuple[np.ndarray, ...] = (
 _GAMMA_STACK = _frozen(GAMMA)
 
 #: kappa(e_i) kappa(e_j) for each 2-form basis pair (i, j), in basis order.
-_PAIR_PRODUCTS = _frozen(_GAMMA_STACK[PAIR_INDEX[0]] @ _GAMMA_STACK[PAIR_INDEX[1]])
+PAIR_PRODUCTS = _frozen(_GAMMA_STACK[PAIR_INDEX[0]] @ _GAMMA_STACK[PAIR_INDEX[1]])
 
 #: Reference spinor spanning the -2i eigenspace of kappa(deta); corresponds
 #: to the constant function 1 under the (0, *)-form identification.
@@ -82,7 +82,7 @@ def two_form_matrix(omega: KForm) -> np.ndarray:
     """
     if omega.degree != 2:
         raise ValueError(f"expected a 2-form, got degree {omega.degree}")
-    return np.tensordot(omega.coeffs, _PAIR_PRODUCTS, 1)
+    return np.tensordot(omega.coeffs, PAIR_PRODUCTS, 1)
 
 
 def clifford_two_form(omega: KForm, psi) -> np.ndarray:
@@ -135,4 +135,4 @@ def sigma_full(psi) -> KForm:
     sigma_h(psi).
     """
     psi = np.asarray(psi, dtype=complex)
-    return KForm(2, (_PAIR_PRODUCTS @ psi) @ psi.conj())
+    return KForm(2, (PAIR_PRODUCTS @ psi) @ psi.conj())

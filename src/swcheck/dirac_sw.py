@@ -17,6 +17,14 @@ The Kohn-Dirac operator sums the horizontal Clifford derivatives,
 D_H = sum_{i<=4} kappa(e_i) nabla_i, and the full operator adds the Reeb
 term kappa(e_5) nabla_5.
 
+The operators map polynomial fields to polynomial fields:
+``spin_covariant_derivative``, ``kohn_dirac`` and ``full_dirac`` return a
+:class:`SpinorField` and ``dbar_pair`` a pair of :class:`FormSpinorField`,
+each derived once and exactly; callers evaluate the result at points.
+``full_dirac_fd`` is the pointwise oracle: it takes central differences of
+the spinor components and shares only the connection terms with the exact
+path.
+
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+.  Here sigma(psi)^+ means the
 self-dual part of the HORIZONTAL component of sigma(psi): the contact star
@@ -36,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cliff5 import GAMMA, PSI0, gamma, sigma_full, sigma_h
+from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full, sigma_h
 from .curvature import admissible_ricci
-from .extalg import INDEX_TUPLES, KForm, horizontal_split, sd_project
+from .extalg import INDEX_TUPLES, PAIR_INDEX, KForm, horizontal_split, sd_project
 from .models import (
     ConnectionCoefficients,
     CoordForm,
@@ -48,9 +56,10 @@ from .models import (
     VectorFieldPoly,
     exterior_d,
     heisenberg5,
+    read_json_file,
     synthetic_model,
 )
-from .poly import PolyExpr, PolySyntaxError, parse_poly
+from .poly import ZERO, PolyExpr, PolySyntaxError, parse_poly
 
 #: Prefactor of the so(5) part of the spinorial connection.
 SO_COUPLING = 0.25
@@ -104,13 +113,7 @@ def load_spinor_field(source) -> SpinorField:
     Accepts a file path or an already-decoded dict; expression syntax errors
     carry the component index and source offset.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from exc
-    else:
-        data = source
+    data = read_json_file(source) if isinstance(source, (str, Path)) else source
     if not isinstance(data, dict) or "psi" not in data:
         raise ModelFormatError('spinor field file needs a "psi" field')
     comps = data["psi"]
@@ -136,21 +139,12 @@ class SpinConnection:
     """Frame plus Tanaka-Webster and U(1) connection data.
 
     The U(1) connection 1-form must be imaginary valued (on a real chart
-    this means every polynomial coefficient of A is purely imaginary).
+    this means every polynomial coefficient of A is purely imaginary);
+    :class:`ConnectionCoefficients` enforces it.
     """
 
     frame: FrameFieldSet
     conn: ConnectionCoefficients
-
-    def __post_init__(self):
-        for c in range(5):
-            comp = self.conn.a_form.component(1 << c)
-            for _, coeff in comp.terms:
-                if coeff.real != 0:
-                    raise ValueError(
-                        "the U(1) connection 1-form must be imaginary valued; "
-                        f"component {c} has a real part"
-                    )
 
     @staticmethod
     def heisenberg(a_form: CoordForm | None = None) -> "SpinConnection":
@@ -160,77 +154,81 @@ class SpinConnection:
         return SpinConnection(frame, conn)
 
 
-def spin_covariant_derivative(s: SpinConnection, w: int, psi: SpinorField, point) -> np.ndarray:
+def _mat_apply(m: np.ndarray, components) -> tuple[PolyExpr, ...]:
+    """A constant matrix applied to a column of polynomial components."""
+    return tuple(
+        sum((c * complex(a) for a, c in zip(row, components) if a != 0), ZERO) for row in m
+    )
+
+
+def _connection_terms(s: SpinConnection, w: int) -> list[tuple[PolyExpr, np.ndarray]]:
+    """Zeroth-order terms of nabla_w as (coefficient, constant matrix) pairs.
+
+    SO_COUPLING Gamma^k_{wj} kappa(e_j) kappa(e_k) for each j < k with a
+    nonzero Christoffel (omega_jk(e_w) = Gamma^k_{wj} in a g-orthonormal
+    frame), then U1_COUPLING A(e_w) Id when A(e_w) is nonzero.
+    """
+    gam = s.conn.gamma[w - 1]
+    terms = [
+        (gam[j][k], SO_COUPLING * m)
+        for (j, k), m in zip(zip(*PAIR_INDEX), PAIR_PRODUCTS)
+        if not gam[j][k].is_zero()
+    ]
+    a_w = s.conn.a_form.pair_vector(s.frame.fields[w - 1])
+    if not a_w.is_zero():
+        terms.append((a_w, U1_COUPLING * np.eye(4)))
+    return terms
+
+
+def spin_covariant_derivative(s: SpinConnection, w: int, psi: SpinorField) -> SpinorField:
     """Spinorial covariant derivative along frame direction w in 1..5."""
     if not 1 <= w <= 5:
         raise ValueError(f"frame index must be in 1..5, got {w}")
     ew = s.frame.fields[w - 1]
-    out = np.array([ew.apply(c)(point) for c in psi.components], dtype=complex)
-
-    psi_p = None
-    gam = s.conn.gamma[w - 1]
-    for j in range(5):
-        for k in range(j + 1, 5):
-            # omega_jk(e_w) = Gamma^k_{w j} for a g-orthonormal frame.
-            coeff = gam[j][k](point)
-            if coeff != 0:
-                if psi_p is None:
-                    psi_p = psi.evaluate(point)
-                out = out + SO_COUPLING * coeff * (GAMMA[j] @ (GAMMA[k] @ psi_p))
-
-    a_val = s.conn.a_form.pair_vector(ew)(point)
-    if a_val != 0:
-        if psi_p is None:
-            psi_p = psi.evaluate(point)
-        out = out + U1_COUPLING * a_val * psi_p
+    out = SpinorField(tuple(ew.apply(c) for c in psi.components))
+    for coeff, m in _connection_terms(s, w):
+        out = out + SpinorField(_mat_apply(m, psi.components)).scale(coeff)
     return out
 
 
-def kohn_dirac(s: SpinConnection, psi: SpinorField, point) -> np.ndarray:
+def _clifford(w: int, psi: SpinorField) -> SpinorField:
+    return SpinorField(_mat_apply(GAMMA[w - 1], psi.components))
+
+
+def kohn_dirac(s: SpinConnection, psi: SpinorField) -> SpinorField:
     """Horizontal Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi."""
-    out = np.zeros(4, dtype=complex)
-    for i in range(1, 5):
-        out += GAMMA[i - 1] @ spin_covariant_derivative(s, i, psi, point)
+    out = _clifford(1, spin_covariant_derivative(s, 1, psi))
+    for i in range(2, 5):
+        out = out + _clifford(i, spin_covariant_derivative(s, i, psi))
     return out
 
 
-def full_dirac(s: SpinConnection, psi: SpinorField, point) -> np.ndarray:
+def full_dirac(s: SpinConnection, psi: SpinorField) -> SpinorField:
     """Full Dirac operator, the Kohn-Dirac part plus the Reeb term."""
-    return kohn_dirac(s, psi, point) + GAMMA[4] @ spin_covariant_derivative(s, 5, psi, point)
+    return kohn_dirac(s, psi) + _clifford(5, spin_covariant_derivative(s, 5, psi))
 
 
 def full_dirac_fd(
     s: SpinConnection, psi: SpinorField, point, h: float = 1e-4, horizontal_only: bool = False
 ) -> np.ndarray:
-    """Finite-difference oracle for the Dirac operators.
+    """Finite-difference oracle for the Dirac operators at one point.
 
     Replaces the exact directional derivatives with central differences of
-    the spinor components along the chart coordinates (step h); connection
-    terms are unchanged.  Independent of the exact-derivative path.
+    the spinor components along the chart coordinates (step h); only the
+    connection terms are shared with the exact path.
     """
     point = np.asarray(point, dtype=float)
-    n_dirs = 4 if horizontal_only else 5
+    psi_p = psi.evaluate(point)
     out = np.zeros(4, dtype=complex)
-    for w in range(1, n_dirs + 1):
-        ew = s.frame.fields[w - 1]
-        ew_p = ew.evaluate(point)
+    for w in range(1, 5 if horizontal_only else 6):
         deriv = np.zeros(4, dtype=complex)
-        for c in range(5):
-            if ew_p[c] == 0:
-                continue
-            shift = np.zeros(5)
-            shift[c] = h
-            deriv += ew_p[c] * (psi.evaluate(point + shift) - psi.evaluate(point - shift)) / (2 * h)
-        psi_p = psi.evaluate(point)
-        gam = s.conn.gamma[w - 1]
-        for j in range(5):
-            for k in range(j + 1, 5):
-                coeff = gam[j][k](point)
-                if coeff != 0:
-                    deriv += SO_COUPLING * coeff * (GAMMA[j] @ (GAMMA[k] @ psi_p))
-        a_val = s.conn.a_form.pair_vector(ew)(point)
-        if a_val != 0:
-            deriv += U1_COUPLING * a_val * psi_p
+        for c, x in enumerate(s.frame.fields[w - 1].evaluate(point)):
+            if x != 0:
+                shift = np.zeros(5)
+                shift[c] = h
+                deriv += x * (psi.evaluate(point + shift) - psi.evaluate(point - shift)) / (2 * h)
+        for coeff, m in _connection_terms(s, w):
+            deriv += coeff(point) * (m @ psi_p)
         out += GAMMA[w - 1] @ deriv
     return out
 
@@ -347,23 +345,20 @@ class FormSpinorField:
 
     def to_spinor_field(self, phi: np.ndarray) -> SpinorField:
         """Push through the identification matrix (constant coefficients)."""
-        comps = []
-        for i in range(4):
-            acc = PolyExpr()
-            for j in range(4):
-                if phi[i, j] != 0:
-                    acc = acc + phi[i, j] * self.components[j]
-            comps.append(acc)
-        return SpinorField(tuple(comps))
+        return SpinorField(_mat_apply(phi, self.components))
 
 
-def _require_flat_heisenberg(s: SpinConnection):
+def _flat_heisenberg(s: SpinConnection | None) -> SpinConnection:
+    """s, checked to be the flat untwisted Heisenberg connection (the default)."""
+    if s is None:
+        return SpinConnection.heisenberg()
     if s.frame.name != "heisenberg" or not s.conn.is_flat():
         raise UnsupportedModelError(
             "the dbar operators are implemented on the flat Heisenberg model only"
         )
     if any(not s.conn.a_form.component(1 << c).is_zero() for c in range(5)):
         raise UnsupportedModelError("the dbar operators require a trivial U(1) connection")
+    return s
 
 
 @lru_cache(maxsize=1)
@@ -380,54 +375,36 @@ def _heisenberg_z_fields() -> tuple[VectorFieldPoly, ...]:
 
 
 def dbar_pair(
-    field: FormSpinorField, point, s: SpinConnection | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dbar_H f, dbar_H* f) at a point, on the flat Heisenberg model.
+    field: FormSpinorField, s: SpinConnection | None = None
+) -> tuple[FormSpinorField, FormSpinorField]:
+    """(dbar_H f, dbar_H* f) as form fields, on the flat Heisenberg model.
 
     dbar_H = sum_a tb^a ^ nabla_{Zbar_a} raises the degree and
     dbar_H* = -sum_a i(Zbar_a) nabla_{Z_a} lowers it; with the flat
     connection both reduce to componentwise Z / Zbar derivatives.
     """
-    if s is None:
-        s = SpinConnection.heisenberg()
-    _require_flat_heisenberg(s)
+    _flat_heisenberg(s)
     z1, z2, zb1, zb2 = _heisenberg_z_fields()
     f0, f1, f2, f3 = field.components
-    dbar = np.array(
-        [
-            0j,
-            zb1.apply(f0)(point),
-            zb2.apply(f0)(point),
-            (zb1.apply(f2) - zb2.apply(f1))(point),
-        ],
-        dtype=complex,
-    )
-    dbar_star = np.array(
-        [
-            -(z1.apply(f1) + z2.apply(f2))(point),
-            z2.apply(f3)(point),
-            -(z1.apply(f3))(point),
-            0j,
-        ],
-        dtype=complex,
+    dbar = FormSpinorField.make(0, zb1.apply(f0), zb2.apply(f0), zb1.apply(f2) - zb2.apply(f1))
+    dbar_star = FormSpinorField.make(
+        -(z1.apply(f1) + z2.apply(f2)), z2.apply(f3), -z1.apply(f3), 0
     )
     return dbar, dbar_star
 
 
 def dbar_identity_residual(fields, points, s: SpinConnection | None = None) -> float:
     """Residual of sqrt(2) (dbar_H + dbar_H*) against Phi^-1 D_H Phi."""
-    if s is None:
-        s = SpinConnection.heisenberg()
-    _require_flat_heisenberg(s)
+    s = _flat_heisenberg(s)
     phi = derive_identification()
     phi_inv = phi.conj().T
     worst = 0.0
     for field in fields:
-        spinor = field.to_spinor_field(phi)
+        d, ds = dbar_pair(field, s)
+        dirac = kohn_dirac(s, field.to_spinor_field(phi))
         for p in points:
-            d, ds = dbar_pair(field, p, s)
-            lhs = _SQ2 * (d + ds)
-            rhs = phi_inv @ kohn_dirac(s, spinor, p)
+            lhs = _SQ2 * (d.evaluate(p) + ds.evaluate(p))
+            rhs = phi_inv @ dirac.evaluate(p)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -456,21 +433,18 @@ class SWPair:
     def on_synthetic(model: SyntheticModel, psi: SpinorField) -> "SWPair":
         return SWPair(psi=psi, synthetic=model)
 
-    def f_a_at(self, point) -> KForm:
-        """Curvature 2-form in frame components at a point.
+    def f_a_field(self) -> tuple[PolyExpr, ...]:
+        """Curvature 2-form as its 10 frame components, in basis order.
 
-        On a polynomial model this is the exact exterior derivative of the
-        connection 1-form paired against the frame.
+        On a polynomial model these are the exact exterior derivative of the
+        connection 1-form paired against the frame; on the synthetic model
+        they are the prescribed constants.
         """
         if self.synthetic is not None:
-            return self.synthetic.f_a
-        frame = self.connection.frame
+            return tuple(PolyExpr.const(c) for c in self.synthetic.f_a.coeffs)
+        fields = self.connection.frame.fields
         fa_coord = exterior_d(self.connection.conn.a_form)
-        coeffs = [
-            fa_coord.pair_two(frame.fields[i - 1], frame.fields[j - 1])(point)
-            for i, j in INDEX_TUPLES[2]
-        ]
-        return KForm(2, np.array(coeffs, dtype=complex))
+        return tuple(fa_coord.pair_two(fields[i - 1], fields[j - 1]) for i, j in INDEX_TUPLES[2])
 
 
 class SWResidual(NamedTuple):
@@ -501,14 +475,14 @@ def sw_residual(pair: SWPair, points=None) -> SWResidual:
 
     if points is None:
         raise ValueError("sample points are required on a polynomial model")
-    s = pair.connection
+    dirac = full_dirac(pair.connection, pair.psi)
+    f_a = pair.f_a_field()
     r_dirac = 0.0
     r_curv = 0.0
     sigma_vert = 0.0
     for p in points:
-        r_dirac = max(r_dirac, float(np.max(np.abs(full_dirac(s, pair.psi, p)))))
-        f_a = pair.f_a_at(p)
-        f_h, _ = horizontal_split(f_a)
+        r_dirac = max(r_dirac, float(np.max(np.abs(dirac.evaluate(p)))))
+        f_h, _ = horizontal_split(KForm(2, np.array([c(p) for c in f_a], dtype=complex)))
         sigma = sigma_full(pair.psi.evaluate(p))
         sigma_h_part, sigma_v = horizontal_split(sigma)
         resid = sd_project(f_h).plus + 0.25 * sd_project(sigma_h_part).plus

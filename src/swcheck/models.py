@@ -239,6 +239,11 @@ class ConnectionCoefficients:
     gamma: tuple[tuple[tuple[PolyExpr, ...], ...], ...]
     a_form: CoordForm
 
+    def __post_init__(self):
+        for c in range(5):
+            if any(v.real != 0 for _, v in self.a_form.component(1 << c).terms):
+                raise ValueError(f"A[{c}]: the U(1) connection 1-form must be imaginary valued")
+
     @staticmethod
     def flat() -> "ConnectionCoefficients":
         z = tuple(tuple(tuple(ZERO for _ in range(5)) for _ in range(5)) for _ in range(5))
@@ -631,15 +636,33 @@ class ModelBundle:
     curvature: CurvatureData | None = None
 
 
+def read_json_file(path):
+    """Decode a UTF-8 JSON file; any failure is a located ModelFormatError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"not valid JSON: {exc}") from exc
+
+
+def _parse_number(path: str, src) -> float:
+    if isinstance(src, bool) or not isinstance(src, (int, float)):
+        raise ModelFormatError(f"{path}: expected a number")
+    try:
+        value = float(src)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ModelFormatError(f"{path}: number {value} is not finite")
+    return value
+
+
 def _parse_field(path: str, src) -> PolyExpr:
     if isinstance(src, (int, float)):
-        try:
-            value = float(src)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise ModelFormatError(f"{path}: number {value} is not finite")
-        return PolyExpr.const(src)
+        return PolyExpr.const(_parse_number(path, src))
     if not isinstance(src, str):
         raise ModelFormatError(f"{path}: expected a string or number")
     try:
@@ -666,10 +689,7 @@ def load_model(source) -> ModelBundle:
         frame, conn = heisenberg5()
         return ModelBundle(frame, conn, None)
     if isinstance(source, (str, Path)):
-        try:
-            data = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from exc
+        data = read_json_file(source)
     elif isinstance(source, dict):
         data = source
     else:
@@ -723,22 +743,26 @@ def load_model(source) -> ModelBundle:
         asrc = data["A"]
         if not isinstance(asrc, list) or len(asrc) != 5:
             raise ModelFormatError("A: expected a list of 5 expressions")
-        conn = conn.with_a(
-            CoordForm.one_form(*(_parse_field(f"A[{i}]", s) for i, s in enumerate(asrc)))
-        )
+        a_form = CoordForm.one_form(*(_parse_field(f"A[{i}]", s) for i, s in enumerate(asrc)))
+        try:
+            conn = conn.with_a(a_form)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc)) from exc
 
     curv = None
     if "curvature" in data:
         csrc = data["curvature"]
         if not isinstance(csrc, dict) or "ric" not in csrc:
             raise ModelFormatError('curvature: expected an object with a "ric" matrix')
-        ric = np.asarray(csrc["ric"], dtype=float)
-        if ric.shape != (5, 5):
+        rsrc = csrc["ric"]
+        if not isinstance(rsrc, list) or len(rsrc) != 5:
             raise ModelFormatError("curvature.ric: expected a 5 x 5 matrix")
-        if not np.all(np.isfinite(ric)):
-            r, c = np.argwhere(~np.isfinite(ric))[0]
-            raise ModelFormatError(f"curvature.ric[{r}][{c}]: number {ric[r, c]} is not finite")
-        curv = CurvatureData(ric)
+        ric = []
+        for r, row in enumerate(rsrc):
+            if not isinstance(row, list) or len(row) != 5:
+                raise ModelFormatError(f"curvature.ric[{r}]: expected 5 entries")
+            ric.append([_parse_number(f"curvature.ric[{r}][{c}]", v) for c, v in enumerate(row)])
+        curv = CurvatureData(np.array(ric))
         bad = curv.violations()
         if bad:
             raise ModelFormatError("curvature.ric: " + "; ".join(bad))

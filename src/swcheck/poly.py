@@ -90,10 +90,15 @@ class PolyExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "PolyExpr":
-        other = _coerce(other)
+        # With two multi-term operands the float sums below depend on the
+        # order of accumulation; a fixed operand order makes p * q == q * p
+        # hold exactly.
+        lhs, rhs = self, _coerce(other)
+        if len(lhs.terms) > 1 and len(rhs.terms) > 1 and _mul_order(rhs) < _mul_order(lhs):
+            lhs, rhs = rhs, lhs
         d: dict[_Exponents, complex] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in lhs.terms:
+            for e2, c2 in rhs.terms:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 d[e] = d.get(e, 0j) + c1 * c2
         return PolyExpr.from_dict(d)
@@ -164,6 +169,10 @@ def _coerce(v) -> PolyExpr:
     if isinstance(v, (int, float, complex)):
         return PolyExpr.const(v)
     raise TypeError(f"cannot coerce {type(v).__name__} to PolyExpr")
+
+
+def _mul_order(p: PolyExpr):
+    return [(e, c.real, c.imag) for e, c in p.terms]
 
 
 def _term_key(item):

@@ -174,7 +174,7 @@ def test_criterion_7_dirac_operators():
     points = sample_points(20, seed=5)
     psi0 = SpinorField.psi0()
     exact_zero = all(
-        np.array_equal(full_dirac(s, psi0, p), np.zeros(4, dtype=complex)) for p in points
+        np.array_equal(full_dirac(s, psi0).evaluate(p), np.zeros(4, dtype=complex)) for p in points
     )
 
     rng = np.random.default_rng(17)
@@ -195,7 +195,9 @@ def test_criterion_7_dirac_operators():
             worst_fd = max(
                 worst_fd,
                 float(
-                    np.max(np.abs(full_dirac(s, psi, p) - full_dirac_fd(s, psi, p, h=1e-4)))
+                    np.max(
+                        np.abs(full_dirac(s, psi).evaluate(p) - full_dirac_fd(s, psi, p, h=1e-4))
+                    )
                 ),
             )
 

@@ -48,6 +48,16 @@ class TestSuitesPass:
             "solution",
         }
 
+    def test_all_on_a_model_file_runs_dirac_on_heisenberg(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model_to_dict(load_model("heisenberg"))))
+        code, rep = _run(["all", "--samples", "20", "--model", str(path)], capsys)
+        assert code == EXIT_PASS
+        assert rep["model"] == str(path)
+        assert rep["suites"]["model"]["model"] == str(path)
+        assert rep["suites"]["dirac"]["model"] == "heisenberg"
+        assert rep["suites"]["dirac"]["parameters"]["model"] == "heisenberg"
+
     def test_clifford_suite_is_exact(self, capsys):
         code, rep = _run(["clifford"], capsys)
         exact = [c for c in rep["checks"] if c["tolerance"] == 0.0]
@@ -150,6 +160,53 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert str(path) in err and where in err
+
+    @pytest.mark.parametrize(
+        "ric, where",
+        [
+            ([["a", 0, 0, 0, 0]] + [[0] * 5] * 4, "curvature.ric[0][0]: expected a number"),
+            ([[None] * 5] * 5, "curvature.ric[0][0]: expected a number"),
+            ([[0] * 5] * 4 + [[0] * 4], "curvature.ric[4]: expected 5 entries"),
+        ],
+    )
+    def test_malformed_ricci_entry_is_usage_error(self, ric, where, tmp_path, capsys):
+        data = model_to_dict(load_model("heisenberg"))
+        data["curvature"] = {"ric": ric}
+        path = tmp_path / "badric.json"
+        path.write_text(json.dumps(data))
+        code = run(["model", "--model", str(path), "--samples", "5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert str(path) in err and where in err
+
+    def test_non_utf8_model_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"chart": "caf\u00e9"}'.encode("latin-1"))
+        code = run(["model", "--model", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert str(path) in err and "UTF-8" in err
+
+    def test_directory_as_model_file_is_usage_error(self, tmp_path, capsys):
+        code = run(["model", "--model", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert str(tmp_path) in err and "cannot read" in err
+
+    def test_real_valued_a_is_usage_error(self, tmp_path, capsys):
+        data = model_to_dict(load_model("heisenberg"))
+        data["A"] = ["1", 0, 0, 0, 0]
+        path = tmp_path / "real_a.json"
+        path.write_text(json.dumps(data))
+        code = run(["model", "--model", str(path), "--samples", "5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert str(path) in err and "A[0]" in err
+
+    def test_dirac_rejects_other_models(self, capsys):
+        code = run(["dirac", "--model", "/nonexistent.json", "--samples", "2"])
+        assert code == EXIT_USAGE
+        assert "Heisenberg" in capsys.readouterr().err
 
     def test_curvature_block_violation_is_usage_error(self, tmp_path, capsys):
         data = model_to_dict(load_model("heisenberg"))

@@ -25,7 +25,13 @@ from swcheck.dirac_sw import (
     sw_residual,
 )
 from swcheck.extalg import deta, sd_project
-from swcheck.models import CoordForm, sample_points, synthetic_model
+from swcheck.models import (
+    ConnectionCoefficients,
+    CoordForm,
+    heisenberg5,
+    sample_points,
+    synthetic_model,
+)
 from swcheck.poly import PolyExpr, parse_poly
 
 POINTS = sample_points(20, seed=21)
@@ -49,28 +55,28 @@ class TestSpinCovariantDerivative:
     def test_flat_constant_spinor(self):
         psi = SpinorField.psi0()
         for w in range(1, 6):
-            out = spin_covariant_derivative(S_FLAT, w, psi, POINTS[0])
+            out = spin_covariant_derivative(S_FLAT, w, psi).evaluate(POINTS[0])
             assert np.array_equal(out, np.zeros(4, dtype=complex))
 
     def test_coordinate_derivative(self):
         psi = SpinorField.make(parse_poly("x1"), 0, 0, 0)
-        out = spin_covariant_derivative(S_FLAT, 1, psi, POINTS[1])
+        out = spin_covariant_derivative(S_FLAT, 1, psi).evaluate(POINTS[1])
         assert np.array_equal(out, np.array([1, 0, 0, 0], dtype=complex))
 
     def test_u1_term_on_reeb(self):
         s = SpinConnection.heisenberg(CoordForm.one_form(0, 0, 0, 0, 1j))
-        out = spin_covariant_derivative(s, 5, SpinorField.psi0(), POINTS[2])
+        out = spin_covariant_derivative(s, 5, SpinorField.psi0()).evaluate(POINTS[2])
         assert np.array_equal(out, 0.5j * PSI0)
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            spin_covariant_derivative(S_FLAT, 0, SpinorField.psi0(), POINTS[0])
+            spin_covariant_derivative(S_FLAT, 0, SpinorField.psi0())
 
 
 class TestKohnDirac:
     def test_psi0_in_kernel(self):
         for p in POINTS[:5]:
-            assert np.array_equal(kohn_dirac(S_FLAT, SpinorField.psi0(), p), np.zeros(4))
+            assert np.array_equal(kohn_dirac(S_FLAT, SpinorField.psi0()).evaluate(p), np.zeros(4))
 
     def test_t_dependent_field_closed_form(self):
         # e_i(t) = (y1, 0, y2, 0), so D_H (t,0,0,0) picks up the horizontal
@@ -79,7 +85,7 @@ class TestKohnDirac:
         basis0 = np.array([1, 0, 0, 0], dtype=complex)
         for p in POINTS[:5]:
             expected = p[1] * (GAMMA[0] @ basis0) + p[3] * (GAMMA[2] @ basis0)
-            out = kohn_dirac(S_FLAT, psi, p)
+            out = kohn_dirac(S_FLAT, psi).evaluate(p)
             assert np.max(np.abs(out - expected)) < 1e-14
             fd = full_dirac_fd(S_FLAT, psi, p, horizontal_only=True)
             assert np.max(np.abs(out - fd)) < 1e-9
@@ -89,20 +95,20 @@ class TestKohnDirac:
         a = _random_spinor_field(rng)
         b = _random_spinor_field(rng)
         for p in POINTS[:3]:
-            lhs = kohn_dirac(S_FLAT, a + b, p)
-            rhs = kohn_dirac(S_FLAT, a, p) + kohn_dirac(S_FLAT, b, p)
+            lhs = kohn_dirac(S_FLAT, a + b).evaluate(p)
+            rhs = kohn_dirac(S_FLAT, a).evaluate(p) + kohn_dirac(S_FLAT, b).evaluate(p)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 class TestFullDirac:
     def test_psi0_in_kernel_exactly(self):
         for p in POINTS:
-            assert np.array_equal(full_dirac(S_FLAT, SpinorField.psi0(), p), np.zeros(4))
+            assert np.array_equal(full_dirac(S_FLAT, SpinorField.psi0()).evaluate(p), np.zeros(4))
 
     def test_reduces_to_kohn_on_t_independent_fields(self):
         psi = SpinorField.make(parse_poly("x1*y2"), parse_poly("y1^2"), 0, 0)
         for p in POINTS[:5]:
-            diff = full_dirac(S_FLAT, psi, p) - kohn_dirac(S_FLAT, psi, p)
+            diff = full_dirac(S_FLAT, psi).evaluate(p) - kohn_dirac(S_FLAT, psi).evaluate(p)
             assert np.max(np.abs(diff)) == 0
 
     def test_reeb_component_closed_form(self):
@@ -116,7 +122,7 @@ class TestFullDirac:
                 + p[3] * (GAMMA[2] @ basis3)
                 + GAMMA[4] @ basis3
             )
-            out = full_dirac(S_FLAT, psi, p)
+            out = full_dirac(S_FLAT, psi).evaluate(p)
             assert np.max(np.abs(out - expected)) < 1e-14
             fd = full_dirac_fd(S_FLAT, psi, p)
             assert np.max(np.abs(out - fd)) < 1e-9
@@ -127,7 +133,7 @@ class TestFullDirac:
         for _ in range(50):
             psi = _random_spinor_field(rng, degree=3)
             for p in POINTS:
-                exact = full_dirac(S_FLAT, psi, p)
+                exact = full_dirac(S_FLAT, psi).evaluate(p)
                 approx = full_dirac_fd(S_FLAT, psi, p, h=1e-4)
                 worst = max(worst, float(np.max(np.abs(exact - approx))))
         assert worst <= 1e-6
@@ -138,10 +144,68 @@ class TestFullDirac:
         rot = psi.scale(np.exp(0.3j))
         for p in POINTS[:5]:
             assert np.max(
-                np.abs(np.abs(full_dirac(S_FLAT, rot, p)) - np.abs(full_dirac(S_FLAT, psi, p)))
+                np.abs(
+                    np.abs(full_dirac(S_FLAT, rot).evaluate(p))
+                    - np.abs(full_dirac(S_FLAT, psi).evaluate(p))
+                )
             ) < 1e-12
             d = sigma_full(rot.evaluate(p)) - sigma_full(psi.evaluate(p))
             assert d.norm_inf() < 1e-12
+
+
+def _twisted_connection() -> SpinConnection:
+    """Heisenberg frame with polynomial Christoffels and an imaginary A."""
+    frame, _ = heisenberg5()
+    gamma = [[[PolyExpr() for _ in range(5)] for _ in range(5)] for _ in range(5)]
+    gamma[0][0][1] = parse_poly("x1 + 2*y2")
+    gamma[1][0][4] = parse_poly("1.5")
+    gamma[2][1][3] = parse_poly("t^2 - 0.5")
+    gamma[4][2][4] = parse_poly("3*x2*y1")
+    gamma[3][3][4] = parse_poly("-y1*t + 0.25")
+    a_form = CoordForm.one_form(
+        parse_poly("i*y1"), 0, parse_poly("2i*x1*t"), parse_poly("-0.5i"), parse_poly("-i")
+    )
+    conn = ConnectionCoefficients(
+        tuple(tuple(tuple(row) for row in plane) for plane in gamma), a_form
+    )
+    return SpinConnection(frame, conn)
+
+
+class TestConnectionTerms:
+    """The so(5) and U(1) terms of nabla, on a connection with nonzero Christoffels."""
+
+    def test_constant_spinor_matches_written_out_formula(self):
+        s = _twisted_connection()
+        rng = np.random.default_rng(23)
+        psi_val = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi = SpinorField.constant(psi_val)
+        for p in POINTS[:10]:
+            # sum_w kappa_w (1/4 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi
+            gam = np.array([[[c(p) for c in row] for row in plane] for plane in s.conn.gamma])
+            a_vals = np.array([s.conn.a_form.component(1 << c)(p) for c in range(5)])
+            frame_vals = s.frame.frame_matrix(p)
+            expected = np.zeros(4, dtype=complex)
+            for w in range(5):
+                m = 0.5 * (a_vals @ frame_vals[:, w]) * np.eye(4)
+                for j in range(5):
+                    for k in range(j + 1, 5):
+                        m = m + 0.25 * gam[w, j, k] * (GAMMA[j] @ GAMMA[k])
+                expected += GAMMA[w] @ m @ psi_val
+            out = full_dirac(s, psi).evaluate(p)
+            assert np.max(np.abs(out - expected)) <= 1e-13
+
+    def test_polynomial_field_matches_finite_differences(self):
+        s = _twisted_connection()
+        psi = SpinorField.make(
+            parse_poly("x1*y2 + 2i*t^2"),
+            parse_poly("y1^3 - x2*t"),
+            parse_poly("(1+2i)*x1*y1*t"),
+            parse_poly("y2^2 + 0.5*x2 - 3i"),
+        )
+        for p in POINTS[:10]:
+            exact = full_dirac(s, psi).evaluate(p)
+            approx = full_dirac_fd(s, psi, p, h=1e-4)
+            assert np.max(np.abs(exact - approx)) <= 1e-6
 
 
 class TestIdentification:
@@ -208,14 +272,14 @@ class TestIdentification:
 class TestDbarOperators:
     def test_constant_field_annihilated(self):
         f = FormSpinorField.make(1, 2j, 0, -1)
-        d, ds = dbar_pair(f, POINTS[0])
+        d, ds = (g.evaluate(POINTS[0]) for g in dbar_pair(f))
         assert np.array_equal(d, np.zeros(4, dtype=complex))
         assert np.array_equal(ds, np.zeros(4, dtype=complex))
 
     def test_scalar_coordinate_example(self):
         # Zbar_1(x1) = 1/sqrt(2).
         f = FormSpinorField.make(parse_poly("x1"), 0, 0, 0)
-        d, ds = dbar_pair(f, POINTS[1])
+        d, ds = (g.evaluate(POINTS[1]) for g in dbar_pair(f))
         assert abs(d[1] - 1 / np.sqrt(2)) < 1e-14
         assert abs(d[2]) < 1e-14 and abs(d[0]) < 1e-14 and abs(d[3]) < 1e-14
         assert np.max(np.abs(ds)) == 0
@@ -233,7 +297,7 @@ class TestDbarOperators:
             }
             comps.append(PolyExpr.from_dict(terms))
         f = FormSpinorField(tuple(comps))
-        d, ds = dbar_pair(f, POINTS[2])
+        d, ds = (g.evaluate(POINTS[2]) for g in dbar_pair(f))
         assert d[0] == 0
         assert ds[3] == 0
 
@@ -257,7 +321,7 @@ class TestDbarOperators:
         s = SpinConnection.heisenberg(CoordForm.one_form(0, 0, 0, 0, 1j))
         f = FormSpinorField.make(1, 0, 0, 0)
         with pytest.raises(UnsupportedModelError):
-            dbar_pair(f, POINTS[0], s)
+            dbar_pair(f, s)
 
 
 class TestSWResidual:
