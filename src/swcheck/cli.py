@@ -43,7 +43,6 @@ from .dirac_sw import (
 from .extalg import (
     KForm,
     anti_self_dual_basis,
-    basis_form,
     contact_star,
     deta,
     form_inner,
@@ -92,27 +91,33 @@ def _floor_check(name: str, value: float, floor: float) -> dict:
 # -- suites ----------------------------------------------------------------------
 
 
+#: Most samples put through the fixed-dimension algebra in one stack, so that
+#: peak memory does not grow with ``--samples``.
+BLOCK = 500
+
+
+def _worst(n: int, residuals):
+    """Worst of ``residuals(block)`` (one residual or a tuple) over index
+    blocks of at most BLOCK samples; ``np.max`` propagates NaN."""
+    return np.max([residuals(b) for b in np.split(np.arange(n), range(BLOCK, n, BLOCK))], axis=0)
+
+
 def _suite_clifford(ns) -> dict:
     perturb = ns.perturb
-    gs = [np.array(g) for g in GAMMA]
+    gs = np.array(GAMMA)
     if perturb:
-        gs[0][0, 0] += perturb
+        gs[0, 0, 0] += perturb
+    eye = np.eye(4)
+    gs_h = np.conj(np.swapaxes(gs, -1, -2))
 
     checks = []
-    r = 0.0
-    for i in range(5):
-        for j in range(5):
-            ac = gs[i] @ gs[j] + gs[j] @ gs[i]
-            target = -2 * np.eye(4) if i == j else np.zeros((4, 4))
-            r = max(r, float(np.max(np.abs(ac - target))))
+    gi, gj = gs[:, None], gs[None, :]
+    target = -2 * np.eye(5)[:, :, None, None] * eye
+    r = np.max(np.abs(gi @ gj + gj @ gi - target))
     checks.append(_check("anticommutation_relations", r, 0.0))
 
-    r = max(
-        float(np.max(np.abs(g.conj().T + g))) for g in gs
-    )
-    checks.append(_check("generators_skew_hermitian", r, 0.0))
-    r = max(float(np.max(np.abs(g.conj().T @ g - np.eye(4)))) for g in gs)
-    checks.append(_check("generators_unitary", r, 0.0))
+    checks.append(_check("generators_skew_hermitian", np.max(np.abs(gs_h + gs)), 0.0))
+    checks.append(_check("generators_unitary", np.max(np.abs(gs_h @ gs - eye)), 0.0))
 
     kd = gs[0] @ gs[1] + gs[2] @ gs[3]
     checks.append(
@@ -143,18 +148,17 @@ def _suite_clifford(ns) -> dict:
     checks.append(
         _check("sigma_h_psi0", (sig - (-1j) * deta()).norm_inf(), 0.0)
     )
-    r = 0.0
-    for s in (-1.0, -2.0, -4.0):
-        scaled = (-s) * cliff5.sigma_h(PSI0)
-        r = max(r, (scaled - (1j * s) * deta()).norm_inf())
+    s = np.array([-1.0, -2.0, -4.0])
+    r = ((-s) * sig - (1j * s) * deta()).norm_inf()
     checks.append(_check("sigma_h_scaling_identity", r, 0.0))
 
     rng = np.random.default_rng(ns.seed)
-    r = 0.0
-    for _ in range(ns.samples):
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        sig = cliff5.sigma_full(psi)
-        r = max(r, float(np.max(np.abs(sig.coeffs.real))))
+
+    def sigma_real_part(block):
+        z = rng.normal(size=(len(block), 2, 4))
+        return np.max(np.abs(cliff5.sigma_full(z[:, 0] + 1j * z[:, 1]).coeffs.real))
+
+    r = _worst(ns.samples, sigma_real_part)
     checks.append(_check("sigma_coefficients_imaginary", r, 1e-12))
 
     return _report("clifford", ns, checks)
@@ -163,58 +167,49 @@ def _suite_clifford(ns) -> dict:
 def _suite_selfdual(ns) -> dict:
     perturb = ns.perturb
     checks = []
+    # All basis forms of each degree, as one identity stack per degree.
+    bases = [KForm(k, np.eye(len(extalg.INDEX_TUPLES[k]))) for k in range(6)]
 
-    r = 0.0
-    for k in range(6):
-        for idx in extalg.INDEX_TUPLES[k]:
-            b = basis_form(*idx)
-            r = max(r, (hodge_star(hodge_star(b)) - b).norm_inf())
+    r = np.max([(hodge_star(hodge_star(b)) - b).norm_inf() for b in bases])
     if perturb:
         r += perturb
     checks.append(_check("hodge_star_involution_32_basis_forms", r, 0.0))
 
     vol = volume_form()
-    r = 0.0
-    for k in range(6):
-        for idx in extalg.INDEX_TUPLES[k]:
-            b = basis_form(*idx)
-            r = max(r, (wedge(b, hodge_star(b)) - vol).norm_inf())
+    r = np.max([(wedge(b, hodge_star(b)) - vol).norm_inf() for b in bases])
     checks.append(_check("hodge_defining_property_basis", r, 0.0))
 
     rng = np.random.default_rng(ns.seed)
-    r = 0.0
-    for _ in range(ns.samples):
-        c = rng.normal(size=10)
-        a = KForm(2, c.astype(complex))
-        norm2 = float(np.dot(c, c))
-        r = max(r, (wedge(a, hodge_star(a)) - norm2 * vol).norm_inf())
+
+    def hodge_defining_property(block):
+        c = rng.normal(size=(len(block), 10))
+        a = KForm(2, c)
+        norm2 = (c[:, None, :] @ c[:, :, None])[:, 0, 0]
+        return (wedge(a, hodge_star(a)) - norm2 * vol).norm_inf()
+
+    r = _worst(ns.samples, hodge_defining_property)
     checks.append(_check("hodge_defining_property_random", r, 1e-13))
 
     vertical = extalg.VERTICAL[2]
-    r = 0.0
-    for c in np.eye(10)[~vertical]:
-        b = KForm(2, c)
-        r = max(r, (contact_star(contact_star(b)) - b).norm_inf())
+    b = KForm(2, np.eye(10)[~vertical])
+    r = (contact_star(contact_star(b)) - b).norm_inf()
     checks.append(_check("contact_star_involution", r, 0.0))
 
     r = (contact_star(deta()) - deta()).norm_inf()
     checks.append(_check("deta_self_dual", r, 0.0))
 
-    r = 0.0
-    for b in self_dual_basis():
-        r = max(r, (contact_star(b) - b).norm_inf())
-    for b in anti_self_dual_basis():
-        r = max(r, (contact_star(b) + b).norm_inf())
+    sd, asd = self_dual_basis(), anti_self_dual_basis()
+    r = np.max([(contact_star(sd) - sd).norm_inf(), (contact_star(asd) + asd).norm_inf()])
     checks.append(_check("sd_asd_eigenbases", r, 0.0))
 
-    r = 0.0
-    for _ in range(ns.samples):
-        c = rng.normal(size=10).astype(complex)
-        c[vertical] = 0
+    def sd_projection(block):
+        c = rng.normal(size=(len(block), 10)).astype(complex)
+        c[:, vertical] = 0
         beta = KForm(2, c)
         plus, minus = sd_project(beta)
-        r = max(r, abs(form_inner(plus, minus)))
-        r = max(r, (plus + minus - beta).norm_inf())
+        return np.max(np.abs(form_inner(plus, minus))), (plus + minus - beta).norm_inf()
+
+    r = np.max(_worst(ns.samples, sd_projection))
     checks.append(_check("sd_projection_orthogonal", r, 1e-13))
 
     return _report("selfdual", ns, checks)
@@ -222,58 +217,44 @@ def _suite_selfdual(ns) -> dict:
 
 def _suite_curvature(ns) -> dict:
     perturb = ns.perturb
-    n = ns.samples
     tol = ns.tol
-    checks = []
-
-    r = 0.0
-    rj = 0.0
-    rjj = 0.0
-    for k in range(n):
-        c = curvature.random_admissible_ricci(ns.seed + k)
-        ric = np.array(c.ric)
-        if perturb:
-            ric[0, 0] += perturb
-            c = curvature.CurvatureData(ric)
-        rp = curvature.rho_plus(c, check=not perturb)
-        r = max(r, (rp + (c.s / 4.0) * deta()).norm_inf())
-        rj = max(rj, float(np.max(np.abs(curvature.J_FRAME @ ric - ric @ curvature.J_FRAME))))
-        jh = curvature.J_FRAME[:4, :4]
-        rjj = max(rjj, float(np.max(np.abs(jh.T @ ric[:4, :4] @ jh - ric[:4, :4]))))
-    checks.append(_check("rho_plus_is_minus_quarter_s_deta", r, tol))
-    checks.append(_check("J_commutes_with_ricci", rj, 0.0 if not perturb else tol))
-    checks.append(_check("ricci_J_invariance", rjj, 1e-14))
-
+    j = curvature.J_FRAME
+    jh = j[:4, :4]
     xs, ys = curvature.HORIZONTAL_FRAME_PAIRS
-    r = 0.0
-    for k in range(n):
-        tau = curvature.random_admissible_torsion(ns.seed + k)
-        t = np.array(tau.tau)
-        if perturb:
-            t[0, 1] += perturb
-            tau = curvature.TorsionEndomorphism(t)
-        r = max(r, float(np.max(np.abs(curvature.bianchi_b(tau, xs, ys)))))
-    checks.append(_check("bianchi_correction_vanishes", r, tol))
 
-    r = 0.0
-    for k in range(min(n, 2000)):
-        c = curvature.random_admissible_ricci(ns.seed + k)
+    def residuals(block):
+        seeds = ns.seed + block
+        c = curvature.random_admissible_ricci(seeds)
+        tau = curvature.random_admissible_torsion(seeds)
         if perturb:
-            ric = np.array(c.ric)
-            ric[0, 0] += perturb
-            c = curvature.CurvatureData(ric)
-        r = max(r, curvature.ric_identity_check(c))
-    checks.append(_check("ricci_reconstruction_identity", r, tol))
+            ric, t = np.array(c.ric), np.array(tau.tau)
+            ric[:, 0, 0] += perturb
+            t[:, 0, 1] += perturb
+            c, tau = curvature.CurvatureData(ric), curvature.TorsionEndomorphism(t)
+        ric = c.ric
+        ric_h = ric[:, :4, :4]
+        return (
+            (curvature.rho_plus(c, check=False) + (c.s / 4.0) * deta()).norm_inf(),
+            np.max(np.abs(j @ ric - ric @ j)),
+            np.max(np.abs(jh.T @ ric_h @ jh - ric_h)),
+            np.max(np.abs(curvature.bianchi_b(tau, xs, ys))),
+            curvature.ric_identity_check(c),
+        )
 
-    r = 0.0
-    for k in range(10):
-        c = curvature.random_admissible_ricci(ns.seed + 31 * k)
-        t4 = curvature.curvature_tensor(c)
-        rep = curvature.symmetry_check(t4)
-        r = max(r, max(rep.values()))
-        trace = t4.ricci_trace()
-        rho = (curvature.J_FRAME @ c.ric).astype(complex)
-        r = max(r, float(np.max(np.abs(trace - 1j * rho))))
+    r_rho, r_j, r_jj, r_b, r_ric = _worst(ns.samples, residuals)
+    checks = [
+        _check("rho_plus_is_minus_quarter_s_deta", r_rho, tol),
+        _check("J_commutes_with_ricci", r_j, 0.0 if not perturb else tol),
+        _check("ricci_J_invariance", r_jj, 1e-14),
+        _check("bianchi_correction_vanishes", r_b, tol),
+        _check("ricci_reconstruction_identity", r_ric, tol),
+    ]
+
+    c = curvature.random_admissible_ricci(ns.seed + 31 * np.arange(10))
+    t4 = curvature.curvature_tensor(c, check=False)
+    rho = (j @ c.ric).astype(complex)
+    r_trace = np.max(np.abs(t4.ricci_trace() - 1j * rho))
+    r = np.max([*curvature.symmetry_check(t4).values(), r_trace])
     checks.append(_check("curvature_tensor_symmetries_and_trace", r, 1e-12))
 
     return _report("curvature", ns, checks)

@@ -132,7 +132,8 @@ def sigma_full(psi) -> KForm:
     Returned as the 2-form with frame coefficients <e_i e_j psi, psi> for
     i < j (the diagonal <e_i e_i psi, psi> = -|psi|^2 cancels against the
     metric term, so sigma is antisymmetric).  Its horizontal part is
-    sigma_h(psi).
+    sigma_h(psi).  ``psi`` may be a ``(..., 4)`` stack of spinors, giving a
+    stack of 2-forms.
     """
-    psi = np.asarray(psi, dtype=complex)
-    return KForm(2, (PAIR_PRODUCTS @ psi) @ psi.conj())
+    col = np.asarray(psi, dtype=complex)[..., :, None]
+    return KForm(2, ((PAIR_PRODUCTS @ col[..., None, :, :])[..., 0] @ col.conj())[..., 0])

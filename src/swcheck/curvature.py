@@ -28,7 +28,10 @@ for every SELF-ADJOINT torsion; J-anticommutation is not needed for that
 cancellation (it enters the torsion's own structure theory instead).  The
 negative control for B therefore has to break self-adjointness.
 
-Samplers take explicit seeds and all functions are pure.
+Samples stack on leading axes: ``ric`` and ``tau`` may be ``(..., 5, 5)``
+stacks.  Values (forms, scalar curvatures, Bianchi terms) keep the sample
+axes; residuals and violation lists cover the whole stack.  Samplers take a
+seed or an array of seeds, and all functions are pure.
 """
 
 from __future__ import annotations
@@ -72,25 +75,29 @@ def deta_pair(x, y) -> float:
 
 # -- admissible Ricci data ---------------------------------------------------
 
+def _violated(residual, tol: float) -> bool:
+    """Whether the largest modulus exceeds ``tol``; NaN always does."""
+    return not np.max(np.abs(residual)) <= tol
+
+
 def ricci_violations(ric: np.ndarray, tol: float = 0.0) -> list[str]:
-    """Names of the admissibility constraints the matrix violates."""
+    """Names of the admissibility constraints any matrix of the stack violates."""
     r = np.asarray(ric, dtype=float)
-    bad = []
-
-    def chk(name: str, value: float):
-        if abs(value) > tol:
-            bad.append(f"constraint {name} violated (residual {value:.3g})")
-
-    chk("symmetric", float(np.max(np.abs(r - r.T))))
-    for i in range(5):
-        chk(f"R{i + 1}5=0", r[i, 4])
-    chk("R12=0", r[0, 1])
-    chk("R34=0", r[2, 3])
-    chk("R11=R22", r[0, 0] - r[1, 1])
-    chk("R33=R44", r[2, 2] - r[3, 3])
-    chk("R14=-R23", r[0, 3] + r[1, 2])
-    chk("R24=R13", r[1, 3] - r[0, 2])
-    return bad
+    residuals = {
+        "symmetric": r - np.swapaxes(r, -1, -2),
+        **{f"R{i + 1}5=0": r[..., i, 4] for i in range(5)},
+        "R12=0": r[..., 0, 1],
+        "R34=0": r[..., 2, 3],
+        "R11=R22": r[..., 0, 0] - r[..., 1, 1],
+        "R33=R44": r[..., 2, 2] - r[..., 3, 3],
+        "R14=-R23": r[..., 0, 3] + r[..., 1, 2],
+        "R24=R13": r[..., 1, 3] - r[..., 0, 2],
+    }
+    return [
+        f"constraint {name} violated (residual {np.max(np.abs(value)):.3g})"
+        for name, value in residuals.items()
+        if _violated(value, tol)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +114,7 @@ class CurvatureData:
 
     def __post_init__(self):
         r = np.asarray(self.ric, dtype=float).copy()
-        if r.shape != (5, 5):
+        if r.shape[-2:] != (5, 5):
             raise ValueError(f"ric must be 5x5, got {r.shape}")
         r.flags.writeable = False
         object.__setattr__(self, "ric", r)
@@ -115,7 +122,8 @@ class CurvatureData:
     @property
     def s(self) -> float:
         """Webster scalar curvature, the horizontal trace of R."""
-        return float(np.trace(self.ric[:4, :4]))
+        s = np.trace(self.ric[..., :4, :4], axis1=-2, axis2=-1)
+        return s if s.ndim else float(s)
 
     @property
     def rho_h(self) -> KForm:
@@ -129,25 +137,31 @@ class CurvatureData:
         return ricci_violations(self.ric)
 
 
-def admissible_ricci(r11: float, r33: float, r13: float, r14: float) -> CurvatureData:
+def admissible_ricci(r11, r33, r13, r14) -> CurvatureData:
     """Admissible Webster-Ricci matrix from its four free parameters."""
-    r = np.zeros((5, 5))
-    r[0, 0] = r[1, 1] = r11
-    r[2, 2] = r[3, 3] = r33
-    r[0, 2] = r[2, 0] = r13
-    r[1, 3] = r[3, 1] = r13  # R24 = R13
-    r[0, 3] = r[3, 0] = r14
-    r[1, 2] = r[2, 1] = -r14  # R14 = -R23
+    r = np.zeros(np.shape(r11) + (5, 5))
+    r[..., 0, 0] = r[..., 1, 1] = r11
+    r[..., 2, 2] = r[..., 3, 3] = r33
+    r[..., 0, 2] = r[..., 2, 0] = r13
+    r[..., 1, 3] = r[..., 3, 1] = r13  # R24 = R13
+    r[..., 0, 3] = r[..., 3, 0] = r14
+    r[..., 1, 2] = r[..., 2, 1] = -r14  # R14 = -R23
     return CurvatureData(r)
 
 
-def random_admissible_ricci(seed: int, scale: float = 1.0) -> CurvatureData:
-    """Deterministic admissible sample, free parameters uniform in [-scale, scale]."""
+def _uniform_draws(seed, scale: float, size: int) -> np.ndarray:
+    """``size`` parameters uniform in [-scale, scale] per seed, each row from
+    its own ``default_rng(seed)`` so that a stack holds the single draws."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    rng = np.random.default_rng(seed)
-    r11, r33, r13, r14 = rng.uniform(-scale, scale, size=4)
-    return CurvatureData(admissible_ricci(r11, r33, r13, r14).ric)
+    seeds = np.asarray(seed)
+    rows = [np.random.default_rng(s).uniform(-scale, scale, size=size) for s in seeds.ravel().tolist()]
+    return np.reshape(rows, seeds.shape + (size,))
+
+
+def random_admissible_ricci(seed, scale: float = 1.0) -> CurvatureData:
+    """Deterministic admissible sample, free parameters uniform in [-scale, scale]."""
+    return admissible_ricci(*np.moveaxis(_uniform_draws(seed, scale, 4), -1, 0))
 
 
 def _require_admissible(c: CurvatureData):
@@ -177,7 +191,7 @@ def ricci_form(c: CurvatureData, convention: str = "proof", check: bool = True) 
         m = c.ric @ J_FRAME
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    return KForm(2, np.where(VERTICAL[2], 0, m[PAIR_INDEX]))
+    return KForm(2, np.where(VERTICAL[2], 0, m[..., PAIR_INDEX[0], PAIR_INDEX[1]]))
 
 
 def rho_plus(c: CurvatureData, check: bool = True) -> KForm:
@@ -191,11 +205,11 @@ def rho_plus(c: CurvatureData, check: bool = True) -> KForm:
 def torsion_violations(tau: np.ndarray, tol: float = 0.0) -> list[str]:
     t = np.asarray(tau, dtype=float)
     bad = []
-    if np.max(np.abs(t - t.T)) > tol:
+    if _violated(t - np.swapaxes(t, -1, -2), tol):
         bad.append("torsion is not self-adjoint")
-    if np.max(np.abs(t @ J_FRAME + J_FRAME @ t)) > tol:
+    if _violated(t @ J_FRAME + J_FRAME @ t, tol):
         bad.append("torsion does not anticommute with J")
-    if np.max(np.abs(t[:, 4])) > tol or np.max(np.abs(t[4, :])) > tol:
+    if _violated(t[..., :, 4], tol) or _violated(t[..., 4, :], tol):
         bad.append("torsion does not annihilate the Reeb direction")
     return bad
 
@@ -208,7 +222,7 @@ class TorsionEndomorphism:
 
     def __post_init__(self):
         t = np.asarray(self.tau, dtype=float).copy()
-        if t.shape != (5, 5):
+        if t.shape[-2:] != (5, 5):
             raise ValueError(f"tau must be 5x5, got {t.shape}")
         t.flags.writeable = False
         object.__setattr__(self, "tau", t)
@@ -225,24 +239,22 @@ def admissible_torsion(params) -> TorsionEndomorphism:
     trace-free symmetric matrices; the six parameters fill the A, B, C
     blocks of [[A, B], [B^T, C]].
     """
-    a1, a2, b1, b2, c1, c2 = (float(p) for p in params)
+    p = np.asarray(params, dtype=float)
+    a1, a2, b1, b2, c1, c2 = np.moveaxis(p, -1, 0)
 
     def tf(u, v):
-        return np.array([[u, v], [v, -u]])
+        return np.stack([np.stack([u, v], -1), np.stack([v, -u], -1)], -2)
 
-    t = np.zeros((5, 5))
-    t[:2, :2] = tf(a1, a2)
-    t[:2, 2:4] = tf(b1, b2)
-    t[2:4, :2] = tf(b1, b2).T
-    t[2:4, 2:4] = tf(c1, c2)
+    t = np.zeros(p.shape[:-1] + (5, 5))
+    t[..., :2, :2] = tf(a1, a2)
+    t[..., :2, 2:4] = t[..., 2:4, :2] = tf(b1, b2)  # B is symmetric
+    t[..., 2:4, 2:4] = tf(c1, c2)
     return TorsionEndomorphism(t)
 
 
-def random_admissible_torsion(seed: int, scale: float = 1.0) -> TorsionEndomorphism:
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    rng = np.random.default_rng(seed)
-    return admissible_torsion(rng.uniform(-scale, scale, size=6))
+def random_admissible_torsion(seed, scale: float = 1.0) -> TorsionEndomorphism:
+    """Deterministic admissible torsion, parameters uniform in [-scale, scale]."""
+    return admissible_torsion(_uniform_draws(seed, scale, 6))
 
 
 def bianchi_b(tau: TorsionEndomorphism, x, y) -> complex:
@@ -256,16 +268,19 @@ def bianchi_b(tau: TorsionEndomorphism, x, y) -> complex:
         B(X, Y) = (i/2) (deta(X, Y) sum_ab J_ab tau_ab + X.tau.Y - Y.tau.X).
 
     Antisymmetric in (X, Y); vanishes for every self-adjoint torsion.  ``x``
-    and ``y`` may be stacks of vectors, giving one value per pair.
+    and ``y`` may be (P, 5) stacks of pairs, giving shape (..., P) for a
+    (..., 5, 5) stack of torsions.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x[..., 4]) or np.any(y[..., 4]):
         raise ValueError("B(X, Y) is defined for horizontal arguments")
     t = tau.tau
+    d = deta_pair(x, y)
+    j_tau = np.sum(J_FRAME * t, axis=(-2, -1))
     xty = np.sum((x @ t) * y, axis=-1)
     ytx = np.sum((y @ t) * x, axis=-1)
-    return 0.5j * (deta_pair(x, y) * np.sum(J_FRAME * t) + xty - ytx)
+    return 0.5j * (d * j_tau.reshape(j_tau.shape + (1,) * d.ndim) + xty - ytx)
 
 
 def ric_identity_check(c: CurvatureData, tau: TorsionEndomorphism | None = None) -> float:
@@ -277,14 +292,12 @@ def ric_identity_check(c: CurvatureData, tau: TorsionEndomorphism | None = None)
     agree and B vanishes, so the residual is zero; broken symmetry
     constraints make J and R stop commuting and the residual turns on.
     """
-    if tau is None:
-        tau = TorsionEndomorphism(np.zeros((5, 5)))
     direct = ricci_form(c, convention="proof", check=False)
     recon = ricci_form(c, convention="endomorphism", check=False)
     horizontal = ~VERTICAL[2]
-    b = bianchi_b(tau, *HORIZONTAL_FRAME_PAIRS)
-    lhs = 1j * recon.coeffs[horizontal] + b
-    rhs = 1j * direct.coeffs[horizontal]
+    b = 0 if tau is None else bianchi_b(tau, *HORIZONTAL_FRAME_PAIRS)
+    lhs = 1j * recon.coeffs[..., horizontal] + b
+    rhs = 1j * direct.coeffs[..., horizontal]
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -322,14 +335,14 @@ class CurvatureTensor4:
     e_{l+1}); evaluation on complex vectors extends multilinearly.  The
     conjugation symmetry of the tensor is equivalent to these components
     being real, but complex storage is kept so that broken inputs can be
-    represented.
+    represented.  ``evaluate`` takes a single tensor.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.entries, dtype=complex).copy()
-        if t.shape != (5, 5, 5, 5):
+        if t.shape[-4:] != (5, 5, 5, 5):
             raise ValueError(f"entries must be 5x5x5x5, got {t.shape}")
         t.flags.writeable = False
         object.__setattr__(self, "entries", t)
@@ -350,12 +363,12 @@ class CurvatureTensor4:
     def complex_components(self) -> np.ndarray:
         """Components over the frame (Z1, Z2, Zbar1, Zbar2, Reeb)."""
         w = COMPLEX_FRAME
-        return np.einsum("ai,bj,ck,dl,ijkl->abcd", w, w, w, w, self.entries)
+        return np.einsum("ai,bj,ck,dl,...ijkl->...abcd", w, w, w, w, self.entries)
 
     def ricci_trace(self) -> np.ndarray:
         """5x5 matrix of sum_a R(e_i, e_j, Z_a, Zbar_a); equals i rho_h."""
         z = COMPLEX_FRAME
-        return np.einsum("ijkl,ak,al->ij", self.entries, z[:2], z[2:4])
+        return np.einsum("...ijkl,ak,al->...ij", self.entries, z[:2], z[2:4])
 
 
 def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
@@ -377,27 +390,27 @@ def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
     z = COMPLEX_FRAME
     # Target Ricci trace on (Z_a, Zbar_b): Hermitian 2x2.
     m = 1j * (z[:2] @ rho.astype(complex) @ z[2:4].T)
-    tr_p = np.trace(m) / 6.0
+    tr_p = np.trace(m, axis1=-2, axis2=-1)[..., None, None] / 6.0
     p = (m - tr_p * np.eye(2)) / 4.0
 
     eye2 = np.eye(2)
     lam = (
-        np.einsum("ab,gd->abgd", p, eye2)
-        + np.einsum("ab,gd->abgd", eye2, p)
-        + np.einsum("ad,gb->abgd", p, eye2)
-        + np.einsum("ad,gb->abgd", eye2, p)
+        np.einsum("...ab,gd->...abgd", p, eye2)
+        + np.einsum("ab,...gd->...abgd", eye2, p)
+        + np.einsum("...ad,gb->...abgd", p, eye2)
+        + np.einsum("ad,...gb->...abgd", eye2, p)
     )
 
     # Complex-frame component array, indexed (Z1, Z2, Zbar1, Zbar2, Reeb);
     # only mixed-type slots are populated, by pair antisymmetry from lam.
-    gc = np.zeros((5, 5, 5, 5), dtype=complex)
-    gc[:2, 2:4, :2, 2:4] = lam
-    gc[:2, 2:4, 2:4, :2] = -lam.transpose(0, 1, 3, 2)
-    gc[2:4, :2, :2, 2:4] = -lam.transpose(1, 0, 2, 3)
-    gc[2:4, :2, 2:4, :2] = lam.transpose(1, 0, 3, 2)
+    gc = np.zeros(lam.shape[:-4] + (5, 5, 5, 5), dtype=complex)
+    gc[..., :2, 2:4, :2, 2:4] = lam
+    gc[..., :2, 2:4, 2:4, :2] = -np.swapaxes(lam, -2, -1)
+    gc[..., 2:4, :2, :2, 2:4] = -np.swapaxes(lam, -4, -3)
+    gc[..., 2:4, :2, 2:4, :2] = np.swapaxes(np.swapaxes(lam, -4, -3), -2, -1)
 
     r = _REAL_IN_COMPLEX
-    entries = np.einsum("ia,jb,kc,ld,abcd->ijkl", r, r, r, r, gc)
+    entries = np.einsum("ia,jb,kc,ld,...abcd->...ijkl", r, r, r, r, gc)
     return CurvatureTensor4(entries)
 
 
@@ -411,21 +424,21 @@ def symmetry_check(t: CurvatureTensor4) -> dict[str, float]:
     * vanishing whenever the first two arguments both lie in T10.
     """
     e = t.entries
-    r_first = float(np.max(np.abs(e + np.transpose(e, (1, 0, 2, 3)))))
-    r_second = float(np.max(np.abs(e + np.transpose(e, (0, 1, 3, 2)))))
+    r_first = float(np.max(np.abs(e + np.swapaxes(e, -4, -3))))
+    r_second = float(np.max(np.abs(e + np.swapaxes(e, -2, -1))))
 
     gc = t.complex_components()
     conj_map = np.array(_CONJ_INDEX)
-    gc_bar = gc[np.ix_(conj_map, conj_map, conj_map, conj_map)]
+    gc_bar = gc[(..., *np.ix_(conj_map, conj_map, conj_map, conj_map))]
     r_conj = float(np.max(np.abs(np.conj(gc) - gc_bar)))
 
-    mixed = gc[:2, 2:4, :2, 2:4]
-    r_exchange = float(np.max(np.abs(mixed - mixed.transpose(2, 1, 0, 3))))
+    mixed = gc[..., :2, 2:4, :2, 2:4]
+    r_exchange = float(np.max(np.abs(mixed - np.swapaxes(mixed, -4, -2))))
 
-    r_t10 = float(np.max(np.abs(gc[:2, :2, :, :])))
+    r_t10 = float(np.max(np.abs(gc[..., :2, :2, :, :])))
 
     return {
-        "pair_antisymmetry": max(r_first, r_second),
+        "pair_antisymmetry": float(np.max([r_first, r_second])),
         "conjugation": r_conj,
         "t10_exchange": r_exchange,
         "t10_vanishing": r_t10,

@@ -31,7 +31,9 @@ Every basis decision is made once, at import, from the one shuffle-sign rule
 * ``PAIR_INDEX``: zero-based frame indices (i, j) of the 2-form basis.
 
 The operations below are then single array operations on coefficient
-vectors.  Everything in this module is a pure function on immutable values.
+vectors.  Samples stack on leading axes: a ``KForm`` may hold a
+``(..., C(5, k))`` stack of coefficient vectors, and every operation acts on
+each sample, in one array operation per stack.  Everything in this module is a pure function on immutable values.
 """
 
 from __future__ import annotations
@@ -115,30 +117,30 @@ PAIR_INDEX: tuple[np.ndarray, np.ndarray] = tuple(
 # beta -> *(eta ^ beta); eta ^ beta_q = sum_r WEDGE[1, 2][eta, q, r] e_r.
 CONTACT_STAR = _frozen(STAR[3] @ WEDGE[1, 2][REEB_INDEX - 1].T)
 
-# Stacked +1 / -1 eigenprojectors (Id +- CONTACT_STAR) / 2 of the contact star.
-_SD_SPLIT = _frozen(
-    np.stack([np.eye(10) + CONTACT_STAR, np.eye(10) - CONTACT_STAR]) / 2
-)
-
-
 @dataclass(frozen=True, eq=False)
 class KForm:
     """Constant-coefficient k-form over the frame coframe e1..e4, eta.
 
-    ``coeffs[p]`` is the coefficient of the basis form with index tuple
-    ``INDEX_TUPLES[degree][p]``.  A form is horizontal when every coefficient
-    whose multi-index contains the Reeb index 5 vanishes exactly.
+    ``coeffs[..., p]`` is the coefficient of the basis form with index tuple
+    ``INDEX_TUPLES[degree][p]``; leading axes, if any, index a stack of
+    samples.  A form is horizontal when every coefficient whose multi-index
+    contains the Reeb index 5 vanishes exactly.  ``coefficient``,
+    ``evaluate`` and ``repr`` take single forms.
     """
 
     degree: int
     coeffs: np.ndarray
+
+    # Lets ``ndarray * KForm`` reach ``__rmul__`` (a stack of scalars times a
+    # form) instead of being taken apart elementwise by numpy.
+    __array_ufunc__ = None
 
     def __post_init__(self):
         if not 0 <= self.degree <= DIM:
             raise ValueError(f"degree must be in 0..{DIM}, got {self.degree}")
         c = np.asarray(self.coeffs, dtype=complex)
         n = len(INDEX_TUPLES[self.degree])
-        if c.shape != (n,):
+        if c.shape[-1:] != (n,):
             raise ValueError(
                 f"degree-{self.degree} form needs {n} coefficients, got shape {c.shape}"
             )
@@ -160,12 +162,9 @@ class KForm:
         return KForm(self.degree, -self.coeffs)
 
     def __mul__(self, scalar) -> "KForm":
-        return KForm(self.degree, self.coeffs * complex(scalar))
+        return KForm(self.degree, self.coeffs * np.asarray(scalar, dtype=complex)[..., None])
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "KForm":
-        return KForm(self.degree, self.coeffs / complex(scalar))
 
     def _same_degree(self, other: "KForm"):
         if self.degree != other.degree:
@@ -184,10 +183,12 @@ class KForm:
         return sign * complex(self.coeffs[INDEX_TUPLES[self.degree].index(order)])
 
     def is_horizontal(self) -> bool:
-        return not np.any(self.coeffs[VERTICAL[self.degree]])
+        """Whether every sample of the stack is horizontal."""
+        return not np.any(self.coeffs[..., VERTICAL[self.degree]])
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if len(self.coeffs) else 0.0
+        """Largest coefficient modulus over the whole stack; NaN if any is NaN."""
+        return float(np.max(np.abs(self.coeffs), initial=0.0))
 
     def evaluate(self, *vectors) -> complex:
         """Evaluate on ``degree`` frame-coordinate vectors (length 5 each)."""
@@ -263,7 +264,9 @@ def wedge(a: KForm, b: KForm) -> KForm:
     k = a.degree + b.degree
     if k > DIM:
         raise ValueError(f"degree overflow: {a.degree} + {b.degree} > {DIM}")
-    return KForm(k, np.einsum("p,q,pqr->r", a.coeffs, b.coeffs, WEDGE[a.degree, b.degree]))
+    return KForm(
+        k, np.einsum("...p,...q,pqr->...r", a.coeffs, b.coeffs, WEDGE[a.degree, b.degree])
+    )
 
 
 def hodge_star(a: KForm) -> KForm:
@@ -272,7 +275,7 @@ def hodge_star(a: KForm) -> KForm:
     On basis forms *e_I = sign(I) e_{I^c} with e_I ^ e_{I^c} = sign(I) vol,
     so alpha ^ *alpha = |alpha|^2 vol for real alpha; extended C-linearly.
     """
-    return KForm(DIM - a.degree, STAR[a.degree] @ a.coeffs)
+    return KForm(DIM - a.degree, a.coeffs @ STAR[a.degree].T)
 
 
 class HorizontalSplit(NamedTuple):
@@ -307,7 +310,7 @@ def contact_star(beta: KForm) -> KForm:
     An involution on the 6-dimensional space of horizontal 2-forms.
     """
     _require_horizontal(beta)
-    return KForm(2, CONTACT_STAR @ beta.coeffs)
+    return KForm(2, beta.coeffs @ CONTACT_STAR.T)
 
 
 class SDSplit(NamedTuple):
@@ -317,28 +320,33 @@ class SDSplit(NamedTuple):
 
 def sd_project(beta: KForm) -> SDSplit:
     """Orthogonal decomposition into +1 / -1 eigenparts of the contact star."""
-    _require_horizontal(beta)
-    plus, minus = _SD_SPLIT @ beta.coeffs
-    return SDSplit(KForm(2, plus), KForm(2, minus))
+    star = contact_star(beta).coeffs
+    return SDSplit(KForm(2, (beta.coeffs + star) / 2), KForm(2, (beta.coeffs - star) / 2))
 
 
 def form_inner(a: KForm, b: KForm) -> complex:
     """Coefficient inner product, conjugate-linear in the second argument."""
     a._same_degree(b)
-    return complex(np.dot(a.coeffs, b.coeffs.conj()))
+    inner = (a.coeffs[..., None, :] @ b.coeffs[..., :, None].conj())[..., 0, 0]
+    return inner if inner.ndim else complex(inner)
 
 
-# Frozen bases of the +1 and -1 eigenspaces of the contact star.
-def self_dual_basis() -> tuple[KForm, KForm, KForm]:
-    return (
+def _stack(*forms: KForm) -> KForm:
+    return KForm(forms[0].degree, np.array([f.coeffs for f in forms]))
+
+
+def self_dual_basis() -> KForm:
+    """Basis of the +1 eigenspace of the contact star, as one (3, 10) stack."""
+    return _stack(
         basis_form(1, 2) + basis_form(3, 4),
         basis_form(1, 3) - basis_form(2, 4),
         basis_form(1, 4) + basis_form(2, 3),
     )
 
 
-def anti_self_dual_basis() -> tuple[KForm, KForm, KForm]:
-    return (
+def anti_self_dual_basis() -> KForm:
+    """Basis of the -1 eigenspace of the contact star, as one (3, 10) stack."""
+    return _stack(
         basis_form(1, 2) - basis_form(3, 4),
         basis_form(1, 3) + basis_form(2, 4),
         basis_form(1, 4) - basis_form(2, 3),

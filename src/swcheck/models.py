@@ -578,15 +578,6 @@ class SyntheticModel:
             raise ValueError("inadmissible synthetic model: " + "; ".join(bad))
 
     @property
-    def frame(self) -> np.ndarray:
-        """Frame vectors as columns; the standard basis of the tangent space."""
-        return np.eye(5)
-
-    @property
-    def j_matrix(self) -> np.ndarray:
-        return np.array(J_FRAME)
-
-    @property
     def deta(self) -> KForm:
         from .extalg import deta as _deta
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from swcheck import cli, cliff5
+from swcheck import cli, cliff5, curvature
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from swcheck.models import load_model, model_to_dict
 
@@ -222,37 +222,77 @@ class TestUsageErrors:
 
 
 class TestSampleCounts:
-    """``--samples`` sets the number of random draws in clifford and selfdual."""
+    """``--samples`` sets the rows the sampled checks draw, in stacks of at
+    most ``cli.BLOCK`` rows."""
 
     @staticmethod
-    def _calls(monkeypatch, capsys, module, name, argv):
+    def _rows(monkeypatch, capsys, module, name, rows_of, argv):
+        """Row count of each stacked call of ``module.name`` during one run."""
         original = getattr(module, name)
-        calls = []
+        rows = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
+        def recording(*args, **kwargs):
+            rows.append(rows_of(*args))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(module, name, recording)
         code, rep = _run(argv, capsys)
         monkeypatch.setattr(module, name, original)
         assert code == EXIT_PASS
         assert rep["parameters"]["samples"] == int(argv[-1])
-        return len(calls)
+        return [r for r in rows if r is not None]
 
     def test_clifford_sigma_full_draws(self, monkeypatch, capsys):
-        counts = [
-            self._calls(monkeypatch, capsys, cliff5, "sigma_full", ["clifford", "--samples", n])
-            for n in ("3", "10")
-        ]
-        # sigma_h(PSI0) adds the same fixed number of calls to both runs.
-        assert counts[1] - counts[0] == 7
+        for n in (3, cli.BLOCK + 7):
+            # sigma_h(PSI0) also calls sigma_full, on a single spinor.
+            rows = self._rows(
+                monkeypatch, capsys, cliff5, "sigma_full",
+                lambda psi: len(psi) if np.ndim(psi) == 2 else None,
+                ["clifford", "--samples", str(n)],
+            )
+            assert sum(rows) == n
+            assert max(rows) <= cli.BLOCK
 
     def test_selfdual_sd_project_draws(self, monkeypatch, capsys):
-        for n in (3, 10):
-            assert self._calls(
-                monkeypatch, capsys, cli, "sd_project", ["selfdual", "--samples", str(n)]
-            ) == n
+        for n in (3, cli.BLOCK + 7):
+            rows = self._rows(
+                monkeypatch, capsys, cli, "sd_project", lambda beta: len(beta.coeffs),
+                ["selfdual", "--samples", str(n)],
+            )
+            assert sum(rows) == n
+            assert max(rows) <= cli.BLOCK
+
+    def test_curvature_draws(self, monkeypatch, capsys):
+        for n in (3, cli.BLOCK + 7):
+            argv = ["curvature", "--samples", str(n)]
+            rows = self._rows(
+                monkeypatch, capsys, curvature, "random_admissible_torsion", np.size, argv
+            )
+            assert sum(rows) == n
+            assert max(rows) <= cli.BLOCK
+            rows = self._rows(
+                monkeypatch, capsys, curvature, "random_admissible_ricci", np.size, argv
+            )
+            # curvature_tensor_symmetries_and_trace draws 10 more, whatever n is.
+            assert sum(rows) == n + 10
+            assert max(rows) <= cli.BLOCK
+
+
+class TestNonFiniteSamples:
+    def test_nan_curvature_draw_fails(self, monkeypatch, capsys):
+        # One NaN Ricci sample (seed 3) among the draws must fail the suite;
+        # a Python ``max(r, nan)`` over the samples would drop it.
+        original = curvature.random_admissible_ricci
+
+        def with_nan(seed, *args, **kwargs):
+            ric = np.array(original(seed, *args, **kwargs).ric)
+            ric[..., 0, 0] = np.where(np.asarray(seed) == 3, np.nan, ric[..., 0, 0])
+            return curvature.CurvatureData(ric)
+
+        monkeypatch.setattr(curvature, "random_admissible_ricci", with_nan)
+        code, rep = _run(["curvature", "--samples", "20"], capsys)
+        assert code == EXIT_FAIL
+        assert not rep["checks"][0]["pass"]
 
 
 class TestReports:

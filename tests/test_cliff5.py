@@ -182,6 +182,14 @@ class TestSigma:
         expected = spinor_inner(gamma(1) @ (gamma(5) @ psi), psi)
         assert sig.coefficient(1, 5) == expected
 
+    def test_stacked_spinors_match_single_spinors(self):
+        psis = _spinors(np.random.default_rng(5), 50)
+        stacked = sigma_full(psis)
+        assert stacked.coeffs.shape == (50, 10)
+        assert np.array_equal(stacked.coeffs, [sigma_full(psi).coeffs for psi in psis])
+        assert np.array_equal(sigma_h(psis).coeffs, [sigma_h(psi).coeffs for psi in psis])
+        assert sigma_full(psis[0]).coeffs.shape == (10,)
+
     def test_coefficients_purely_imaginary(self):
         rng = np.random.default_rng(4)
         for psi in _spinors(rng, 50):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from swcheck.curvature import (
+    HORIZONTAL_FRAME_PAIRS,
     CurvatureData,
+    CurvatureTensor4,
     J_FRAME,
     TorsionEndomorphism,
     admissible_ricci,
@@ -19,6 +21,7 @@ from swcheck.curvature import (
     ricci_violations,
     rho_plus,
     symmetry_check,
+    torsion_violations,
 )
 from swcheck.extalg import basis_form, deta
 
@@ -51,6 +54,11 @@ class TestAdmissibleRicci:
     def test_scale_validation(self):
         with pytest.raises(ValueError):
             random_admissible_ricci(0, scale=-1.0)
+
+    def test_nan_is_a_violation(self):
+        nan = np.full((5, 5), np.nan)
+        assert len(ricci_violations(nan)) == 12
+        assert len(torsion_violations(nan)) == 3
 
 
 class TestRicciForm:
@@ -299,3 +307,89 @@ class TestCurvatureTensor:
         ric[0, 1] = ric[1, 0] = 1.0
         with pytest.raises(ValueError):
             curvature_tensor(CurvatureData(ric))
+
+
+class TestStacks:
+    """A stack of 50 samples gives exactly the 50 results of the single
+    samples; residuals of a stack are the largest single residual."""
+
+    SEEDS = np.arange(50)
+
+    def _ricci(self):
+        return random_admissible_ricci(self.SEEDS), [random_admissible_ricci(s) for s in range(50)]
+
+    @staticmethod
+    def _broken(c):
+        # Break R11 = R22 in every seventh sample, so residuals are nonzero.
+        ric = np.array(c.ric)
+        ric[::7, 0, 0] += np.linspace(0.1, 1.0, len(ric[::7]))
+        return CurvatureData(ric), [CurvatureData(r) for r in ric]
+
+    def test_draws_and_constructors(self):
+        c, singles = self._ricci()
+        assert c.ric.shape == (50, 5, 5)
+        assert np.array_equal(c.ric, [x.ric for x in singles])
+        tau = random_admissible_torsion(self.SEEDS)
+        assert np.array_equal(tau.tau, [random_admissible_torsion(s).tau for s in range(50)])
+        params = np.random.default_rng(15).uniform(-1, 1, size=(50, 6))
+        stacked = admissible_ricci(*params[:, :4].T).ric
+        assert np.array_equal(stacked, [admissible_ricci(*p).ric for p in params[:, :4]])
+        stacked = admissible_torsion(params).tau
+        assert np.array_equal(stacked, [admissible_torsion(p).tau for p in params])
+
+    def test_scalar_curvature_and_forms(self):
+        c, singles = self._ricci()
+        assert np.array_equal(c.s, [x.s for x in singles])
+        for convention in ("proof", "endomorphism"):
+            stacked = ricci_form(c, convention).coeffs
+            assert np.array_equal(stacked, [ricci_form(x, convention).coeffs for x in singles])
+        assert np.array_equal(rho_plus(c).coeffs, [rho_plus(x).coeffs for x in singles])
+        broken, broken_singles = self._broken(c)
+        stacked = rho_plus(broken, check=False).coeffs
+        assert np.array_equal(stacked, [rho_plus(x, check=False).coeffs for x in broken_singles])
+
+    def test_bianchi_b_broadcasts_torsion_against_pairs(self):
+        t = np.random.default_rng(16).normal(size=(50, 5, 5))
+        t[:, 4, :] = t[:, :, 4] = 0
+        xs, ys = HORIZONTAL_FRAME_PAIRS
+        stacked = bianchi_b(TorsionEndomorphism(t), xs, ys)
+        assert stacked.shape == (50, 6)
+        assert np.array_equal(stacked, [bianchi_b(TorsionEndomorphism(tk), xs, ys) for tk in t])
+        one_pair = bianchi_b(TorsionEndomorphism(t), EI[0], EI[1])
+        assert np.array_equal(one_pair, [bianchi_b(TorsionEndomorphism(tk), EI[0], EI[1]) for tk in t])
+
+    def test_residuals_are_the_worst_sample(self):
+        c, _ = self._ricci()
+        broken, singles = self._broken(c)
+        assert ric_identity_check(broken) == max(ric_identity_check(x) for x in singles)
+        assert ric_identity_check(broken) >= 0.1
+        assert ricci_violations(broken.ric) == ricci_violations(singles[49].ric)
+        tau = random_admissible_torsion(self.SEEDS)
+        t = np.array(tau.tau)
+        t[3, 0, 1] += 1.0
+        assert torsion_violations(t) == torsion_violations(t[3]) != []
+
+    def test_curvature_tensor(self):
+        seeds = 31 * np.arange(10)
+        c = random_admissible_ricci(seeds)
+        singles = [curvature_tensor(random_admissible_ricci(s)) for s in seeds]
+        t4 = curvature_tensor(c)
+        assert np.array_equal(t4.entries, [t.entries for t in singles])
+        assert np.array_equal(t4.ricci_trace(), [t.ricci_trace() for t in singles])
+        entries = np.array(t4.entries)
+        entries[4, 0, 0, 0, 1] += 1e-3
+        broken = [CurvatureTensor4(e) for e in entries]
+        report = symmetry_check(CurvatureTensor4(entries))
+        assert report == {
+            name: max(symmetry_check(t)[name] for t in broken) for name in report
+        }
+        assert max(report.values()) >= 1e-3
+
+    def test_single_samples_keep_shape_and_type(self):
+        c = random_admissible_ricci(0)
+        assert c.ric.shape == (5, 5)
+        assert type(c.s) is float
+        assert ricci_form(c).coeffs.shape == (10,)
+        assert type(ric_identity_check(c)) is float
+        assert np.ndim(bianchi_b(random_admissible_torsion(0), EI[0], EI[1])) == 0
+        assert curvature_tensor(c).ricci_trace().shape == (5, 5)

@@ -195,18 +195,18 @@ class TestSelfDualProjection:
     def test_projector_formula(self):
         b = basis_form(1, 2)
         p, m = sd_project(b)
-        assert _eq(p, (basis_form(1, 2) + basis_form(3, 4)) / 2)
-        assert _eq(m, (basis_form(1, 2) - basis_form(3, 4)) / 2)
+        assert _eq(p, 0.5 * (basis_form(1, 2) + basis_form(3, 4)))
+        assert _eq(m, 0.5 * (basis_form(1, 2) - basis_form(3, 4)))
 
     def test_eigenbases(self):
-        for b in self_dual_basis():
-            assert (contact_star(b) - b).norm_inf() == 0
-        for b in anti_self_dual_basis():
-            assert (contact_star(b) + b).norm_inf() == 0
+        sd, asd = self_dual_basis(), anti_self_dual_basis()
+        assert sd.coeffs.shape == asd.coeffs.shape == (3, 10)
+        assert (contact_star(sd) - sd).norm_inf() == 0
+        assert (contact_star(asd) + asd).norm_inf() == 0
 
     def test_bases_span_three_dimensions_each(self):
-        sd = np.array([b.coeffs for b in self_dual_basis()])
-        asd = np.array([b.coeffs for b in anti_self_dual_basis()])
+        sd = self_dual_basis().coeffs
+        asd = anti_self_dual_basis().coeffs
         assert np.linalg.matrix_rank(sd) == 3
         assert np.linalg.matrix_rank(asd) == 3
         assert np.max(np.abs(sd @ asd.conj().T)) == 0
@@ -245,3 +245,58 @@ class TestEvaluate:
         assert a.coefficient(1, 3) == 1
         assert a.coefficient(3, 1) == -1
         assert a.coefficient(1, 1) == 0
+
+
+class TestStacks:
+    """A stack of 50 forms gives exactly the 50 results of the single forms."""
+
+    @staticmethod
+    def _stack(k, seed, horizontal=False):
+        rng = np.random.default_rng(seed)
+        c = rng.normal(size=(50, len(INDEX_TUPLES[k]), 2)) @ [1, 1j]
+        if horizontal:
+            c[:, VERTICAL[k]] = 0
+        return KForm(k, c)
+
+    @staticmethod
+    def _each(stack):
+        return [KForm(stack.degree, c) for c in stack.coeffs]
+
+    def test_wedge_and_hodge_star(self):
+        for ka in range(6):
+            a = self._stack(ka, seed=ka)
+            star = hodge_star(a)
+            assert star.coeffs.shape == (50, len(INDEX_TUPLES[5 - ka]))
+            assert np.array_equal(star.coeffs, [hodge_star(x).coeffs for x in self._each(a)])
+            for kb in range(6 - ka):
+                b = self._stack(kb, seed=10 + kb)
+                pairs = zip(self._each(a), self._each(b))
+                assert np.array_equal(wedge(a, b).coeffs, [wedge(x, y).coeffs for x, y in pairs])
+
+    def test_contact_star_sd_project_and_inner(self):
+        beta = self._stack(2, seed=20, horizontal=True)
+        gamma = self._stack(2, seed=21, horizontal=True)
+        singles = self._each(beta)
+        assert np.array_equal(contact_star(beta).coeffs, [contact_star(x).coeffs for x in singles])
+        plus, minus = sd_project(beta)
+        assert np.array_equal(plus.coeffs, [sd_project(x).plus.coeffs for x in singles])
+        assert np.array_equal(minus.coeffs, [sd_project(x).minus.coeffs for x in singles])
+        inner = form_inner(beta, gamma)
+        assert inner.shape == (50,)
+        assert np.array_equal(inner, [form_inner(x, y) for x, y in zip(singles, self._each(gamma))])
+
+    def test_scalar_stack_times_form(self):
+        s = np.array([-1.0, 0.5, 2.0])
+        scaled = s * deta()
+        assert scaled.coeffs.shape == (3, 10)
+        assert np.array_equal(scaled.coeffs, [(x * deta()).coeffs for x in s])
+        assert (deta() * s - scaled).norm_inf() == 0
+
+    def test_single_forms_keep_shape_and_type(self):
+        a = e(1)
+        assert wedge(a, e(2)).coeffs.shape == (10,)
+        assert hodge_star(a).coeffs.shape == (5,)
+        plus, _ = sd_project(deta())
+        assert plus.coeffs.shape == (10,)
+        assert type(form_inner(deta(), deta())) is complex
+        assert type(deta().norm_inf()) is float
