@@ -280,17 +280,18 @@ class TestSampleCounts:
 
 class TestNonFiniteSamples:
     def test_nan_curvature_draw_fails(self, monkeypatch, capsys):
-        # One NaN Ricci sample (seed 3) among the draws must fail the suite;
-        # a Python ``max(r, nan)`` over the samples would drop it.
+        # One NaN Ricci sample, in the second block of draws, must fail the
+        # suite; a Python ``max(r, nan)`` over samples or blocks would drop it.
         original = curvature.random_admissible_ricci
+        bad_seed = cli.BLOCK + 3
 
         def with_nan(seed, *args, **kwargs):
             ric = np.array(original(seed, *args, **kwargs).ric)
-            ric[..., 0, 0] = np.where(np.asarray(seed) == 3, np.nan, ric[..., 0, 0])
+            ric[..., 0, 0] = np.where(np.asarray(seed) == bad_seed, np.nan, ric[..., 0, 0])
             return curvature.CurvatureData(ric)
 
         monkeypatch.setattr(curvature, "random_admissible_ricci", with_nan)
-        code, rep = _run(["curvature", "--samples", "20"], capsys)
+        code, rep = _run(["curvature", "--samples", str(bad_seed + 4)], capsys)
         assert code == EXIT_FAIL
         assert not rep["checks"][0]["pass"]
 
