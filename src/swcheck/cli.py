@@ -53,7 +53,7 @@ from .extalg import (
     wedge,
 )
 from .models import ModelFormatError, load_model, sample_points
-from .poly import PolyExpr, PolySyntaxError
+from .poly import PolyExpr, PolySyntaxError, evaluate_all, max_abs
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -79,10 +79,11 @@ def _check(name: str, residual: float, tol: float) -> dict:
 
 
 def _floor_check(name: str, value: float, floor: float) -> dict:
-    """Check that a quantity stays above a floor (nondegeneracy)."""
+    """Check that a quantity stays above a floor (nondegeneracy); a NaN
+    value gives a NaN residual."""
     return {
         "name": name,
-        "residual": float(max(0.0, floor - value)),
+        "residual": float(np.maximum(0.0, floor - value)),
         "tolerance": 0.0,
         "pass": bool(value >= floor),
     }
@@ -283,8 +284,7 @@ def _suite_model(ns) -> dict:
         checks.append(_check(f"contact_{name}", residual, tol))
     checks.append(_floor_check("contact_volume_nondegenerate", vol_min, 1e-9))
     if ns.model == "heisenberg":
-        vol = models.contact_volume(frame)
-        r = max(abs(vol(p) - 2.0) for p in points)
+        r = max_abs(evaluate_all([models.contact_volume(frame)], points) - 2.0)
         checks.append(_check("contact_volume_equals_2", r, tol))
 
     tw = models.tw_axiom_check(frame, bundle.connection, points)
@@ -318,24 +318,17 @@ def _suite_dirac(ns) -> dict:
     if ns.perturb:
         psi0 = psi0 + SpinorField.make(ns.perturb * PolyExpr.variable("x1"), 0, 0, 0)
     dirac, kohn = full_dirac(s, psi0), kohn_dirac(s, psi0)
-    r = 0.0
-    rk = 0.0
-    for p in points:
-        r = max(r, float(np.max(np.abs(dirac.evaluate(p)))))
-        rk = max(rk, float(np.max(np.abs(kohn.evaluate(p)))))
+    r = max_abs([dirac.evaluate(p) for p in points])
+    rk = max_abs([kohn.evaluate(p) for p in points])
     checks.append(_check("full_dirac_psi0_zero", r, 0.0))
     checks.append(_check("kohn_dirac_psi0_zero", rk, 0.0))
 
-    n_fields = ns.samples
-    r = 0.0
-    for _ in range(n_fields):
+    errors = []
+    for _ in range(ns.samples):
         psi = SpinorField(tuple(_rand_component(rng, 3) for _ in range(4)))
         dirac = full_dirac(s, psi)
-        for p in points:
-            exact = dirac.evaluate(p)
-            approx = full_dirac_fd(s, psi, p, h=ns.h)
-            r = max(r, float(np.max(np.abs(exact - approx))))
-    checks.append(_check("finite_difference_agreement", r, ns.tol))
+        errors += [dirac.evaluate(p) - full_dirac_fd(s, psi, p, h=ns.h) for p in points]
+    checks.append(_check("finite_difference_agreement", max_abs(errors), ns.tol))
 
     fields = [
         FormSpinorField(tuple(_rand_component(rng, 3) for _ in range(4))) for _ in range(20)
@@ -344,29 +337,22 @@ def _suite_dirac(ns) -> dict:
     checks.append(_check("dbar_identity", r, 1e-10))
 
     phi = derive_identification()
-    r = float(np.max(np.abs(phi.conj().T @ phi - np.eye(4))))
-    for i in range(1, 6):
-        x = np.zeros(5)
-        x[i - 1] = 1.0
-        r = max(
-            r,
-            float(np.max(np.abs(phi @ form_clifford_action(x) - cliff5.gamma(i) @ phi))),
-        )
+    defects = [phi.conj().T @ phi - np.eye(4)]
+    for i, x in enumerate(np.eye(5), 1):
+        defects.append(phi @ form_clifford_action(x) - cliff5.gamma(i) @ phi)
+    r = max_abs(defects)
     checks.append(_check("identification_unitary_intertwiner", r, 1e-12))
 
     psi = SpinorField(tuple(_rand_component(rng, 2) for _ in range(4)))
     phase = np.exp(1j * 0.7)
     psi_rot = psi.scale(phase)
     dirac, dirac_rot = full_dirac(s, psi), full_dirac(s, psi_rot)
-    r = 0.0
+    diffs = []
     for p in points[:5]:
-        r = max(
-            r, float(np.max(np.abs(np.abs(dirac_rot.evaluate(p)) - np.abs(dirac.evaluate(p)))))
-        )
-        r = max(
-            r,
-            (cliff5.sigma_full(psi_rot.evaluate(p)) - cliff5.sigma_full(psi.evaluate(p))).norm_inf(),
-        )
+        diffs.append(np.abs(dirac_rot.evaluate(p)) - np.abs(dirac.evaluate(p)))
+        sigma_diff = cliff5.sigma_full(psi_rot.evaluate(p)) - cliff5.sigma_full(psi.evaluate(p))
+        diffs.append(sigma_diff.coeffs)
+    r = max_abs(np.concatenate(diffs))
     checks.append(_check("phase_invariance", r, 1e-12))
 
     return _report("dirac", ns, checks)
@@ -535,6 +521,8 @@ def run(argv=None) -> int:
         base = build_parser().parse_args(argv)
         if base.samples is not None and base.samples < 1:
             raise UsageError("--samples must be >= 1")
+        if base.seed < 0:
+            raise UsageError("--seed must be >= 0")
         if base.tol is not None and base.tol < 0:
             raise UsageError("--tol must be >= 0")
         if base.h <= 0:

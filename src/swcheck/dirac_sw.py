@@ -59,7 +59,7 @@ from .models import (
     read_json_file,
     synthetic_model,
 )
-from .poly import ZERO, PolyExpr, PolySyntaxError, parse_poly
+from .poly import ZERO, PolyExpr, PolySyntaxError, evaluate_all, max_abs, parse_poly
 
 #: Prefactor of the so(5) part of the spinorial connection.
 SO_COUPLING = 0.25
@@ -398,15 +398,14 @@ def dbar_identity_residual(fields, points, s: SpinConnection | None = None) -> f
     s = _flat_heisenberg(s)
     phi = derive_identification()
     phi_inv = phi.conj().T
-    worst = 0.0
+    diffs = []
     for field in fields:
         d, ds = dbar_pair(field, s)
         dirac = kohn_dirac(s, field.to_spinor_field(phi))
         for p in points:
             lhs = _SQ2 * (d.evaluate(p) + ds.evaluate(p))
-            rhs = phi_inv @ dirac.evaluate(p)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+            diffs.append(lhs - phi_inv @ dirac.evaluate(p))
+    return max_abs(diffs)
 
 
 # -- Seiberg-Witten residuals ---------------------------------------------------
@@ -475,20 +474,11 @@ def sw_residual(pair: SWPair, points=None) -> SWResidual:
 
     if points is None:
         raise ValueError("sample points are required on a polynomial model")
-    dirac = full_dirac(pair.connection, pair.psi)
-    f_a = pair.f_a_field()
-    r_dirac = 0.0
-    r_curv = 0.0
-    sigma_vert = 0.0
-    for p in points:
-        r_dirac = max(r_dirac, float(np.max(np.abs(dirac.evaluate(p)))))
-        f_h, _ = horizontal_split(KForm(2, np.array([c(p) for c in f_a], dtype=complex)))
-        sigma = sigma_full(pair.psi.evaluate(p))
-        sigma_h_part, sigma_v = horizontal_split(sigma)
-        resid = sd_project(f_h).plus + 0.25 * sd_project(sigma_h_part).plus
-        r_curv = max(r_curv, resid.norm_inf())
-        sigma_vert = max(sigma_vert, sigma_v.norm_inf())
-    return SWResidual(r_dirac, r_curv, sigma_vert)
+    r_dirac = max_abs(evaluate_all(full_dirac(pair.connection, pair.psi).components, points))
+    f_h, _ = horizontal_split(KForm(2, evaluate_all(pair.f_a_field(), points)))
+    sigma_h_part, sigma_v = horizontal_split(sigma_full(evaluate_all(pair.psi.components, points)))
+    resid = sd_project(f_h).plus + 0.25 * sd_project(sigma_h_part).plus
+    return SWResidual(r_dirac, resid.norm_inf(), sigma_v.norm_inf())
 
 
 # -- the canonical solution ------------------------------------------------------

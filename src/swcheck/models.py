@@ -12,7 +12,8 @@ Two models are provided:
 All differential computations are exact: coefficient functions are
 :class:`~swcheck.poly.PolyExpr` polynomials, Lie brackets and exterior
 derivatives are computed symbolically, and residual reports only evaluate
-the resulting polynomials at sample points.
+the resulting polynomials, on the whole array of sample points at once
+(:func:`~swcheck.poly.evaluate_all`).
 
 Torsion sign convention.  With the coordinate exterior derivative, Cartan's
 formula forces eta([X, Y]) = -deta(X, Y) for horizontal X, Y, and therefore
@@ -33,7 +34,7 @@ import numpy as np
 
 from .curvature import CurvatureData, J_FRAME, TorsionEndomorphism
 from .extalg import KForm, wedge_sign
-from .poly import ONE, ZERO, PolyExpr, PolySyntaxError, parse_poly
+from .poly import ONE, ZERO, PolyExpr, PolySyntaxError, evaluate_all, max_abs, parse_poly
 
 #: Sign in the horizontal torsion axiom T(X, Y) = sign * deta(X, Y) * Reeb.
 TW_TORSION_SIGN = 1.0
@@ -311,14 +312,8 @@ def sample_points(n: int, seed: int, box: float = 1.0) -> np.ndarray:
 
 
 def _max_eval(exprs: list[PolyExpr], points) -> float:
-    worst = 0.0
-    live = [e for e in exprs if not e.is_zero()]
-    if not live:
-        return 0.0
-    for p in points:
-        for e in live:
-            worst = max(worst, abs(e(p)))
-    return worst
+    # Zero polynomials would only add columns of zeros.
+    return max_abs(evaluate_all([e for e in exprs if not e.is_zero()], points))
 
 
 def _webster_metric(frame: FrameFieldSet, deta: CoordForm):
@@ -385,8 +380,7 @@ def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
             delta = ONE if c == d else ZERO
             jsq.append(entry + delta - xi_comps[c] * eta_comps[d])
 
-    vol = contact_volume(frame)
-    vol_min = min(abs(vol(p)) for p in points)
+    vol_min = float(np.min(np.abs(evaluate_all([contact_volume(frame)], points))))
 
     return {
         "reeb_normalization": _max_eval(reeb, points),

@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 VARIABLES = ("x1", "y1", "x2", "y2", "t")
 NVARS = len(VARIABLES)
 
@@ -161,6 +163,52 @@ class PolyExpr:
 
 ZERO = PolyExpr()
 ONE = PolyExpr.const(1)
+
+
+#: Most elements in a temporary array of :func:`evaluate_all`: each block of
+#: points times the number of terms (or of power-table entries) stays below it.
+BLOCK_ELEMENTS = 1 << 14
+
+
+def evaluate_all(polys, points) -> np.ndarray:
+    """Values of every polynomial at every point, shape ``(..., len(polys))``.
+
+    ``points`` has shape ``(..., 5)``.  The terms of all nonzero polynomials
+    are stacked once; for each block of points a per-variable power table is
+    built, each term is ``c * x1^n1 * y1^n2 * x2^n3 * y2^n4 * t^n5`` in that
+    order, as in :meth:`PolyExpr.__call__`, and ``np.add.reduceat`` sums each
+    polynomial's terms.  ``numpy.power`` and the pairwise sums of ``reduceat``
+    round differently from ``__call__``, so a value may differ from it in the
+    last places.
+    """
+    x = np.asarray(points)
+    if x.shape[-1:] != (NVARS,):
+        raise ValueError(f"points must have shape (..., {NVARS}), got {x.shape}")
+    shape = x.shape[:-1] + (len(polys),)
+    x = x.reshape(-1, NVARS).astype(np.result_type(x.dtype, float), copy=False)
+    out = np.zeros((len(x), len(polys)), dtype=complex)
+    live = [i for i, p in enumerate(polys) if p.terms]
+    if live:
+        exps = np.array([e for i in live for e, _ in polys[i].terms])
+        coeffs = np.array([c for i in live for _, c in polys[i].terms])[:, None]
+        starts = np.cumsum([0] + [len(polys[i].terms) for i in live[:-1]])
+        width = int(exps.max()) + 1
+        # Row of each factor x_v^n in the flattened (variable, power) table.
+        rows = exps + width * np.arange(NVARS)
+        step = max(1, BLOCK_ELEMENTS // max(len(coeffs), NVARS * width))
+        powers = np.arange(width)[:, None]
+        for b in range(0, len(x), step):
+            table = (x[b : b + step].T[:, None, :] ** powers).reshape(NVARS * width, -1)
+            terms = coeffs * table[rows[:, 0]]
+            for v in range(1, NVARS):
+                terms *= table[rows[:, v]]
+            out[b : b + step, live] = np.add.reduceat(terms, starts, axis=0).T
+    return out.reshape(shape)
+
+
+def max_abs(values) -> float:
+    """Largest modulus in ``values`` (0.0 if there are none); NaN propagates."""
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def _coerce(v) -> PolyExpr:

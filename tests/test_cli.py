@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from swcheck import cli, cliff5, curvature
+from swcheck import cli, cliff5, curvature, models
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
+from swcheck.dirac_sw import FormSpinorField, SpinorField
 from swcheck.models import load_model, model_to_dict
 
 
@@ -120,6 +121,13 @@ class TestUsageErrors:
 
     def test_invalid_samples(self, capsys):
         assert run(["curvature", "--samples", "0"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "suite", ["clifford", "selfdual", "curvature", "model", "dirac", "all"]
+    )
+    def test_negative_seed(self, suite, capsys):
+        assert run([suite, "--seed", "-5", "--samples", "3"]) == EXIT_USAGE
+        assert "--seed must be >= 0" in capsys.readouterr().err
 
     def test_missing_model_file(self, capsys):
         assert run(["model", "--model", "/nonexistent/model.json"]) == EXIT_USAGE
@@ -294,6 +302,70 @@ class TestNonFiniteSamples:
         code, rep = _run(["curvature", "--samples", str(bad_seed + 4)], capsys)
         assert code == EXIT_FAIL
         assert not rep["checks"][0]["pass"]
+
+
+class TestNonFiniteEvaluations:
+    """One NaN evaluation fails the check it feeds: the reductions propagate
+    NaN, where a Python ``max(r, nan)`` drops it."""
+
+    @staticmethod
+    def _failed(rep):
+        return {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
+
+    @pytest.mark.parametrize("chart", ["heisenberg", "sheared"])
+    def test_each_model_check(self, chart, sheared_chart, tmp_path, nan_on_call, capsys):
+        # On the Heisenberg chart only the contact volume is a nonzero
+        # polynomial; on the sheared chart float residues keep most residual
+        # polynomials live.  Each evaluation of a live polynomial feeds one check.
+        if chart == "sheared":
+            chart = str(tmp_path / "sheared.json")
+            (tmp_path / "sheared.json").write_text(json.dumps(sheared_chart))
+        argv = ["model", "--model", chart, "--samples", "5"]
+        owners = (models, cli)
+        values = nan_on_call(owners, "evaluate_all", 0)
+        code, rep = _run(argv, capsys)
+        assert code == EXIT_PASS
+        live = [call for call, v in enumerate(values, 1) if np.size(v)]
+        hit = set()
+        for call in live:
+            nan_on_call(owners, "evaluate_all", call)
+            code, rep = _run(argv, capsys)
+            failed = self._failed(rep)
+            assert code == EXIT_FAIL and len(failed) == 1, (call, failed)
+            assert all(np.isnan(r) for r in failed.values())
+            hit |= failed.keys()
+        assert len(hit) == len(live)
+        assert {"contact_volume_nondegenerate"} <= hit
+        if chart == "heisenberg":
+            assert hit == {"contact_volume_nondegenerate", "contact_volume_equals_2"}
+        else:
+            assert len(hit) >= 10
+
+    @pytest.mark.parametrize(
+        "owner, name, call, check",
+        [
+            pytest.param(*case, id=case[-1])
+            for case in [
+                # The first loop evaluates full_dirac(psi0) at 20 points, then kohn_dirac.
+                (SpinorField, "evaluate", 2, "full_dirac_psi0_zero"),
+                (SpinorField, "evaluate", 22, "kohn_dirac_psi0_zero"),
+                (cli, "full_dirac_fd", 3, "finite_difference_agreement"),
+                (FormSpinorField, "evaluate", 3, "dbar_identity"),
+                (cli, "form_clifford_action", 2, "identification_unitary_intertwiner"),
+                (cliff5, "sigma_full", 4, "phase_invariance"),
+            ]
+        ],
+    )
+    def test_each_dirac_check(self, owner, name, call, check, nan_on_call, capsys):
+        nan_on_call([owner], name, call)
+        code, rep = _run(["dirac", "--samples", "2"], capsys)
+        failed = self._failed(rep)
+        assert code == EXIT_FAIL and list(failed) == [check]
+        assert np.isnan(failed[check])
+
+    def test_floor_check_reports_nan(self):
+        row = cli._floor_check("volume", float("nan"), 1e-9)
+        assert not row["pass"] and np.isnan(row["residual"])
 
 
 class TestReports:

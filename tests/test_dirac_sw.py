@@ -355,6 +355,36 @@ class TestSWResidual:
         sp_scaled = sd_project(horizontal_split(sigma_full(lam * psi)).horizontal).plus
         assert (sp_scaled - abs(lam) ** 2 * sp).norm_inf() < 1e-12
 
+    def test_polynomial_model_matches_pointwise_loop(self):
+        from swcheck.extalg import KForm, horizontal_split
+
+        a_form = CoordForm.one_form(parse_poly("0.5i*y1"), 0, parse_poly("-2i*x1*y2"), 0, 0)
+        psi = SpinorField.make(
+            parse_poly("x1 + 2i*t"), parse_poly("y1*y2 - 1"), parse_poly("0.5*x2^2"), 1
+        )
+        pair = SWPair.on_model(SpinConnection.heisenberg(a_form), psi)
+        res = sw_residual(pair, POINTS)
+        dirac = full_dirac(pair.connection, pair.psi)
+        r_dirac = r_curv = sigma_vert = 0.0
+        for p in POINTS:
+            r_dirac = max(r_dirac, np.max(np.abs(dirac.evaluate(p))))
+            f_h = horizontal_split(KForm(2, np.array([c(p) for c in pair.f_a_field()]))).horizontal
+            sigma_h_part, sigma_v = horizontal_split(sigma_full(pair.psi.evaluate(p)))
+            resid = sd_project(f_h).plus + 0.25 * sd_project(sigma_h_part).plus
+            r_curv = max(r_curv, resid.norm_inf())
+            sigma_vert = max(sigma_vert, sigma_v.norm_inf())
+        assert min(r_dirac, r_curv, sigma_vert) > 0.1
+        np.testing.assert_allclose(res, (r_dirac, r_curv, sigma_vert), rtol=1e-13)
+
+    @pytest.mark.parametrize("call, field", [(1, "r_dirac"), (2, "r_curv"), (3, "sigma_vertical")])
+    def test_nan_evaluation_propagates(self, call, field, nan_on_call):
+        # Call 1 evaluates D_A psi, call 2 the curvature form, call 3 psi.
+        from swcheck import dirac_sw
+
+        nan_on_call([dirac_sw], "evaluate_all", call)
+        pair = SWPair.on_model(S_FLAT, SpinorField.psi0())
+        assert np.isnan(getattr(sw_residual(pair, POINTS[:10]), field))
+
     def test_points_required_on_polynomial_model(self):
         pair = SWPair.on_model(S_FLAT, SpinorField.psi0())
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from swcheck import models
 from swcheck.curvature import (
     CurvatureData,
     TorsionEndomorphism,
@@ -99,6 +100,55 @@ class TestContactCheck:
         frame, _ = heis
         report = contact_check(frame, POINTS[:5])
         assert report["reeb_normalization"] == 0.0
+
+
+def _model_residuals(bundle, points):
+    return {
+        **contact_check(bundle.frame, points),
+        **tw_axiom_check(bundle.frame, bundle.connection, points),
+        **cr_check(bundle.frame, points),
+    }
+
+
+class TestDecimalChart:
+    @pytest.mark.parametrize("j02", [None, "1e-3*y2"])
+    def test_residuals_match_pointwise_evaluation(self, j02, sheared_chart, monkeypatch):
+        if j02:
+            sheared_chart["J"][0][2] = j02
+        bundle = load_model(sheared_chart)
+        points = sample_points(40, seed=3)
+        residuals = _model_residuals(bundle, points)
+
+        def by_call(polys, pts):
+            return np.array([[p(x) for p in polys] for x in pts], dtype=complex).reshape(
+                len(pts), len(polys)
+            )
+
+        monkeypatch.setattr(models, "evaluate_all", by_call)
+        reference = _model_residuals(bundle, points)
+        assert residuals.keys() == reference.keys()
+        for name, value in residuals.items():
+            assert abs(value - reference[name]) <= 1e-15 * max(reference[name], 1e-15), name
+        # Float residues survive, so the comparison is not between zeros.
+        residuals.pop("contact_volume_min")
+        assert max(residuals.values()) > 0
+
+    def test_passes(self, sheared_chart):
+        report = _model_residuals(load_model(sheared_chart), sample_points(40, seed=3))
+        assert report.pop("contact_volume_min") >= 1e-9
+        assert all(v <= 1e-12 for v in report.values()), report
+
+    def test_perturbed_j_fails(self, sheared_chart):
+        sheared_chart["J"][0][2] = "1e-3*y2"
+        bundle = load_model(sheared_chart)
+        points = sample_points(40, seed=3)
+        for report in (
+            contact_check(bundle.frame, points),
+            tw_axiom_check(bundle.frame, bundle.connection, points),
+            cr_check(bundle.frame, points),
+        ):
+            report.pop("contact_volume_min", None)
+            assert max(report.values()) > 1e-12, report
 
 
 class TestTanakaWebsterAxioms:

@@ -1,15 +1,20 @@
 """Polynomial expressions: grammar, canonical form, exact calculus."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swcheck import poly
 from swcheck.poly import (
     ONE,
     PolyExpr,
     PolySyntaxError,
     VARIABLES,
     ZERO,
+    evaluate_all,
+    max_abs,
     parse_poly,
 )
 
@@ -155,3 +160,93 @@ class TestCalculus:
     def test_degree(self):
         assert parse_poly("x1^2*t").degree() == 3
         assert ZERO.degree() == 0
+
+
+def _by_call(polys, points):
+    """Reference values from the single-point evaluator, shape (N, P)."""
+    return np.array([[p(x) for p in polys] for x in points], dtype=complex).reshape(
+        len(points), len(polys)
+    )
+
+
+def _points_strategy(coordinate):
+    return st.lists(st.tuples(*(coordinate for _ in range(5))), min_size=1, max_size=6)
+
+
+_SMALL_INT = st.integers(-8, 8)
+_DYADIC = _SMALL_INT.map(lambda k: k / 4)
+_INT_POLY = st.lists(
+    st.tuples(
+        st.tuples(*(st.integers(0, 3) for _ in range(5))),
+        st.builds(complex, _SMALL_INT, _SMALL_INT),
+    ),
+    max_size=6,
+).map(lambda ts: PolyExpr.from_dict(dict(ts)))
+# Coordinates bounded away from zero (or zero), so no power underflows.
+_COORD = st.one_of(st.just(0.0), st.floats(1 / 256, 2), st.floats(-2, -1 / 256))
+
+
+class TestEvaluateAll:
+    @given(st.lists(_INT_POLY, max_size=4), _points_strategy(_DYADIC))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_on_integer_coefficients_and_dyadic_points(self, polys, points):
+        assert np.array_equal(evaluate_all(polys, points), _by_call(polys, points))
+
+    @given(st.lists(_poly_strategy(), min_size=1, max_size=4), _points_strategy(_COORD))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_single_point_evaluation(self, polys, points):
+        values = evaluate_all(polys, points)
+        for k, x in enumerate(points):
+            for i, p in enumerate(polys):
+                scale = sum(
+                    abs(c) * math.prod(abs(v) ** n for v, n in zip(x, e)) for e, c in p.terms
+                )
+                assert abs(values[k, i] - p(x)) <= 1e-15 * scale
+
+    def test_empty_list(self):
+        assert evaluate_all([], np.zeros((3, 5))).shape == (3, 0)
+        assert max_abs(evaluate_all([], np.zeros((3, 5)))) == 0.0
+
+    def test_zero_and_constant(self):
+        points = np.random.default_rng(0).uniform(-1, 1, size=(4, 5))
+        values = evaluate_all([ZERO, PolyExpr.const(2 - 3j), ZERO], points)
+        assert np.array_equal(values, np.tile([0, 2 - 3j, 0], (4, 1)))
+
+    def test_single_point_shapes(self):
+        polys = [parse_poly("x1*t + 2"), parse_poly("y2^3")]
+        point = (0.5, 1.0, 2.0, -1.5, 3.0)
+        expected = [p(point) for p in polys]
+        assert evaluate_all(polys, point).tolist() == expected
+        assert evaluate_all(polys, np.array([point])).tolist() == [expected]
+
+    def test_rejects_wrong_point_width(self):
+        with pytest.raises(ValueError):
+            evaluate_all([ONE], np.zeros((2, 4)))
+
+    def test_block_boundary_in_points(self):
+        # Three blocks of points and a short last one.
+        polys = [parse_poly("x1 - 2*y1*t"), parse_poly("(1+1i)*x2 + y2")]
+        step = poly.BLOCK_ELEMENTS // (5 * 2)
+        points = np.random.default_rng(1).integers(-4, 5, size=(3 * step + 7, 5)) / 2
+        values = evaluate_all(polys, points)
+        assert np.array_equal(values, _by_call(polys, points))
+
+    def test_block_boundary_in_terms(self):
+        # More terms than one block holds: one point per block, each value as
+        # if that point were evaluated alone.
+        exps = [tuple(int(d) for d in np.base_repr(n, 7).zfill(5)) for n in range(7**5)]
+        rng = np.random.default_rng(2)
+        big = PolyExpr.from_dict({e: complex(*rng.normal(size=2)) for e in exps})
+        assert len(big.terms) > poly.BLOCK_ELEMENTS
+        polys = [parse_poly("x1"), big]
+        points = rng.uniform(-1, 1, size=(3, 5))
+        values = evaluate_all(polys, points)
+        for k, x in enumerate(points):
+            assert np.array_equal(values[k], evaluate_all(polys, x))
+        np.testing.assert_allclose(values, _by_call(polys, points), rtol=1e-12)
+
+    def test_nan_coefficient_reaches_the_result(self):
+        bad = PolyExpr.from_dict({(1, 0, 0, 0, 0): float("nan"), (0, 0, 0, 0, 0): 1.0})
+        values = evaluate_all([parse_poly("x1"), bad], np.ones((3, 5)))
+        assert np.all(np.isnan(values[:, 1])) and np.all(values[:, 0] == 1)
+        assert math.isnan(max_abs(values))
