@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -59,6 +60,10 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+#: Seeds run below 2**63, so the curvature suite's derived seeds
+#: (``seed + sample index``) stay below 2**64.
+SEED_LIMIT = 2**63
+
 
 class UsageError(Exception):
     pass
@@ -69,10 +74,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _json_number(x: float):
+    """``x``, or for a non-finite value the string "NaN", "Infinity" or
+    "-Infinity", so that reports stay strict JSON."""
+    if math.isfinite(x):
+        return x
+    return "NaN" if math.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+
+
 def _check(name: str, residual: float, tol: float) -> dict:
     return {
         "name": name,
-        "residual": float(residual),
+        "residual": _json_number(float(residual)),
         "tolerance": float(tol),
         "pass": bool(float(residual) <= float(tol)),
     }
@@ -83,7 +96,7 @@ def _floor_check(name: str, value: float, floor: float) -> dict:
     value gives a NaN residual."""
     return {
         "name": name,
-        "residual": float(np.maximum(0.0, floor - value)),
+        "residual": _json_number(float(np.maximum(0.0, floor - value))),
         "tolerance": 0.0,
         "pass": bool(value >= floor),
     }
@@ -224,7 +237,7 @@ def _suite_curvature(ns) -> dict:
     xs, ys = curvature.HORIZONTAL_FRAME_PAIRS
 
     def residuals(block):
-        seeds = ns.seed + block
+        seeds = ns.seed + block.astype(np.uint64)  # below 2**64, see run()
         c = curvature.random_admissible_ricci(seeds)
         tau = curvature.random_admissible_torsion(seeds)
         if perturb:
@@ -251,7 +264,7 @@ def _suite_curvature(ns) -> dict:
         _check("ricci_reconstruction_identity", r_ric, tol),
     ]
 
-    c = curvature.random_admissible_ricci(ns.seed + 31 * np.arange(10))
+    c = curvature.random_admissible_ricci(ns.seed + 31 * np.arange(10, dtype=np.uint64))
     t4 = curvature.curvature_tensor(c, check=False)
     rho = (j @ c.ric).astype(complex)
     r_trace = np.max(np.abs(t4.ricci_trace() - 1j * rho))
@@ -523,6 +536,12 @@ def run(argv=None) -> int:
             raise UsageError("--samples must be >= 1")
         if base.seed < 0:
             raise UsageError("--seed must be >= 0")
+        if base.seed >= SEED_LIMIT:
+            raise UsageError(f"--seed must be < 2**63 = {SEED_LIMIT}")
+        for name in ("tol", "h", "scalar", "perturb"):
+            value = getattr(base, name)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"--{name} must be finite")
         if base.tol is not None and base.tol < 0:
             raise UsageError("--tol must be >= 0")
         if base.h <= 0:
@@ -537,7 +556,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     report["wall_time_s"] = time.perf_counter() - start
 
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if ns.output:
         with open(ns.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

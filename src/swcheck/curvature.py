@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extalg import PAIR_INDEX, VERTICAL, KForm, deta, sd_project
+from .streams import uniform_rows
 
 #: Almost complex structure on the frame: J e1 = e2, J e3 = e4, J Reeb = 0.
 J_FRAME = np.array(
@@ -150,13 +151,11 @@ def admissible_ricci(r11, r33, r13, r14) -> CurvatureData:
 
 
 def _uniform_draws(seed, scale: float, size: int) -> np.ndarray:
-    """``size`` parameters uniform in [-scale, scale] per seed, each row from
-    its own ``default_rng(seed)`` so that a stack holds the single draws."""
+    """``size`` parameters uniform in [-scale, scale] per seed; each row is
+    the ``default_rng(seed)`` draw, so a stack holds the single draws."""
     if scale <= 0:
         raise ValueError("scale must be positive")
-    seeds = np.asarray(seed)
-    rows = [np.random.default_rng(s).uniform(-scale, scale, size=size) for s in seeds.ravel().tolist()]
-    return np.reshape(rows, seeds.shape + (size,))
+    return uniform_rows(seed, scale, size)
 
 
 def random_admissible_ricci(seed, scale: float = 1.0) -> CurvatureData:

@@ -298,7 +298,7 @@ def derive_identification() -> np.ndarray:
             )
         rows.append(np.kron(gamma(i), eye) - np.kron(eye, a.T))
     system = np.vstack(rows)
-    _, sing, vt = np.linalg.svd(system)
+    _, sing, vt = np.linalg.svd(system, full_matrices=False)
     null_dims = int(np.sum(sing < 1e-10))
     if null_dims != 1:
         raise IdentificationError(

@@ -122,24 +122,18 @@ def test_criterion_4_self_duality():
 
 
 def test_criterion_5_curvature_properties():
-    n = 10_000
-    worst_rho = 0.0
-    for k in range(n):
-        c = curvature.random_admissible_ricci(k)
-        worst_rho = max(worst_rho, (c.rho_plus + (c.s / 4.0) * deta()).norm_inf())
+    # Each quantity is the worst over the whole stack of 10^4 seeded draws;
+    # the reductions propagate NaN, so a NaN sample fails the criterion.
+    k = np.arange(10_000)
+    c = curvature.random_admissible_ricci(k)
+    worst_rho = (c.rho_plus + (c.s / 4.0) * deta()).norm_inf()
 
     ei = np.eye(5)
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    worst_b = 0.0
-    for k in range(n):
-        tau = curvature.random_admissible_torsion(k)
-        for i, j in pairs:
-            worst_b = max(worst_b, abs(curvature.bianchi_b(tau, ei[i], ei[j])))
+    i, j = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)]).T
+    tau = curvature.random_admissible_torsion(k)
+    worst_b = np.max(np.abs(curvature.bianchi_b(tau, ei[i], ei[j])))
 
-    worst_ric = 0.0
-    for k in range(n):
-        c = curvature.random_admissible_ricci(2 * k + 1)
-        worst_ric = max(worst_ric, curvature.ric_identity_check(c))
+    worst_ric = curvature.ric_identity_check(curvature.random_admissible_ricci(2 * k + 1))
 
     ok = worst_rho <= 1e-12 and worst_b <= 1e-12 and worst_ric <= 1e-12
     _report(

@@ -11,10 +11,14 @@ from swcheck.dirac_sw import FormSpinorField, SpinorField
 from swcheck.models import load_model, model_to_dict
 
 
+def _refuse(token):
+    raise ValueError(f"report is not strict JSON: bare {token}")
+
+
 def _run(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (json.loads(out, parse_constant=_refuse) if out.strip() else None)
 
 
 class TestSuitesPass:
@@ -128,6 +132,24 @@ class TestUsageErrors:
     def test_negative_seed(self, suite, capsys):
         assert run([suite, "--seed", "-5", "--samples", "3"]) == EXIT_USAGE
         assert "--seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["curvature", "all"])
+    def test_largest_seed_runs(self, suite, capsys):
+        # The curvature suite derives seed + sample index; it must not wrap.
+        code, rep = _run([suite, "--seed", str(2**63 - 1), "--samples", "3"], capsys)
+        assert code == EXIT_PASS and rep["parameters"]["seed"] == 2**63 - 1
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64])
+    def test_seed_above_63_bits(self, seed, capsys):
+        assert run(["curvature", "--seed", str(seed), "--samples", "3"]) == EXIT_USAGE
+        assert "--seed must be < 2**63" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option", [["--tol", "nan"], ["--tol", "inf"], ["--h", "inf"], ["--perturb", "nan"], ["--scalar=-inf"]]
+    )
+    def test_non_finite_option(self, option, capsys):
+        assert run(["solution"] + option) == EXIT_USAGE
+        assert f"{option[0].split('=')[0]} must be finite" in capsys.readouterr().err
 
     def test_missing_model_file(self, capsys):
         assert run(["model", "--model", "/nonexistent/model.json"]) == EXIT_USAGE
@@ -301,7 +323,8 @@ class TestNonFiniteSamples:
         monkeypatch.setattr(curvature, "random_admissible_ricci", with_nan)
         code, rep = _run(["curvature", "--samples", str(bad_seed + 4)], capsys)
         assert code == EXIT_FAIL
-        assert not rep["checks"][0]["pass"]
+        # ``_run`` refuses bare NaN tokens: the residual is the string "NaN".
+        assert not rep["checks"][0]["pass"] and rep["checks"][0]["residual"] == "NaN"
 
 
 class TestNonFiniteEvaluations:
@@ -332,7 +355,7 @@ class TestNonFiniteEvaluations:
             code, rep = _run(argv, capsys)
             failed = self._failed(rep)
             assert code == EXIT_FAIL and len(failed) == 1, (call, failed)
-            assert all(np.isnan(r) for r in failed.values())
+            assert all(r == "NaN" for r in failed.values())
             hit |= failed.keys()
         assert len(hit) == len(live)
         assert {"contact_volume_nondegenerate"} <= hit
@@ -361,11 +384,17 @@ class TestNonFiniteEvaluations:
         code, rep = _run(["dirac", "--samples", "2"], capsys)
         failed = self._failed(rep)
         assert code == EXIT_FAIL and list(failed) == [check]
-        assert np.isnan(failed[check])
+        assert failed[check] == "NaN"
 
     def test_floor_check_reports_nan(self):
         row = cli._floor_check("volume", float("nan"), 1e-9)
-        assert not row["pass"] and np.isnan(row["residual"])
+        assert not row["pass"] and row["residual"] == "NaN"
+
+    def test_non_finite_residuals_are_strings(self):
+        for value, text in [(np.nan, "NaN"), (np.inf, "Infinity"), (-np.inf, "-Infinity")]:
+            assert cli._check("r", value, 1e-12)["residual"] == text
+        assert not cli._check("r", np.inf, 1e-12)["pass"]
+        assert cli._check("r", 0.25, 1e-12)["residual"] == 0.25
 
 
 class TestReports:
