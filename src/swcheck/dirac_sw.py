@@ -36,10 +36,8 @@ dimension 5; the Dirac equation constrains a full spinor field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -51,15 +49,13 @@ from .models import (
     ConnectionCoefficients,
     CoordForm,
     FrameFieldSet,
-    ModelFormatError,
     SyntheticModel,
     VectorFieldPoly,
     exterior_d,
     heisenberg5,
-    read_json_file,
     synthetic_model,
 )
-from .poly import ZERO, PolyExpr, PolySyntaxError, evaluate_all, max_abs, parse_poly
+from .poly import ZERO, PolyExpr, evaluate_all, max_abs
 
 #: Prefactor of the so(5) part of the spinorial connection.
 SO_COUPLING = 0.25
@@ -67,10 +63,6 @@ SO_COUPLING = 0.25
 U1_COUPLING = 0.5
 
 _SQ2 = np.sqrt(2.0)
-
-
-class UnsupportedModelError(ValueError):
-    """Raised when an operator is restricted to the flat Heisenberg model."""
 
 
 @dataclass(frozen=True)
@@ -105,33 +97,6 @@ class SpinorField:
     def scale(self, factor) -> "SpinorField":
         f = factor if isinstance(factor, PolyExpr) else PolyExpr.const(factor)
         return SpinorField(tuple(f * c for c in self.components))
-
-
-def load_spinor_field(source) -> SpinorField:
-    """Load a spinor field from JSON: {"psi": [four expressions]}.
-
-    Accepts a file path or an already-decoded dict; expression syntax errors
-    carry the component index and source offset.
-    """
-    data = read_json_file(source) if isinstance(source, (str, Path)) else source
-    if not isinstance(data, dict) or "psi" not in data:
-        raise ModelFormatError('spinor field file needs a "psi" field')
-    comps = data["psi"]
-    if not isinstance(comps, list) or len(comps) != 4:
-        raise ModelFormatError("psi: expected a list of 4 expressions")
-    parsed = []
-    for i, src in enumerate(comps):
-        try:
-            parsed.append(parse_poly(str(src)))
-        except PolySyntaxError as exc:
-            raise ModelFormatError(f"psi[{i}]: {exc}") from exc
-    return SpinorField(tuple(parsed))
-
-
-def save_spinor_field(field: SpinorField, path) -> None:
-    Path(path).write_text(
-        json.dumps({"psi": [str(c) for c in field.components]}, indent=2), encoding="utf-8"
-    )
 
 
 @dataclass(frozen=True)
@@ -348,19 +313,6 @@ class FormSpinorField:
         return SpinorField(_mat_apply(phi, self.components))
 
 
-def _flat_heisenberg(s: SpinConnection | None) -> SpinConnection:
-    """s, checked to be the flat untwisted Heisenberg connection (the default)."""
-    if s is None:
-        return SpinConnection.heisenberg()
-    if s.frame.name != "heisenberg" or not s.conn.is_flat():
-        raise UnsupportedModelError(
-            "the dbar operators are implemented on the flat Heisenberg model only"
-        )
-    if any(not s.conn.a_form.component(1 << c).is_zero() for c in range(5)):
-        raise UnsupportedModelError("the dbar operators require a trivial U(1) connection")
-    return s
-
-
 @lru_cache(maxsize=1)
 def _heisenberg_z_fields() -> tuple[VectorFieldPoly, ...]:
     frame, _ = heisenberg5()
@@ -374,16 +326,13 @@ def _heisenberg_z_fields() -> tuple[VectorFieldPoly, ...]:
     return z1, z2, zb1, zb2
 
 
-def dbar_pair(
-    field: FormSpinorField, s: SpinConnection | None = None
-) -> tuple[FormSpinorField, FormSpinorField]:
+def dbar_pair(field: FormSpinorField) -> tuple[FormSpinorField, FormSpinorField]:
     """(dbar_H f, dbar_H* f) as form fields, on the flat Heisenberg model.
 
     dbar_H = sum_a tb^a ^ nabla_{Zbar_a} raises the degree and
     dbar_H* = -sum_a i(Zbar_a) nabla_{Z_a} lowers it; with the flat
     connection both reduce to componentwise Z / Zbar derivatives.
     """
-    _flat_heisenberg(s)
     z1, z2, zb1, zb2 = _heisenberg_z_fields()
     f0, f1, f2, f3 = field.components
     dbar = FormSpinorField.make(0, zb1.apply(f0), zb2.apply(f0), zb1.apply(f2) - zb2.apply(f1))
@@ -393,14 +342,14 @@ def dbar_pair(
     return dbar, dbar_star
 
 
-def dbar_identity_residual(fields, points, s: SpinConnection | None = None) -> float:
-    """Residual of sqrt(2) (dbar_H + dbar_H*) against Phi^-1 D_H Phi."""
-    s = _flat_heisenberg(s)
+def dbar_identity_residual(fields, points) -> float:
+    """Residual of sqrt(2) (dbar_H + dbar_H*) against Phi^-1 D_H Phi, flat Heisenberg model."""
+    s = SpinConnection.heisenberg()
     phi = derive_identification()
     phi_inv = phi.conj().T
     diffs = []
     for field in fields:
-        d, ds = dbar_pair(field, s)
+        d, ds = dbar_pair(field)
         dirac = kohn_dirac(s, field.to_spinor_field(phi))
         for p in points:
             lhs = _SQ2 * (d.evaluate(p) + ds.evaluate(p))
@@ -423,10 +372,6 @@ class SWPair:
     psi: SpinorField
     connection: SpinConnection | None = None
     synthetic: SyntheticModel | None = None
-
-    @staticmethod
-    def on_model(connection: SpinConnection, psi: SpinorField) -> "SWPair":
-        return SWPair(psi=psi, connection=connection)
 
     @staticmethod
     def on_synthetic(model: SyntheticModel, psi: SpinorField) -> "SWPair":

@@ -18,9 +18,9 @@ imaginary valued).  Basis multi-indices are listed in lexicographic order
 within each degree (``INDEX_TUPLES``), so a k-form is a flat coefficient
 vector of length C(5, k).
 
-Every basis decision is made once, at import, from the one shuffle-sign rule
-``wedge_sign`` and frozen into read-only constant tables with entries in
-{-1, 0, 1}:
+Every basis decision is made once, at import, from the one sign rule
+``_permutation_sign`` (the sign of sorting a concatenated index tuple) and
+frozen into read-only constant tables with entries in {-1, 0, 1}:
 
 * ``WEDGE[ka, kb][p, q, r]``: coefficient of basis form r in
   e_p ^ e_q, for degrees ka + kb <= 5;
@@ -33,14 +33,20 @@ Every basis decision is made once, at import, from the one shuffle-sign rule
 The operations below are then single array operations on coefficient
 vectors.  Samples stack on leading axes: a ``KForm`` may hold a
 ``(..., C(5, k))`` stack of coefficient vectors, and every operation acts on
-each sample, in one array operation per stack.  Everything in this module is a pure function on immutable values.
+each sample, in one array operation per stack.  Everything in this module is
+a pure function on immutable values.
+
+:class:`swcheck.models.CoordForm`, the polynomial-coefficient form over the
+chart differentials, uses the same ``INDEX_TUPLES`` order and reads its
+signs from ``WEDGE`` and ``PAIR_INDEX``, so no other module fixes a basis
+order or a sign rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,27 +59,15 @@ INDEX_TUPLES: dict[int, tuple[tuple[int, ...], ...]] = {
 }
 
 
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << (i - 1)
-    return m
-
-
-def wedge_sign(mask_a: int, mask_b: int) -> int:
-    """Parity sign of merging two disjoint sorted index sets (as bit masks).
-
-    Counts the transpositions needed to sort the concatenation (A, B); this
-    is (-1)**#{(i, j) : i in A, j in B, i > j}.
-    """
-    if mask_a & mask_b:
-        raise ValueError("index sets overlap")
+def _permutation_sign(seq, sorted_seq) -> int:
+    """Sign of the permutation taking ``seq`` to ``sorted_seq``, by counted swaps."""
+    seq = list(seq)
     sign = 1
-    for j in range(DIM):
-        if mask_b & (1 << j):
-            higher = mask_a >> (j + 1)
-            if bin(higher).count("1") % 2:
-                sign = -sign
+    for i, target in enumerate(sorted_seq):
+        j = seq.index(target, i)
+        if j != i:
+            seq[i], seq[j] = seq[j], seq[i]
+            sign = -sign
     return sign
 
 
@@ -88,8 +82,8 @@ def _wedge_table(ka: int, kb: int) -> np.ndarray:
     for p, a in enumerate(INDEX_TUPLES[ka]):
         for q, b in enumerate(INDEX_TUPLES[kb]):
             if not set(a) & set(b):
-                r = out_index.index(tuple(sorted(a + b)))
-                t[p, q, r] = wedge_sign(_mask(a), _mask(b))
+                merged = tuple(sorted(a + b))
+                t[p, q, out_index.index(merged)] = _permutation_sign(a + b, merged)
     return _frozen(t)
 
 
@@ -210,17 +204,6 @@ class KForm:
                 name = "^".join("eta" if i == REEB_INDEX else f"e{i}" for i in idx)
                 parts.append(f"({c})*{name}" if name else f"({c})")
         return f"KForm<{' + '.join(parts) if parts else '0'}>"
-
-
-def _permutation_sign(seq, sorted_seq) -> int:
-    seq = list(seq)
-    sign = 1
-    for i, target in enumerate(sorted_seq):
-        j = seq.index(target, i)
-        if j != i:
-            seq[i], seq[j] = seq[j], seq[i]
-            sign = -sign
-    return sign
 
 
 # -- constructors ----------------------------------------------------------

@@ -33,13 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import CurvatureData, J_FRAME, TorsionEndomorphism
-from .extalg import KForm, wedge_sign
+from .extalg import INDEX_TUPLES, PAIR_INDEX, WEDGE, KForm
 from .poly import ONE, ZERO, PolyExpr, PolySyntaxError, evaluate_all, max_abs, parse_poly
 
 #: Sign in the horizontal torsion axiom T(X, Y) = sign * deta(X, Y) * Reeb.
 TW_TORSION_SIGN = 1.0
-
-_FULL_MASK = (1 << 5) - 1
 
 
 def _as_poly(v) -> PolyExpr:
@@ -111,83 +109,74 @@ def lie_bracket(x: VectorFieldPoly, y: VectorFieldPoly) -> VectorFieldPoly:
 
 @dataclass(frozen=True)
 class CoordForm:
-    """Differential form with polynomial coefficients over dx1..dt.
+    """Differential form with polynomial coefficients over dx1, dy1, dx2, dy2, dt.
 
-    Coefficients are keyed by 5-bit masks over the coordinate differentials,
-    mirroring the frame-form encoding in :mod:`swcheck.extalg`.
+    ``coeffs[p]`` is the coefficient of the coordinate basis form with index
+    tuple ``INDEX_TUPLES[degree][p]``: the layout of
+    :class:`~swcheck.extalg.KForm`, with ``PolyExpr`` coefficients.  Products
+    and derivatives take their signs from ``extalg.WEDGE``; a 1-form's
+    coefficients are its five components and a 5-form's one coefficient is
+    its density against dx1 ^ dy1 ^ dx2 ^ dy2 ^ dt.
     """
 
     degree: int
-    coeffs: tuple[tuple[int, PolyExpr], ...]  # sorted (mask, coefficient)
+    coeffs: tuple[PolyExpr, ...]
 
-    @staticmethod
-    def from_dict(degree: int, d: dict[int, PolyExpr]) -> "CoordForm":
-        items = [(m, c) for m, c in sorted(d.items()) if not c.is_zero()]
-        return CoordForm(degree, tuple(items))
+    def __post_init__(self):
+        n = len(INDEX_TUPLES[self.degree])
+        if len(self.coeffs) != n:
+            raise ValueError(f"a {self.degree}-form needs {n} coefficients")
 
     @staticmethod
     def one_form(*components) -> "CoordForm":
-        d = {1 << c: _as_poly(comp) for c, comp in enumerate(components)}
-        return CoordForm.from_dict(1, d)
-
-    def component(self, mask: int) -> PolyExpr:
-        for m, c in self.coeffs:
-            if m == mask:
-                return c
-        return ZERO
+        return CoordForm(1, tuple(_as_poly(c) for c in components))
 
     def wedge(self, other: "CoordForm") -> "CoordForm":
         k = self.degree + other.degree
         if k > 5:
             raise ValueError("degree overflow")
-        d: dict[int, PolyExpr] = {}
-        for m1, c1 in self.coeffs:
-            for m2, c2 in other.coeffs:
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                term = c1 * c2
-                if wedge_sign(m1, m2) < 0:
-                    term = -term
-                d[m] = d.get(m, ZERO) + term
-        return CoordForm.from_dict(k, d)
+        table = WEDGE[self.degree, other.degree]
+        out = [ZERO] * table.shape[2]
+        for p, q, r in zip(*np.nonzero(table)):
+            a, b = self.coeffs[p], other.coeffs[q]
+            if not (a.is_zero() or b.is_zero()):
+                out[r] = out[r] + a * b if table[p, q, r] > 0 else out[r] - a * b
+        return CoordForm(k, tuple(out))
 
     def pair_vector(self, x: VectorFieldPoly) -> PolyExpr:
         if self.degree != 1:
             raise ValueError("pair_vector needs a 1-form")
         out = ZERO
-        for m, c in self.coeffs:
-            out = out + c * x.components[m.bit_length() - 1]
+        for c, comp in zip(self.coeffs, x.components):
+            if not c.is_zero():
+                out = out + c * comp
         return out
 
     def pair_two(self, x: VectorFieldPoly, y: VectorFieldPoly) -> PolyExpr:
         if self.degree != 2:
             raise ValueError("pair_two needs a 2-form")
         out = ZERO
-        for m, c in self.coeffs:
-            lo = (m & -m).bit_length() - 1
-            hi = m.bit_length() - 1
-            out = out + c * (
-                x.components[lo] * y.components[hi]
-                - x.components[hi] * y.components[lo]
-            )
+        for c, i, j in zip(self.coeffs, *PAIR_INDEX):
+            if not c.is_zero():
+                out = out + c * (
+                    x.components[i] * y.components[j] - x.components[j] * y.components[i]
+                )
         return out
 
 
 def exterior_d(form: CoordForm) -> CoordForm:
-    """Coordinate exterior derivative, exact on polynomial coefficients."""
-    d: dict[int, PolyExpr] = {}
-    for m, c in form.coeffs:
-        for v in range(5):
-            bit = 1 << v
-            if m & bit:
-                continue
-            dc = c.diff(v)
-            if dc.is_zero():
-                continue
-            term = dc if wedge_sign(bit, m) > 0 else -dc
-            d[bit | m] = d.get(bit | m, ZERO) + term
-    return CoordForm.from_dict(form.degree + 1, d)
+    """Coordinate exterior derivative, exact on polynomial coefficients.
+
+    d(c dx_I) = sum_v (dc/dx_v) dx_v ^ dx_I, signed by ``WEDGE[1, degree]``.
+    """
+    table = WEDGE[1, form.degree]
+    out = [ZERO] * table.shape[2]
+    for v, p, r in zip(*np.nonzero(table)):
+        c = form.coeffs[p]
+        dc = ZERO if c.is_zero() else c.diff(int(v))
+        if not dc.is_zero():
+            out[r] = out[r] + dc if table[v, p, r] > 0 else out[r] - dc
+    return CoordForm(form.degree + 1, tuple(out))
 
 
 # -- frame sets and connections ------------------------------------------------
@@ -223,10 +212,6 @@ class FrameFieldSet:
             comps.append(out)
         return VectorFieldPoly(tuple(comps))
 
-    def frame_matrix(self, point) -> np.ndarray:
-        """Columns are the coordinate components of the frame at a point."""
-        return np.column_stack([f.evaluate(point) for f in self.fields])
-
 
 @dataclass(frozen=True)
 class ConnectionCoefficients:
@@ -241,8 +226,8 @@ class ConnectionCoefficients:
     a_form: CoordForm
 
     def __post_init__(self):
-        for c in range(5):
-            if any(v.real != 0 for _, v in self.a_form.component(1 << c).terms):
+        for c, a in enumerate(self.a_form.coeffs):
+            if any(v.real != 0 for _, v in a.terms):
                 raise ValueError(f"A[{c}]: the U(1) connection 1-form must be imaginary valued")
 
     @staticmethod
@@ -331,7 +316,7 @@ def contact_volume(frame: FrameFieldSet) -> PolyExpr:
     """Coefficient of eta ^ deta ^ deta against the coordinate volume."""
     deta = exterior_d(frame.eta)
     top = frame.eta.wedge(deta).wedge(deta)
-    return top.component(_FULL_MASK)
+    return top.coeffs[0]
 
 
 def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
@@ -370,7 +355,7 @@ def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
 
     jsq = []
     xi_comps = frame.reeb.components
-    eta_comps = [frame.eta.component(1 << c) for c in range(5)]
+    eta_comps = frame.eta.coeffs
     for c in range(5):
         for d in range(5):
             entry = ZERO
@@ -506,22 +491,6 @@ def tw_axiom_check(
     }
 
 
-def tanaka_webster_torsion(
-    frame: FrameFieldSet, conn: ConnectionCoefficients, point
-) -> np.ndarray:
-    """Torsion endomorphism tau = T(Reeb, .) in frame components at a point."""
-    fmat = frame.frame_matrix(point)
-    cols = []
-    for j in range(5):
-        tvec = (
-            conn.nabla(frame, 4, j)
-            - conn.nabla(frame, j, 4)
-            - lie_bracket(frame.reeb, frame.fields[j])
-        )
-        cols.append(np.linalg.solve(fmat, tvec.evaluate(point)))
-    return np.real_if_close(np.column_stack(cols))
-
-
 def cr_check(frame: FrameFieldSet, points) -> dict[str, float]:
     """Integrability residuals of the underlying almost CR structure.
 
@@ -570,12 +539,6 @@ class SyntheticModel:
         bad = self.curvature.violations() + self.torsion.violations()
         if bad:
             raise ValueError("inadmissible synthetic model: " + "; ".join(bad))
-
-    @property
-    def deta(self) -> KForm:
-        from .extalg import deta as _deta
-
-        return _deta()
 
     @property
     def s(self) -> float:
@@ -760,7 +723,7 @@ def model_to_dict(bundle: ModelBundle) -> dict:
     frame = bundle.frame
     out: dict = {
         "chart": frame.name,
-        "eta": [str(frame.eta.component(1 << c)) for c in range(5)],
+        "eta": [str(c) for c in frame.eta.coeffs],
         "xi": [str(c) for c in frame.reeb.components],
         "frame": [[str(c) for c in frame.fields[i].components] for i in range(4)],
         "J": [[str(frame.jmat[r][c]) for c in range(5)] for r in range(5)],
@@ -771,8 +734,8 @@ def model_to_dict(bundle: ModelBundle) -> dict:
             for i in range(5)
         ]
     a = bundle.connection.a_form
-    if any(not a.component(1 << c).is_zero() for c in range(5)):
-        out["A"] = [str(a.component(1 << c)) for c in range(5)]
+    if any(not c.is_zero() for c in a.coeffs):
+        out["A"] = [str(c) for c in a.coeffs]
     if bundle.curvature is not None:
         out["curvature"] = {"ric": bundle.curvature.ric.tolist()}
     return out

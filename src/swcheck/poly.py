@@ -3,8 +3,8 @@
 Vector fields, contact forms and spinor fields on the model charts carry
 polynomial coefficient functions in the coordinates (x1, y1, x2, y2, t).
 This module provides the canonical-form polynomial type, exact
-differentiation, and the small expression grammar used by model and field
-definition files:
+differentiation, and the small expression grammar used by model definition
+files:
 
     expr  := [sign] term (("+" | "-") term)*
     term  := factor ("*" factor)*
@@ -167,7 +167,7 @@ ONE = PolyExpr.const(1)
 
 #: Most elements in a temporary array of :func:`evaluate_all`: each block of
 #: points times the number of terms (or of power-table entries) stays below it.
-BLOCK_ELEMENTS = 1 << 14
+BLOCK_ELEMENTS = 2**14
 
 
 def evaluate_all(polys, points) -> np.ndarray:

@@ -12,7 +12,6 @@ from swcheck.dirac_sw import (
     SpinConnection,
     SpinorField,
     SWPair,
-    UnsupportedModelError,
     canonical_solution,
     dbar_identity_residual,
     dbar_pair,
@@ -182,8 +181,8 @@ class TestConnectionTerms:
         for p in POINTS[:10]:
             # sum_w kappa_w (1/4 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi
             gam = np.array([[[c(p) for c in row] for row in plane] for plane in s.conn.gamma])
-            a_vals = np.array([s.conn.a_form.component(1 << c)(p) for c in range(5)])
-            frame_vals = s.frame.frame_matrix(p)
+            a_vals = np.array([c(p) for c in s.conn.a_form.coeffs])
+            frame_vals = np.column_stack([f.evaluate(p) for f in s.frame.fields])
             expected = np.zeros(4, dtype=complex)
             for w in range(5):
                 m = 0.5 * (a_vals @ frame_vals[:, w]) * np.eye(4)
@@ -317,16 +316,10 @@ class TestDbarOperators:
             fields.append(FormSpinorField(tuple(comps)))
         assert dbar_identity_residual(fields, POINTS[:10]) <= 1e-10
 
-    def test_rejects_twisted_connection(self):
-        s = SpinConnection.heisenberg(CoordForm.one_form(0, 0, 0, 0, 1j))
-        f = FormSpinorField.make(1, 0, 0, 0)
-        with pytest.raises(UnsupportedModelError):
-            dbar_pair(f, s)
-
 
 class TestSWResidual:
     def test_vacuum_solution(self):
-        pair = SWPair.on_model(S_FLAT, SpinorField.constant([0, 0, 0, 0]))
+        pair = SWPair(psi=SpinorField.constant([0, 0, 0, 0]), connection=S_FLAT)
         res = sw_residual(pair, POINTS[:10])
         assert res.r_dirac == 0 and res.r_curv == 0 and res.sigma_vertical == 0
 
@@ -362,7 +355,7 @@ class TestSWResidual:
         psi = SpinorField.make(
             parse_poly("x1 + 2i*t"), parse_poly("y1*y2 - 1"), parse_poly("0.5*x2^2"), 1
         )
-        pair = SWPair.on_model(SpinConnection.heisenberg(a_form), psi)
+        pair = SWPair(psi=psi, connection=SpinConnection.heisenberg(a_form))
         res = sw_residual(pair, POINTS)
         dirac = full_dirac(pair.connection, pair.psi)
         r_dirac = r_curv = sigma_vert = 0.0
@@ -382,42 +375,13 @@ class TestSWResidual:
         from swcheck import dirac_sw
 
         nan_on_call([dirac_sw], "evaluate_all", call)
-        pair = SWPair.on_model(S_FLAT, SpinorField.psi0())
+        pair = SWPair(psi=SpinorField.psi0(), connection=S_FLAT)
         assert np.isnan(getattr(sw_residual(pair, POINTS[:10]), field))
 
     def test_points_required_on_polynomial_model(self):
-        pair = SWPair.on_model(S_FLAT, SpinorField.psi0())
+        pair = SWPair(psi=SpinorField.psi0(), connection=S_FLAT)
         with pytest.raises(ValueError):
             sw_residual(pair)
-
-
-class TestSpinorFieldFiles:
-    def test_round_trip(self, tmp_path):
-        from swcheck.dirac_sw import load_spinor_field, save_spinor_field
-
-        field = SpinorField.make(parse_poly("x1 + 2i*t"), 0, parse_poly("-y2^2"), 1)
-        path = tmp_path / "psi.json"
-        save_spinor_field(field, path)
-        loaded = load_spinor_field(path)
-        assert loaded == field
-
-    def test_syntax_error_carries_component_and_position(self, tmp_path):
-        import json
-
-        from swcheck.dirac_sw import load_spinor_field
-        from swcheck.models import ModelFormatError
-
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"psi": ["x1", "x1 ++ 1", "0", "0"]}))
-        with pytest.raises(ModelFormatError, match=r"psi\[1\].*position"):
-            load_spinor_field(path)
-
-    def test_wrong_shape(self):
-        from swcheck.dirac_sw import load_spinor_field
-        from swcheck.models import ModelFormatError
-
-        with pytest.raises(ModelFormatError, match="4 expressions"):
-            load_spinor_field({"psi": ["0", "0"]})
 
 
 class TestConnectionValidation:
@@ -427,7 +391,7 @@ class TestConnectionValidation:
 
     def test_imaginary_a_accepted(self):
         s = SpinConnection.heisenberg(CoordForm.one_form(0, 0, 0, 0, 2j))
-        assert s.conn.a_form.component(1 << 4)((0, 0, 0, 0, 0)) == 2j
+        assert s.conn.a_form.coeffs[4]((0, 0, 0, 0, 0)) == 2j
 
 
 class TestCanonicalSolution:
