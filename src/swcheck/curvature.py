@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extalg import PAIR_INDEX, VERTICAL, KForm, deta, sd_project
+from .extalg import PAIR_INDEX, VERTICAL, KForm, sd_project
 from .streams import uniform_rows
 
 #: Almost complex structure on the frame: J e1 = e2, J e3 = e4, J Reeb = 0.

@@ -21,8 +21,10 @@ The operators map polynomial fields to polynomial fields:
 ``spin_covariant_derivative``, ``kohn_dirac`` and ``full_dirac`` return a
 :class:`SpinorField` and ``dbar_pair`` a pair of :class:`FormSpinorField`,
 each derived once and exactly; callers evaluate the result at points.
-``full_dirac_fd`` is the pointwise oracle: it takes central differences of
-the spinor components and shares only the connection terms with the exact
+Fields are evaluated on stacks of points, ``(..., 5)`` arrays, through
+:func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the independent
+oracle: it takes central differences of the spinor values on the stencil
+around every point and shares only the connection terms with the exact
 path.
 
 The curvature equation couples the self-dual part of F_A with the spinor
@@ -47,7 +49,6 @@ from .curvature import admissible_ricci
 from .extalg import INDEX_TUPLES, PAIR_INDEX, KForm, horizontal_split, sd_project
 from .models import (
     ConnectionCoefficients,
-    CoordForm,
     FrameFieldSet,
     SyntheticModel,
     VectorFieldPoly,
@@ -55,7 +56,7 @@ from .models import (
     heisenberg5,
     synthetic_model,
 )
-from .poly import ZERO, PolyExpr, evaluate_all, max_abs
+from .poly import PolyExpr, dot, evaluate_all, max_abs
 
 #: Prefactor of the so(5) part of the spinorial connection.
 SO_COUPLING = 0.25
@@ -88,8 +89,9 @@ class SpinorField:
         """The constant reference spinor amplitude * (0, 0, 0, 1)."""
         return SpinorField.constant(amplitude * PSI0)
 
-    def evaluate(self, point) -> np.ndarray:
-        return np.array([c(point) for c in self.components], dtype=complex)
+    def evaluate(self, points) -> np.ndarray:
+        """Values at a stack of points ``(..., 5)``, shape ``(..., 4)``."""
+        return evaluate_all(self.components, points)
 
     def __add__(self, other: "SpinorField") -> "SpinorField":
         return SpinorField(tuple(a + b for a, b in zip(self.components, other.components)))
@@ -112,18 +114,13 @@ class SpinConnection:
     conn: ConnectionCoefficients
 
     @staticmethod
-    def heisenberg(a_form: CoordForm | None = None) -> "SpinConnection":
-        frame, conn = heisenberg5()
-        if a_form is not None:
-            conn = conn.with_a(a_form)
-        return SpinConnection(frame, conn)
+    def heisenberg() -> "SpinConnection":
+        return SpinConnection(*heisenberg5())
 
 
 def _mat_apply(m: np.ndarray, components) -> tuple[PolyExpr, ...]:
     """A constant matrix applied to a column of polynomial components."""
-    return tuple(
-        sum((c * complex(a) for a, c in zip(row, components) if a != 0), ZERO) for row in m
-    )
+    return tuple(dot(components, [PolyExpr.const(a) for a in row]) for row in m)
 
 
 def _connection_terms(s: SpinConnection, w: int) -> list[tuple[PolyExpr, np.ndarray]]:
@@ -174,27 +171,33 @@ def full_dirac(s: SpinConnection, psi: SpinorField) -> SpinorField:
 
 
 def full_dirac_fd(
-    s: SpinConnection, psi: SpinorField, point, h: float = 1e-4, horizontal_only: bool = False
+    s: SpinConnection, psi: SpinorField, points, h: float = 1e-4, horizontal_only: bool = False
 ) -> np.ndarray:
-    """Finite-difference oracle for the Dirac operators at one point.
+    """Finite-difference oracle for the Dirac operators on a stack of points.
 
-    Replaces the exact directional derivatives with central differences of
-    the spinor components along the chart coordinates (step h); only the
-    connection terms are shared with the exact path.
+    ``points`` has shape ``(..., 5)`` and the result ``(..., 4)``.  psi is
+    evaluated once on the stencil p, p + h e_c, p - h e_c of every point,
+    and the exact directional derivatives are replaced with central
+    differences along the chart coordinates; only the connection terms are
+    shared with the exact path.
     """
-    point = np.asarray(point, dtype=float)
-    psi_p = psi.evaluate(point)
-    out = np.zeros(4, dtype=complex)
+    points = np.asarray(points, dtype=float)
+    shift = h * np.eye(5)
+    stencil = points[..., None, :] + np.concatenate([np.zeros((1, 5)), shift, -shift])
+    psi_vals = psi.evaluate(stencil)
+    psi_p, plus, minus = psi_vals[..., 0, :], psi_vals[..., 1:6, :], psi_vals[..., 6:, :]
+    frame = evaluate_all([c for f in s.frame.fields for c in f.components], points)
+    frame = frame.reshape(points.shape[:-1] + (5, 5))
+    out = np.zeros(psi_p.shape, dtype=complex)
     for w in range(1, 5 if horizontal_only else 6):
-        deriv = np.zeros(4, dtype=complex)
-        for c, x in enumerate(s.frame.fields[w - 1].evaluate(point)):
-            if x != 0:
-                shift = np.zeros(5)
-                shift[c] = h
-                deriv += x * (psi.evaluate(point + shift) - psi.evaluate(point - shift)) / (2 * h)
-        for coeff, m in _connection_terms(s, w):
-            deriv += coeff(point) * (m @ psi_p)
-        out += GAMMA[w - 1] @ deriv
+        deriv = np.zeros(psi_p.shape, dtype=complex)
+        for c in range(5):
+            deriv += frame[..., w - 1, c, None] * (plus[..., c, :] - minus[..., c, :]) / (2 * h)
+        terms = _connection_terms(s, w)
+        coeffs = evaluate_all([coeff for coeff, _ in terms], points)
+        for t, (_, m) in enumerate(terms):
+            deriv += coeffs[..., t, None] * (psi_p @ m.T)
+        out += deriv @ GAMMA[w - 1].T
     return out
 
 
@@ -305,8 +308,9 @@ class FormSpinorField:
             tuple(c if isinstance(c, PolyExpr) else PolyExpr.const(c) for c in components)
         )
 
-    def evaluate(self, point) -> np.ndarray:
-        return np.array([c(point) for c in self.components], dtype=complex)
+    def evaluate(self, points) -> np.ndarray:
+        """Values at a stack of points ``(..., 5)``, shape ``(..., 4)``."""
+        return evaluate_all(self.components, points)
 
     def to_spinor_field(self, phi: np.ndarray) -> SpinorField:
         """Push through the identification matrix (constant coefficients)."""
@@ -351,9 +355,8 @@ def dbar_identity_residual(fields, points) -> float:
     for field in fields:
         d, ds = dbar_pair(field)
         dirac = kohn_dirac(s, field.to_spinor_field(phi))
-        for p in points:
-            lhs = _SQ2 * (d.evaluate(p) + ds.evaluate(p))
-            diffs.append(lhs - phi_inv @ dirac.evaluate(p))
+        lhs = _SQ2 * (d.evaluate(points) + ds.evaluate(points))
+        diffs.append(lhs - dirac.evaluate(points) @ phi_inv.T)
     return max_abs(diffs)
 
 
@@ -406,22 +409,18 @@ def sw_residual(pair: SWPair, points=None) -> SWResidual:
     On the synthetic model the connection is in a gauge normal at the point
     and the spinor is constant, so every covariant derivative vanishes
     identically and the Dirac residual is exactly zero; only the curvature
-    equation carries content there.
+    equation carries content there, evaluated at the single point 0.
     """
     if pair.synthetic is not None:
         if any(c.degree() > 0 for c in pair.psi.components):
             raise ValueError("the synthetic pointwise model carries constant spinors only")
-        psi_val = pair.psi.evaluate(np.zeros(5))
-        sigma = sigma_full(psi_val)
-        sigma_h_part, sigma_v = horizontal_split(sigma)
-        resid = pair.synthetic.f_a_plus + 0.25 * sd_project(sigma_h_part).plus
-        return SWResidual(0.0, resid.norm_inf(), sigma_v.norm_inf())
-
-    if points is None:
+        points, r_dirac = np.zeros((1, 5)), 0.0
+    elif points is None:
         raise ValueError("sample points are required on a polynomial model")
-    r_dirac = max_abs(evaluate_all(full_dirac(pair.connection, pair.psi).components, points))
+    else:
+        r_dirac = max_abs(full_dirac(pair.connection, pair.psi).evaluate(points))
     f_h, _ = horizontal_split(KForm(2, evaluate_all(pair.f_a_field(), points)))
-    sigma_h_part, sigma_v = horizontal_split(sigma_full(evaluate_all(pair.psi.components, points)))
+    sigma_h_part, sigma_v = horizontal_split(sigma_full(pair.psi.evaluate(points)))
     resid = sd_project(f_h).plus + 0.25 * sd_project(sigma_h_part).plus
     return SWResidual(r_dirac, resid.norm_inf(), sigma_v.norm_inf())
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .curvature import CurvatureData, J_FRAME, TorsionEndomorphism
 from .extalg import INDEX_TUPLES, PAIR_INDEX, WEDGE, KForm
-from .poly import ONE, ZERO, PolyExpr, PolySyntaxError, evaluate_all, max_abs, parse_poly
+from .poly import ONE, ZERO, PolyExpr, PolySyntaxError, dot, evaluate_all, max_abs, parse_poly
 
 #: Sign in the horizontal torsion axiom T(X, Y) = sign * deta(X, Y) * Reeb.
 TW_TORSION_SIGN = 1.0
@@ -67,14 +67,14 @@ class VectorFieldPoly:
 
     def apply(self, f: PolyExpr) -> PolyExpr:
         """Directional derivative X(f), exact."""
-        out = ZERO
-        for c, comp in enumerate(self.components):
-            if not comp.is_zero():
-                out = out + comp * f.diff(c)
-        return out
+        return dot(
+            self.components,
+            [ZERO if comp.is_zero() else f.diff(c) for c, comp in enumerate(self.components)],
+        )
 
-    def evaluate(self, point) -> np.ndarray:
-        return np.array([comp(point) for comp in self.components], dtype=complex)
+    def evaluate(self, points) -> np.ndarray:
+        """Values at a stack of points ``(..., 5)``, shape ``(..., 5)``."""
+        return evaluate_all(self.components, points)
 
     def __add__(self, other: "VectorFieldPoly") -> "VectorFieldPoly":
         return VectorFieldPoly(
@@ -146,22 +146,17 @@ class CoordForm:
     def pair_vector(self, x: VectorFieldPoly) -> PolyExpr:
         if self.degree != 1:
             raise ValueError("pair_vector needs a 1-form")
-        out = ZERO
-        for c, comp in zip(self.coeffs, x.components):
-            if not c.is_zero():
-                out = out + c * comp
-        return out
+        return dot(self.coeffs, x.components)
 
     def pair_two(self, x: VectorFieldPoly, y: VectorFieldPoly) -> PolyExpr:
         if self.degree != 2:
             raise ValueError("pair_two needs a 2-form")
-        out = ZERO
-        for c, i, j in zip(self.coeffs, *PAIR_INDEX):
-            if not c.is_zero():
-                out = out + c * (
-                    x.components[i] * y.components[j] - x.components[j] * y.components[i]
-                )
-        return out
+        xs, ys = x.components, y.components
+        minors = (
+            ZERO if c.is_zero() else xs[i] * ys[j] - xs[j] * ys[i]
+            for c, i, j in zip(self.coeffs, *PAIR_INDEX)
+        )
+        return dot(self.coeffs, minors)
 
 
 def exterior_d(form: CoordForm) -> CoordForm:
@@ -202,15 +197,7 @@ class FrameFieldSet:
         return self.fields[4]
 
     def j_apply(self, x: VectorFieldPoly) -> VectorFieldPoly:
-        comps = []
-        for i in range(5):
-            out = ZERO
-            for j in range(5):
-                entry = self.jmat[i][j]
-                if not entry.is_zero():
-                    out = out + entry * x.components[j]
-            comps.append(out)
-        return VectorFieldPoly(tuple(comps))
+        return VectorFieldPoly(tuple(dot(row, x.components) for row in self.jmat))
 
 
 @dataclass(frozen=True)
@@ -358,10 +345,7 @@ def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
     eta_comps = frame.eta.coeffs
     for c in range(5):
         for d in range(5):
-            entry = ZERO
-            for m in range(5):
-                if not frame.jmat[c][m].is_zero() and not frame.jmat[m][d].is_zero():
-                    entry = entry + frame.jmat[c][m] * frame.jmat[m][d]
+            entry = dot(frame.jmat[c], [row[d] for row in frame.jmat])
             delta = ONE if c == d else ZERO
             jsq.append(entry + delta - xi_comps[c] * eta_comps[d])
 
@@ -472,11 +456,11 @@ def tw_axiom_check(
                 lhs = ZERO
                 for m in range(5):
                     coef = ZERO
-                    for p in range(5):
-                        if jf[p, j] != 0:
-                            coef = coef + jf[p, j] * conn.gamma[k][p][m]
-                        if jf[m, p] != 0:
-                            coef = coef - conn.gamma[k][j][p] * jf[m, p]
+                    for q in range(5):
+                        if jf[q, j] != 0:
+                            coef = coef + jf[q, j] * conn.gamma[k][q][m]
+                        if jf[m, q] != 0:
+                            coef = coef - conn.gamma[k][j][q] * jf[m, q]
                     if not coef.is_zero():
                         lhs = lhs + coef * gmat[m][l]
                 rhs = deta.pair_two(frame.fields[k], n_h[(j, l)]) * 0.5

@@ -92,18 +92,9 @@ class PolyExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "PolyExpr":
-        # With two multi-term operands the float sums below depend on the
-        # order of accumulation; a fixed operand order makes p * q == q * p
-        # hold exactly.
-        lhs, rhs = self, _coerce(other)
-        if len(lhs.terms) > 1 and len(rhs.terms) > 1 and _mul_order(rhs) < _mul_order(lhs):
-            lhs, rhs = rhs, lhs
-        d: dict[_Exponents, complex] = {}
-        for e1, c1 in lhs.terms:
-            for e2, c2 in rhs.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, 0j) + c1 * c2
-        return PolyExpr.from_dict(d)
+        # With two multi-term operands the float sums depend on the order of
+        # accumulation; dot fixes the operand order, so p * q == q * p exactly.
+        return dot((self,), (_coerce(other),))
 
     __rmul__ = __mul__
 
@@ -163,6 +154,23 @@ class PolyExpr:
 
 ZERO = PolyExpr()
 ONE = PolyExpr.const(1)
+
+
+def dot(a, b) -> PolyExpr:
+    """``sum_i a[i] * b[i]``, canonicalised once.
+
+    Each product keeps the operand order of :meth:`PolyExpr.__mul__`, so
+    ``dot(a, b) == dot(b, a)`` exactly; zero polynomials contribute nothing.
+    """
+    d: dict[_Exponents, complex] = {}
+    for p, q in zip(a, b, strict=True):
+        if len(p.terms) > 1 and len(q.terms) > 1 and _mul_order(q) < _mul_order(p):
+            p, q = q, p
+        for e1, c1 in p.terms:
+            for e2, c2 in q.terms:
+                e = tuple(x + y for x, y in zip(e1, e2))
+                d[e] = d.get(e, 0j) + c1 * c2
+    return PolyExpr.from_dict(d)
 
 
 #: Most elements in a temporary array of :func:`evaluate_all`: each block of

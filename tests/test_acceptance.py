@@ -9,9 +9,8 @@ for the finite-difference comparison, 1e-10 for the dbar identity.
 import json
 
 import numpy as np
-import pytest
 
-from swcheck import cliff5, curvature, models
+from swcheck import curvature, models
 from swcheck.cli import EXIT_FAIL, run
 from swcheck.cliff5 import PSI0, deta_eigenprojectors, gamma, kappa_deta, sigma_h
 from swcheck.dirac_sw import (
@@ -30,7 +29,6 @@ from swcheck.extalg import (
     basis_form,
     contact_star,
     deta,
-    volume_form,
 )
 from swcheck.models import (
     contact_check,

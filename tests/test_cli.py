@@ -9,6 +9,7 @@ from swcheck import cli, cliff5, curvature, models
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from swcheck.dirac_sw import FormSpinorField, SpinorField
 from swcheck.models import load_model, model_to_dict
+from swcheck.poly import PolyExpr
 
 
 def _refuse(token):
@@ -83,6 +84,21 @@ class TestSuitesPass:
         by_name = {c["name"]: c for c in rep["checks"]}
         assert by_name["rho_plus_is_minus_quarter_s_deta"]["residual"] <= 1e-12
         assert by_name["bianchi_correction_vanishes"]["residual"] <= 1e-12
+
+
+class TestStackedEvaluation:
+    def test_no_suite_evaluates_point_by_point(self, monkeypatch, sheared_chart, tmp_path, capsys):
+        # PolyExpr.__call__ is the per-point reference; the suites evaluate
+        # every field on the whole point array through poly.evaluate_all.
+        def refuse(self, point):
+            raise AssertionError("PolyExpr.__call__ reached")
+
+        monkeypatch.setattr(PolyExpr, "__call__", refuse)
+        path = tmp_path / "sheared.json"
+        path.write_text(json.dumps(sheared_chart))
+        assert _run(["all", "--samples", "3"], capsys)[0] == EXIT_PASS
+        assert _run(["dirac", "--perturb", "1e-3", "--samples", "2"], capsys)[0] == EXIT_FAIL
+        assert _run(["model", "--model", str(path)], capsys)[0] == EXIT_PASS
 
 
 class TestNegativeControls:
@@ -369,13 +385,15 @@ class TestNonFiniteEvaluations:
         [
             pytest.param(*case, id=case[-1])
             for case in [
-                # The first loop evaluates full_dirac(psi0) at 20 points, then kohn_dirac.
-                (SpinorField, "evaluate", 2, "full_dirac_psi0_zero"),
-                (SpinorField, "evaluate", 22, "kohn_dirac_psi0_zero"),
-                (cli, "full_dirac_fd", 3, "finite_difference_agreement"),
+                # Each field is evaluated once on the point array: full_dirac(psi0),
+                # then kohn_dirac(psi0); one full_dirac_fd call per random field;
+                # sigma_full once for the rotated spinor, once for the original.
+                (SpinorField, "evaluate", 1, "full_dirac_psi0_zero"),
+                (SpinorField, "evaluate", 2, "kohn_dirac_psi0_zero"),
+                (cli, "full_dirac_fd", 2, "finite_difference_agreement"),
                 (FormSpinorField, "evaluate", 3, "dbar_identity"),
                 (cli, "form_clifford_action", 2, "identification_unitary_intertwiner"),
-                (cliff5, "sigma_full", 4, "phase_invariance"),
+                (cliff5, "sigma_full", 2, "phase_invariance"),
             ]
         ],
     )

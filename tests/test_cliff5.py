@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swcheck.cliff5 import (
-    GAMMA,
     PSI0,
     clifford_two_form,
     clifford_vector,

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from swcheck.cliff5 import GAMMA, PSI0, gamma, sigma_full
-from swcheck.curvature import admissible_ricci, random_admissible_ricci
+from swcheck.curvature import admissible_ricci
 from swcheck.dirac_sw import (
-    CanonicalSolution,
     FormSpinorField,
-    IdentificationError,
     SpinConnection,
     SpinorField,
     SWPair,
@@ -29,12 +27,17 @@ from swcheck.models import (
     CoordForm,
     heisenberg5,
     sample_points,
-    synthetic_model,
 )
 from swcheck.poly import PolyExpr, parse_poly
 
 POINTS = sample_points(20, seed=21)
 S_FLAT = SpinConnection.heisenberg()
+
+
+def _heisenberg_with_a(a_form: CoordForm) -> SpinConnection:
+    """The Heisenberg frame and flat connection, with U(1) 1-form ``a_form``."""
+    frame, conn = heisenberg5()
+    return SpinConnection(frame, conn.with_a(a_form))
 
 
 def _random_spinor_field(rng, degree=3):
@@ -63,7 +66,7 @@ class TestSpinCovariantDerivative:
         assert np.array_equal(out, np.array([1, 0, 0, 0], dtype=complex))
 
     def test_u1_term_on_reeb(self):
-        s = SpinConnection.heisenberg(CoordForm.one_form(0, 0, 0, 0, 1j))
+        s = _heisenberg_with_a(CoordForm.one_form(0, 0, 0, 0, 1j))
         out = spin_covariant_derivative(s, 5, SpinorField.psi0()).evaluate(POINTS[2])
         assert np.array_equal(out, 0.5j * PSI0)
 
@@ -170,6 +173,14 @@ def _twisted_connection() -> SpinConnection:
     return SpinConnection(frame, conn)
 
 
+_TWISTED_PSI = SpinorField.make(
+    parse_poly("x1*y2 + 2i*t^2"),
+    parse_poly("y1^3 - x2*t"),
+    parse_poly("(1+2i)*x1*y1*t"),
+    parse_poly("y2^2 + 0.5*x2 - 3i"),
+)
+
+
 class TestConnectionTerms:
     """The so(5) and U(1) terms of nabla, on a connection with nonzero Christoffels."""
 
@@ -194,17 +205,60 @@ class TestConnectionTerms:
             assert np.max(np.abs(out - expected)) <= 1e-13
 
     def test_polynomial_field_matches_finite_differences(self):
-        s = _twisted_connection()
-        psi = SpinorField.make(
-            parse_poly("x1*y2 + 2i*t^2"),
-            parse_poly("y1^3 - x2*t"),
-            parse_poly("(1+2i)*x1*y1*t"),
-            parse_poly("y2^2 + 0.5*x2 - 3i"),
-        )
+        s, psi = _twisted_connection(), _TWISTED_PSI
         for p in POINTS[:10]:
             exact = full_dirac(s, psi).evaluate(p)
             approx = full_dirac_fd(s, psi, p, h=1e-4)
             assert np.max(np.abs(exact - approx)) <= 1e-6
+
+    def test_finite_differences_match_written_out_loop(self):
+        # kappa_w (sum_c e_w^c (psi(p + h e_c) - psi(p - h e_c)) / 2h
+        #          + (1/4 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi(p)),
+        # summed over w, with every polynomial evaluated through __call__.
+        s, h = _twisted_connection(), 1e-4
+
+        def psi_at(q):
+            return np.array([c(q) for c in _TWISTED_PSI.components])
+
+        for horizontal_only in (False, True):
+            stacked = full_dirac_fd(s, _TWISTED_PSI, POINTS, h=h, horizontal_only=horizontal_only)
+            for p, row in zip(POINTS, stacked):
+                expected = np.zeros(4, dtype=complex)
+                for w in range(4 if horizontal_only else 5):
+                    frame_w = [c(p) for c in s.frame.fields[w].components]
+                    deriv = sum(
+                        x * (psi_at(p + h * e) - psi_at(p - h * e)) / (2 * h)
+                        for x, e in zip(frame_w, np.eye(5))
+                    )
+                    a_w = sum(a(p) * x for a, x in zip(s.conn.a_form.coeffs, frame_w))
+                    m = 0.5 * a_w * np.eye(4)
+                    for j in range(5):
+                        for k in range(j + 1, 5):
+                            m = m + 0.25 * s.conn.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
+                    expected += GAMMA[w] @ (deriv + m @ psi_at(p))
+                assert np.max(np.abs(row - expected)) <= 1e-12
+
+
+class TestStackedEvaluation:
+    """A stack of points gives, row for row, the values at each single point."""
+
+    def test_full_dirac_fd_rows(self):
+        s = _twisted_connection()
+        for horizontal_only in (False, True):
+            stacked = full_dirac_fd(s, _TWISTED_PSI, POINTS, horizontal_only=horizontal_only)
+            assert stacked.shape == (20, 4)
+            for p, row in zip(POINTS, stacked):
+                single = full_dirac_fd(s, _TWISTED_PSI, p, horizontal_only=horizontal_only)
+                assert single.shape == (4,) and np.array_equal(single, row)
+
+    def test_evaluate_rows(self):
+        form = FormSpinorField(_TWISTED_PSI.components)
+        for field, width in [(_TWISTED_PSI, 4), (form, 4), (S_FLAT.frame.fields[0], 5)]:
+            stacked = field.evaluate(POINTS)
+            assert stacked.shape == (20, width)
+            for p, row in zip(POINTS, stacked):
+                single = field.evaluate(p)
+                assert single.shape == (width,) and np.array_equal(single, row)
 
 
 class TestIdentification:
@@ -355,7 +409,7 @@ class TestSWResidual:
         psi = SpinorField.make(
             parse_poly("x1 + 2i*t"), parse_poly("y1*y2 - 1"), parse_poly("0.5*x2^2"), 1
         )
-        pair = SWPair(psi=psi, connection=SpinConnection.heisenberg(a_form))
+        pair = SWPair(psi=psi, connection=_heisenberg_with_a(a_form))
         res = sw_residual(pair, POINTS)
         dirac = full_dirac(pair.connection, pair.psi)
         r_dirac = r_curv = sigma_vert = 0.0
@@ -378,6 +432,12 @@ class TestSWResidual:
         pair = SWPair(psi=SpinorField.psi0(), connection=S_FLAT)
         assert np.isnan(getattr(sw_residual(pair, POINTS[:10]), field))
 
+    def test_synthetic_model_takes_constant_spinors_only(self):
+        sol = canonical_solution(-1.0)
+        pair = SWPair.on_synthetic(sol.model, SpinorField.make(parse_poly("x1"), 0, 0, 1))
+        with pytest.raises(ValueError, match="constant spinors only"):
+            sw_residual(pair)
+
     def test_points_required_on_polynomial_model(self):
         pair = SWPair(psi=SpinorField.psi0(), connection=S_FLAT)
         with pytest.raises(ValueError):
@@ -387,10 +447,10 @@ class TestSWResidual:
 class TestConnectionValidation:
     def test_real_valued_a_rejected(self):
         with pytest.raises(ValueError, match="imaginary"):
-            SpinConnection.heisenberg(CoordForm.one_form(0, 0, 0, 0, 1))
+            _heisenberg_with_a(CoordForm.one_form(0, 0, 0, 0, 1))
 
     def test_imaginary_a_accepted(self):
-        s = SpinConnection.heisenberg(CoordForm.one_form(0, 0, 0, 0, 2j))
+        s = _heisenberg_with_a(CoordForm.one_form(0, 0, 0, 0, 2j))
         assert s.conn.a_form.coeffs[4]((0, 0, 0, 0, 0)) == 2j
 
 

@@ -23,7 +23,6 @@ from swcheck.extalg import (
     self_dual_basis,
     volume_form,
     wedge,
-    zero_form,
 )
 
 

@@ -1,7 +1,5 @@
 """Model charts: Heisenberg validators, synthetic model, model files."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -34,7 +32,7 @@ from swcheck.models import (
     synthetic_model,
     tw_axiom_check,
 )
-from swcheck.poly import PolyExpr, parse_poly
+from swcheck.poly import PolyExpr
 
 POINTS = sample_points(100, seed=10)
 

@@ -11,7 +11,6 @@ from swcheck.poly import (
     ONE,
     PolyExpr,
     PolySyntaxError,
-    VARIABLES,
     ZERO,
     evaluate_all,
     max_abs,
@@ -124,6 +123,25 @@ def test_ring_laws(p, q):
     assert p + ZERO == p
     assert p * ONE == p
     assert (p - p).is_zero()
+
+
+@given(st.lists(st.tuples(_poly_strategy(), _poly_strategy()), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_dot_is_symmetric_sum_of_products(pairs):
+    a = [p for p, _ in pairs]
+    b = [q for _, q in pairs]
+    assert poly.dot(a, b) == poly.dot(b, a)
+    if len(pairs) == 1:
+        assert poly.dot(a, b) == a[0] * b[0]
+
+
+def test_dot_exact_on_integer_coefficients():
+    a = [parse_poly("x1 + 2*y1"), ZERO, parse_poly("3i*t - 1")]
+    b = [parse_poly("x1 - y1"), parse_poly("x2"), parse_poly("(1+i)*t + x1")]
+    assert poly.dot(a, b) == a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    assert poly.dot([], []) == ZERO
+    with pytest.raises(ValueError):
+        poly.dot(a, b[:2])
 
 
 class TestCalculus:
