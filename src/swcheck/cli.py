@@ -54,7 +54,7 @@ from .extalg import (
     wedge,
 )
 from .models import ModelFormatError, load_model, sample_points
-from .poly import PolyExpr, PolySyntaxError, evaluate_all, max_abs
+from .poly import PolyExpr, PolySyntaxError, evaluate_all, max_abs, random_poly
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -311,16 +311,6 @@ def _suite_model(ns) -> dict:
     return _report("model", ns, checks)
 
 
-def _rand_component(rng, degree: int) -> PolyExpr:
-    terms = {}
-    for _ in range(4):
-        exp = tuple(int(v) for v in rng.integers(0, degree + 1, size=5))
-        if sum(exp) > degree:
-            continue
-        terms[exp] = complex(rng.normal(), rng.normal())
-    return PolyExpr.from_dict(terms)
-
-
 def _suite_dirac(ns) -> dict:
     checks = []
     s = SpinConnection.heisenberg()
@@ -337,12 +327,12 @@ def _suite_dirac(ns) -> dict:
 
     errors = []
     for _ in range(ns.samples):
-        psi = SpinorField(tuple(_rand_component(rng, 3) for _ in range(4)))
+        psi = SpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
         errors.append(full_dirac(s, psi).evaluate(points) - full_dirac_fd(s, psi, points, h=ns.h))
     checks.append(_check("finite_difference_agreement", max_abs(errors), ns.tol))
 
     fields = [
-        FormSpinorField(tuple(_rand_component(rng, 3) for _ in range(4))) for _ in range(20)
+        FormSpinorField(tuple(random_poly(rng, 3) for _ in range(4))) for _ in range(20)
     ]
     r = dbar_identity_residual(fields, points[:10])
     checks.append(_check("dbar_identity", r, 1e-10))
@@ -354,7 +344,7 @@ def _suite_dirac(ns) -> dict:
     r = max_abs(defects)
     checks.append(_check("identification_unitary_intertwiner", r, 1e-12))
 
-    psi = SpinorField(tuple(_rand_component(rng, 2) for _ in range(4)))
+    psi = SpinorField(tuple(random_poly(rng, 2) for _ in range(4)))
     phase = np.exp(1j * 0.7)
     psi_rot = psi.scale(phase)
     few = points[:5]

@@ -19,9 +19,11 @@ and parse(print(p)) == p holds exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -171,6 +173,20 @@ def dot(a, b) -> PolyExpr:
                 e = tuple(x + y for x, y in zip(e1, e2))
                 d[e] = d.get(e, 0j) + c1 * c2
     return PolyExpr.from_dict(d)
+
+
+@lru_cache(maxsize=None)
+def monomials(degree: int) -> tuple[_Exponents, ...]:
+    """Exponent tuples of total degree at most ``degree``: C(degree + 5, 5) of them."""
+    return tuple(e for e in itertools.product(range(degree + 1), repeat=NVARS) if sum(e) <= degree)
+
+
+def random_poly(rng, degree: int, n_terms: int = 4) -> PolyExpr:
+    """``n_terms`` distinct monomials drawn from ``monomials(degree)`` by the
+    numpy Generator ``rng``, each with a complex standard-normal coefficient."""
+    table = monomials(degree)
+    picks = rng.choice(len(table), size=n_terms, replace=False)
+    return PolyExpr.from_dict({table[i]: complex(rng.normal(), rng.normal()) for i in picks})
 
 
 #: Most elements in a temporary array of :func:`evaluate_all`: each block of

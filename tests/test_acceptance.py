@@ -37,7 +37,7 @@ from swcheck.models import (
     sample_points,
     tw_axiom_check,
 )
-from swcheck.poly import PolyExpr
+from swcheck.poly import random_poly
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -171,18 +171,9 @@ def test_criterion_7_dirac_operators():
 
     rng = np.random.default_rng(17)
 
-    def rand_component(degree):
-        terms = {}
-        for _ in range(4):
-            exp = tuple(int(v) for v in rng.integers(0, degree + 1, size=5))
-            if sum(exp) > degree:
-                continue
-            terms[exp] = complex(rng.normal(), rng.normal())
-        return PolyExpr.from_dict(terms)
-
     worst_fd = 0.0
     for _ in range(50):
-        psi = SpinorField(tuple(rand_component(3) for _ in range(4)))
+        psi = SpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
         for p in points:
             worst_fd = max(
                 worst_fd,
@@ -194,7 +185,7 @@ def test_criterion_7_dirac_operators():
             )
 
     fields = [
-        FormSpinorField(tuple(rand_component(3) for _ in range(4))) for _ in range(20)
+        FormSpinorField(tuple(random_poly(rng, 3) for _ in range(4))) for _ in range(20)
     ]
     worst_dbar = dbar_identity_residual(fields, points[:10])
 

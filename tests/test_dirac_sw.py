@@ -28,7 +28,7 @@ from swcheck.models import (
     heisenberg5,
     sample_points,
 )
-from swcheck.poly import PolyExpr, parse_poly
+from swcheck.poly import PolyExpr, parse_poly, random_poly
 
 POINTS = sample_points(20, seed=21)
 S_FLAT = SpinConnection.heisenberg()
@@ -41,16 +41,7 @@ def _heisenberg_with_a(a_form: CoordForm) -> SpinConnection:
 
 
 def _random_spinor_field(rng, degree=3):
-    comps = []
-    for _ in range(4):
-        terms = {}
-        for _ in range(4):
-            exp = tuple(int(v) for v in rng.integers(0, degree + 1, size=5))
-            if sum(exp) > degree:
-                continue
-            terms[exp] = complex(rng.normal(), rng.normal())
-        comps.append(PolyExpr.from_dict(terms))
-    return SpinorField(tuple(comps))
+    return SpinorField(tuple(random_poly(rng, degree) for _ in range(4)))
 
 
 class TestSpinCovariantDerivative:
@@ -356,18 +347,9 @@ class TestDbarOperators:
 
     def test_identity_on_random_fields(self):
         rng = np.random.default_rng(12)
-        fields = []
-        for _ in range(20):
-            comps = []
-            for _ in range(4):
-                terms = {}
-                for _ in range(4):
-                    exp = tuple(int(v) for v in rng.integers(0, 4, size=5))
-                    if sum(exp) > 3:
-                        continue
-                    terms[exp] = complex(rng.normal(), rng.normal())
-                comps.append(PolyExpr.from_dict(terms))
-            fields.append(FormSpinorField(tuple(comps)))
+        fields = [
+            FormSpinorField(tuple(random_poly(rng, 3) for _ in range(4))) for _ in range(20)
+        ]
         assert dbar_identity_residual(fields, POINTS[:10]) <= 1e-10
 
 

@@ -144,6 +144,26 @@ def test_dot_exact_on_integer_coefficients():
         poly.dot(a, b[:2])
 
 
+class TestRandomPoly:
+    def test_monomial_tables(self):
+        for degree, size in [(0, 1), (2, 21), (3, 56)]:
+            table = poly.monomials(degree)
+            assert len(table) == len(set(table)) == size
+            assert all(sum(e) <= degree for e in table)
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_four_distinct_monomials(self, degree):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            p = poly.random_poly(rng, degree)
+            assert len(p.terms) == 4 and p.degree() <= degree
+            assert all(c.real != 0 and c.imag != 0 for _, c in p.terms)
+
+    def test_seeded(self):
+        a = [poly.random_poly(np.random.default_rng(5), 3) for _ in range(2)]
+        assert a[0] == a[1]
+
+
 class TestCalculus:
     def test_derivative_exact(self):
         p = parse_poly("x1^2*t + 3*y1")
