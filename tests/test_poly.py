@@ -135,6 +135,14 @@ def test_dot_is_symmetric_sum_of_products(pairs):
         assert poly.dot(a, b) == a[0] * b[0]
 
 
+def test_dot_operand_order_fixed():
+    # Three contributions to x1^2 whose float sum depends on their order:
+    # (0.3 + 0.2) + 0.1 and (0.1 + 0.2) + 0.3 differ in the last place.
+    p, q = parse_poly("x1^2 + x1 + 1"), parse_poly("0.1*x1^2 + 0.2*x1 + 0.3")
+    assert p * q == q * p
+    assert poly.dot([p, q], [q, p]) == poly.dot([q, p], [p, q])
+
+
 def test_dot_exact_on_integer_coefficients():
     a = [parse_poly("x1 + 2*y1"), ZERO, parse_poly("3i*t - 1")]
     b = [parse_poly("x1 - y1"), parse_poly("x2"), parse_poly("(1+i)*t + x1")]
