@@ -120,7 +120,10 @@ class SpinConnection:
 
 def _mat_apply(m: np.ndarray, components) -> tuple[PolyExpr, ...]:
     """A constant matrix applied to a column of polynomial components."""
-    return tuple(dot(components, [PolyExpr.const(a) for a in row]) for row in m)
+    return tuple(
+        dot([c for a, c in zip(row, components) if a != 0], [PolyExpr.const(a) for a in row if a != 0])
+        for row in m
+    )
 
 
 def _connection_terms(s: SpinConnection, w: int) -> list[tuple[PolyExpr, np.ndarray]]:

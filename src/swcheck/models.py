@@ -456,11 +456,11 @@ def tw_axiom_check(
                 lhs = ZERO
                 for m in range(5):
                     coef = ZERO
-                    for q in range(5):
-                        if jf[q, j] != 0:
-                            coef = coef + jf[q, j] * conn.gamma[k][q][m]
-                        if jf[m, q] != 0:
-                            coef = coef - conn.gamma[k][j][q] * jf[m, q]
+                    for p in range(5):
+                        if jf[p, j] != 0:
+                            coef = coef + jf[p, j] * conn.gamma[k][p][m]
+                        if jf[m, p] != 0:
+                            coef = coef - conn.gamma[k][j][p] * jf[m, p]
                     if not coef.is_zero():
                         lhs = lhs + coef * gmat[m][l]
                 rhs = deta.pair_two(frame.fields[k], n_h[(j, l)]) * 0.5

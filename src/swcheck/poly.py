@@ -181,11 +181,11 @@ def monomials(degree: int) -> tuple[_Exponents, ...]:
     return tuple(e for e in itertools.product(range(degree + 1), repeat=NVARS) if sum(e) <= degree)
 
 
-def random_poly(rng, degree: int, n_terms: int = 4) -> PolyExpr:
-    """``n_terms`` distinct monomials drawn from ``monomials(degree)`` by the
-    numpy Generator ``rng``, each with a complex standard-normal coefficient."""
+def random_poly(rng, degree: int) -> PolyExpr:
+    """Four distinct monomials drawn from ``monomials(degree)`` by the numpy
+    Generator ``rng``, each with a complex standard-normal coefficient."""
     table = monomials(degree)
-    picks = rng.choice(len(table), size=n_terms, replace=False)
+    picks = rng.choice(len(table), size=4, replace=False)
     return PolyExpr.from_dict({table[i]: complex(rng.normal(), rng.normal()) for i in picks})
 
 
