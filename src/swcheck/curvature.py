@@ -31,7 +31,8 @@ negative control for B therefore has to break self-adjointness.
 Samples stack on leading axes: ``ric`` and ``tau`` may be ``(..., 5, 5)``
 stacks.  Values (forms, scalar curvatures, Bianchi terms) keep the sample
 axes; residuals and violation lists cover the whole stack.  Samplers take a
-seed or an array of seeds, and all functions are pure.
+``numpy.random.Generator`` and a stack size, as ``poly.random_poly`` does;
+they advance only that generator, and all other functions are pure.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extalg import PAIR_INDEX, VERTICAL, KForm, sd_project
-from .streams import uniform_rows
 
 #: Almost complex structure on the frame: J e1 = e2, J e3 = e4, J Reeb = 0.
 J_FRAME = np.array(
@@ -150,17 +150,11 @@ def admissible_ricci(r11, r33, r13, r14) -> CurvatureData:
     return CurvatureData(r)
 
 
-def _uniform_draws(seed, scale: float, size: int) -> np.ndarray:
-    """``size`` parameters uniform in [-scale, scale] per seed; each row is
-    the ``default_rng(seed)`` draw, so a stack holds the single draws."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    return uniform_rows(seed, scale, size)
-
-
-def random_admissible_ricci(seed, scale: float = 1.0) -> CurvatureData:
-    """Deterministic admissible sample, free parameters uniform in [-scale, scale]."""
-    return admissible_ricci(*np.moveaxis(_uniform_draws(seed, scale, 4), -1, 0))
+def random_admissible_ricci(rng: np.random.Generator, size=None) -> CurvatureData:
+    """Admissible sample (a stack of ``size`` samples, if given) with its four
+    free parameters uniform in [-1, 1]."""
+    params = rng.uniform(-1.0, 1.0, (4,) if size is None else (size, 4))
+    return admissible_ricci(*np.moveaxis(params, -1, 0))
 
 
 def _require_admissible(c: CurvatureData):
@@ -251,9 +245,10 @@ def admissible_torsion(params) -> TorsionEndomorphism:
     return TorsionEndomorphism(t)
 
 
-def random_admissible_torsion(seed, scale: float = 1.0) -> TorsionEndomorphism:
-    """Deterministic admissible torsion, parameters uniform in [-scale, scale]."""
-    return admissible_torsion(_uniform_draws(seed, scale, 6))
+def random_admissible_torsion(rng: np.random.Generator, size=None) -> TorsionEndomorphism:
+    """Admissible torsion (a stack of ``size``, if given) with its six
+    parameters uniform in [-1, 1]."""
+    return admissible_torsion(rng.uniform(-1.0, 1.0, (6,) if size is None else (size, 6)))
 
 
 def bianchi_b(tau: TorsionEndomorphism, x, y) -> complex:

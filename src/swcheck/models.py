@@ -272,12 +272,12 @@ def heisenberg5() -> tuple[FrameFieldSet, ConnectionCoefficients]:
     return frame, ConnectionCoefficients.flat()
 
 
-def sample_points(n: int, seed: int, box: float = 1.0) -> np.ndarray:
-    """Deterministic sample of n chart points, uniform in [-box, box]^5."""
+def sample_points(n: int, seed: int) -> np.ndarray:
+    """Deterministic sample of n chart points, uniform in [-1, 1]^5."""
     if n < 1:
         raise ValueError("need at least one sample point")
     rng = np.random.default_rng(seed)
-    return rng.uniform(-box, box, size=(n, 5))
+    return rng.uniform(-1.0, 1.0, size=(n, 5))
 
 
 # -- residual machinery ---------------------------------------------------------
@@ -603,10 +603,15 @@ def _parse_field(path: str, src) -> PolyExpr:
         raise ModelFormatError(f"{path}: {exc}") from exc
 
 
-def _parse_vector(path: str, src) -> VectorFieldPoly:
-    if not isinstance(src, list) or len(src) != 5:
-        raise ModelFormatError(f"{path}: expected a list of 5 expressions")
-    return VectorFieldPoly(tuple(_parse_field(f"{path}[{i}]", s) for i, s in enumerate(src)))
+def _parse_array(path: str, src, shape: tuple[int, ...], leaf):
+    """Nested tuples of the given shape from nested JSON lists, with
+    ``leaf(path, value)`` parsing each entry; a wrong length at any level is
+    reported at its path."""
+    if not shape:
+        return leaf(path, src)
+    if not isinstance(src, list) or len(src) != shape[0]:
+        raise ModelFormatError(f"{path}: expected {shape[0]} entries")
+    return tuple(_parse_array(f"{path}[{i}]", s, shape[1:], leaf) for i, s in enumerate(src))
 
 
 def load_model(source) -> ModelBundle:
@@ -631,51 +636,19 @@ def load_model(source) -> ModelBundle:
         if key not in data:
             raise ModelFormatError(f"missing field {key!r}")
 
-    eta_src = data["eta"]
-    if not isinstance(eta_src, list) or len(eta_src) != 5:
-        raise ModelFormatError("eta: expected a list of 5 expressions")
-    eta = CoordForm.one_form(*(_parse_field(f"eta[{i}]", s) for i, s in enumerate(eta_src)))
-
-    xi = _parse_vector("xi", data["xi"])
-    frame_src = data["frame"]
-    if not isinstance(frame_src, list) or len(frame_src) != 4:
-        raise ModelFormatError("frame: expected 4 horizontal vector fields")
-    fields = tuple(_parse_vector(f"frame[{i}]", s) for i, s in enumerate(frame_src)) + (xi,)
-
-    j_src = data["J"]
-    if not isinstance(j_src, list) or len(j_src) != 5:
-        raise ModelFormatError("J: expected a 5 x 5 matrix")
-    jrows = []
-    for r, row in enumerate(j_src):
-        if not isinstance(row, list) or len(row) != 5:
-            raise ModelFormatError(f"J[{r}]: expected 5 entries")
-        jrows.append(tuple(_parse_field(f"J[{r}][{c}]", s) for c, s in enumerate(row)))
-
-    frame = FrameFieldSet(str(data.get("chart", "custom")), fields, eta, tuple(jrows))
+    eta = CoordForm.one_form(*_parse_array("eta", data["eta"], (5,), _parse_field))
+    xi = VectorFieldPoly(_parse_array("xi", data["xi"], (5,), _parse_field))
+    frame_rows = _parse_array("frame", data["frame"], (4, 5), _parse_field)
+    fields = tuple(map(VectorFieldPoly, frame_rows)) + (xi,)
+    jrows = _parse_array("J", data["J"], (5, 5), _parse_field)
+    frame = FrameFieldSet(str(data.get("chart", "custom")), fields, eta, jrows)
 
     conn = ConnectionCoefficients.flat()
     if "gamma" in data:
-        gsrc = data["gamma"]
-        if not isinstance(gsrc, list) or len(gsrc) != 5:
-            raise ModelFormatError("gamma: expected a 5 x 5 x 5 array")
-        gamma = []
-        for i, plane in enumerate(gsrc):
-            if not isinstance(plane, list) or len(plane) != 5:
-                raise ModelFormatError(f"gamma[{i}]: expected a 5 x 5 block")
-            rows = []
-            for j, row in enumerate(plane):
-                if not isinstance(row, list) or len(row) != 5:
-                    raise ModelFormatError(f"gamma[{i}][{j}]: expected 5 entries")
-                rows.append(
-                    tuple(_parse_field(f"gamma[{i}][{j}][{k}]", s) for k, s in enumerate(row))
-                )
-            gamma.append(tuple(rows))
-        conn = ConnectionCoefficients(tuple(gamma), conn.a_form)
+        gamma = _parse_array("gamma", data["gamma"], (5, 5, 5), _parse_field)
+        conn = ConnectionCoefficients(gamma, conn.a_form)
     if "A" in data:
-        asrc = data["A"]
-        if not isinstance(asrc, list) or len(asrc) != 5:
-            raise ModelFormatError("A: expected a list of 5 expressions")
-        a_form = CoordForm.one_form(*(_parse_field(f"A[{i}]", s) for i, s in enumerate(asrc)))
+        a_form = CoordForm.one_form(*_parse_array("A", data["A"], (5,), _parse_field))
         try:
             conn = conn.with_a(a_form)
         except ValueError as exc:
@@ -686,14 +659,7 @@ def load_model(source) -> ModelBundle:
         csrc = data["curvature"]
         if not isinstance(csrc, dict) or "ric" not in csrc:
             raise ModelFormatError('curvature: expected an object with a "ric" matrix')
-        rsrc = csrc["ric"]
-        if not isinstance(rsrc, list) or len(rsrc) != 5:
-            raise ModelFormatError("curvature.ric: expected a 5 x 5 matrix")
-        ric = []
-        for r, row in enumerate(rsrc):
-            if not isinstance(row, list) or len(row) != 5:
-                raise ModelFormatError(f"curvature.ric[{r}]: expected 5 entries")
-            ric.append([_parse_number(f"curvature.ric[{r}][{c}]", v) for c, v in enumerate(row)])
+        ric = _parse_array("curvature.ric", csrc["ric"], (5, 5), _parse_number)
         curv = CurvatureData(np.array(ric))
         bad = curv.violations()
         if bad:

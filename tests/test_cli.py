@@ -151,7 +151,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("suite", ["curvature", "all"])
     def test_largest_seed_runs(self, suite, capsys):
-        # The curvature suite derives seed + sample index; it must not wrap.
+        # The largest accepted seed seeds every suite's generators.
         code, rep = _run([suite, "--seed", str(2**63 - 1), "--samples", "3"], capsys)
         assert code == EXIT_PASS and rep["parameters"]["seed"] == 2**63 - 1
 
@@ -225,6 +225,42 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert str(path) in err and where in err
 
+    @pytest.mark.parametrize("broken", ["short", "not a list"])
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("eta",),
+            ("xi",),
+            ("frame",),
+            ("frame", 2),
+            ("J",),
+            ("J", 1),
+            ("gamma",),
+            ("gamma", 0),
+            ("gamma", 0, 1),
+            ("A",),
+            ("curvature", "ric"),
+            ("curvature", "ric", 4),
+        ],
+    )
+    def test_malformed_shape_is_usage_error(self, keys, broken, tmp_path, capsys):
+        data = model_to_dict(load_model("heisenberg"))
+        data["gamma"] = [[["0"] * 5 for _ in range(5)] for _ in range(5)]
+        data["A"] = ["0"] * 5
+        data["curvature"] = {"ric": [[0.0] * 5 for _ in range(5)]}
+        parent = data
+        for key in keys[:-1]:
+            parent = parent[key]
+        entries = parent[keys[-1]]
+        parent[keys[-1]] = entries[:-1] if broken == "short" else "0"
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(data))
+        code = run(["model", "--model", str(path), "--samples", "5"])
+        err = capsys.readouterr().err
+        where = keys[0] + "".join(f".{k}" if isinstance(k, str) else f"[{k}]" for k in keys[1:])
+        assert code == EXIT_USAGE
+        assert f"{path}: {where}: expected {len(entries)} entries" in err
+
     def test_non_utf8_model_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes('{"chart": "caf\u00e9"}'.encode("latin-1"))
@@ -265,6 +301,11 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert "constraint R12=0 violated" in err
+
+
+def _size(rng, size):
+    """The ``size`` argument of a curvature sampler call."""
+    return size
 
 
 class TestSampleCounts:
@@ -312,32 +353,91 @@ class TestSampleCounts:
         for n in (3, cli.BLOCK + 7):
             argv = ["curvature", "--samples", str(n)]
             rows = self._rows(
-                monkeypatch, capsys, curvature, "random_admissible_torsion", np.size, argv
+                monkeypatch, capsys, curvature, "random_admissible_torsion", _size, argv
             )
             assert sum(rows) == n
             assert max(rows) <= cli.BLOCK
             rows = self._rows(
-                monkeypatch, capsys, curvature, "random_admissible_ricci", np.size, argv
+                monkeypatch, capsys, curvature, "random_admissible_ricci", _size, argv
             )
             # curvature_tensor_symmetries_and_trace draws 10 more, whatever n is.
             assert sum(rows) == n + 10
             assert max(rows) <= cli.BLOCK
 
 
+class TestCurvatureDraws:
+    """The curvature suite draws from one Ricci and one torsion stream, in
+    order: its draws depend neither on ``cli.BLOCK`` nor, for the first n,
+    on ``--samples``."""
+
+    @staticmethod
+    def _report(argv, path):
+        run(argv + ["--output", str(path)])
+        rep = json.loads(path.read_text())
+        rep.pop("wall_time_s")
+        return json.dumps(rep, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("perturb", ["0", "1e-3"])
+    def test_report_does_not_depend_on_block(self, perturb, monkeypatch, tmp_path):
+        argv = ["curvature", "--samples", "40", "--seed", "5", "--perturb", perturb]
+        default = self._report(argv, tmp_path / "default.json")
+        monkeypatch.setattr(cli, "BLOCK", 7)
+        assert self._report(argv, tmp_path / "block7.json") == default
+
+    @staticmethod
+    def _draws(monkeypatch, capsys, n):
+        """Every Ricci and torsion matrix the suite draws, in draw order."""
+        drawn = {"ric": [], "tau": []}
+        samplers = {"ric": "random_admissible_ricci", "tau": "random_admissible_torsion"}
+        with monkeypatch.context() as m:
+            for attr, name in samplers.items():
+                original = getattr(curvature, name)
+
+                def recording(rng, size, original=original, attr=attr):
+                    out = original(rng, size)
+                    drawn[attr].append(getattr(out, attr))
+                    return out
+
+                m.setattr(curvature, name, recording)
+            assert _run(["curvature", "--samples", str(n)], capsys)[0] == EXIT_PASS
+        return {attr: np.concatenate(stacks) for attr, stacks in drawn.items()}
+
+    def test_draws_do_not_depend_on_block(self, monkeypatch, capsys):
+        default = self._draws(monkeypatch, capsys, 40)
+        monkeypatch.setattr(cli, "BLOCK", 7)
+        blocked = self._draws(monkeypatch, capsys, 40)
+        for attr in ("ric", "tau"):
+            assert np.array_equal(blocked[attr], default[attr])
+
+    def test_draws_of_fewer_samples_are_a_prefix(self, monkeypatch, capsys):
+        n, big_n = cli.BLOCK + 3, 2 * cli.BLOCK + 1
+        few = self._draws(monkeypatch, capsys, n)
+        many = self._draws(monkeypatch, capsys, big_n)
+        assert len(few["ric"]) == n + 10 and len(many["ric"]) == big_n + 10
+        assert len(few["tau"]) == n and len(many["tau"]) == big_n
+        for attr in ("ric", "tau"):
+            assert np.array_equal(many[attr][: len(few[attr])], few[attr])
+
+
 class TestNonFiniteSamples:
     def test_nan_curvature_draw_fails(self, monkeypatch, capsys):
-        # One NaN Ricci sample, in the second block of draws, must fail the
-        # suite; a Python ``max(r, nan)`` over samples or blocks would drop it.
+        # One NaN Ricci sample, in row 3 of the second block of draws, must
+        # fail the suite; a Python ``max(r, nan)`` over samples or blocks
+        # would drop it.
         original = curvature.random_admissible_ricci
-        bad_seed = cli.BLOCK + 3
+        calls = []
 
-        def with_nan(seed, *args, **kwargs):
-            ric = np.array(original(seed, *args, **kwargs).ric)
-            ric[..., 0, 0] = np.where(np.asarray(seed) == bad_seed, np.nan, ric[..., 0, 0])
+        def with_nan(rng, size):
+            ric = np.array(original(rng, size).ric)
+            calls.append(size)
+            # The first call draws the tensor check's 10 samples.
+            if len(calls) == 3:
+                ric[3, 0, 0] = np.nan
             return curvature.CurvatureData(ric)
 
         monkeypatch.setattr(curvature, "random_admissible_ricci", with_nan)
-        code, rep = _run(["curvature", "--samples", str(bad_seed + 4)], capsys)
+        code, rep = _run(["curvature", "--samples", str(cli.BLOCK + 7)], capsys)
+        assert calls == [10, cli.BLOCK, 7]
         assert code == EXIT_FAIL
         # ``_run`` refuses bare NaN tokens: the residual is the string "NaN".
         assert not rep["checks"][0]["pass"] and rep["checks"][0]["residual"] == "NaN"

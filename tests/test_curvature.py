@@ -3,6 +3,7 @@ curvature tensor symmetries."""
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from swcheck.curvature import (
     HORIZONTAL_FRAME_PAIRS,
@@ -31,12 +32,12 @@ EI = np.eye(5)
 class TestAdmissibleRicci:
     def test_random_satisfies_invariants(self):
         for seed in range(20):
-            c = random_admissible_ricci(seed)
+            c = random_admissible_ricci(default_rng(seed))
             assert c.violations() == []
 
     def test_deterministic(self):
-        a = random_admissible_ricci(42)
-        b = random_admissible_ricci(42)
+        a = random_admissible_ricci(default_rng(42))
+        b = random_admissible_ricci(default_rng(42))
         assert np.array_equal(a.ric, b.ric)
 
     def test_scalar_is_twice_sum_of_free_diagonals(self):
@@ -51,9 +52,12 @@ class TestAdmissibleRicci:
         bad = ricci_violations(ric)
         assert any("R12=0" in msg for msg in bad)
 
-    def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            random_admissible_ricci(0, scale=-1.0)
+    @pytest.mark.parametrize("seed", [0, np.arange(3)])
+    def test_samplers_refuse_seeds(self, seed):
+        # A seed array would be one entropy pool, giving one sample, not 3.
+        for sampler in (random_admissible_ricci, random_admissible_torsion):
+            with pytest.raises(AttributeError):
+                sampler(seed)
 
     def test_nan_is_a_violation(self):
         nan = np.full((5, 5), np.nan)
@@ -73,7 +77,7 @@ class TestRicciForm:
     def test_matches_displayed_expansion(self):
         # Oracle: the closed-form expansion in the four free parameters.
         for seed in range(10):
-            c = random_admissible_ricci(seed)
+            c = random_admissible_ricci(default_rng(seed))
             r11, r33 = c.ric[0, 0], c.ric[2, 2]
             r23, r24 = c.ric[1, 2], c.ric[1, 3]
             expected = (
@@ -85,11 +89,11 @@ class TestRicciForm:
             assert (ricci_form(c) - expected).norm_inf() < 1e-15
 
     def test_coefficient_e12_is_minus_r11(self):
-        c = random_admissible_ricci(5)
+        c = random_admissible_ricci(default_rng(5))
         assert ricci_form(c).coefficient(1, 2) == pytest.approx(-c.ric[0, 0])
 
     def test_conventions_agree_on_admissible_data(self):
-        c = random_admissible_ricci(9)
+        c = random_admissible_ricci(default_rng(9))
         a = ricci_form(c, convention="proof")
         b = ricci_form(c, convention="endomorphism")
         assert (a - b).norm_inf() < 1e-15
@@ -101,7 +105,7 @@ class TestRicciForm:
             ricci_form(CurvatureData(ric))
 
     def test_linearity_in_curvature(self):
-        c = random_admissible_ricci(3)
+        c = random_admissible_ricci(default_rng(3))
         scaled = CurvatureData(3.5 * np.array(c.ric))
         assert (ricci_form(scaled) - 3.5 * ricci_form(c)).norm_inf() < 1e-14
 
@@ -109,7 +113,7 @@ class TestRicciForm:
 class TestRhoPlus:
     def test_identity_on_random_admissible(self):
         for seed in range(200):
-            c = random_admissible_ricci(seed, scale=2.0)
+            c = CurvatureData(2.0 * random_admissible_ricci(default_rng(seed)).ric)
             assert (rho_plus(c) + (c.s / 4.0) * deta()).norm_inf() < 1e-14
 
     def test_zero(self):
@@ -130,13 +134,13 @@ class TestRhoPlus:
 class TestJCompatibility:
     def test_j_commutes_exactly(self):
         for seed in range(50):
-            c = random_admissible_ricci(seed)
+            c = random_admissible_ricci(default_rng(seed))
             assert np.array_equal(J_FRAME @ c.ric, c.ric @ J_FRAME)
 
     def test_ric_j_invariance_horizontal(self):
         jh = J_FRAME[:4, :4]
         for seed in range(50):
-            c = random_admissible_ricci(seed)
+            c = random_admissible_ricci(default_rng(seed))
             ric_h = c.ric[:4, :4]
             assert np.max(np.abs(jh.T @ ric_h @ jh - ric_h)) < 1e-14
 
@@ -144,7 +148,7 @@ class TestJCompatibility:
 class TestBianchiCorrection:
     def test_vanishes_for_admissible_torsion(self):
         for seed in range(300):
-            tau = random_admissible_torsion(seed, scale=3.0)
+            tau = TorsionEndomorphism(3.0 * random_admissible_torsion(default_rng(seed)).tau)
             for i in range(4):
                 for j in range(i + 1, 4):
                     assert abs(bianchi_b(tau, EI[i], EI[j])) < 1e-13
@@ -219,7 +223,7 @@ class TestBianchiCorrection:
             assert abs(stacked[k] - bianchi_b(tau, xs[k], ys[k])) < 1e-14
 
     def test_rejects_vertical_arguments(self):
-        tau = random_admissible_torsion(0)
+        tau = random_admissible_torsion(default_rng(0))
         with pytest.raises(ValueError):
             bianchi_b(tau, EI[4], EI[0])
 
@@ -227,7 +231,7 @@ class TestBianchiCorrection:
 class TestAdmissibleTorsion:
     def test_sampler_satisfies_invariants(self):
         for seed in range(50):
-            tau = random_admissible_torsion(seed)
+            tau = random_admissible_torsion(default_rng(seed))
             assert tau.violations() == []
 
     def test_span_dimension(self):
@@ -238,7 +242,7 @@ class TestAdmissibleTorsion:
 class TestRicIdentity:
     def test_zero_residual_on_admissible(self):
         for seed in range(100):
-            c = random_admissible_ricci(seed)
+            c = random_admissible_ricci(default_rng(seed))
             assert ric_identity_check(c) < 1e-14
 
     def test_zero_curvature(self):
@@ -266,7 +270,7 @@ class TestRicIdentity:
 class TestCurvatureTensor:
     def test_symmetries_on_synthetic_tensor(self):
         for seed in (0, 3, 17):
-            t = curvature_tensor(random_admissible_ricci(seed))
+            t = curvature_tensor(random_admissible_ricci(default_rng(seed)))
             report = symmetry_check(t)
             assert set(report) == {
                 "pair_antisymmetry",
@@ -283,7 +287,7 @@ class TestCurvatureTensor:
         assert max(report.values()) == 0
 
     def test_perturbed_entry_detected(self):
-        t = curvature_tensor(random_admissible_ricci(1))
+        t = curvature_tensor(random_admissible_ricci(default_rng(1)))
         entries = np.array(t.entries)
         entries[0, 0, 0, 1] += 1e-3
         from swcheck.curvature import CurvatureTensor4
@@ -293,13 +297,13 @@ class TestCurvatureTensor:
 
     def test_ricci_trace_reproduces_i_rho(self):
         for seed in range(5):
-            c = random_admissible_ricci(seed)
+            c = random_admissible_ricci(default_rng(seed))
             t = curvature_tensor(c)
             rho = (J_FRAME @ c.ric).astype(complex)
             assert np.max(np.abs(t.ricci_trace() - 1j * rho)) < 1e-13
 
     def test_components_real(self):
-        t = curvature_tensor(random_admissible_ricci(2))
+        t = curvature_tensor(random_admissible_ricci(default_rng(2)))
         assert np.max(np.abs(t.entries.imag)) < 1e-14
 
     def test_rejects_inadmissible(self):
@@ -313,10 +317,10 @@ class TestStacks:
     """A stack of 50 samples gives exactly the 50 results of the single
     samples; residuals of a stack are the largest single residual."""
 
-    SEEDS = np.arange(50)
-
     def _ricci(self):
-        return random_admissible_ricci(self.SEEDS), [random_admissible_ricci(s) for s in range(50)]
+        rng = default_rng(0)
+        singles = [random_admissible_ricci(rng) for _ in range(50)]
+        return random_admissible_ricci(default_rng(0), 50), singles
 
     @staticmethod
     def _broken(c):
@@ -329,8 +333,9 @@ class TestStacks:
         c, singles = self._ricci()
         assert c.ric.shape == (50, 5, 5)
         assert np.array_equal(c.ric, [x.ric for x in singles])
-        tau = random_admissible_torsion(self.SEEDS)
-        assert np.array_equal(tau.tau, [random_admissible_torsion(s).tau for s in range(50)])
+        tau = random_admissible_torsion(default_rng(1), 50)
+        rng = default_rng(1)
+        assert np.array_equal(tau.tau, [random_admissible_torsion(rng).tau for _ in range(50)])
         params = np.random.default_rng(15).uniform(-1, 1, size=(50, 6))
         stacked = admissible_ricci(*params[:, :4].T).ric
         assert np.array_equal(stacked, [admissible_ricci(*p).ric for p in params[:, :4]])
@@ -364,15 +369,15 @@ class TestStacks:
         assert ric_identity_check(broken) == max(ric_identity_check(x) for x in singles)
         assert ric_identity_check(broken) >= 0.1
         assert ricci_violations(broken.ric) == ricci_violations(singles[49].ric)
-        tau = random_admissible_torsion(self.SEEDS)
+        tau = random_admissible_torsion(default_rng(1), 50)
         t = np.array(tau.tau)
         t[3, 0, 1] += 1.0
         assert torsion_violations(t) == torsion_violations(t[3]) != []
 
     def test_curvature_tensor(self):
-        seeds = 31 * np.arange(10)
-        c = random_admissible_ricci(seeds)
-        singles = [curvature_tensor(random_admissible_ricci(s)) for s in seeds]
+        c = random_admissible_ricci(default_rng(31), 10)
+        rng = default_rng(31)
+        singles = [curvature_tensor(random_admissible_ricci(rng)) for _ in range(10)]
         t4 = curvature_tensor(c)
         assert np.array_equal(t4.entries, [t.entries for t in singles])
         assert np.array_equal(t4.ricci_trace(), [t.ricci_trace() for t in singles])
@@ -386,10 +391,10 @@ class TestStacks:
         assert max(report.values()) >= 1e-3
 
     def test_single_samples_keep_shape_and_type(self):
-        c = random_admissible_ricci(0)
+        c = random_admissible_ricci(default_rng(0))
         assert c.ric.shape == (5, 5)
         assert type(c.s) is float
         assert ricci_form(c).coeffs.shape == (10,)
         assert type(ric_identity_check(c)) is float
-        assert np.ndim(bianchi_b(random_admissible_torsion(0), EI[0], EI[1])) == 0
+        assert np.ndim(bianchi_b(random_admissible_torsion(default_rng(0)), EI[0], EI[1])) == 0
         assert curvature_tensor(c).ricci_trace().shape == (5, 5)

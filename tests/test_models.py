@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 from swcheck import models
 from swcheck.curvature import (
@@ -322,7 +323,7 @@ class TestSyntheticModel:
 
     def test_f_a_is_imaginary_valued(self):
         for seed in range(10):
-            model = synthetic_model(random_admissible_ricci(seed))
+            model = synthetic_model(random_admissible_ricci(default_rng(seed)))
             assert np.max(np.abs(model.f_a.coeffs.real)) == 0
 
     def test_rejects_inadmissible_input(self):
@@ -333,10 +334,10 @@ class TestSyntheticModel:
         t = np.zeros((5, 5))
         t[0, 1] = 1.0
         with pytest.raises(ValueError, match="self-adjoint"):
-            synthetic_model(random_admissible_ricci(0), TorsionEndomorphism(t))
+            synthetic_model(random_admissible_ricci(default_rng(0)), TorsionEndomorphism(t))
 
     def test_accepts_admissible_torsion(self):
-        model = synthetic_model(random_admissible_ricci(1), random_admissible_torsion(2))
+        model = synthetic_model(random_admissible_ricci(default_rng(1)), random_admissible_torsion(default_rng(2)))
         assert model.torsion.violations() == []
 
 
@@ -351,7 +352,7 @@ class TestModelFiles:
         frame, conn = heis
         from swcheck.models import ModelBundle
 
-        bundle = ModelBundle(frame, conn, random_admissible_ricci(0))
+        bundle = ModelBundle(frame, conn, random_admissible_ricci(default_rng(0)))
         path = tmp_path / "model.json"
         save_model(bundle, path)
         loaded = load_model(path)
@@ -408,8 +409,8 @@ class TestSamplePoints:
         assert np.array_equal(sample_points(10, 3), sample_points(10, 3))
 
     def test_bounds(self):
-        pts = sample_points(100, 0, box=0.5)
-        assert np.max(np.abs(pts)) <= 0.5
+        pts = sample_points(100, 0)
+        assert np.max(np.abs(pts)) <= 1.0
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
