@@ -540,7 +540,7 @@ def run(argv=None) -> int:
         ns = _SubNS(base.command, base)
         start = time.perf_counter()
         report = SUITES[base.command](ns)
-    except (UsageError, ModelFormatError, PolySyntaxError) as exc:
+    except (UsageError, ModelFormatError, PolySyntaxError, OverflowError) as exc:
         print(f"swcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report["wall_time_s"] = time.perf_counter() - start

@@ -214,7 +214,7 @@ class ConnectionCoefficients:
 
     def __post_init__(self):
         for c, a in enumerate(self.a_form.coeffs):
-            if any(v.real != 0 for _, v in a.terms):
+            if any(v.real != 0 for _, v in a.packed):
                 raise ValueError(f"A[{c}]: the U(1) connection 1-form must be imaginary valued")
 
     @staticmethod

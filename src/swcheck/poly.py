@@ -14,7 +14,8 @@ files:
 Numbers are decimal (scientific notation accepted); a complex literal inside
 parentheses looks like "(1+2i)".  Whitespace is ignored.  Parsing errors
 report the offset in the source string; printing produces the canonical form
-and parse(print(p)) == p holds exactly.
+and parse(print(p)) == p holds exactly.  Total degrees are at most
+``MAX_DEGREE`` = 255, for the packed monomials of :class:`PolyExpr`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,16 @@ VARIABLES = ("x1", "y1", "x2", "y2", "t")
 NVARS = len(VARIABLES)
 
 _Exponents = tuple[int, int, int, int, int]
-_ZERO_EXP: _Exponents = (0, 0, 0, 0, 0)
+
+_W = 8
+#: Largest total degree of a polynomial, so each packed W-bit field holds it.
+MAX_DEGREE = (1 << _W) - 1
+# Shifts of the exponent fields (x1 highest) and of the degree field; _LOW
+# keeps the exponent fields, and _UNITS[v] is the packed monomial x_v.
+_SHIFTS = tuple(_W * (NVARS - 1 - v) for v in range(NVARS))
+_DEG_SHIFT = _W * NVARS
+_LOW = (1 << _DEG_SHIFT) - 1
+_UNITS = tuple(1 << _DEG_SHIFT | 1 << s for s in _SHIFTS)
 
 
 class PolySyntaxError(ValueError):
@@ -47,45 +57,48 @@ class PolySyntaxError(ValueError):
 class PolyExpr:
     """Multivariate polynomial with complex coefficients, in canonical form.
 
-    Terms are a sorted tuple of (exponent-tuple, coefficient) pairs with all
-    zero coefficients dropped, so structural equality is exact semantic
-    equality and the zero polynomial is the empty tuple.
+    ``packed`` holds (monomial, coefficient) pairs, zero coefficients dropped,
+    so structural equality is exact and zero is the empty tuple.  Monomial
+    x1^n1 ... t^n5 is the int ``deg << 5W | n1 << 4W | ... | n5``, ``W = 8``,
+    ``deg = n1 + ... + n5 <= MAX_DEGREE`` (so no field carries): products add
+    ints, and descending int order is the canonical order (degree, then
+    exponents, descending).  ``terms`` shows the pairs with exponent tuples.
     """
 
-    terms: tuple[tuple[_Exponents, complex], ...] = ()
+    packed: tuple[tuple[int, complex], ...] = ()
+
+    @property
+    def terms(self) -> tuple[tuple[_Exponents, complex], ...]:
+        return tuple((_unpack(m), c) for m, c in self.packed)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value) -> "PolyExpr":
         c = complex(value)
-        return PolyExpr(((_ZERO_EXP, c),)) if c != 0 else PolyExpr()
+        return PolyExpr(((0, c),)) if c != 0 else PolyExpr()
 
     @staticmethod
     def variable(name: str) -> "PolyExpr":
-        exp = [0] * NVARS
-        exp[VARIABLES.index(name)] = 1
-        return PolyExpr(((tuple(exp), 1 + 0j),))
+        return PolyExpr(((_UNITS[VARIABLES.index(name)], 1 + 0j),))
 
     @staticmethod
     def from_dict(d: dict[_Exponents, complex]) -> "PolyExpr":
-        items = [(e, complex(c)) for e, c in d.items() if c != 0]
-        items.sort(key=_term_key)
-        return PolyExpr(tuple(items))
+        return _canonical({_pack(e): complex(c) for e, c in d.items()})
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "PolyExpr":
         other = _coerce(other)
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, 0j) + c
-        return PolyExpr.from_dict(d)
+        d = dict(self.packed)
+        for m, c in other.packed:
+            d[m] = d.get(m, 0j) + c
+        return _canonical(d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyExpr":
-        return PolyExpr(tuple((e, -c) for e, c in self.terms))
+        return PolyExpr(tuple((m, -c) for m, c in self.packed))
 
     def __sub__(self, other) -> "PolyExpr":
         return self + (-_coerce(other))
@@ -105,15 +118,11 @@ class PolyExpr:
     def diff(self, var: int | str) -> "PolyExpr":
         """Exact partial derivative with respect to a coordinate."""
         v = VARIABLES.index(var) if isinstance(var, str) else var
-        d: dict[_Exponents, complex] = {}
-        for e, c in self.terms:
-            if e[v] == 0:
-                continue
-            e2 = list(e)
-            e2[v] -= 1
-            e2 = tuple(e2)
-            d[e2] = d.get(e2, 0j) + c * e[v]
-        return PolyExpr.from_dict(d)
+        s, unit = _SHIFTS[v], _UNITS[v]
+        # Lowering one exponent keeps the monomials distinct and in order.
+        return PolyExpr(
+            tuple((m - unit, c * n) for m, c in self.packed if (n := m >> s & MAX_DEGREE))
+        )
 
     def __call__(self, point) -> complex:
         total = 0j
@@ -126,15 +135,15 @@ class PolyExpr:
         return total
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def degree(self) -> int:
-        return max((sum(e) for e, _ in self.terms), default=0)
+        return self.packed[0][0] >> _DEG_SHIFT if self.packed else 0
 
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.packed:
             return "0"
         chunks: list[str] = []
         for e, c in self.terms:
@@ -163,16 +172,20 @@ def dot(a, b) -> PolyExpr:
 
     Each product keeps the operand order of :meth:`PolyExpr.__mul__`, so
     ``dot(a, b) == dot(b, a)`` exactly; zero polynomials contribute nothing.
+    Raises OverflowError if a product's degree would exceed ``MAX_DEGREE``.
     """
-    d: dict[_Exponents, complex] = {}
+    d: dict[int, complex] = {}
     for p, q in zip(a, b, strict=True):
-        if len(p.terms) > 1 and len(q.terms) > 1 and _mul_order(q) < _mul_order(p):
+        p, q = p.packed, q.packed
+        if p and q and (p[0][0] + q[0][0]) >> _DEG_SHIFT > MAX_DEGREE:
+            raise OverflowError(f"a product of degree above {MAX_DEGREE}")
+        if len(p) > 1 and len(q) > 1 and _mul_order(q) < _mul_order(p):
             p, q = q, p
-        for e1, c1 in p.terms:
-            for e2, c2 in q.terms:
-                e = tuple(x + y for x, y in zip(e1, e2))
-                d[e] = d.get(e, 0j) + c1 * c2
-    return PolyExpr.from_dict(d)
+        for m1, c1 in p:
+            for m2, c2 in q:
+                m = m1 + m2
+                d[m] = d.get(m, 0j) + c1 * c2
+    return _canonical(d)
 
 
 @lru_cache(maxsize=None)
@@ -211,11 +224,11 @@ def evaluate_all(polys, points) -> np.ndarray:
     shape = x.shape[:-1] + (len(polys),)
     x = x.reshape(-1, NVARS).astype(np.result_type(x.dtype, float), copy=False)
     out = np.zeros((len(x), len(polys)), dtype=complex)
-    live = [i for i, p in enumerate(polys) if p.terms]
+    live = [i for i, p in enumerate(polys) if p.packed]
     if live:
-        exps = np.array([e for i in live for e, _ in polys[i].terms])
-        coeffs = np.array([c for i in live for _, c in polys[i].terms])[:, None]
-        starts = np.cumsum([0] + [len(polys[i].terms) for i in live[:-1]])
+        exps = np.array([_unpack(m) for i in live for m, _ in polys[i].packed])
+        coeffs = np.array([c for i in live for _, c in polys[i].packed])[:, None]
+        starts = np.cumsum([0] + [len(polys[i].packed) for i in live[:-1]])
         width = int(exps.max()) + 1
         # Row of each factor x_v^n in the flattened (variable, power) table.
         rows = exps + width * np.arange(NVARS)
@@ -243,13 +256,24 @@ def _coerce(v) -> PolyExpr:
     raise TypeError(f"cannot coerce {type(v).__name__} to PolyExpr")
 
 
-def _mul_order(p: PolyExpr):
-    return [(e, c.real, c.imag) for e, c in p.terms]
+def _mul_order(packed):
+    # Below the degree field a packed monomial compares as its exponent tuple.
+    return [(m & _LOW, c.real, c.imag) for m, c in packed]
 
 
-def _term_key(item):
-    e, _ = item
-    return (-sum(e), tuple(-n for n in e))
+def _canonical(d: dict[int, complex]) -> PolyExpr:
+    return PolyExpr(tuple(sorted(((m, c) for m, c in d.items() if c != 0), reverse=True)))
+
+
+def _pack(e) -> int:
+    if len(e) != NVARS or min(e) < 0 or sum(e) > MAX_DEGREE:
+        raise ValueError(f"exponents {e}: need each >= 0 and a sum <= {MAX_DEGREE}")
+    return sum(e) << _DEG_SHIFT | sum(n << s for n, s in zip(e, _SHIFTS))
+
+
+@lru_cache(maxsize=None)
+def _unpack(m: int) -> _Exponents:
+    return tuple(m >> s & MAX_DEGREE for s in _SHIFTS)
 
 
 def _format_real(x: float) -> str:
@@ -360,7 +384,11 @@ class _Parser:
         result = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            result = result * self.factor()
+            pos = self.peek()[2]
+            try:
+                result = result * self.factor()
+            except OverflowError as exc:
+                raise PolySyntaxError(str(exc), pos) from None
         return result
 
     def factor(self) -> PolyExpr:
@@ -374,8 +402,8 @@ class _Parser:
             if self.peek()[0] == "^":
                 self.take()
                 ekind, evalue, epos = self.take()
-                if ekind != "number" or evalue != int(evalue) or evalue < 0:
-                    raise PolySyntaxError("exponent must be a nonnegative integer", epos)
+                if ekind != "number" or evalue != int(evalue) or not 0 <= evalue <= MAX_DEGREE:
+                    raise PolySyntaxError(f"exponent must be an integer in 0..{MAX_DEGREE}", epos)
                 result = ONE
                 for _ in range(int(evalue)):
                     result = result * p

@@ -1,6 +1,7 @@
 """Command-line front end: suites, exit codes, report determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,10 @@ from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from swcheck.dirac_sw import FormSpinorField, SpinorField
 from swcheck.models import load_model, model_to_dict
 from swcheck.poly import PolyExpr
+
+
+DATA = Path(__file__).parent / "data"
+_CHART = ["model", "--model", "sheared_chart_3.json", "--samples", "50"]
 
 
 def _refuse(token):
@@ -212,7 +217,6 @@ class TestUsageErrors:
         [
             ([["a", 0, 0, 0, 0]] + [[0] * 5] * 4, "curvature.ric[0][0]: expected a number"),
             ([[None] * 5] * 5, "curvature.ric[0][0]: expected a number"),
-            ([[0] * 5] * 4 + [[0] * 4], "curvature.ric[4]: expected 5 entries"),
         ],
     )
     def test_malformed_ricci_entry_is_usage_error(self, ric, where, tmp_path, capsys):
@@ -260,6 +264,26 @@ class TestUsageErrors:
         where = keys[0] + "".join(f".{k}" if isinstance(k, str) else f"[{k}]" for k in keys[1:])
         assert code == EXIT_USAGE
         assert f"{path}: {where}: expected {len(entries)} entries" in err
+
+    def test_exponent_beyond_the_packed_field_is_usage_error(self, tmp_path, capsys):
+        data = model_to_dict(load_model("heisenberg"))
+        data["eta"][0] = "y1 + x1^3000"
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(data))
+        code = run(["model", "--model", str(path), "--samples", "5"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"{path}: eta[0]: exponent must be an integer in 0..255 at position 8" in err
+
+    def test_product_beyond_the_packed_field_is_usage_error(self, tmp_path, capsys):
+        # Each field parses, but the contact checks multiply them past degree 255.
+        data = model_to_dict(load_model("heisenberg"))
+        data["frame"][0][4], data["frame"][1][4] = "x1^200", "y1^200"
+        path = tmp_path / "product.json"
+        path.write_text(json.dumps(data))
+        code = run(["model", "--model", str(path), "--samples", "5"])
+        assert code == EXIT_USAGE
+        assert "a product of degree above 255" in capsys.readouterr().err
 
     def test_non_utf8_model_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -525,6 +549,28 @@ class TestReports:
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "name, argv, code",
+        [
+            ("all_seed0", ["all", "--seed", "0"], EXIT_PASS),
+            ("all_seed0_perturbed", ["all", "--seed", "0", "--perturb", "1e-3"], EXIT_FAIL),
+            ("model_chart", _CHART, EXIT_PASS),
+            ("model_chart_perturbed", _CHART + ["--perturb", "1e-3"], EXIT_FAIL),
+        ],
+    )
+    def test_golden_report(self, name, argv, code, monkeypatch, tmp_path):
+        # data/golden/<name>.json is the report of argv without wall_time_s, as
+        # json.dumps(..., indent=2, sort_keys=True), recorded once; any other
+        # change to a report, down to the last digit of a residual, fails here.
+        # data/sheared_chart_3.json is the perfbench/chart.py chart for seed 3.
+        monkeypatch.chdir(DATA)
+        out = tmp_path / "report.json"
+        assert run(argv + ["--output", str(out)]) == code
+        rep = json.loads(out.read_text())
+        del rep["wall_time_s"]
+        text = json.dumps(rep, indent=2, sort_keys=True) + "\n"
+        assert text == (DATA / "golden" / f"{name}.json").read_text()
 
     def test_output_file_written(self, tmp_path):
         path = tmp_path / "report.json"

@@ -141,6 +141,10 @@ def test_dot_operand_order_fixed():
     p, q = parse_poly("x1^2 + x1 + 1"), parse_poly("0.1*x1^2 + 0.2*x1 + 0.3")
     assert p * q == q * p
     assert poly.dot([p, q], [q, p]) == poly.dot([q, p], [p, q])
+    # x1*y1^2 leads y1^4 as an exponent tuple but not in degree: the operand
+    # order is decided on exponents, so p runs the outer loop.
+    p, q = parse_poly("y1^4 + y1^3 + y1^2"), parse_poly("0.1*x1*y1^2 + 0.2*x1*y1 + 0.3*x1")
+    assert dict((p * q).terms)[(1, 4, 0, 0, 0)] == (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
 
 
 def test_dot_exact_on_integer_coefficients():
@@ -150,6 +154,74 @@ def test_dot_exact_on_integer_coefficients():
     assert poly.dot([], []) == ZERO
     with pytest.raises(ValueError):
         poly.dot(a, b[:2])
+
+
+def _tuple_order_key(item):
+    # The canonical term order on exponent tuples: total degree, then the
+    # exponents, each descending.
+    e, _ = item
+    return (-sum(e), tuple(-n for n in e))
+
+
+# Exponents up to 25 fill five bits of each field and carry within it when
+# two terms multiply; a product stays below MAX_DEGREE = 255.
+_WIDE_POLY = st.lists(
+    st.tuples(
+        st.tuples(*(st.integers(0, 25) for _ in range(5))),
+        st.complex_numbers(
+            min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False
+        ),
+    ),
+    max_size=6,
+).map(lambda ts: PolyExpr.from_dict(dict(ts)))
+
+
+@given(_WIDE_POLY, _WIDE_POLY, st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_packed_form_keeps_tuple_semantics(p, q, v):
+    for r in (p, q, p + q, p * q, p.diff(v)):
+        assert list(r.terms) == sorted(r.terms, key=_tuple_order_key)
+        assert len({e for e, _ in r.terms}) == len(r.terms)
+        assert parse_poly(str(r)) == r
+    assert poly.dot([p, q], [q, p]) == poly.dot([q, p], [p, q])
+    assert poly.dot([p], [q]) == poly.dot([q], [p])
+    derivative = {}
+    for e, c in p.terms:
+        if e[v]:
+            lowered = e[:v] + (e[v] - 1,) + e[v + 1 :]
+            derivative[lowered] = derivative.get(lowered, 0j) + c * e[v]
+    assert p.diff(v) == PolyExpr.from_dict(derivative)
+
+
+class TestDegreeLimit:
+    def test_exponent_at_the_limit(self):
+        top = poly.MAX_DEGREE
+        p = parse_poly(f"y1^128*y1^127 + x1^{top}")
+        assert p.terms == (((top, 0, 0, 0, 0), 1 + 0j), ((0, top, 0, 0, 0), 1 + 0j))
+        assert p.degree() == top
+        assert p.diff("y1").terms == (((0, top - 1, 0, 0, 0), top + 0j),)
+        assert (parse_poly("x1^200 + y1") * parse_poly("3*t^55")).degree() == top
+
+    def test_exponent_beyond_the_limit_rejected_at_its_offset(self):
+        for src in ("y1 + x1^256", "y1 + x1^3000"):
+            with pytest.raises(PolySyntaxError, match="0..255") as err:
+                parse_poly(src)
+            assert err.value.position == 8
+
+    def test_product_beyond_the_limit_rejected(self):
+        p, q = parse_poly("x1^200 + y1"), parse_poly("t^56")
+        with pytest.raises(OverflowError):
+            p * q
+        with pytest.raises(OverflowError):
+            poly.dot([ONE, q], [ONE, p])
+        with pytest.raises(PolySyntaxError, match="degree above 255") as err:
+            parse_poly("y1 + x1^200*t^56")
+        assert err.value.position == 12
+
+    def test_from_dict_rejects_exponents_outside_the_field(self):
+        for e in [(256, 0, 0, 0, 0), (200, 0, 0, 0, 56), (-1, 1, 0, 0, 0)]:
+            with pytest.raises(ValueError):
+                PolyExpr.from_dict({e: 1.0})
 
 
 class TestRandomPoly:
