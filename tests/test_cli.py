@@ -217,6 +217,7 @@ class TestUsageErrors:
         [
             ([["a", 0, 0, 0, 0]] + [[0] * 5] * 4, "curvature.ric[0][0]: expected a number"),
             ([[None] * 5] * 5, "curvature.ric[0][0]: expected a number"),
+            ([[0] * 5] * 4 + [[0] * 4], "curvature.ric[4]: expected 5 entries"),
         ],
     )
     def test_malformed_ricci_entry_is_usage_error(self, ric, where, tmp_path, capsys):
