@@ -320,6 +320,20 @@ _REAL_IN_COMPLEX.flags.writeable = False
 
 _CONJ_INDEX = (2, 3, 0, 1, 4)
 
+#: A frame change M on all four slots is K = kron(M, M) on each index pair:
+#: T'[ij, kl] = K[ij, ab] T[ab, cd] K[kl, cd].  The (25, 25) matrices carry
+#: real-frame components to the complex frame and back.
+_REAL_TO_COMPLEX_PAIRS = np.kron(COMPLEX_FRAME, COMPLEX_FRAME)
+_REAL_TO_COMPLEX_PAIRS.flags.writeable = False
+_COMPLEX_TO_REAL_PAIRS = np.kron(_REAL_IN_COMPLEX, _REAL_IN_COMPLEX)
+_COMPLEX_TO_REAL_PAIRS.flags.writeable = False
+
+
+def _change_frame(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``k @ t @ k.T`` on the (25, 25) pair matrix of each (..., 5, 5, 5, 5) tensor."""
+    lead = t.shape[:-4]
+    return (k @ t.reshape(lead + (25, 25)) @ k.T).reshape(lead + (5, 5, 5, 5))
+
 
 @dataclass(frozen=True, eq=False)
 class CurvatureTensor4:
@@ -329,7 +343,7 @@ class CurvatureTensor4:
     e_{l+1}); evaluation on complex vectors extends multilinearly.  The
     conjugation symmetry of the tensor is equivalent to these components
     being real, but complex storage is kept so that broken inputs can be
-    represented.  ``evaluate`` takes a single tensor.
+    represented.
     """
 
     entries: np.ndarray
@@ -341,23 +355,9 @@ class CurvatureTensor4:
         t.flags.writeable = False
         object.__setattr__(self, "entries", t)
 
-    def evaluate(self, x, y, z, v) -> complex:
-        """Multilinear evaluation on four frame-coordinate vectors."""
-        return complex(
-            np.einsum(
-                "ijkl,i,j,k,l->",
-                self.entries,
-                np.asarray(x, dtype=complex),
-                np.asarray(y, dtype=complex),
-                np.asarray(z, dtype=complex),
-                np.asarray(v, dtype=complex),
-            )
-        )
-
     def complex_components(self) -> np.ndarray:
         """Components over the frame (Z1, Z2, Zbar1, Zbar2, Reeb)."""
-        w = COMPLEX_FRAME
-        return np.einsum("ai,bj,ck,dl,...ijkl->...abcd", w, w, w, w, self.entries)
+        return _change_frame(_REAL_TO_COMPLEX_PAIRS, self.entries)
 
     def ricci_trace(self) -> np.ndarray:
         """5x5 matrix of sum_a R(e_i, e_j, Z_a, Zbar_a); equals i rho_h."""
@@ -403,9 +403,7 @@ def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
     gc[..., 2:4, :2, :2, 2:4] = -np.swapaxes(lam, -4, -3)
     gc[..., 2:4, :2, 2:4, :2] = np.swapaxes(np.swapaxes(lam, -4, -3), -2, -1)
 
-    r = _REAL_IN_COMPLEX
-    entries = np.einsum("ia,jb,kc,ld,...abcd->...ijkl", r, r, r, r, gc)
-    return CurvatureTensor4(entries)
+    return CurvatureTensor4(_change_frame(_COMPLEX_TO_REAL_PAIRS, gc))
 
 
 def symmetry_check(t: CurvatureTensor4) -> dict[str, float]:

@@ -1,6 +1,8 @@
 """Command-line front end: suites, exit codes, report determinism."""
 
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +530,26 @@ class TestNonFiniteEvaluations:
         failed = self._failed(rep)
         assert code == EXIT_FAIL and list(failed) == [check]
         assert failed[check] == "NaN"
+
+    @pytest.mark.parametrize("suite", ["model", "all"])
+    def test_overflowing_model_reaches_a_verdict(self, suite, capsys):
+        # Products of the frame entry (1e308+1e308i)*x1^2 overflow to inf and
+        # NaN.  With warnings as errors, as pytest runs the suite, the model
+        # checks still report: the non-finite values fail their checks.
+        argv = [suite, "--model", str(DATA / "overflow_model.json"), "--samples", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, rep = _run(argv, capsys)
+        assert code == EXIT_FAIL
+        if suite == "all":
+            rep = rep["suites"]["model"]
+        assert not rep["pass"]
+        residuals = [c["residual"] for c in rep["checks"]]
+        strings = [c for c in rep["checks"] if isinstance(c["residual"], str)]
+        assert len(strings) >= 5
+        for c in strings:
+            assert c["residual"] in ("NaN", "Infinity", "-Infinity") and not c["pass"]
+        assert all(math.isfinite(r) for r in residuals if not isinstance(r, str))
 
     def test_floor_check_reports_nan(self):
         row = cli._floor_check("volume", float("nan"), 1e-9)

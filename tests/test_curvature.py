@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
+from swcheck import curvature
 from swcheck.curvature import (
     HORIZONTAL_FRAME_PAIRS,
     CurvatureData,
@@ -311,6 +312,45 @@ class TestCurvatureTensor:
         ric[0, 1] = ric[1, 0] = 1.0
         with pytest.raises(ValueError):
             curvature_tensor(CurvatureData(ric))
+
+
+def _frame_change_reference(m, t):
+    """The frame change M on all four slots, written out as one 5-index sum."""
+    return np.einsum("ia,jb,kc,ld,...abcd->...ijkl", m, m, m, m, t)
+
+
+class TestFrameChange:
+    """The (25, 25) Kronecker products on index pairs agree with the 5-index sum."""
+
+    def test_admissible_draws(self, monkeypatch):
+        seen = []
+        change_frame = curvature._change_frame
+
+        def spy(k, t):
+            seen.append(t)
+            return change_frame(k, t)
+
+        monkeypatch.setattr(curvature, "_change_frame", spy)
+        t4 = curvature_tensor(random_admissible_ricci(default_rng(5), 10))
+        (gc,) = seen
+        assert t4.entries.shape == gc.shape == (10, 5, 5, 5, 5)
+        ref = _frame_change_reference(curvature._REAL_IN_COMPLEX, gc)
+        assert np.max(np.abs(t4.entries - ref)) <= 1e-14
+        ref = _frame_change_reference(curvature.COMPLEX_FRAME, t4.entries)
+        assert np.max(np.abs(t4.complex_components() - ref)) <= 1e-14
+
+    def test_broken_complex_stack(self):
+        rng = default_rng(6)
+        t = rng.standard_normal((3, 5, 5, 5, 5)) + 1j * rng.standard_normal((3, 5, 5, 5, 5))
+        ref = _frame_change_reference(curvature.COMPLEX_FRAME, t)
+        assert np.max(np.abs(CurvatureTensor4(t).complex_components() - ref)) <= 1e-14
+        pairs = curvature._COMPLEX_TO_REAL_PAIRS
+        ref = _frame_change_reference(curvature._REAL_IN_COMPLEX, t)
+        assert np.max(np.abs(curvature._change_frame(pairs, t) - ref)) <= 1e-14
+
+    def test_pair_matrices_are_constants(self):
+        for k in (curvature._REAL_TO_COMPLEX_PAIRS, curvature._COMPLEX_TO_REAL_PAIRS):
+            assert k.shape == (25, 25) and not k.flags.writeable
 
 
 class TestStacks:
