@@ -2,7 +2,7 @@
 
 Subcommands: clifford, selfdual, curvature, model, dirac, solution, all.
 Exit code 0 means every check passed, 1 means a check failed, 2 means the
-invocation or an input file was invalid.
+invocation or an input file was invalid, or the report could not be written.
 
 Reports are JSON with one row per check (name, residual, tolerance, pass);
 identical (suite, seed, samples) invocations produce byte-identical reports
@@ -270,8 +270,8 @@ def _suite_curvature(ns) -> dict:
     ]
 
     t4 = curvature.curvature_tensor(c_tensor, check=False)
-    rho = (j @ c_tensor.ric).astype(complex)
-    r_trace = np.max(np.abs(t4.ricci_trace() - 1j * rho))
+    z = curvature.COMPLEX_FRAME
+    r_trace = np.max(np.abs(t4.ricci_trace() - 1j * z @ (j @ c_tensor.ric) @ z.T))
     r = np.max([*curvature.symmetry_check(t4).values(), r_trace])
     checks.append(_check("curvature_tensor_symmetries_and_trace", r, 1e-12))
 
@@ -378,8 +378,6 @@ def _format_deta_multiple(form: KForm) -> str:
 
 def _suite_solution(ns) -> dict:
     s_val = ns.scalar
-    if s_val >= 0:
-        raise UsageError(f"--scalar must be negative, got {s_val}")
     checks = []
     sol = canonical_solution(s_val)
 
@@ -536,6 +534,8 @@ def run(argv=None) -> int:
             raise UsageError("--tol must be >= 0")
         if base.h <= 0:
             raise UsageError("--h must be positive")
+        if base.command in ("solution", "all") and base.scalar >= 0:
+            raise UsageError(f"--scalar must be negative, got {base.scalar}")
         if base.command == "dirac" and base.model != "heisenberg":
             raise UsageError("--model: the dirac suite runs on the Heisenberg chart only")
         ns = _SubNS(base.command, base)
@@ -548,8 +548,12 @@ def run(argv=None) -> int:
 
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if ns.output:
-        with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(ns.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"swcheck: error: --output: {exc.strerror or exc}: {ns.output}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text)
     return EXIT_PASS if report["pass"] else EXIT_FAIL

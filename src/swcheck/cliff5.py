@@ -61,19 +61,6 @@ def gamma(i: int) -> np.ndarray:
     return GAMMA[i - 1]
 
 
-def spinor_inner(u, v) -> complex:
-    """Hermitian product on C^4, conjugate-linear in the second argument."""
-    return complex(np.dot(np.asarray(u, dtype=complex), np.conj(v)))
-
-
-def clifford_vector(v, psi) -> np.ndarray:
-    """Clifford action (sum_i v_i kappa(e_i)) psi of a frame vector.
-
-    Linear in both arguments; v holds frame coordinates (index 5 = Reeb).
-    """
-    return np.asarray(v, dtype=complex) @ (_GAMMA_STACK @ np.asarray(psi, dtype=complex))
-
-
 def two_form_matrix(omega: KForm) -> np.ndarray:
     """Matrix of the Clifford action of a 2-form.
 
@@ -83,11 +70,6 @@ def two_form_matrix(omega: KForm) -> np.ndarray:
     if omega.degree != 2:
         raise ValueError(f"expected a 2-form, got degree {omega.degree}")
     return np.tensordot(omega.coeffs, PAIR_PRODUCTS, 1)
-
-
-def clifford_two_form(omega: KForm, psi) -> np.ndarray:
-    """Clifford action of a 2-form on a spinor."""
-    return two_form_matrix(omega) @ np.asarray(psi, dtype=complex)
 
 
 def kappa_deta() -> np.ndarray:

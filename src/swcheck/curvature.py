@@ -313,56 +313,33 @@ COMPLEX_FRAME = np.array(
 )
 COMPLEX_FRAME.flags.writeable = False
 
-#: Real frame vectors expanded in the complex frame: row i gives e_{i+1}
-#: as a combination of (Z1, Z2, Zbar1, Zbar2, Reeb).
-_REAL_IN_COMPLEX = np.linalg.inv(COMPLEX_FRAME)
-_REAL_IN_COMPLEX.flags.writeable = False
-
 _CONJ_INDEX = (2, 3, 0, 1, 4)
-
-#: A frame change M on all four slots is K = kron(M, M) on each index pair:
-#: T'[ij, kl] = K[ij, ab] T[ab, cd] K[kl, cd].  The (25, 25) matrices carry
-#: real-frame components to the complex frame and back.
-_REAL_TO_COMPLEX_PAIRS = np.kron(COMPLEX_FRAME, COMPLEX_FRAME)
-_REAL_TO_COMPLEX_PAIRS.flags.writeable = False
-_COMPLEX_TO_REAL_PAIRS = np.kron(_REAL_IN_COMPLEX, _REAL_IN_COMPLEX)
-_COMPLEX_TO_REAL_PAIRS.flags.writeable = False
-
-
-def _change_frame(k: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``k @ t @ k.T`` on the (25, 25) pair matrix of each (..., 5, 5, 5, 5) tensor."""
-    lead = t.shape[:-4]
-    return (k @ t.reshape(lead + (25, 25)) @ k.T).reshape(lead + (5, 5, 5, 5))
 
 
 @dataclass(frozen=True, eq=False)
 class CurvatureTensor4:
-    """(4,0) curvature tensor by its real-frame components.
+    """(4,0) curvature tensor by its components over the complex frame.
 
-    ``entries[i, j, k, l]`` holds the value on (e_{i+1}, e_{j+1}, e_{k+1},
-    e_{l+1}); evaluation on complex vectors extends multilinearly.  The
-    conjugation symmetry of the tensor is equivalent to these components
-    being real, but complex storage is kept so that broken inputs can be
-    represented.
+    ``components[i, j, k, l]`` holds the value on (W_i, W_j, W_k, W_l), where
+    (W_0, ..., W_4) = (Z1, Z2, Zbar1, Zbar2, Reeb) are the rows of
+    ``COMPLEX_FRAME``: the frame in which the tensor is built and its
+    symmetries are stated.  Evaluation on real frame vectors extends
+    multilinearly.  Complex storage represents broken inputs as well.
     """
 
-    entries: np.ndarray
+    components: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.entries, dtype=complex).copy()
+        t = np.asarray(self.components, dtype=complex).copy()
         if t.shape[-4:] != (5, 5, 5, 5):
-            raise ValueError(f"entries must be 5x5x5x5, got {t.shape}")
+            raise ValueError(f"components must be 5x5x5x5, got {t.shape}")
         t.flags.writeable = False
-        object.__setattr__(self, "entries", t)
-
-    def complex_components(self) -> np.ndarray:
-        """Components over the frame (Z1, Z2, Zbar1, Zbar2, Reeb)."""
-        return _change_frame(_REAL_TO_COMPLEX_PAIRS, self.entries)
+        object.__setattr__(self, "components", t)
 
     def ricci_trace(self) -> np.ndarray:
-        """5x5 matrix of sum_a R(e_i, e_j, Z_a, Zbar_a); equals i rho_h."""
-        z = COMPLEX_FRAME
-        return np.einsum("...ijkl,ak,al->...ij", self.entries, z[:2], z[2:4])
+        """5x5 matrix of sum_a R(W_i, W_j, Z_a, Zbar_a); equals Z (i rho_h) Z^T
+        for Z = ``COMPLEX_FRAME``."""
+        return self.components[..., [0, 1], [2, 3]].sum(-1)
 
 
 def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
@@ -403,23 +380,23 @@ def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
     gc[..., 2:4, :2, :2, 2:4] = -np.swapaxes(lam, -4, -3)
     gc[..., 2:4, :2, 2:4, :2] = np.swapaxes(np.swapaxes(lam, -4, -3), -2, -1)
 
-    return CurvatureTensor4(_change_frame(_COMPLEX_TO_REAL_PAIRS, gc))
+    return CurvatureTensor4(gc)
 
 
 def symmetry_check(t: CurvatureTensor4) -> dict[str, float]:
     """Max violation of the four curvature-tensor symmetries.
 
-    * antisymmetry within the first and the second index pair,
+    * antisymmetry within the first and the second index pair (one frame
+      change on every slot preserves it, so the complex components show it),
     * the conjugation rule (components on conjugated arguments are the
       complex conjugates),
     * exchange of the first and third slots on T10-type arguments,
     * vanishing whenever the first two arguments both lie in T10.
     """
-    e = t.entries
-    r_first = float(np.max(np.abs(e + np.swapaxes(e, -4, -3))))
-    r_second = float(np.max(np.abs(e + np.swapaxes(e, -2, -1))))
+    gc = t.components
+    r_first = float(np.max(np.abs(gc + np.swapaxes(gc, -4, -3))))
+    r_second = float(np.max(np.abs(gc + np.swapaxes(gc, -2, -1))))
 
-    gc = t.complex_components()
     conj_map = np.array(_CONJ_INDEX)
     gc_bar = gc[(..., *np.ix_(conj_map, conj_map, conj_map, conj_map))]
     r_conj = float(np.max(np.abs(np.conj(gc) - gc_bar)))

@@ -2,8 +2,8 @@
 contact splitting of 2-forms and the self-dual / anti-self-dual decomposition.
 
 Frame convention: coframe indices 1..4 span the horizontal (contact)
-directions and index 5 is the Reeb direction, so ``e(5)`` plays the role of
-the contact form eta.  The orientation is fixed by
+directions and index 5 is the Reeb direction, so ``basis_form(5)`` plays the
+role of the contact form eta.  The orientation is fixed by
 
     vol = e1 ^ e2 ^ e3 ^ e4 ^ eta.
 
@@ -118,8 +118,8 @@ class KForm:
     ``coeffs[..., p]`` is the coefficient of the basis form with index tuple
     ``INDEX_TUPLES[degree][p]``; leading axes, if any, index a stack of
     samples.  A form is horizontal when every coefficient whose multi-index
-    contains the Reeb index 5 vanishes exactly.  ``coefficient``,
-    ``evaluate`` and ``repr`` take single forms.
+    contains the Reeb index 5 vanishes exactly.  ``coefficient`` takes single
+    forms.
     """
 
     degree: int
@@ -152,9 +152,6 @@ class KForm:
         self._same_degree(other)
         return KForm(self.degree, self.coeffs - other.coeffs)
 
-    def __neg__(self) -> "KForm":
-        return KForm(self.degree, -self.coeffs)
-
     def __mul__(self, scalar) -> "KForm":
         return KForm(self.degree, self.coeffs * np.asarray(scalar, dtype=complex)[..., None])
 
@@ -184,33 +181,8 @@ class KForm:
         """Largest coefficient modulus over the whole stack; NaN if any is NaN."""
         return float(np.max(np.abs(self.coeffs), initial=0.0))
 
-    def evaluate(self, *vectors) -> complex:
-        """Evaluate on ``degree`` frame-coordinate vectors (length 5 each)."""
-        if len(vectors) != self.degree:
-            raise ValueError("vector count must equal the degree")
-        if self.degree == 0:
-            return complex(self.coeffs[0])
-        # minors[p]: determinant of the vectors' components on basis tuple p.
-        columns = np.array(INDEX_TUPLES[self.degree]) - 1
-        vs = np.array(vectors, dtype=complex)
-        minors = np.linalg.det(vs[:, columns].transpose(1, 0, 2))
-        return complex(self.coeffs @ minors)
-
-    def __repr__(self):
-        parts = []
-        for pos, idx in enumerate(INDEX_TUPLES[self.degree]):
-            c = self.coeffs[pos]
-            if c != 0:
-                name = "^".join("eta" if i == REEB_INDEX else f"e{i}" for i in idx)
-                parts.append(f"({c})*{name}" if name else f"({c})")
-        return f"KForm<{' + '.join(parts) if parts else '0'}>"
-
 
 # -- constructors ----------------------------------------------------------
-
-
-def zero_form(degree: int) -> KForm:
-    return KForm(degree, np.zeros(len(INDEX_TUPLES[degree]), dtype=complex))
 
 
 def basis_form(*indices: int) -> KForm:
@@ -221,13 +193,6 @@ def basis_form(*indices: int) -> KForm:
     c = np.zeros(len(INDEX_TUPLES[k]), dtype=complex)
     c[INDEX_TUPLES[k].index(tuple(indices))] = 1
     return KForm(k, c)
-
-
-def e(i: int) -> KForm:
-    """Coframe 1-form e^i; e(5) is the contact form eta."""
-    if not 1 <= i <= DIM:
-        raise ValueError(f"coframe index must be in 1..{DIM}, got {i}")
-    return basis_form(i)
 
 
 def deta() -> KForm:

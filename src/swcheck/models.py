@@ -72,10 +72,6 @@ class VectorFieldPoly:
             [ZERO if comp.is_zero() else f.diff(c) for c, comp in enumerate(self.components)],
         )
 
-    def evaluate(self, points) -> np.ndarray:
-        """Values at a stack of points ``(..., 5)``, shape ``(..., 5)``."""
-        return evaluate_all(self.components, points)
-
     def __add__(self, other: "VectorFieldPoly") -> "VectorFieldPoly":
         return VectorFieldPoly(
             tuple(a + b for a, b in zip(self.components, other.components))
@@ -86,15 +82,9 @@ class VectorFieldPoly:
             tuple(a - b for a, b in zip(self.components, other.components))
         )
 
-    def __neg__(self) -> "VectorFieldPoly":
-        return VectorFieldPoly(tuple(-c for c in self.components))
-
     def scale(self, f) -> "VectorFieldPoly":
         f = _as_poly(f)
         return VectorFieldPoly(tuple(f * c for c in self.components))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
 
 ZERO_FIELD = VectorFieldPoly.make(0, 0, 0, 0, 0)
@@ -221,17 +211,6 @@ class ConnectionCoefficients:
     def flat() -> "ConnectionCoefficients":
         z = tuple(tuple(tuple(ZERO for _ in range(5)) for _ in range(5)) for _ in range(5))
         return ConnectionCoefficients(z, CoordForm.one_form(0, 0, 0, 0, 0))
-
-    def with_a(self, a_form: CoordForm) -> "ConnectionCoefficients":
-        return ConnectionCoefficients(self.gamma, a_form)
-
-    def is_flat(self) -> bool:
-        return all(
-            self.gamma[i][j][k].is_zero()
-            for i in range(5)
-            for j in range(5)
-            for k in range(5)
-        )
 
     def nabla(self, frame: FrameFieldSet, i: int, j: int) -> VectorFieldPoly:
         """Covariant derivative of e_{j+1} along e_{i+1} as a vector field."""
@@ -525,10 +504,6 @@ class SyntheticModel:
             raise ValueError("inadmissible synthetic model: " + "; ".join(bad))
 
     @property
-    def s(self) -> float:
-        return self.curvature.s
-
-    @property
     def rho_h(self) -> KForm:
         return self.curvature.rho_h
 
@@ -650,7 +625,7 @@ def load_model(source) -> ModelBundle:
     if "A" in data:
         a_form = CoordForm.one_form(*_parse_array("A", data["A"], (5,), _parse_field))
         try:
-            conn = conn.with_a(a_form)
+            conn = ConnectionCoefficients(conn.gamma, a_form)
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
 
@@ -666,32 +641,3 @@ def load_model(source) -> ModelBundle:
             raise ModelFormatError("curvature.ric: " + "; ".join(bad))
 
     return ModelBundle(frame, conn, curv)
-
-
-def model_to_dict(bundle: ModelBundle) -> dict:
-    """Canonical JSON-ready form of a model (polynomials in canonical text)."""
-    frame = bundle.frame
-    out: dict = {
-        "chart": frame.name,
-        "eta": [str(c) for c in frame.eta.coeffs],
-        "xi": [str(c) for c in frame.reeb.components],
-        "frame": [[str(c) for c in frame.fields[i].components] for i in range(4)],
-        "J": [[str(frame.jmat[r][c]) for c in range(5)] for r in range(5)],
-    }
-    if not bundle.connection.is_flat():
-        out["gamma"] = [
-            [[str(bundle.connection.gamma[i][j][k]) for k in range(5)] for j in range(5)]
-            for i in range(5)
-        ]
-    a = bundle.connection.a_form
-    if any(not c.is_zero() for c in a.coeffs):
-        out["A"] = [str(c) for c in a.coeffs]
-    if bundle.curvature is not None:
-        out["curvature"] = {"ric": bundle.curvature.ric.tolist()}
-    return out
-
-
-def save_model(bundle: ModelBundle, path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_dict(bundle), indent=2, sort_keys=True), encoding="utf-8"
-    )

@@ -103,9 +103,6 @@ class PolyExpr:
     def __sub__(self, other) -> "PolyExpr":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other) -> "PolyExpr":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other) -> "PolyExpr":
         # With two multi-term operands the float sums depend on the order of
         # accumulation; dot fixes the operand order, so p * q == q * p exactly.

@@ -84,3 +84,30 @@ _SHEARED_CHART = {
 def sheared_chart():
     """A fresh copy of the sheared Heisenberg model, as a model-file dict."""
     return copy.deepcopy(_SHEARED_CHART)
+
+
+def _model_to_dict(bundle) -> dict:
+    """Canonical model-file dict of a model (polynomials in canonical text);
+    ``gamma`` and ``A`` are written only when not identically zero."""
+    frame, conn = bundle.frame, bundle.connection
+    out = {
+        "chart": frame.name,
+        "eta": [str(c) for c in frame.eta.coeffs],
+        "xi": [str(c) for c in frame.reeb.components],
+        "frame": [[str(c) for c in field.components] for field in frame.fields[:4]],
+        "J": [[str(c) for c in row] for row in frame.jmat],
+    }
+    if not all(g.is_zero() for plane in conn.gamma for row in plane for g in row):
+        out["gamma"] = [[[str(g) for g in row] for row in plane] for plane in conn.gamma]
+    if not all(c.is_zero() for c in conn.a_form.coeffs):
+        out["A"] = [str(c) for c in conn.a_form.coeffs]
+    if bundle.curvature is not None:
+        out["curvature"] = {"ric": bundle.curvature.ric.tolist()}
+    return out
+
+
+@pytest.fixture
+def model_to_dict():
+    """The model-file writer: ``model_to_dict(bundle)`` gives the dict that
+    ``swcheck.models.load_model`` reads back to the same model."""
+    return _model_to_dict

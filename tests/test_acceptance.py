@@ -214,7 +214,7 @@ def test_criterion_8_canonical_solution():
     _report(8, "canonical solution and scaled negative control", ok, "; ".join(details))
 
 
-def test_criterion_9_negative_controls(tmp_path, capsys):
+def test_criterion_9_negative_controls(tmp_path, capsys, model_to_dict):
     """Every suite must FAIL (exit code 1) on a deliberately broken input."""
     invocations = [
         ["clifford", "--perturb", "1e-3"],
@@ -230,7 +230,7 @@ def test_criterion_9_negative_controls(tmp_path, capsys):
         codes[argv[0]] = run(argv + ["--output", str(out)])
 
     # Broken model file: a rescaled frame field must fail the model suite.
-    from swcheck.models import load_model, model_to_dict
+    from swcheck.models import load_model
 
     broken = model_to_dict(load_model("heisenberg"))
     broken["frame"][0] = ["2", "0", "0", "0", "2*y1"]

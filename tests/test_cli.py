@@ -11,7 +11,7 @@ import pytest
 from swcheck import cli, cliff5, curvature, models
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from swcheck.dirac_sw import FormSpinorField, SpinorField
-from swcheck.models import load_model, model_to_dict
+from swcheck.models import load_model
 from swcheck.poly import PolyExpr
 
 
@@ -61,7 +61,7 @@ class TestSuitesPass:
             "solution",
         }
 
-    def test_all_on_a_model_file_runs_dirac_on_heisenberg(self, tmp_path, capsys):
+    def test_all_on_a_model_file_runs_dirac_on_heisenberg(self, tmp_path, capsys, model_to_dict):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(load_model("heisenberg"))))
         code, rep = _run(["all", "--samples", "20", "--model", str(path)], capsys)
@@ -128,7 +128,7 @@ class TestNegativeControls:
         assert rep["pass"] is False
         assert any(not c["pass"] for c in rep["checks"])
 
-    def test_broken_model_file_fails_checks(self, tmp_path, capsys):
+    def test_broken_model_file_fails_checks(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
         data["frame"][1] = ["0", "2", "0", "0", "0"]  # e2 scaled by 2
         path = tmp_path / "broken.json"
@@ -145,6 +145,23 @@ class TestUsageErrors:
 
     def test_positive_scalar_rejected(self, capsys):
         assert run(["solution", "--scalar", "1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("suite", ["solution", "all"])
+    def test_positive_scalar_rejected_before_any_suite_runs(self, suite, monkeypatch, capsys):
+        def fail(ns):
+            raise AssertionError("a suite ran")
+
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, fail)
+        assert run([suite, "--scalar", "1"]) == EXIT_USAGE
+        assert "--scalar must be negative, got 1.0" in capsys.readouterr().err
+
+    def test_output_into_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        assert run(["solution", "--output", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("swcheck: error: --output: ") and str(path) in err
+        assert not path.parent.exists()
 
     def test_invalid_samples(self, capsys):
         assert run(["curvature", "--samples", "0"]) == EXIT_USAGE
@@ -177,7 +194,7 @@ class TestUsageErrors:
     def test_missing_model_file(self, capsys):
         assert run(["model", "--model", "/nonexistent/model.json"]) == EXIT_USAGE
 
-    def test_malformed_model_file_reports_file_and_position(self, tmp_path, capsys):
+    def test_malformed_model_file_reports_file_and_position(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
         data["eta"][0] = "y1 ++ 2"
         path = tmp_path / "bad.json"
@@ -196,7 +213,9 @@ class TestUsageErrors:
             ("eta", float("inf"), "eta[4]"),
         ],
     )
-    def test_non_finite_model_input_is_usage_error(self, field, value, where, tmp_path, capsys):
+    def test_non_finite_model_input_is_usage_error(
+        self, field, value, where, tmp_path, capsys, model_to_dict
+    ):
         # max() reductions and the `abs(v) > tol` admissibility test both
         # drop NaN, so such a file must be refused at load time or it passes.
         data = model_to_dict(load_model("heisenberg"))
@@ -222,7 +241,9 @@ class TestUsageErrors:
             ([[0] * 5] * 4 + [[0] * 4], "curvature.ric[4]: expected 5 entries"),
         ],
     )
-    def test_malformed_ricci_entry_is_usage_error(self, ric, where, tmp_path, capsys):
+    def test_malformed_ricci_entry_is_usage_error(
+        self, ric, where, tmp_path, capsys, model_to_dict
+    ):
         data = model_to_dict(load_model("heisenberg"))
         data["curvature"] = {"ric": ric}
         path = tmp_path / "badric.json"
@@ -250,7 +271,7 @@ class TestUsageErrors:
             ("curvature", "ric", 4),
         ],
     )
-    def test_malformed_shape_is_usage_error(self, keys, broken, tmp_path, capsys):
+    def test_malformed_shape_is_usage_error(self, keys, broken, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
         data["gamma"] = [[["0"] * 5 for _ in range(5)] for _ in range(5)]
         data["A"] = ["0"] * 5
@@ -268,7 +289,7 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert f"{path}: {where}: expected {len(entries)} entries" in err
 
-    def test_exponent_beyond_the_packed_field_is_usage_error(self, tmp_path, capsys):
+    def test_exponent_beyond_the_packed_field_is_usage_error(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
         data["eta"][0] = "y1 + x1^3000"
         path = tmp_path / "power.json"
@@ -278,7 +299,7 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert f"{path}: eta[0]: exponent must be an integer in 0..255 at position 8" in err
 
-    def test_product_beyond_the_packed_field_is_usage_error(self, tmp_path, capsys):
+    def test_product_beyond_the_packed_field_is_usage_error(self, tmp_path, capsys, model_to_dict):
         # Each field parses, but the contact checks multiply them past degree 255.
         data = model_to_dict(load_model("heisenberg"))
         data["frame"][0][4], data["frame"][1][4] = "x1^200", "y1^200"
@@ -302,7 +323,7 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert str(tmp_path) in err and "cannot read" in err
 
-    def test_real_valued_a_is_usage_error(self, tmp_path, capsys):
+    def test_real_valued_a_is_usage_error(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
         data["A"] = ["1", 0, 0, 0, 0]
         path = tmp_path / "real_a.json"
@@ -317,7 +338,7 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "Heisenberg" in capsys.readouterr().err
 
-    def test_curvature_block_violation_is_usage_error(self, tmp_path, capsys):
+    def test_curvature_block_violation_is_usage_error(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
         ric = np.zeros((5, 5))
         ric[0, 1] = ric[1, 0] = 1.0

@@ -9,23 +9,32 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swcheck.cliff5 import (
+    GAMMA,
     PSI0,
-    clifford_two_form,
-    clifford_vector,
     deta_eigenprojectors,
     gamma,
     kappa_deta,
     sigma_full,
     sigma_h,
-    spinor_inner,
+    two_form_matrix,
 )
-from swcheck.extalg import INDEX_TUPLES, basis_form, deta, horizontal_split, zero_form
+from swcheck.extalg import INDEX_TUPLES, KForm, basis_form, deta, horizontal_split
 
 I = 1j
 
 
 def _spinors(rng, n=1):
     return rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+
+
+def spinor_inner(u, v) -> complex:
+    """Hermitian product on C^4, conjugate-linear in the second argument."""
+    return complex(np.vdot(v, u))
+
+
+def clifford_vector(v, psi) -> np.ndarray:
+    """Clifford action (sum_i v_i kappa(e_i)) psi of a frame vector."""
+    return np.tensordot(np.asarray(v, dtype=complex), GAMMA, 1) @ np.asarray(psi, dtype=complex)
 
 
 class TestGenerators:
@@ -89,15 +98,15 @@ class TestCliffordVector:
 
 class TestCliffordTwoForm:
     def test_deta_on_psi0(self):
-        out = clifford_two_form(deta(), PSI0)
+        out = two_form_matrix(deta()) @ PSI0
         assert np.array_equal(out, -2 * I * PSI0)
 
     def test_zero_form(self):
-        out = clifford_two_form(zero_form(2), PSI0)
+        out = two_form_matrix(KForm(2, np.zeros(10))) @ PSI0
         assert np.array_equal(out, np.zeros(4, dtype=complex))
 
     def test_deta_on_plus_eigenvector(self):
-        out = clifford_two_form(deta(), [0, 1, 0, 0])
+        out = two_form_matrix(deta()) @ np.array([0, 1, 0, 0])
         assert np.array_equal(out, np.array([0, 2 * I, 0, 0]))
 
     def test_kappa_deta_matrix(self):
@@ -105,7 +114,7 @@ class TestCliffordTwoForm:
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            clifford_two_form(basis_form(1), PSI0)
+            two_form_matrix(basis_form(1))
 
 
 class TestEigenprojectors:
@@ -210,9 +219,11 @@ class TestSigma:
         rng = np.random.default_rng(6)
         (psi,) = _spinors(rng)
         sig = sigma_full(psi)
+        # sigma(x, y) = x . m . y on frame vectors, m[i, j] = sigma(e_i, e_j).
+        m = np.array([[sig.coefficient(i, j) for j in range(1, 6)] for i in range(1, 6)])
         for _ in range(20):
             x, y = rng.normal(size=5), rng.normal(size=5)
-            assert abs(sig.evaluate(x, y) + sig.evaluate(y, x)) < 1e-12
+            assert abs(x @ m @ y + y @ m @ x) < 1e-12
 
 
 class TestInnerProductConvention:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from swcheck import curvature
 from swcheck.curvature import (
+    COMPLEX_FRAME,
     HORIZONTAL_FRAME_PAIRS,
     CurvatureData,
     CurvatureTensor4,
@@ -268,6 +268,27 @@ class TestRicIdentity:
         assert any("R12=0" in v for v in c.violations())
 
 
+#: One complex component, changed by 1e-3, and the terms of the check it
+#: flips.  Pair antisymmetry sees every component; conjugation every one but
+#: the self-conjugate (Reeb, Reeb, Reeb, Reeb); the other three only the
+#: components they constrain.
+_BROKEN_COMPONENTS = [
+    ((0, 2, 1, 3), {"pair_antisymmetry", "conjugation", "t10_exchange", "ricci_trace"}),
+    ((0, 0, 2, 3), {"pair_antisymmetry", "conjugation", "t10_vanishing"}),
+    ((0, 4, 2, 4), {"pair_antisymmetry", "conjugation"}),
+    ((4, 4, 4, 4), {"pair_antisymmetry"}),
+]
+
+
+def _flipped(t: CurvatureTensor4, c: CurvatureData) -> set[str]:
+    """Terms of the curvature tensor check above its tolerance: the four
+    symmetries and the Ricci trace against i rho_h, over the complex frame."""
+    z = COMPLEX_FRAME
+    trace = np.max(np.abs(t.ricci_trace() - 1j * z @ (J_FRAME @ c.ric) @ z.T))
+    terms = {**symmetry_check(t), "ricci_trace": trace}
+    return {name for name, r in terms.items() if not r <= 1e-12}
+
+
 class TestCurvatureTensor:
     def test_symmetries_on_synthetic_tensor(self):
         for seed in (0, 3, 17):
@@ -282,75 +303,51 @@ class TestCurvatureTensor:
             assert max(report.values()) < 1e-12
 
     def test_zero_tensor(self):
-        from swcheck.curvature import CurvatureTensor4
-
         report = symmetry_check(CurvatureTensor4(np.zeros((5, 5, 5, 5))))
         assert max(report.values()) == 0
 
     def test_perturbed_entry_detected(self):
-        t = curvature_tensor(random_admissible_ricci(default_rng(1)))
-        entries = np.array(t.entries)
-        entries[0, 0, 0, 1] += 1e-3
-        from swcheck.curvature import CurvatureTensor4
+        c = random_admissible_ricci(default_rng(1))
+        t = curvature_tensor(c)
+        assert _flipped(t, c) == set()
+        for index, flipped in _BROKEN_COMPONENTS:
+            components = np.array(t.components)
+            components[index] += 1e-3
+            assert _flipped(CurvatureTensor4(components), c) == flipped, index
 
-        report = symmetry_check(CurvatureTensor4(entries))
-        assert max(report.values()) >= 1e-3
+    @pytest.mark.parametrize("kept, broken", [((-2, -1), (-4, -3)), ((-4, -3), (-2, -1))])
+    def test_each_pair_of_the_antisymmetry_is_checked(self, kept, broken):
+        # A break antisymmetric in one index pair and symmetric in the other
+        # shows only in the other pair.
+        c = random_admissible_ricci(default_rng(1))
+        bump = np.zeros((5, 5, 5, 5))
+        bump[0, 2, 1, 3] = 1e-3
+        bump = bump - np.swapaxes(bump, *kept)
+        bump = bump + np.swapaxes(bump, *broken)
+        t = CurvatureTensor4(curvature_tensor(c).components + bump)
+        assert symmetry_check(t)["pair_antisymmetry"] >= 1e-3
 
     def test_ricci_trace_reproduces_i_rho(self):
+        z = COMPLEX_FRAME
         for seed in range(5):
             c = random_admissible_ricci(default_rng(seed))
             t = curvature_tensor(c)
             rho = (J_FRAME @ c.ric).astype(complex)
-            assert np.max(np.abs(t.ricci_trace() - 1j * rho)) < 1e-13
+            assert np.max(np.abs(t.ricci_trace() - z @ (1j * rho) @ z.T)) < 1e-13
 
     def test_components_real(self):
+        # Conjugation symmetry: the components on the real frame e_p, with
+        # e_p = sum_i inv(Z)[p, i] W_i, are real.
         t = curvature_tensor(random_admissible_ricci(default_rng(2)))
-        assert np.max(np.abs(t.entries.imag)) < 1e-14
+        m = np.linalg.inv(COMPLEX_FRAME)
+        real_frame = np.einsum("ia,jb,kc,ld,abcd->ijkl", m, m, m, m, t.components)
+        assert np.max(np.abs(real_frame.imag)) < 1e-14
 
     def test_rejects_inadmissible(self):
         ric = np.zeros((5, 5))
         ric[0, 1] = ric[1, 0] = 1.0
         with pytest.raises(ValueError):
             curvature_tensor(CurvatureData(ric))
-
-
-def _frame_change_reference(m, t):
-    """The frame change M on all four slots, written out as one 5-index sum."""
-    return np.einsum("ia,jb,kc,ld,...abcd->...ijkl", m, m, m, m, t)
-
-
-class TestFrameChange:
-    """The (25, 25) Kronecker products on index pairs agree with the 5-index sum."""
-
-    def test_admissible_draws(self, monkeypatch):
-        seen = []
-        change_frame = curvature._change_frame
-
-        def spy(k, t):
-            seen.append(t)
-            return change_frame(k, t)
-
-        monkeypatch.setattr(curvature, "_change_frame", spy)
-        t4 = curvature_tensor(random_admissible_ricci(default_rng(5), 10))
-        (gc,) = seen
-        assert t4.entries.shape == gc.shape == (10, 5, 5, 5, 5)
-        ref = _frame_change_reference(curvature._REAL_IN_COMPLEX, gc)
-        assert np.max(np.abs(t4.entries - ref)) <= 1e-14
-        ref = _frame_change_reference(curvature.COMPLEX_FRAME, t4.entries)
-        assert np.max(np.abs(t4.complex_components() - ref)) <= 1e-14
-
-    def test_broken_complex_stack(self):
-        rng = default_rng(6)
-        t = rng.standard_normal((3, 5, 5, 5, 5)) + 1j * rng.standard_normal((3, 5, 5, 5, 5))
-        ref = _frame_change_reference(curvature.COMPLEX_FRAME, t)
-        assert np.max(np.abs(CurvatureTensor4(t).complex_components() - ref)) <= 1e-14
-        pairs = curvature._COMPLEX_TO_REAL_PAIRS
-        ref = _frame_change_reference(curvature._REAL_IN_COMPLEX, t)
-        assert np.max(np.abs(curvature._change_frame(pairs, t) - ref)) <= 1e-14
-
-    def test_pair_matrices_are_constants(self):
-        for k in (curvature._REAL_TO_COMPLEX_PAIRS, curvature._COMPLEX_TO_REAL_PAIRS):
-            assert k.shape == (25, 25) and not k.flags.writeable
 
 
 class TestStacks:
@@ -419,16 +416,18 @@ class TestStacks:
         rng = default_rng(31)
         singles = [curvature_tensor(random_admissible_ricci(rng)) for _ in range(10)]
         t4 = curvature_tensor(c)
-        assert np.array_equal(t4.entries, [t.entries for t in singles])
+        assert np.array_equal(t4.components, [t.components for t in singles])
         assert np.array_equal(t4.ricci_trace(), [t.ricci_trace() for t in singles])
-        entries = np.array(t4.entries)
-        entries[4, 0, 0, 0, 1] += 1e-3
-        broken = [CurvatureTensor4(e) for e in entries]
-        report = symmetry_check(CurvatureTensor4(entries))
-        assert report == {
-            name: max(symmetry_check(t)[name] for t in broken) for name in report
-        }
-        assert max(report.values()) >= 1e-3
+        assert _flipped(t4, c) == set()
+        for index, flipped in _BROKEN_COMPONENTS:
+            components = np.array(t4.components)
+            components[(4, *index)] += 1e-3
+            broken = [CurvatureTensor4(x) for x in components]
+            report = symmetry_check(CurvatureTensor4(components))
+            assert report == {
+                name: max(symmetry_check(t)[name] for t in broken) for name in report
+            }
+            assert _flipped(CurvatureTensor4(components), c) == flipped, index
 
     def test_single_samples_keep_shape_and_type(self):
         c = random_admissible_ricci(default_rng(0))
