@@ -18,8 +18,11 @@ verify the checks are not vacuous; with a nonzero EPS the suite must fail.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
+import re
 import sys
 import time
 
@@ -28,16 +31,17 @@ import numpy as np
 from . import cliff5, curvature, extalg, models
 from .cliff5 import GAMMA, PSI0
 from .dirac_sw import (
-    FormSpinorField,
+    FIELD_DEGREE,
     SpinConnection,
     SpinorField,
     SWPair,
     canonical_solution,
     dbar_identity_residual,
     derive_identification,
+    dirac_on_basis,
     form_clifford_action,
     full_dirac,
-    full_dirac_fd,
+    full_dirac_fd_on_basis,
     kohn_dirac,
     sw_residual,
 )
@@ -54,7 +58,14 @@ from .extalg import (
     wedge,
 )
 from .models import ModelFormatError, load_model, sample_points
-from .poly import PolyExpr, PolySyntaxError, evaluate_all, max_abs, random_poly
+from .poly import (
+    PolyExpr,
+    PolySyntaxError,
+    evaluate_all,
+    max_abs,
+    random_coefficients,
+    random_poly,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -69,9 +80,32 @@ class UsageError(Exception):
     pass
 
 
+#: A negative float literal: decimal, scientific notation included, or inf / nan.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it would read the value
+        # in "--scalar -1e-3" as an option.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise UsageError(message)
+
+
+def _unwritable_directory(path: str) -> str | None:
+    """Why no file can be written at ``path`` because its directory is missing
+    or not writable, or None.  Creates and truncates nothing."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return os.strerror(errno.ENOENT)
+    if not os.access(directory, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
 
 
 def _json_number(x: float):
@@ -330,17 +364,27 @@ def _suite_dirac(ns) -> dict:
     checks.append(_check("full_dirac_psi0_zero", r, 0.0))
     checks.append(_check("kohn_dirac_psi0_zero", rk, 0.0))
 
-    errors = []
-    for _ in range(ns.samples):
-        psi = SpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
-        errors.append(full_dirac(s, psi).evaluate(points) - full_dirac_fd(s, psi, points, h=ns.h))
-    checks.append(_check("finite_difference_agreement", max_abs(errors), ns.tol))
+    # Every drawn field lies in the span of the basis fields m e_k (m a monomial
+    # of degree <= 3), and each check is linear in the field: its residuals are
+    # computed once on the basis, one row per basis field, and the residual of
+    # a draw is its coefficient vector times them.  Blocks draw in order, so the
+    # draws do not depend on BLOCK.
+    oracle = full_dirac_fd_on_basis(s, points, ns.h)
+    kohn, full = dirac_on_basis(s, points)
+    fd = (full - oracle).reshape(len(full), -1)
+    dbar = dbar_identity_residual(kohn[:, :10], points[:10]).reshape(len(fd), -1)
 
-    fields = [
-        FormSpinorField(tuple(random_poly(rng, 3) for _ in range(4))) for _ in range(20)
-    ]
-    r = dbar_identity_residual(fields, points[:10])
-    checks.append(_check("dbar_identity", r, 1e-10))
+    def worst_draw(n, rows):
+        coeffs = random_coefficients(rng, FIELD_DEGREE, (n, 4)).reshape(n, -1)
+        # einsum's own loop, not `@`: at this size `@` calls a threaded BLAS
+        # zgemm, measured at about 20 ms a call on a 2-vCPU machine against 1-3 ms.
+        return max_abs(np.einsum("fj,jr->fr", coeffs, rows))
+
+    r = _worst(ns.samples, lambda block: worst_draw(len(block), fd))
+    checks.append(_check("finite_difference_agreement", r, ns.tol))
+    checks.append(_check("finite_difference_agreement_degree3_basis", max_abs(fd), ns.tol))
+    checks.append(_check("dbar_identity", worst_draw(20, dbar), 1e-10))
+    checks.append(_check("dbar_identity_degree3_basis", max_abs(dbar), 1e-10))
 
     phi = derive_identification()
     defects = [phi.conj().T @ phi - np.eye(4)]
@@ -538,6 +582,9 @@ def run(argv=None) -> int:
             raise UsageError(f"--scalar must be negative, got {base.scalar}")
         if base.command == "dirac" and base.model != "heisenberg":
             raise UsageError("--model: the dirac suite runs on the Heisenberg chart only")
+        # Checked again when the report is written: the directory may change meanwhile.
+        if base.output and (reason := _unwritable_directory(base.output)):
+            raise UsageError(f"--output: {reason}: {base.output}")
         ns = _SubNS(base.command, base)
         start = time.perf_counter()
         report = SUITES[base.command](ns)

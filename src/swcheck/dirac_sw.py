@@ -25,7 +25,11 @@ Fields are evaluated on stacks of points, ``(..., 5)`` arrays, through
 :func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the independent
 oracle: it takes central differences of the spinor values on the stencil
 around every point and shares only the connection terms with the exact
-path.
+path.  Since every operator here is linear, ``dirac_on_basis``,
+``full_dirac_fd_on_basis`` and ``dbar_identity_residual`` give their values
+on all basis fields m e_k with m a monomial of degree at most FIELD_DEGREE
+at once, one row per field; a polynomial field of that degree is a
+combination of the rows.
 
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+.  Here sigma(psi)^+ means the
@@ -56,7 +60,7 @@ from .models import (
     heisenberg5,
     synthetic_model,
 )
-from .poly import PolyExpr, dot, evaluate_all, max_abs
+from .poly import PolyExpr, dot, evaluate_all, max_abs, monomials
 
 #: Prefactor of the so(5) part of the spinorial connection.
 SO_COUPLING = 0.25
@@ -173,35 +177,115 @@ def full_dirac(s: SpinConnection, psi: SpinorField) -> SpinorField:
     return kohn_dirac(s, psi) + _clifford(5, spin_covariant_derivative(s, 5, psi))
 
 
+def fd_stencil(points, h: float) -> np.ndarray:
+    """The points p, p + h e_c and p - h e_c (c = 1..5) around each of a stack
+    of points ``(..., 5)``, in that order: shape ``(..., 11, 5)``."""
+    shift = h * np.eye(5)
+    return np.asarray(points, dtype=float)[..., None, :] + np.concatenate(
+        [np.zeros((1, 5)), shift, -shift]
+    )
+
+
 def full_dirac_fd(
-    s: SpinConnection, psi: SpinorField, points, h: float = 1e-4, horizontal_only: bool = False
+    s: SpinConnection,
+    psi: SpinorField | np.ndarray,
+    points,
+    h: float = 1e-4,
+    horizontal_only: bool = False,
 ) -> np.ndarray:
     """Finite-difference oracle for the Dirac operators on a stack of points.
 
-    ``points`` has shape ``(..., 5)`` and the result ``(..., 4)``.  psi is
-    evaluated once on the stencil p, p + h e_c, p - h e_c of every point,
-    and the exact directional derivatives are replaced with central
-    differences along the chart coordinates; only the connection terms are
-    shared with the exact path.
+    ``points`` has shape ``(..., 5)``.  ``psi`` is a :class:`SpinorField`,
+    evaluated once on ``fd_stencil(points, h)``, or a stack of spinor values
+    on that stencil, shape ``(F, ..., 11, 4)`` for F fields; the result has
+    shape ``(..., 4)``, or ``(F, ..., 4)``.  The exact directional
+    derivatives are replaced with central differences along the chart
+    coordinates; only the connection terms are shared with the exact path.
     """
     points = np.asarray(points, dtype=float)
-    shift = h * np.eye(5)
-    stencil = points[..., None, :] + np.concatenate([np.zeros((1, 5)), shift, -shift])
-    psi_vals = psi.evaluate(stencil)
-    psi_p, plus, minus = psi_vals[..., 0, :], psi_vals[..., 1:6, :], psi_vals[..., 6:, :]
+    psi_vals = psi.evaluate(fd_stencil(points, h)) if isinstance(psi, SpinorField) else psi
+    psi_p = psi_vals[..., 0, :]
     frame = evaluate_all([c for f in s.frame.fields for c in f.components], points)
     frame = frame.reshape(points.shape[:-1] + (5, 5))
+    # e_w(psi) = sum_c e_w^c d_c psi, with d_c psi the central differences.
+    diffs = psi_vals[..., 1:6, :] - psi_vals[..., 6:, :]
+    diffs /= 2 * h
+    derivs = frame @ diffs
     out = np.zeros(psi_p.shape, dtype=complex)
     for w in range(1, 5 if horizontal_only else 6):
-        deriv = np.zeros(psi_p.shape, dtype=complex)
-        for c in range(5):
-            deriv += frame[..., w - 1, c, None] * (plus[..., c, :] - minus[..., c, :]) / (2 * h)
+        deriv = derivs[..., w - 1, :]
         terms = _connection_terms(s, w)
         coeffs = evaluate_all([coeff for coeff, _ in terms], points)
         for t, (_, m) in enumerate(terms):
             deriv += coeffs[..., t, None] * (psi_p @ m.T)
         out += deriv @ GAMMA[w - 1].T
     return out
+
+
+# -- the operators on the basis fields m e_k ------------------------------------
+#
+# Both Dirac operators, their oracle and the dbar identity are linear, and the
+# suite's random fields have components of degree at most FIELD_DEGREE.  So
+# each is computed once on the 4 M basis fields m e_k (m one of the M
+# monomials of ``poly.monomials(FIELD_DEGREE)``, e_k a unit vector), as a
+# stack with one row per basis field, k * M + i for m = monomials[i]; the
+# field with coefficients c (shape (4, M)) then has the value
+# ``c.reshape(-1) @ rows.reshape(4 * M, -1)``.
+
+#: Largest total degree of the field components that the basis spans.
+FIELD_DEGREE = 3
+
+
+def basis_monomials() -> list[PolyExpr]:
+    """The monomials of total degree at most FIELD_DEGREE, in ``poly.monomials`` order."""
+    return [PolyExpr.from_dict({e: 1}) for e in monomials(FIELD_DEGREE)]
+
+
+def _image(values, mat) -> np.ndarray:
+    """``f(m) mat e_k`` for the columns k of a ``(4, K)`` matrix, from the
+    values ``(..., M)`` of a scalar f(m) for every monomial m: shape
+    ``(K M, ..., 4)``, row k * M + i for m = monomials[i]."""
+    rows = np.einsum("...m,ik->km...i", values, mat)
+    return rows.reshape((-1,) + rows.shape[2:])
+
+
+def dirac_on_basis(s: SpinConnection, points) -> tuple[np.ndarray, np.ndarray]:
+    """``kohn_dirac`` and ``full_dirac`` of every basis field m e_k at a stack
+    of points, each of shape ``(4 M, ..., 4)``.
+
+    nabla_w (m e_k) = e_w(m) e_k + sum_t c_t m M_t e_k over the connection
+    terms (c_t, M_t) of ``_connection_terms``.  The derivatives e_w(m) are
+    built symbolically, once for every monomial, and evaluated in one call.
+    """
+    points = np.asarray(points, dtype=float)
+    monos = basis_monomials()
+    n = len(monos)
+    vals = evaluate_all([f.apply(m) for f in s.frame.fields for m in monos] + monos, points)
+
+    def clifford_derivative(w):
+        """kappa(e_w) nabla_w (m e_k) for every basis field."""
+        rows = _image(vals[..., (w - 1) * n : w * n], GAMMA[w - 1])
+        terms = _connection_terms(s, w)
+        coeffs = evaluate_all([coeff for coeff, _ in terms], points)
+        for t, (_, m) in enumerate(terms):
+            rows += _image(coeffs[..., t, None] * vals[..., 5 * n :], GAMMA[w - 1] @ m)
+        return rows
+
+    kohn = sum(clifford_derivative(w) for w in range(1, 5))
+    return kohn, kohn + clifford_derivative(5)
+
+
+def full_dirac_fd_on_basis(s: SpinConnection, points, h: float) -> np.ndarray:
+    """``full_dirac_fd`` on every basis field, shape ``(4 M, ..., 4)``.
+
+    The monomials are evaluated once on the stencil of all points; the
+    fields go through the oracle one e_k at a time, which keeps the stack of
+    stencil values to M fields.
+    """
+    values = evaluate_all(basis_monomials(), fd_stencil(points, h))
+    return np.concatenate(
+        [full_dirac_fd(s, _image(values, e_k[:, None]), points, h) for e_k in np.eye(4)]
+    )
 
 
 # -- identification with (0, *)-forms -----------------------------------------
@@ -349,18 +433,28 @@ def dbar_pair(field: FormSpinorField) -> tuple[FormSpinorField, FormSpinorField]
     return dbar, dbar_star
 
 
-def dbar_identity_residual(fields, points) -> float:
-    """Residual of sqrt(2) (dbar_H + dbar_H*) against Phi^-1 D_H Phi, flat Heisenberg model."""
-    s = SpinConnection.heisenberg()
+def dbar_identity_residual(kohn, points) -> np.ndarray:
+    """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f for every basis form
+    field f = m e_k at a stack of points, flat Heisenberg model: shape
+    ``(4 M, ..., 4)``, one row per basis field.
+
+    ``kohn`` is D_H on the spinor basis fields at the same points, the
+    first array of ``dirac_on_basis``.  With the flat connection dbar_H and
+    dbar_H* act componentwise, through the wedge and contraction matrices,
+    on Zbar_a(m) and Z_a(m); those are built symbolically once for every
+    monomial and evaluated in one call.
+    """
     phi = derive_identification()
-    phi_inv = phi.conj().T
-    diffs = []
-    for field in fields:
-        d, ds = dbar_pair(field)
-        dirac = kohn_dirac(s, field.to_spinor_field(phi))
-        lhs = _SQ2 * (d.evaluate(points) + ds.evaluate(points))
-        diffs.append(lhs - dirac.evaluate(points) @ phi_inv.T)
-    return max_abs(diffs)
+    z1, z2, zb1, zb2 = _heisenberg_z_fields()
+    terms = ((zb1, _WEDGE1), (zb2, _WEDGE2), (z1, -_CONTRACT1), (z2, -_CONTRACT2))
+    monos = basis_monomials()
+    vals = evaluate_all([z.apply(m) for z, _ in terms for m in monos], points)
+    vals = vals.reshape(vals.shape[:-1] + (len(terms), len(monos)))
+    lhs = sum(_image(vals[..., a, :], mat) for a, (_, mat) in enumerate(terms))
+    # Phi (m e_k) = sum_j Phi[j, k] m e_j.
+    rhs = np.tensordot(phi, kohn.reshape((4, -1) + kohn.shape[1:]), axes=(0, 0))
+    rhs = rhs.reshape(lhs.shape)
+    return _SQ2 * lhs - rhs @ phi.conj()
 
 
 # -- Seiberg-Witten residuals ---------------------------------------------------

@@ -191,12 +191,25 @@ def monomials(degree: int) -> tuple[_Exponents, ...]:
     return tuple(e for e in itertools.product(range(degree + 1), repeat=NVARS) if sum(e) <= degree)
 
 
+def random_coefficients(rng, degree: int, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Coefficient vectors over ``monomials(degree)``, shape ``shape + (M,)``.
+
+    Each vector has four distinct monomials, drawn by the numpy Generator
+    ``rng``, with complex standard-normal coefficients, and zeros elsewhere.
+    Vectors are drawn one after another in row-major order of ``shape``, so
+    the first n of a larger draw are the same.
+    """
+    n = len(monomials(degree))
+    rows = np.zeros((math.prod(shape), n), dtype=complex)
+    for row in rows:
+        picks = rng.choice(n, size=4, replace=False)
+        row[picks] = rng.normal(size=(4, 2)).view(complex)[:, 0]
+    return rows.reshape(shape + (n,))
+
+
 def random_poly(rng, degree: int) -> PolyExpr:
-    """Four distinct monomials drawn from ``monomials(degree)`` by the numpy
-    Generator ``rng``, each with a complex standard-normal coefficient."""
-    table = monomials(degree)
-    picks = rng.choice(len(table), size=4, replace=False)
-    return PolyExpr.from_dict({table[i]: complex(rng.normal(), rng.normal()) for i in picks})
+    """The polynomial of one :func:`random_coefficients` vector."""
+    return PolyExpr.from_dict(dict(zip(monomials(degree), random_coefficients(rng, degree))))
 
 
 #: Most elements in a temporary array of :func:`evaluate_all`: each block of

@@ -10,7 +10,7 @@ import pytest
 
 from swcheck import cli, cliff5, curvature, models
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
-from swcheck.dirac_sw import FormSpinorField, SpinorField
+from swcheck.dirac_sw import SpinorField
 from swcheck.models import load_model
 from swcheck.poly import PolyExpr
 
@@ -163,6 +163,44 @@ class TestUsageErrors:
         assert err.startswith("swcheck: error: --output: ") and str(path) in err
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("writable", [True, False])
+    def test_output_directory_checked_before_any_suite_runs(
+        self, writable, tmp_path, monkeypatch, capsys
+    ):
+        def fail(ns):
+            raise AssertionError("a suite ran")
+
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, fail)
+        if writable:
+            path, reason = tmp_path / "missing" / "r.json", "No such file or directory"
+        else:
+            # Root may write anywhere, so a read-only directory is simulated.
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+            path, reason = tmp_path / "r.json", "Permission denied"
+        assert run(["all", "--output", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"swcheck: error: --output: {reason}: {path}\n"
+        assert not path.exists()
+
+    def test_output_file_untouched_by_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text("kept")
+        assert run(["model", "--model", "/nonexistent.json", "--output", str(path)]) == EXIT_USAGE
+        assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize(
+        "option, code, message",
+        [
+            (["--scalar", "-1e-3"], EXIT_PASS, ""),
+            (["--perturb", "-1e-3"], EXIT_FAIL, ""),
+            (["--tol", "-1e-3"], EXIT_USAGE, "swcheck: error: --tol must be >= 0\n"),
+            (["--h", "-1e-3"], EXIT_USAGE, "swcheck: error: --h must be positive\n"),
+        ],
+    )
+    def test_negative_value_in_scientific_notation(self, option, code, message, capsys):
+        assert run(["solution"] + option) == code
+        assert capsys.readouterr().err == message
+
     def test_invalid_samples(self, capsys):
         assert run(["curvature", "--samples", "0"]) == EXIT_USAGE
 
@@ -185,7 +223,16 @@ class TestUsageErrors:
         assert "--seed must be < 2**63" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "option", [["--tol", "nan"], ["--tol", "inf"], ["--h", "inf"], ["--perturb", "nan"], ["--scalar=-inf"]]
+        "option",
+        [
+            ["--tol", "nan"],
+            ["--tol", "inf"],
+            ["--h", "inf"],
+            ["--perturb", "nan"],
+            ["--scalar=-inf"],
+            ["--scalar", "-inf"],
+            ["--h", "-Infinity"],
+        ],
     )
     def test_non_finite_option(self, option, capsys):
         assert run(["solution"] + option) == EXIT_USAGE
@@ -412,6 +459,17 @@ class TestSampleCounts:
             assert sum(rows) == n + 10
             assert max(rows) <= cli.BLOCK
 
+    def test_dirac_field_draws(self, monkeypatch, capsys):
+        for n in (3, cli.BLOCK + 7):
+            rows = self._rows(
+                monkeypatch, capsys, cli, "random_coefficients", lambda rng, degree, shape: shape,
+                ["dirac", "--samples", str(n)],
+            )
+            # Four components a field; dbar_identity draws 20 fields last.
+            assert all(shape[1:] == (4,) for shape in rows) and rows[-1] == (20, 4)
+            assert sum(shape[0] for shape in rows[:-1]) == n
+            assert max(shape[0] for shape in rows) <= cli.BLOCK
+
 
 class TestCurvatureDraws:
     """The curvature suite draws from one Ricci and one torsion stream, in
@@ -467,6 +525,30 @@ class TestCurvatureDraws:
             assert np.array_equal(many[attr][: len(few[attr])], few[attr])
 
 
+class TestDiracDraws:
+    """The dirac suite draws its fields one after another from one stream, and
+    a field's residual is its coefficients times the basis rows: the report
+    depends neither on ``cli.BLOCK`` nor, beyond the draws it adds, on
+    ``--samples``."""
+
+    def test_report_does_not_depend_on_block(self, monkeypatch, tmp_path):
+        argv = ["dirac", "--samples", "20", "--seed", "5"]
+        default = TestCurvatureDraws._report(argv, tmp_path / "default.json")
+        monkeypatch.setattr(cli, "BLOCK", 7)
+        assert TestCurvatureDraws._report(argv, tmp_path / "block7.json") == default
+
+    def test_fewer_samples_are_a_prefix(self, capsys):
+        worst = {}
+        for n in (5, 20):
+            code, rep = _run(["dirac", "--samples", str(n), "--seed", "5"], capsys)
+            assert code == EXIT_PASS
+            worst[n] = {c["name"]: c["residual"] for c in rep["checks"]}
+        sampled = "finite_difference_agreement"
+        assert 0 < worst[5][sampled] <= worst[20][sampled]
+        basis = "finite_difference_agreement_degree3_basis"
+        assert worst[5][basis] == worst[20][basis]
+
+
 class TestNonFiniteSamples:
     def test_nan_curvature_draw_fails(self, monkeypatch, capsys):
         # One NaN Ricci sample, in row 3 of the second block of draws, must
@@ -489,6 +571,32 @@ class TestNonFiniteSamples:
         assert code == EXIT_FAIL
         # ``_run`` refuses bare NaN tokens: the residual is the string "NaN".
         assert not rep["checks"][0]["pass"] and rep["checks"][0]["residual"] == "NaN"
+
+
+# (owner, name, call, checks): call number ``call`` of ``name`` on ``owner``
+# returning one NaN entry fails exactly ``checks`` of ``dirac --samples 2``.
+_DIRAC_NAN_CASES = [
+    # psi0 is evaluated once on the point array for full_dirac, then for
+    # kohn_dirac.
+    (SpinorField, "evaluate", 1, ["full_dirac_psi0_zero"]),
+    (SpinorField, "evaluate", 2, ["kohn_dirac_psi0_zero"]),
+    # The first draw of coefficients is the one block of finite-difference
+    # draws, the second the 20 dbar fields; the basis checks use no draw.
+    (cli, "random_coefficients", 1, ["finite_difference_agreement"]),
+    (cli, "random_coefficients", 2, ["dbar_identity"]),
+    # A draw's residual is its coefficients times the basis rows, so a NaN in
+    # a basis row fails the sampled check and the basis check.
+    (
+        cli,
+        "full_dirac_fd_on_basis",
+        1,
+        ["finite_difference_agreement", "finite_difference_agreement_degree3_basis"],
+    ),
+    (cli, "dbar_identity_residual", 1, ["dbar_identity", "dbar_identity_degree3_basis"]),
+    (cli, "form_clifford_action", 2, ["identification_unitary_intertwiner"]),
+    # sigma_full once for the rotated spinor, once for the original.
+    (cliff5, "sigma_full", 2, ["phase_invariance"]),
+]
 
 
 class TestNonFiniteEvaluations:
@@ -529,28 +637,21 @@ class TestNonFiniteEvaluations:
             assert len(hit) >= 10
 
     @pytest.mark.parametrize(
-        "owner, name, call, check",
-        [
-            pytest.param(*case, id=case[-1])
-            for case in [
-                # Each field is evaluated once on the point array: full_dirac(psi0),
-                # then kohn_dirac(psi0); one full_dirac_fd call per random field;
-                # sigma_full once for the rotated spinor, once for the original.
-                (SpinorField, "evaluate", 1, "full_dirac_psi0_zero"),
-                (SpinorField, "evaluate", 2, "kohn_dirac_psi0_zero"),
-                (cli, "full_dirac_fd", 2, "finite_difference_agreement"),
-                (FormSpinorField, "evaluate", 3, "dbar_identity"),
-                (cli, "form_clifford_action", 2, "identification_unitary_intertwiner"),
-                (cliff5, "sigma_full", 2, "phase_invariance"),
-            ]
-        ],
+        "owner, name, call, checks", [pytest.param(*c, id=c[-1][-1]) for c in _DIRAC_NAN_CASES]
     )
-    def test_each_dirac_check(self, owner, name, call, check, nan_on_call, capsys):
+    def test_each_dirac_check(self, owner, name, call, checks, nan_on_call, capsys):
         nan_on_call([owner], name, call)
         code, rep = _run(["dirac", "--samples", "2"], capsys)
         failed = self._failed(rep)
-        assert code == EXIT_FAIL and list(failed) == [check]
-        assert failed[check] == "NaN"
+        assert code == EXIT_FAIL and list(failed) == checks
+        assert all(r == "NaN" for r in failed.values())
+
+    def test_each_dirac_check_has_a_case(self, capsys):
+        code, rep = _run(["dirac", "--samples", "2"], capsys)
+        assert code == EXIT_PASS
+        assert {c for *_, checks in _DIRAC_NAN_CASES for c in checks} == {
+            c["name"] for c in rep["checks"]
+        }
 
     @pytest.mark.parametrize("suite", ["model", "all"])
     def test_overflowing_model_reaches_a_verdict(self, suite, capsys):

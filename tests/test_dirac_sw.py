@@ -6,17 +6,21 @@ import pytest
 from swcheck.cliff5 import GAMMA, PSI0, gamma, sigma_full
 from swcheck.curvature import admissible_ricci
 from swcheck.dirac_sw import (
+    FIELD_DEGREE,
     FormSpinorField,
     SpinConnection,
     SpinorField,
     SWPair,
+    basis_monomials,
     canonical_solution,
     dbar_identity_residual,
     dbar_pair,
     derive_identification,
+    dirac_on_basis,
     form_clifford_action,
     full_dirac,
     full_dirac_fd,
+    full_dirac_fd_on_basis,
     kohn_dirac,
     spin_covariant_derivative,
     sw_residual,
@@ -28,7 +32,14 @@ from swcheck.models import (
     heisenberg5,
     sample_points,
 )
-from swcheck.poly import PolyExpr, parse_poly, random_poly
+from swcheck.poly import (
+    PolyExpr,
+    max_abs,
+    monomials,
+    parse_poly,
+    random_coefficients,
+    random_poly,
+)
 
 POINTS = sample_points(20, seed=21)
 S_FLAT = SpinConnection.heisenberg()
@@ -347,10 +358,68 @@ class TestDbarOperators:
 
     def test_identity_on_random_fields(self):
         rng = np.random.default_rng(12)
-        fields = [
-            FormSpinorField(tuple(random_poly(rng, 3) for _ in range(4))) for _ in range(20)
-        ]
-        assert dbar_identity_residual(fields, POINTS[:10]) <= 1e-10
+        for _ in range(20):
+            field = FormSpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
+            assert max_abs(_dbar_identity_defect(field, POINTS[:10])) <= 1e-10
+
+
+def _dbar_identity_defect(field: FormSpinorField, points) -> np.ndarray:
+    """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f, built symbolically for
+    one field and evaluated at ``points``."""
+    phi = derive_identification()
+    d, ds = dbar_pair(field)
+    dirac = kohn_dirac(S_FLAT, field.to_spinor_field(phi))
+    lhs = np.sqrt(2) * (d.evaluate(points) + ds.evaluate(points))
+    return lhs - dirac.evaluate(points) @ phi.conj()
+
+
+def _basis_field(k: int, m: PolyExpr) -> tuple[PolyExpr, ...]:
+    """The components of m e_k."""
+    return tuple(m if j == k else PolyExpr() for j in range(4))
+
+
+class TestBasis:
+    """The rows of the basis arrays are the symbolic operators, and the
+    oracle, on the basis fields m e_k, row k * M + i for m = monomials[i]."""
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_rows_are_the_operators_on_each_basis_field(self, twisted):
+        s = _twisted_connection() if twisted else S_FLAT
+        kohn, full = dirac_on_basis(s, POINTS)
+        oracle = full_dirac_fd_on_basis(s, POINTS, 1e-4)
+        monos = basis_monomials()
+        assert len(monos) == len(monomials(FIELD_DEGREE)) == 56
+        assert kohn.shape == full.shape == oracle.shape == (224, 20, 4)
+        for k in range(4):
+            for i, m in enumerate(monos):
+                psi = SpinorField(_basis_field(k, m))
+                row = k * len(monos) + i
+                assert max_abs(full[row] - full_dirac(s, psi).evaluate(POINTS)) <= 1e-13
+                assert max_abs(kohn[row] - kohn_dirac(s, psi).evaluate(POINTS)) <= 1e-13
+                assert np.array_equal(oracle[row], full_dirac_fd(s, psi, POINTS, h=1e-4))
+
+    def test_dbar_rows_are_the_identity_on_each_basis_field(self):
+        points = POINTS[:10]
+        kohn, _ = dirac_on_basis(S_FLAT, points)
+        rows = dbar_identity_residual(kohn, points)
+        assert rows.shape == (224, 10, 4)
+        for k in range(4):
+            for i, m in enumerate(basis_monomials()):
+                defect = _dbar_identity_defect(FormSpinorField(_basis_field(k, m)), points)
+                assert max_abs(rows[k * 56 + i] - defect) <= 1e-14
+        assert max_abs(rows) <= 1e-10
+
+    def test_coefficients_times_rows_give_the_field(self):
+        # The layout random_coefficients draws in, (4, M) per field, matches
+        # the rows: a drawn field's value is its coefficients times them.
+        rng = np.random.default_rng(13)
+        coeffs = random_coefficients(rng, FIELD_DEGREE, (4,))
+        psi = SpinorField(
+            tuple(PolyExpr.from_dict(dict(zip(monomials(FIELD_DEGREE), c))) for c in coeffs)
+        )
+        _, full = dirac_on_basis(S_FLAT, POINTS)
+        value = np.einsum("j,j...->...", coeffs.reshape(-1), full)
+        assert max_abs(value - full_dirac(S_FLAT, psi).evaluate(POINTS)) <= 1e-12
 
 
 class TestSWResidual:

@@ -243,6 +243,22 @@ class TestRandomPoly:
         a = [poly.random_poly(np.random.default_rng(5), 3) for _ in range(2)]
         assert a[0] == a[1]
 
+    def test_coefficients_draw_one_polynomial_after_another(self):
+        # Each vector draws as the written-out sampler does: 4 distinct
+        # monomial indices, then a complex standard normal for each, in order.
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        drawn = poly.random_coefficients(rng, 3, (5, 4))
+        assert drawn.shape == (5, 4, 56)
+        for row in drawn.reshape(-1, 56):
+            picks = ref.choice(56, size=4, replace=False)
+            expected = np.zeros(56, dtype=complex)
+            expected[picks] = [complex(ref.normal(), ref.normal()) for _ in picks]
+            assert np.array_equal(row, expected)
+        table = poly.monomials(2)
+        p = poly.random_poly(rng, 2)
+        picks = ref.choice(21, size=4, replace=False)
+        assert p == PolyExpr.from_dict({table[i]: complex(ref.normal(), ref.normal()) for i in picks})
+
 
 class TestCalculus:
     def test_derivative_exact(self):
