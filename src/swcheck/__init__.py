@@ -9,8 +9,9 @@ extalg     exterior algebra, contact Hodge star, self-dual decomposition
 cliff5     exact Clifford representation on C^4 and the spinor bilinears
 curvature  admissible Webster-Ricci tensors, torsion, curvature symmetries
 poly       polynomial coefficient expressions and their grammar
-models     Heisenberg chart, synthetic pointwise model, axiom validators
-dirac_sw   spinorial connection, Dirac operators, the equations themselves
+models     Heisenberg chart, model files, axiom validators
+dirac_sw   spinorial connection, Dirac operators, the equations and their
+           canonical solution
 cli        the ``swcheck`` command-line front end
 """
 

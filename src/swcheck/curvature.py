@@ -76,12 +76,12 @@ def deta_pair(x, y) -> float:
 
 # -- admissible Ricci data ---------------------------------------------------
 
-def _violated(residual, tol: float) -> bool:
-    """Whether the largest modulus exceeds ``tol``; NaN always does."""
-    return not np.max(np.abs(residual)) <= tol
+def _violated(residual) -> bool:
+    """Whether any entry is nonzero; NaN always is."""
+    return not np.max(np.abs(residual)) <= 0.0
 
 
-def ricci_violations(ric: np.ndarray, tol: float = 0.0) -> list[str]:
+def ricci_violations(ric: np.ndarray) -> list[str]:
     """Names of the admissibility constraints any matrix of the stack violates."""
     r = np.asarray(ric, dtype=float)
     residuals = {
@@ -97,7 +97,7 @@ def ricci_violations(ric: np.ndarray, tol: float = 0.0) -> list[str]:
     return [
         f"constraint {name} violated (residual {np.max(np.abs(value)):.3g})"
         for name, value in residuals.items()
-        if _violated(value, tol)
+        if _violated(value)
     ]
 
 
@@ -106,9 +106,10 @@ class CurvatureData:
     """Webster-Ricci matrix R (real 5x5), with Ric = i R.
 
     ``s`` is the horizontal trace and ``rho_h``/``rho_plus`` the derived
-    Ricci form and its self-dual part.  Construction does not enforce
-    admissibility (negative controls need broken inputs); operations that
-    require it validate via :func:`ricci_violations`.
+    Ricci form and its self-dual part.  Nothing here enforces admissibility
+    (negative controls need broken inputs); ``violations`` lists what a
+    matrix breaks, and ``models.load_model`` refuses a model file's matrix
+    with any.
     """
 
     ric: np.ndarray
@@ -157,14 +158,8 @@ def random_admissible_ricci(rng: np.random.Generator, size=None) -> CurvatureDat
     return admissible_ricci(*np.moveaxis(params, -1, 0))
 
 
-def _require_admissible(c: CurvatureData):
-    bad = c.violations()
-    if bad:
-        raise ValueError("inadmissible Webster-Ricci tensor: " + "; ".join(bad))
-
-
-def ricci_form(c: CurvatureData, convention: str = "proof", check: bool = True) -> KForm:
-    """Ricci 2-form of an admissible Webster-Ricci matrix.
+def ricci_form(c: CurvatureData, convention: str = "proof") -> KForm:
+    """Ricci 2-form of a Webster-Ricci matrix.
 
     ``proof`` uses rho(e_i, e_j) = g(e_i, J Ric e_j) = (J R)_ij, the
     convention whose expansion
@@ -174,10 +169,9 @@ def ricci_form(c: CurvatureData, convention: str = "proof", check: bool = True) 
 
     feeds the self-dual projection identity.  ``endomorphism`` uses
     rho(e_i, e_j) = Ric(e_i, J e_j) = (R J)_ij; the two agree exactly on
-    admissible data because J and R commute there.
+    admissible data because J and R commute there.  Admissibility is not
+    checked: negative controls pass broken matrices.
     """
-    if check:
-        _require_admissible(c)
     if convention == "proof":
         m = J_FRAME @ c.ric
     elif convention == "endomorphism":
@@ -187,22 +181,22 @@ def ricci_form(c: CurvatureData, convention: str = "proof", check: bool = True) 
     return KForm(2, np.where(VERTICAL[2], 0, m[..., PAIR_INDEX[0], PAIR_INDEX[1]]))
 
 
-def rho_plus(c: CurvatureData, check: bool = True) -> KForm:
+def rho_plus(c: CurvatureData) -> KForm:
     """Self-dual part of the Ricci form; equals -(s/4) deta on admissible data."""
-    return sd_project(ricci_form(c, check=check)).plus
+    return sd_project(ricci_form(c)).plus
 
 
 # -- torsion -----------------------------------------------------------------
 
 
-def torsion_violations(tau: np.ndarray, tol: float = 0.0) -> list[str]:
+def torsion_violations(tau: np.ndarray) -> list[str]:
     t = np.asarray(tau, dtype=float)
     bad = []
-    if _violated(t - np.swapaxes(t, -1, -2), tol):
+    if _violated(t - np.swapaxes(t, -1, -2)):
         bad.append("torsion is not self-adjoint")
-    if _violated(t @ J_FRAME + J_FRAME @ t, tol):
+    if _violated(t @ J_FRAME + J_FRAME @ t):
         bad.append("torsion does not anticommute with J")
-    if _violated(t[..., :, 4], tol) or _violated(t[..., 4, :], tol):
+    if _violated(t[..., :, 4]) or _violated(t[..., 4, :]):
         bad.append("torsion does not annihilate the Reeb direction")
     return bad
 
@@ -219,9 +213,6 @@ class TorsionEndomorphism:
             raise ValueError(f"tau must be 5x5, got {t.shape}")
         t.flags.writeable = False
         object.__setattr__(self, "tau", t)
-
-    def violations(self) -> list[str]:
-        return torsion_violations(self.tau)
 
 
 def admissible_torsion(params) -> TorsionEndomorphism:
@@ -277,20 +268,21 @@ def bianchi_b(tau: TorsionEndomorphism, x, y) -> complex:
     return 0.5j * (d * j_tau.reshape(j_tau.shape + (1,) * d.ndim) + xty - ytx)
 
 
-def ric_identity_check(c: CurvatureData, tau: TorsionEndomorphism | None = None) -> float:
+def ric_identity_check(c: CurvatureData) -> float:
     """Residual of the reconstruction Ric = i rho_h over horizontal pairs.
 
     Reconstructs the 2-form part of i R through the endomorphism-convention
-    Ricci form plus the Bianchi correction B, and compares with the direct
-    (proof-convention) Ricci form.  On admissible data the two J-placements
-    agree and B vanishes, so the residual is zero; broken symmetry
-    constraints make J and R stop commuting and the residual turns on.
+    Ricci form and compares with the direct (proof-convention) Ricci form.
+    The reconstruction's Bianchi correction B vanishes for every self-adjoint
+    torsion (see ``bianchi_b``, checked on its own), so it does not enter.
+    On admissible data the two J-placements agree, so the residual is zero;
+    broken symmetry constraints make J and R stop commuting and the residual
+    turns on.
     """
-    direct = ricci_form(c, convention="proof", check=False)
-    recon = ricci_form(c, convention="endomorphism", check=False)
+    direct = ricci_form(c, convention="proof")
+    recon = ricci_form(c, convention="endomorphism")
     horizontal = ~VERTICAL[2]
-    b = 0 if tau is None else bianchi_b(tau, *HORIZONTAL_FRAME_PAIRS)
-    lhs = 1j * recon.coeffs[..., horizontal] + b
+    lhs = 1j * recon.coeffs[..., horizontal]
     rhs = 1j * direct.coeffs[..., horizontal]
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -342,7 +334,7 @@ class CurvatureTensor4:
         return self.components[..., [0, 1], [2, 3]].sum(-1)
 
 
-def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
+def curvature_tensor(c: CurvatureData) -> CurvatureTensor4:
     """Synthetic (4,0) curvature tensor with prescribed Webster-Ricci data.
 
     Built from a Hermitian 2x2 matrix P through the symmetrized ansatz
@@ -353,10 +345,8 @@ def curvature_tensor(c: CurvatureData, check: bool = True) -> CurvatureTensor4:
     extended by pair antisymmetry and conjugation, all other type components
     zero.  P is calibrated so that the Ricci trace over the unitary frame
     reproduces i rho_h exactly; the construction then satisfies all four
-    curvature tensor symmetries by design.
+    curvature tensor symmetries by design.  Admissibility is not checked.
     """
-    if check:
-        _require_admissible(c)
     rho = J_FRAME @ c.ric  # proof-convention Ricci form matrix, skew on H
     z = COMPLEX_FRAME
     # Target Ricci trace on (Z_a, Zbar_b): Hermitian 2x2.

@@ -19,20 +19,20 @@ term kappa(e_5) nabla_5.
 
 The operators map polynomial fields to polynomial fields:
 ``spin_covariant_derivative``, ``kohn_dirac`` and ``full_dirac`` return a
-:class:`SpinorField` and ``dbar_pair`` a pair of :class:`FormSpinorField`,
-each derived once and exactly; callers evaluate the result at points.
-Fields are evaluated on stacks of points, ``(..., 5)`` arrays, through
-:func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the independent
-oracle: it takes central differences of the spinor values on the stencil
-around every point and shares only the connection terms with the exact
-path.  Since every operator here is linear, ``dirac_on_basis``,
+:class:`SpinorField`, derived once and exactly; callers evaluate the result
+at points.  Fields are evaluated on stacks of points, ``(..., 5)`` arrays,
+through :func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the
+independent oracle: it takes central differences of the spinor values on
+the stencil around every point and shares only the connection terms with
+the exact path.  Since every operator here is linear, ``dirac_on_basis``,
 ``full_dirac_fd_on_basis`` and ``dbar_identity_residual`` give their values
 on all basis fields m e_k with m a monomial of degree at most FIELD_DEGREE
 at once, one row per field; a polynomial field of that degree is a
 combination of the rows.
 
 The curvature equation couples the self-dual part of F_A with the spinor
-bilinear: F_A^+ = -(1/4) sigma(psi)^+.  Here sigma(psi)^+ means the
+bilinear: F_A^+ = -(1/4) sigma(psi)^+; ``sw_residual`` takes the curvature
+2-form and the spinor values as arrays.  Here sigma(psi)^+ means the
 self-dual part of the HORIZONTAL component of sigma(psi): the contact star
 only acts on horizontal 2-forms, and the verified solution chain lives
 entirely in horizontal forms.  Vertical components of sigma are reported
@@ -43,31 +43,21 @@ dimension 5; the Dirac equation constrains a full spinor field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full, sigma_h
-from .curvature import admissible_ricci
-from .extalg import INDEX_TUPLES, PAIR_INDEX, KForm, horizontal_split, sd_project
-from .models import (
-    ConnectionCoefficients,
-    FrameFieldSet,
-    SyntheticModel,
-    VectorFieldPoly,
-    exterior_d,
-    heisenberg5,
-    synthetic_model,
-)
-from .poly import PolyExpr, dot, evaluate_all, max_abs, monomials
+from .curvature import _SQ2, COMPLEX_FRAME, admissible_ricci
+from .extalg import PAIR_INDEX, KForm, horizontal_split, sd_project
+from .models import ConnectionCoefficients, FrameFieldSet, VectorFieldPoly, heisenberg5
+from .poly import PolyExpr, dot, evaluate_all, monomials
 
 #: Prefactor of the so(5) part of the spinorial connection.
 SO_COUPLING = 0.25
 #: Prefactor of the U(1) part (determinant-line convention).
 U1_COUPLING = 0.5
-
-_SQ2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -186,24 +176,17 @@ def fd_stencil(points, h: float) -> np.ndarray:
     )
 
 
-def full_dirac_fd(
-    s: SpinConnection,
-    psi: SpinorField | np.ndarray,
-    points,
-    h: float = 1e-4,
-    horizontal_only: bool = False,
-) -> np.ndarray:
-    """Finite-difference oracle for the Dirac operators on a stack of points.
+def full_dirac_fd(s: SpinConnection, psi_vals: np.ndarray, points, h: float = 1e-4) -> np.ndarray:
+    """Finite-difference oracle for the full Dirac operator on a stack of points.
 
-    ``points`` has shape ``(..., 5)``.  ``psi`` is a :class:`SpinorField`,
-    evaluated once on ``fd_stencil(points, h)``, or a stack of spinor values
-    on that stencil, shape ``(F, ..., 11, 4)`` for F fields; the result has
-    shape ``(..., 4)``, or ``(F, ..., 4)``.  The exact directional
-    derivatives are replaced with central differences along the chart
-    coordinates; only the connection terms are shared with the exact path.
+    ``points`` has shape ``(..., 5)`` and ``psi_vals`` holds the spinor
+    values on ``fd_stencil(points, h)``, shape ``(..., 11, 4)``, or a stack
+    of them for F fields, ``(F, ..., 11, 4)``; the result has shape
+    ``(..., 4)``, or ``(F, ..., 4)``.  The exact directional derivatives are
+    replaced with central differences along the chart coordinates; only the
+    connection terms are shared with the exact path.
     """
     points = np.asarray(points, dtype=float)
-    psi_vals = psi.evaluate(fd_stencil(points, h)) if isinstance(psi, SpinorField) else psi
     psi_p = psi_vals[..., 0, :]
     frame = evaluate_all([c for f in s.frame.fields for c in f.components], points)
     frame = frame.reshape(points.shape[:-1] + (5, 5))
@@ -212,7 +195,7 @@ def full_dirac_fd(
     diffs /= 2 * h
     derivs = frame @ diffs
     out = np.zeros(psi_p.shape, dtype=complex)
-    for w in range(1, 5 if horizontal_only else 6):
+    for w in range(1, 6):
         deriv = derivs[..., w - 1, :]
         terms = _connection_terms(s, w)
         coeffs = evaluate_all([coeff for coeff, _ in terms], points)
@@ -381,56 +364,15 @@ def derive_identification() -> np.ndarray:
 # -- dbar operators on the Heisenberg model ------------------------------------
 
 
-@dataclass(frozen=True)
-class FormSpinorField:
-    """(0, *)-form field: components over (1, tb1, tb2, tb1 ^ tb2)."""
-
-    components: tuple[PolyExpr, PolyExpr, PolyExpr, PolyExpr]
-
-    @staticmethod
-    def make(*components) -> "FormSpinorField":
-        if len(components) != 4:
-            raise ValueError("a form-spinor field needs 4 components")
-        return FormSpinorField(
-            tuple(c if isinstance(c, PolyExpr) else PolyExpr.const(c) for c in components)
-        )
-
-    def evaluate(self, points) -> np.ndarray:
-        """Values at a stack of points ``(..., 5)``, shape ``(..., 4)``."""
-        return evaluate_all(self.components, points)
-
-    def to_spinor_field(self, phi: np.ndarray) -> SpinorField:
-        """Push through the identification matrix (constant coefficients)."""
-        return SpinorField(_mat_apply(phi, self.components))
-
-
 @lru_cache(maxsize=1)
 def _heisenberg_z_fields() -> tuple[VectorFieldPoly, ...]:
-    frame, _ = heisenberg5()
-    half = PolyExpr.const(1 / _SQ2)
-    mi = PolyExpr.const(-1j / _SQ2)
-    pi = PolyExpr.const(1j / _SQ2)
-    z1 = frame.fields[0].scale(half) + frame.fields[1].scale(mi)
-    z2 = frame.fields[2].scale(half) + frame.fields[3].scale(mi)
-    zb1 = frame.fields[0].scale(half) + frame.fields[1].scale(pi)
-    zb2 = frame.fields[2].scale(half) + frame.fields[3].scale(pi)
-    return z1, z2, zb1, zb2
-
-
-def dbar_pair(field: FormSpinorField) -> tuple[FormSpinorField, FormSpinorField]:
-    """(dbar_H f, dbar_H* f) as form fields, on the flat Heisenberg model.
-
-    dbar_H = sum_a tb^a ^ nabla_{Zbar_a} raises the degree and
-    dbar_H* = -sum_a i(Zbar_a) nabla_{Z_a} lowers it; with the flat
-    connection both reduce to componentwise Z / Zbar derivatives.
-    """
-    z1, z2, zb1, zb2 = _heisenberg_z_fields()
-    f0, f1, f2, f3 = field.components
-    dbar = FormSpinorField.make(0, zb1.apply(f0), zb2.apply(f0), zb1.apply(f2) - zb2.apply(f1))
-    dbar_star = FormSpinorField.make(
-        -(z1.apply(f1) + z2.apply(f2)), z2.apply(f3), -z1.apply(f3), 0
+    """Z1, Z2, Zbar1, Zbar2 on the Heisenberg chart: the first four rows of
+    ``COMPLEX_FRAME`` on its frame fields."""
+    fields = heisenberg5()[0].fields
+    return tuple(
+        reduce(VectorFieldPoly.__add__, (f.scale(c) for f, c in zip(fields, row) if c))
+        for row in COMPLEX_FRAME[:4]
     )
-    return dbar, dbar_star
 
 
 def dbar_identity_residual(kohn, points) -> np.ndarray:
@@ -460,119 +402,58 @@ def dbar_identity_residual(kohn, points) -> np.ndarray:
 # -- Seiberg-Witten residuals ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SWPair:
-    """A U(1) connection (through its curvature) together with a spinor field.
+def sw_residual(f_a: KForm, psi) -> tuple[float, float]:
+    """Max-norm residual of F_A^+ = -(1/4) sigma(psi)^+, and the largest
+    vertical component of sigma(psi), which that equation does not constrain.
 
-    On a polynomial model the curvature is the exact exterior derivative of
-    the connection 1-form; on the synthetic pointwise model it is prescribed
-    directly as i * rho_h.
+    ``f_a`` is the curvature 2-form and ``psi`` the spinor values, a ``(4,)``
+    array or a stack ``(..., 4)``.
     """
-
-    psi: SpinorField
-    connection: SpinConnection | None = None
-    synthetic: SyntheticModel | None = None
-
-    @staticmethod
-    def on_synthetic(model: SyntheticModel, psi: SpinorField) -> "SWPair":
-        return SWPair(psi=psi, synthetic=model)
-
-    def f_a_field(self) -> tuple[PolyExpr, ...]:
-        """Curvature 2-form as its 10 frame components, in basis order.
-
-        On a polynomial model these are the exact exterior derivative of the
-        connection 1-form paired against the frame; on the synthetic model
-        they are the prescribed constants.
-        """
-        if self.synthetic is not None:
-            return tuple(PolyExpr.const(c) for c in self.synthetic.f_a.coeffs)
-        fields = self.connection.frame.fields
-        fa_coord = exterior_d(self.connection.conn.a_form)
-        return tuple(fa_coord.pair_two(fields[i - 1], fields[j - 1]) for i, j in INDEX_TUPLES[2])
-
-
-class SWResidual(NamedTuple):
-    """Residuals of the two Seiberg-Witten equations, plus the vertical part
-    of sigma(psi) (which the curvature equation does not constrain)."""
-
-    r_dirac: float
-    r_curv: float
-    sigma_vertical: float
-
-
-def sw_residual(pair: SWPair, points=None) -> SWResidual:
-    """Max-norm residuals of D_A psi = 0 and F_A^+ = -(1/4) sigma(psi)^+.
-
-    On the synthetic model the connection is in a gauge normal at the point
-    and the spinor is constant, so every covariant derivative vanishes
-    identically and the Dirac residual is exactly zero; only the curvature
-    equation carries content there, evaluated at the single point 0.
-    """
-    if pair.synthetic is not None:
-        if any(c.degree() > 0 for c in pair.psi.components):
-            raise ValueError("the synthetic pointwise model carries constant spinors only")
-        points, r_dirac = np.zeros((1, 5)), 0.0
-    elif points is None:
-        raise ValueError("sample points are required on a polynomial model")
-    else:
-        r_dirac = max_abs(full_dirac(pair.connection, pair.psi).evaluate(points))
-    f_h, _ = horizontal_split(KForm(2, evaluate_all(pair.f_a_field(), points)))
-    sigma_h_part, sigma_v = horizontal_split(sigma_full(pair.psi.evaluate(points)))
+    f_h, _ = horizontal_split(f_a)
+    sigma_h_part, sigma_v = horizontal_split(sigma_full(psi))
     resid = sd_project(f_h).plus + 0.25 * sd_project(sigma_h_part).plus
-    return SWResidual(r_dirac, resid.norm_inf(), sigma_v.norm_inf())
+    return resid.norm_inf(), sigma_v.norm_inf()
 
 
 # -- the canonical solution ------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalSolution:
-    """The closed-form solution pair on constant negative scalar curvature.
+class CanonicalSolution(NamedTuple):
+    """The closed-form solution on constant negative scalar curvature s.
 
-    For s < 0 the spinor is psi = sqrt(-s) psi0 and the curvature is
-    prescribed through the Webster-Ricci tensor (s/4) diag(1, 1, 1, 1, 0).
-    The identity chain
+    The spinor is psi = amplitude psi0 with amplitude sqrt(-s), and the
+    curvature is F_A = i rho_h for the Webster-Ricci tensor
+    (s/4) diag(1, 1, 1, 1, 0).  The identity chain
 
         sigma_h(psi) = i s deta,   rho_plus = -(s/4) deta,
         F_A^+ = -i (s/4) deta = -(1/4) sigma_h(psi)^+
 
     is carried exactly: the quadratic scaling of sigma is applied
-    analytically, so no square root enters the exact residual.
+    analytically, so no square root enters ``r_curv``.
     """
 
-    scalar: float
-    model: SyntheticModel
-    pair: SWPair
     amplitude: float
+    f_a: KForm
     sigma_h_psi: KForm
     rho_plus: KForm
     f_a_plus: KForm
-    r_dirac: float
     r_curv: float
 
 
 def canonical_solution(s: float) -> CanonicalSolution:
-    """Build and verify the canonical solution for negative constant s."""
+    """The canonical solution for negative constant s, with the residual of
+    its exact identity chain."""
     if not s < 0:
         raise ValueError(f"the scalar curvature must be negative, got {s}")
     c = admissible_ricci(s / 4.0, s / 4.0, 0.0, 0.0)
-    model = synthetic_model(c)
-    amplitude = float(np.sqrt(-s))
-    psi = SpinorField.psi0(amplitude)
-
     sigma_exact = (-s) * sigma_h(PSI0)  # quadratic scaling, applied exactly
-    sigma_plus = sd_project(sigma_exact).plus
-    f_a_plus = model.f_a_plus
-    r_curv = (f_a_plus + 0.25 * sigma_plus).norm_inf()
-
+    f_a_plus = 1j * c.rho_plus
+    r_curv = (f_a_plus + 0.25 * sd_project(sigma_exact).plus).norm_inf()
     return CanonicalSolution(
-        scalar=float(s),
-        model=model,
-        pair=SWPair.on_synthetic(model, psi),
-        amplitude=amplitude,
+        amplitude=float(np.sqrt(-s)),
+        f_a=1j * c.rho_h,
         sigma_h_psi=sigma_exact,
-        rho_plus=model.rho_plus,
+        rho_plus=c.rho_plus,
         f_a_plus=f_a_plus,
-        r_dirac=0.0,
         r_curv=float(r_curv),
     )

@@ -1,13 +1,11 @@
 """Concrete contact metric 5-manifolds and their axiom validators.
 
-Two models are provided:
-
-* the Heisenberg group chart on R^5 with contact form
-  eta = dt - y1 dx1 - y2 dx2, left-invariant frame, flat Tanaka-Webster
-  connection, vanishing torsion and scalar curvature;
-* a synthetic pointwise model: a single tangent space carrying prescribed
-  admissible Webster curvature and torsion, used for the algebraic identity
-  chain (it has no differential structure).
+The builtin model is the Heisenberg group chart on R^5 with contact form
+eta = dt - y1 dx1 - y2 dx2, left-invariant frame, flat Tanaka-Webster
+connection, vanishing torsion and scalar curvature.  Other charts are read
+from model files (``load_model``).  The canonical solution needs no chart:
+``dirac_sw.canonical_solution`` works on the curvature 2-form and spinor
+values at one point.
 
 All differential computations are exact: coefficient functions are
 :class:`~swcheck.poly.PolyExpr` polynomials, Lie brackets and exterior
@@ -32,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .curvature import CurvatureData, J_FRAME, TorsionEndomorphism
-from .extalg import INDEX_TUPLES, PAIR_INDEX, WEDGE, KForm
+from .curvature import CurvatureData, J_FRAME
+from .extalg import INDEX_TUPLES, PAIR_INDEX, WEDGE
 from .poly import ONE, ZERO, PolyExpr, PolySyntaxError, dot, evaluate_all, max_abs, parse_poly
 
 #: Sign in the horizontal torsion axiom T(X, Y) = sign * deta(X, Y) * Reeb.
@@ -479,54 +477,6 @@ def cr_check(frame: FrameFieldSet, points) -> dict[str, float]:
         "integrability": _max_eval(n_exprs, points),
         "eta_bracket_criterion": _max_eval(eta_exprs, points),
     }
-
-
-# -- synthetic pointwise model ---------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class SyntheticModel:
-    """One tangent space with prescribed Webster curvature and torsion.
-
-    There is no differential structure: the frame is the standard basis, J
-    the block rotation, and the curvature 2-form is prescribed directly as
-    F_A = i * rho_h.  The U(1) connection is taken in a gauge normal at the
-    point (its local 1-form vanishes there), so spinor covariant derivatives
-    of constant spinors vanish.
-    """
-
-    curvature: CurvatureData
-    torsion: TorsionEndomorphism
-
-    def __post_init__(self):
-        bad = self.curvature.violations() + self.torsion.violations()
-        if bad:
-            raise ValueError("inadmissible synthetic model: " + "; ".join(bad))
-
-    @property
-    def rho_h(self) -> KForm:
-        return self.curvature.rho_h
-
-    @property
-    def rho_plus(self) -> KForm:
-        return self.curvature.rho_plus
-
-    @property
-    def f_a(self) -> KForm:
-        """Prescribed curvature 2-form of the U(1) connection, i * rho_h."""
-        return 1j * self.rho_h
-
-    @property
-    def f_a_plus(self) -> KForm:
-        return 1j * self.rho_plus
-
-
-def synthetic_model(
-    curvature: CurvatureData, torsion: TorsionEndomorphism | None = None
-) -> SyntheticModel:
-    if torsion is None:
-        torsion = TorsionEndomorphism(np.zeros((5, 5)))
-    return SyntheticModel(curvature, torsion)
 
 
 # -- model files ---------------------------------------------------------------

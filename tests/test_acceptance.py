@@ -16,10 +16,10 @@ from swcheck.cliff5 import PSI0, deta_eigenprojectors, gamma, kappa_deta, sigma_
 from swcheck.dirac_sw import (
     SpinConnection,
     SpinorField,
-    SWPair,
     canonical_solution,
     dbar_identity_residual,
     dirac_on_basis,
+    fd_stencil,
     full_dirac,
     full_dirac_fd,
     sw_residual,
@@ -174,15 +174,8 @@ def test_criterion_7_dirac_operators():
     worst_fd = 0.0
     for _ in range(50):
         psi = SpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
-        for p in points:
-            worst_fd = max(
-                worst_fd,
-                float(
-                    np.max(
-                        np.abs(full_dirac(s, psi).evaluate(p) - full_dirac_fd(s, psi, p, h=1e-4))
-                    )
-                ),
-            )
+        fd = full_dirac_fd(s, psi.evaluate(fd_stencil(points, 1e-4)), points, h=1e-4)
+        worst_fd = max(worst_fd, float(np.max(np.abs(full_dirac(s, psi).evaluate(points) - fd))))
 
     # The dbar identity on every basis field m e_k, so on every field of degree <= 3.
     kohn, _ = dirac_on_basis(s, points[:10])
@@ -202,14 +195,13 @@ def test_criterion_8_canonical_solution():
     details = []
     for s in (-1.0, -2.0, -4.0):
         sol = canonical_solution(s)
-        res = sw_residual(sol.pair)
-        ok = ok and sol.r_dirac == 0.0 and res.r_dirac == 0.0 and res.r_curv <= 1e-12
-        doubled = SWPair.on_synthetic(sol.model, SpinorField.psi0(2 * sol.amplitude))
-        res2 = sw_residual(doubled)
+        r_curv, _ = sw_residual(sol.f_a, sol.amplitude * PSI0)
+        ok = ok and sol.r_curv == 0.0 and r_curv <= 1e-12
+        r_doubled, _ = sw_residual(sol.f_a, 2 * sol.amplitude * PSI0)
         # deta has unit max-coefficient norm, so the closed form is |3s/4|.
-        mismatch = abs(res2.r_curv - abs(3 * s / 4))
+        mismatch = abs(r_doubled - abs(3 * s / 4))
         ok = ok and mismatch <= 1e-12
-        details.append(f"s={s}: curv {res.r_curv:.1e}, control {mismatch:.1e}")
+        details.append(f"s={s}: curv {r_curv:.1e}, control {mismatch:.1e}")
     _report(8, "canonical solution and scaled negative control", ok, "; ".join(details))
 
 

@@ -80,6 +80,7 @@ class TestSuitesPass:
     def test_solution_report_renders_f_a_plus(self, capsys):
         code, rep = _run(["solution", "--scalar", "-4"], capsys)
         assert code == EXIT_PASS
+        assert [c["residual"] for c in rep["checks"]] == [0.0] * 7
         assert rep["F_A_plus"] == "i*deta"
         assert rep["sigma_h_psi"] == "-4i*deta"
 
@@ -91,6 +92,42 @@ class TestSuitesPass:
         by_name = {c["name"]: c for c in rep["checks"]}
         assert by_name["rho_plus_is_minus_quarter_s_deta"]["residual"] <= 1e-12
         assert by_name["bianchi_correction_vanishes"]["residual"] <= 1e-12
+
+
+class TestSolutionScale:
+    """The two `solution` rows that square the amplitude sqrt(-s) are measured
+    relative to max(1, |s|); beyond cli.SCALAR_LIMIT the chain would overflow."""
+
+    def test_clean_run_passes_at_every_decade(self, capsys):
+        for k in range(-300, 301):
+            assert run(["solution", "--scalar", repr(-(10.0**k))]) == EXIT_PASS, k
+            capsys.readouterr()
+
+    def test_clean_run_passes_for_random_mantissas(self, capsys):
+        rng = np.random.default_rng(1400)
+        for s in -rng.uniform(1, 10, 200) * 10.0 ** rng.integers(3, 20, 200):
+            assert run(["solution", "--scalar", repr(float(s))]) == EXIT_PASS, s
+            capsys.readouterr()
+
+    def test_perturbed_run_fails_without_overflow_at_the_limit(self, capsys):
+        argv = ["solution", "--scalar", repr(-cli.SCALAR_LIMIT), "--perturb", "1e-3"]
+        code, rep = _run(argv, capsys)
+        assert code == EXIT_FAIL
+        by_name = {c["name"]: c["residual"] for c in rep["checks"]}
+        assert by_name["curvature_residual_pointwise"] == pytest.approx(5.0025e-4)
+
+    @pytest.mark.parametrize("suite", ["solution", "all"])
+    @pytest.mark.parametrize("scalar", ["-1e301", "-1.7e308"])
+    def test_scalar_beyond_the_limit_rejected_before_any_suite_runs(
+        self, suite, scalar, monkeypatch, capsys
+    ):
+        def fail(ns):
+            raise AssertionError("a suite ran")
+
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, fail)
+        assert run([suite, "--scalar", scalar]) == EXIT_USAGE
+        assert f"--scalar must be >= -1e+300, got {float(scalar)}" in capsys.readouterr().err
 
 
 class TestStackedEvaluation:

@@ -99,12 +99,6 @@ class TestRicciForm:
         b = ricci_form(c, convention="endomorphism")
         assert (a - b).norm_inf() < 1e-15
 
-    def test_rejects_inadmissible(self):
-        ric = np.zeros((5, 5))
-        ric[0, 4] = ric[4, 0] = 1.0
-        with pytest.raises(ValueError, match="R15=0"):
-            ricci_form(CurvatureData(ric))
-
     def test_linearity_in_curvature(self):
         c = random_admissible_ricci(default_rng(3))
         scaled = CurvatureData(3.5 * np.array(c.ric))
@@ -128,7 +122,7 @@ class TestRhoPlus:
         ric = np.array(admissible_ricci(1.0, 0.5, 0.0, 0.0).ric)
         ric[0, 0] += 1e-3  # R11 != R22 now
         c = CurvatureData(ric)
-        resid = (rho_plus(c, check=False) + (c.s / 4.0) * deta()).norm_inf()
+        resid = (rho_plus(c) + (c.s / 4.0) * deta()).norm_inf()
         assert resid >= 2e-4  # epsilon / 4
 
 
@@ -174,7 +168,7 @@ class TestBianchiCorrection:
         t = np.zeros((5, 5))
         t[0, 1], t[1, 0] = 1.0, -1.0
         tau = TorsionEndomorphism(t)
-        assert tau.violations() != []
+        assert torsion_violations(tau.tau) != []
         assert bianchi_b(tau, EI[2], EI[3]) == pytest.approx(-1j)
         assert bianchi_b(tau, EI[0], EI[1]) == 0
 
@@ -233,7 +227,7 @@ class TestAdmissibleTorsion:
     def test_sampler_satisfies_invariants(self):
         for seed in range(50):
             tau = random_admissible_torsion(default_rng(seed))
-            assert tau.violations() == []
+            assert torsion_violations(tau.tau) == []
 
     def test_span_dimension(self):
         basis = [admissible_torsion(row).tau.flatten() for row in np.eye(6)]
@@ -343,12 +337,6 @@ class TestCurvatureTensor:
         real_frame = np.einsum("ia,jb,kc,ld,abcd->ijkl", m, m, m, m, t.components)
         assert np.max(np.abs(real_frame.imag)) < 1e-14
 
-    def test_rejects_inadmissible(self):
-        ric = np.zeros((5, 5))
-        ric[0, 1] = ric[1, 0] = 1.0
-        with pytest.raises(ValueError):
-            curvature_tensor(CurvatureData(ric))
-
 
 class TestStacks:
     """A stack of 50 samples gives exactly the 50 results of the single
@@ -387,8 +375,8 @@ class TestStacks:
             assert np.array_equal(stacked, [ricci_form(x, convention).coeffs for x in singles])
         assert np.array_equal(rho_plus(c).coeffs, [rho_plus(x).coeffs for x in singles])
         broken, broken_singles = self._broken(c)
-        stacked = rho_plus(broken, check=False).coeffs
-        assert np.array_equal(stacked, [rho_plus(x, check=False).coeffs for x in broken_singles])
+        stacked = rho_plus(broken).coeffs
+        assert np.array_equal(stacked, [rho_plus(x).coeffs for x in broken_singles])
 
     def test_bianchi_b_broadcasts_torsion_against_pairs(self):
         t = np.random.default_rng(16).normal(size=(50, 5, 5))

@@ -1,22 +1,24 @@
 """Dirac operators, the form identification, and the solution verifier."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from swcheck.cliff5 import GAMMA, PSI0, gamma, sigma_full
-from swcheck.curvature import admissible_ricci
+from swcheck.curvature import admissible_ricci, ricci_form
 from swcheck.dirac_sw import (
     FIELD_DEGREE,
-    FormSpinorField,
     SpinConnection,
     SpinorField,
-    SWPair,
+    _heisenberg_z_fields,
+    _mat_apply,
     basis_monomials,
     canonical_solution,
     dbar_identity_residual,
-    dbar_pair,
     derive_identification,
     dirac_on_basis,
+    fd_stencil,
     form_clifford_action,
     full_dirac,
     full_dirac_fd,
@@ -25,7 +27,7 @@ from swcheck.dirac_sw import (
     spin_covariant_derivative,
     sw_residual,
 )
-from swcheck.extalg import deta, sd_project
+from swcheck.extalg import KForm, deta, horizontal_split, sd_project
 from swcheck.models import (
     ConnectionCoefficients,
     CoordForm,
@@ -34,6 +36,7 @@ from swcheck.models import (
 )
 from swcheck.poly import (
     PolyExpr,
+    evaluate_all,
     max_abs,
     monomials,
     parse_poly,
@@ -53,6 +56,11 @@ def _heisenberg_with_a(a_form: CoordForm) -> SpinConnection:
 
 def _random_spinor_field(rng, degree=3):
     return SpinorField(tuple(random_poly(rng, degree) for _ in range(4)))
+
+
+def _oracle(s: SpinConnection, psi: SpinorField, points, h: float = 1e-4) -> np.ndarray:
+    """``full_dirac_fd`` of one field, from its values on the stencil."""
+    return full_dirac_fd(s, psi.evaluate(fd_stencil(points, h)), points, h)
 
 
 class TestSpinCovariantDerivative:
@@ -91,8 +99,6 @@ class TestKohnDirac:
             expected = p[1] * (GAMMA[0] @ basis0) + p[3] * (GAMMA[2] @ basis0)
             out = kohn_dirac(S_FLAT, psi).evaluate(p)
             assert np.max(np.abs(out - expected)) < 1e-14
-            fd = full_dirac_fd(S_FLAT, psi, p, horizontal_only=True)
-            assert np.max(np.abs(out - fd)) < 1e-9
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
@@ -128,7 +134,7 @@ class TestFullDirac:
             )
             out = full_dirac(S_FLAT, psi).evaluate(p)
             assert np.max(np.abs(out - expected)) < 1e-14
-            fd = full_dirac_fd(S_FLAT, psi, p)
+            fd = _oracle(S_FLAT, psi, p)
             assert np.max(np.abs(out - fd)) < 1e-9
 
     def test_finite_difference_agreement_50_fields(self):
@@ -138,7 +144,7 @@ class TestFullDirac:
             psi = _random_spinor_field(rng, degree=3)
             for p in POINTS:
                 exact = full_dirac(S_FLAT, psi).evaluate(p)
-                approx = full_dirac_fd(S_FLAT, psi, p, h=1e-4)
+                approx = _oracle(S_FLAT, psi, p, h=1e-4)
                 worst = max(worst, float(np.max(np.abs(exact - approx))))
         assert worst <= 1e-6
 
@@ -210,7 +216,7 @@ class TestConnectionTerms:
         s, psi = _twisted_connection(), _TWISTED_PSI
         for p in POINTS[:10]:
             exact = full_dirac(s, psi).evaluate(p)
-            approx = full_dirac_fd(s, psi, p, h=1e-4)
+            approx = _oracle(s, psi, p, h=1e-4)
             assert np.max(np.abs(exact - approx)) <= 1e-6
 
     def test_finite_differences_match_written_out_loop(self):
@@ -222,23 +228,22 @@ class TestConnectionTerms:
         def psi_at(q):
             return np.array([c(q) for c in _TWISTED_PSI.components])
 
-        for horizontal_only in (False, True):
-            stacked = full_dirac_fd(s, _TWISTED_PSI, POINTS, h=h, horizontal_only=horizontal_only)
-            for p, row in zip(POINTS, stacked):
-                expected = np.zeros(4, dtype=complex)
-                for w in range(4 if horizontal_only else 5):
-                    frame_w = [c(p) for c in s.frame.fields[w].components]
-                    deriv = sum(
-                        x * (psi_at(p + h * e) - psi_at(p - h * e)) / (2 * h)
-                        for x, e in zip(frame_w, np.eye(5))
-                    )
-                    a_w = sum(a(p) * x for a, x in zip(s.conn.a_form.coeffs, frame_w))
-                    m = 0.5 * a_w * np.eye(4)
-                    for j in range(5):
-                        for k in range(j + 1, 5):
-                            m = m + 0.25 * s.conn.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
-                    expected += GAMMA[w] @ (deriv + m @ psi_at(p))
-                assert np.max(np.abs(row - expected)) <= 1e-12
+        stacked = _oracle(s, _TWISTED_PSI, POINTS, h=h)
+        for p, row in zip(POINTS, stacked):
+            expected = np.zeros(4, dtype=complex)
+            for w in range(5):
+                frame_w = [c(p) for c in s.frame.fields[w].components]
+                deriv = sum(
+                    x * (psi_at(p + h * e) - psi_at(p - h * e)) / (2 * h)
+                    for x, e in zip(frame_w, np.eye(5))
+                )
+                a_w = sum(a(p) * x for a, x in zip(s.conn.a_form.coeffs, frame_w))
+                m = 0.5 * a_w * np.eye(4)
+                for j in range(5):
+                    for k in range(j + 1, 5):
+                        m = m + 0.25 * s.conn.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
+                expected += GAMMA[w] @ (deriv + m @ psi_at(p))
+            assert np.max(np.abs(row - expected)) <= 1e-12
 
 
 class TestStackedEvaluation:
@@ -246,21 +251,18 @@ class TestStackedEvaluation:
 
     def test_full_dirac_fd_rows(self):
         s = _twisted_connection()
-        for horizontal_only in (False, True):
-            stacked = full_dirac_fd(s, _TWISTED_PSI, POINTS, horizontal_only=horizontal_only)
-            assert stacked.shape == (20, 4)
-            for p, row in zip(POINTS, stacked):
-                single = full_dirac_fd(s, _TWISTED_PSI, p, horizontal_only=horizontal_only)
-                assert single.shape == (4,) and np.array_equal(single, row)
+        stacked = _oracle(s, _TWISTED_PSI, POINTS)
+        assert stacked.shape == (20, 4)
+        for p, row in zip(POINTS, stacked):
+            single = _oracle(s, _TWISTED_PSI, p)
+            assert single.shape == (4,) and np.array_equal(single, row)
 
     def test_evaluate_rows(self):
-        form = FormSpinorField(_TWISTED_PSI.components)
-        for field in (_TWISTED_PSI, form):
-            stacked = field.evaluate(POINTS)
-            assert stacked.shape == (20, 4)
-            for p, row in zip(POINTS, stacked):
-                single = field.evaluate(p)
-                assert single.shape == (4,) and np.array_equal(single, row)
+        stacked = _TWISTED_PSI.evaluate(POINTS)
+        assert stacked.shape == (20, 4)
+        for p, row in zip(POINTS, stacked):
+            single = _TWISTED_PSI.evaluate(p)
+            assert single.shape == (4,) and np.array_equal(single, row)
 
 
 class TestIdentification:
@@ -322,6 +324,48 @@ class TestIdentification:
                 a, b = form_clifford_action(x), form_clifford_action(y)
                 target = -2 * np.eye(4) if i == j else np.zeros((4, 4))
                 assert np.max(np.abs(a @ b + b @ a - target)) < 1e-12
+
+
+# -- the per-field dbar reference ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FormSpinorField:
+    """(0, *)-form field: components over (1, tb1, tb2, tb1 ^ tb2)."""
+
+    components: tuple[PolyExpr, PolyExpr, PolyExpr, PolyExpr]
+
+    @staticmethod
+    def make(*components) -> "FormSpinorField":
+        if len(components) != 4:
+            raise ValueError("a form-spinor field needs 4 components")
+        return FormSpinorField(
+            tuple(c if isinstance(c, PolyExpr) else PolyExpr.const(c) for c in components)
+        )
+
+    def evaluate(self, points) -> np.ndarray:
+        """Values at a stack of points ``(..., 5)``, shape ``(..., 4)``."""
+        return evaluate_all(self.components, points)
+
+    def to_spinor_field(self, phi: np.ndarray) -> SpinorField:
+        """Push through the identification matrix (constant coefficients)."""
+        return SpinorField(_mat_apply(phi, self.components))
+
+
+def dbar_pair(field: FormSpinorField) -> tuple[FormSpinorField, FormSpinorField]:
+    """(dbar_H f, dbar_H* f) as form fields, on the flat Heisenberg model.
+
+    dbar_H = sum_a tb^a ^ nabla_{Zbar_a} raises the degree and
+    dbar_H* = -sum_a i(Zbar_a) nabla_{Z_a} lowers it; with the flat
+    connection both reduce to componentwise Z / Zbar derivatives.
+    """
+    z1, z2, zb1, zb2 = _heisenberg_z_fields()
+    f0, f1, f2, f3 = field.components
+    dbar = FormSpinorField.make(0, zb1.apply(f0), zb2.apply(f0), zb1.apply(f2) - zb2.apply(f1))
+    dbar_star = FormSpinorField.make(
+        -(z1.apply(f1) + z2.apply(f2)), z2.apply(f3), -z1.apply(f3), 0
+    )
+    return dbar, dbar_star
 
 
 class TestDbarOperators:
@@ -396,7 +440,7 @@ class TestBasis:
                 row = k * len(monos) + i
                 assert max_abs(full[row] - full_dirac(s, psi).evaluate(POINTS)) <= 1e-13
                 assert max_abs(kohn[row] - kohn_dirac(s, psi).evaluate(POINTS)) <= 1e-13
-                assert np.array_equal(oracle[row], full_dirac_fd(s, psi, POINTS, h=1e-4))
+                assert np.array_equal(oracle[row], _oracle(s, psi, POINTS, h=1e-4))
 
     def test_dbar_rows_are_the_identity_on_each_basis_field(self):
         points = POINTS[:10]
@@ -424,75 +468,46 @@ class TestBasis:
 
 class TestSWResidual:
     def test_vacuum_solution(self):
-        pair = SWPair(psi=SpinorField.constant([0, 0, 0, 0]), connection=S_FLAT)
-        res = sw_residual(pair, POINTS[:10])
-        assert res.r_dirac == 0 and res.r_curv == 0 and res.sigma_vertical == 0
+        assert sw_residual(KForm(2, np.zeros(10)), np.zeros(4)) == (0, 0)
 
     @pytest.mark.parametrize("s", [-1.0, -2.0, -4.0])
     def test_canonical_pair_on_synthetic_model(self, s):
         sol = canonical_solution(s)
-        res = sw_residual(sol.pair)
-        assert res.r_dirac == 0
-        assert res.r_curv <= 1e-12
-        assert res.sigma_vertical == 0
+        r_curv, sigma_vertical = sw_residual(sol.f_a, sol.amplitude * PSI0)
+        assert r_curv <= 1e-12
+        assert sigma_vertical == 0
 
     @pytest.mark.parametrize("s", [-1.0, -2.0, -4.0])
     def test_doubled_spinor_mismatch_closed_form(self, s):
         sol = canonical_solution(s)
-        doubled = SWPair.on_synthetic(sol.model, SpinorField.psi0(2 * sol.amplitude))
-        res = sw_residual(doubled)
-        assert abs(res.r_curv - abs(3 * s / 4)) <= 1e-12
+        r_curv, _ = sw_residual(sol.f_a, 2 * sol.amplitude * PSI0)
+        assert abs(r_curv - abs(3 * s / 4)) <= 1e-12
 
     def test_sigma_plus_quadratic_scaling(self):
         rng = np.random.default_rng(13)
         psi = rng.normal(size=4) + 1j * rng.normal(size=4)
         lam = 1.7 - 0.4j
-        from swcheck.extalg import horizontal_split
-
         sp = sd_project(horizontal_split(sigma_full(psi)).horizontal).plus
         sp_scaled = sd_project(horizontal_split(sigma_full(lam * psi)).horizontal).plus
         assert (sp_scaled - abs(lam) ** 2 * sp).norm_inf() < 1e-12
 
-    def test_polynomial_model_matches_pointwise_loop(self):
-        from swcheck.extalg import KForm, horizontal_split
+    def test_stack_matches_pointwise_loop(self):
+        rng = np.random.default_rng(14)
+        f_a = 1j * rng.normal(size=(20, 10))
+        psi = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+        singles = [sw_residual(KForm(2, f), p) for f, p in zip(f_a, psi)]
+        assert np.min(singles) > 0.1
+        assert sw_residual(KForm(2, f_a), psi) == tuple(np.max(singles, axis=0))
 
-        a_form = CoordForm.one_form(parse_poly("0.5i*y1"), 0, parse_poly("-2i*x1*y2"), 0, 0)
-        psi = SpinorField.make(
-            parse_poly("x1 + 2i*t"), parse_poly("y1*y2 - 1"), parse_poly("0.5*x2^2"), 1
-        )
-        pair = SWPair(psi=psi, connection=_heisenberg_with_a(a_form))
-        res = sw_residual(pair, POINTS)
-        dirac = full_dirac(pair.connection, pair.psi)
-        r_dirac = r_curv = sigma_vert = 0.0
-        for p in POINTS:
-            r_dirac = max(r_dirac, np.max(np.abs(dirac.evaluate(p))))
-            f_h = horizontal_split(KForm(2, np.array([c(p) for c in pair.f_a_field()]))).horizontal
-            sigma_h_part, sigma_v = horizontal_split(sigma_full(pair.psi.evaluate(p)))
-            resid = sd_project(f_h).plus + 0.25 * sd_project(sigma_h_part).plus
-            r_curv = max(r_curv, resid.norm_inf())
-            sigma_vert = max(sigma_vert, sigma_v.norm_inf())
-        assert min(r_dirac, r_curv, sigma_vert) > 0.1
-        np.testing.assert_allclose(res, (r_dirac, r_curv, sigma_vert), rtol=1e-13)
-
-    @pytest.mark.parametrize("call, field", [(1, "r_dirac"), (2, "r_curv"), (3, "sigma_vertical")])
-    def test_nan_evaluation_propagates(self, call, field, nan_on_call):
-        # Call 1 evaluates D_A psi, call 2 the curvature form, call 3 psi.
-        from swcheck import dirac_sw
-
-        nan_on_call([dirac_sw], "evaluate_all", call)
-        pair = SWPair(psi=SpinorField.psi0(), connection=S_FLAT)
-        assert np.isnan(getattr(sw_residual(pair, POINTS[:10]), field))
-
-    def test_synthetic_model_takes_constant_spinors_only(self):
-        sol = canonical_solution(-1.0)
-        pair = SWPair.on_synthetic(sol.model, SpinorField.make(parse_poly("x1"), 0, 0, 1))
-        with pytest.raises(ValueError, match="constant spinors only"):
-            sw_residual(pair)
-
-    def test_points_required_on_polynomial_model(self):
-        pair = SWPair(psi=SpinorField.psi0(), connection=S_FLAT)
-        with pytest.raises(ValueError):
-            sw_residual(pair)
+    def test_nan_input_propagates(self):
+        sol = canonical_solution(-4.0)
+        psi = sol.amplitude * PSI0
+        f_a = np.array(sol.f_a.coeffs)
+        f_a[0] = np.nan
+        r_curv, sigma_vertical = sw_residual(KForm(2, f_a), psi)
+        assert np.isnan(r_curv) and sigma_vertical == 0
+        psi[0] = np.nan
+        assert all(np.isnan(sw_residual(sol.f_a, psi)))
 
 
 class TestConnectionValidation:
@@ -509,7 +524,6 @@ class TestCanonicalSolution:
     @pytest.mark.parametrize("s", [-1.0, -2.0, -4.0])
     def test_exact_residuals(self, s):
         sol = canonical_solution(s)
-        assert sol.r_dirac == 0.0
         assert sol.r_curv == 0.0  # exact in dyadic arithmetic
 
     def test_chain_values_for_s_minus_four(self):
@@ -533,4 +547,4 @@ class TestCanonicalSolution:
     def test_default_curvature_is_isotropic(self):
         sol = canonical_solution(-2.0)
         expected = admissible_ricci(-0.5, -0.5, 0.0, 0.0)
-        assert np.array_equal(sol.model.curvature.ric, expected.ric)
+        assert np.array_equal(sol.f_a.coeffs, (1j * ricci_form(expected)).coeffs)

@@ -1,4 +1,5 @@
-"""Model charts: Heisenberg validators, synthetic model, model files."""
+"""Model charts: Heisenberg validators, the pointwise model of the canonical
+solution, model files."""
 
 import json
 
@@ -7,14 +8,9 @@ import pytest
 from numpy.random import default_rng
 
 from swcheck import models
-from swcheck.curvature import (
-    CurvatureData,
-    TorsionEndomorphism,
-    admissible_ricci,
-    random_admissible_ricci,
-    random_admissible_torsion,
-)
+from swcheck.curvature import CurvatureData, admissible_ricci, random_admissible_ricci
 from swcheck import extalg
+from swcheck.dirac_sw import canonical_solution
 from swcheck.extalg import INDEX_TUPLES, deta
 from swcheck.models import (
     ConnectionCoefficients,
@@ -30,7 +26,6 @@ from swcheck.models import (
     lie_bracket,
     load_model,
     sample_points,
-    synthetic_model,
     tw_axiom_check,
 )
 from swcheck.poly import PolyExpr
@@ -314,35 +309,23 @@ class TestCRCheck:
 
 
 class TestSyntheticModel:
+    """The pointwise model of the canonical solution: one tangent space whose
+    U(1) curvature is prescribed as F_A = i rho_h."""
+
     def test_f_a_plus_for_scalar_minus_four(self):
         c = admissible_ricci(-1.0, -1.0, 0.0, 0.0)  # s = -4
-        model = synthetic_model(c)
-        assert model.curvature.s == pytest.approx(-4.0)
-        assert (model.f_a_plus - 1j * deta()).norm_inf() == 0
+        assert c.s == pytest.approx(-4.0)
+        assert (1j * c.rho_plus - 1j * deta()).norm_inf() == 0
+        assert (canonical_solution(-4.0).f_a.coeffs == 1j * c.rho_h.coeffs).all()
 
     def test_zero_curvature(self):
-        model = synthetic_model(CurvatureData(np.zeros((5, 5))))
-        assert model.f_a.norm_inf() == 0
-        assert model.rho_plus.norm_inf() == 0
+        c = CurvatureData(np.zeros((5, 5)))
+        assert (1j * c.rho_h).norm_inf() == 0
+        assert c.rho_plus.norm_inf() == 0
 
     def test_f_a_is_imaginary_valued(self):
-        for seed in range(10):
-            model = synthetic_model(random_admissible_ricci(default_rng(seed)))
-            assert np.max(np.abs(model.f_a.coeffs.real)) == 0
-
-    def test_rejects_inadmissible_input(self):
-        ric = np.zeros((5, 5))
-        ric[0, 1] = ric[1, 0] = 1.0
-        with pytest.raises(ValueError, match="R12=0"):
-            synthetic_model(CurvatureData(ric))
-        t = np.zeros((5, 5))
-        t[0, 1] = 1.0
-        with pytest.raises(ValueError, match="self-adjoint"):
-            synthetic_model(random_admissible_ricci(default_rng(0)), TorsionEndomorphism(t))
-
-    def test_accepts_admissible_torsion(self):
-        model = synthetic_model(random_admissible_ricci(default_rng(1)), random_admissible_torsion(default_rng(2)))
-        assert model.torsion.violations() == []
+        for s in (-1e-3, -1.0, -4.0, -7.5, -1e3):
+            assert np.max(np.abs(canonical_solution(s).f_a.coeffs.real)) == 0
 
 
 class TestModelFiles:
