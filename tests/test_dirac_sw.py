@@ -499,15 +499,23 @@ class TestSWResidual:
         assert np.min(singles) > 0.1
         assert sw_residual(KForm(2, f_a), psi) == tuple(np.max(singles, axis=0))
 
-    def test_nan_input_propagates(self):
+    @pytest.mark.parametrize("call, field", [(2, "r_curv"), (3, "sigma_vertical")])
+    def test_nan_evaluation_propagates(self, call, field):
+        # Input 2 is the curvature form, input 3 the spinor; a NaN in either
+        # must reach the residual it feeds, not be masked by a max.
         sol = canonical_solution(-4.0)
-        psi = sol.amplitude * PSI0
         f_a = np.array(sol.f_a.coeffs)
-        f_a[0] = np.nan
+        psi = sol.amplitude * PSI0
+        if call == 2:
+            f_a[0] = np.nan
+        else:
+            psi[0] = np.nan
         r_curv, sigma_vertical = sw_residual(KForm(2, f_a), psi)
-        assert np.isnan(r_curv) and sigma_vertical == 0
-        psi[0] = np.nan
-        assert all(np.isnan(sw_residual(sol.f_a, psi)))
+        assert np.isnan({"r_curv": r_curv, "sigma_vertical": sigma_vertical}[field])
+        if call == 2:
+            assert sigma_vertical == 0
+        else:
+            assert np.isnan(r_curv)
 
 
 class TestConnectionValidation:

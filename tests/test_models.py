@@ -8,7 +8,13 @@ import pytest
 from numpy.random import default_rng
 
 from swcheck import models
-from swcheck.curvature import CurvatureData, admissible_ricci, random_admissible_ricci
+from swcheck.curvature import (
+    CurvatureData,
+    admissible_ricci,
+    random_admissible_ricci,
+    random_admissible_torsion,
+    torsion_violations,
+)
 from swcheck import extalg
 from swcheck.dirac_sw import canonical_solution
 from swcheck.extalg import INDEX_TUPLES, deta
@@ -326,6 +332,10 @@ class TestSyntheticModel:
     def test_f_a_is_imaginary_valued(self):
         for s in (-1e-3, -1.0, -4.0, -7.5, -1e3):
             assert np.max(np.abs(canonical_solution(s).f_a.coeffs.real)) == 0
+
+    def test_accepts_admissible_torsion(self):
+        assert random_admissible_ricci(default_rng(1)).violations() == []
+        assert torsion_violations(random_admissible_torsion(default_rng(2)).tau) == []
 
 
 class TestModelFiles:
