@@ -154,6 +154,9 @@ def _worst(n: int, residuals):
     return np.max([residuals(b) for b in np.split(np.arange(n), range(BLOCK, n, BLOCK))], axis=0)
 
 
+# A huge --perturb overflows the generator products to inf or NaN, which then
+# fails its check.
+@np.errstate(over="ignore", invalid="ignore")
 def _suite_clifford(ns) -> dict:
     perturb = ns.perturb
     gs = np.array(GAMMA)
@@ -424,6 +427,8 @@ def _format_deta_multiple(form: KForm) -> str:
     return repr(form)
 
 
+# A huge --perturb overflows sigma(psi) to inf or NaN, which then fails its check.
+@np.errstate(over="ignore", invalid="ignore")
 def _suite_solution(ns) -> dict:
     s_val = ns.scalar
     sol = canonical_solution(s_val)

@@ -11,7 +11,10 @@ All differential computations are exact: coefficient functions are
 :class:`~swcheck.poly.PolyExpr` polynomials, Lie brackets and exterior
 derivatives are computed symbolically, and residual reports only evaluate
 the resulting polynomials, on the whole array of sample points at once
-(:func:`~swcheck.poly.evaluate_all`).
+(:func:`~swcheck.poly.evaluate_all`).  What the three model checks share
+(``deta``, the Webster metric of the frame, and the eta-values and Lie
+brackets of the frame fields and their J-images) is built once per frame, in
+tables on :class:`FrameFieldSet` that fill on first use.
 
 Torsion sign convention.  With the coordinate exterior derivative, Cartan's
 formula forces eta([X, Y]) = -deta(X, Y) for horizontal X, Y, and therefore
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -165,9 +169,35 @@ def exterior_d(form: CoordForm) -> CoordForm:
 # -- frame sets and connections ------------------------------------------------
 
 
+class _LazyTable:
+    """Square table whose entry ``[a, b]`` is ``build(a, b)``, built on first read."""
+
+    def __init__(self, build, n: int):
+        self._build = build
+        self._rows = [[None] * n for _ in range(n)]
+
+    def __getitem__(self, index: tuple[int, int]):
+        a, b = index
+        value = self._rows[a][b]
+        if value is None:
+            value = self._rows[a][b] = self._build(a, b)
+        return value
+
+
+def _is_zero_field(x: VectorFieldPoly) -> bool:
+    return all(c.is_zero() for c in x.components)
+
+
 @dataclass(frozen=True)
 class FrameFieldSet:
-    """Local frame (e1, e2, e3, e4, Reeb), contact form and J on a chart."""
+    """Local frame (e1, e2, e3, e4, Reeb), contact form and J on a chart.
+
+    What two or more model checks read is kept here, each entry built on
+    first read: ``deta``; ``span``, the 15 fields e_i, J e_i, J^2 e_i
+    (``span[i]`` is e_{i+1}, ``span[4]`` is Reeb, and ``span[a + 5]`` is
+    J span[a]); their eta-values; and the tables ``deta_pair``, ``metric``,
+    ``bracket`` and ``j_bracket``.  What one check reads once is not kept.
+    """
 
     name: str
     fields: tuple[VectorFieldPoly, ...]  # e1..e4, Reeb
@@ -186,6 +216,62 @@ class FrameFieldSet:
 
     def j_apply(self, x: VectorFieldPoly) -> VectorFieldPoly:
         return VectorFieldPoly(tuple(dot(row, x.components) for row in self.jmat))
+
+    def _j(self, x: VectorFieldPoly) -> VectorFieldPoly:
+        # J of the zero field (J Reeb, a vanishing bracket) is the zero field.
+        return x if _is_zero_field(x) else self.j_apply(x)
+
+    @cached_property
+    def deta(self) -> CoordForm:
+        return exterior_d(self.eta)
+
+    @cached_property
+    def span(self) -> tuple[VectorFieldPoly, ...]:
+        je = tuple(self._j(f) for f in self.fields)
+        return self.fields + je + tuple(self._j(f) for f in je)
+
+    @cached_property
+    def eta_span(self) -> tuple[PolyExpr, ...]:
+        """eta(span[a]) for a < 10."""
+        return tuple(self.eta.pair_vector(x) for x in self.span[:10])
+
+    def _deta(self, x: VectorFieldPoly, y: VectorFieldPoly) -> PolyExpr:
+        # deta with the zero field (J Reeb) is zero.
+        return ZERO if _is_zero_field(x) or _is_zero_field(y) else self.deta.pair_two(x, y)
+
+    @cached_property
+    def deta_pair(self) -> _LazyTable:
+        """``deta_pair[i, j]`` = deta(e_{i+1}, e_{j+1})."""
+        return _LazyTable(lambda i, j: self._deta(self.fields[i], self.fields[j]), 5)
+
+    def webster(self, a: int, b: int) -> PolyExpr:
+        """g(span[a], span[b]) for a, b < 10, with the Webster metric
+        g(X, Y) = deta(X, JY) + eta(X) eta(Y)."""
+        eta = self.eta_span
+        return self._deta(self.span[a], self.span[b + 5]) + eta[a] * eta[b]
+
+    @cached_property
+    def metric(self) -> _LazyTable:
+        """``metric[i, j]`` = g(e_{i+1}, e_{j+1}), which both contact_check and
+        tw_axiom_check read; the entries with J e_i, which only contact_check
+        reads, are built by ``webster`` and not kept."""
+        return _LazyTable(self.webster, 5)
+
+    @cached_property
+    def bracket(self) -> _LazyTable:
+        """``bracket[a, b]`` = [span[a], span[b]] for a, b < 10."""
+
+        def build(a, b):
+            x, y = self.span[a], self.span[b]
+            # A bracket with the zero field (J Reeb) is the zero field.
+            return ZERO_FIELD if _is_zero_field(x) or _is_zero_field(y) else lie_bracket(x, y)
+
+        return _LazyTable(build, 10)
+
+    @cached_property
+    def j_bracket(self) -> _LazyTable:
+        """``j_bracket[i, j]`` = J [e_{i+1}, e_{j+1}]."""
+        return _LazyTable(lambda i, j: self._j(self.bracket[i, j]), 5)
 
 
 @dataclass(frozen=True)
@@ -265,20 +351,9 @@ def _max_eval(exprs: list[PolyExpr], points) -> float:
     return max_abs(evaluate_all([e for e in exprs if not e.is_zero()], points))
 
 
-def _webster_metric(frame: FrameFieldSet, deta: CoordForm):
-    """Symbolic Webster metric g(X, Y) = deta(X, JY) + eta(X) eta(Y)."""
-
-    def g(x: VectorFieldPoly, y: VectorFieldPoly) -> PolyExpr:
-        return deta.pair_two(x, frame.j_apply(y)) + frame.eta.pair_vector(
-            x
-        ) * frame.eta.pair_vector(y)
-
-    return g
-
-
 def contact_volume(frame: FrameFieldSet) -> PolyExpr:
     """Coefficient of eta ^ deta ^ deta against the coordinate volume."""
-    deta = exterior_d(frame.eta)
+    deta = frame.deta
     top = frame.eta.wedge(deta).wedge(deta)
     return top.coeffs[0]
 
@@ -292,65 +367,52 @@ def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
     deta-compatibility of the metric, consistency of J with the frame
     (J e1 = e2, J e3 = e4, J Reeb = 0) and the identity J^2 = -Id + eta (x) Reeb.
     """
-    deta = exterior_d(frame.eta)
-    g = _webster_metric(frame, deta)
-    eta_of = [frame.eta.pair_vector(f) for f in frame.fields]
-    je = [frame.j_apply(f) for f in frame.fields]
+    eta_of = frame.eta_span
+    g = frame.metric
+    je = frame.span[5:10]
+    pairs = [(i, j) for i in range(5) for j in range(5)]
+    delta = [[ONE if i == j else ZERO for j in range(5)] for i in range(5)]
+    xi_comps, eta_comps = frame.reeb.components, frame.eta.coeffs
+    jmat = frame.jmat
 
-    reeb = [eta_of[4] - ONE]
-    horiz = [eta_of[i] for i in range(4)]
-
-    orth = []
-    j_inv = []
-    compat = []
-    for i in range(5):
-        for j in range(5):
-            gij = g(frame.fields[i], frame.fields[j])
-            delta = ONE if i == j else ZERO
-            orth.append(gij - delta)
-            j_inv.append(g(je[i], je[j]) - gij + eta_of[i] * eta_of[j])
-            compat.append(
-                g(je[i], frame.fields[j]) - deta.pair_two(frame.fields[i], frame.fields[j])
-            )
-
-    frame_j = list((je[0] - frame.fields[1]).components)
-    frame_j += list((je[2] - frame.fields[3]).components)
-    frame_j += list(je[4].components)
-
-    jsq = []
-    xi_comps = frame.reeb.components
-    eta_comps = frame.eta.coeffs
-    for c in range(5):
-        for d in range(5):
-            entry = dot(frame.jmat[c], [row[d] for row in frame.jmat])
-            delta = ONE if c == d else ZERO
-            jsq.append(entry + delta - xi_comps[c] * eta_comps[d])
-
-    vol_min = float(np.min(np.abs(evaluate_all([contact_volume(frame)], points))))
-
+    # Each family of residual polynomials is evaluated as soon as it is built,
+    # so that one family at a time is held.
     return {
-        "reeb_normalization": _max_eval(reeb, points),
-        "eta_on_horizontal": _max_eval(horiz, points),
-        "contact_volume_min": vol_min,
-        "frame_orthonormality": _max_eval(orth, points),
-        "metric_J_invariance": _max_eval(j_inv, points),
-        "metric_deta_compatibility": _max_eval(compat, points),
-        "frame_J_consistency": _max_eval(frame_j, points),
-        "J_square_identity": _max_eval(jsq, points),
+        "reeb_normalization": _max_eval([eta_of[4] - ONE], points),
+        "eta_on_horizontal": _max_eval(eta_of[:4], points),
+        "contact_volume_min": float(np.min(np.abs(evaluate_all([contact_volume(frame)], points)))),
+        "frame_orthonormality": _max_eval([g[i, j] - delta[i][j] for i, j in pairs], points),
+        "metric_J_invariance": _max_eval(
+            [frame.webster(5 + i, 5 + j) - g[i, j] + eta_of[i] * eta_of[j] for i, j in pairs],
+            points,
+        ),
+        "metric_deta_compatibility": _max_eval(
+            [frame.webster(5 + i, j) - frame.deta_pair[i, j] for i, j in pairs], points
+        ),
+        "frame_J_consistency": _max_eval(
+            (je[0] - frame.fields[1]).components
+            + (je[2] - frame.fields[3]).components
+            + je[4].components,
+            points,
+        ),
+        "J_square_identity": _max_eval(
+            [
+                dot(jmat[c], [row[d] for row in jmat]) + delta[c][d] - xi_comps[c] * eta_comps[d]
+                for c, d in pairs
+            ],
+            points,
+        ),
     }
 
 
-def _nijenhuis_contact(
-    frame: FrameFieldSet, deta: CoordForm, y: VectorFieldPoly, z: VectorFieldPoly
-) -> VectorFieldPoly:
-    """N(Y, Z) = J^2 [Y,Z] + [JY, JZ] - J[Y, JZ] - J[JY, Z] + deta(Y, Z) Reeb."""
-    jy, jz = frame.j_apply(y), frame.j_apply(z)
-    byz = lie_bracket(y, z)
-    out = frame.j_apply(frame.j_apply(byz))
-    out = out + lie_bracket(jy, jz)
-    out = out - frame.j_apply(lie_bracket(y, jz))
-    out = out - frame.j_apply(lie_bracket(jy, z))
-    return out + frame.reeb.scale(deta.pair_two(y, z))
+def _nijenhuis_contact(frame: FrameFieldSet, j: int, l: int) -> VectorFieldPoly:
+    """N(Y, Z) = J^2 [Y,Z] + [JY, JZ] - J[Y, JZ] - J[JY, Z] + deta(Y, Z) Reeb
+    for Y = e_{j+1}, Z = e_{l+1}."""
+    out = frame._j(frame.j_bracket[j, l])
+    out = out + frame.bracket[j + 5, l + 5]
+    out = out - frame._j(frame.bracket[j, l + 5])
+    out = out - frame._j(frame.bracket[j + 5, l])
+    return out + frame.reeb.scale(frame.deta_pair[j, l])
 
 
 def tw_axiom_check(
@@ -369,12 +431,13 @@ def tw_axiom_check(
     J-consistency invariants (validated by :func:`contact_check`) for the
     report to be meaningful.
     """
-    deta = exterior_d(frame.eta)
-    g = _webster_metric(frame, deta)
-    eta_of = [frame.eta.pair_vector(f) for f in frame.fields]
+    eta_of = frame.eta_span
     nabla = [[conn.nabla(frame, i, j) for j in range(5)] for i in range(5)]
-    bracket = [[lie_bracket(frame.fields[i], frame.fields[j]) for j in range(5)] for i in range(5)]
-    gmat = [[g(frame.fields[i], frame.fields[j]) for j in range(5)] for i in range(5)]
+    bracket = frame.bracket
+    gmat = frame.metric
+    # Each axiom's residual polynomials are evaluated as soon as they are
+    # built, so that one axiom's are held at a time.
+    out = {}
 
     # (a) parallel eta and Reeb
     a_exprs = []
@@ -386,47 +449,54 @@ def tw_axiom_check(
                     expr = expr - conn.gamma[k][j][m] * eta_of[m]
             a_exprs.append(expr)
         a_exprs.extend(nabla[k][4].components)
+    out["axiom_a_parallel_eta_xi"] = _max_eval(a_exprs, points)
+    del a_exprs
 
     # (b) parallel metric
     b_exprs = []
     for k in range(5):
         for i in range(5):
             for j in range(i, 5):
-                expr = frame.fields[k].apply(gmat[i][j])
+                expr = frame.fields[k].apply(gmat[i, j])
                 for m in range(5):
                     if not conn.gamma[k][i][m].is_zero():
-                        expr = expr - conn.gamma[k][i][m] * gmat[m][j]
+                        expr = expr - conn.gamma[k][i][m] * gmat[m, j]
                     if not conn.gamma[k][j][m].is_zero():
-                        expr = expr - conn.gamma[k][j][m] * gmat[i][m]
+                        expr = expr - conn.gamma[k][j][m] * gmat[i, m]
                 b_exprs.append(expr)
+    out["axiom_b_parallel_metric"] = _max_eval(b_exprs, points)
+    del b_exprs
 
     # (c) torsion
     c_h_exprs = []
     for i in range(4):
         for j in range(i + 1, 4):
-            tvec = nabla[i][j] - nabla[j][i] - bracket[i][j]
-            target = frame.reeb.scale(
-                deta.pair_two(frame.fields[i], frame.fields[j]) * TW_TORSION_SIGN
-            )
+            tvec = nabla[i][j] - nabla[j][i] - bracket[i, j]
+            target = frame.reeb.scale(frame.deta_pair[i, j] * TW_TORSION_SIGN)
             c_h_exprs.extend((tvec - target).components)
+    out["axiom_c_horizontal_torsion"] = _max_eval(c_h_exprs, points)
+    del c_h_exprs
 
     c_xi_exprs = []
     for j in range(5):
-        tvec = nabla[4][j] - nabla[j][4] - bracket[4][j]
-        lie_j = lie_bracket(frame.reeb, frame.j_apply(frame.fields[j])) - frame.j_apply(
-            bracket[4][j]
-        )
-        target = frame.j_apply(lie_j).scale(0.5)
+        tvec = nabla[4][j] - nabla[j][4] - bracket[4, j]
+        lie_j = bracket[4, 5 + j] - frame.j_bracket[4, j]
+        target = frame._j(lie_j).scale(0.5)
         c_xi_exprs.extend((tvec - target).components)
+    out["axiom_c_reeb_torsion"] = _max_eval(c_xi_exprs, points)
+    del c_xi_exprs
 
     # (d) nabla J against the integrability defect
     jf = J_FRAME
     d_exprs = []
+    # Horizontal parts of N(e_j, e_l); a vanishing one has every d residual
+    # equal to its left-hand side.
     n_h = {}
     for j in range(5):
         for l in range(5):
-            n = _nijenhuis_contact(frame, deta, frame.fields[j], frame.fields[l])
-            n_h[(j, l)] = n - frame.reeb.scale(frame.eta.pair_vector(n))
+            n = _nijenhuis_contact(frame, j, l)
+            if not _is_zero_field(n):
+                n_h[(j, l)] = n - frame.reeb.scale(frame.eta.pair_vector(n))
     for k in range(5):
         for j in range(5):
             for l in range(5):
@@ -434,22 +504,17 @@ def tw_axiom_check(
                 for m in range(5):
                     coef = ZERO
                     for p in range(5):
-                        if jf[p, j] != 0:
+                        if jf[p, j] != 0 and not conn.gamma[k][p][m].is_zero():
                             coef = coef + jf[p, j] * conn.gamma[k][p][m]
-                        if jf[m, p] != 0:
+                        if jf[m, p] != 0 and not conn.gamma[k][j][p].is_zero():
                             coef = coef - conn.gamma[k][j][p] * jf[m, p]
                     if not coef.is_zero():
-                        lhs = lhs + coef * gmat[m][l]
-                rhs = deta.pair_two(frame.fields[k], n_h[(j, l)]) * 0.5
-                d_exprs.append(lhs - rhs)
-
-    return {
-        "axiom_a_parallel_eta_xi": _max_eval(a_exprs, points),
-        "axiom_b_parallel_metric": _max_eval(b_exprs, points),
-        "axiom_c_horizontal_torsion": _max_eval(c_h_exprs, points),
-        "axiom_c_reeb_torsion": _max_eval(c_xi_exprs, points),
-        "axiom_d_parallel_J": _max_eval(d_exprs, points),
-    }
+                        lhs = lhs + coef * gmat[m, l]
+                if (j, l) in n_h:
+                    lhs = lhs - frame.deta.pair_two(frame.fields[k], n_h[(j, l)]) * 0.5
+                d_exprs.append(lhs)
+    out["axiom_d_parallel_J"] = _max_eval(d_exprs, points)
+    return out
 
 
 def cr_check(frame: FrameFieldSet, points) -> dict[str, float]:
@@ -462,17 +527,15 @@ def cr_check(frame: FrameFieldSet, points) -> dict[str, float]:
     """
     n_exprs = []
     eta_exprs = []
+    bracket = frame.bracket
     for i in range(4):
         for j in range(i + 1, 4):
-            x, y = frame.fields[i], frame.fields[j]
-            jx, jy = frame.j_apply(x), frame.j_apply(y)
-            n = frame.j_apply(lie_bracket(jx, y) + lie_bracket(x, jy))
-            n = n - lie_bracket(jx, jy) + lie_bracket(x, y)
+            # [JX, Y], [X, JY], [JX, JY], [X, Y] for X = e_{i+1}, Y = e_{j+1}
+            jx_y, x_jy = bracket[5 + i, j], bracket[i, 5 + j]
+            n = frame._j(jx_y + x_jy)
+            n = n - bracket[5 + i, 5 + j] + bracket[i, j]
             n_exprs.extend(n.components)
-            eta_exprs.append(
-                frame.eta.pair_vector(lie_bracket(jx, y))
-                + frame.eta.pair_vector(lie_bracket(x, jy))
-            )
+            eta_exprs.append(frame.eta.pair_vector(jx_y) + frame.eta.pair_vector(x_jy))
     return {
         "integrability": _max_eval(n_exprs, points),
         "eta_bracket_criterion": _max_eval(eta_exprs, points),

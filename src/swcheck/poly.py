@@ -383,12 +383,15 @@ class _Parser:
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.take()[0] == "-" else 1
-        total = self.term() * sign
+        # One running sum, canonicalised once.  Coefficients are added in term
+        # order, as by the left fold term1 + term2 + ...; an entry that cancels
+        # stays as 0j, the value the fold restarts that monomial from.
+        d = dict((self.term() * sign).packed)
         while self.peek()[0] in "+-":
-            op = self.take()[0]
-            t = self.term()
-            total = total + (t if op == "+" else -t)
-        return total
+            negate = self.take()[0] == "-"
+            for m, c in self.term().packed:
+                d[m] = d.get(m, 0j) + (-c if negate else c)
+        return _canonical(d)
 
     def term(self) -> PolyExpr:
         result = self.factor()

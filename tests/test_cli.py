@@ -145,6 +145,35 @@ class TestStackedEvaluation:
         assert _run(["model", "--model", str(path)], capsys)[0] == EXIT_PASS
 
 
+class TestSharedSymbolicWork:
+    def test_model_checks_build_each_bracket_and_j_image_once(self, monkeypatch, capsys):
+        # contact_check, tw_axiom_check and cr_check read the brackets and the
+        # J-images they share from tables on the frame.  No pair is bracketed
+        # twice, counted by value.  No object is J-applied twice, and each of
+        # e1..e4 once.  J arguments are not counted by value, because distinct
+        # quantities can be equal: on this chart J e4 == -e3 and [e4, e3] == Reeb
+        # hold exactly in floats, so J is taken of Reeb, [e4, e3] and [J e4, e4].
+        brackets, j_args = [], []
+        lie_bracket, j_apply = models.lie_bracket, models.FrameFieldSet.j_apply
+
+        def record_bracket(x, y):
+            brackets.append((x, y))
+            return lie_bracket(x, y)
+
+        def record_j(frame, x):
+            j_args.append(x)
+            return j_apply(frame, x)
+
+        monkeypatch.setattr(models, "lie_bracket", record_bracket)
+        monkeypatch.setattr(models.FrameFieldSet, "j_apply", record_j)
+        chart = str(DATA / "sheared_chart_3.json")
+        assert _run(["model", "--model", chart, "--samples", "5"], capsys)[0] == EXIT_PASS
+        assert brackets and len(set(brackets)) == len(brackets)
+        assert len({id(x) for x in j_args}) == len(j_args)
+        fields = load_model(chart).frame.fields[:4]
+        assert [sum(x == f for x in j_args) for f in fields] == [1] * 4
+
+
 class TestNegativeControls:
     """Each suite must fail (exit 1) on a deliberately broken input."""
 
@@ -709,6 +738,18 @@ class TestNonFiniteEvaluations:
         for c in strings:
             assert c["residual"] in ("NaN", "Infinity", "-Infinity") and not c["pass"]
         assert all(math.isfinite(r) for r in residuals if not isinstance(r, str))
+
+    @pytest.mark.parametrize("suite", list(cli.SUITES))
+    def test_huge_perturbation_reaches_a_verdict(self, suite, tmp_path):
+        # --perturb 1e300 overflows products to inf or NaN in every suite.  With
+        # warnings as errors, each suite still writes its report and fails.
+        out = tmp_path / "report.json"
+        argv = [suite, "--perturb", "1e300", "--samples", "3", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == EXIT_FAIL
+        rep = json.loads(out.read_text(), parse_constant=_refuse)
+        assert rep["suite"] == suite and rep["pass"] is False
 
     def test_floor_check_reports_nan(self):
         row = cli._floor_check("volume", float("nan"), 1e-9)

@@ -1,10 +1,12 @@
 """Polynomial expressions: grammar, canonical form, exact calculus."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swcheck import poly
 from swcheck.poly import (
@@ -133,6 +135,38 @@ def test_dot_is_symmetric_sum_of_products(pairs):
     assert poly.dot(a, b) == poly.dot(b, a)
     if len(pairs) == 1:
         assert poly.dot(a, b) == a[0] * b[0]
+
+
+# Term literals of a sum: few numbers and monomials, so that monomials repeat,
+# and signed complex literals such as "(-0.1)", so that terms cancel.  The
+# decimals are not binary fractions, so a coefficient's float sum depends on
+# the order its terms are added in.
+_NUMBER = st.sampled_from(["1", "3", "0.1", "0.2", "0.3", "0.7", "2.5e-1", "1e-3"])
+_SIGN = st.sampled_from(["+", "-"])
+_COEFF = st.one_of(
+    _NUMBER,
+    _NUMBER.map(lambda n: f"{n}i"),
+    st.tuples(_SIGN, _NUMBER).map(lambda t: f"({t[0]}{t[1]})"),
+    st.tuples(_SIGN, _NUMBER, _SIGN, _NUMBER).map(lambda t: f"({t[0]}{t[1]}{t[2]}{t[3]}i)"),
+)
+_TERM = st.tuples(
+    st.lists(_COEFF, min_size=0, max_size=2),
+    st.lists(st.sampled_from(["x1", "y1", "t", "x2^2"]), max_size=2),
+).map(lambda t: "*".join(t[0] + t[1]) or "1")
+
+
+# (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last place.
+@example(["0.1*x1", "0.2*x1", "0.3*x1"], "+")
+@example(["0.3*t", "(-0.3)*t", "0.1*t", "0.2*t"], "+")
+@given(st.lists(_TERM, min_size=1, max_size=12), _SIGN)
+@settings(max_examples=300, deadline=None)
+def test_sum_literal_is_the_left_fold_of_its_terms(terms, op):
+    # The parser sums a literal's terms in one dictionary; the values are
+    # those of adding the parsed terms one by one, left to right.
+    fold = functools.reduce(operator.add if op == "+" else operator.sub, map(parse_poly, terms))
+    p = parse_poly(f" {op} ".join(terms))
+    assert p == fold
+    assert parse_poly(str(p)) == p
 
 
 def test_dot_operand_order_fixed():
