@@ -32,7 +32,6 @@ from . import cliff5, curvature, extalg, models
 from .cliff5 import GAMMA, PSI0
 from .dirac_sw import (
     FIELD_DEGREE,
-    SpinConnection,
     SpinorField,
     canonical_solution,
     dbar_identity_residual,
@@ -56,7 +55,7 @@ from .extalg import (
     volume_form,
     wedge,
 )
-from .models import ModelFormatError, load_model, sample_points
+from .models import ModelFormatError, heisenberg5, load_model, sample_points
 from .poly import (
     PolyExpr,
     PolySyntaxError,
@@ -281,24 +280,21 @@ def _suite_curvature(ns) -> dict:
     # 10 Ricci draws come first, so they do not depend on --samples at all.
     ric_rng = np.random.default_rng([ns.seed, 0])
     tau_rng = np.random.default_rng([ns.seed, 1])
-    c_tensor = curvature.random_admissible_ricci(ric_rng, 10)
+    ric_tensor = curvature.random_admissible_ricci(ric_rng, 10)
 
     def residuals(block):
-        c = curvature.random_admissible_ricci(ric_rng, len(block))
+        ric = curvature.random_admissible_ricci(ric_rng, len(block))
         tau = curvature.random_admissible_torsion(tau_rng, len(block))
         if perturb:
-            ric, t = np.array(c.ric), np.array(tau.tau)
             ric[:, 0, 0] += perturb
-            t[:, 0, 1] += perturb
-            c, tau = curvature.CurvatureData(ric), curvature.TorsionEndomorphism(t)
-        ric = c.ric
+            tau[:, 0, 1] += perturb
         ric_h = ric[:, :4, :4]
         return (
-            (curvature.rho_plus(c) + (c.s / 4.0) * deta()).norm_inf(),
+            (curvature.rho_plus(ric) + (curvature.scalar_curvature(ric) / 4.0) * deta()).norm_inf(),
             np.max(np.abs(j @ ric - ric @ j)),
             np.max(np.abs(jh.T @ ric_h @ jh - ric_h)),
             np.max(np.abs(curvature.bianchi_b(tau, xs, ys))),
-            curvature.ric_identity_check(c),
+            curvature.ric_identity_check(ric),
         )
 
     r_rho, r_j, r_jj, r_b, r_ric = _worst(ns.samples, residuals)
@@ -310,9 +306,9 @@ def _suite_curvature(ns) -> dict:
         _check("ricci_reconstruction_identity", r_ric, tol),
     ]
 
-    t4 = curvature.curvature_tensor(c_tensor)
+    t4 = curvature.curvature_tensor(ric_tensor)
     z = curvature.COMPLEX_FRAME
-    r_trace = np.max(np.abs(t4.ricci_trace() - 1j * z @ (j @ c_tensor.ric) @ z.T))
+    r_trace = np.max(np.abs(curvature.ricci_trace(t4) - 1j * z @ (j @ ric_tensor) @ z.T))
     r = np.max([*curvature.symmetry_check(t4).values(), r_trace])
     checks.append(_check("curvature_tensor_symmetries_and_trace", r, 1e-12))
 
@@ -343,7 +339,7 @@ def _suite_model(ns) -> dict:
             checks.append(_check(f"contact_{name}", residual, tol))
         checks.append(_floor_check("contact_volume_nondegenerate", vol_min, 1e-9))
         if ns.model == "heisenberg":
-            r = max_abs(evaluate_all([models.contact_volume(frame)], points) - 2.0)
+            r = max_abs(evaluate_all([frame.contact_volume], points) - 2.0)
             checks.append(_check("contact_volume_equals_2", r, tol))
 
         tw = models.tw_axiom_check(frame, bundle.connection, points)
@@ -359,7 +355,7 @@ def _suite_model(ns) -> dict:
 
 def _suite_dirac(ns) -> dict:
     checks = []
-    s = SpinConnection.heisenberg()
+    s = heisenberg5()
     rng = np.random.default_rng(ns.seed)
     points = sample_points(20, ns.seed + 1)
 

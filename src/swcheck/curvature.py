@@ -19,25 +19,26 @@ the symmetric J-commuting horizontal endomorphisms.
 Two conventions exist for the Ricci form, differing in where J sits:
 ``rho(X, Y) = g(X, J Ric Y)`` (matrix J R) and ``rho(X, Y) = Ric(X, J Y)``
 (matrix R J).  They agree whenever J and R commute, which admissibility
-guarantees; the first is the default because its expansion is the one the
-self-dual projection identity is stated for.  Both are exposed behind the
-``convention`` flag.
+guarantees.  ``ricci_form`` uses J R, whose expansion is the one the
+self-dual projection identity is stated for; ``ric_identity_check``
+compares it with R J.
 
 The Bianchi correction B(X, Y) built from the torsion vanishes identically
 for every SELF-ADJOINT torsion; J-anticommutation is not needed for that
 cancellation (it enters the torsion's own structure theory instead).  The
 negative control for B therefore has to break self-adjointness.
 
-Samples stack on leading axes: ``ric`` and ``tau`` may be ``(..., 5, 5)``
-stacks.  Values (forms, scalar curvatures, Bianchi terms) keep the sample
+Data are plain arrays: the Ricci matrix ``ric`` and the torsion ``tau`` are
+real ``(..., 5, 5)`` arrays and the (4,0) curvature tensor a complex
+``(..., 5, 5, 5, 5)`` array, each possibly a stack of samples on leading
+axes.  Values (forms, scalar curvatures, Bianchi terms) keep the sample
 axes; residuals and violation lists cover the whole stack.  Samplers take a
 ``numpy.random.Generator`` and a stack size, as ``poly.random_poly`` does;
-they advance only that generator, and all other functions are pure.
+they advance only that generator.  All other functions are pure and never
+write to their arguments.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,45 +102,13 @@ def ricci_violations(ric: np.ndarray) -> list[str]:
     ]
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureData:
-    """Webster-Ricci matrix R (real 5x5), with Ric = i R.
-
-    ``s`` is the horizontal trace and ``rho_h``/``rho_plus`` the derived
-    Ricci form and its self-dual part.  Nothing here enforces admissibility
-    (negative controls need broken inputs); ``violations`` lists what a
-    matrix breaks, and ``models.load_model`` refuses a model file's matrix
-    with any.
-    """
-
-    ric: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.ric, dtype=float).copy()
-        if r.shape[-2:] != (5, 5):
-            raise ValueError(f"ric must be 5x5, got {r.shape}")
-        r.flags.writeable = False
-        object.__setattr__(self, "ric", r)
-
-    @property
-    def s(self) -> float:
-        """Webster scalar curvature, the horizontal trace of R."""
-        s = np.trace(self.ric[..., :4, :4], axis1=-2, axis2=-1)
-        return s if s.ndim else float(s)
-
-    @property
-    def rho_h(self) -> KForm:
-        return ricci_form(self)
-
-    @property
-    def rho_plus(self) -> KForm:
-        return rho_plus(self)
-
-    def violations(self) -> list[str]:
-        return ricci_violations(self.ric)
+def scalar_curvature(ric: np.ndarray) -> float:
+    """Webster scalar curvature s, the horizontal trace of R."""
+    s = np.trace(ric[..., :4, :4], axis1=-2, axis2=-1)
+    return s if s.ndim else float(s)
 
 
-def admissible_ricci(r11, r33, r13, r14) -> CurvatureData:
+def admissible_ricci(r11, r33, r13, r14) -> np.ndarray:
     """Admissible Webster-Ricci matrix from its four free parameters."""
     r = np.zeros(np.shape(r11) + (5, 5))
     r[..., 0, 0] = r[..., 1, 1] = r11
@@ -148,42 +117,36 @@ def admissible_ricci(r11, r33, r13, r14) -> CurvatureData:
     r[..., 1, 3] = r[..., 3, 1] = r13  # R24 = R13
     r[..., 0, 3] = r[..., 3, 0] = r14
     r[..., 1, 2] = r[..., 2, 1] = -r14  # R14 = -R23
-    return CurvatureData(r)
+    return r
 
 
-def random_admissible_ricci(rng: np.random.Generator, size=None) -> CurvatureData:
+def random_admissible_ricci(rng: np.random.Generator, size=None) -> np.ndarray:
     """Admissible sample (a stack of ``size`` samples, if given) with its four
     free parameters uniform in [-1, 1]."""
     params = rng.uniform(-1.0, 1.0, (4,) if size is None else (size, 4))
     return admissible_ricci(*np.moveaxis(params, -1, 0))
 
 
-def ricci_form(c: CurvatureData, convention: str = "proof") -> KForm:
-    """Ricci 2-form of a Webster-Ricci matrix.
+def _two_form(m: np.ndarray) -> KForm:
+    """The horizontal 2-form with coefficients m_ij on e_i ^ e_j."""
+    return KForm(2, np.where(VERTICAL[2], 0, m[..., PAIR_INDEX[0], PAIR_INDEX[1]]))
 
-    ``proof`` uses rho(e_i, e_j) = g(e_i, J Ric e_j) = (J R)_ij, the
-    convention whose expansion
+
+def ricci_form(ric: np.ndarray) -> KForm:
+    """Ricci 2-form rho(e_i, e_j) = g(e_i, J Ric e_j) = (J R)_ij, whose expansion
 
         rho = -R11 e1^e2 - R33 e3^e4 - R24 (e1^e4 - e2^e3)
               - R23 (e1^e3 + e2^e4)
 
-    feeds the self-dual projection identity.  ``endomorphism`` uses
-    rho(e_i, e_j) = Ric(e_i, J e_j) = (R J)_ij; the two agree exactly on
-    admissible data because J and R commute there.  Admissibility is not
-    checked: negative controls pass broken matrices.
+    feeds the self-dual projection identity.  Admissibility is not checked:
+    negative controls pass broken matrices.
     """
-    if convention == "proof":
-        m = J_FRAME @ c.ric
-    elif convention == "endomorphism":
-        m = c.ric @ J_FRAME
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return KForm(2, np.where(VERTICAL[2], 0, m[..., PAIR_INDEX[0], PAIR_INDEX[1]]))
+    return _two_form(J_FRAME @ ric)
 
 
-def rho_plus(c: CurvatureData) -> KForm:
+def rho_plus(ric: np.ndarray) -> KForm:
     """Self-dual part of the Ricci form; equals -(s/4) deta on admissible data."""
-    return sd_project(ricci_form(c)).plus
+    return sd_project(ricci_form(ric)).plus
 
 
 # -- torsion -----------------------------------------------------------------
@@ -201,21 +164,7 @@ def torsion_violations(tau: np.ndarray) -> list[str]:
     return bad
 
 
-@dataclass(frozen=True, eq=False)
-class TorsionEndomorphism:
-    """Generalized torsion endomorphism in frame coordinates."""
-
-    tau: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.tau, dtype=float).copy()
-        if t.shape[-2:] != (5, 5):
-            raise ValueError(f"tau must be 5x5, got {t.shape}")
-        t.flags.writeable = False
-        object.__setattr__(self, "tau", t)
-
-
-def admissible_torsion(params) -> TorsionEndomorphism:
+def admissible_torsion(params) -> np.ndarray:
     """Admissible torsion from 6 coordinates in the J-adapted span.
 
     In the frame adapted to J, the symmetric endomorphisms of the horizontal
@@ -233,16 +182,16 @@ def admissible_torsion(params) -> TorsionEndomorphism:
     t[..., :2, :2] = tf(a1, a2)
     t[..., :2, 2:4] = t[..., 2:4, :2] = tf(b1, b2)  # B is symmetric
     t[..., 2:4, 2:4] = tf(c1, c2)
-    return TorsionEndomorphism(t)
+    return t
 
 
-def random_admissible_torsion(rng: np.random.Generator, size=None) -> TorsionEndomorphism:
+def random_admissible_torsion(rng: np.random.Generator, size=None) -> np.ndarray:
     """Admissible torsion (a stack of ``size``, if given) with its six
     parameters uniform in [-1, 1]."""
     return admissible_torsion(rng.uniform(-1.0, 1.0, (6,) if size is None else (size, 6)))
 
 
-def bianchi_b(tau: TorsionEndomorphism, x, y) -> complex:
+def bianchi_b(tau: np.ndarray, x, y) -> complex:
     """Torsion correction B(X, Y) from the contracted first Bianchi identity.
 
     B_a(X, Y) = deta(X, Y) tau(e_a) + deta(e_a, X) tau(Y) + deta(Y, e_a) tau(X)
@@ -260,31 +209,28 @@ def bianchi_b(tau: TorsionEndomorphism, x, y) -> complex:
     y = np.asarray(y, dtype=float)
     if np.any(x[..., 4]) or np.any(y[..., 4]):
         raise ValueError("B(X, Y) is defined for horizontal arguments")
-    t = tau.tau
     d = deta_pair(x, y)
-    j_tau = np.sum(J_FRAME * t, axis=(-2, -1))
-    xty = np.sum((x @ t) * y, axis=-1)
-    ytx = np.sum((y @ t) * x, axis=-1)
+    j_tau = np.sum(J_FRAME * tau, axis=(-2, -1))
+    xty = np.sum((x @ tau) * y, axis=-1)
+    ytx = np.sum((y @ tau) * x, axis=-1)
     return 0.5j * (d * j_tau.reshape(j_tau.shape + (1,) * d.ndim) + xty - ytx)
 
 
-def ric_identity_check(c: CurvatureData) -> float:
+def ric_identity_check(ric: np.ndarray) -> float:
     """Residual of the reconstruction Ric = i rho_h over horizontal pairs.
 
-    Reconstructs the 2-form part of i R through the endomorphism-convention
-    Ricci form and compares with the direct (proof-convention) Ricci form.
-    The reconstruction's Bianchi correction B vanishes for every self-adjoint
+    Reconstructs the 2-form part of R through the R J placement of J and
+    compares it with the Ricci form, the J R placement.  The
+    reconstruction's Bianchi correction B vanishes for every self-adjoint
     torsion (see ``bianchi_b``, checked on its own), so it does not enter.
-    On admissible data the two J-placements agree, so the residual is zero;
+    On admissible data the two placements agree, so the residual is zero;
     broken symmetry constraints make J and R stop commuting and the residual
     turns on.
     """
-    direct = ricci_form(c, convention="proof")
-    recon = ricci_form(c, convention="endomorphism")
     horizontal = ~VERTICAL[2]
-    lhs = 1j * recon.coeffs[..., horizontal]
-    rhs = 1j * direct.coeffs[..., horizontal]
-    return float(np.max(np.abs(lhs - rhs)))
+    recon = _two_form(ric @ J_FRAME).coeffs[..., horizontal]
+    direct = ricci_form(ric).coeffs[..., horizontal]
+    return float(np.max(np.abs(1j * recon - 1j * direct)))
 
 
 # -- (4,0) curvature tensor ---------------------------------------------------
@@ -308,34 +254,20 @@ COMPLEX_FRAME.flags.writeable = False
 _CONJ_INDEX = (2, 3, 0, 1, 4)
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureTensor4:
-    """(4,0) curvature tensor by its components over the complex frame.
+def ricci_trace(gc: np.ndarray) -> np.ndarray:
+    """5x5 matrix of sum_a R(W_i, W_j, Z_a, Zbar_a) of a (4,0) curvature tensor;
+    equals Z (i rho_h) Z^T for Z = ``COMPLEX_FRAME``."""
+    return gc[..., [0, 1], [2, 3]].sum(-1)
 
-    ``components[i, j, k, l]`` holds the value on (W_i, W_j, W_k, W_l), where
+
+def curvature_tensor(ric: np.ndarray) -> np.ndarray:
+    """Synthetic (4,0) curvature tensor with prescribed Webster-Ricci data.
+
+    ``[..., i, j, k, l]`` holds the value on (W_i, W_j, W_k, W_l), where
     (W_0, ..., W_4) = (Z1, Z2, Zbar1, Zbar2, Reeb) are the rows of
     ``COMPLEX_FRAME``: the frame in which the tensor is built and its
     symmetries are stated.  Evaluation on real frame vectors extends
     multilinearly.  Complex storage represents broken inputs as well.
-    """
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.components, dtype=complex).copy()
-        if t.shape[-4:] != (5, 5, 5, 5):
-            raise ValueError(f"components must be 5x5x5x5, got {t.shape}")
-        t.flags.writeable = False
-        object.__setattr__(self, "components", t)
-
-    def ricci_trace(self) -> np.ndarray:
-        """5x5 matrix of sum_a R(W_i, W_j, Z_a, Zbar_a); equals Z (i rho_h) Z^T
-        for Z = ``COMPLEX_FRAME``."""
-        return self.components[..., [0, 1], [2, 3]].sum(-1)
-
-
-def curvature_tensor(c: CurvatureData) -> CurvatureTensor4:
-    """Synthetic (4,0) curvature tensor with prescribed Webster-Ricci data.
 
     Built from a Hermitian 2x2 matrix P through the symmetrized ansatz
 
@@ -347,7 +279,7 @@ def curvature_tensor(c: CurvatureData) -> CurvatureTensor4:
     reproduces i rho_h exactly; the construction then satisfies all four
     curvature tensor symmetries by design.  Admissibility is not checked.
     """
-    rho = J_FRAME @ c.ric  # proof-convention Ricci form matrix, skew on H
+    rho = J_FRAME @ ric  # the Ricci form's matrix J R, skew on H
     z = COMPLEX_FRAME
     # Target Ricci trace on (Z_a, Zbar_b): Hermitian 2x2.
     m = 1j * (z[:2] @ rho.astype(complex) @ z[2:4].T)
@@ -369,12 +301,11 @@ def curvature_tensor(c: CurvatureData) -> CurvatureTensor4:
     gc[..., :2, 2:4, 2:4, :2] = -np.swapaxes(lam, -2, -1)
     gc[..., 2:4, :2, :2, 2:4] = -np.swapaxes(lam, -4, -3)
     gc[..., 2:4, :2, 2:4, :2] = np.swapaxes(np.swapaxes(lam, -4, -3), -2, -1)
+    return gc
 
-    return CurvatureTensor4(gc)
 
-
-def symmetry_check(t: CurvatureTensor4) -> dict[str, float]:
-    """Max violation of the four curvature-tensor symmetries.
+def symmetry_check(gc: np.ndarray) -> dict[str, float]:
+    """Max violation of the four symmetries of a (4,0) curvature tensor.
 
     * antisymmetry within the first and the second index pair (one frame
       change on every slot preserves it, so the complex components show it),
@@ -383,7 +314,6 @@ def symmetry_check(t: CurvatureTensor4) -> dict[str, float]:
     * exchange of the first and third slots on T10-type arguments,
     * vanishing whenever the first two arguments both lie in T10.
     """
-    gc = t.components
     r_first = float(np.max(np.abs(gc + np.swapaxes(gc, -4, -3))))
     r_second = float(np.max(np.abs(gc + np.swapaxes(gc, -2, -1))))
 

@@ -7,8 +7,10 @@ The spinorial covariant derivative along a frame vector e_W is
                   + (1/4) sum_{j<k} omega_jk(e_W) kappa(e_j) kappa(e_k) psi
                   + (1/2) A(e_W) psi,
 
-with omega_jk(e_W) = g(nabla_{e_W} e_j, e_k) read off the supplied frame
-Christoffel symbols and A the imaginary-valued U(1) connection 1-form.  The
+with omega_jk(e_W) = g(nabla_{e_W} e_j, e_k) read off the frame Christoffel
+symbols and A the imaginary-valued U(1) connection 1-form, both read from
+the ``connection`` of a :class:`~swcheck.models.ModelBundle`, the chart that
+the covariant derivative and the Dirac operators take as first argument.  The
 1/2 on the A term is the determinant-line convention; both prefactors are
 isolated in the module constants below.  On the flat Heisenberg model every
 omega vanishes, so only the A convention is ever exposed there.
@@ -49,9 +51,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full, sigma_h
-from .curvature import _SQ2, COMPLEX_FRAME, admissible_ricci
+from .curvature import _SQ2, COMPLEX_FRAME, admissible_ricci, ricci_form, rho_plus
 from .extalg import PAIR_INDEX, KForm, horizontal_split, sd_project
-from .models import ConnectionCoefficients, FrameFieldSet, VectorFieldPoly, heisenberg5
+from .models import ModelBundle, VectorFieldPoly, heisenberg5
 from .poly import PolyExpr, dot, evaluate_all, monomials
 
 #: Prefactor of the so(5) part of the spinorial connection.
@@ -95,23 +97,6 @@ class SpinorField:
         return SpinorField(tuple(f * c for c in self.components))
 
 
-@dataclass(frozen=True)
-class SpinConnection:
-    """Frame plus Tanaka-Webster and U(1) connection data.
-
-    The U(1) connection 1-form must be imaginary valued (on a real chart
-    this means every polynomial coefficient of A is purely imaginary);
-    :class:`ConnectionCoefficients` enforces it.
-    """
-
-    frame: FrameFieldSet
-    conn: ConnectionCoefficients
-
-    @staticmethod
-    def heisenberg() -> "SpinConnection":
-        return SpinConnection(*heisenberg5())
-
-
 def _mat_apply(m: np.ndarray, components) -> tuple[PolyExpr, ...]:
     """A constant matrix applied to a column of polynomial components."""
     return tuple(
@@ -120,26 +105,26 @@ def _mat_apply(m: np.ndarray, components) -> tuple[PolyExpr, ...]:
     )
 
 
-def _connection_terms(s: SpinConnection, w: int) -> list[tuple[PolyExpr, np.ndarray]]:
+def _connection_terms(s: ModelBundle, w: int) -> list[tuple[PolyExpr, np.ndarray]]:
     """Zeroth-order terms of nabla_w as (coefficient, constant matrix) pairs.
 
     SO_COUPLING Gamma^k_{wj} kappa(e_j) kappa(e_k) for each j < k with a
     nonzero Christoffel (omega_jk(e_w) = Gamma^k_{wj} in a g-orthonormal
     frame), then U1_COUPLING A(e_w) Id when A(e_w) is nonzero.
     """
-    gam = s.conn.gamma[w - 1]
+    gam = s.connection.gamma[w - 1]
     terms = [
         (gam[j][k], SO_COUPLING * m)
         for (j, k), m in zip(zip(*PAIR_INDEX), PAIR_PRODUCTS)
         if not gam[j][k].is_zero()
     ]
-    a_w = s.conn.a_form.pair_vector(s.frame.fields[w - 1])
+    a_w = s.connection.a_form.pair_vector(s.frame.fields[w - 1])
     if not a_w.is_zero():
         terms.append((a_w, U1_COUPLING * np.eye(4)))
     return terms
 
 
-def spin_covariant_derivative(s: SpinConnection, w: int, psi: SpinorField) -> SpinorField:
+def spin_covariant_derivative(s: ModelBundle, w: int, psi: SpinorField) -> SpinorField:
     """Spinorial covariant derivative along frame direction w in 1..5."""
     if not 1 <= w <= 5:
         raise ValueError(f"frame index must be in 1..5, got {w}")
@@ -154,7 +139,7 @@ def _clifford(w: int, psi: SpinorField) -> SpinorField:
     return SpinorField(_mat_apply(GAMMA[w - 1], psi.components))
 
 
-def kohn_dirac(s: SpinConnection, psi: SpinorField) -> SpinorField:
+def kohn_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
     """Horizontal Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi."""
     out = _clifford(1, spin_covariant_derivative(s, 1, psi))
     for i in range(2, 5):
@@ -162,7 +147,7 @@ def kohn_dirac(s: SpinConnection, psi: SpinorField) -> SpinorField:
     return out
 
 
-def full_dirac(s: SpinConnection, psi: SpinorField) -> SpinorField:
+def full_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
     """Full Dirac operator, the Kohn-Dirac part plus the Reeb term."""
     return kohn_dirac(s, psi) + _clifford(5, spin_covariant_derivative(s, 5, psi))
 
@@ -176,7 +161,7 @@ def fd_stencil(points, h: float) -> np.ndarray:
     )
 
 
-def full_dirac_fd(s: SpinConnection, psi_vals: np.ndarray, points, h: float = 1e-4) -> np.ndarray:
+def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float = 1e-4) -> np.ndarray:
     """Finite-difference oracle for the full Dirac operator on a stack of points.
 
     ``points`` has shape ``(..., 5)`` and ``psi_vals`` holds the spinor
@@ -232,7 +217,7 @@ def _image(values, mat) -> np.ndarray:
     return rows.reshape((-1,) + rows.shape[2:])
 
 
-def dirac_on_basis(s: SpinConnection, points) -> tuple[np.ndarray, np.ndarray]:
+def dirac_on_basis(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
     """``kohn_dirac`` and ``full_dirac`` of every basis field m e_k at a stack
     of points, each of shape ``(4 M, ..., 4)``.
 
@@ -258,7 +243,7 @@ def dirac_on_basis(s: SpinConnection, points) -> tuple[np.ndarray, np.ndarray]:
     return kohn, kohn + clifford_derivative(5)
 
 
-def full_dirac_fd_on_basis(s: SpinConnection, points, h: float) -> np.ndarray:
+def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
     """``full_dirac_fd`` on every basis field, shape ``(4 M, ..., 4)``.
 
     The monomials are evaluated once on the stencil of all points; the
@@ -368,7 +353,7 @@ def derive_identification() -> np.ndarray:
 def _heisenberg_z_fields() -> tuple[VectorFieldPoly, ...]:
     """Z1, Z2, Zbar1, Zbar2 on the Heisenberg chart: the first four rows of
     ``COMPLEX_FRAME`` on its frame fields."""
-    fields = heisenberg5()[0].fields
+    fields = heisenberg5().frame.fields
     return tuple(
         reduce(VectorFieldPoly.__add__, (f.scale(c) for f, c in zip(fields, row) if c))
         for row in COMPLEX_FRAME[:4]
@@ -445,15 +430,16 @@ def canonical_solution(s: float) -> CanonicalSolution:
     its exact identity chain."""
     if not s < 0:
         raise ValueError(f"the scalar curvature must be negative, got {s}")
-    c = admissible_ricci(s / 4.0, s / 4.0, 0.0, 0.0)
+    ric = admissible_ricci(s / 4.0, s / 4.0, 0.0, 0.0)
     sigma_exact = (-s) * sigma_h(PSI0)  # quadratic scaling, applied exactly
-    f_a_plus = 1j * c.rho_plus
+    rho_p = rho_plus(ric)
+    f_a_plus = 1j * rho_p
     r_curv = (f_a_plus + 0.25 * sd_project(sigma_exact).plus).norm_inf()
     return CanonicalSolution(
         amplitude=float(np.sqrt(-s)),
-        f_a=1j * c.rho_h,
+        f_a=1j * ricci_form(ric),
         sigma_h_psi=sigma_exact,
-        rho_plus=c.rho_plus,
+        rho_plus=rho_p,
         f_a_plus=f_a_plus,
         r_curv=float(r_curv),
     )

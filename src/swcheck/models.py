@@ -11,10 +11,10 @@ All differential computations are exact: coefficient functions are
 :class:`~swcheck.poly.PolyExpr` polynomials, Lie brackets and exterior
 derivatives are computed symbolically, and residual reports only evaluate
 the resulting polynomials, on the whole array of sample points at once
-(:func:`~swcheck.poly.evaluate_all`).  What the three model checks share
-(``deta``, the Webster metric of the frame, and the eta-values and Lie
-brackets of the frame fields and their J-images) is built once per frame, in
-tables on :class:`FrameFieldSet` that fill on first use.
+(:func:`~swcheck.poly.evaluate_all`).  What the model checks share
+(``deta``, the contact volume, the Webster metric of the frame, and the
+eta-values and Lie brackets of the frame fields and their J-images) is built
+once per frame, in tables on :class:`FrameFieldSet` that fill on first use.
 
 Torsion sign convention.  With the coordinate exterior derivative, Cartan's
 formula forces eta([X, Y]) = -deta(X, Y) for horizontal X, Y, and therefore
@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curvature import CurvatureData, J_FRAME
+from .curvature import J_FRAME, ricci_violations
 from .extalg import INDEX_TUPLES, PAIR_INDEX, WEDGE
 from .poly import ONE, ZERO, PolyExpr, PolySyntaxError, dot, evaluate_all, max_abs, parse_poly
 
@@ -193,10 +193,11 @@ class FrameFieldSet:
     """Local frame (e1, e2, e3, e4, Reeb), contact form and J on a chart.
 
     What two or more model checks read is kept here, each entry built on
-    first read: ``deta``; ``span``, the 15 fields e_i, J e_i, J^2 e_i
-    (``span[i]`` is e_{i+1}, ``span[4]`` is Reeb, and ``span[a + 5]`` is
-    J span[a]); their eta-values; and the tables ``deta_pair``, ``metric``,
-    ``bracket`` and ``j_bracket``.  What one check reads once is not kept.
+    first read: ``deta``; ``contact_volume``; ``span``, the 15 fields e_i,
+    J e_i, J^2 e_i (``span[i]`` is e_{i+1}, ``span[4]`` is Reeb, and
+    ``span[a + 5]`` is J span[a]); their eta-values; and the tables
+    ``deta_pair``, ``metric``, ``bracket`` and ``j_bracket``.  What one check
+    reads once is not kept.
     """
 
     name: str
@@ -224,6 +225,11 @@ class FrameFieldSet:
     @cached_property
     def deta(self) -> CoordForm:
         return exterior_d(self.eta)
+
+    @cached_property
+    def contact_volume(self) -> PolyExpr:
+        """Coefficient of eta ^ deta ^ deta against the coordinate volume."""
+        return self.eta.wedge(self.deta).wedge(self.deta).coeffs[0]
 
     @cached_property
     def span(self) -> tuple[VectorFieldPoly, ...]:
@@ -306,7 +312,18 @@ class ConnectionCoefficients:
         return out
 
 
-def heisenberg5() -> tuple[FrameFieldSet, ConnectionCoefficients]:
+@dataclass(frozen=True, eq=False)
+class ModelBundle:
+    """A chart: its frame, its connection and, from a model file, its
+    declared Webster-Ricci matrix (a real 5x5 array).  Bundles compare by
+    identity, since arrays have no single-valued ``==``."""
+
+    frame: FrameFieldSet
+    connection: ConnectionCoefficients
+    curvature: np.ndarray | None = None
+
+
+def heisenberg5() -> ModelBundle:
     """The Heisenberg group chart on R^5.
 
     eta = dt - y1 dx1 - y2 dx2, Reeb = d/dt, frame
@@ -332,7 +349,7 @@ def heisenberg5() -> tuple[FrameFieldSet, ConnectionCoefficients]:
     )
     jmat = tuple(tuple(_as_poly(v) for v in row) for row in j_rows)
     frame = FrameFieldSet("heisenberg", (e1, e2, e3, e4, xi), eta, jmat)
-    return frame, ConnectionCoefficients.flat()
+    return ModelBundle(frame, ConnectionCoefficients.flat())
 
 
 def sample_points(n: int, seed: int) -> np.ndarray:
@@ -349,13 +366,6 @@ def sample_points(n: int, seed: int) -> np.ndarray:
 def _max_eval(exprs: list[PolyExpr], points) -> float:
     # Zero polynomials would only add columns of zeros.
     return max_abs(evaluate_all([e for e in exprs if not e.is_zero()], points))
-
-
-def contact_volume(frame: FrameFieldSet) -> PolyExpr:
-    """Coefficient of eta ^ deta ^ deta against the coordinate volume."""
-    deta = frame.deta
-    top = frame.eta.wedge(deta).wedge(deta)
-    return top.coeffs[0]
 
 
 def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
@@ -380,7 +390,7 @@ def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
     return {
         "reeb_normalization": _max_eval([eta_of[4] - ONE], points),
         "eta_on_horizontal": _max_eval(eta_of[:4], points),
-        "contact_volume_min": float(np.min(np.abs(evaluate_all([contact_volume(frame)], points)))),
+        "contact_volume_min": float(np.min(np.abs(evaluate_all([frame.contact_volume], points)))),
         "frame_orthonormality": _max_eval([g[i, j] - delta[i][j] for i, j in pairs], points),
         "metric_J_invariance": _max_eval(
             [frame.webster(5 + i, 5 + j) - g[i, j] + eta_of[i] * eta_of[j] for i, j in pairs],
@@ -549,13 +559,6 @@ class ModelFormatError(ValueError):
     """Schema violation in a model definition, with the offending field path."""
 
 
-@dataclass(frozen=True)
-class ModelBundle:
-    frame: FrameFieldSet
-    connection: ConnectionCoefficients
-    curvature: CurvatureData | None = None
-
-
 def read_json_file(path):
     """Decode a UTF-8 JSON file; any failure is a located ModelFormatError."""
     try:
@@ -608,11 +611,11 @@ def load_model(source) -> ModelBundle:
     The schema has fields ``chart``, ``eta`` (5 expressions), ``xi``,
     ``frame`` (4 x 5), ``J`` (5 x 5), and optional ``gamma`` (5 x 5 x 5),
     ``A`` (5 expressions, imaginary valued) and ``curvature``
-    (``{"ric": 5 x 5 numbers}``, validated for admissibility).
+    (``{"ric": 5 x 5 numbers}``, validated for admissibility).  The bundle's
+    ``curvature`` is that matrix as a float array, or None without the block.
     """
     if isinstance(source, str) and source == "heisenberg":
-        frame, conn = heisenberg5()
-        return ModelBundle(frame, conn, None)
+        return heisenberg5()
     if isinstance(source, (str, Path)):
         data = read_json_file(source)
     elif isinstance(source, dict):
@@ -642,15 +645,14 @@ def load_model(source) -> ModelBundle:
         except ValueError as exc:
             raise ModelFormatError(str(exc)) from exc
 
-    curv = None
+    ric = None
     if "curvature" in data:
         csrc = data["curvature"]
         if not isinstance(csrc, dict) or "ric" not in csrc:
             raise ModelFormatError('curvature: expected an object with a "ric" matrix')
-        ric = _parse_array("curvature.ric", csrc["ric"], (5, 5), _parse_number)
-        curv = CurvatureData(np.array(ric))
-        bad = curv.violations()
+        ric = np.array(_parse_array("curvature.ric", csrc["ric"], (5, 5), _parse_number))
+        bad = ricci_violations(ric)
         if bad:
             raise ModelFormatError("curvature.ric: " + "; ".join(bad))
 
-    return ModelBundle(frame, conn, curv)
+    return ModelBundle(frame, conn, ric)

@@ -102,7 +102,7 @@ def _model_to_dict(bundle) -> dict:
     if not all(c.is_zero() for c in conn.a_form.coeffs):
         out["A"] = [str(c) for c in conn.a_form.coeffs]
     if bundle.curvature is not None:
-        out["curvature"] = {"ric": bundle.curvature.ric.tolist()}
+        out["curvature"] = {"ric": bundle.curvature.tolist()}
     return out
 
 

@@ -10,11 +10,10 @@ import json
 
 import numpy as np
 
-from swcheck import curvature, models
+from swcheck import curvature
 from swcheck.cli import EXIT_FAIL, run
 from swcheck.cliff5 import PSI0, deta_eigenprojectors, gamma, kappa_deta, sigma_h
 from swcheck.dirac_sw import (
-    SpinConnection,
     SpinorField,
     canonical_solution,
     dbar_identity_residual,
@@ -123,8 +122,9 @@ def test_criterion_5_curvature_properties():
     # Each quantity is the worst over the whole stack of 10^4 seeded draws;
     # the reductions propagate NaN, so a NaN sample fails the criterion.
     rng = np.random.default_rng(0)
-    c = curvature.random_admissible_ricci(rng, 10_000)
-    worst_rho = (c.rho_plus + (c.s / 4.0) * deta()).norm_inf()
+    ric = curvature.random_admissible_ricci(rng, 10_000)
+    s = curvature.scalar_curvature(ric)
+    worst_rho = (curvature.rho_plus(ric) + (s / 4.0) * deta()).norm_inf()
 
     ei = np.eye(5)
     i, j = np.array([(i, j) for i in range(4) for j in range(i + 1, 4)]).T
@@ -143,9 +143,10 @@ def test_criterion_5_curvature_properties():
 
 
 def test_criterion_6_heisenberg_model():
-    frame, conn = heisenberg5()
+    bundle = heisenberg5()
+    frame, conn = bundle.frame, bundle.connection
     points = sample_points(1000, seed=0)
-    vol = models.contact_volume(frame)
+    vol = frame.contact_volume
     worst_vol = max(abs(vol(p) - 2.0) for p in points)
     tw = tw_axiom_check(frame, conn, points)
     cr = cr_check(frame, points)
@@ -162,7 +163,7 @@ def test_criterion_6_heisenberg_model():
 
 
 def test_criterion_7_dirac_operators():
-    s = SpinConnection.heisenberg()
+    s = heisenberg5()
     points = sample_points(20, seed=5)
     psi0 = SpinorField.psi0()
     exact_zero = all(

@@ -173,6 +173,22 @@ class TestSharedSymbolicWork:
         fields = load_model(chart).frame.fields[:4]
         assert [sum(x == f for x in j_args) for f in fields] == [1] * 4
 
+    def test_contact_volume_built_once(self, monkeypatch, capsys):
+        # contact_check and contact_volume_equals_2 read the one contact volume
+        # eta ^ deta ^ deta of the frame: two wedge products in all.
+        wedges = []
+        wedge = models.CoordForm.wedge
+
+        def record_wedge(form, other):
+            wedges.append((form.degree, other.degree))
+            return wedge(form, other)
+
+        monkeypatch.setattr(models.CoordForm, "wedge", record_wedge)
+        code, rep = _run(["model", "--samples", "3"], capsys)
+        assert code == EXIT_PASS
+        assert wedges == [(1, 2), (3, 2)]
+        assert "contact_volume_equals_2" in {c["name"] for c in rep["checks"]}
+
 
 class TestNegativeControls:
     """Each suite must fail (exit 1) on a deliberately broken input."""
@@ -567,7 +583,7 @@ class TestCurvatureDraws:
 
                 def recording(rng, size, original=original, attr=attr):
                     out = original(rng, size)
-                    drawn[attr].append(getattr(out, attr))
+                    drawn[attr].append(out)
                     return out
 
                 m.setattr(curvature, name, recording)
@@ -624,12 +640,12 @@ class TestNonFiniteSamples:
         calls = []
 
         def with_nan(rng, size):
-            ric = np.array(original(rng, size).ric)
+            ric = original(rng, size)
             calls.append(size)
             # The first call draws the tensor check's 10 samples.
             if len(calls) == 3:
                 ric[3, 0, 0] = np.nan
-            return curvature.CurvatureData(ric)
+            return ric
 
         monkeypatch.setattr(curvature, "random_admissible_ricci", with_nan)
         code, rep = _run(["curvature", "--samples", str(cli.BLOCK + 7)], capsys)

@@ -9,7 +9,6 @@ from swcheck.cliff5 import GAMMA, PSI0, gamma, sigma_full
 from swcheck.curvature import admissible_ricci, ricci_form
 from swcheck.dirac_sw import (
     FIELD_DEGREE,
-    SpinConnection,
     SpinorField,
     _heisenberg_z_fields,
     _mat_apply,
@@ -31,6 +30,7 @@ from swcheck.extalg import KForm, deta, horizontal_split, sd_project
 from swcheck.models import (
     ConnectionCoefficients,
     CoordForm,
+    ModelBundle,
     heisenberg5,
     sample_points,
 )
@@ -45,20 +45,19 @@ from swcheck.poly import (
 )
 
 POINTS = sample_points(20, seed=21)
-S_FLAT = SpinConnection.heisenberg()
+S_FLAT = heisenberg5()
 
 
-def _heisenberg_with_a(a_form: CoordForm) -> SpinConnection:
+def _heisenberg_with_a(a_form: CoordForm) -> ModelBundle:
     """The Heisenberg frame and flat connection, with U(1) 1-form ``a_form``."""
-    frame, conn = heisenberg5()
-    return SpinConnection(frame, ConnectionCoefficients(conn.gamma, a_form))
+    return ModelBundle(S_FLAT.frame, ConnectionCoefficients(S_FLAT.connection.gamma, a_form))
 
 
 def _random_spinor_field(rng, degree=3):
     return SpinorField(tuple(random_poly(rng, degree) for _ in range(4)))
 
 
-def _oracle(s: SpinConnection, psi: SpinorField, points, h: float = 1e-4) -> np.ndarray:
+def _oracle(s: ModelBundle, psi: SpinorField, points, h: float = 1e-4) -> np.ndarray:
     """``full_dirac_fd`` of one field, from its values on the stencil."""
     return full_dirac_fd(s, psi.evaluate(fd_stencil(points, h)), points, h)
 
@@ -163,9 +162,8 @@ class TestFullDirac:
             assert d.norm_inf() < 1e-12
 
 
-def _twisted_connection() -> SpinConnection:
+def _twisted_connection() -> ModelBundle:
     """Heisenberg frame with polynomial Christoffels and an imaginary A."""
-    frame, _ = heisenberg5()
     gamma = [[[PolyExpr() for _ in range(5)] for _ in range(5)] for _ in range(5)]
     gamma[0][0][1] = parse_poly("x1 + 2*y2")
     gamma[1][0][4] = parse_poly("1.5")
@@ -178,7 +176,7 @@ def _twisted_connection() -> SpinConnection:
     conn = ConnectionCoefficients(
         tuple(tuple(tuple(row) for row in plane) for plane in gamma), a_form
     )
-    return SpinConnection(frame, conn)
+    return ModelBundle(S_FLAT.frame, conn)
 
 
 _TWISTED_PSI = SpinorField.make(
@@ -199,8 +197,8 @@ class TestConnectionTerms:
         psi = SpinorField.constant(psi_val)
         for p in POINTS[:10]:
             # sum_w kappa_w (1/4 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi
-            gam = np.array([[[c(p) for c in row] for row in plane] for plane in s.conn.gamma])
-            a_vals = np.array([c(p) for c in s.conn.a_form.coeffs])
+            gam = np.array([[[c(p) for c in row] for row in plane] for plane in s.connection.gamma])
+            a_vals = np.array([c(p) for c in s.connection.a_form.coeffs])
             frame_vals = np.array([[c(p) for c in f.components] for f in s.frame.fields]).T
             expected = np.zeros(4, dtype=complex)
             for w in range(5):
@@ -237,11 +235,11 @@ class TestConnectionTerms:
                     x * (psi_at(p + h * e) - psi_at(p - h * e)) / (2 * h)
                     for x, e in zip(frame_w, np.eye(5))
                 )
-                a_w = sum(a(p) * x for a, x in zip(s.conn.a_form.coeffs, frame_w))
+                a_w = sum(a(p) * x for a, x in zip(s.connection.a_form.coeffs, frame_w))
                 m = 0.5 * a_w * np.eye(4)
                 for j in range(5):
                     for k in range(j + 1, 5):
-                        m = m + 0.25 * s.conn.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
+                        m = m + 0.25 * s.connection.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
                 expected += GAMMA[w] @ (deriv + m @ psi_at(p))
             assert np.max(np.abs(row - expected)) <= 1e-12
 
@@ -525,7 +523,7 @@ class TestConnectionValidation:
 
     def test_imaginary_a_accepted(self):
         s = _heisenberg_with_a(CoordForm.one_form(0, 0, 0, 0, 2j))
-        assert s.conn.a_form.coeffs[4]((0, 0, 0, 0, 0)) == 2j
+        assert s.connection.a_form.coeffs[4]((0, 0, 0, 0, 0)) == 2j
 
 
 class TestCanonicalSolution:
