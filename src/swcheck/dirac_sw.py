@@ -4,16 +4,19 @@ Seiberg-Witten like equations on the contact 5-frame.
 The spinorial covariant derivative along a frame vector e_W is
 
     nabla_W psi = e_W(psi)
-                  + (1/4) sum_{j<k} omega_jk(e_W) kappa(e_j) kappa(e_k) psi
+                  + (1/2) sum_{j<k} omega_jk(e_W) kappa(e_j) kappa(e_k) psi
                   + (1/2) A(e_W) psi,
 
 with omega_jk(e_W) = g(nabla_{e_W} e_j, e_k) read off the frame Christoffel
 symbols and A the imaginary-valued U(1) connection 1-form, both read from
 the ``connection`` of a :class:`~swcheck.models.ModelBundle`, the chart that
 the covariant derivative and the Dirac operators take as first argument.  The
-1/2 on the A term is the determinant-line convention; both prefactors are
-isolated in the module constants below.  On the flat Heisenberg model every
-omega vanishes, so only the A convention is ever exposed there.
+so(5) term is the standard spin connection, (1/4) sum_{j,k} = (1/2)
+sum_{j<k}; the 1/2 on the A term is the determinant-line convention.  Both
+prefactors are isolated in the module constants below.  Only equal
+prefactors give D_A psi0 = 0 on the Sasakian circle bundle over H^2 x H^2,
+where F_A = i rho_h; on the flat Heisenberg model every omega vanishes, so
+only the A convention is exposed there.
 
 The Kohn-Dirac operator sums the horizontal Clifford derivatives,
 D_H = sum_{i<=4} kappa(e_i) nabla_i, and the full operator adds the Reeb
@@ -56,8 +59,8 @@ from .extalg import PAIR_INDEX, KForm, horizontal_split, sd_project
 from .models import ModelBundle, VectorFieldPoly, heisenberg5
 from .poly import PolyExpr, dot, evaluate_all, monomials
 
-#: Prefactor of the so(5) part of the spinorial connection.
-SO_COUPLING = 0.25
+#: Prefactor of the so(5) part of the spinorial connection, over pairs j < k.
+SO_COUPLING = 0.5
 #: Prefactor of the U(1) part (determinant-line convention).
 U1_COUPLING = 0.5
 

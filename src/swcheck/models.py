@@ -15,6 +15,10 @@ the resulting polynomials, on the whole array of sample points at once
 (``deta``, the contact volume, the Webster metric of the frame, and the
 eta-values and Lie brackets of the frame fields and their J-images) is built
 once per frame, in tables on :class:`FrameFieldSet` that fill on first use.
+Antisymmetric quantities are built once per unordered pair: [y, x] is
+-[x, y], N(e_l, e_j) is -N(e_j, e_l), and deta(x, y) is x dotted with the
+contraction of deta with y (``CoordForm.contract``), which is built once
+per field y.
 
 Torsion sign convention.  With the coordinate exterior derivative, Cartan's
 formula forces eta([X, Y]) = -deta(X, Y) for horizontal X, Y, and therefore
@@ -84,6 +88,9 @@ class VectorFieldPoly:
             tuple(a - b for a, b in zip(self.components, other.components))
         )
 
+    def __neg__(self) -> "VectorFieldPoly":
+        return VectorFieldPoly(tuple(-c for c in self.components))
+
     def scale(self, f) -> "VectorFieldPoly":
         f = _as_poly(f)
         return VectorFieldPoly(tuple(f * c for c in self.components))
@@ -140,15 +147,21 @@ class CoordForm:
             raise ValueError("pair_vector needs a 1-form")
         return dot(self.coeffs, x.components)
 
-    def pair_two(self, x: VectorFieldPoly, y: VectorFieldPoly) -> PolyExpr:
+    def contract(self, y: VectorFieldPoly) -> tuple[PolyExpr, ...]:
+        """The 1-form ``self(., y)`` of a 2-form, as its 5 coefficients ``w``:
+        ``self(x, y) = dot(x.components, w)`` for every field x."""
         if self.degree != 2:
-            raise ValueError("pair_two needs a 2-form")
-        xs, ys = x.components, y.components
-        minors = (
-            ZERO if c.is_zero() else xs[i] * ys[j] - xs[j] * ys[i]
-            for c, i, j in zip(self.coeffs, *PAIR_INDEX)
-        )
-        return dot(self.coeffs, minors)
+            raise ValueError("contract needs a 2-form")
+        ys = y.components
+        coeffs, comps = [[] for _ in range(5)], [[] for _ in range(5)]
+        # (dx_i ^ dx_j)(x, y) = x_i y_j - x_j y_i
+        for c, i, j in zip(self.coeffs, *PAIR_INDEX):
+            if not c.is_zero():
+                coeffs[i].append(c)
+                comps[i].append(ys[j])
+                coeffs[j].append(-c)
+                comps[j].append(ys[i])
+        return tuple(map(dot, coeffs, comps))
 
 
 def exterior_d(form: CoordForm) -> CoordForm:
@@ -195,9 +208,11 @@ class FrameFieldSet:
     What two or more model checks read is kept here, each entry built on
     first read: ``deta``; ``contact_volume``; ``span``, the 15 fields e_i,
     J e_i, J^2 e_i (``span[i]`` is e_{i+1}, ``span[4]`` is Reeb, and
-    ``span[a + 5]`` is J span[a]); their eta-values; and the tables
-    ``deta_pair``, ``metric``, ``bracket`` and ``j_bracket``.  What one check
-    reads once is not kept.
+    ``span[a + 5]`` is J span[a]); their eta-values; ``deta_slot``, the
+    contraction of deta with each of them; and the tables ``deta_pair``,
+    ``metric``, ``bracket`` and ``j_bracket``.  ``bracket`` computes a Lie
+    bracket only for a < b and negates it for b < a.  What one check reads
+    once is not kept.
     """
 
     name: str
@@ -241,20 +256,22 @@ class FrameFieldSet:
         """eta(span[a]) for a < 10."""
         return tuple(self.eta.pair_vector(x) for x in self.span[:10])
 
-    def _deta(self, x: VectorFieldPoly, y: VectorFieldPoly) -> PolyExpr:
-        # deta with the zero field (J Reeb) is zero.
-        return ZERO if _is_zero_field(x) or _is_zero_field(y) else self.deta.pair_two(x, y)
+    @cached_property
+    def deta_slot(self) -> tuple[tuple[PolyExpr, ...], ...]:
+        """``deta_slot[a]`` = ``deta.contract(span[a])``, so that deta(x, span[a])
+        is ``dot(x.components, deta_slot[a])``."""
+        return tuple(self.deta.contract(y) for y in self.span)
 
     @cached_property
     def deta_pair(self) -> _LazyTable:
         """``deta_pair[i, j]`` = deta(e_{i+1}, e_{j+1})."""
-        return _LazyTable(lambda i, j: self._deta(self.fields[i], self.fields[j]), 5)
+        return _LazyTable(lambda i, j: dot(self.fields[i].components, self.deta_slot[j]), 5)
 
     def webster(self, a: int, b: int) -> PolyExpr:
         """g(span[a], span[b]) for a, b < 10, with the Webster metric
         g(X, Y) = deta(X, JY) + eta(X) eta(Y)."""
         eta = self.eta_span
-        return self._deta(self.span[a], self.span[b + 5]) + eta[a] * eta[b]
+        return dot(self.span[a].components, self.deta_slot[b + 5]) + eta[a] * eta[b]
 
     @cached_property
     def metric(self) -> _LazyTable:
@@ -265,9 +282,13 @@ class FrameFieldSet:
 
     @cached_property
     def bracket(self) -> _LazyTable:
-        """``bracket[a, b]`` = [span[a], span[b]] for a, b < 10."""
+        """``bracket[a, b]`` = [span[a], span[b]] for a, b < 10.  Only a < b is
+        a Lie bracket: [x, x] is the zero field and [y, x] is -[x, y], which
+        the negation gives exactly."""
 
         def build(a, b):
+            if b <= a:
+                return ZERO_FIELD if a == b else -self.bracket[b, a]
             x, y = self.span[a], self.span[b]
             # A bracket with the zero field (J Reeb) is the zero field.
             return ZERO_FIELD if _is_zero_field(x) or _is_zero_field(y) else lie_bracket(x, y)
@@ -499,14 +520,19 @@ def tw_axiom_check(
     # (d) nabla J against the integrability defect
     jf = J_FRAME
     d_exprs = []
-    # Horizontal parts of N(e_j, e_l); a vanishing one has every d residual
-    # equal to its left-hand side.
-    n_h = {}
+    # (1/2) deta(e_k, N_h) for the horizontal part N_h of N(e_j, e_l), by
+    # (j, l): N is antisymmetric, so it is built for j < l only, and
+    # N(e_j, e_j) = 0.  A vanishing N has every d residual equal to its
+    # left-hand side.
+    n_deta = {}
     for j in range(5):
-        for l in range(5):
+        for l in range(j + 1, 5):
             n = _nijenhuis_contact(frame, j, l)
             if not _is_zero_field(n):
-                n_h[(j, l)] = n - frame.reeb.scale(frame.eta.pair_vector(n))
+                w = frame.deta.contract(n - frame.reeb.scale(frame.eta.pair_vector(n)))
+                half = [dot(f.components, w) * 0.5 for f in frame.fields]
+                n_deta[j, l] = half
+                n_deta[l, j] = [-h for h in half]
     for k in range(5):
         for j in range(5):
             for l in range(5):
@@ -520,8 +546,8 @@ def tw_axiom_check(
                             coef = coef - conn.gamma[k][j][p] * jf[m, p]
                     if not coef.is_zero():
                         lhs = lhs + coef * gmat[m, l]
-                if (j, l) in n_h:
-                    lhs = lhs - frame.deta.pair_two(frame.fields[k], n_h[(j, l)]) * 0.5
+                if (j, l) in n_deta:
+                    lhs = lhs - n_deta[j, l][k]
                 d_exprs.append(lhs)
     out["axiom_d_parallel_J"] = _max_eval(d_exprs, points)
     return out

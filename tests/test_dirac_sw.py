@@ -5,10 +5,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from swcheck.cliff5 import GAMMA, PSI0, gamma, sigma_full
+from swcheck.cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full
 from swcheck.curvature import admissible_ricci, ricci_form
 from swcheck.dirac_sw import (
     FIELD_DEGREE,
+    SO_COUPLING,
+    U1_COUPLING,
     SpinorField,
     _heisenberg_z_fields,
     _mat_apply,
@@ -26,7 +28,7 @@ from swcheck.dirac_sw import (
     spin_covariant_derivative,
     sw_residual,
 )
-from swcheck.extalg import KForm, deta, horizontal_split, sd_project
+from swcheck.extalg import PAIR_INDEX, KForm, deta, horizontal_split, sd_project
 from swcheck.models import (
     ConnectionCoefficients,
     CoordForm,
@@ -196,7 +198,7 @@ class TestConnectionTerms:
         psi_val = rng.normal(size=4) + 1j * rng.normal(size=4)
         psi = SpinorField.constant(psi_val)
         for p in POINTS[:10]:
-            # sum_w kappa_w (1/4 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi
+            # sum_w kappa_w (1/2 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi
             gam = np.array([[[c(p) for c in row] for row in plane] for plane in s.connection.gamma])
             a_vals = np.array([c(p) for c in s.connection.a_form.coeffs])
             frame_vals = np.array([[c(p) for c in f.components] for f in s.frame.fields]).T
@@ -205,7 +207,7 @@ class TestConnectionTerms:
                 m = 0.5 * (a_vals @ frame_vals[:, w]) * np.eye(4)
                 for j in range(5):
                     for k in range(j + 1, 5):
-                        m = m + 0.25 * gam[w, j, k] * (GAMMA[j] @ GAMMA[k])
+                        m = m + 0.5 * gam[w, j, k] * (GAMMA[j] @ GAMMA[k])
                 expected += GAMMA[w] @ m @ psi_val
             out = full_dirac(s, psi).evaluate(p)
             assert np.max(np.abs(out - expected)) <= 1e-13
@@ -219,7 +221,7 @@ class TestConnectionTerms:
 
     def test_finite_differences_match_written_out_loop(self):
         # kappa_w (sum_c e_w^c (psi(p + h e_c) - psi(p - h e_c)) / 2h
-        #          + (1/4 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi(p)),
+        #          + (1/2 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi(p)),
         # summed over w, with every polynomial evaluated through __call__.
         s, h = _twisted_connection(), 1e-4
 
@@ -239,9 +241,56 @@ class TestConnectionTerms:
                 m = 0.5 * a_w * np.eye(4)
                 for j in range(5):
                     for k in range(j + 1, 5):
-                        m = m + 0.25 * s.connection.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
+                        m = m + 0.5 * s.connection.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
                 expected += GAMMA[w] @ (deriv + m @ psi_at(p))
             assert np.max(np.abs(row - expected)) <= 1e-12
+
+
+# The Sasakian circle bundle over H^2 x H^2 (Boothby-Wang), with frame
+# e1 = y1 d/dx1 - d/dt, e2 = y1 d/dy1, e3 = y2 d/dx2 - d/dt, e4 = y2 d/dy2,
+# Reeb = d/dt and eta = dt + dx1/y1 + dx2/y2.  Its Tanaka-Webster connection
+# has the constant frame Christoffels nabla_e1 e1 = e2, nabla_e1 e2 = -e1,
+# nabla_e3 e3 = e4, nabla_e3 e4 = -e3 (SASAKI_GAMMA[w, j, k] = Gamma^k_{wj}),
+# and A = i (dx1/y1 + dx2/y2) has F_A = i deta = i rho_h at s = -4, with
+# A(e1) = A(e3) = i (SASAKI_A[w] = A(e_{w+1})).
+SASAKI_GAMMA = np.zeros((5, 5, 5))
+SASAKI_GAMMA[0, 0, 1] = SASAKI_GAMMA[2, 2, 3] = 1
+SASAKI_GAMMA[0, 1, 0] = SASAKI_GAMMA[2, 3, 2] = -1
+SASAKI_A = np.array([1j, 0, 1j, 0, 0])
+
+
+class TestCouplingOnSasakianChart:
+    """D_A psi0 = 0 on the circle bundle over H^2 x H^2, the first chart on
+    which the so(5) term of nabla meets nonzero Christoffels."""
+
+    def test_zeroth_order_dirac_annihilates_psi0(self):
+        # psi0 is constant, so D_A psi0 = sum_w kappa_w (SO_COUPLING sum_{j<k}
+        # Gamma^k_{wj} kappa_j kappa_k + U1_COUPLING A(e_w)) psi0.  Every entry
+        # is a Gaussian integer times a power of 2, so the sum is exact.
+        out = sum(
+            GAMMA[w]
+            @ (
+                SO_COUPLING * np.tensordot(SASAKI_GAMMA[w][PAIR_INDEX], PAIR_PRODUCTS, 1)
+                + U1_COUPLING * SASAKI_A[w] * np.eye(4)
+            )
+            @ PSI0
+            for w in range(5)
+        )
+        assert np.array_equal(out, np.zeros(4))
+
+    def test_full_dirac_annihilates_psi0(self):
+        # The same zeroth-order data through full_dirac: the Heisenberg frame
+        # (whose derivatives of psi0 vanish) with the constant Christoffels
+        # above and A = i dx1 + i dx2, which also has A(e1) = A(e3) = i.
+        gamma = tuple(
+            tuple(tuple(map(PolyExpr.const, row)) for row in plane) for plane in SASAKI_GAMMA
+        )
+        a_form = CoordForm.one_form(1j, 0, 1j, 0, 0)
+        assert [a_form.pair_vector(e) for e in S_FLAT.frame.fields] == list(
+            map(PolyExpr.const, SASAKI_A)
+        )
+        s = ModelBundle(S_FLAT.frame, ConnectionCoefficients(gamma, a_form))
+        assert all(c.is_zero() for c in full_dirac(s, SpinorField.psi0()).components)
 
 
 class TestStackedEvaluation:

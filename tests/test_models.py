@@ -1,13 +1,17 @@
 """Model charts: Heisenberg validators, the pointwise model of the canonical
 solution, model files."""
 
+import contextlib
+import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from swcheck import models
+from swcheck import cli, models
 from swcheck.curvature import (
     admissible_ricci,
     random_admissible_ricci,
@@ -20,7 +24,7 @@ from swcheck.curvature import (
 )
 from swcheck import extalg
 from swcheck.dirac_sw import canonical_solution
-from swcheck.extalg import INDEX_TUPLES, deta
+from swcheck.extalg import INDEX_TUPLES, PAIR_INDEX, deta
 from swcheck.models import (
     ConnectionCoefficients,
     CoordForm,
@@ -36,9 +40,13 @@ from swcheck.models import (
     sample_points,
     tw_axiom_check,
 )
-from swcheck.poly import PolyExpr
+from swcheck.poly import ZERO, PolyExpr, dot, evaluate_all, max_abs
 
 POINTS = sample_points(100, seed=10)
+SHEARED_CHART_3 = Path(__file__).parent / "data" / "sheared_chart_3.json"
+ON_BOTH_CHARTS = pytest.mark.parametrize(
+    "chart", ["heisenberg", SHEARED_CHART_3], ids=["heisenberg", "sheared_chart_3"]
+)
 
 
 def _is_zero(field: VectorFieldPoly) -> bool:
@@ -55,7 +63,7 @@ class TestHeisenbergStructure:
     def test_deta_on_first_pair(self, heis):
         frame, _ = heis
         d = exterior_d(frame.eta)
-        val = d.pair_two(frame.fields[0], frame.fields[1])
+        val = dot(frame.fields[0].components, d.contract(frame.fields[1]))
         assert val == PolyExpr.const(1)
 
     def test_reeb_normalization_exact(self, heis):
@@ -170,7 +178,7 @@ class TestCoordForm:
         for _ in range(5):
             alpha = _rand_form(rng, 1, 2)
             x, y = (VectorFieldPoly(_rand_form(rng, 1, 2).coeffs) for _ in range(2))
-            lhs = exterior_d(alpha).pair_two(x, y)
+            lhs = dot(x.components, exterior_d(alpha).contract(y))
             rhs = (
                 x.apply(alpha.pair_vector(y))
                 - y.apply(alpha.pair_vector(x))
@@ -178,6 +186,79 @@ class TestCoordForm:
             )
             assert not lhs.is_zero()
             assert lhs == rhs
+
+
+def _pair_two_by_minors(form: CoordForm, x: VectorFieldPoly, y: VectorFieldPoly) -> PolyExpr:
+    """form(x, y) by the 2x2 minors x_i y_j - x_j y_i, the reference for
+    ``CoordForm.contract``."""
+    xs, ys = x.components, y.components
+    minors = (
+        ZERO if c.is_zero() else xs[i] * ys[j] - xs[j] * ys[i]
+        for c, i, j in zip(form.coeffs, *PAIR_INDEX)
+    )
+    return dot(form.coeffs, minors)
+
+
+class TestSharedTables:
+    """The antisymmetric tables of FrameFieldSet and the deta contraction."""
+
+    @ON_BOTH_CHARTS
+    def test_bracket_table_is_the_lie_bracket(self, chart):
+        # Only a < b is a Lie bracket; [x, x] and [y, x] = -[x, y] are not.
+        frame = load_model(chart).frame
+        for a in range(10):
+            for b in range(10):
+                assert frame.bracket[a, b] == lie_bracket(frame.span[a], frame.span[b]), (a, b)
+
+    @ON_BOTH_CHARTS
+    def test_contraction_matches_minor_expansion(self, chart):
+        frame = load_model(chart).frame
+        pairs = [(a, b) for a in range(15) for b in range(15)]
+        by_slot = [dot(frame.span[a].components, frame.deta_slot[b]) for a, b in pairs]
+        by_minors = [
+            _pair_two_by_minors(frame.deta, frame.span[a], frame.span[b]) for a, b in pairs
+        ]
+        points = sample_points(50, seed=7)
+        assert max_abs(evaluate_all(by_minors, points)) >= 1.0
+        assert max_abs(evaluate_all(by_slot, points) - evaluate_all(by_minors, points)) <= 1e-14
+
+    def test_contraction_is_exact_on_integer_forms(self):
+        # Gaussian-integer coefficients keep every sum exact, so the two
+        # orders of summation agree term by term.
+        rng = np.random.default_rng(500)
+        for _ in range(10):
+            form = _rand_form(rng, 2)
+            x, y = (VectorFieldPoly(_rand_form(rng, 1).coeffs) for _ in range(2))
+            value = dot(x.components, form.contract(y))
+            assert not value.is_zero()
+            assert value == _pair_two_by_minors(form, x, y)
+
+    def test_contract_needs_a_two_form(self, heis):
+        frame, _ = heis
+        with pytest.raises(ValueError, match="2-form"):
+            frame.eta.contract(frame.reeb)
+
+    def test_symbolic_calls_of_one_model_run(self, monkeypatch):
+        # Each bracket and each N(e_j, e_l) is built once per unordered pair.
+        counts = Counter()
+
+        def recording(name, f):
+            def wrapped(*args):
+                counts[name] += 1
+                return f(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(models, "lie_bracket", recording("lie_bracket", lie_bracket))
+        monkeypatch.setattr(
+            models, "_nijenhuis_contact", recording("nijenhuis", models._nijenhuis_contact)
+        )
+        monkeypatch.setattr(VectorFieldPoly, "apply", recording("apply", VectorFieldPoly.apply))
+        argv = ["model", "--model", str(SHEARED_CHART_3), "--samples", "50", "--seed", "7"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(argv)
+        assert code == 0
+        assert counts == {"lie_bracket": 32, "apply": 420, "nijenhuis": 10}
 
 
 class TestContactCheck:
