@@ -33,7 +33,12 @@ the exact path.  Since every operator here is linear, ``dirac_on_basis``,
 ``full_dirac_fd_on_basis`` and ``dbar_identity_residual`` give their values
 on all basis fields m e_k with m a monomial of degree at most FIELD_DEGREE
 at once, one row per field; a polynomial field of that degree is a
-combination of the rows.
+combination of the rows.  The basis rows need only the scalar derivatives
+e_w(m) of the monomials.  ``basis_derivatives`` gives them exactly, from
+the partials of each monomial and the frame components; the basis oracle
+takes central differences of the monomials instead.  Both pass through
+the same assembly, ``_connection_terms`` and the Clifford products, so the
+oracle shares everything with the exact path but the derivative.
 
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+; ``sw_residual`` takes the curvature
@@ -48,7 +53,7 @@ dimension 5; the Dirac equation constrains a full spinor field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +61,7 @@ import numpy as np
 from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full, sigma_h
 from .curvature import _SQ2, COMPLEX_FRAME, admissible_ricci, ricci_form, rho_plus
 from .extalg import PAIR_INDEX, KForm, horizontal_split, sd_project
-from .models import ModelBundle, VectorFieldPoly, heisenberg5
+from .models import ModelBundle, heisenberg5
 from .poly import PolyExpr, dot, evaluate_all, monomials
 
 #: Prefactor of the so(5) part of the spinorial connection, over pairs j < k.
@@ -164,6 +169,14 @@ def fd_stencil(points, h: float) -> np.ndarray:
     )
 
 
+def _frame_values(s: ModelBundle, points) -> np.ndarray:
+    """The frame components e_w^c at a stack of points ``(..., 5)``, shape
+    ``(..., 5, 5)``, row w - 1 for e_w."""
+    points = np.asarray(points, dtype=float)
+    frame = evaluate_all([c for f in s.frame.fields for c in f.components], points)
+    return frame.reshape(points.shape[:-1] + (5, 5))
+
+
 def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float = 1e-4) -> np.ndarray:
     """Finite-difference oracle for the full Dirac operator on a stack of points.
 
@@ -172,16 +185,14 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float = 1e-4)
     of them for F fields, ``(F, ..., 11, 4)``; the result has shape
     ``(..., 4)``, or ``(F, ..., 4)``.  The exact directional derivatives are
     replaced with central differences along the chart coordinates; only the
-    connection terms are shared with the exact path.
+    connection terms are shared with the exact path.  This is the per-field
+    reference that ``full_dirac_fd_on_basis`` is tested against.
     """
-    points = np.asarray(points, dtype=float)
     psi_p = psi_vals[..., 0, :]
-    frame = evaluate_all([c for f in s.frame.fields for c in f.components], points)
-    frame = frame.reshape(points.shape[:-1] + (5, 5))
     # e_w(psi) = sum_c e_w^c d_c psi, with d_c psi the central differences.
     diffs = psi_vals[..., 1:6, :] - psi_vals[..., 6:, :]
     diffs /= 2 * h
-    derivs = frame @ diffs
+    derivs = _frame_values(s, points) @ diffs
     out = np.zeros(psi_p.shape, dtype=complex)
     for w in range(1, 6):
         deriv = derivs[..., w - 1, :]
@@ -207,9 +218,33 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float = 1e-4)
 FIELD_DEGREE = 3
 
 
-def basis_monomials() -> list[PolyExpr]:
+@lru_cache(maxsize=1)
+def basis_monomials() -> tuple[PolyExpr, ...]:
     """The monomials of total degree at most FIELD_DEGREE, in ``poly.monomials`` order."""
-    return [PolyExpr.from_dict({e: 1}) for e in monomials(FIELD_DEGREE)]
+    return tuple(PolyExpr.from_dict({e: 1}) for e in monomials(FIELD_DEGREE))
+
+
+@lru_cache(maxsize=1)
+def _basis_polys() -> tuple[PolyExpr, ...]:
+    """The exact partials d_c m of every basis monomial, row (c - 1) M + i for
+    m = monomials[i] and c = 1..5, followed by the M monomials themselves."""
+    monos = basis_monomials()
+    return tuple(m.diff(c) for c in range(5) for m in monos) + monos
+
+
+def basis_derivatives(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
+    """e_w(m) for the five frame fields and every basis monomial m at a stack
+    of points, shape ``(..., 5, M)``, and the values of the monomials,
+    ``(..., M)``.
+
+    By the chain rule e_w(m) = sum_c e_w^c d_c m: the exact partials and the
+    monomials are evaluated in one call and contracted with the frame
+    components, which are evaluated once.
+    """
+    vals = evaluate_all(_basis_polys(), points)
+    n = len(basis_monomials())
+    partials = vals[..., : 5 * n].reshape(vals.shape[:-1] + (5, n))
+    return _frame_values(s, points) @ partials, vals[..., 5 * n :]
 
 
 def _image(values, mat) -> np.ndarray:
@@ -220,43 +255,48 @@ def _image(values, mat) -> np.ndarray:
     return rows.reshape((-1,) + rows.shape[2:])
 
 
-def dirac_on_basis(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
+def _dirac_rows(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, np.ndarray]:
     """``kohn_dirac`` and ``full_dirac`` of every basis field m e_k at a stack
-    of points, each of shape ``(4 M, ..., 4)``.
+    of points, each of shape ``(4 M, ..., 4)``, from the derivatives e_w(m),
+    ``(..., 5, M)``, and the values of the monomials, ``(..., M)``.
 
     nabla_w (m e_k) = e_w(m) e_k + sum_t c_t m M_t e_k over the connection
-    terms (c_t, M_t) of ``_connection_terms``.  The derivatives e_w(m) are
-    built symbolically, once for every monomial, and evaluated in one call.
+    terms (c_t, M_t) of ``_connection_terms``.
     """
-    points = np.asarray(points, dtype=float)
-    monos = basis_monomials()
-    n = len(monos)
-    vals = evaluate_all([f.apply(m) for f in s.frame.fields for m in monos] + monos, points)
 
     def clifford_derivative(w):
         """kappa(e_w) nabla_w (m e_k) for every basis field."""
-        rows = _image(vals[..., (w - 1) * n : w * n], GAMMA[w - 1])
+        rows = _image(derivs[..., w - 1, :], GAMMA[w - 1])
         terms = _connection_terms(s, w)
         coeffs = evaluate_all([coeff for coeff, _ in terms], points)
         for t, (_, m) in enumerate(terms):
-            rows += _image(coeffs[..., t, None] * vals[..., 5 * n :], GAMMA[w - 1] @ m)
+            rows += _image(coeffs[..., t, None] * values, GAMMA[w - 1] @ m)
         return rows
 
     kohn = sum(clifford_derivative(w) for w in range(1, 5))
     return kohn, kohn + clifford_derivative(5)
 
 
+def dirac_on_basis(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
+    """``kohn_dirac`` and ``full_dirac`` of every basis field m e_k at a stack
+    of points, each of shape ``(4 M, ..., 4)``, from the exact derivatives of
+    ``basis_derivatives``."""
+    return _dirac_rows(s, points, *basis_derivatives(s, points))
+
+
 def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
     """``full_dirac_fd`` on every basis field, shape ``(4 M, ..., 4)``.
 
-    The monomials are evaluated once on the stencil of all points; the
-    fields go through the oracle one e_k at a time, which keeps the stack of
-    stencil values to M fields.
+    The monomials are evaluated once on the stencil of all points.  Their
+    central differences (m(p + h e_c) - m(p - h e_c)) / 2h, contracted with
+    the frame components, stand in for the exact e_w(m); the rows are then
+    assembled as in ``dirac_on_basis``.
     """
     values = evaluate_all(basis_monomials(), fd_stencil(points, h))
-    return np.concatenate(
-        [full_dirac_fd(s, _image(values, e_k[:, None]), points, h) for e_k in np.eye(4)]
-    )
+    diffs = values[..., 1:6, :] - values[..., 6:, :]
+    diffs /= 2 * h
+    derivs = _frame_values(s, points) @ diffs
+    return _dirac_rows(s, points, derivs, values[..., 0, :])[1]
 
 
 # -- identification with (0, *)-forms -----------------------------------------
@@ -352,17 +392,6 @@ def derive_identification() -> np.ndarray:
 # -- dbar operators on the Heisenberg model ------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _heisenberg_z_fields() -> tuple[VectorFieldPoly, ...]:
-    """Z1, Z2, Zbar1, Zbar2 on the Heisenberg chart: the first four rows of
-    ``COMPLEX_FRAME`` on its frame fields."""
-    fields = heisenberg5().frame.fields
-    return tuple(
-        reduce(VectorFieldPoly.__add__, (f.scale(c) for f, c in zip(fields, row) if c))
-        for row in COMPLEX_FRAME[:4]
-    )
-
-
 def dbar_identity_residual(kohn, points) -> np.ndarray:
     """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f for every basis form
     field f = m e_k at a stack of points, flat Heisenberg model: shape
@@ -371,16 +400,14 @@ def dbar_identity_residual(kohn, points) -> np.ndarray:
     ``kohn`` is D_H on the spinor basis fields at the same points, the
     first array of ``dirac_on_basis``.  With the flat connection dbar_H and
     dbar_H* act componentwise, through the wedge and contraction matrices,
-    on Zbar_a(m) and Z_a(m); those are built symbolically once for every
-    monomial and evaluated in one call.
+    on Zbar_a(m) and Z_a(m): the rows of ``COMPLEX_FRAME`` times the e_w(m)
+    of ``basis_derivatives``.
     """
     phi = derive_identification()
-    z1, z2, zb1, zb2 = _heisenberg_z_fields()
+    derivs, _ = basis_derivatives(heisenberg5(), points)
+    z1, z2, zb1, zb2 = np.moveaxis(COMPLEX_FRAME[:4] @ derivs, -2, 0)
     terms = ((zb1, _WEDGE1), (zb2, _WEDGE2), (z1, -_CONTRACT1), (z2, -_CONTRACT2))
-    monos = basis_monomials()
-    vals = evaluate_all([z.apply(m) for z, _ in terms for m in monos], points)
-    vals = vals.reshape(vals.shape[:-1] + (len(terms), len(monos)))
-    lhs = sum(_image(vals[..., a, :], mat) for a, (_, mat) in enumerate(terms))
+    lhs = sum(_image(z, mat) for z, mat in terms)
     # Phi (m e_k) = sum_j Phi[j, k] m e_j.
     rhs = np.tensordot(phi, kohn.reshape((4, -1) + kohn.shape[1:]), axes=(0, 0))
     rhs = rhs.reshape(lhs.shape)

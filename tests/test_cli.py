@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swcheck import cli, cliff5, curvature, models
+from swcheck import cli, cliff5, curvature, dirac_sw, models
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from swcheck.dirac_sw import SpinorField
 from swcheck.models import load_model
@@ -172,6 +172,30 @@ class TestSharedSymbolicWork:
         assert len({id(x) for x in j_args}) == len(j_args)
         fields = load_model(chart).frame.fields[:4]
         assert [sum(x == f for x in j_args) for f in fields] == [1] * 4
+
+    def test_dirac_basis_rows_from_one_derivative_table(self, monkeypatch, capsys):
+        # The basis rows read the derivatives e_w(m) of the 56 monomials from
+        # their exact partials, and the oracle from one evaluation of the
+        # monomials on the stencil.  What is left of VectorFieldPoly.apply is
+        # the symbolic operators on psi0 (full_dirac 20, kohn_dirac 16) and on
+        # the phase-invariance field and its rotation (20 each).
+        applies, evaluations = [], []
+        apply, evaluate_all = models.VectorFieldPoly.apply, dirac_sw.evaluate_all
+
+        def record_apply(field, f):
+            applies.append(f)
+            return apply(field, f)
+
+        def record_evaluate_all(polys, points):
+            evaluations.append((len(polys), np.shape(points)))
+            return evaluate_all(polys, points)
+
+        monkeypatch.setattr(models.VectorFieldPoly, "apply", record_apply)
+        monkeypatch.setattr(dirac_sw, "evaluate_all", record_evaluate_all)
+        assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
+        assert len(applies) == 76
+        stencil = [e for e in evaluations if len(e[1]) == 3]
+        assert stencil == [(56, (20, 11, 5))]
 
     def test_contact_volume_built_once(self, monkeypatch, capsys):
         # contact_check and contact_volume_equals_2 read the one contact volume
@@ -766,6 +790,25 @@ class TestNonFiniteEvaluations:
             assert run(argv) == EXIT_FAIL
         rep = json.loads(out.read_text(), parse_constant=_refuse)
         assert rep["suite"] == suite and rep["pass"] is False
+
+    @pytest.mark.parametrize("suite", ["dirac", "all"])
+    def test_huge_step_reaches_a_verdict(self, suite, tmp_path):
+        # --h 1e300 overflows the stencil values of the finite-difference
+        # oracle.  With warnings as errors, the suite still writes its report,
+        # and exactly the two finite-difference checks fail.
+        out = tmp_path / "report.json"
+        argv = [suite, "--h", "1e300", "--samples", "3", "--output", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == EXIT_FAIL
+        rep = json.loads(out.read_text(), parse_constant=_refuse)
+        assert rep["suite"] == suite and rep["pass"] is False
+        if suite == "all":
+            rep = rep["suites"]["dirac"]
+        assert self._failed(rep) == {
+            "finite_difference_agreement": "NaN",
+            "finite_difference_agreement_degree3_basis": "NaN",
+        }
 
     def test_floor_check_reports_nan(self):
         row = cli._floor_check("volume", float("nan"), 1e-9)
