@@ -33,6 +33,7 @@ from .cliff5 import GAMMA, PSI0
 from .dirac_sw import (
     FIELD_DEGREE,
     SpinorField,
+    _clifford,
     canonical_solution,
     dbar_identity_residual,
     derive_identification,
@@ -41,6 +42,7 @@ from .dirac_sw import (
     full_dirac,
     full_dirac_fd_on_basis,
     kohn_dirac,
+    spin_covariant_derivative,
     sw_residual,
 )
 from .extalg import (
@@ -269,35 +271,57 @@ def _suite_selfdual(ns) -> dict:
     return _report("selfdual", ns, checks)
 
 
+def _curvature_rows() -> list[tuple[np.ndarray, np.ndarray]]:
+    """For the Ricci checks, then the Bianchi check: the residual rows as a
+    real ``(K, P, R)`` array, and the first of the R entries of each check.
+
+    Every residual is linear in the parameters of ``admissible_ricci`` (4)
+    or ``admissible_torsion`` (6) and in the ``--perturb`` shift of R11 or
+    tau12: row k is the residual of unit parameter k, the last row that of
+    the shift.  P holds the real and imaginary parts that are not zero in
+    every row: the Ricci residuals are real, and B is imaginary.
+    """
+    unit = np.eye(25).reshape(25, 5, 5)  # E_ij at 5 i + j
+    ric = np.concatenate([curvature.admissible_ricci(*np.eye(4)), unit[:1]])
+    tau = np.concatenate([curvature.admissible_torsion(np.eye(6)), unit[1:2]])
+    j = curvature.J_FRAME
+    jh, ric_h = j[:4, :4], ric[:, :4, :4]
+    rho = curvature.rho_plus(ric) + (curvature.scalar_curvature(ric) / 4.0) * deta()
+    recon = curvature.ricci_reconstruction_defect(ric)
+    bianchi = curvature.bianchi_b(tau, *curvature.HORIZONTAL_FRAME_PAIRS)
+    out = []
+    for residuals in ([rho.coeffs, j @ ric - ric @ j, jh.T @ ric_h @ jh - ric_h, recon], [bianchi]):
+        flat = np.concatenate([np.reshape(r, (len(r), -1)) for r in residuals], axis=1)
+        parts = [part for part in (flat.real, flat.imag) if np.any(part)]
+        out.append((np.stack(parts, axis=1), np.cumsum([0] + [r[0].size for r in residuals[:-1]])))
+    return out
+
+
 def _suite_curvature(ns) -> dict:
     perturb = ns.perturb
     tol = ns.tol
-    j = curvature.J_FRAME
-    jh = j[:4, :4]
-    xs, ys = curvature.HORIZONTAL_FRAME_PAIRS
     # One stream per kind of draw; blocks draw in order, so the draws depend
     # neither on BLOCK nor, for the first n, on --samples.  The tensor check's
     # 10 Ricci draws come first, so they do not depend on --samples at all.
     ric_rng = np.random.default_rng([ns.seed, 0])
     tau_rng = np.random.default_rng([ns.seed, 1])
     ric_tensor = curvature.random_admissible_ricci(ric_rng, 10)
+    streams = tuple(zip((ric_rng, tau_rng), _curvature_rows()))
 
     def residuals(block):
-        ric = curvature.random_admissible_ricci(ric_rng, len(block))
-        tau = curvature.random_admissible_torsion(tau_rng, len(block))
-        if perturb:
-            ric[:, 0, 0] += perturb
-            tau[:, 0, 1] += perturb
-        ric_h = ric[:, :4, :4]
-        return (
-            (curvature.rho_plus(ric) + (curvature.scalar_curvature(ric) / 4.0) * deta()).norm_inf(),
-            np.max(np.abs(j @ ric - ric @ j)),
-            np.max(np.abs(jh.T @ ric_h @ jh - ric_h)),
-            np.max(np.abs(curvature.bianchi_b(tau, xs, ys))),
-            curvature.ric_identity_check(ric),
-        )
+        # The drawn parameters, the shift as a last column, times the rows.
+        # einsum's own loop, not `@`: at this size `@` calls a threaded BLAS,
+        # measured at a flat ~8 ms a call on a 2-vCPU machine against 0.1 ms.
+        shift = np.full((len(block), 1), perturb)
+        worst = []
+        for rng, (rows, starts) in streams:
+            params = np.hstack([rng.uniform(-1.0, 1.0, (len(block), len(rows) - 1)), shift])
+            parts = np.einsum("nk,kpr->npr", params, rows)
+            moduli = np.abs(parts[:, 0]) if len(rows[0]) == 1 else np.hypot(parts[:, 0], parts[:, 1])
+            worst.extend(np.maximum.reduceat(np.max(moduli, axis=0), starts))
+        return worst
 
-    r_rho, r_j, r_jj, r_b, r_ric = _worst(ns.samples, residuals)
+    r_rho, r_j, r_jj, r_ric, r_b = _worst(ns.samples, residuals)
     checks = [
         _check("rho_plus_is_minus_quarter_s_deta", r_rho, tol),
         _check("J_commutes_with_ricci", r_j, 0.0 if not perturb else tol),
@@ -306,6 +330,7 @@ def _suite_curvature(ns) -> dict:
         _check("ricci_reconstruction_identity", r_ric, tol),
     ]
 
+    j = curvature.J_FRAME
     t4 = curvature.curvature_tensor(ric_tensor)
     z = curvature.COMPLEX_FRAME
     r_trace = np.max(np.abs(curvature.ricci_trace(t4) - 1j * z @ (j @ ric_tensor) @ z.T))
@@ -362,8 +387,10 @@ def _suite_dirac(ns) -> dict:
     psi0 = SpinorField.psi0()
     if ns.perturb:
         psi0 = psi0 + SpinorField.make(ns.perturb * PolyExpr.variable("x1"), 0, 0, 0)
-    r = max_abs(full_dirac(s, psi0).evaluate(points))
-    rk = max_abs(kohn_dirac(s, psi0).evaluate(points))
+    # full_dirac is kohn_dirac plus the Reeb term: the Kohn part is built once.
+    kohn0 = kohn_dirac(s, psi0)
+    r = max_abs((kohn0 + _clifford(5, spin_covariant_derivative(s, 5, psi0))).evaluate(points))
+    rk = max_abs(kohn0.evaluate(points))
     checks.append(_check("full_dirac_psi0_zero", r, 0.0))
     checks.append(_check("kohn_dirac_psi0_zero", rk, 0.0))
 
@@ -381,9 +408,20 @@ def _suite_dirac(ns) -> dict:
 
     def worst_draw(n, rows):
         coeffs = random_coefficients(rng, FIELD_DEGREE, (n, 4)).reshape(n, -1)
-        # einsum's own loop, not `@`: at this size `@` calls a threaded BLAS
-        # zgemm, measured at about 20 ms a call on a 2-vCPU machine against 1-3 ms.
-        return max_abs(np.einsum("fj,jr->fr", coeffs, rows))
+        # A field has 16 nonzero coefficients of 224 (NaN counts as nonzero):
+        # gather them and their rows, in column order, 8 fields at a time, so
+        # that the gathered rows stay small.  einsum's own loop, not `@`,
+        # which calls a threaded BLAS.
+        idx = np.argsort(coeffs == 0, axis=1, kind="stable")
+        idx = idx[:, : np.count_nonzero(coeffs, axis=1).max()]
+        vals = np.take_along_axis(coeffs, idx, 1)
+        products = [
+            np.einsum("fk,fkr->fr", vals[i : i + 8], rows[idx[i : i + 8]]) for i in range(0, n, 8)
+        ]
+        r = max_abs(np.concatenate(products))
+        # As in the dense product, where 0 * NaN reaches every draw, a
+        # non-finite row fails the check.
+        return r if np.isfinite(rows).all() else math.nan
 
     r = _worst(ns.samples, lambda block: worst_draw(len(block), fd))
     checks.append(_check("finite_difference_agreement", r, ns.tol))

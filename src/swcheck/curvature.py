@@ -20,8 +20,8 @@ Two conventions exist for the Ricci form, differing in where J sits:
 ``rho(X, Y) = g(X, J Ric Y)`` (matrix J R) and ``rho(X, Y) = Ric(X, J Y)``
 (matrix R J).  They agree whenever J and R commute, which admissibility
 guarantees.  ``ricci_form`` uses J R, whose expansion is the one the
-self-dual projection identity is stated for; ``ric_identity_check``
-compares it with R J.
+self-dual projection identity is stated for;
+``ricci_reconstruction_defect`` compares it with R J.
 
 The Bianchi correction B(X, Y) built from the torsion vanishes identically
 for every SELF-ADJOINT torsion; J-anticommutation is not needed for that
@@ -35,7 +35,11 @@ axes.  Values (forms, scalar curvatures, Bianchi terms) keep the sample
 axes; residuals and violation lists cover the whole stack.  Samplers take a
 ``numpy.random.Generator`` and a stack size, as ``poly.random_poly`` does;
 they advance only that generator.  All other functions are pure and never
-write to their arguments.
+write to their arguments.  The Ricci form, rho_plus, the scalar curvature,
+the reconstruction defect and B are linear in ``ric`` or ``tau``, so the
+curvature suite evaluates them once on the unit parameter vectors of
+``admissible_ricci`` and ``admissible_torsion`` and scales those rows by
+each draw's parameters.
 """
 
 from __future__ import annotations
@@ -61,18 +65,6 @@ J_FRAME.flags.writeable = False
 HORIZONTAL_FRAME_PAIRS = tuple(np.eye(5)[ix[~VERTICAL[2]]] for ix in PAIR_INDEX)
 for _stack in HORIZONTAL_FRAME_PAIRS:
     _stack.flags.writeable = False
-
-
-def deta_pair(x, y) -> float:
-    """deta(X, Y) = (x1 y2 - x2 y1) + (x3 y4 - x4 y3) on frame coordinates.
-
-    ``x`` and ``y`` may be stacks of vectors along a leading axis.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return (
-        x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0] + x[..., 2] * y[..., 3] - x[..., 3] * y[..., 2]
-    )
 
 
 # -- admissible Ricci data ---------------------------------------------------
@@ -209,28 +201,29 @@ def bianchi_b(tau: np.ndarray, x, y) -> complex:
     y = np.asarray(y, dtype=float)
     if np.any(x[..., 4]) or np.any(y[..., 4]):
         raise ValueError("B(X, Y) is defined for horizontal arguments")
-    d = deta_pair(x, y)
+    d = np.sum((x @ J_FRAME.T) * y, axis=-1)  # deta(X, Y) = g(J X, Y)
     j_tau = np.sum(J_FRAME * tau, axis=(-2, -1))
     xty = np.sum((x @ tau) * y, axis=-1)
     ytx = np.sum((y @ tau) * x, axis=-1)
     return 0.5j * (d * j_tau.reshape(j_tau.shape + (1,) * d.ndim) + xty - ytx)
 
 
-def ric_identity_check(ric: np.ndarray) -> float:
-    """Residual of the reconstruction Ric = i rho_h over horizontal pairs.
+def ricci_reconstruction_defect(ric: np.ndarray) -> np.ndarray:
+    """Defect of the reconstruction Ric = i rho_h on the six horizontal
+    pairs, shape (..., 6), without the factor i: the 2-form part of R
+    through the R J placement of J, minus the Ricci form (J R).
 
-    Reconstructs the 2-form part of R through the R J placement of J and
-    compares it with the Ricci form, the J R placement.  The
-    reconstruction's Bianchi correction B vanishes for every self-adjoint
-    torsion (see ``bianchi_b``, checked on its own), so it does not enter.
-    On admissible data the two placements agree, so the residual is zero;
-    broken symmetry constraints make J and R stop commuting and the residual
-    turns on.
+    Its Bianchi correction B vanishes for every self-adjoint torsion (see
+    ``bianchi_b``), so it does not enter.  Zero on admissible data; broken
+    symmetry constraints make J and R stop commuting and turn it on.
     """
     horizontal = ~VERTICAL[2]
-    recon = _two_form(ric @ J_FRAME).coeffs[..., horizontal]
-    direct = ricci_form(ric).coeffs[..., horizontal]
-    return float(np.max(np.abs(1j * recon - 1j * direct)))
+    return _two_form(ric @ J_FRAME).coeffs[..., horizontal] - ricci_form(ric).coeffs[..., horizontal]
+
+
+def ric_identity_check(ric: np.ndarray) -> float:
+    """Largest modulus of ``ricci_reconstruction_defect`` over the stack."""
+    return float(np.max(np.abs(ricci_reconstruction_defect(ric))))
 
 
 # -- (4,0) curvature tensor ---------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swcheck import cli, cliff5, curvature, dirac_sw, models
+from swcheck import cli, cliff5, curvature, dirac_sw, extalg, models
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from swcheck.dirac_sw import SpinorField
 from swcheck.models import load_model
@@ -177,8 +177,8 @@ class TestSharedSymbolicWork:
         # The basis rows read the derivatives e_w(m) of the 56 monomials from
         # their exact partials, and the oracle from one evaluation of the
         # monomials on the stencil.  What is left of VectorFieldPoly.apply is
-        # the symbolic operators on psi0 (full_dirac 20, kohn_dirac 16) and on
-        # the phase-invariance field and its rotation (20 each).
+        # the symbolic operators on psi0 (kohn_dirac 16 and the Reeb term 4)
+        # and on the phase-invariance field and its rotation (20 each).
         applies, evaluations = [], []
         apply, evaluate_all = models.VectorFieldPoly.apply, dirac_sw.evaluate_all
 
@@ -193,9 +193,25 @@ class TestSharedSymbolicWork:
         monkeypatch.setattr(models.VectorFieldPoly, "apply", record_apply)
         monkeypatch.setattr(dirac_sw, "evaluate_all", record_evaluate_all)
         assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
-        assert len(applies) == 76
+        assert len(applies) == 60
         stencil = [e for e in evaluations if len(e[1]) == 3]
         assert stencil == [(56, (20, 11, 5))]
+
+    def test_dirac_builds_the_kohn_part_of_psi0_once(self, monkeypatch, capsys):
+        # full_dirac_psi0_zero adds the Reeb term to the Kohn-Dirac operator of
+        # psi0 that kohn_dirac_psi0_zero reads: five covariant derivatives of
+        # psi0, and five each for the phase-invariance field and its rotation.
+        directions = []
+        derivative = dirac_sw.spin_covariant_derivative
+
+        def record(s, w, psi):
+            directions.append(w)
+            return derivative(s, w, psi)
+
+        for owner in (dirac_sw, cli):
+            monkeypatch.setattr(owner, "spin_covariant_derivative", record)
+        assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
+        assert sorted(directions) == sorted([1, 2, 3, 4, 5] * 3)
 
     def test_contact_volume_built_once(self, monkeypatch, capsys):
         # contact_check and contact_volume_equals_2 read the one contact volume
@@ -504,9 +520,29 @@ class TestUsageErrors:
         assert "constraint R12=0 violated" in err
 
 
-def _size(rng, size):
-    """The ``size`` argument of a curvature sampler call."""
-    return size
+def _curvature_draws(monkeypatch, nan=None):
+    """Record the parameter arrays that the curvature suite draws, in draw
+    order: ``{0: [...], 1: [...]}`` for its Ricci stream ``default_rng([S, 0])``
+    and its torsion stream ``default_rng([S, 1])``.  ``nan=(stream, call, row,
+    column)`` makes that entry of call number ``call`` (from 1) of ``stream``
+    NaN."""
+    draws = {0: [], 1: []}
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+            self._stream = seed[1]
+
+        def uniform(self, *args):
+            out = self._rng.uniform(*args)
+            draws[self._stream].append(out.copy())
+            if nan and nan[:2] == (self._stream, len(draws[self._stream])):
+                out[nan[2:]] = np.nan
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return draws
 
 
 class TestSampleCounts:
@@ -552,18 +588,14 @@ class TestSampleCounts:
 
     def test_curvature_draws(self, monkeypatch, capsys):
         for n in (3, cli.BLOCK + 7):
-            argv = ["curvature", "--samples", str(n)]
-            rows = self._rows(
-                monkeypatch, capsys, curvature, "random_admissible_torsion", _size, argv
-            )
-            assert sum(rows) == n
-            assert max(rows) <= cli.BLOCK
-            rows = self._rows(
-                monkeypatch, capsys, curvature, "random_admissible_ricci", _size, argv
-            )
+            with monkeypatch.context() as m:
+                draws = _curvature_draws(m)
+                code, rep = _run(["curvature", "--samples", str(n)], capsys)
+            assert code == EXIT_PASS and rep["parameters"]["samples"] == n
+            ric, tau = ([len(d) for d in draws[k]] for k in (0, 1))
             # curvature_tensor_symmetries_and_trace draws 10 more, whatever n is.
-            assert sum(rows) == n + 10
-            assert max(rows) <= cli.BLOCK
+            assert ric[0] == 10 and sum(ric) == n + 10 and sum(tau) == n
+            assert max(ric + tau) <= cli.BLOCK
 
     def test_dirac_field_draws(self, monkeypatch, capsys):
         for n in (3, cli.BLOCK + 7):
@@ -598,21 +630,11 @@ class TestCurvatureDraws:
 
     @staticmethod
     def _draws(monkeypatch, capsys, n):
-        """Every Ricci and torsion matrix the suite draws, in draw order."""
-        drawn = {"ric": [], "tau": []}
-        samplers = {"ric": "random_admissible_ricci", "tau": "random_admissible_torsion"}
+        """Every Ricci and torsion parameter row the suite draws, in draw order."""
         with monkeypatch.context() as m:
-            for attr, name in samplers.items():
-                original = getattr(curvature, name)
-
-                def recording(rng, size, original=original, attr=attr):
-                    out = original(rng, size)
-                    drawn[attr].append(out)
-                    return out
-
-                m.setattr(curvature, name, recording)
+            drawn = _curvature_draws(m)
             assert _run(["curvature", "--samples", str(n)], capsys)[0] == EXIT_PASS
-        return {attr: np.concatenate(stacks) for attr, stacks in drawn.items()}
+        return {attr: np.concatenate(drawn[k]) for attr, k in (("ric", 0), ("tau", 1))}
 
     def test_draws_do_not_depend_on_block(self, monkeypatch, capsys):
         default = self._draws(monkeypatch, capsys, 40)
@@ -625,10 +647,70 @@ class TestCurvatureDraws:
         n, big_n = cli.BLOCK + 3, 2 * cli.BLOCK + 1
         few = self._draws(monkeypatch, capsys, n)
         many = self._draws(monkeypatch, capsys, big_n)
-        assert len(few["ric"]) == n + 10 and len(many["ric"]) == big_n + 10
-        assert len(few["tau"]) == n and len(many["tau"]) == big_n
+        assert few["ric"].shape == (n + 10, 4) and many["ric"].shape == (big_n + 10, 4)
+        assert few["tau"].shape == (n, 6) and many["tau"].shape == (big_n, 6)
         for attr in ("ric", "tau"):
             assert np.array_equal(many[attr][: len(few[attr])], few[attr])
+
+    def test_draws_are_the_sampler_streams(self, monkeypatch, capsys):
+        # The parameters are those the samplers draw from the same streams:
+        # the blocks' Ricci matrices and torsions are the samplers' stacks.
+        n = cli.BLOCK + 3
+        drawn = self._draws(monkeypatch, capsys, n)
+        ric = curvature.random_admissible_ricci(np.random.default_rng([0, 0]), n + 10)
+        tau = curvature.random_admissible_torsion(np.random.default_rng([0, 1]), n)
+        assert np.array_equal(curvature.admissible_ricci(*drawn["ric"].T), ric)
+        assert np.array_equal(curvature.admissible_torsion(drawn["tau"]), tau)
+
+
+class TestCurvatureRows:
+    """The sampled curvature residuals are the drawn parameters, with the
+    ``--perturb`` shift as a last column, times rows built once on the unit
+    parameter vectors and the shifted entry (``cli._curvature_rows``)."""
+
+    @staticmethod
+    def _direct(ric_params, tau_params):
+        """The residual vectors of the five sampled checks, straight from the
+        library functions, on the Ricci matrices and torsions of the
+        parameter rows (the last column shifts R11 or tau12)."""
+        ric = curvature.admissible_ricci(*ric_params[:, :4].T)
+        ric[:, 0, 0] += ric_params[:, 4]
+        tau = curvature.admissible_torsion(tau_params[:, :6])
+        tau[:, 0, 1] += tau_params[:, 6]
+        j = curvature.J_FRAME
+        jh, ric_h = j[:4, :4], ric[:, :4, :4]
+        rho = curvature.rho_plus(ric) + (curvature.scalar_curvature(ric) / 4.0) * extalg.deta()
+        recon = curvature.ricci_reconstruction_defect(ric)
+        ricci = [rho.coeffs, j @ ric - ric @ j, jh.T @ ric_h @ jh - ric_h, recon]
+        bianchi = curvature.bianchi_b(tau, *curvature.HORIZONTAL_FRAME_PAIRS)
+        return np.concatenate([r.reshape(len(ric), -1) for r in ricci], axis=1), bianchi
+
+    @pytest.mark.parametrize("shift", ["none", "perturb", "random"])
+    def test_rows_times_parameters_are_the_direct_residuals(self, shift):
+        # "none" draws admissible inputs only; "perturb" adds the constant
+        # column of --perturb 1e-3, and "random" a shift of order one in each
+        # draw, both off the admissible set.
+        rng = np.random.default_rng(19)
+        n = 300
+        params = []
+        for k in (4, 6):
+            last = {"none": 0.0, "perturb": 1e-3, "random": rng.uniform(-1, 1, n)}[shift]
+            params.append(np.column_stack([rng.uniform(-1, 1, (n, k)), np.broadcast_to(last, n)]))
+        (ric_rows, ric_starts), (tau_rows, tau_starts) = cli._curvature_rows()
+        # Ricci residuals are real and B is imaginary: each keeps one part.
+        assert ric_rows.shape == (5, 1, 57) and tau_rows.shape == (7, 1, 6)
+        assert list(ric_starts) == [0, 10, 35, 51] and list(tau_starts) == [0]
+        ricci, bianchi = self._direct(*params)
+        assert np.max(np.abs(params[0] @ ric_rows[:, 0] - ricci)) <= 1e-15
+        assert np.max(np.abs(1j * (params[1] @ tau_rows[:, 0]) - bianchi)) <= 1e-15
+
+    def test_admissible_rows_are_exactly_zero(self):
+        # So a clean run reports exactly 0.0; the shifted entry's row turns
+        # every check on.
+        (ric_rows, ric_starts), (tau_rows, _) = cli._curvature_rows()
+        assert not np.any(ric_rows[:4]) and not np.any(tau_rows[:6])
+        shifted = np.maximum.reduceat(np.abs(ric_rows[4, 0]), ric_starts)
+        assert list(shifted) == [0.25, 1.0, 1.0, 1.0] and np.max(np.abs(tau_rows[6])) == 0.5
 
 
 class TestDiracDraws:
@@ -656,27 +738,56 @@ class TestDiracDraws:
 
 
 class TestNonFiniteSamples:
-    def test_nan_curvature_draw_fails(self, monkeypatch, capsys):
-        # One NaN Ricci sample, in row 3 of the second block of draws, must
-        # fail the suite; a Python ``max(r, nan)`` over samples or blocks
-        # would drop it.
-        original = curvature.random_admissible_ricci
-        calls = []
+    _RICCI_CHECKS = [
+        "rho_plus_is_minus_quarter_s_deta",
+        "J_commutes_with_ricci",
+        "ricci_J_invariance",
+        "ricci_reconstruction_identity",
+    ]
 
-        def with_nan(rng, size):
-            ric = original(rng, size)
-            calls.append(size)
-            # The first call draws the tensor check's 10 samples.
-            if len(calls) == 3:
-                ric[3, 0, 0] = np.nan
-            return ric
-
-        monkeypatch.setattr(curvature, "random_admissible_ricci", with_nan)
-        code, rep = _run(["curvature", "--samples", str(cli.BLOCK + 7)], capsys)
-        assert calls == [10, cli.BLOCK, 7]
+    @staticmethod
+    def _run_with_nan(monkeypatch, capsys, stream, call):
+        """The report of ``curvature --samples BLOCK + 7`` with one NaN
+        parameter, in row 3 of the second block of ``stream``, and the row
+        counts each stream drew."""
+        with monkeypatch.context() as m:
+            draws = _curvature_draws(m, nan=(stream, call, 3, 0))
+            code, rep = _run(["curvature", "--samples", str(cli.BLOCK + 7)], capsys)
         assert code == EXIT_FAIL
-        # ``_run`` refuses bare NaN tokens: the residual is the string "NaN".
-        assert not rep["checks"][0]["pass"] and rep["checks"][0]["residual"] == "NaN"
+        # ``_run`` refuses bare NaN tokens: a NaN residual is the string "NaN".
+        failed = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
+        return failed, {k: [len(d) for d in v] for k, v in draws.items()}
+
+    def test_nan_curvature_draw_fails(self, monkeypatch, capsys):
+        # One NaN Ricci parameter, in row 3 of the second block of draws, must
+        # fail the suite; a Python ``max(r, nan)`` over samples or blocks
+        # would drop it.  The first draw is the tensor check's 10 samples.
+        failed, counts = self._run_with_nan(monkeypatch, capsys, 0, 3)
+        assert counts[0] == [10, cli.BLOCK, 7]
+        assert failed == dict.fromkeys(self._RICCI_CHECKS, "NaN")
+
+    def test_nan_torsion_draw_fails(self, monkeypatch, capsys):
+        failed, counts = self._run_with_nan(monkeypatch, capsys, 1, 2)
+        assert counts[1] == [cli.BLOCK, 7]
+        assert failed == {"bianchi_correction_vanishes": "NaN"}
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_nan_dirac_coefficient_fails(self, index, monkeypatch, capsys):
+        # A draw's residual gathers the nonzero coefficients of each field and
+        # their rows; a NaN coefficient, at either end of the last component,
+        # is gathered too.
+        original = cli.random_coefficients
+
+        def with_nan(rng, degree, shape):
+            out = original(rng, degree, shape)
+            out[0, -1, index] = np.nan
+            return out
+
+        monkeypatch.setattr(cli, "random_coefficients", with_nan)
+        code, rep = _run(["dirac", "--samples", "2"], capsys)
+        failed = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
+        assert code == EXIT_FAIL
+        assert failed == {"finite_difference_agreement": "NaN", "dbar_identity": "NaN"}
 
 
 # (owner, name, call, checks): call number ``call`` of ``name`` on ``owner``
