@@ -147,17 +147,25 @@ def _clifford(w: int, psi: SpinorField) -> SpinorField:
     return SpinorField(_mat_apply(GAMMA[w - 1], psi.components))
 
 
+#: kappa(e_1), ..., kappa(e_5) side by side, shape (4, 20).
+_GAMMA_ROW = np.hstack(GAMMA)
+
+
+def _dirac(s: ModelBundle, psi: SpinorField, n: int) -> SpinorField:
+    """sum_{w <= n} kappa(e_w) nabla_w psi, as one constant matrix applied to
+    the stacked covariant derivatives: each component is one exact sum."""
+    derivs = [c for w in range(1, n + 1) for c in spin_covariant_derivative(s, w, psi).components]
+    return SpinorField(_mat_apply(_GAMMA_ROW[:, : 4 * n], derivs))
+
+
 def kohn_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
     """Horizontal Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi."""
-    out = _clifford(1, spin_covariant_derivative(s, 1, psi))
-    for i in range(2, 5):
-        out = out + _clifford(i, spin_covariant_derivative(s, i, psi))
-    return out
+    return _dirac(s, psi, 4)
 
 
 def full_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
     """Full Dirac operator, the Kohn-Dirac part plus the Reeb term."""
-    return kohn_dirac(s, psi) + _clifford(5, spin_covariant_derivative(s, 5, psi))
+    return _dirac(s, psi, 5)
 
 
 def fd_stencil(points, h: float) -> np.ndarray:

@@ -8,10 +8,14 @@ from model files (``load_model``).  The canonical solution needs no chart:
 values at one point.
 
 All differential computations are exact: coefficient functions are
-:class:`~swcheck.poly.PolyExpr` polynomials, Lie brackets and exterior
-derivatives are computed symbolically, and residual reports only evaluate
-the resulting polynomials, on the whole array of sample points at once
-(:func:`~swcheck.poly.evaluate_all`).  What the model checks share
+:class:`~swcheck.poly.PolyExpr` polynomials with exact Gaussian-rational
+coefficients, Lie brackets and exterior derivatives are computed
+symbolically, and residual reports only evaluate the resulting polynomials,
+on the whole array of sample points at once
+(:func:`~swcheck.poly.evaluate_all`).  A model file's decimal literals are
+read exactly, so a residual identity that holds on the chart cancels to the
+zero polynomial, and a check built only of those evaluates nothing and
+reports exactly 0.0.  What the model checks share
 (``deta``, the contact volume, the Webster metric of the frame, and the
 eta-values and Lie brackets of the frame fields and their J-images) is built
 once per frame, in tables on :class:`FrameFieldSet` that fill on first use.
@@ -211,8 +215,10 @@ class FrameFieldSet:
     ``span[a + 5]`` is J span[a]); their eta-values; ``deta_slot``, the
     contraction of deta with each of them; and the tables ``deta_pair``,
     ``metric``, ``bracket`` and ``j_bracket``.  ``bracket`` computes a Lie
-    bracket only for a < b and negates it for b < a.  What one check reads
-    once is not kept.
+    bracket only for a < b and negates it for b < a.  Exact coefficients make
+    equal fields equal by value, and a J-image or bracket of fields equal to
+    ones already seen is not built again.  What one check reads once is not
+    kept.
     """
 
     name: str
@@ -233,9 +239,18 @@ class FrameFieldSet:
     def j_apply(self, x: VectorFieldPoly) -> VectorFieldPoly:
         return VectorFieldPoly(tuple(dot(row, x.components) for row in self.jmat))
 
+    @cached_property
+    def _j_images(self) -> dict[VectorFieldPoly, VectorFieldPoly]:
+        return {}
+
     def _j(self, x: VectorFieldPoly) -> VectorFieldPoly:
-        # J of the zero field (J Reeb, a vanishing bracket) is the zero field.
-        return x if _is_zero_field(x) else self.j_apply(x)
+        # J of the zero field (J Reeb, a vanishing bracket) is the zero field,
+        # and equal fields share one J-image: where J e1 == e2, J J e1 is J e2.
+        if _is_zero_field(x):
+            return x
+        if x not in self._j_images:
+            self._j_images[x] = self.j_apply(x)
+        return self._j_images[x]
 
     @cached_property
     def deta(self) -> CoordForm:
@@ -284,14 +299,22 @@ class FrameFieldSet:
     def bracket(self) -> _LazyTable:
         """``bracket[a, b]`` = [span[a], span[b]] for a, b < 10.  Only a < b is
         a Lie bracket: [x, x] is the zero field and [y, x] is -[x, y], which
-        the negation gives exactly."""
+        the negation gives exactly.  Equal fields share their brackets: where
+        J e1 == e2, [e1, J e1] is [e1, e2]."""
+        by_value: dict[tuple[VectorFieldPoly, VectorFieldPoly], VectorFieldPoly] = {}
 
         def build(a, b):
             if b <= a:
                 return ZERO_FIELD if a == b else -self.bracket[b, a]
             x, y = self.span[a], self.span[b]
             # A bracket with the zero field (J Reeb) is the zero field.
-            return ZERO_FIELD if _is_zero_field(x) or _is_zero_field(y) else lie_bracket(x, y)
+            if _is_zero_field(x) or _is_zero_field(y):
+                return ZERO_FIELD
+            if (y, x) in by_value:
+                return -by_value[y, x]
+            if (x, y) not in by_value:
+                by_value[x, y] = lie_bracket(x, y)
+            return by_value[x, y]
 
         return _LazyTable(build, 10)
 
@@ -315,7 +338,7 @@ class ConnectionCoefficients:
 
     def __post_init__(self):
         for c, a in enumerate(self.a_form.coeffs):
-            if any(v.real != 0 for _, v in a.packed):
+            if any(re_ for _, re_, _ in a.packed):
                 raise ValueError(f"A[{c}]: the U(1) connection 1-form must be imaginary valued")
 
     @staticmethod

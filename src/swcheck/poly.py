@@ -13,15 +13,25 @@ files:
 
 Numbers are decimal (scientific notation accepted); a complex literal inside
 parentheses looks like "(1+2i)".  Whitespace is ignored.  Parsing errors
-report the offset in the source string; printing produces the canonical form
-and parse(print(p)) == p holds exactly.  Total degrees are at most
-``MAX_DEGREE`` = 255, for the packed monomials of :class:`PolyExpr`.
+report the offset in the source string; a literal beyond the float range
+(``1e400``) or with more than ``MAX_PLACES`` = 4300 decimal places
+(``1e-5000``) is one.  Total degrees are at most ``MAX_DEGREE`` = 255,
+for the packed monomials of :class:`PolyExpr`.
+
+Coefficients are exact Gaussian rationals.  A decimal literal is n / 10^k
+and a float or complex number its binary value (``float.as_integer_ratio``).
+Sums, products and derivatives are exact and no operation divides, so every
+denominator divides a power of 10: printing gives exact decimals, and
+parse(print(p)) == p holds exactly while the coefficients are literals the
+grammar accepts (products can leave the float range).  Floats appear only in
+evaluation, which rounds each coefficient once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,12 +47,15 @@ _Exponents = tuple[int, int, int, int, int]
 _W = 8
 #: Largest total degree of a polynomial, so each packed W-bit field holds it.
 MAX_DEGREE = (1 << _W) - 1
-# Shifts of the exponent fields (x1 highest) and of the degree field; _LOW
-# keeps the exponent fields, and _UNITS[v] is the packed monomial x_v.
+# Shifts of the exponent fields (x1 highest) and of the degree field; _UNITS[v]
+# is the packed monomial x_v.
 _SHIFTS = tuple(_W * (NVARS - 1 - v) for v in range(NVARS))
 _DEG_SHIFT = _W * NVARS
-_LOW = (1 << _DEG_SHIFT) - 1
 _UNITS = tuple(1 << _DEG_SHIFT | 1 << s for s in _SHIFTS)
+#: Most decimal places of a numeric literal, so that its denominator stays small.
+MAX_PLACES = 4300
+# The imaginary numerator of a (monomial, re, im) term.
+_IM = operator.itemgetter(2)
 
 
 class PolySyntaxError(ValueError):
@@ -53,59 +66,79 @@ class PolySyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolyExpr:
-    """Multivariate polynomial with complex coefficients, in canonical form.
+    """Multivariate polynomial with Gaussian-rational coefficients, in
+    canonical form.
 
-    ``packed`` holds (monomial, coefficient) pairs, zero coefficients dropped,
-    so structural equality is exact and zero is the empty tuple.  Monomial
-    x1^n1 ... t^n5 is the int ``deg << 5W | n1 << 4W | ... | n5``, ``W = 8``,
+    ``packed`` holds (monomial, re, im) triples, the coefficient of the
+    monomial being ``(re + im*i) / den`` with Python ints ``re``, ``im`` and
+    ``den > 0``.  Zero coefficients are dropped and ``den`` shares no factor
+    with every numerator part, so structural equality is exact and zero is
+    the empty tuple over 1.  Monomial x1^n1 ... t^n5 is the int
+    ``deg << 5W | n1 << 4W | ... | n5``, ``W = 8``,
     ``deg = n1 + ... + n5 <= MAX_DEGREE`` (so no field carries): products add
     ints, and descending int order is the canonical order (degree, then
-    exponents, descending).  ``terms`` shows the pairs with exponent tuples.
+    exponents, descending).  ``terms`` shows the terms with exponent tuples
+    and float coefficients.
     """
 
-    packed: tuple[tuple[int, complex], ...] = ()
+    packed: tuple[tuple[int, int, int], ...] = ()
+    den: int = 1
 
     @property
     def terms(self) -> tuple[tuple[_Exponents, complex], ...]:
-        return tuple((_unpack(m), c) for m, c in self.packed)
+        d = self.den
+        return tuple((_unpack(m), complex(_ratio(a, d), _ratio(b, d))) for m, a, b in self.packed)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value) -> "PolyExpr":
-        c = complex(value)
-        return PolyExpr(((0, c),)) if c != 0 else PolyExpr()
+        a, b, d = _exact(value)
+        return PolyExpr(((0, a, b),), d) if a or b else ZERO
 
     @staticmethod
     def variable(name: str) -> "PolyExpr":
-        return PolyExpr(((_UNITS[VARIABLES.index(name)], 1 + 0j),))
+        return PolyExpr(((_UNITS[VARIABLES.index(name)], 1, 0),))
 
     @staticmethod
     def from_dict(d: dict[_Exponents, complex]) -> "PolyExpr":
-        return _canonical({_pack(e): complex(c) for e, c in d.items()})
+        # Every exponent tuple is checked; only nonzero values are converted.
+        terms = [(m, *_exact(c)) for m, c in zip(map(_pack, d), d.values()) if c]
+        # Over the largest power-of-two denominator, that term's numerator
+        # stays odd, so the form is reduced.
+        den = max([q for *_, q in terms], default=1)
+        terms = [(m, a * (den // q), b * (den // q)) for m, a, b, q in terms]
+        terms.sort(reverse=True)
+        return PolyExpr(tuple(terms), den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "PolyExpr":
         other = _coerce(other)
-        d = dict(self.packed)
-        for m, c in other.packed:
-            d[m] = d.get(m, 0j) + c
-        return _canonical(d)
+        if not (self.packed and other.packed):
+            return self if other.is_zero() else other
+        den = math.lcm(self.den, other.den)
+        re_: dict[int, int] = {}
+        im: dict[int, int] = {}
+        for p in (self, other):
+            f = den // p.den
+            for m, a, b in p.packed:
+                re_[m] = re_.get(m, 0) + a * f
+                if b:
+                    im[m] = im.get(m, 0) + b * f
+        return _from_parts(re_, im, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyExpr":
-        return PolyExpr(tuple((m, -c) for m, c in self.packed))
+        return PolyExpr(tuple((m, -a, -b) for m, a, b in self.packed), self.den)
 
     def __sub__(self, other) -> "PolyExpr":
         return self + (-_coerce(other))
 
     def __mul__(self, other) -> "PolyExpr":
-        # With two multi-term operands the float sums depend on the order of
-        # accumulation; dot fixes the operand order, so p * q == q * p exactly.
         return dot((self,), (_coerce(other),))
 
     __rmul__ = __mul__
@@ -117,9 +150,8 @@ class PolyExpr:
         v = VARIABLES.index(var) if isinstance(var, str) else var
         s, unit = _SHIFTS[v], _UNITS[v]
         # Lowering one exponent keeps the monomials distinct and in order.
-        return PolyExpr(
-            tuple((m - unit, c * n) for m, c in self.packed if (n := m >> s & MAX_DEGREE))
-        )
+        terms = [(m - unit, a * n, b * n) for m, a, b in self.packed if (n := m >> s & MAX_DEGREE)]
+        return _reduced(terms, self.den) if self.den > 1 else PolyExpr(tuple(terms))
 
     def __call__(self, point) -> complex:
         total = 0j
@@ -143,13 +175,13 @@ class PolyExpr:
         if not self.packed:
             return "0"
         chunks: list[str] = []
-        for e, c in self.terms:
+        for m, a, b in self.packed:
             mono = "*".join(
                 f"{VARIABLES[i]}^{n}" if n > 1 else VARIABLES[i]
-                for i, n in enumerate(e)
+                for i, n in enumerate(_unpack(m))
                 if n
             )
-            body, negate = _format_coeff(c, bool(mono))
+            body, negate = _format_coeff(a, b, self.den, bool(mono))
             piece = f"{body}*{mono}" if body and mono else (body or mono or "1")
             if not chunks:
                 chunks.append(f"-{piece}" if negate else piece)
@@ -161,28 +193,56 @@ class PolyExpr:
 
 
 ZERO = PolyExpr()
-ONE = PolyExpr.const(1)
+ONE = PolyExpr(((0, 1, 0),))
 
 
 def dot(a, b) -> PolyExpr:
-    """``sum_i a[i] * b[i]``, canonicalised once.
-
-    Each product keeps the operand order of :meth:`PolyExpr.__mul__`, so
-    ``dot(a, b) == dot(b, a)`` exactly; zero polynomials contribute nothing.
-    Raises OverflowError if a product's degree would exceed ``MAX_DEGREE``.
+    """``sum_i a[i] * b[i]``, exact and canonicalised once; zero polynomials
+    contribute nothing.  Raises OverflowError if a product's degree would
+    exceed ``MAX_DEGREE``.
     """
-    d: dict[int, complex] = {}
-    for p, q in zip(a, b, strict=True):
-        p, q = p.packed, q.packed
-        if p and q and (p[0][0] + q[0][0]) >> _DEG_SHIFT > MAX_DEGREE:
+    pairs = [(p, q) for p, q in zip(a, b, strict=True) if p.packed and q.packed]
+    if not pairs:
+        return ZERO
+    if len(pairs) == 1:
+        p, q = pairs[0]
+        # A product with one term keeps the other factor's terms distinct,
+        # nonzero and in order: no dict and no sort.
+        if len(q.packed) == 1:
+            return _times_term(p, q)
+        if len(p.packed) == 1:
+            return _times_term(q, p)
+    den = math.lcm(*[p.den * q.den for p, q in pairs])
+    re_: dict[int, int] = {}
+    im: dict[int, int] = {}
+    for p, q in pairs:
+        p_terms, q_terms = p.packed, q.packed
+        if (p_terms[0][0] + q_terms[0][0]) >> _DEG_SHIFT > MAX_DEGREE:
             raise OverflowError(f"a product of degree above {MAX_DEGREE}")
-        if len(p) > 1 and len(q) > 1 and _mul_order(q) < _mul_order(p):
-            p, q = q, p
-        for m1, c1 in p:
-            for m2, c2 in q:
-                m = m1 + m2
-                d[m] = d.get(m, 0j) + c1 * c2
-    return _canonical(d)
+        f = den // (p.den * q.den)
+        if any(map(_IM, p_terms)) or any(map(_IM, q_terms)):
+            for m1, a1, b1 in p_terms:
+                a1, b1 = a1 * f, b1 * f
+                for m2, a2, b2 in q_terms:
+                    m = m1 + m2
+                    re_[m] = re_.get(m, 0) + a1 * a2 - b1 * b2
+                    im[m] = im.get(m, 0) + a1 * b2 + b1 * a2
+        else:
+            for m1, a1, _ in p_terms:
+                a1 *= f
+                for m2, a2, _ in q_terms:
+                    m = m1 + m2
+                    re_[m] = re_.get(m, 0) + a1 * a2
+    return _from_parts(re_, im, den)
+
+
+def _times_term(p: PolyExpr, q: PolyExpr) -> PolyExpr:
+    """p times the one-term polynomial q."""
+    ((mq, c, d),) = q.packed
+    if (p.packed[0][0] + mq) >> _DEG_SHIFT > MAX_DEGREE:
+        raise OverflowError(f"a product of degree above {MAX_DEGREE}")
+    terms = [(m + mq, a * c - b * d, a * d + b * c) for m, a, b in p.packed]
+    return _reduced(terms, p.den * q.den)
 
 
 @lru_cache(maxsize=None)
@@ -218,30 +278,42 @@ BLOCK_ELEMENTS = 2**14
 
 
 def evaluate_all(polys, points) -> np.ndarray:
-    """Values of every polynomial at every point, shape ``(..., len(polys))``.
+    """Values of every polynomial at every real point, shape ``(..., len(polys))``.
 
     ``points`` has shape ``(..., 5)``.  The terms of all nonzero polynomials
-    are stacked once; for each block of points a per-variable power table is
-    built, each term is ``c * x1^n1 * y1^n2 * x2^n3 * y2^n4 * t^n5`` in that
-    order, as in :meth:`PolyExpr.__call__`, and ``np.add.reduceat`` sums each
-    polynomial's terms.  ``numpy.power`` and the pairwise sums of ``reduceat``
-    round differently from ``__call__``, so a value may differ from it in the
-    last places.
+    are stacked once, each coefficient rounded once to a complex float (±inf
+    beyond the float range).  For each block of points a per-variable power
+    table is built, each term is ``c * x1^n1 * y1^n2 * x2^n3 * y2^n4 * t^n5``
+    in that order, as in :meth:`PolyExpr.__call__`, with the real and
+    imaginary parts of ``c`` taken separately, and ``np.add.reduceat`` sums
+    each polynomial's terms.  ``numpy.power`` and the pairwise sums of
+    ``reduceat`` round differently from ``__call__``, so a value may differ
+    from it in the last places.
     """
-    x = np.asarray(points)
+    x = np.asarray(points, dtype=float)
     if x.shape[-1:] != (NVARS,):
         raise ValueError(f"points must have shape (..., {NVARS}), got {x.shape}")
     shape = x.shape[:-1] + (len(polys),)
-    x = x.reshape(-1, NVARS).astype(np.result_type(x.dtype, float), copy=False)
+    x = x.reshape(-1, NVARS)
     out = np.zeros((len(x), len(polys)), dtype=complex)
     live = [i for i, p in enumerate(polys) if p.packed]
     if live:
-        exps = np.array([_unpack(m) for i in live for m, _ in polys[i].packed])
-        coeffs = np.array([c for i in live for _, c in polys[i].packed])[:, None]
-        starts = np.cumsum([0] + [len(polys[i].packed) for i in live[:-1]])
+        nonzero = [polys[i] for i in live]
+        exps = np.array([_unpack(m) for p in nonzero for m, _, _ in p.packed])
+        try:
+            re_ = [a / p.den for p in nonzero for _, a, _ in p.packed]
+            im = [b / p.den for p in nonzero for _, _, b in p.packed]
+        except OverflowError:  # a coefficient beyond the float range
+            re_ = [_ratio(a, p.den) for p in nonzero for _, a, _ in p.packed]
+            im = [_ratio(b, p.den) for p in nonzero for _, _, b in p.packed]
+        starts = np.cumsum([0] + [len(p.packed) for p in nonzero[:-1]])
+        # One row per real part, then one per imaginary part if any is nonzero.
+        parts = [out.real] + ([out.imag] if any(im) else [])
+        coeffs = np.array((re_, im)[: len(parts)]).reshape(-1, 1)
+        starts = np.concatenate([starts + k * len(exps) for k in range(len(parts))])
         width = int(exps.max()) + 1
         # Row of each factor x_v^n in the flattened (variable, power) table.
-        rows = exps + width * np.arange(NVARS)
+        rows = np.tile(exps + width * np.arange(NVARS), (len(parts), 1))
         step = max(1, BLOCK_ELEMENTS // max(len(coeffs), NVARS * width))
         powers = np.arange(width)[:, None]
         for b in range(0, len(x), step):
@@ -249,7 +321,9 @@ def evaluate_all(polys, points) -> np.ndarray:
             terms = coeffs * table[rows[:, 0]]
             for v in range(1, NVARS):
                 terms *= table[rows[:, v]]
-            out[b : b + step, live] = np.add.reduceat(terms, starts, axis=0).T
+            sums = np.add.reduceat(terms, starts, axis=0).reshape(len(parts), len(live), -1)
+            for part, s in zip(parts, sums):
+                part[b : b + step, live] = s.T
     return out.reshape(shape)
 
 
@@ -266,13 +340,53 @@ def _coerce(v) -> PolyExpr:
     raise TypeError(f"cannot coerce {type(v).__name__} to PolyExpr")
 
 
-def _mul_order(packed):
-    # Below the degree field a packed monomial compares as its exponent tuple.
-    return [(m & _LOW, c.real, c.imag) for m, c in packed]
+def _exact(value) -> tuple[int, int, int]:
+    """(re, im, den) of an int, float or complex number, exactly: den is a
+    power of two and gcd(re, im, den) is 1."""
+    if isinstance(value, int):
+        return int(value), 0, 1
+    c = complex(value)
+    try:
+        (a, p), (b, q) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
+    except (OverflowError, ValueError):  # inf, nan
+        raise ValueError(f"coefficient {value!r} is not finite") from None
+    # p and q are powers of two, so the larger is their lcm.
+    den = max(p, q)
+    return a * (den // p), b * (den // q), den
 
 
-def _canonical(d: dict[int, complex]) -> PolyExpr:
-    return PolyExpr(tuple(sorted(((m, c) for m, c in d.items() if c != 0), reverse=True)))
+def _ratio(n: int, d: int) -> float:
+    """n / d rounded once to a float, ±inf beyond the float range."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
+
+
+def _reduced(terms: list[tuple[int, int, int]], den: int) -> PolyExpr:
+    """PolyExpr of nonzero terms in canonical order over ``den``, with the gcd
+    of den and every numerator part divided out."""
+    if not terms:
+        return ZERO
+    g = den
+    for _, a, b in terms:
+        if g == 1:
+            break
+        g = math.gcd(g, a, b)
+    if g > 1:
+        terms = [(m, a // g, b // g) for m, a, b in terms]
+    return PolyExpr(tuple(terms), den // g)
+
+
+def _from_parts(re_: dict[int, int], im: dict[int, int], den: int) -> PolyExpr:
+    """PolyExpr of real and imaginary numerators by monomial, over ``den``;
+    every monomial of ``im`` is one of ``re_``."""
+    if im:
+        terms = [(m, a, b) for m, a in re_.items() if (b := im.get(m, 0)) or a]
+    else:
+        terms = [(m, a, 0) for m, a in re_.items() if a]
+    terms.sort(reverse=True)
+    return _reduced(terms, den)
 
 
 def _pack(e) -> int:
@@ -286,32 +400,65 @@ def _unpack(m: int) -> _Exponents:
     return tuple(m >> s & MAX_DEGREE for s in _SHIFTS)
 
 
-def _format_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(x)
+def _decimal(n: int, den: int) -> str:
+    """Exact decimal text of n / den, for a den = 2^a 5^b, which divides 10^k
+    for k = max(a, b)."""
+    a = (den & -den).bit_length() - 1
+    b, rest = 0, den >> a
+    while rest > 1:
+        rest //= 5
+        b += 1
+    k = max(a, b)
+    digits = str(abs(n) * 10**k // den).rjust(k + 1, "0")
+    text = f"{digits[:-k]}.{digits[-k:]}".rstrip("0").rstrip(".") if k else digits
+    return "-" + text if n < 0 else text
 
 
-def _format_coeff(c: complex, has_mono: bool) -> tuple[str, bool]:
-    """Printable coefficient and whether the term is sign-negated."""
-    re_, im = c.real, c.imag
-    if im == 0:
-        neg = re_ < 0
-        mag = abs(re_)
-        if mag == 1 and has_mono:
-            return "", neg
-        return _format_real(mag), neg
-    if re_ == 0:
-        neg = im < 0
-        mag = abs(im)
-        return ("i" if mag == 1 else f"{_format_real(mag)}i"), neg
-    return f"({_format_real(re_)}{'+' if im > 0 else '-'}{_format_real(abs(im))}i)", False
+def _format_coeff(a: int, b: int, den: int, has_mono: bool) -> tuple[str, bool]:
+    """Printable coefficient (a + b i) / den and whether the term is sign-negated."""
+    if b == 0:
+        if abs(a) == den and has_mono:
+            return "", a < 0
+        return _decimal(abs(a), den), a < 0
+    if a == 0:
+        mag = "" if abs(b) == den else _decimal(abs(b), den)
+        return f"{mag}i", b < 0
+    return f"({_decimal(a, den)}{'+' if b > 0 else '-'}{_decimal(abs(b), den)}i)", False
 
 
 # -- tokenizer and parser ------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(
+    r"(?:(?P<whole>\d+)\.?(?P<frac>\d*)|\.(?P<tail>\d+))(?:[eE](?P<exp>[+-]?\d+))?"
+)
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+
+# An exact Gaussian rational (re, im, den), as the parser carries coefficients.
+_Coeff = tuple[int, int, int]
+
+
+def _literal(m: re.Match) -> tuple[int, int]:
+    """(numerator, denominator) of a matched decimal literal, exactly."""
+    text, pos = m.group(), m.start()
+    if math.isinf(float(text)):
+        raise PolySyntaxError(f"numeric literal {text!r} overflows", pos)
+    frac = m.group("frac") or m.group("tail") or ""
+    try:  # int() refuses more digits than sys.get_int_max_str_digits()
+        num = int(((m.group("whole") or "") + frac).lstrip("0") or "0")
+        exp = int(m.group("exp") or 0) - len(frac)
+    except ValueError:
+        raise PolySyntaxError(f"numeric literal {text[:40]!r} has too many digits", pos) from None
+    if exp < -MAX_PLACES:
+        raise PolySyntaxError(
+            f"numeric literal {text[:40]!r} has more than {MAX_PLACES} decimal places", pos
+        )
+    return (num * 10**exp, 1) if exp >= 0 else (num, 10**-exp)
+
+
+def _times(x: _Coeff, y: _Coeff) -> _Coeff:
+    a, b, d = x
+    c, e, f = y
+    return a * c - b * e, a * e + b * c, d * f
 
 
 def _tokens(src: str) -> Iterator[tuple[str, object, int]]:
@@ -327,21 +474,19 @@ def _tokens(src: str) -> Iterator[tuple[str, object, int]]:
             continue
         m = _NUMBER_RE.match(src, i)
         if m:
-            val = float(m.group())
-            if math.isinf(val):
-                raise PolySyntaxError(f"numeric literal {m.group()!r} overflows", m.start())
+            num, den = _literal(m)
             i = m.end()
             if i < n and src[i] == "i":
-                yield "imag", val * 1j, m.start()
+                yield "imag", (0, num, den), m.start()
                 i += 1
             else:
-                yield "number", val, m.start()
+                yield "number", (num, 0, den), m.start()
             continue
         m = _NAME_RE.match(src, i)
         if m:
             name = m.group()
             if name == "i":
-                yield "imag", 1j, m.start()
+                yield "imag", (0, 1, 1), m.start()
             elif name in VARIABLES:
                 yield "name", name, m.start()
             else:
@@ -379,71 +524,71 @@ class _Parser:
             raise PolySyntaxError(f"unexpected token {tok[0]!r}", tok[2])
         return result
 
-    def expr(self) -> PolyExpr:
-        sign = 1
+    def sign(self) -> int:
+        """-1 after a "-", else 1; a "+" or "-" is taken."""
         if self.peek()[0] in "+-":
-            sign = -1 if self.take()[0] == "-" else 1
-        # One running sum, canonicalised once.  Coefficients are added in term
-        # order, as by the left fold term1 + term2 + ...; an entry that cancels
-        # stays as 0j, the value the fold restarts that monomial from.
-        d = dict((self.term() * sign).packed)
-        while self.peek()[0] in "+-":
-            negate = self.take()[0] == "-"
-            for m, c in self.term().packed:
-                d[m] = d.get(m, 0j) + (-c if negate else c)
-        return _canonical(d)
+            return -1 if self.take()[0] == "-" else 1
+        return 1
 
-    def term(self) -> PolyExpr:
-        result = self.factor()
+    def expr(self) -> PolyExpr:
+        # Each term is one (monomial, coefficient) pair; the sum is one dict
+        # over the common denominator, canonicalised once.
+        terms = [self.term(self.sign())]
+        while self.peek()[0] in "+-":
+            terms.append(self.term(self.sign()))
+        den = math.lcm(*[d for _, (_, _, d) in terms])
+        re_: dict[int, int] = {}
+        im: dict[int, int] = {}
+        for m, (a, b, d) in terms:
+            re_[m] = re_.get(m, 0) + a * (den // d)
+            if b:
+                im[m] = im.get(m, 0) + b * (den // d)
+        return _from_parts(re_, im, den)
+
+    def term(self, sign: int) -> tuple[int, _Coeff]:
+        mono, coeff = self.factor(0, (sign, 0, 1))
         while self.peek()[0] == "*":
             self.take()
-            pos = self.peek()[2]
-            try:
-                result = result * self.factor()
-            except OverflowError as exc:
-                raise PolySyntaxError(str(exc), pos) from None
-        return result
+            mono, coeff = self.factor(mono, coeff)
+        return mono, coeff
 
-    def factor(self) -> PolyExpr:
+    def factor(self, mono: int, coeff: _Coeff) -> tuple[int, _Coeff]:
+        """The term so far, (packed monomial, coefficient), times the next factor."""
         kind, value, pos = self.take()
-        if kind == "number":
-            return PolyExpr.const(value)
-        if kind == "imag":
-            return PolyExpr.const(value)
+        if kind in ("number", "imag"):
+            return mono, _times(coeff, value)
+        if kind == "(":
+            return mono, _times(coeff, self._complex_literal())
         if kind == "name":
-            p = PolyExpr.variable(value)
+            power = 1
             if self.peek()[0] == "^":
                 self.take()
                 ekind, evalue, epos = self.take()
-                if ekind != "number" or evalue != int(evalue) or not 0 <= evalue <= MAX_DEGREE:
+                num, _, den = evalue if ekind == "number" else (1, 0, 2)
+                if num % den or not 0 <= num // den <= MAX_DEGREE:
                     raise PolySyntaxError(f"exponent must be an integer in 0..{MAX_DEGREE}", epos)
-                result = ONE
-                for _ in range(int(evalue)):
-                    result = result * p
-                return result
-            return p
-        if kind == "(":
-            return self._complex_literal()
+                power = num // den
+            if (mono >> _DEG_SHIFT) + power > MAX_DEGREE:
+                raise PolySyntaxError(f"a product of degree above {MAX_DEGREE}", pos)
+            return mono + power * _UNITS[VARIABLES.index(value)], coeff
         raise PolySyntaxError(f"unexpected token {kind!r}", pos)
 
-    def _complex_literal(self) -> PolyExpr:
+    def _complex_literal(self) -> _Coeff:
         """Literal of the shape (a), (bi), (a+bi) or (a-bi)."""
-        total = 0j
-        sign = 1.0
-        if self.peek()[0] in "+-":
-            sign = -1.0 if self.take()[0] == "-" else 1.0
+        sign = self.sign()
         kind, value, pos = self.take()
         if kind not in ("number", "imag"):
             raise PolySyntaxError("expected a numeric literal in parentheses", pos)
-        total += sign * value
+        a, b, d = _times((sign, 0, 1), value)
         if self.peek()[0] in "+-":
-            sign = -1.0 if self.take()[0] == "-" else 1.0
+            sign = self.sign()
             kind, value, pos = self.take()
             if kind != "imag":
                 raise PolySyntaxError("expected an imaginary part", pos)
-            total += sign * value
+            _, e, f = value
+            a, b, d = a * f, b * f + sign * e * d, d * f
         self.expect(")")
-        return PolyExpr.const(total)
+        return a, b, d
 
 
 def parse_poly(src: str) -> PolyExpr:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from swcheck.poly import PolyExpr
 
 
 DATA = Path(__file__).parent / "data"
+PACKAGE = Path(cli.__file__).parent
 _CHART = ["model", "--model", "sheared_chart_3.json", "--samples", "50"]
 
 
@@ -149,10 +153,9 @@ class TestSharedSymbolicWork:
     def test_model_checks_build_each_bracket_and_j_image_once(self, monkeypatch, capsys):
         # contact_check, tw_axiom_check and cr_check read the brackets and the
         # J-images they share from tables on the frame.  No pair is bracketed
-        # twice, counted by value.  No object is J-applied twice, and each of
-        # e1..e4 once.  J arguments are not counted by value, because distinct
-        # quantities can be equal: on this chart J e4 == -e3 and [e4, e3] == Reeb
-        # hold exactly in floats, so J is taken of Reeb, [e4, e3] and [J e4, e4].
+        # twice and no field J-applied twice, counted by value, although
+        # distinct quantities are equal on this chart (J e1 == e2 exactly), and
+        # each of e1..e4 is J-applied once.
         brackets, j_args = [], []
         lie_bracket, j_apply = models.lie_bracket, models.FrameFieldSet.j_apply
 
@@ -169,7 +172,7 @@ class TestSharedSymbolicWork:
         chart = str(DATA / "sheared_chart_3.json")
         assert _run(["model", "--model", chart, "--samples", "5"], capsys)[0] == EXIT_PASS
         assert brackets and len(set(brackets)) == len(brackets)
-        assert len({id(x) for x in j_args}) == len(j_args)
+        assert len(set(j_args)) == len(j_args)
         fields = load_model(chart).frame.fields[:4]
         assert [sum(x == f for x in j_args) for f in fields] == [1] * 4
 
@@ -824,32 +827,42 @@ class TestNonFiniteEvaluations:
     def _failed(rep):
         return {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
 
-    @pytest.mark.parametrize("chart", ["heisenberg", "sheared"])
-    def test_each_model_check(self, chart, sheared_chart, tmp_path, nan_on_call, capsys):
-        # On the Heisenberg chart only the contact volume is a nonzero
-        # polynomial; on the sheared chart float residues keep most residual
-        # polynomials live.  Each evaluation of a live polynomial feeds one check.
+    @pytest.mark.parametrize(
+        "chart, perturb",
+        [
+            pytest.param("heisenberg", False, id="heisenberg"),
+            pytest.param("sheared", False, id="sheared"),
+            pytest.param("sheared", True, id="sheared_perturbed"),
+        ],
+    )
+    def test_each_model_check(self, chart, perturb, sheared_chart, tmp_path, nan_on_call, capsys):
+        # On a clean chart the residual identities cancel exactly, so only the
+        # contact volume is a nonzero polynomial; under --perturb most residual
+        # polynomials of the sheared chart are live.  Each evaluation of a live
+        # polynomial feeds one check, which its NaN fails.
         if chart == "sheared":
             chart = str(tmp_path / "sheared.json")
             (tmp_path / "sheared.json").write_text(json.dumps(sheared_chart))
-        argv = ["model", "--model", chart, "--samples", "5"]
+        argv = ["model", "--model", chart, "--samples", "5"] + ["--perturb", "1e-3"] * perturb
         owners = (models, cli)
         values = nan_on_call(owners, "evaluate_all", 0)
         code, rep = _run(argv, capsys)
-        assert code == EXIT_PASS
+        assert code == (EXIT_FAIL if perturb else EXIT_PASS)
         live = [call for call, v in enumerate(values, 1) if np.size(v)]
         hit = set()
         for call in live:
             nan_on_call(owners, "evaluate_all", call)
             code, rep = _run(argv, capsys)
-            failed = self._failed(rep)
-            assert code == EXIT_FAIL and len(failed) == 1, (call, failed)
-            assert all(r == "NaN" for r in failed.values())
-            hit |= failed.keys()
+            nans = {c["name"] for c in rep["checks"] if c["residual"] == "NaN"}
+            assert code == EXIT_FAIL and len(nans) == 1, (call, nans)
+            assert nans <= self._failed(rep).keys()
+            hit |= nans
         assert len(hit) == len(live)
         assert {"contact_volume_nondegenerate"} <= hit
         if chart == "heisenberg":
             assert hit == {"contact_volume_nondegenerate", "contact_volume_equals_2"}
+        elif not perturb:
+            assert hit == {"contact_volume_nondegenerate"}
         else:
             assert len(hit) >= 10
 
@@ -872,9 +885,11 @@ class TestNonFiniteEvaluations:
 
     @pytest.mark.parametrize("suite", ["model", "all"])
     def test_overflowing_model_reaches_a_verdict(self, suite, capsys):
-        # Products of the frame entry (1e308+1e308i)*x1^2 overflow to inf and
-        # NaN.  With warnings as errors, as pytest runs the suite, the model
-        # checks still report: the non-finite values fail their checks.
+        # Products of the frame entry (1e308+1e308i)*x1^2 are exact, but their
+        # coefficients round to inf beyond the float range.  With warnings as
+        # errors, as pytest runs the suite, the model checks still report: the
+        # non-finite values fail their checks, and the identities that cancel
+        # exactly (J-invariance of the metric, axiom (d)) pass.
         argv = [suite, "--model", str(DATA / "overflow_model.json"), "--samples", "5"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -884,11 +899,18 @@ class TestNonFiniteEvaluations:
             rep = rep["suites"]["model"]
         assert not rep["pass"]
         residuals = [c["residual"] for c in rep["checks"]]
-        strings = [c for c in rep["checks"] if isinstance(c["residual"], str)]
-        assert len(strings) >= 5
-        for c in strings:
-            assert c["residual"] in ("NaN", "Infinity", "-Infinity") and not c["pass"]
+        strings = {c["name"]: c for c in rep["checks"] if isinstance(c["residual"], str)}
+        assert sorted(strings) == [
+            "contact_frame_orthonormality",
+            "cr_eta_bracket_criterion",
+            "tw_axiom_a_parallel_eta_xi",
+            "tw_axiom_b_parallel_metric",
+        ]
+        for c in strings.values():
+            assert c["residual"] == "Infinity" and not c["pass"]
         assert all(math.isfinite(r) for r in residuals if not isinstance(r, str))
+        passed = {c["name"] for c in rep["checks"] if c["pass"]}
+        assert {"contact_metric_J_invariance", "tw_axiom_d_parallel_J"} <= passed
 
     @pytest.mark.parametrize("suite", list(cli.SUITES))
     def test_huge_perturbation_reaches_a_verdict(self, suite, tmp_path):
@@ -901,6 +923,22 @@ class TestNonFiniteEvaluations:
             assert run(argv) == EXIT_FAIL
         rep = json.loads(out.read_text(), parse_constant=_refuse)
         assert rep["suite"] == suite and rep["pass"] is False
+
+    @pytest.mark.parametrize("chart", ["sheared_chart_3.json", "overflow_model.json"])
+    def test_huge_perturbation_of_a_model_file_exits_1(self, chart):
+        # Under --perturb 1e300 exact coefficients grow past the float range,
+        # and evaluation rounds them to inf instead of raising OverflowError.
+        # A fresh interpreter with every warning an error exits 1, with no
+        # traceback.
+        argv = ["model", "--model", str(DATA / chart), "--perturb", "1e300", "--samples", "5"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "swcheck.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONWARNINGS": "error", "PYTHONPATH": str(PACKAGE.parent)},
+        )
+        assert proc.returncode == EXIT_FAIL, proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("suite", ["dirac", "all"])
     def test_huge_step_reaches_a_verdict(self, suite, tmp_path):

@@ -239,7 +239,8 @@ class TestSharedTables:
             frame.eta.contract(frame.reeb)
 
     def test_symbolic_calls_of_one_model_run(self, monkeypatch):
-        # Each bracket and each N(e_j, e_l) is built once per unordered pair.
+        # Each bracket is built once per unordered pair of fields, by value, and
+        # each N(e_j, e_l) once per unordered pair.
         counts = Counter()
 
         def recording(name, f):
@@ -258,7 +259,7 @@ class TestSharedTables:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.run(argv)
         assert code == 0
-        assert counts == {"lie_bracket": 32, "apply": 420, "nijenhuis": 10}
+        assert counts == {"lie_bracket": 23, "apply": 330, "nijenhuis": 10}
 
 
 class TestContactCheck:
@@ -310,9 +311,43 @@ class TestDecimalChart:
         assert residuals.keys() == reference.keys()
         for name, value in residuals.items():
             assert abs(value - reference[name]) <= 1e-15 * max(reference[name], 1e-15), name
-        # Float residues survive, so the comparison is not between zeros.
+        # The clean chart's residuals cancel exactly; the perturbed chart's do
+        # not, so that comparison is not between zeros.
         residuals.pop("contact_volume_min")
-        assert max(residuals.values()) > 0
+        assert (max(residuals.values()) > 0) == bool(j02)
+
+    def test_residual_families_cancel_exactly(self, monkeypatch):
+        # Every residual polynomial that contact_check, tw_axiom_check and
+        # cr_check build on the decimal chart is exactly zero, so none is
+        # evaluated.  On the perturbed chart each check builds live ones.
+        families = []
+        max_eval = models._max_eval
+
+        def record(exprs, points):
+            families[-1].append(exprs)
+            return max_eval(exprs, points)
+
+        monkeypatch.setattr(models, "_max_eval", record)
+        data = json.loads(SHEARED_CHART_3.read_text())
+        points = sample_points(5, seed=0)
+        for perturbed in (False, True):
+            if perturbed:
+                data["J"][0][2] = "1e-3*y2"
+            bundle = load_model(data)
+            live = []
+            for check in (
+                lambda: contact_check(bundle.frame, points),
+                lambda: tw_axiom_check(bundle.frame, bundle.connection, points),
+                lambda: cr_check(bundle.frame, points),
+            ):
+                families.append([])
+                check()
+                assert families[-1]
+                live.append(sum(not e.is_zero() for f in families[-1] for e in f))
+            if perturbed:
+                assert all(live), live
+            else:
+                assert live == [0, 0, 0]
 
     def test_passes(self, sheared_chart):
         report = _model_residuals(load_model(sheared_chart), sample_points(40, seed=3))

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,23 @@ class TestParsing:
             parse_poly("x1 + 1e400*t")
         assert err.value.position == 5
 
+    def test_literals_are_exact_decimals(self):
+        assert parse_poly("0.1") * 3 == parse_poly("0.3")
+        assert parse_poly("2.5e-1") == parse_poly("0.25") == parse_poly("(25e-2+0i)")
+        assert parse_poly("(0.1+0.2i)*x1") * 10 == parse_poly("(1+2i)*x1")
+        # Below the float range a literal is still exact and nonzero; it
+        # rounds to 0 only when evaluated.
+        tiny = parse_poly("1e-400*x1")
+        assert not tiny.is_zero() and tiny * parse_poly("1e200*1e200") == parse_poly("x1")
+        assert tiny((1, 0, 0, 0, 0)) == 0
+
+    def test_too_many_decimal_places_rejected(self):
+        with pytest.raises(PolySyntaxError, match="decimal places") as err:
+            parse_poly("x1 + 1e-5000*t")
+        assert err.value.position == 5
+        tiny = parse_poly(f"1e-{poly.MAX_PLACES}*x1")
+        assert not tiny.is_zero() and parse_poly(str(tiny)) == tiny
+
     def test_fractional_exponent_rejected(self):
         with pytest.raises(PolySyntaxError):
             parse_poly("x1^1.5")
@@ -127,6 +145,42 @@ def test_ring_laws(p, q):
     assert (p - p).is_zero()
 
 
+@given(_poly_strategy(), _poly_strategy(), _poly_strategy())
+@settings(max_examples=50, deadline=None)
+def test_associative_and_distributive_exactly(p, q, r):
+    # With float coefficients both sides differ in the last places.
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+
+
+class TestExactCoefficients:
+    def test_const_is_the_binary_value_of_a_float(self):
+        c = PolyExpr.const(0.1)
+        assert c != parse_poly("0.1")
+        assert c.packed == ((0, 3602879701896397, 0),) and c.den == 2**55
+        assert str(c) == "0.1000000000000000055511151231257827021181583404541015625"
+        assert parse_poly(str(c)) == c
+        assert PolyExpr.const(0.5 - 0.25j) == parse_poly("(0.5-0.25i)")
+
+    def test_canonical_denominator(self):
+        # The gcd of the denominator and every numerator part is 1.
+        p = parse_poly("0.5*x1 + 0.25i")
+        assert p.den == 4 and p.packed[0][1:] == (2, 0)
+        assert (p * 4).den == 1
+        assert parse_poly("0.5*x1^2").diff("x1") == parse_poly("x1")
+        assert (p - p) == ZERO and ZERO.den == 1
+
+    def test_non_finite_coefficient_rejected(self):
+        for bad in (math.nan, math.inf, complex(1, -math.inf), np.complex128(math.nan)):
+            with pytest.raises(ValueError, match="not finite"):
+                PolyExpr.const(bad)
+            with pytest.raises(ValueError, match="not finite"):
+                PolyExpr.from_dict({(1, 0, 0, 0, 0): bad, (0, 0, 0, 0, 0): 1.0})
+            with pytest.raises(ValueError, match="not finite"):
+                parse_poly("x1") * bad
+
+
 @given(st.lists(st.tuples(_poly_strategy(), _poly_strategy()), max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_dot_is_symmetric_sum_of_products(pairs):
@@ -139,8 +193,8 @@ def test_dot_is_symmetric_sum_of_products(pairs):
 
 # Term literals of a sum: few numbers and monomials, so that monomials repeat,
 # and signed complex literals such as "(-0.1)", so that terms cancel.  The
-# decimals are not binary fractions, so a coefficient's float sum depends on
-# the order its terms are added in.
+# decimals are not binary fractions, so a float sum of a coefficient would
+# depend on the order its terms are added in; the exact one does not.
 _NUMBER = st.sampled_from(["1", "3", "0.1", "0.2", "0.3", "0.7", "2.5e-1", "1e-3"])
 _SIGN = st.sampled_from(["+", "-"])
 _COEFF = st.one_of(
@@ -155,14 +209,14 @@ _TERM = st.tuples(
 ).map(lambda t: "*".join(t[0] + t[1]) or "1")
 
 
-# (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last place.
+# In floats, (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last place.
 @example(["0.1*x1", "0.2*x1", "0.3*x1"], "+")
 @example(["0.3*t", "(-0.3)*t", "0.1*t", "0.2*t"], "+")
 @given(st.lists(_TERM, min_size=1, max_size=12), _SIGN)
 @settings(max_examples=300, deadline=None)
 def test_sum_literal_is_the_left_fold_of_its_terms(terms, op):
-    # The parser sums a literal's terms in one dictionary; the values are
-    # those of adding the parsed terms one by one, left to right.
+    # The parser sums a literal's terms in one dictionary; the result is that
+    # of adding the parsed terms one by one, left to right.
     fold = functools.reduce(operator.add if op == "+" else operator.sub, map(parse_poly, terms))
     p = parse_poly(f" {op} ".join(terms))
     assert p == fold
@@ -170,15 +224,15 @@ def test_sum_literal_is_the_left_fold_of_its_terms(terms, op):
 
 
 def test_dot_operand_order_fixed():
-    # Three contributions to x1^2 whose float sum depends on their order:
-    # (0.3 + 0.2) + 0.1 and (0.1 + 0.2) + 0.3 differ in the last place.
-    p, q = parse_poly("x1^2 + x1 + 1"), parse_poly("0.1*x1^2 + 0.2*x1 + 0.3")
-    assert p * q == q * p
-    assert poly.dot([p, q], [q, p]) == poly.dot([q, p], [p, q])
-    # x1*y1^2 leads y1^4 as an exponent tuple but not in degree: the operand
-    # order is decided on exponents, so p runs the outer loop.
+    # Three contributions to x1*y1^4 whose float sum would depend on their
+    # order: (0.3 + 0.2) + 0.1 and (0.1 + 0.2) + 0.3 differ in the last place.
+    # The exact product is the same in either operand order, and its
+    # coefficient rounds once, to the float nearest 0.6.
     p, q = parse_poly("y1^4 + y1^3 + y1^2"), parse_poly("0.1*x1*y1^2 + 0.2*x1*y1 + 0.3*x1")
-    assert dict((p * q).terms)[(1, 4, 0, 0, 0)] == (0.3 + 0.2) + 0.1 != (0.1 + 0.2) + 0.3
+    expected = parse_poly("0.1*x1*y1^6 + 0.3*x1*y1^5 + 0.6*x1*y1^4 + 0.5*x1*y1^3 + 0.3*x1*y1^2")
+    assert p * q == q * p == expected
+    assert poly.dot([p, q], [q, p]) == poly.dot([q, p], [p, q]) == expected * 2
+    assert dict((p * q).terms)[(1, 4, 0, 0, 0)] == 0.6 != (0.1 + 0.2) + 0.3
 
 
 def test_dot_exact_on_integer_coefficients():
@@ -219,12 +273,14 @@ def test_packed_form_keeps_tuple_semantics(p, q, v):
         assert parse_poly(str(r)) == r
     assert poly.dot([p, q], [q, p]) == poly.dot([q, p], [p, q])
     assert poly.dot([p], [q]) == poly.dot([q], [p])
-    derivative = {}
+    # terms rounds each coefficient once, which gives back the floats p was
+    # built from exactly; the reference scales them by exact integers.
+    derivative = ZERO
     for e, c in p.terms:
         if e[v]:
             lowered = e[:v] + (e[v] - 1,) + e[v + 1 :]
-            derivative[lowered] = derivative.get(lowered, 0j) + c * e[v]
-    assert p.diff(v) == PolyExpr.from_dict(derivative)
+            derivative = derivative + PolyExpr.from_dict({lowered: c}) * e[v]
+    assert p.diff(v) == derivative
 
 
 class TestDegreeLimit:
@@ -413,8 +469,17 @@ class TestEvaluateAll:
             assert np.array_equal(values[k], evaluate_all(polys, x))
         np.testing.assert_allclose(values, _by_call(polys, points), rtol=1e-12)
 
-    def test_nan_coefficient_reaches_the_result(self):
-        bad = PolyExpr.from_dict({(1, 0, 0, 0, 0): float("nan"), (0, 0, 0, 0, 0): 1.0})
-        values = evaluate_all([parse_poly("x1"), bad], np.ones((3, 5)))
-        assert np.all(np.isnan(values[:, 1])) and np.all(values[:, 0] == 1)
-        assert math.isnan(max_abs(values))
+    def test_coefficient_beyond_the_float_range_evaluates_to_inf(self):
+        # Each coefficient rounds once: beyond the float range to +-inf, with
+        # no OverflowError and, on nonzero points, no numpy warning.
+        huge = parse_poly("1e300*1e300*x1 - 1e300*1e300i*y1")
+        assert huge.terms == (
+            ((1, 0, 0, 0, 0), complex(math.inf, 0)),
+            ((0, 1, 0, 0, 0), complex(0, -math.inf)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = evaluate_all([parse_poly("1e300*1e300*x1"), huge, ONE], np.ones((3, 5)))
+        assert np.all(values[:, 0] == math.inf)
+        assert np.all(values[:, 1].real == math.inf) and np.all(values[:, 1].imag == -math.inf)
+        assert np.all(values[:, 2] == 1) and max_abs(values) == math.inf

@@ -39,9 +39,9 @@ NEVER_CALLED = {
     "poly.PolyExpr.__str__": "the grammar round trip; the model-file writer of "
     "tests/conftest.py prints polynomials with it",
     "poly._format_coeff": "part of PolyExpr.__str__",
-    "poly._format_real": "part of PolyExpr.__str__",
-    "poly.PolyExpr.terms": "the exponent view that __call__ and __str__ read, and that "
-    "perfbench/tracing.py counts as poly.eval.terms",
+    "poly._decimal": "part of PolyExpr.__str__",
+    "poly.PolyExpr.terms": "the exponent view, with coefficients rounded to floats, that "
+    "__call__ reads and perfbench/tracing.py counts as poly.eval.terms",
     "poly.PolyExpr.degree": "states the total-degree cap and random_poly's degree bound in "
     "the poly tests",
 }
