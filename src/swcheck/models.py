@@ -13,9 +13,10 @@ coefficients, Lie brackets and exterior derivatives are computed
 symbolically, and residual reports only evaluate the resulting polynomials,
 on the whole array of sample points at once
 (:func:`~swcheck.poly.evaluate_all`).  A model file's decimal literals are
-read exactly, so a residual identity that holds on the chart cancels to the
-zero polynomial, and a check built only of those evaluates nothing and
-reports exactly 0.0.  What the model checks share
+read exactly, and a JSON number as its shortest decimal text (``repr``), so
+a residual identity that holds on the chart cancels to the zero polynomial,
+and a check built only of those evaluates nothing and reports exactly 0.0.
+What the model checks share
 (``deta``, the contact volume, the Webster metric of the frame, and the
 eta-values and Lie brackets of the frame fields and their J-images) is built
 once per frame, in tables on :class:`FrameFieldSet` that fill on first use.
@@ -634,8 +635,11 @@ def _parse_number(path: str, src) -> float:
 
 def _parse_field(path: str, src) -> PolyExpr:
     if isinstance(src, (int, float)):
-        return PolyExpr.const(_parse_number(path, src))
-    if not isinstance(src, str):
+        # A JSON number reads as its shortest decimal text, so 0.1 and "0.1"
+        # are the same exact value.
+        _parse_number(path, src)
+        src = repr(src)
+    elif not isinstance(src, str):
         raise ModelFormatError(f"{path}: expected a string or number")
     try:
         return parse_poly(src)

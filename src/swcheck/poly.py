@@ -106,12 +106,9 @@ class PolyExpr:
     def from_dict(d: dict[_Exponents, complex]) -> "PolyExpr":
         # Every exponent tuple is checked; only nonzero values are converted.
         terms = [(m, *_exact(c)) for m, c in zip(map(_pack, d), d.values()) if c]
-        # Over the largest power-of-two denominator, that term's numerator
-        # stays odd, so the form is reduced.
-        den = max([q for *_, q in terms], default=1)
+        den = math.lcm(*[q for *_, q in terms])
         terms = [(m, a * (den // q), b * (den // q)) for m, a, b, q in terms]
-        terms.sort(reverse=True)
-        return PolyExpr(tuple(terms), den)
+        return _reduced(sorted(terms, reverse=True), den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -151,7 +148,7 @@ class PolyExpr:
         s, unit = _SHIFTS[v], _UNITS[v]
         # Lowering one exponent keeps the monomials distinct and in order.
         terms = [(m - unit, a * n, b * n) for m, a, b in self.packed if (n := m >> s & MAX_DEGREE)]
-        return _reduced(terms, self.den) if self.den > 1 else PolyExpr(tuple(terms))
+        return _reduced(terms, self.den)
 
     def __call__(self, point) -> complex:
         total = 0j
@@ -204,14 +201,6 @@ def dot(a, b) -> PolyExpr:
     pairs = [(p, q) for p, q in zip(a, b, strict=True) if p.packed and q.packed]
     if not pairs:
         return ZERO
-    if len(pairs) == 1:
-        p, q = pairs[0]
-        # A product with one term keeps the other factor's terms distinct,
-        # nonzero and in order: no dict and no sort.
-        if len(q.packed) == 1:
-            return _times_term(p, q)
-        if len(p.packed) == 1:
-            return _times_term(q, p)
     den = math.lcm(*[p.den * q.den for p, q in pairs])
     re_: dict[int, int] = {}
     im: dict[int, int] = {}
@@ -234,15 +223,6 @@ def dot(a, b) -> PolyExpr:
                     m = m1 + m2
                     re_[m] = re_.get(m, 0) + a1 * a2
     return _from_parts(re_, im, den)
-
-
-def _times_term(p: PolyExpr, q: PolyExpr) -> PolyExpr:
-    """p times the one-term polynomial q."""
-    ((mq, c, d),) = q.packed
-    if (p.packed[0][0] + mq) >> _DEG_SHIFT > MAX_DEGREE:
-        raise OverflowError(f"a product of degree above {MAX_DEGREE}")
-    terms = [(m + mq, a * c - b * d, a * d + b * c) for m, a, b in p.packed]
-    return _reduced(terms, p.den * q.den)
 
 
 @lru_cache(maxsize=None)
@@ -300,12 +280,8 @@ def evaluate_all(polys, points) -> np.ndarray:
     if live:
         nonzero = [polys[i] for i in live]
         exps = np.array([_unpack(m) for p in nonzero for m, _, _ in p.packed])
-        try:
-            re_ = [a / p.den for p in nonzero for _, a, _ in p.packed]
-            im = [b / p.den for p in nonzero for _, _, b in p.packed]
-        except OverflowError:  # a coefficient beyond the float range
-            re_ = [_ratio(a, p.den) for p in nonzero for _, a, _ in p.packed]
-            im = [_ratio(b, p.den) for p in nonzero for _, _, b in p.packed]
+        re_ = [_ratio(a, p.den) for p in nonzero for _, a, _ in p.packed]
+        im = [_ratio(b, p.den) for p in nonzero for _, _, b in p.packed]
         starts = np.cumsum([0] + [len(p.packed) for p in nonzero[:-1]])
         # One row per real part, then one per imaginary part if any is nonzero.
         parts = [out.real] + ([out.imag] if any(im) else [])
@@ -443,9 +419,14 @@ def _literal(m: re.Match) -> tuple[int, int]:
     if math.isinf(float(text)):
         raise PolySyntaxError(f"numeric literal {text!r} overflows", pos)
     frac = m.group("frac") or m.group("tail") or ""
+    digits = (m.group("whole") or "") + frac
+    # Trailing zeros move into the exponent: 1.000 is 1, not 1000 / 10^3.
+    sig = digits.rstrip("0")
+    if not sig.lstrip("0"):  # zero, whatever its exponent
+        return 0, 1
     try:  # int() refuses more digits than sys.get_int_max_str_digits()
-        num = int(((m.group("whole") or "") + frac).lstrip("0") or "0")
-        exp = int(m.group("exp") or 0) - len(frac)
+        exp = int(m.group("exp") or 0) + len(digits) - len(sig) - len(frac)
+        num = int(sig.lstrip("0"))
     except ValueError:
         raise PolySyntaxError(f"numeric literal {text[:40]!r} has too many digits", pos) from None
     if exp < -MAX_PLACES:

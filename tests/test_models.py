@@ -316,10 +316,10 @@ class TestDecimalChart:
         residuals.pop("contact_volume_min")
         assert (max(residuals.values()) > 0) == bool(j02)
 
-    def test_residual_families_cancel_exactly(self, monkeypatch):
-        # Every residual polynomial that contact_check, tw_axiom_check and
-        # cr_check build on the decimal chart is exactly zero, so none is
-        # evaluated.  On the perturbed chart each check builds live ones.
+    @staticmethod
+    def _live_residuals(data, monkeypatch) -> list[int]:
+        """Nonzero residual polynomials that contact_check, tw_axiom_check and
+        cr_check build on the chart of a model-file dict, one count per check."""
         families = []
         max_eval = models._max_eval
 
@@ -328,26 +328,55 @@ class TestDecimalChart:
             return max_eval(exprs, points)
 
         monkeypatch.setattr(models, "_max_eval", record)
-        data = json.loads(SHEARED_CHART_3.read_text())
+        bundle = load_model(data)
         points = sample_points(5, seed=0)
-        for perturbed in (False, True):
-            if perturbed:
-                data["J"][0][2] = "1e-3*y2"
-            bundle = load_model(data)
-            live = []
-            for check in (
-                lambda: contact_check(bundle.frame, points),
-                lambda: tw_axiom_check(bundle.frame, bundle.connection, points),
-                lambda: cr_check(bundle.frame, points),
-            ):
-                families.append([])
-                check()
-                assert families[-1]
-                live.append(sum(not e.is_zero() for f in families[-1] for e in f))
-            if perturbed:
-                assert all(live), live
-            else:
-                assert live == [0, 0, 0]
+        live = []
+        for check in (
+            lambda: contact_check(bundle.frame, points),
+            lambda: tw_axiom_check(bundle.frame, bundle.connection, points),
+            lambda: cr_check(bundle.frame, points),
+        ):
+            families.append([])
+            check()
+            assert families[-1]
+            live.append(sum(not e.is_zero() for f in families[-1] for e in f))
+        return live
+
+    def test_residual_families_cancel_exactly(self, monkeypatch):
+        # Every residual polynomial the three checks build on the decimal
+        # chart is exactly zero, so none is evaluated.  On the perturbed
+        # chart each check builds live ones.
+        data = json.loads(SHEARED_CHART_3.read_text())
+        assert self._live_residuals(data, monkeypatch) == [0, 0, 0]
+        data["J"][0][2] = "1e-3*y2"
+        assert all(self._live_residuals(data, monkeypatch))
+
+    def test_numbers_and_strings_of_one_value_cancel(self, monkeypatch):
+        # The Heisenberg chart in the coordinate x2' = x2 + 0.1*x1: e1 gets
+        # the constant component 0.1 along x2', written as a JSON number,
+        # while eta and J carry 0.1 in strings.  eta(e1) and J e1 - e2
+        # vanish only if the number and the strings are one exact value.
+        data = {
+            "eta": ["0.1*y2 - y1", 0, "-y2", 0, 1],
+            "xi": [0, 0, 0, 0, 1],
+            "frame": [
+                [1, 0, 0.1, 0, "y1"],
+                [0, 1, 0, 0, 0],
+                [0, 0, 1, 0, "y2"],
+                [0, 0, 0, 1, 0],
+            ],
+            "J": [
+                [0, -1, 0, 0, 0],
+                [1, 0, 0, 0, 0],
+                [0, "-0.1", 0, -1, 0],
+                ["-0.1", 0, 1, 0, 0],
+                [0, "-y1", 0, "-y2", 0],
+            ],
+        }
+        assert self._live_residuals(data, monkeypatch) == [0, 0, 0]
+        report = _model_residuals(load_model(data), sample_points(20, seed=1))
+        assert report.pop("contact_volume_min") > 0
+        assert set(report.values()) == {0.0}
 
     def test_passes(self, sheared_chart):
         report = _model_residuals(load_model(sheared_chart), sample_points(40, seed=3))

@@ -86,6 +86,23 @@ class TestParsing:
         tiny = parse_poly(f"1e-{poly.MAX_PLACES}*x1")
         assert not tiny.is_zero() and parse_poly(str(tiny)) == tiny
 
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            ("0e999999999", "0"),
+            ("x1^0e999999999", "1"),
+            ("0e-5000", "0"),
+            ("0.000e-99999999999999999999*x1", "0"),
+            ("1." + "0" * 5000 + "*x1", "x1"),
+            ("25" + "0" * 5000 + "e-5002*t", "0.25*t"),
+        ],
+    )
+    def test_zeros_of_a_literal_build_no_large_power(self, src, expected):
+        # A zero mantissa is zero whatever its exponent, and trailing zeros
+        # move into the exponent, so none of these builds a huge power of 10
+        # (10**999999999 alone would take minutes and 415 MB).
+        assert str(parse_poly(src)) == expected
+
     def test_fractional_exponent_rejected(self):
         with pytest.raises(PolySyntaxError):
             parse_poly("x1^1.5")
