@@ -32,11 +32,11 @@ from . import cliff5, curvature, extalg, models
 from .cliff5 import GAMMA, PSI0
 from .dirac_sw import (
     FIELD_DEGREE,
+    IDENTIFICATION,
     SpinorField,
     _clifford,
     canonical_solution,
     dbar_identity_residual,
-    derive_identification,
     dirac_on_basis,
     form_clifford_action,
     full_dirac,
@@ -144,8 +144,8 @@ def _floor_check(name: str, value: float, floor: float) -> dict:
 # -- suites ----------------------------------------------------------------------
 
 
-#: Most samples put through the fixed-dimension algebra in one stack, so that
-#: peak memory does not grow with ``--samples``.
+#: Most dirac fields drawn and multiplied with the basis rows in one block,
+#: so that peak memory does not grow with ``--samples``.
 BLOCK = 500
 
 
@@ -208,13 +208,10 @@ def _suite_clifford(ns) -> dict:
     r = ((-s) * sig - (1j * s) * deta()).norm_inf()
     checks.append(_check("sigma_h_scaling_identity", r, 0.0))
 
-    rng = np.random.default_rng(ns.seed)
-
-    def sigma_real_part(block):
-        z = rng.normal(size=(len(block), 2, 4))
-        return np.max(np.abs(cliff5.sigma_full(z[:, 0] + 1j * z[:, 1]).coeffs.real))
-
-    r = _worst(ns.samples, sigma_real_part)
+    # Re <M psi, psi> = <(M + M^H) psi, psi> / 2 for each pair product M, so
+    # sigma(psi) is imaginary for every psi if and only if every M + M^H is 0.
+    m = cliff5.PAIR_PRODUCTS
+    r = np.max(np.abs(m + np.conj(np.swapaxes(m, -1, -2))))
     checks.append(_check("sigma_coefficients_imaginary", r, 1e-12))
 
     return _report("clifford", ns, checks)
@@ -235,15 +232,12 @@ def _suite_selfdual(ns) -> dict:
     r = np.max([(wedge(b, hodge_star(b)) - vol).norm_inf() for b in bases])
     checks.append(_check("hodge_defining_property_basis", r, 0.0))
 
-    rng = np.random.default_rng(ns.seed)
-
-    def hodge_defining_property(block):
-        c = rng.normal(size=(len(block), 10))
-        a = KForm(2, c)
-        norm2 = (c[:, None, :] @ c[:, :, None])[:, 0, 0]
-        return (wedge(a, hodge_star(a)) - norm2 * vol).norm_inf()
-
-    r = _worst(ns.samples, hodge_defining_property)
+    # a ^ *a = c^T G c vol for a real 2-form a = sum c_i e_i, with G_ij the
+    # coefficient of e_i ^ *e_j: it is |c|^2 vol for every c if and only if
+    # the symmetric part of G is the identity.
+    e = np.eye(10)
+    g = wedge(KForm(2, e[:, None]), hodge_star(KForm(2, e[None]))).coeffs[..., 0]
+    r = np.max(np.abs((g + g.T) / 2 - e))
     checks.append(_check("hodge_defining_property_random", r, 1e-13))
 
     vertical = extalg.VERTICAL[2]
@@ -258,14 +252,11 @@ def _suite_selfdual(ns) -> dict:
     r = np.max([(contact_star(sd) - sd).norm_inf(), (contact_star(asd) + asd).norm_inf()])
     checks.append(_check("sd_asd_eigenbases", r, 0.0))
 
-    def sd_projection(block):
-        c = rng.normal(size=(len(block), 10)).astype(complex)
-        c[:, vertical] = 0
-        beta = KForm(2, c)
-        plus, minus = sd_project(beta)
-        return np.max(np.abs(form_inner(plus, minus))), (plus + minus - beta).norm_inf()
-
-    r = np.max(_worst(ns.samples, sd_projection))
+    # On the horizontal basis forms: P+ + P- is the identity, and the Gram
+    # matrix <P+ e_i, P- e_j> vanishes, so <P+ beta, P- beta> does for every beta.
+    plus, minus = sd_project(b)
+    gram = form_inner(KForm(2, plus.coeffs[:, None]), KForm(2, minus.coeffs[None]))
+    r = np.max([np.max(np.abs(gram)), (plus + minus - b).norm_inf()])
     checks.append(_check("sd_projection_orthogonal", r, 1e-13))
 
     return _report("selfdual", ns, checks)
@@ -273,13 +264,12 @@ def _suite_selfdual(ns) -> dict:
 
 def _curvature_rows() -> list[tuple[np.ndarray, np.ndarray]]:
     """For the Ricci checks, then the Bianchi check: the residual rows as a
-    real ``(K, P, R)`` array, and the first of the R entries of each check.
+    complex ``(K, R)`` array, and the first of the R entries of each check.
 
     Every residual is linear in the parameters of ``admissible_ricci`` (4)
     or ``admissible_torsion`` (6) and in the ``--perturb`` shift of R11 or
     tau12: row k is the residual of unit parameter k, the last row that of
-    the shift.  P holds the real and imaginary parts that are not zero in
-    every row: the Ricci residuals are real, and B is imaginary.
+    the shift.  The Ricci residuals are real, and B is imaginary.
     """
     unit = np.eye(25).reshape(25, 5, 5)  # E_ij at 5 i + j
     ric = np.concatenate([curvature.admissible_ricci(*np.eye(4)), unit[:1]])
@@ -292,36 +282,22 @@ def _curvature_rows() -> list[tuple[np.ndarray, np.ndarray]]:
     out = []
     for residuals in ([rho.coeffs, j @ ric - ric @ j, jh.T @ ric_h @ jh - ric_h, recon], [bianchi]):
         flat = np.concatenate([np.reshape(r, (len(r), -1)) for r in residuals], axis=1)
-        parts = [part for part in (flat.real, flat.imag) if np.any(part)]
-        out.append((np.stack(parts, axis=1), np.cumsum([0] + [r[0].size for r in residuals[:-1]])))
+        out.append((flat, np.cumsum([0] + [r[0].size for r in residuals[:-1]])))
     return out
 
 
 def _suite_curvature(ns) -> dict:
     perturb = ns.perturb
     tol = ns.tol
-    # One stream per kind of draw; blocks draw in order, so the draws depend
-    # neither on BLOCK nor, for the first n, on --samples.  The tensor check's
-    # 10 Ricci draws come first, so they do not depend on --samples at all.
-    ric_rng = np.random.default_rng([ns.seed, 0])
-    tau_rng = np.random.default_rng([ns.seed, 1])
-    ric_tensor = curvature.random_admissible_ricci(ric_rng, 10)
-    streams = tuple(zip((ric_rng, tau_rng), _curvature_rows()))
-
-    def residuals(block):
-        # The drawn parameters, the shift as a last column, times the rows.
-        # einsum's own loop, not `@`: at this size `@` calls a threaded BLAS,
-        # measured at a flat ~8 ms a call on a 2-vCPU machine against 0.1 ms.
-        shift = np.full((len(block), 1), perturb)
-        worst = []
-        for rng, (rows, starts) in streams:
-            params = np.hstack([rng.uniform(-1.0, 1.0, (len(block), len(rows) - 1)), shift])
-            parts = np.einsum("nk,kpr->npr", params, rows)
-            moduli = np.abs(parts[:, 0]) if len(rows[0]) == 1 else np.hypot(parts[:, 0], parts[:, 1])
-            worst.extend(np.maximum.reduceat(np.max(moduli, axis=0), starts))
-        return worst
-
-    r_rho, r_j, r_jj, r_ric, r_b = _worst(ns.samples, residuals)
+    # Over every parameter vector of the box [-1, 1]^K, with the --perturb
+    # shift, a residual entry is at most the sum of the unit rows' moduli
+    # plus |perturb| times the shift row's; for real and for imaginary
+    # entries, as all of these are, that is its maximum.
+    worst = []
+    for rows, starts in _curvature_rows():
+        bound = np.sum(np.abs(rows[:-1]), axis=0) + abs(perturb) * np.abs(rows[-1])
+        worst.extend(np.maximum.reduceat(bound, starts))
+    r_rho, r_j, r_jj, r_ric, r_b = worst
     checks = [
         _check("rho_plus_is_minus_quarter_s_deta", r_rho, tol),
         _check("J_commutes_with_ricci", r_j, 0.0 if not perturb else tol),
@@ -330,10 +306,13 @@ def _suite_curvature(ns) -> dict:
         _check("ricci_reconstruction_identity", r_ric, tol),
     ]
 
+    # The tensor and its residuals are linear in the Ricci parameters: the
+    # four unit parameter vectors certify every admissible Ricci matrix.
+    ric = curvature.admissible_ricci(*np.eye(4))
     j = curvature.J_FRAME
-    t4 = curvature.curvature_tensor(ric_tensor)
+    t4 = curvature.curvature_tensor(ric)
     z = curvature.COMPLEX_FRAME
-    r_trace = np.max(np.abs(curvature.ricci_trace(t4) - 1j * z @ (j @ ric_tensor) @ z.T))
+    r_trace = np.max(np.abs(curvature.ricci_trace(t4) - 1j * z @ (j @ ric) @ z.T))
     r = np.max([*curvature.symmetry_check(t4).values(), r_trace])
     checks.append(_check("curvature_tensor_symmetries_and_trace", r, 1e-12))
 
@@ -429,7 +408,7 @@ def _suite_dirac(ns) -> dict:
     checks.append(_check("dbar_identity", worst_draw(20, dbar), 1e-10))
     checks.append(_check("dbar_identity_degree3_basis", max_abs(dbar), 1e-10))
 
-    phi = derive_identification()
+    phi = IDENTIFICATION
     defects = [phi.conj().T @ phi - np.eye(4)]
     for i, x in enumerate(np.eye(5), 1):
         defects.append(phi @ form_clifford_action(x) - cliff5.gamma(i) @ phi)
@@ -534,9 +513,9 @@ SUITES = {
 }
 
 _DEFAULTS = {
-    "clifford": dict(samples=200, tol=0.0),
-    "selfdual": dict(samples=100, tol=0.0),
-    "curvature": dict(samples=10000, tol=1e-12),
+    "clifford": dict(tol=0.0),
+    "selfdual": dict(tol=0.0),
+    "curvature": dict(tol=1e-12),
     "model": dict(samples=1000, tol=1e-12),
     "dirac": dict(samples=50, tol=1e-6),
     "solution": dict(samples=1, tol=1e-12),
@@ -579,7 +558,7 @@ class _SubNS:
     def __init__(self, command, base):
         d = _DEFAULTS[command]
         self.command = command
-        self.samples = base.samples if base.samples is not None else d["samples"]
+        self.samples = base.samples if base.samples is not None else d.get("samples")
         self.tol = base.tol if base.tol is not None else d["tol"]
         self.seed = base.seed
         self.h = base.h

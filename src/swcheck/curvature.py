@@ -36,10 +36,10 @@ axes; residuals and violation lists cover the whole stack.  Samplers take a
 ``numpy.random.Generator`` and a stack size, as ``poly.random_poly`` does;
 they advance only that generator.  All other functions are pure and never
 write to their arguments.  The Ricci form, rho_plus, the scalar curvature,
-the reconstruction defect and B are linear in ``ric`` or ``tau``, so the
-curvature suite evaluates them once on the unit parameter vectors of
-``admissible_ricci`` and ``admissible_torsion`` and scales those rows by
-each draw's parameters.
+the reconstruction defect, B and the (4,0) tensor are linear in ``ric`` or
+``tau``, so the curvature suite evaluates them once on the unit parameter
+vectors of ``admissible_ricci`` and ``admissible_torsion``, which certifies
+them on every admissible input; it draws nothing.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full, sigma_h
+from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, _frozen, sigma_full, sigma_h
 from .curvature import _SQ2, COMPLEX_FRAME, admissible_ricci, ricci_form, rho_plus
 from .extalg import PAIR_INDEX, KForm, horizontal_split, sd_project
 from .models import ModelBundle, heisenberg5
@@ -347,54 +347,13 @@ def form_clifford_action(x) -> np.ndarray:
     return act + x[4] * _REEB_ACTION
 
 
-class IdentificationError(RuntimeError):
-    """No unitary intertwiner exists; signals a convention inconsistency."""
-
-
-@lru_cache(maxsize=1)
-def derive_identification() -> np.ndarray:
-    """Unitary map Phi from (0, *)-forms to the kappa spinor module.
-
-    Solves the intertwining system Phi (X . a) = kappa(X) Phi(a) over all
-    frame vectors; the solution space must be one-dimensional (the
-    representation is irreducible) and is normalized by Phi(1) = psi0.
-    """
-    eye = np.eye(4, dtype=complex)
-    rows = []
-    for i in range(1, 6):
-        x = np.zeros(5)
-        x[i - 1] = 1.0
-        a = form_clifford_action(x)
-        ac = a @ a + eye
-        if np.max(np.abs(ac)) > 1e-12:
-            raise IdentificationError(
-                f"form-module action of e{i} violates the Clifford relation"
-            )
-        rows.append(np.kron(gamma(i), eye) - np.kron(eye, a.T))
-    system = np.vstack(rows)
-    _, sing, vt = np.linalg.svd(system, full_matrices=False)
-    null_dims = int(np.sum(sing < 1e-10))
-    if null_dims != 1:
-        raise IdentificationError(
-            f"intertwiner space has dimension {null_dims}, expected 1"
-        )
-    # For complex SVD A = U S V^H the null vector is the conjugate of the
-    # last row of V^H.
-    phi = vt[-1].conj().reshape(4, 4)
-    pivot = phi[3, 0]
-    if abs(pivot) < 1e-12:
-        raise IdentificationError("intertwiner does not map 1 onto the psi0 line")
-    phi = phi / pivot
-    if np.max(np.abs(phi.conj().T @ phi - eye)) > 1e-10:
-        raise IdentificationError("normalized intertwiner is not unitary")
-    for i in range(1, 6):
-        x = np.zeros(5)
-        x[i - 1] = 1.0
-        resid = np.max(np.abs(phi @ form_clifford_action(x) - gamma(i) @ phi))
-        if resid > 1e-10:
-            raise IdentificationError(f"intertwining fails on e{i} (residual {resid:.2e})")
-    phi.flags.writeable = False
-    return phi
+#: The unitary map Phi from (0, *)-forms to the kappa spinor module: the one
+#: solution of Phi (X . a) = kappa(X) Phi(a) for every frame vector X (the
+#: representation is irreducible) with Phi(1) = psi0.  Pushing the basis
+#: (1, tb1, tb2, tb1 ^ tb2) through the orbit of psi0 gives Phi(tb1) =
+#: kappa(e1) psi0, Phi(tb2) = kappa(e3) psi0 and Phi(tb1 ^ tb2) = -kappa(e3)
+#: Phi(tb1): a signed permutation with entries 1 and i.
+IDENTIFICATION = _frozen([[0, 0, 1, 0], [0, 0, 0, 1j], [0, 1j, 0, 0], [1, 0, 0, 0]])
 
 
 # -- dbar operators on the Heisenberg model ------------------------------------
@@ -411,7 +370,7 @@ def dbar_identity_residual(kohn, points) -> np.ndarray:
     on Zbar_a(m) and Z_a(m): the rows of ``COMPLEX_FRAME`` times the e_w(m)
     of ``basis_derivatives``.
     """
-    phi = derive_identification()
+    phi = IDENTIFICATION
     derivs, _ = basis_derivatives(heisenberg5(), points)
     z1, z2, zb1, zb2 = np.moveaxis(COMPLEX_FRAME[:4] @ derivs, -2, 0)
     terms = ((zb1, _WEDGE1), (zb2, _WEDGE2), (z1, -_CONTRACT1), (z2, -_CONTRACT2))

@@ -275,8 +275,10 @@ class FrameFieldSet:
     @cached_property
     def deta_slot(self) -> tuple[tuple[PolyExpr, ...], ...]:
         """``deta_slot[a]`` = ``deta.contract(span[a])``, so that deta(x, span[a])
-        is ``dot(x.components, deta_slot[a])``."""
-        return tuple(self.deta.contract(y) for y in self.span)
+        is ``dot(x.components, deta_slot[a])``.  Equal fields share one
+        contraction: where J e1 == e2, J e2 == -e1 and J J e1 is J e2."""
+        slots = {y: self.deta.contract(y) for y in dict.fromkeys(self.span)}
+        return tuple(slots[y] for y in self.span)
 
     @cached_property
     def deta_pair(self) -> _LazyTable:

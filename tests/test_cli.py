@@ -523,34 +523,9 @@ class TestUsageErrors:
         assert "constraint R12=0 violated" in err
 
 
-def _curvature_draws(monkeypatch, nan=None):
-    """Record the parameter arrays that the curvature suite draws, in draw
-    order: ``{0: [...], 1: [...]}`` for its Ricci stream ``default_rng([S, 0])``
-    and its torsion stream ``default_rng([S, 1])``.  ``nan=(stream, call, row,
-    column)`` makes that entry of call number ``call`` (from 1) of ``stream``
-    NaN."""
-    draws = {0: [], 1: []}
-    default_rng = np.random.default_rng
-
-    class Recording:
-        def __init__(self, seed):
-            self._rng = default_rng(seed)
-            self._stream = seed[1]
-
-        def uniform(self, *args):
-            out = self._rng.uniform(*args)
-            draws[self._stream].append(out.copy())
-            if nan and nan[:2] == (self._stream, len(draws[self._stream])):
-                out[nan[2:]] = np.nan
-            return out
-
-    monkeypatch.setattr(np.random, "default_rng", Recording)
-    return draws
-
-
 class TestSampleCounts:
-    """``--samples`` sets the rows the sampled checks draw, in stacks of at
-    most ``cli.BLOCK`` rows."""
+    """``--samples`` sets the fields the dirac suite draws, in stacks of at
+    most ``cli.BLOCK`` fields."""
 
     @staticmethod
     def _rows(monkeypatch, capsys, module, name, rows_of, argv):
@@ -567,38 +542,7 @@ class TestSampleCounts:
         monkeypatch.setattr(module, name, original)
         assert code == EXIT_PASS
         assert rep["parameters"]["samples"] == int(argv[-1])
-        return [r for r in rows if r is not None]
-
-    def test_clifford_sigma_full_draws(self, monkeypatch, capsys):
-        for n in (3, cli.BLOCK + 7):
-            # sigma_h(PSI0) also calls sigma_full, on a single spinor.
-            rows = self._rows(
-                monkeypatch, capsys, cliff5, "sigma_full",
-                lambda psi: len(psi) if np.ndim(psi) == 2 else None,
-                ["clifford", "--samples", str(n)],
-            )
-            assert sum(rows) == n
-            assert max(rows) <= cli.BLOCK
-
-    def test_selfdual_sd_project_draws(self, monkeypatch, capsys):
-        for n in (3, cli.BLOCK + 7):
-            rows = self._rows(
-                monkeypatch, capsys, cli, "sd_project", lambda beta: len(beta.coeffs),
-                ["selfdual", "--samples", str(n)],
-            )
-            assert sum(rows) == n
-            assert max(rows) <= cli.BLOCK
-
-    def test_curvature_draws(self, monkeypatch, capsys):
-        for n in (3, cli.BLOCK + 7):
-            with monkeypatch.context() as m:
-                draws = _curvature_draws(m)
-                code, rep = _run(["curvature", "--samples", str(n)], capsys)
-            assert code == EXIT_PASS and rep["parameters"]["samples"] == n
-            ric, tau = ([len(d) for d in draws[k]] for k in (0, 1))
-            # curvature_tensor_symmetries_and_trace draws 10 more, whatever n is.
-            assert ric[0] == 10 and sum(ric) == n + 10 and sum(tau) == n
-            assert max(ric + tau) <= cli.BLOCK
+        return rows
 
     def test_dirac_field_draws(self, monkeypatch, capsys):
         for n in (3, cli.BLOCK + 7):
@@ -612,63 +556,9 @@ class TestSampleCounts:
             assert max(shape[0] for shape in rows) <= cli.BLOCK
 
 
-class TestCurvatureDraws:
-    """The curvature suite draws from one Ricci and one torsion stream, in
-    order: its draws depend neither on ``cli.BLOCK`` nor, for the first n,
-    on ``--samples``."""
-
-    @staticmethod
-    def _report(argv, path):
-        run(argv + ["--output", str(path)])
-        rep = json.loads(path.read_text())
-        rep.pop("wall_time_s")
-        return json.dumps(rep, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize("perturb", ["0", "1e-3"])
-    def test_report_does_not_depend_on_block(self, perturb, monkeypatch, tmp_path):
-        argv = ["curvature", "--samples", "40", "--seed", "5", "--perturb", perturb]
-        default = self._report(argv, tmp_path / "default.json")
-        monkeypatch.setattr(cli, "BLOCK", 7)
-        assert self._report(argv, tmp_path / "block7.json") == default
-
-    @staticmethod
-    def _draws(monkeypatch, capsys, n):
-        """Every Ricci and torsion parameter row the suite draws, in draw order."""
-        with monkeypatch.context() as m:
-            drawn = _curvature_draws(m)
-            assert _run(["curvature", "--samples", str(n)], capsys)[0] == EXIT_PASS
-        return {attr: np.concatenate(drawn[k]) for attr, k in (("ric", 0), ("tau", 1))}
-
-    def test_draws_do_not_depend_on_block(self, monkeypatch, capsys):
-        default = self._draws(monkeypatch, capsys, 40)
-        monkeypatch.setattr(cli, "BLOCK", 7)
-        blocked = self._draws(monkeypatch, capsys, 40)
-        for attr in ("ric", "tau"):
-            assert np.array_equal(blocked[attr], default[attr])
-
-    def test_draws_of_fewer_samples_are_a_prefix(self, monkeypatch, capsys):
-        n, big_n = cli.BLOCK + 3, 2 * cli.BLOCK + 1
-        few = self._draws(monkeypatch, capsys, n)
-        many = self._draws(monkeypatch, capsys, big_n)
-        assert few["ric"].shape == (n + 10, 4) and many["ric"].shape == (big_n + 10, 4)
-        assert few["tau"].shape == (n, 6) and many["tau"].shape == (big_n, 6)
-        for attr in ("ric", "tau"):
-            assert np.array_equal(many[attr][: len(few[attr])], few[attr])
-
-    def test_draws_are_the_sampler_streams(self, monkeypatch, capsys):
-        # The parameters are those the samplers draw from the same streams:
-        # the blocks' Ricci matrices and torsions are the samplers' stacks.
-        n = cli.BLOCK + 3
-        drawn = self._draws(monkeypatch, capsys, n)
-        ric = curvature.random_admissible_ricci(np.random.default_rng([0, 0]), n + 10)
-        tau = curvature.random_admissible_torsion(np.random.default_rng([0, 1]), n)
-        assert np.array_equal(curvature.admissible_ricci(*drawn["ric"].T), ric)
-        assert np.array_equal(curvature.admissible_torsion(drawn["tau"]), tau)
-
-
 class TestCurvatureRows:
-    """The sampled curvature residuals are the drawn parameters, with the
-    ``--perturb`` shift as a last column, times rows built once on the unit
+    """The five linear curvature residuals are parameter vectors, with the
+    ``--perturb`` shift as a last entry, times rows built once on the unit
     parameter vectors and the shifted entry (``cli._curvature_rows``)."""
 
     @staticmethod
@@ -700,20 +590,94 @@ class TestCurvatureRows:
             last = {"none": 0.0, "perturb": 1e-3, "random": rng.uniform(-1, 1, n)}[shift]
             params.append(np.column_stack([rng.uniform(-1, 1, (n, k)), np.broadcast_to(last, n)]))
         (ric_rows, ric_starts), (tau_rows, tau_starts) = cli._curvature_rows()
-        # Ricci residuals are real and B is imaginary: each keeps one part.
-        assert ric_rows.shape == (5, 1, 57) and tau_rows.shape == (7, 1, 6)
+        assert ric_rows.shape == (5, 57) and tau_rows.shape == (7, 6)
         assert list(ric_starts) == [0, 10, 35, 51] and list(tau_starts) == [0]
+        # Ricci residuals are real and B is imaginary.
+        assert not np.any(ric_rows.imag) and not np.any(tau_rows.real)
         ricci, bianchi = self._direct(*params)
-        assert np.max(np.abs(params[0] @ ric_rows[:, 0] - ricci)) <= 1e-15
-        assert np.max(np.abs(1j * (params[1] @ tau_rows[:, 0]) - bianchi)) <= 1e-15
+        assert np.max(np.abs(params[0] @ ric_rows - ricci)) <= 1e-15
+        assert np.max(np.abs(params[1] @ tau_rows - bianchi)) <= 1e-15
 
     def test_admissible_rows_are_exactly_zero(self):
         # So a clean run reports exactly 0.0; the shifted entry's row turns
         # every check on.
         (ric_rows, ric_starts), (tau_rows, _) = cli._curvature_rows()
         assert not np.any(ric_rows[:4]) and not np.any(tau_rows[:6])
-        shifted = np.maximum.reduceat(np.abs(ric_rows[4, 0]), ric_starts)
+        shifted = np.maximum.reduceat(np.abs(ric_rows[4]), ric_starts)
         assert list(shifted) == [0.25, 1.0, 1.0, 1.0] and np.max(np.abs(tau_rows[6])) == 0.5
+
+
+class TestCertificates:
+    """clifford, selfdual and curvature certify their identities on bases and
+    Gram matrices: they draw nothing, and a fault in the data a certificate
+    reads fails it."""
+
+    @staticmethod
+    def _failed(argv, capsys):
+        code, rep = _run(argv, capsys)
+        assert code == EXIT_FAIL
+        return {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
+
+    @pytest.mark.parametrize("perturb", ["0", "1e-3"])
+    @pytest.mark.parametrize("suite", ["clifford", "selfdual", "curvature"])
+    def test_reports_do_not_depend_on_seed_or_samples(self, suite, perturb, capsys):
+        reports = []
+        for extra in ([], ["--seed", "1", "--samples", "3"]):
+            _, rep = _run([suite, "--perturb", perturb] + extra, capsys)
+            for key in ("wall_time_s", "parameters"):
+                rep.pop(key)
+            reports.append(rep)
+        assert reports[0] == reports[1]
+
+    def test_non_skew_pair_product_fails_sigma_certificate(self, monkeypatch, capsys):
+        # kappa(e1) kappa(e3) is not in kappa(deta), and its entry [0, 0] does
+        # not reach sigma_h(psi0): only the certificate reads it.
+        products = cliff5.PAIR_PRODUCTS.copy()
+        products[1, 0, 0] += 1e-3
+        monkeypatch.setattr(cliff5, "PAIR_PRODUCTS", products)
+        assert self._failed(["clifford"], capsys) == {"sigma_coefficients_imaginary": 2e-3}
+
+    def test_mis_scaled_star_fails_hodge_gram(self, monkeypatch, capsys):
+        monkeypatch.setitem(extalg.STAR, 2, extalg.STAR[2] * 1.5)
+        failed = self._failed(["selfdual"], capsys)
+        assert failed["hodge_defining_property_random"] == 0.5
+
+    def test_mis_scaled_contact_star_fails_sd_projection(self, monkeypatch, capsys):
+        monkeypatch.setattr(extalg, "CONTACT_STAR", extalg.CONTACT_STAR * 1.5)
+        failed = self._failed(["selfdual"], capsys)
+        assert failed["sd_projection_orthogonal"] > 0
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["unit_row", "shift_row"])
+    @pytest.mark.parametrize(
+        "group, check, name",
+        [
+            pytest.param(*case, id=case[-1])
+            for case in [
+                (0, 0, "rho_plus_is_minus_quarter_s_deta"),
+                (0, 1, "J_commutes_with_ricci"),
+                (0, 2, "ricci_J_invariance"),
+                (0, 3, "ricci_reconstruction_identity"),
+                (1, 0, "bianchi_correction_vanishes"),
+            ]
+        ],
+    )
+    def test_nan_curvature_row_fails_the_checks_that_read_it(
+        self, group, check, name, row, monkeypatch, capsys
+    ):
+        # One NaN entry, in the first column of check ``check`` of the Ricci
+        # (group 0) or torsion (group 1) rows, of a unit-parameter row or of
+        # the shift row: NaN times the zero --perturb is NaN too.
+        original = cli._curvature_rows
+
+        def with_nan():
+            rows = original()
+            values, starts = rows[group]
+            values[row, starts[check]] = np.nan
+            return rows
+
+        monkeypatch.setattr(cli, "_curvature_rows", with_nan)
+        # ``_run`` refuses bare NaN tokens: a NaN residual is the string "NaN".
+        assert self._failed(["curvature"], capsys) == {name: "NaN"}
 
 
 class TestDiracDraws:
@@ -722,11 +686,18 @@ class TestDiracDraws:
     depends neither on ``cli.BLOCK`` nor, beyond the draws it adds, on
     ``--samples``."""
 
+    @staticmethod
+    def _report(argv, path):
+        run(argv + ["--output", str(path)])
+        rep = json.loads(path.read_text())
+        rep.pop("wall_time_s")
+        return json.dumps(rep, indent=2, sort_keys=True)
+
     def test_report_does_not_depend_on_block(self, monkeypatch, tmp_path):
         argv = ["dirac", "--samples", "20", "--seed", "5"]
-        default = TestCurvatureDraws._report(argv, tmp_path / "default.json")
+        default = self._report(argv, tmp_path / "default.json")
         monkeypatch.setattr(cli, "BLOCK", 7)
-        assert TestCurvatureDraws._report(argv, tmp_path / "block7.json") == default
+        assert self._report(argv, tmp_path / "block7.json") == default
 
     def test_fewer_samples_are_a_prefix(self, capsys):
         worst = {}
@@ -741,39 +712,6 @@ class TestDiracDraws:
 
 
 class TestNonFiniteSamples:
-    _RICCI_CHECKS = [
-        "rho_plus_is_minus_quarter_s_deta",
-        "J_commutes_with_ricci",
-        "ricci_J_invariance",
-        "ricci_reconstruction_identity",
-    ]
-
-    @staticmethod
-    def _run_with_nan(monkeypatch, capsys, stream, call):
-        """The report of ``curvature --samples BLOCK + 7`` with one NaN
-        parameter, in row 3 of the second block of ``stream``, and the row
-        counts each stream drew."""
-        with monkeypatch.context() as m:
-            draws = _curvature_draws(m, nan=(stream, call, 3, 0))
-            code, rep = _run(["curvature", "--samples", str(cli.BLOCK + 7)], capsys)
-        assert code == EXIT_FAIL
-        # ``_run`` refuses bare NaN tokens: a NaN residual is the string "NaN".
-        failed = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
-        return failed, {k: [len(d) for d in v] for k, v in draws.items()}
-
-    def test_nan_curvature_draw_fails(self, monkeypatch, capsys):
-        # One NaN Ricci parameter, in row 3 of the second block of draws, must
-        # fail the suite; a Python ``max(r, nan)`` over samples or blocks
-        # would drop it.  The first draw is the tensor check's 10 samples.
-        failed, counts = self._run_with_nan(monkeypatch, capsys, 0, 3)
-        assert counts[0] == [10, cli.BLOCK, 7]
-        assert failed == dict.fromkeys(self._RICCI_CHECKS, "NaN")
-
-    def test_nan_torsion_draw_fails(self, monkeypatch, capsys):
-        failed, counts = self._run_with_nan(monkeypatch, capsys, 1, 2)
-        assert counts[1] == [cli.BLOCK, 7]
-        assert failed == {"bianchi_correction_vanishes": "NaN"}
-
     @pytest.mark.parametrize("index", [0, -1])
     def test_nan_dirac_coefficient_fails(self, index, monkeypatch, capsys):
         # A draw's residual gathers the nonzero coefficients of each field and

@@ -10,6 +10,7 @@ from swcheck.cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full
 from swcheck.curvature import COMPLEX_FRAME, admissible_ricci, ricci_form
 from swcheck.dirac_sw import (
     FIELD_DEGREE,
+    IDENTIFICATION,
     SO_COUPLING,
     U1_COUPLING,
     SpinorField,
@@ -17,7 +18,6 @@ from swcheck.dirac_sw import (
     basis_monomials,
     canonical_solution,
     dbar_identity_residual,
-    derive_identification,
     dirac_on_basis,
     fd_stencil,
     form_clifford_action,
@@ -313,6 +313,23 @@ class TestStackedEvaluation:
             assert single.shape == (4,) and np.array_equal(single, row)
 
 
+def _derived_identification() -> tuple[int, np.ndarray]:
+    """The dimension of the space of intertwiners Phi (X . a) = kappa(X) Phi(a)
+    over the frame vectors X, by SVD, and its element with Phi(1) = psi0."""
+    eye = np.eye(4)
+    system = np.vstack(
+        [
+            np.kron(gamma(i), eye) - np.kron(eye, form_clifford_action(x).T)
+            for i, x in enumerate(np.eye(5), 1)
+        ]
+    )
+    _, sing, vt = np.linalg.svd(system)
+    # For complex SVD A = U S V^H the null vector is the conjugate of the last
+    # row of V^H.
+    phi = vt[-1].conj().reshape(4, 4)
+    return int(np.sum(sing < 1e-10)), phi / phi[3, 0]
+
+
 class TestIdentification:
     def test_phi_frozen_matrix(self):
         # Derived by pushing the basis (1, tb1, tb2, tb1^tb2) through the
@@ -327,40 +344,42 @@ class TestIdentification:
             ],
             dtype=complex,
         )
-        phi = derive_identification()
-        assert np.max(np.abs(phi - expected)) < 1e-12
+        assert np.array_equal(IDENTIFICATION, expected)
+        assert not IDENTIFICATION.flags.writeable
+
+    def test_intertwiner_space_is_one_dimensional_and_is_the_table(self):
+        # The reference derivation: the intertwining system solved by SVD.
+        dim, phi = _derived_identification()
+        assert dim == 1
+        assert np.max(np.abs(phi - IDENTIFICATION)) < 1e-12
 
     def test_phi_unitary(self):
-        phi = derive_identification()
-        assert np.max(np.abs(phi.conj().T @ phi - np.eye(4))) < 1e-12
+        phi = IDENTIFICATION
+        assert np.array_equal(phi.conj().T @ phi, np.eye(4))
 
     def test_intertwining_all_generators(self):
-        phi = derive_identification()
+        phi = IDENTIFICATION
         for i in range(1, 6):
             x = np.zeros(5)
             x[i - 1] = 1.0
-            resid = np.max(np.abs(phi @ form_clifford_action(x) - gamma(i) @ phi))
-            assert resid < 1e-12, i
+            assert np.array_equal(phi @ form_clifford_action(x), gamma(i) @ phi), i
 
     def test_phi_maps_one_to_psi0(self):
-        phi = derive_identification()
-        assert np.max(np.abs(phi[:, 0] - PSI0)) < 1e-12
+        assert np.array_equal(IDENTIFICATION[:, 0], PSI0)
 
     def test_reeb_eigenvalues_by_degree(self):
         # kappa(e5) Phi(alpha_q) = (-1)^(q+1) i Phi(alpha_q).
-        phi = derive_identification()
         signs = [-1j, 1j, 1j, -1j]
         for col, lam in enumerate(signs):
-            v = phi[:, col]
-            assert np.max(np.abs(gamma(5) @ v - lam * v)) < 1e-12
+            v = IDENTIFICATION[:, col]
+            assert np.array_equal(gamma(5) @ v, lam * v)
 
     def test_top_form_lands_in_plus_2i_eigenspace(self):
         from swcheck.cliff5 import kappa_deta
 
-        phi = derive_identification()
-        v = phi[:, 3]
-        assert np.max(np.abs(kappa_deta() @ v - 2j * v)) < 1e-12
-        assert abs(np.linalg.norm(v) - 1) < 1e-12
+        v = IDENTIFICATION[:, 3]
+        assert np.array_equal(kappa_deta() @ v, 2j * v)
+        assert np.linalg.norm(v) == 1
 
     def test_abstract_action_satisfies_clifford_relations(self):
         for i in range(5):
@@ -469,7 +488,7 @@ class TestDbarOperators:
 def _dbar_identity_defect(field: FormSpinorField, points) -> np.ndarray:
     """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f, built symbolically for
     one field and evaluated at ``points``."""
-    phi = derive_identification()
+    phi = IDENTIFICATION
     d, ds = dbar_pair(field)
     dirac = kohn_dirac(S_FLAT, field.to_spinor_field(phi))
     lhs = np.sqrt(2) * (d.evaluate(points) + ds.evaluate(points))

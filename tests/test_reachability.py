@@ -31,8 +31,9 @@ NEVER_CALLED = {
     "against; perfbench/tracing.py wraps it by name",
     "curvature.torsion_violations": "the reference that shows admissible_torsion and its "
     "sampler are admissible",
-    "curvature.random_admissible_torsion": "the torsion stack of the curvature suite's torsion "
-    "stream, which the suite draws as parameters; perfbench/tracing.py wraps it by name",
+    "curvature.random_admissible_ricci": "perfbench/tracing.py wraps it by name",
+    "curvature.random_admissible_torsion": "the admissible torsion sampler of the curvature "
+    "tests, which no suite draws; perfbench/tracing.py wraps it by name",
     "curvature.ric_identity_check": "the largest reconstruction defect of a stack, which the "
     "curvature suite takes from its rows; perfbench/tracing.py wraps it by name",
     "poly.PolyExpr.__call__": "the per-point reference that evaluate_all is tested against",
