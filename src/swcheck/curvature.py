@@ -33,13 +33,14 @@ real ``(..., 5, 5)`` arrays and the (4,0) curvature tensor a complex
 ``(..., 5, 5, 5, 5)`` array, each possibly a stack of samples on leading
 axes.  Values (forms, scalar curvatures, Bianchi terms) keep the sample
 axes; residuals and violation lists cover the whole stack.  Samplers take a
-``numpy.random.Generator`` and a stack size, as ``poly.random_poly`` does;
-they advance only that generator.  All other functions are pure and never
-write to their arguments.  The Ricci form, rho_plus, the scalar curvature,
-the reconstruction defect, B and the (4,0) tensor are linear in ``ric`` or
-``tau``, so the curvature suite evaluates them once on the unit parameter
-vectors of ``admissible_ricci`` and ``admissible_torsion``, which certifies
-them on every admissible input; it draws nothing.
+``numpy.random.Generator`` and a stack size and advance only that
+generator; the tests draw from them, and no command does.  All other
+functions are pure and never write to their arguments.  The Ricci form,
+rho_plus, the scalar curvature, the reconstruction defect, B and the (4,0)
+tensor are linear in ``ric`` or ``tau``, so the curvature suite evaluates
+them once on the unit parameter vectors of ``admissible_ricci`` and
+``admissible_torsion``, which certifies them on every admissible input; it
+draws nothing.
 """
 
 from __future__ import annotations

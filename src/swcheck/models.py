@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -45,7 +46,17 @@ import numpy as np
 
 from .curvature import J_FRAME, ricci_violations
 from .extalg import INDEX_TUPLES, PAIR_INDEX, WEDGE
-from .poly import ONE, ZERO, PolyExpr, PolySyntaxError, dot, evaluate_all, max_abs, parse_poly
+from .poly import (
+    ONE,
+    ZERO,
+    PolyExpr,
+    PolySyntaxError,
+    dot,
+    evaluate_all,
+    max_abs,
+    parse_poly,
+    uniform,
+)
 
 #: Sign in the horizontal torsion axiom T(X, Y) = sign * deta(X, Y) * Reeb.
 TW_TORSION_SIGN = 1.0
@@ -400,11 +411,11 @@ def heisenberg5() -> ModelBundle:
 
 
 def sample_points(n: int, seed: int) -> np.ndarray:
-    """Deterministic sample of n chart points, uniform in [-1, 1]^5."""
+    """Deterministic sample of n chart points, uniform in (-1, 1)^5: 2u - 1
+    for the :func:`poly.uniform` draws of ``random.Random(seed)``."""
     if n < 1:
         raise ValueError("need at least one sample point")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, size=(n, 5))
+    return 2.0 * uniform(random.Random(seed), (n, 5)) - 1.0
 
 
 # -- residual machinery ---------------------------------------------------------
@@ -492,6 +503,14 @@ def tw_axiom_check(
     nabla = [[conn.nabla(frame, i, j) for j in range(5)] for i in range(5)]
     bracket = frame.bracket
     gmat = frame.metric
+    # gamma[k, j]: the (m, gamma[k][j][m]) with a nonzero symbol, listed once;
+    # a flat chart has none.
+    gamma: dict[tuple[int, int], list[tuple[int, PolyExpr]]] = {}
+    for k, plane in enumerate(conn.gamma):
+        for j, row in enumerate(plane):
+            for m, g in enumerate(row):
+                if not g.is_zero():
+                    gamma.setdefault((k, j), []).append((m, g))
     # Each axiom's residual polynomials are evaluated as soon as they are
     # built, so that one axiom's are held at a time.
     out = {}
@@ -501,9 +520,8 @@ def tw_axiom_check(
     for k in range(5):
         for j in range(5):
             expr = frame.fields[k].apply(eta_of[j])
-            for m in range(5):
-                if not conn.gamma[k][j][m].is_zero():
-                    expr = expr - conn.gamma[k][j][m] * eta_of[m]
+            for m, g in gamma.get((k, j), ()):
+                expr = expr - g * eta_of[m]
             a_exprs.append(expr)
         a_exprs.extend(nabla[k][4].components)
     out["axiom_a_parallel_eta_xi"] = _max_eval(a_exprs, points)
@@ -515,11 +533,10 @@ def tw_axiom_check(
         for i in range(5):
             for j in range(i, 5):
                 expr = frame.fields[k].apply(gmat[i, j])
-                for m in range(5):
-                    if not conn.gamma[k][i][m].is_zero():
-                        expr = expr - conn.gamma[k][i][m] * gmat[m, j]
-                    if not conn.gamma[k][j][m].is_zero():
-                        expr = expr - conn.gamma[k][j][m] * gmat[i, m]
+                for m, g in gamma.get((k, i), ()):
+                    expr = expr - g * gmat[m, j]
+                for m, g in gamma.get((k, j), ()):
+                    expr = expr - g * gmat[i, m]
                 b_exprs.append(expr)
     out["axiom_b_parallel_metric"] = _max_eval(b_exprs, points)
     del b_exprs
@@ -559,19 +576,24 @@ def tw_axiom_check(
                 half = [dot(f.components, w) * 0.5 for f in frame.fields]
                 n_deta[j, l] = half
                 n_deta[l, j] = [-h for h in half]
+    # coef[k, j][m] = sum_p J_pj gamma[k][p][m] - gamma[k][j][p] J_mp, from
+    # the nonzero symbols only.
+    coef: dict[tuple[int, int], dict[int, PolyExpr]] = {}
+    for (k, a), row in gamma.items():
+        for b, g in row:
+            for j in map(int, np.flatnonzero(jf[a])):
+                c = coef.setdefault((k, j), {})
+                c[b] = c.get(b, ZERO) + jf[a, j] * g
+            c = coef.setdefault((k, a), {})
+            for m in map(int, np.flatnonzero(jf[:, b])):
+                c[m] = c.get(m, ZERO) - g * jf[m, b]
     for k in range(5):
         for j in range(5):
+            terms = [(m, c) for m, c in coef.get((k, j), {}).items() if not c.is_zero()]
             for l in range(5):
                 lhs = ZERO
-                for m in range(5):
-                    coef = ZERO
-                    for p in range(5):
-                        if jf[p, j] != 0 and not conn.gamma[k][p][m].is_zero():
-                            coef = coef + jf[p, j] * conn.gamma[k][p][m]
-                        if jf[m, p] != 0 and not conn.gamma[k][j][p].is_zero():
-                            coef = coef - conn.gamma[k][j][p] * jf[m, p]
-                    if not coef.is_zero():
-                        lhs = lhs + coef * gmat[m, l]
+                for m, c in terms:
+                    lhs = lhs + c * gmat[m, l]
                 if (j, l) in n_deta:
                     lhs = lhs - n_deta[j, l][k]
                 d_exprs.append(lhs)

@@ -231,19 +231,37 @@ def monomials(degree: int) -> tuple[_Exponents, ...]:
     return tuple(e for e in itertools.product(range(degree + 1), repeat=NVARS) if sum(e) <= degree)
 
 
+def uniform(rng, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Floats strictly inside (0, 1), shape ``shape``, read from the
+    ``random.Random`` stream ``rng``: each is (2k + 1) / 2^53 for the top 52
+    bits k of 8 bytes of ``rng.randbytes``, so it is exact and u and 1 - u
+    are equally likely.  Consecutive calls read one stream: a draw of shape
+    (a + b,) gives the draws of shapes (a,) and (b,) one after the other.
+    """
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((words >> np.uint64(11)) | np.uint64(1)).reshape(shape) * 2.0**-53
+
+
 def random_coefficients(rng, degree: int, shape: tuple[int, ...] = ()) -> np.ndarray:
     """Coefficient vectors over ``monomials(degree)``, shape ``shape + (M,)``.
 
-    Each vector has four distinct monomials, drawn by the numpy Generator
-    ``rng``, with complex standard-normal coefficients, and zeros elsewhere.
-    Vectors are drawn one after another in row-major order of ``shape``, so
-    the first n of a larger draw are the same.
+    Each vector has four distinct monomials with complex standard-normal
+    coefficients, and zeros elsewhere.  It reads M + 8 :func:`uniform` draws
+    of the ``random.Random`` stream ``rng``: the monomials are those of the
+    4 smallest of the first M, and Box-Muller on the last 8 gives the 4
+    coefficients, none of them zero.  Vectors are drawn one after another in
+    row-major order of ``shape``, so the first n of a larger draw are the same.
     """
     n = len(monomials(degree))
-    rows = np.zeros((math.prod(shape), n), dtype=complex)
-    for row in rows:
-        picks = rng.choice(n, size=4, replace=False)
-        row[picks] = rng.normal(size=(4, 2)).view(complex)[:, 0]
+    u = uniform(rng, (math.prod(shape), n + 8))
+    # The draws must not depend on the CPU: a stable sort orders ties the
+    # same everywhere, and math.log rounds as the C library does, where
+    # numpy's SIMD log loops round some values differently on different CPUs.
+    picks = np.argsort(u[:, :n], axis=1, kind="stable")[:, :4]
+    logs = np.array(list(map(math.log, u[:, n : n + 4].ravel().tolist()))).reshape(-1, 4)
+    normals = np.sqrt(-2.0 * logs) * np.exp(2j * np.pi * u[:, n + 4 :])
+    rows = np.zeros((len(u), n), dtype=complex)
+    np.put_along_axis(rows, picks, normals, axis=1)
     return rows.reshape(shape + (n,))
 
 

@@ -7,6 +7,7 @@ for the finite-difference comparison, 1e-10 for the dbar identity.
 """
 
 import json
+import random
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def test_criterion_7_dirac_operators():
         np.array_equal(full_dirac(s, psi0).evaluate(p), np.zeros(4, dtype=complex)) for p in points
     )
 
-    rng = np.random.default_rng(17)
+    rng = random.Random(17)
 
     worst_fd = 0.0
     for _ in range(50):

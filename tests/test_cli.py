@@ -711,6 +711,30 @@ class TestDiracDraws:
         assert worst[5][basis] == worst[20][basis]
 
 
+    def test_no_command_imports_numpy_random(self):
+        # Points and fields are drawn from the standard library's
+        # random.Random, which numpy itself imports, so that no command pays
+        # for importing numpy.random.  A fresh interpreter shows it.
+        child = """
+import os, sys
+import swcheck.cli as cli
+assert "numpy.random" not in sys.modules
+codes = []
+for suite in ("all", "model", "dirac"):
+    for extra in ([], ["--perturb", "1e-3"]):
+        codes.append(cli.run([suite, "--output", os.devnull, *extra]))
+assert codes == [0, 1] * 3, codes
+assert "numpy.random" not in sys.modules, "a command imported numpy.random"
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestNonFiniteSamples:
     @pytest.mark.parametrize("index", [0, -1])
     def test_nan_dirac_coefficient_fails(self, index, monkeypatch, capsys):

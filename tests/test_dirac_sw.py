@@ -1,5 +1,6 @@
 """Dirac operators, the form identification, and the solution verifier."""
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -103,7 +104,7 @@ class TestKohnDirac:
             assert np.max(np.abs(out - expected)) < 1e-14
 
     def test_linearity(self):
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         a = _random_spinor_field(rng)
         b = _random_spinor_field(rng)
         for p in POINTS[:3]:
@@ -140,7 +141,7 @@ class TestFullDirac:
             assert np.max(np.abs(out - fd)) < 1e-9
 
     def test_finite_difference_agreement_50_fields(self):
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         worst = 0.0
         for _ in range(50):
             psi = _random_spinor_field(rng, degree=3)
@@ -151,7 +152,7 @@ class TestFullDirac:
         assert worst <= 1e-6
 
     def test_phase_invariance(self):
-        rng = np.random.default_rng(8)
+        rng = random.Random(8)
         psi = _random_spinor_field(rng)
         rot = psi.scale(np.exp(0.3j))
         for p in POINTS[:5]:
@@ -244,7 +245,9 @@ class TestConnectionTerms:
                     for k in range(j + 1, 5):
                         m = m + 0.5 * s.connection.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
                 expected += GAMMA[w] @ (deriv + m @ psi_at(p))
-            assert np.max(np.abs(row - expected)) <= 1e-12
+            # The two paths evaluate psi with different rounding, a few ulps of
+            # |psi| ~ 5, and the central difference divides that by 2h = 2e-4.
+            assert np.max(np.abs(row - expected)) <= 1e-11
 
 
 # The Sasakian circle bundle over H^2 x H^2 (Boothby-Wang), with frame
@@ -479,7 +482,7 @@ class TestDbarOperators:
         assert ds[3] == 0
 
     def test_identity_on_random_fields(self):
-        rng = np.random.default_rng(12)
+        rng = random.Random(12)
         for _ in range(20):
             field = FormSpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
             assert max_abs(_dbar_identity_defect(field, POINTS[:10])) <= 1e-10
@@ -534,7 +537,7 @@ class TestBasis:
     def test_coefficients_times_rows_give_the_field(self):
         # The layout random_coefficients draws in, (4, M) per field, matches
         # the rows: a drawn field's value is its coefficients times them.
-        rng = np.random.default_rng(13)
+        rng = random.Random(13)
         coeffs = random_coefficients(rng, FIELD_DEGREE, (4,))
         psi = SpinorField(
             tuple(PolyExpr.from_dict(dict(zip(monomials(FIELD_DEGREE), c))) for c in coeffs)

@@ -1,8 +1,10 @@
 """Polynomial expressions: grammar, canonical form, exact calculus."""
 
+import cmath
 import functools
 import math
 import operator
+import random
 import warnings
 
 import numpy as np
@@ -340,31 +342,73 @@ class TestRandomPoly:
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_four_distinct_monomials(self, degree):
-        rng = np.random.default_rng(0)
+        rng = random.Random(0)
         for _ in range(200):
             p = poly.random_poly(rng, degree)
             assert len(p.terms) == 4 and p.degree() <= degree
             assert all(c.real != 0 and c.imag != 0 for _, c in p.terms)
 
     def test_seeded(self):
-        a = [poly.random_poly(np.random.default_rng(5), 3) for _ in range(2)]
+        a = [poly.random_poly(random.Random(5), 3) for _ in range(2)]
         assert a[0] == a[1]
 
+    def test_uniform_stays_inside_the_open_interval(self):
+        # All-zero and all-one bytes give the two ends of the range, 2^-53
+        # and 1 - 2^-53; there Box-Muller still gives finite, nonzero
+        # coefficients.
+        for byte, end in [(0x00, 2.0**-53), (0xFF, 1 - 2.0**-53)]:
+            stream = _ConstantBytes(byte)
+            assert np.all(poly.uniform(stream, (3, 2)) == end)
+            drawn = poly.random_coefficients(stream, 2, (3,))
+            assert np.all(np.count_nonzero(drawn, axis=-1) == 4)
+            assert np.isfinite(drawn).all()
+
+    def test_uniform_reads_one_stream(self):
+        rng, ref = random.Random(3), random.Random(3)
+        whole = poly.uniform(ref, (10,))
+        parts = [poly.uniform(rng, (4,)), poly.uniform(rng, (6,))]
+        assert np.array_equal(np.concatenate(parts), whole)
+
     def test_coefficients_draw_one_polynomial_after_another(self):
-        # Each vector draws as the written-out sampler does: 4 distinct
-        # monomial indices, then a complex standard normal for each, in order.
-        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
-        drawn = poly.random_coefficients(rng, 3, (5, 4))
-        assert drawn.shape == (5, 4, 56)
+        # Each vector reads M + 8 uniforms, as the written-out sampler does:
+        # the monomials of the 4 smallest of the first M, in that order, and
+        # Box-Muller on the last 8 for their coefficients.
+        rng, ref = random.Random(9), random.Random(9)
+
+        def reference(m):
+            u = [
+                ((int.from_bytes(ref.randbytes(8), "little") >> 11) | 1) / 2**53
+                for _ in range(m + 8)
+            ]
+            picks = sorted(range(m), key=u.__getitem__)[:4]
+            radii = [math.sqrt(-2 * math.log(v)) for v in u[m : m + 4]]
+            return {
+                i: r * cmath.exp(2j * math.pi * v) for i, r, v in zip(picks, radii, u[m + 4 :])
+            }
+
+        def assert_matches(coeffs, expected):
+            assert set(np.flatnonzero(coeffs)) == set(expected)
+            assert all(coeffs[i] == z for i, z in expected.items())
+
+        # Enough draws that a log rounded otherwise than by the C library
+        # (numpy's SIMD loops, on some CPUs) shows.
+        drawn = poly.random_coefficients(rng, 3, (100, 4))
+        assert drawn.shape == (100, 4, 56)
         for row in drawn.reshape(-1, 56):
-            picks = ref.choice(56, size=4, replace=False)
-            expected = np.zeros(56, dtype=complex)
-            expected[picks] = [complex(ref.normal(), ref.normal()) for _ in picks]
-            assert np.array_equal(row, expected)
+            assert_matches(row, reference(56))
         table = poly.monomials(2)
         p = poly.random_poly(rng, 2)
-        picks = ref.choice(21, size=4, replace=False)
-        assert p == PolyExpr.from_dict({table[i]: complex(ref.normal(), ref.normal()) for i in picks})
+        assert p == PolyExpr.from_dict({table[i]: z for i, z in reference(21).items()})
+
+
+class _ConstantBytes:
+    """A stream whose every byte is ``byte``."""
+
+    def __init__(self, byte):
+        self.byte = byte
+
+    def randbytes(self, n):
+        return bytes([self.byte]) * n
 
 
 class TestCalculus:
