@@ -156,7 +156,7 @@ class PolyExpr:
             v = c
             for x, n in zip(point, e):
                 if n:
-                    v *= x**n
+                    v *= math.prod([x] * n)
             total += v
         return total
 
@@ -245,23 +245,20 @@ def uniform(rng, shape: tuple[int, ...] = ()) -> np.ndarray:
 def random_coefficients(rng, degree: int, shape: tuple[int, ...] = ()) -> np.ndarray:
     """Coefficient vectors over ``monomials(degree)``, shape ``shape + (M,)``.
 
-    Each vector has four distinct monomials with complex standard-normal
-    coefficients, and zeros elsewhere.  It reads M + 8 :func:`uniform` draws
-    of the ``random.Random`` stream ``rng``: the monomials are those of the
-    4 smallest of the first M, and Box-Muller on the last 8 gives the 4
-    coefficients, none of them zero.  Vectors are drawn one after another in
-    row-major order of ``shape``, so the first n of a larger draw are the same.
+    Each vector has four distinct monomials with coefficients uniform in the
+    complex box (-1, 1) + i(-1, 1), and zeros elsewhere.  It reads M + 8
+    :func:`uniform` draws of the ``random.Random`` stream ``rng``: the
+    monomials are those of the 4 smallest of the first M (a stable sort, so
+    ties order alike everywhere), and the last 8 give the coefficients
+    (2u - 1) + i(2v - 1), whose parts are never zero.  Vectors are drawn one
+    after another in row-major order of ``shape``, so the first n of a larger
+    draw are the same.
     """
     n = len(monomials(degree))
     u = uniform(rng, (math.prod(shape), n + 8))
-    # The draws must not depend on the CPU: a stable sort orders ties the
-    # same everywhere, and math.log rounds as the C library does, where
-    # numpy's SIMD log loops round some values differently on different CPUs.
     picks = np.argsort(u[:, :n], axis=1, kind="stable")[:, :4]
-    logs = np.array(list(map(math.log, u[:, n : n + 4].ravel().tolist()))).reshape(-1, 4)
-    normals = np.sqrt(-2.0 * logs) * np.exp(2j * np.pi * u[:, n + 4 :])
     rows = np.zeros((len(u), n), dtype=complex)
-    np.put_along_axis(rows, picks, normals, axis=1)
+    np.put_along_axis(rows, picks, 2 * u[:, n : n + 4] - 1 + 1j * (2 * u[:, n + 4 :] - 1), axis=1)
     return rows.reshape(shape + (n,))
 
 
@@ -284,9 +281,10 @@ def evaluate_all(polys, points) -> np.ndarray:
     table is built, each term is ``c * x1^n1 * y1^n2 * x2^n3 * y2^n4 * t^n5``
     in that order, as in :meth:`PolyExpr.__call__`, with the real and
     imaginary parts of ``c`` taken separately, and ``np.add.reduceat`` sums
-    each polynomial's terms.  ``numpy.power`` and the pairwise sums of
-    ``reduceat`` round differently from ``__call__``, so a value may differ
-    from it in the last places.
+    each polynomial's terms.  Powers are repeated products x^n = x^(n-1) * x,
+    as in ``__call__``, so they round alike on every CPU; the pairwise sums of
+    ``reduceat`` may round differently from ``__call__``, so a value may
+    differ from it in the last places.
     """
     x = np.asarray(points, dtype=float)
     if x.shape[-1:] != (NVARS,):
@@ -309,9 +307,12 @@ def evaluate_all(polys, points) -> np.ndarray:
         # Row of each factor x_v^n in the flattened (variable, power) table.
         rows = np.tile(exps + width * np.arange(NVARS), (len(parts), 1))
         step = max(1, BLOCK_ELEMENTS // max(len(coeffs), NVARS * width))
-        powers = np.arange(width)[:, None]
         for b in range(0, len(x), step):
-            table = (x[b : b + step].T[:, None, :] ** powers).reshape(NVARS * width, -1)
+            xs = x[b : b + step].T
+            table = np.ones((NVARS, width, len(xs[0])))
+            for n in range(1, width):
+                table[:, n] = table[:, n - 1] * xs
+            table = table.reshape(NVARS * width, -1)
             terms = coeffs * table[rows[:, 0]]
             for v in range(1, NVARS):
                 terms *= table[rows[:, v]]

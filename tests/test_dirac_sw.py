@@ -245,9 +245,7 @@ class TestConnectionTerms:
                     for k in range(j + 1, 5):
                         m = m + 0.5 * s.connection.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
                 expected += GAMMA[w] @ (deriv + m @ psi_at(p))
-            # The two paths evaluate psi with different rounding, a few ulps of
-            # |psi| ~ 5, and the central difference divides that by 2h = 2e-4.
-            assert np.max(np.abs(row - expected)) <= 1e-11
+            assert np.max(np.abs(row - expected)) <= 1e-12
 
 
 # The Sasakian circle bundle over H^2 x H^2 (Boothby-Wang), with frame
