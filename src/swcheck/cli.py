@@ -36,6 +36,7 @@ from .dirac_sw import (
     IDENTIFICATION,
     SpinorField,
     _clifford,
+    basis_derivatives,
     canonical_solution,
     dbar_identity_residual,
     dirac_on_basis,
@@ -373,21 +374,28 @@ def _suite_dirac(ns) -> dict:
     # computed once on the basis, one row per basis field, and the residual of
     # a draw is its coefficient vector times them.  Blocks draw in order, so the
     # draws do not depend on BLOCK.
-    kohn, full = dirac_on_basis(s, points)
+    derivs, values = basis_derivatives(s, points)
+    kohn, full = dirac_on_basis(s, points, derivs, values)
     # A huge --h overflows the stencil values to inf or NaN, which then fail
     # the finite-difference checks.
     with np.errstate(over="ignore", invalid="ignore"):
         fd = (full - full_dirac_fd_on_basis(s, points, ns.h)).reshape(len(full), -1)
-    dbar = dbar_identity_residual(kohn[:, :10], points[:10]).reshape(len(fd), -1)
+    dbar = dbar_identity_residual(kohn[:, :10], derivs[:10]).reshape(len(fd), -1)
 
     def worst_draw(n, rows):
         coeffs = random_coefficients(rng, FIELD_DEGREE, (n, 4)).reshape(n, -1)
         # A field has 16 nonzero coefficients of 224 (NaN counts as nonzero):
         # gather them and their rows, in column order, 8 fields at a time, so
         # that the gathered rows stay small.  einsum's own loop, not `@`,
-        # which calls a threaded BLAS.
-        idx = np.argsort(coeffs == 0, axis=1, kind="stable")
-        idx = idx[:, : np.count_nonzero(coeffs, axis=1).max()]
+        # which calls a threaded BLAS.  Fields with fewer nonzero coefficients
+        # than the most are padded with their first zero ones, as a stable
+        # sort of the zero mask orders them.
+        nonzero = coeffs != 0
+        counts = np.count_nonzero(nonzero, axis=1)
+        if counts.min() == counts.max():
+            idx = np.nonzero(nonzero)[1].reshape(n, -1)
+        else:
+            idx = np.argsort(~nonzero, axis=1, kind="stable")[:, : counts.max()]
         vals = np.take_along_axis(coeffs, idx, 1)
         products = [
             np.einsum("fk,fkr->fr", vals[i : i + 8], rows[idx[i : i + 8]]) for i in range(0, n, 8)
@@ -548,7 +556,7 @@ class _SubNS:
 
     ``all`` keeps samples/tol unset so every sub-suite resolves its own
     default unless the user overrode them explicitly.  ``dirac`` always runs
-    on the Heisenberg chart, which its dbar checks require.
+    on the Heisenberg chart; ``--model`` does not reach it.
     """
 
     def __init__(self, command, base):

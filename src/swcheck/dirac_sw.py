@@ -35,10 +35,14 @@ on all basis fields m e_k with m a monomial of degree at most FIELD_DEGREE
 at once, one row per field; a polynomial field of that degree is a
 combination of the rows.  The basis rows need only the scalar derivatives
 e_w(m) of the monomials.  ``basis_derivatives`` gives them exactly, from
-the partials of each monomial and the frame components; the basis oracle
-takes central differences of the monomials instead.  Both pass through
-the same assembly, ``_connection_terms`` and the Clifford products, so the
-oracle shares everything with the exact path but the derivative.
+the partials n_c x^(e - u_c) of each monomial x^e, taken numerically from
+one power table (``poly.monomial_terms``) with no symbolic monomial built,
+and the frame components; the basis oracle takes central differences of
+the monomials instead.  Both pass through the same assembly, one contraction
+of the derivative and connection channels with their Clifford matrices, so
+the oracle shares everything with the exact path but the derivative.  The
+dbar rows read the same e_w(m), so they hold on any chart whose connection
+is flat.
 
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+; ``sw_residual`` takes the curvature
@@ -53,7 +57,6 @@ dimension 5; the Dirac equation constrains a full spinor field.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,8 +64,8 @@ import numpy as np
 from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, _frozen, sigma_full, sigma_h
 from .curvature import _SQ2, COMPLEX_FRAME, admissible_ricci, ricci_form, rho_plus
 from .extalg import PAIR_INDEX, KForm, horizontal_split, sd_project
-from .models import ModelBundle, heisenberg5
-from .poly import PolyExpr, dot, evaluate_all, monomials
+from .models import ModelBundle
+from .poly import PolyExpr, dot, evaluate_all, monomial_terms, monomials
 
 #: Prefactor of the so(5) part of the spinorial connection, over pairs j < k.
 SO_COUPLING = 0.5
@@ -226,18 +229,12 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float = 1e-4)
 FIELD_DEGREE = 3
 
 
-@lru_cache(maxsize=1)
-def basis_monomials() -> tuple[PolyExpr, ...]:
-    """The monomials of total degree at most FIELD_DEGREE, in ``poly.monomials`` order."""
-    return tuple(PolyExpr.from_dict({e: 1}) for e in monomials(FIELD_DEGREE))
-
-
-@lru_cache(maxsize=1)
-def _basis_polys() -> tuple[PolyExpr, ...]:
-    """The exact partials d_c m of every basis monomial, row (c - 1) M + i for
-    m = monomials[i] and c = 1..5, followed by the M monomials themselves."""
-    monos = basis_monomials()
-    return tuple(m.diff(c) for c in range(5) for m in monos) + monos
+def _monomial_values(coeffs, exps, points) -> np.ndarray:
+    """``coeffs[j] * x^exps[j]`` at a stack of points ``(..., 5)``, shape
+    ``(..., len(exps))``."""
+    points = np.asarray(points, dtype=float)
+    terms = monomial_terms(coeffs, exps, points.reshape(-1, 5))
+    return terms.T.reshape(points.shape[:-1] + (len(exps),))
 
 
 def basis_derivatives(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
@@ -245,51 +242,52 @@ def basis_derivatives(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
     of points, shape ``(..., 5, M)``, and the values of the monomials,
     ``(..., M)``.
 
-    By the chain rule e_w(m) = sum_c e_w^c d_c m: the exact partials and the
-    monomials are evaluated in one call and contracted with the frame
-    components, which are evaluated once.
+    By the chain rule e_w(m) = sum_c e_w^c d_c m, with d_c m = n_c x^(e - u_c)
+    for m = x^e: the partials with n_c > 0 and the monomials are evaluated in
+    one pass, the others are exactly 0, and the frame components are
+    evaluated once.
     """
-    vals = evaluate_all(_basis_polys(), points)
-    n = len(basis_monomials())
-    partials = vals[..., : 5 * n].reshape(vals.shape[:-1] + (5, n))
-    return _frame_values(s, points) @ partials, vals[..., 5 * n :]
+    exps = np.array(monomials(FIELD_DEGREE))
+    c, i = np.nonzero(exps.T)
+    lowered = exps[i] - np.eye(5, dtype=int)[c]
+    vals = _monomial_values(
+        np.concatenate([exps.T[c, i], np.ones(len(exps))]), np.concatenate([lowered, exps]), points
+    )
+    partials = np.zeros(vals.shape[:-1] + (5, len(exps)), dtype=complex)
+    partials[..., c, i] = vals[..., : len(c)]
+    return _frame_values(s, points) @ partials, vals[..., len(c) :]
 
 
-def _image(values, mat) -> np.ndarray:
-    """``f(m) mat e_k`` for the columns k of a ``(4, K)`` matrix, from the
-    values ``(..., M)`` of a scalar f(m) for every monomial m: shape
-    ``(K M, ..., 4)``, row k * M + i for m = monomials[i]."""
-    rows = np.einsum("...m,ik->km...i", values, mat)
+def _contract(channels, mats) -> np.ndarray:
+    """``sum_q f_q(m) mats[q] e_k`` for the columns k of the ``(Q, 4, 4)``
+    matrices, from the values ``(..., Q, M)`` of the scalars f_q(m) for every
+    monomial m: shape ``(4 M, ..., 4)``, row k * M + i for m = monomials[i]."""
+    rows = np.einsum("...qm,qjk->km...j", channels, mats)
     return rows.reshape((-1,) + rows.shape[2:])
 
 
-def _dirac_rows(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, np.ndarray]:
+def dirac_on_basis(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, np.ndarray]:
     """``kohn_dirac`` and ``full_dirac`` of every basis field m e_k at a stack
     of points, each of shape ``(4 M, ..., 4)``, from the derivatives e_w(m),
-    ``(..., 5, M)``, and the values of the monomials, ``(..., M)``.
+    ``(..., 5, M)``, and the values of the monomials, ``(..., M)``: those of
+    ``basis_derivatives``, or their central differences for the oracle.
 
     nabla_w (m e_k) = e_w(m) e_k + sum_t c_t m M_t e_k over the connection
-    terms (c_t, M_t) of ``_connection_terms``.
+    terms (c_t, M_t) of ``_connection_terms``; each operator is one
+    contraction of these channels with their Clifford matrices.
     """
-
-    def clifford_derivative(w):
-        """kappa(e_w) nabla_w (m e_k) for every basis field."""
-        rows = _image(derivs[..., w - 1, :], GAMMA[w - 1])
-        terms = _connection_terms(s, w)
-        coeffs = evaluate_all([coeff for coeff, _ in terms], points)
-        for t, (_, m) in enumerate(terms):
-            rows += _image(coeffs[..., t, None] * values, GAMMA[w - 1] @ m)
-        return rows
-
-    kohn = sum(clifford_derivative(w) for w in range(1, 5))
-    return kohn, kohn + clifford_derivative(5)
-
-
-def dirac_on_basis(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
-    """``kohn_dirac`` and ``full_dirac`` of every basis field m e_k at a stack
-    of points, each of shape ``(4 M, ..., 4)``, from the exact derivatives of
-    ``basis_derivatives``."""
-    return _dirac_rows(s, points, *basis_derivatives(s, points))
+    terms = [_connection_terms(s, w) for w in range(1, 6)]
+    coeffs = iter(np.moveaxis(evaluate_all([c for ts in terms for c, _ in ts], points), -1, 0))
+    channels, mats = [], []
+    for w, ts in enumerate(terms, 1):
+        channels.append(derivs[..., w - 1, :])
+        mats.append(GAMMA[w - 1])
+        for _, m in ts:
+            channels.append(next(coeffs)[..., None] * values)
+            mats.append(GAMMA[w - 1] @ m)
+    n = len(mats) - 1 - len(terms[4])  # the Kohn channels, then the Reeb ones
+    kohn = _contract(np.stack(channels[:n], -2), np.array(mats[:n]))
+    return kohn, kohn + _contract(np.stack(channels[n:], -2), np.array(mats[n:]))
 
 
 def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
@@ -297,14 +295,14 @@ def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
 
     The monomials are evaluated once on the stencil of all points.  Their
     central differences (m(p + h e_c) - m(p - h e_c)) / 2h, contracted with
-    the frame components, stand in for the exact e_w(m); the rows are then
-    assembled as in ``dirac_on_basis``.
+    the frame components, stand in for the exact e_w(m) in ``dirac_on_basis``.
     """
-    values = evaluate_all(basis_monomials(), fd_stencil(points, h))
+    exps = np.array(monomials(FIELD_DEGREE))
+    values = _monomial_values(np.ones(len(exps)), exps, fd_stencil(points, h))
     diffs = values[..., 1:6, :] - values[..., 6:, :]
     diffs /= 2 * h
     derivs = _frame_values(s, points) @ diffs
-    return _dirac_rows(s, points, derivs, values[..., 0, :])[1]
+    return dirac_on_basis(s, points, derivs, values[..., 0, :])[1]
 
 
 # -- identification with (0, *)-forms -----------------------------------------
@@ -356,25 +354,26 @@ def form_clifford_action(x) -> np.ndarray:
 IDENTIFICATION = _frozen([[0, 0, 1, 0], [0, 0, 0, 1j], [0, 1j, 0, 0], [1, 0, 0, 0]])
 
 
-# -- dbar operators on the Heisenberg model ------------------------------------
+# -- dbar operators on a flat chart --------------------------------------------
+
+#: The wedge and contraction matrices of dbar_H + dbar_H*, in the order of
+#: the rows (Z1, Z2, Zbar1, Zbar2) of ``COMPLEX_FRAME``.
+_DBAR_MATS = np.array([-_CONTRACT1, -_CONTRACT2, _WEDGE1, _WEDGE2])
 
 
-def dbar_identity_residual(kohn, points) -> np.ndarray:
+def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f for every basis form
-    field f = m e_k at a stack of points, flat Heisenberg model: shape
-    ``(4 M, ..., 4)``, one row per basis field.
+    field f = m e_k at a stack of points of a chart with a flat connection:
+    shape ``(4 M, ..., 4)``, one row per basis field.
 
-    ``kohn`` is D_H on the spinor basis fields at the same points, the
-    first array of ``dirac_on_basis``.  With the flat connection dbar_H and
-    dbar_H* act componentwise, through the wedge and contraction matrices,
-    on Zbar_a(m) and Z_a(m): the rows of ``COMPLEX_FRAME`` times the e_w(m)
-    of ``basis_derivatives``.
+    ``kohn`` is D_H on the spinor basis fields and ``derivs`` the e_w(m) of
+    ``basis_derivatives``, both of that chart at the same points.  With the
+    flat connection dbar_H and dbar_H* act componentwise, through the wedge
+    and contraction matrices, on Zbar_a(m) and Z_a(m): the rows of
+    ``COMPLEX_FRAME`` times the e_w(m).
     """
     phi = IDENTIFICATION
-    derivs, _ = basis_derivatives(heisenberg5(), points)
-    z1, z2, zb1, zb2 = np.moveaxis(COMPLEX_FRAME[:4] @ derivs, -2, 0)
-    terms = ((zb1, _WEDGE1), (zb2, _WEDGE2), (z1, -_CONTRACT1), (z2, -_CONTRACT2))
-    lhs = sum(_image(z, mat) for z, mat in terms)
+    lhs = _contract(COMPLEX_FRAME[:4] @ derivs, _DBAR_MATS)
     # Phi (m e_k) = sum_j Phi[j, k] m e_j.
     rhs = np.tensordot(phi, kohn.reshape((4, -1) + kohn.shape[1:]), axes=(0, 0))
     rhs = rhs.reshape(lhs.shape)

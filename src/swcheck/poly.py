@@ -256,9 +256,16 @@ def random_coefficients(rng, degree: int, shape: tuple[int, ...] = ()) -> np.nda
     """
     n = len(monomials(degree))
     u = uniform(rng, (math.prod(shape), n + 8))
-    picks = np.argsort(u[:, :n], axis=1, kind="stable")[:, :4]
+    # The first minimum, 4 times over, each pick then set to 1, above every
+    # uniform: ties go to the lower index, as in a stable sort.
+    keys, picks = u[:, :n].copy(), []
+    for _ in range(4):
+        picks.append(keys.argmin(axis=1)[:, None])
+        np.put_along_axis(keys, picks[-1], 1.0, axis=1)
     rows = np.zeros((len(u), n), dtype=complex)
-    np.put_along_axis(rows, picks, 2 * u[:, n : n + 4] - 1 + 1j * (2 * u[:, n + 4 :] - 1), axis=1)
+    np.put_along_axis(
+        rows, np.hstack(picks), 2 * u[:, n : n + 4] - 1 + 1j * (2 * u[:, n + 4 :] - 1), axis=1
+    )
     return rows.reshape(shape + (n,))
 
 
@@ -272,19 +279,37 @@ def random_poly(rng, degree: int) -> PolyExpr:
 BLOCK_ELEMENTS = 2**14
 
 
+def monomial_terms(coeffs, exps, points) -> np.ndarray:
+    """The terms ``c * x1^n1 * y1^n2 * x2^n3 * y2^n4 * t^n5`` for every real
+    coefficient ``c = coeffs[j]`` and exponent row ``(n1, ..., n5) = exps[j]``
+    at every point of an ``(N, 5)`` float array: shape ``(len(exps), N)``.
+
+    The powers come from one per-variable table of repeated products
+    x^n = x^(n-1) * x, and each term is multiplied in the order written, as
+    in :meth:`PolyExpr.__call__`, so they round alike on every CPU.
+    """
+    width = int(exps.max()) + 1
+    table = np.ones((NVARS, width, len(points)))
+    for n in range(1, width):
+        table[:, n] = table[:, n - 1] * points.T
+    # Row v * width + n of the flattened table is x_v^n.
+    table = table.reshape(NVARS * width, -1)
+    terms = coeffs[:, None] * table[exps[:, 0]]
+    for v in range(1, NVARS):
+        terms *= table[exps[:, v] + v * width]
+    return terms
+
+
 def evaluate_all(polys, points) -> np.ndarray:
     """Values of every polynomial at every real point, shape ``(..., len(polys))``.
 
     ``points`` has shape ``(..., 5)``.  The terms of all nonzero polynomials
     are stacked once, each coefficient rounded once to a complex float (±inf
-    beyond the float range).  For each block of points a per-variable power
-    table is built, each term is ``c * x1^n1 * y1^n2 * x2^n3 * y2^n4 * t^n5``
-    in that order, as in :meth:`PolyExpr.__call__`, with the real and
-    imaginary parts of ``c`` taken separately, and ``np.add.reduceat`` sums
-    each polynomial's terms.  Powers are repeated products x^n = x^(n-1) * x,
-    as in ``__call__``, so they round alike on every CPU; the pairwise sums of
-    ``reduceat`` may round differently from ``__call__``, so a value may
-    differ from it in the last places.
+    beyond the float range), with the real and imaginary parts of ``c`` taken
+    separately.  For each block of points :func:`monomial_terms` gives every
+    term and ``np.add.reduceat`` sums each polynomial's terms.  The pairwise
+    sums of ``reduceat`` may round differently from ``__call__``, so a value
+    may differ from it in the last places.
     """
     x = np.asarray(points, dtype=float)
     if x.shape[-1:] != (NVARS,):
@@ -298,24 +323,14 @@ def evaluate_all(polys, points) -> np.ndarray:
         exps = np.array([_unpack(m) for p in nonzero for m, _, _ in p.packed])
         re_ = [_ratio(a, p.den) for p in nonzero for _, a, _ in p.packed]
         im = [_ratio(b, p.den) for p in nonzero for _, _, b in p.packed]
-        starts = np.cumsum([0] + [len(p.packed) for p in nonzero[:-1]])
         # One row per real part, then one per imaginary part if any is nonzero.
         parts = [out.real] + ([out.imag] if any(im) else [])
-        coeffs = np.array((re_, im)[: len(parts)]).reshape(-1, 1)
-        starts = np.concatenate([starts + k * len(exps) for k in range(len(parts))])
-        width = int(exps.max()) + 1
-        # Row of each factor x_v^n in the flattened (variable, power) table.
-        rows = np.tile(exps + width * np.arange(NVARS), (len(parts), 1))
-        step = max(1, BLOCK_ELEMENTS // max(len(coeffs), NVARS * width))
+        coeffs = np.array((re_, im)[: len(parts)]).reshape(-1)
+        starts = np.cumsum([0] + [len(p.packed) for p in nonzero] * len(parts))[:-1]
+        exps = np.tile(exps, (len(parts), 1))
+        step = max(1, BLOCK_ELEMENTS // max(len(exps), NVARS * (int(exps.max()) + 1)))
         for b in range(0, len(x), step):
-            xs = x[b : b + step].T
-            table = np.ones((NVARS, width, len(xs[0])))
-            for n in range(1, width):
-                table[:, n] = table[:, n - 1] * xs
-            table = table.reshape(NVARS * width, -1)
-            terms = coeffs * table[rows[:, 0]]
-            for v in range(1, NVARS):
-                terms *= table[rows[:, v]]
+            terms = monomial_terms(coeffs, exps, x[b : b + step])
             sums = np.add.reduceat(terms, starts, axis=0).reshape(len(parts), len(live), -1)
             for part, s in zip(parts, sums):
                 part[b : b + step, live] = s.T
@@ -511,19 +526,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind: str):
-        tok = self.take()
-        if tok[0] != kind:
-            raise PolySyntaxError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
-
-    def parse(self) -> PolyExpr:
-        result = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise PolySyntaxError(f"unexpected token {tok[0]!r}", tok[2])
-        return result
-
     def sign(self) -> int:
         """-1 after a "-", else 1; a "+" or "-" is taken."""
         if self.peek()[0] in "+-":
@@ -587,10 +589,17 @@ class _Parser:
                 raise PolySyntaxError("expected an imaginary part", pos)
             _, e, f = value
             a, b, d = a * f, b * f + sign * e * d, d * f
-        self.expect(")")
+        tok = self.take()
+        if tok[0] != ")":
+            raise PolySyntaxError(f"expected ')', found {tok[0]!r}", tok[2])
         return a, b, d
 
 
 def parse_poly(src: str) -> PolyExpr:
     """Parse a polynomial expression into canonical form."""
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    result = parser.expr()
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise PolySyntaxError(f"unexpected token {kind!r}", pos)
+    return result

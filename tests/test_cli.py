@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from swcheck import cli, cliff5, curvature, dirac_sw, extalg, models
+from swcheck import cli, cliff5, curvature, dirac_sw, extalg, models, poly
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
 from swcheck.dirac_sw import SpinorField
 from swcheck.models import load_model
@@ -178,27 +178,36 @@ class TestSharedSymbolicWork:
 
     def test_dirac_basis_rows_from_one_derivative_table(self, monkeypatch, capsys):
         # The basis rows read the derivatives e_w(m) of the 56 monomials from
-        # their exact partials, and the oracle from one evaluation of the
-        # monomials on the stencil.  What is left of VectorFieldPoly.apply is
-        # the symbolic operators on psi0 (kohn_dirac 16 and the Reeb term 4)
-        # and on the phase-invariance field and its rotation (20 each).
-        applies, evaluations = [], []
-        apply, evaluate_all = models.VectorFieldPoly.apply, dirac_sw.evaluate_all
+        # one power-table pass over their live partials and the monomials, and
+        # the oracle from one pass over the monomials on the stencil; no
+        # polynomial of the basis is built or evaluated.  What is left of
+        # VectorFieldPoly.apply is the symbolic operators on psi0 (kohn_dirac
+        # 16 and the Reeb term 4) and on the phase-invariance field and its
+        # rotation (20 each).
+        applies, passes, evaluations = [], [], []
+        apply = models.VectorFieldPoly.apply
+        monomial_terms, evaluate_all = dirac_sw.monomial_terms, dirac_sw.evaluate_all
 
         def record_apply(field, f):
             applies.append(f)
             return apply(field, f)
 
+        def record_terms(coeffs, exps, points):
+            passes.append((len(exps), len(points)))
+            return monomial_terms(coeffs, exps, points)
+
         def record_evaluate_all(polys, points):
-            evaluations.append((len(polys), np.shape(points)))
+            evaluations.append(len(polys))
             return evaluate_all(polys, points)
 
         monkeypatch.setattr(models.VectorFieldPoly, "apply", record_apply)
+        monkeypatch.setattr(dirac_sw, "monomial_terms", record_terms)
         monkeypatch.setattr(dirac_sw, "evaluate_all", record_evaluate_all)
         assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
         assert len(applies) == 60
-        stencil = [e for e in evaluations if len(e[1]) == 3]
-        assert stencil == [(56, (20, 11, 5))]
+        live = sum(np.count_nonzero(e) for e in poly.monomials(dirac_sw.FIELD_DEGREE))
+        assert passes == [(live + 56, 20), (56, 20 * 11)]
+        assert max(evaluations) < 56
 
     def test_dirac_builds_the_kohn_part_of_psi0_once(self, monkeypatch, capsys):
         # full_dirac_psi0_zero adds the Reeb term to the Kohn-Dirac operator of

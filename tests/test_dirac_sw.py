@@ -3,6 +3,7 @@
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from swcheck.dirac_sw import (
     SO_COUPLING,
     U1_COUPLING,
     SpinorField,
+    _frame_values,
     _mat_apply,
-    basis_monomials,
+    basis_derivatives,
     canonical_solution,
     dbar_identity_residual,
     dirac_on_basis,
@@ -36,6 +38,7 @@ from swcheck.models import (
     ModelBundle,
     VectorFieldPoly,
     heisenberg5,
+    load_model,
     sample_points,
 )
 from swcheck.poly import (
@@ -50,6 +53,9 @@ from swcheck.poly import (
 
 POINTS = sample_points(20, seed=21)
 S_FLAT = heisenberg5()
+SHEARED = load_model(Path(__file__).parent / "data" / "sheared_chart_3.json")
+#: The basis monomials as exact polynomials, in ``monomials(FIELD_DEGREE)`` order.
+BASIS = tuple(PolyExpr.from_dict({e: 1}) for e in monomials(FIELD_DEGREE))
 
 
 def _heisenberg_with_a(a_form: CoordForm) -> ModelBundle:
@@ -501,36 +507,64 @@ def _basis_field(k: int, m: PolyExpr) -> tuple[PolyExpr, ...]:
     return tuple(m if j == k else PolyExpr() for j in range(4))
 
 
+def _rows(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
+    """``dirac_on_basis`` of chart ``s`` at ``points``, from its own e_w(m)."""
+    return dirac_on_basis(s, points, *basis_derivatives(s, points))
+
+
 class TestBasis:
     """The rows of the basis arrays are the symbolic operators, and the
     oracle, on the basis fields m e_k, row k * M + i for m = monomials[i]."""
 
+    @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "twisted"])
+    @pytest.mark.parametrize("stencil", [False, True])
+    def test_derivatives_are_the_symbolic_partials_bit_for_bit(self, chart, stencil):
+        # The values and partials from the power table are the evaluate_all
+        # values of the exact monomials and of their exact partials.
+        s = {"heisenberg": S_FLAT, "sheared": SHEARED, "twisted": _twisted_connection()}[chart]
+        points = fd_stencil(POINTS, 1e-4) if stencil else POINTS
+        derivs, values = basis_derivatives(s, points)
+        partials = evaluate_all([m.diff(c) for c in range(5) for m in BASIS], points)
+        partials = partials.reshape(points.shape[:-1] + (5, len(BASIS)))
+        assert np.array_equal(values, evaluate_all(BASIS, points))
+        assert np.array_equal(derivs, _frame_values(s, points) @ partials)
+
     @pytest.mark.parametrize("twisted", [False, True])
     def test_rows_are_the_operators_on_each_basis_field(self, twisted):
         s = _twisted_connection() if twisted else S_FLAT
-        kohn, full = dirac_on_basis(s, POINTS)
+        kohn, full = _rows(s, POINTS)
         oracle = full_dirac_fd_on_basis(s, POINTS, 1e-4)
-        monos = basis_monomials()
-        assert len(monos) == len(monomials(FIELD_DEGREE)) == 56
+        assert len(BASIS) == 56
         assert kohn.shape == full.shape == oracle.shape == (224, 20, 4)
         for k in range(4):
-            for i, m in enumerate(monos):
+            for i, m in enumerate(BASIS):
                 psi = SpinorField(_basis_field(k, m))
-                row = k * len(monos) + i
+                row = k * len(BASIS) + i
                 assert max_abs(full[row] - full_dirac(s, psi).evaluate(POINTS)) <= 1e-13
                 assert max_abs(kohn[row] - kohn_dirac(s, psi).evaluate(POINTS)) <= 1e-13
                 assert max_abs(oracle[row] - _oracle(s, psi, POINTS, h=1e-4)) <= 1e-13
 
     def test_dbar_rows_are_the_identity_on_each_basis_field(self):
         points = POINTS[:10]
-        kohn, _ = dirac_on_basis(S_FLAT, points)
-        rows = dbar_identity_residual(kohn, points)
+        derivs, values = basis_derivatives(S_FLAT, points)
+        kohn, _ = dirac_on_basis(S_FLAT, points, derivs, values)
+        rows = dbar_identity_residual(kohn, derivs)
         assert rows.shape == (224, 10, 4)
         for k in range(4):
-            for i, m in enumerate(basis_monomials()):
+            for i, m in enumerate(BASIS):
                 defect = _dbar_identity_defect(FormSpinorField(_basis_field(k, m)), points)
                 assert max_abs(rows[k * 56 + i] - defect) <= 1e-14
         assert max_abs(rows) <= 1e-10
+
+    def test_dbar_rows_on_a_sheared_chart(self):
+        # The sheared chart's connection is flat, so its own e_w(m) satisfy
+        # the identity; the Heisenberg e_w(m) with its Kohn rows do not.
+        points = POINTS[:10]
+        derivs, values = basis_derivatives(SHEARED, points)
+        kohn, _ = dirac_on_basis(SHEARED, points, derivs, values)
+        assert max_abs(dbar_identity_residual(kohn, derivs)) <= 1e-10
+        heisenberg, _ = basis_derivatives(S_FLAT, points)
+        assert max_abs(dbar_identity_residual(kohn, heisenberg)) > 1.0
 
     def test_coefficients_times_rows_give_the_field(self):
         # The layout random_coefficients draws in, (4, M) per field, matches
@@ -540,7 +574,7 @@ class TestBasis:
         psi = SpinorField(
             tuple(PolyExpr.from_dict(dict(zip(monomials(FIELD_DEGREE), c))) for c in coeffs)
         )
-        _, full = dirac_on_basis(S_FLAT, POINTS)
+        _, full = _rows(S_FLAT, POINTS)
         value = np.einsum("j,j...->...", coeffs.reshape(-1), full)
         assert max_abs(value - full_dirac(S_FLAT, psi).evaluate(POINTS)) <= 1e-12
 

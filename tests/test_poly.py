@@ -392,6 +392,39 @@ class TestRandomPoly:
         p = poly.random_poly(rng, 2)
         assert p == PolyExpr.from_dict({table[i]: z for i, z in reference(21).items()})
 
+    def test_ties_pick_as_the_stable_sort(self):
+        # Uniforms from a set of three values tie within the 4 smallest and
+        # across the fourth; the picks and their order are those of a stable
+        # sort, the monomial of lower index first.  Every other vector is
+        # drawn without ties.
+        gen = random.Random(6)
+        words = [
+            (gen.randrange(3) if row % 2 else gen.getrandbits(52)) << 12
+            for row in range(400)
+            for _ in range(56 + 8)
+        ]
+        data = np.array(words, dtype="<u8").tobytes()
+        drawn = poly.random_coefficients(_Stream(data), 3, (400,))
+        u = poly.uniform(_Stream(data), (400, 64))
+        picks = np.argsort(u[:, :56], axis=1, kind="stable")[:, :4]
+        expected = np.zeros((400, 56), dtype=complex)
+        np.put_along_axis(expected, picks, 2 * u[:, 56:60] - 1 + 1j * (2 * u[:, 60:] - 1), axis=1)
+        assert np.array_equal(drawn, expected)
+        fourth = np.sort(u[:, :56], axis=1)[:, 3:4]
+        ties = np.count_nonzero(u[:, :56] <= fourth, axis=1) > 4
+        assert ties[1::2].all() and not ties[::2].any()
+
+
+class _Stream:
+    """A stream that hands out ``data`` in order."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def randbytes(self, n):
+        out, self.data = self.data[:n], self.data[n:]
+        return out
+
 
 class _ConstantBytes:
     """A stream whose every byte is ``byte``."""
