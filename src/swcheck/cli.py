@@ -384,26 +384,20 @@ def _suite_dirac(ns) -> dict:
 
     def worst_draw(n, rows):
         coeffs = random_coefficients(rng, FIELD_DEGREE, (n, 4)).reshape(n, -1)
-        # A field has 16 nonzero coefficients of 224 (NaN counts as nonzero):
-        # gather them and their rows, in column order, 8 fields at a time, so
-        # that the gathered rows stay small.  einsum's own loop, not `@`,
-        # which calls a threaded BLAS.  Fields with fewer nonzero coefficients
-        # than the most are padded with their first zero ones, as a stable
-        # sort of the zero mask orders them.
-        nonzero = coeffs != 0
-        counts = np.count_nonzero(nonzero, axis=1)
-        if counts.min() == counts.max():
-            idx = np.nonzero(nonzero)[1].reshape(n, -1)
-        else:
-            idx = np.argsort(~nonzero, axis=1, kind="stable")[:, : counts.max()]
+        # As in the dense product, where 0 * NaN reaches every draw, a
+        # non-finite coefficient or row fails the check.
+        if not (np.isfinite(coeffs).all() and np.isfinite(rows).all()):
+            return math.nan
+        # Each field has 16 nonzero coefficients of 224 (4 per component, and
+        # no part of one is 0): gather them and their rows, in column order,
+        # 8 fields at a time, so that the gathered rows stay small.  einsum's
+        # own loop, not `@`, which calls a threaded BLAS.
+        idx = np.nonzero(coeffs)[1].reshape(n, -1)
         vals = np.take_along_axis(coeffs, idx, 1)
         products = [
             np.einsum("fk,fkr->fr", vals[i : i + 8], rows[idx[i : i + 8]]) for i in range(0, n, 8)
         ]
-        r = max_abs(np.concatenate(products))
-        # As in the dense product, where 0 * NaN reaches every draw, a
-        # non-finite row fails the check.
-        return r if np.isfinite(rows).all() else math.nan
+        return max_abs(np.concatenate(products))
 
     # np.max propagates a NaN block.
     r = np.max([worst_draw(min(BLOCK, ns.samples - i), fd) for i in range(0, ns.samples, BLOCK)])

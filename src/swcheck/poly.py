@@ -248,13 +248,16 @@ def random_coefficients(rng, degree: int, shape: tuple[int, ...] = ()) -> np.nda
     Each vector has four distinct monomials with coefficients uniform in the
     complex box (-1, 1) + i(-1, 1), and zeros elsewhere.  It reads M + 8
     :func:`uniform` draws of the ``random.Random`` stream ``rng``: the
-    monomials are those of the 4 smallest of the first M (a stable sort, so
-    ties order alike everywhere), and the last 8 give the coefficients
-    (2u - 1) + i(2v - 1), whose parts are never zero.  Vectors are drawn one
-    after another in row-major order of ``shape``, so the first n of a larger
-    draw are the same.
+    monomials are those of the first minimum of the first M, taken 4 times
+    (ties to the lower index, as a stable sort orders them), and the last 8
+    give the coefficients (2u - 1) + i(2v - 1), whose parts are never zero.
+    Vectors are drawn one after another in row-major order of ``shape``, so
+    the first n of a larger draw are the same.  ``degree`` must be at least 1
+    (M >= 4).
     """
     n = len(monomials(degree))
+    if n < 4:
+        raise ValueError(f"degree {degree} has {n} monomials, fewer than 4")
     u = uniform(rng, (math.prod(shape), n + 8))
     # The first minimum, 4 times over, each pick then set to 1, above every
     # uniform: ties go to the lower index, as in a stable sort.
@@ -334,6 +337,9 @@ def evaluate_all(polys, points) -> np.ndarray:
             sums = np.add.reduceat(terms, starts, axis=0).reshape(len(parts), len(live), -1)
             for part, s in zip(parts, sums):
                 part[b : b + step, live] = s.T
+            # Freed before the next block allocates its own, so that two
+            # blocks' terms are never live at once.
+            del terms, sums
     return out.reshape(shape)
 
 
@@ -526,6 +532,19 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def expect(self, kind: str):
+        tok = self.take()
+        if tok[0] != kind:
+            raise PolySyntaxError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
+        return tok
+
+    def parse(self) -> PolyExpr:
+        result = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise PolySyntaxError(f"unexpected token {tok[0]!r}", tok[2])
+        return result
+
     def sign(self) -> int:
         """-1 after a "-", else 1; a "+" or "-" is taken."""
         if self.peek()[0] in "+-":
@@ -589,17 +608,10 @@ class _Parser:
                 raise PolySyntaxError("expected an imaginary part", pos)
             _, e, f = value
             a, b, d = a * f, b * f + sign * e * d, d * f
-        tok = self.take()
-        if tok[0] != ")":
-            raise PolySyntaxError(f"expected ')', found {tok[0]!r}", tok[2])
+        self.expect(")")
         return a, b, d
 
 
 def parse_poly(src: str) -> PolyExpr:
     """Parse a polynomial expression into canonical form."""
-    parser = _Parser(src)
-    result = parser.expr()
-    kind, _, pos = parser.peek()
-    if kind != "end":
-        raise PolySyntaxError(f"unexpected token {kind!r}", pos)
-    return result
+    return _Parser(src).parse()

@@ -414,6 +414,11 @@ class TestRandomPoly:
         ties = np.count_nonzero(u[:, :56] <= fourth, axis=1) > 4
         assert ties[1::2].all() and not ties[::2].any()
 
+    def test_degree_zero_is_refused(self):
+        # One monomial cannot hold four distinct picks.
+        with pytest.raises(ValueError, match="fewer than 4"):
+            poly.random_coefficients(random.Random(0), 0)
+
 
 class _Stream:
     """A stream that hands out ``data`` in order."""
