@@ -295,11 +295,9 @@ def monomial_terms(coeffs, exps, points) -> np.ndarray:
     table = np.ones((NVARS, width, len(points)))
     for n in range(1, width):
         table[:, n] = table[:, n - 1] * points.T
-    # Row v * width + n of the flattened table is x_v^n.
-    table = table.reshape(NVARS * width, -1)
-    terms = coeffs[:, None] * table[exps[:, 0]]
+    terms = coeffs[:, None] * table[0, exps[:, 0]]
     for v in range(1, NVARS):
-        terms *= table[exps[:, v] + v * width]
+        terms *= table[v, exps[:, v]]
     return terms
 
 
@@ -337,9 +335,6 @@ def evaluate_all(polys, points) -> np.ndarray:
             sums = np.add.reduceat(terms, starts, axis=0).reshape(len(parts), len(live), -1)
             for part, s in zip(parts, sums):
                 part[b : b + step, live] = s.T
-            # Freed before the next block allocates its own, so that two
-            # blocks' terms are never live at once.
-            del terms, sums
     return out.reshape(shape)
 
 
