@@ -370,8 +370,7 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     """
     phi = IDENTIFICATION
     # The wedge and contraction matrices, in the order of the rows (Z1, Z2,
-    # Zbar1, Zbar2) of COMPLEX_FRAME.  Built on call: as a module-level array
-    # it raised the peak resident memory of `swcheck model` by about 0.15 MB.
+    # Zbar1, Zbar2) of COMPLEX_FRAME.
     mats = np.array([-_CONTRACT1, -_CONTRACT2, _WEDGE1, _WEDGE2])
     lhs = _contract(COMPLEX_FRAME[:4] @ derivs, mats)
     # Phi (m e_k) = sum_j Phi[j, k] m e_j.
