@@ -369,8 +369,6 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     ``COMPLEX_FRAME`` times the e_w(m).
     """
     phi = IDENTIFICATION
-    # The wedge and contraction matrices, in the order of the rows (Z1, Z2,
-    # Zbar1, Zbar2) of COMPLEX_FRAME.
     mats = np.array([-_CONTRACT1, -_CONTRACT2, _WEDGE1, _WEDGE2])
     lhs = _contract(COMPLEX_FRAME[:4] @ derivs, mats)
     # Phi (m e_k) = sum_j Phi[j, k] m e_j.
