@@ -22,7 +22,6 @@ import errno
 import json
 import math
 import os
-import random
 import re
 import sys
 import time
@@ -32,7 +31,6 @@ import numpy as np
 from . import cliff5, curvature, extalg, models
 from .cliff5 import GAMMA, PSI0
 from .dirac_sw import (
-    FIELD_DEGREE,
     IDENTIFICATION,
     SpinorField,
     _clifford,
@@ -40,6 +38,7 @@ from .dirac_sw import (
     canonical_solution,
     dbar_identity_residual,
     dirac_on_basis,
+    family_maximum,
     form_clifford_action,
     full_dirac,
     full_dirac_fd_on_basis,
@@ -60,14 +59,7 @@ from .extalg import (
     wedge,
 )
 from .models import ModelFormatError, heisenberg5, load_model, sample_points
-from .poly import (
-    PolyExpr,
-    PolySyntaxError,
-    evaluate_all,
-    max_abs,
-    random_coefficients,
-    random_poly,
-)
+from .poly import PolyExpr, PolySyntaxError, evaluate_all, max_abs
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -144,11 +136,6 @@ def _floor_check(name: str, value: float, floor: float) -> dict:
 
 
 # -- suites ----------------------------------------------------------------------
-
-
-#: Most dirac fields drawn and multiplied with the basis rows in one block,
-#: so that peak memory does not grow with ``--samples``.
-BLOCK = 500
 
 
 # A huge --perturb overflows the generator products to inf or NaN, which then
@@ -356,7 +343,6 @@ def _suite_model(ns) -> dict:
 def _suite_dirac(ns) -> dict:
     checks = []
     s = heisenberg5()
-    rng = random.Random(ns.seed)
     points = sample_points(20, ns.seed + 1)
 
     psi0 = SpinorField.psi0()
@@ -369,11 +355,10 @@ def _suite_dirac(ns) -> dict:
     checks.append(_check("full_dirac_psi0_zero", r, 0.0))
     checks.append(_check("kohn_dirac_psi0_zero", rk, 0.0))
 
-    # Every drawn field lies in the span of the basis fields m e_k (m a monomial
-    # of degree <= 3), and each check is linear in the field: its residuals are
-    # computed once on the basis, one row per basis field, and the residual of
-    # a draw is its coefficient vector times them.  Blocks draw in order, so the
-    # draws do not depend on BLOCK.
+    # Each check is linear in the field: its residuals are computed once on the
+    # basis fields m e_k (m a monomial of degree <= 3), one row per basis field.
+    # The basis rows bound every such field, and family_maximum gives the exact
+    # worst field of 4 monomials a component with coefficients in the unit disc.
     derivs, values = basis_derivatives(s, points)
     kohn, full = dirac_on_basis(s, points, derivs, values)
     # A huge --h overflows the stencil values to inf or NaN, which then fail
@@ -381,29 +366,9 @@ def _suite_dirac(ns) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         fd = (full - full_dirac_fd_on_basis(s, points, ns.h)).reshape(len(full), -1)
     dbar = dbar_identity_residual(kohn[:, :10], derivs[:10]).reshape(len(fd), -1)
-
-    def worst_draw(n, rows):
-        coeffs = random_coefficients(rng, FIELD_DEGREE, (n, 4)).reshape(n, -1)
-        # As in the dense product, where 0 * NaN reaches every draw, a
-        # non-finite coefficient or row fails the check.
-        if not (np.isfinite(coeffs).all() and np.isfinite(rows).all()):
-            return math.nan
-        # Each field has 16 nonzero coefficients of 224 (4 per component, and
-        # no part of one is 0): gather them and their rows, in column order,
-        # 8 fields at a time, so that the gathered rows stay small.  einsum's
-        # own loop, not `@`, which calls a threaded BLAS.
-        idx = np.nonzero(coeffs)[1].reshape(n, -1)
-        vals = np.take_along_axis(coeffs, idx, 1)
-        products = [
-            np.einsum("fk,fkr->fr", vals[i : i + 8], rows[idx[i : i + 8]]) for i in range(0, n, 8)
-        ]
-        return max_abs(np.concatenate(products))
-
-    # np.max propagates a NaN block.
-    r = np.max([worst_draw(min(BLOCK, ns.samples - i), fd) for i in range(0, ns.samples, BLOCK)])
-    checks.append(_check("finite_difference_agreement", r, ns.tol))
+    checks.append(_check("finite_difference_agreement", family_maximum(fd), ns.tol))
     checks.append(_check("finite_difference_agreement_degree3_basis", max_abs(fd), ns.tol))
-    checks.append(_check("dbar_identity", worst_draw(20, dbar), 1e-10))
+    checks.append(_check("dbar_identity", family_maximum(dbar), 1e-10))
     checks.append(_check("dbar_identity_degree3_basis", max_abs(dbar), 1e-10))
 
     phi = IDENTIFICATION
@@ -413,7 +378,12 @@ def _suite_dirac(ns) -> dict:
     r = max_abs(defects)
     checks.append(_check("identification_unitary_intertwiner", r, 1e-12))
 
-    psi = SpinorField(tuple(random_poly(rng, 2) for _ in range(4)))
+    # A fixed field of degree 2: every component is nonzero, a coefficient is
+    # not real, and D psi is nowhere zero (its first component is y1 - i/2).
+    x1, y1, x2, y2, t = map(PolyExpr.variable, ("x1", "y1", "x2", "y2", "t"))
+    psi = SpinorField.make(
+        1 + x1 * y1 - 0.5 * t, (1 - 2j) * x2 + y2 * y2, 0.5j * t * t - x1, y1 * x2 + 3
+    )
     phase = np.exp(1j * 0.7)
     psi_rot = psi.scale(phase)
     few = points[:5]
@@ -515,8 +485,8 @@ _DEFAULTS = {
     "selfdual": dict(tol=0.0),
     "curvature": dict(tol=1e-12),
     "model": dict(samples=1000, tol=1e-12),
-    "dirac": dict(samples=50, tol=1e-6),
-    "solution": dict(samples=1, tol=1e-12),
+    "dirac": dict(tol=1e-6),
+    "solution": dict(tol=1e-12),
     "all": dict(samples=None, tol=None),
 }
 
@@ -549,14 +519,15 @@ class _SubNS:
     """View of the parsed namespace with suite-specific defaults filled in.
 
     ``all`` keeps samples/tol unset so every sub-suite resolves its own
-    default unless the user overrode them explicitly.  ``dirac`` always runs
-    on the Heisenberg chart; ``--model`` does not reach it.
+    default unless the user overrode them explicitly.  Only ``model`` reads
+    samples, and ``all`` passes it on: the other suites leave it None.
+    ``dirac`` always runs on the Heisenberg chart; ``--model`` does not reach it.
     """
 
     def __init__(self, command, base):
         d = _DEFAULTS[command]
         self.command = command
-        self.samples = base.samples if base.samples is not None else d.get("samples")
+        self.samples = base.samples if "samples" in d and base.samples is not None else d.get("samples")
         self.tol = base.tol if base.tol is not None else d["tol"]
         self.seed = base.seed
         self.h = base.h
@@ -577,7 +548,7 @@ def build_parser() -> _Parser:
         choices=sorted(SUITES.keys()),
         help="check suite to run",
     )
-    p.add_argument("--samples", type=int, default=None, help="sample count (suite-specific default)")
+    p.add_argument("--samples", type=int, default=None, help="model sample points (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="seed for all random draws")
     p.add_argument("--tol", type=float, default=None, help="pointwise tolerance override")
     p.add_argument("--h", type=float, default=1e-4, help="finite-difference step")

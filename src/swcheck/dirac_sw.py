@@ -33,8 +33,10 @@ the exact path.  Since every operator here is linear, ``dirac_on_basis``,
 ``full_dirac_fd_on_basis`` and ``dbar_identity_residual`` give their values
 on all basis fields m e_k with m a monomial of degree at most FIELD_DEGREE
 at once, one row per field; a polynomial field of that degree is a
-combination of the rows.  The basis rows need only the scalar derivatives
-e_w(m) of the monomials.  ``basis_derivatives`` gives them exactly, from
+combination of the rows, and ``family_maximum`` takes the largest residual
+of a family of such fields straight from them.  The basis rows need only
+the scalar derivatives e_w(m) of the monomials.  ``basis_derivatives``
+gives them exactly, from
 the partials n_c x^(e - u_c) of each monomial x^e, taken numerically from
 one power table (``poly.monomial_terms``) with no symbolic monomial built,
 and the frame components; the basis oracle takes central differences of
@@ -62,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, _frozen, sigma_full, sigma_h
-from .curvature import _SQ2, COMPLEX_FRAME, admissible_ricci, ricci_form, rho_plus
+from .curvature import _SQ2, admissible_ricci, ricci_form, rho_plus
 from .extalg import PAIR_INDEX, KForm, horizontal_split, sd_project
 from .models import ModelBundle
 from .poly import PolyExpr, dot, evaluate_all, monomial_terms, monomials
@@ -218,8 +220,8 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float = 1e-4)
 # -- the operators on the basis fields m e_k ------------------------------------
 #
 # Both Dirac operators, their oracle and the dbar identity are linear, and the
-# suite's random fields have components of degree at most FIELD_DEGREE.  So
-# each is computed once on the 4 M basis fields m e_k (m one of the M
+# fields the suite certifies have components of degree at most FIELD_DEGREE.
+# So each is computed once on the 4 M basis fields m e_k (m one of the M
 # monomials of ``poly.monomials(FIELD_DEGREE)``, e_k a unit vector), as a
 # stack with one row per basis field, k * M + i for m = monomials[i]; the
 # field with coefficients c (shape (4, M)) then has the value
@@ -227,6 +229,24 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float = 1e-4)
 
 #: Largest total degree of the field components that the basis spans.
 FIELD_DEGREE = 3
+#: Most monomials in each component of a field of ``family_maximum``'s family.
+FIELD_TERMS = 4
+
+
+def family_maximum(rows) -> float:
+    """The largest residual entry of every field whose four components each
+    have at most FIELD_TERMS monomials of degree at most FIELD_DEGREE, with
+    complex coefficients of modulus at most 1, from the basis rows
+    ``(4 M, R)``.
+
+    Entry r of the field c is sum_{k, i} c[k, i] rows[k M + i, r], at most
+    the sum over k of the FIELD_TERMS largest |rows[k M + i, r]|; the field
+    with c = conj(row) / |row| (1 where row is 0) on those monomials
+    reaches it.  ``np.sort``
+    puts NaN last, so a NaN entry gives NaN.
+    """
+    moduli = np.sort(np.abs(rows).reshape(4, -1, rows.shape[-1]), axis=1)
+    return float(np.max(moduli[:, -FIELD_TERMS:].sum(axis=(0, 1))))
 
 
 def _monomial_values(coeffs, exps, points) -> np.ndarray:
@@ -356,6 +376,11 @@ IDENTIFICATION = _frozen([[0, 0, 1, 0], [0, 0, 0, 1j], [0, 1j, 0, 0], [1, 0, 0, 
 
 # -- dbar operators on a flat chart --------------------------------------------
 
+#: sqrt(2) times the rows Z1, Z2, Zbar1, Zbar2 of ``curvature.COMPLEX_FRAME``,
+#: written out: the sqrt(2) of the Clifford action and the 1/sqrt(2) of the
+#: frame cancel, and the dbar rows are exact.
+_SQ2_ZBAR_Z = _frozen([[1, -1j, 0, 0, 0], [0, 0, 1, -1j, 0], [1, 1j, 0, 0, 0], [0, 0, 1, 1j, 0]])
+
 
 def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f for every basis form
@@ -365,16 +390,16 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     ``kohn`` is D_H on the spinor basis fields and ``derivs`` the e_w(m) of
     ``basis_derivatives``, both of that chart at the same points.  With the
     flat connection dbar_H and dbar_H* act componentwise, through the wedge
-    and contraction matrices, on Zbar_a(m) and Z_a(m): the rows of
-    ``COMPLEX_FRAME`` times the e_w(m).
+    and contraction matrices, on sqrt(2) Z_a(m) and sqrt(2) Zbar_a(m): the
+    rows of ``_SQ2_ZBAR_Z`` times the e_w(m).
     """
     phi = IDENTIFICATION
     mats = np.array([-_CONTRACT1, -_CONTRACT2, _WEDGE1, _WEDGE2])
-    lhs = _contract(COMPLEX_FRAME[:4] @ derivs, mats)
+    lhs = _contract(_SQ2_ZBAR_Z @ derivs, mats)
     # Phi (m e_k) = sum_j Phi[j, k] m e_j.
     rhs = np.tensordot(phi, kohn.reshape((4, -1) + kohn.shape[1:]), axes=(0, 0))
     rhs = rhs.reshape(lhs.shape)
-    return _SQ2 * lhs - rhs @ phi.conj()
+    return lhs - rhs @ phi.conj()
 
 
 # -- Seiberg-Witten residuals ---------------------------------------------------

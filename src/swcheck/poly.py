@@ -242,41 +242,6 @@ def uniform(rng, shape: tuple[int, ...] = ()) -> np.ndarray:
     return ((words >> np.uint64(11)) | np.uint64(1)).reshape(shape) * 2.0**-53
 
 
-def random_coefficients(rng, degree: int, shape: tuple[int, ...] = ()) -> np.ndarray:
-    """Coefficient vectors over ``monomials(degree)``, shape ``shape + (M,)``.
-
-    Each vector has four distinct monomials with coefficients uniform in the
-    complex box (-1, 1) + i(-1, 1), and zeros elsewhere.  It reads M + 8
-    :func:`uniform` draws of the ``random.Random`` stream ``rng``: the
-    monomials are those of the first minimum of the first M, taken 4 times
-    (ties to the lower index, as a stable sort orders them), and the last 8
-    give the coefficients (2u - 1) + i(2v - 1), whose parts are never zero.
-    Vectors are drawn one after another in row-major order of ``shape``, so
-    the first n of a larger draw are the same.  ``degree`` must be at least 1
-    (M >= 4).
-    """
-    n = len(monomials(degree))
-    if n < 4:
-        raise ValueError(f"degree {degree} has {n} monomials, fewer than 4")
-    u = uniform(rng, (math.prod(shape), n + 8))
-    # The first minimum, 4 times over, each pick then set to 1, above every
-    # uniform: ties go to the lower index, as in a stable sort.
-    keys, picks = u[:, :n].copy(), []
-    for _ in range(4):
-        picks.append(keys.argmin(axis=1)[:, None])
-        np.put_along_axis(keys, picks[-1], 1.0, axis=1)
-    rows = np.zeros((len(u), n), dtype=complex)
-    np.put_along_axis(
-        rows, np.hstack(picks), 2 * u[:, n : n + 4] - 1 + 1j * (2 * u[:, n + 4 :] - 1), axis=1
-    )
-    return rows.reshape(shape + (n,))
-
-
-def random_poly(rng, degree: int) -> PolyExpr:
-    """The polynomial of one :func:`random_coefficients` vector."""
-    return PolyExpr.from_dict(dict(zip(monomials(degree), random_coefficients(rng, degree))))
-
-
 #: Most elements in a temporary array of :func:`evaluate_all`: each block of
 #: points times the number of terms (or of power-table entries) stays below it.
 BLOCK_ELEMENTS = 2**14

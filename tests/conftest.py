@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swcheck.extalg import KForm
+from swcheck.poly import PolyExpr, monomials
 
 
 def _with_nan(value):
@@ -111,3 +112,20 @@ def model_to_dict():
     """The model-file writer: ``model_to_dict(bundle)`` gives the dict that
     ``swcheck.models.load_model`` reads back to the same model."""
     return _model_to_dict
+
+
+def _random_poly(rng, degree: int) -> PolyExpr:
+    """A polynomial of 4 distinct monomials of degree at most ``degree``, with
+    coefficients uniform in the complex box (-1, 1) + i(-1, 1), drawn from
+    the numpy ``Generator`` ``rng``."""
+    table = monomials(degree)
+    picks = rng.choice(len(table), 4, replace=False)
+    coeffs = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+    return PolyExpr.from_dict({table[i]: c for i, c in zip(picks, coeffs)})
+
+
+@pytest.fixture
+def random_poly():
+    """``random_poly(rng, degree)``: a random polynomial, as test data for the
+    linear operators; no suite draws fields."""
+    return _random_poly

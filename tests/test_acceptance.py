@@ -7,7 +7,6 @@ for the finite-difference comparison, 1e-10 for the dbar identity.
 """
 
 import json
-import random
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from swcheck.models import (
     sample_points,
     tw_axiom_check,
 )
-from swcheck.poly import random_poly
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -164,7 +162,7 @@ def test_criterion_6_heisenberg_model():
     )
 
 
-def test_criterion_7_dirac_operators():
+def test_criterion_7_dirac_operators(random_poly):
     s = heisenberg5()
     points = sample_points(20, seed=5)
     psi0 = SpinorField.psi0()
@@ -172,7 +170,7 @@ def test_criterion_7_dirac_operators():
         np.array_equal(full_dirac(s, psi0).evaluate(p), np.zeros(4, dtype=complex)) for p in points
     )
 
-    rng = random.Random(17)
+    rng = np.random.default_rng(17)
 
     worst_fd = 0.0
     for _ in range(50):

@@ -532,39 +532,6 @@ class TestUsageErrors:
         assert "constraint R12=0 violated" in err
 
 
-class TestSampleCounts:
-    """``--samples`` sets the fields the dirac suite draws, in stacks of at
-    most ``cli.BLOCK`` fields."""
-
-    @staticmethod
-    def _rows(monkeypatch, capsys, module, name, rows_of, argv):
-        """Row count of each stacked call of ``module.name`` during one run."""
-        original = getattr(module, name)
-        rows = []
-
-        def recording(*args, **kwargs):
-            rows.append(rows_of(*args))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, recording)
-        code, rep = _run(argv, capsys)
-        monkeypatch.setattr(module, name, original)
-        assert code == EXIT_PASS
-        assert rep["parameters"]["samples"] == int(argv[-1])
-        return rows
-
-    def test_dirac_field_draws(self, monkeypatch, capsys):
-        for n in (3, cli.BLOCK + 7):
-            rows = self._rows(
-                monkeypatch, capsys, cli, "random_coefficients", lambda rng, degree, shape: shape,
-                ["dirac", "--samples", str(n)],
-            )
-            # Four components a field; dbar_identity draws 20 fields last.
-            assert all(shape[1:] == (4,) for shape in rows) and rows[-1] == (20, 4)
-            assert sum(shape[0] for shape in rows[:-1]) == n
-            assert max(shape[0] for shape in rows) <= cli.BLOCK
-
-
 class TestCurvatureRows:
     """The five linear curvature residuals are parameter vectors, with the
     ``--perturb`` shift as a last entry, times rows built once on the unit
@@ -619,7 +586,8 @@ class TestCurvatureRows:
 class TestCertificates:
     """clifford, selfdual and curvature certify their identities on bases and
     Gram matrices: they draw nothing, and a fault in the data a certificate
-    reads fails it."""
+    reads fails it.  dirac certifies on its basis rows and draws only its
+    points."""
 
     @staticmethod
     def _failed(argv, capsys):
@@ -628,15 +596,21 @@ class TestCertificates:
         return {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
 
     @pytest.mark.parametrize("perturb", ["0", "1e-3"])
-    @pytest.mark.parametrize("suite", ["clifford", "selfdual", "curvature"])
+    @pytest.mark.parametrize("suite", ["clifford", "selfdual", "curvature", "dirac"])
     def test_reports_do_not_depend_on_seed_or_samples(self, suite, perturb, capsys):
+        # The seed moves dirac's points, so only --samples varies there; no
+        # report echoes --samples.
+        runs = [[], ["--samples", "1"], ["--samples", "20000"]]
+        if suite != "dirac":
+            runs.append(["--seed", "1", "--samples", "3"])
         reports = []
-        for extra in ([], ["--seed", "1", "--samples", "3"]):
+        for extra in runs:
             _, rep = _run([suite, "--perturb", perturb] + extra, capsys)
-            for key in ("wall_time_s", "parameters"):
-                rep.pop(key)
+            rep.pop("wall_time_s")
+            rep["parameters"].pop("seed")
             reports.append(rep)
-        assert reports[0] == reports[1]
+        assert reports[0]["parameters"]["samples"] is None
+        assert all(rep == reports[0] for rep in reports)
 
     def test_non_skew_pair_product_fails_sigma_certificate(self, monkeypatch, capsys):
         # kappa(e1) kappa(e3) is not in kappa(deta), and its entry [0, 0] does
@@ -690,40 +664,12 @@ class TestCertificates:
 
 
 class TestDiracDraws:
-    """The dirac suite draws its fields one after another from one stream, and
-    a field's residual is its coefficients times the basis rows: the report
-    depends neither on ``cli.BLOCK`` nor, beyond the draws it adds, on
-    ``--samples``."""
-
-    @staticmethod
-    def _report(argv, path):
-        run(argv + ["--output", str(path)])
-        rep = json.loads(path.read_text())
-        rep.pop("wall_time_s")
-        return json.dumps(rep, indent=2, sort_keys=True)
-
-    def test_report_does_not_depend_on_block(self, monkeypatch, tmp_path):
-        argv = ["dirac", "--samples", "20", "--seed", "5"]
-        default = self._report(argv, tmp_path / "default.json")
-        monkeypatch.setattr(cli, "BLOCK", 7)
-        assert self._report(argv, tmp_path / "block7.json") == default
-
-    def test_fewer_samples_are_a_prefix(self, capsys):
-        worst = {}
-        for n in (5, 20):
-            code, rep = _run(["dirac", "--samples", str(n), "--seed", "5"], capsys)
-            assert code == EXIT_PASS
-            worst[n] = {c["name"]: c["residual"] for c in rep["checks"]}
-        sampled = "finite_difference_agreement"
-        assert 0 < worst[5][sampled] <= worst[20][sampled]
-        basis = "finite_difference_agreement_degree3_basis"
-        assert worst[5][basis] == worst[20][basis]
-
+    """The sample points are drawn from the standard library's stream."""
 
     def test_no_command_imports_numpy_random(self):
-        # Points and fields are drawn from the standard library's
-        # random.Random, which numpy itself imports, so that no command pays
-        # for importing numpy.random.  A fresh interpreter shows it.
+        # Points are drawn from the standard library's random.Random, which
+        # numpy itself imports, so that no command pays for importing
+        # numpy.random.  A fresh interpreter shows it.
         child = """
 import os, sys
 import swcheck.cli as cli
@@ -744,26 +690,6 @@ assert "numpy.random" not in sys.modules, "a command imported numpy.random"
         assert proc.returncode == 0, proc.stderr
 
 
-class TestNonFiniteSamples:
-    @pytest.mark.parametrize("index", [0, -1])
-    def test_nan_dirac_coefficient_fails(self, index, monkeypatch, capsys):
-        # A draw's residual gathers the nonzero coefficients of each field and
-        # their rows; a NaN coefficient, at either end of the last component,
-        # is gathered too.
-        original = cli.random_coefficients
-
-        def with_nan(rng, degree, shape):
-            out = original(rng, degree, shape)
-            out[0, -1, index] = np.nan
-            return out
-
-        monkeypatch.setattr(cli, "random_coefficients", with_nan)
-        code, rep = _run(["dirac", "--samples", "2"], capsys)
-        failed = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
-        assert code == EXIT_FAIL
-        assert failed == {"finite_difference_agreement": "NaN", "dbar_identity": "NaN"}
-
-
 # (owner, name, call, checks): call number ``call`` of ``name`` on ``owner``
 # returning one NaN entry fails exactly ``checks`` of ``dirac --samples 2``.
 _DIRAC_NAN_CASES = [
@@ -771,12 +697,8 @@ _DIRAC_NAN_CASES = [
     # kohn_dirac.
     (SpinorField, "evaluate", 1, ["full_dirac_psi0_zero"]),
     (SpinorField, "evaluate", 2, ["kohn_dirac_psi0_zero"]),
-    # The first draw of coefficients is the one block of finite-difference
-    # draws, the second the 20 dbar fields; the basis checks use no draw.
-    (cli, "random_coefficients", 1, ["finite_difference_agreement"]),
-    (cli, "random_coefficients", 2, ["dbar_identity"]),
-    # A draw's residual is its coefficients times the basis rows, so a NaN in
-    # a basis row fails the sampled check and the basis check.
+    # The family maximum and the basis maximum read the same basis rows, and
+    # np.sort puts NaN last, so a NaN in a basis row fails both checks.
     (
         cli,
         "full_dirac_fd_on_basis",

@@ -1,6 +1,5 @@
 """Dirac operators, the form identification, and the solution verifier."""
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -22,6 +21,7 @@ from swcheck.dirac_sw import (
     canonical_solution,
     dbar_identity_residual,
     dirac_on_basis,
+    family_maximum,
     fd_stencil,
     form_clifford_action,
     full_dirac,
@@ -47,8 +47,6 @@ from swcheck.poly import (
     max_abs,
     monomials,
     parse_poly,
-    random_coefficients,
-    random_poly,
 )
 
 POINTS = sample_points(20, seed=21)
@@ -61,10 +59,6 @@ BASIS = tuple(PolyExpr.from_dict({e: 1}) for e in monomials(FIELD_DEGREE))
 def _heisenberg_with_a(a_form: CoordForm) -> ModelBundle:
     """The Heisenberg frame and flat connection, with U(1) 1-form ``a_form``."""
     return ModelBundle(S_FLAT.frame, ConnectionCoefficients(S_FLAT.connection.gamma, a_form))
-
-
-def _random_spinor_field(rng, degree=3):
-    return SpinorField(tuple(random_poly(rng, degree) for _ in range(4)))
 
 
 def _oracle(s: ModelBundle, psi: SpinorField, points, h: float = 1e-4) -> np.ndarray:
@@ -109,10 +103,9 @@ class TestKohnDirac:
             out = kohn_dirac(S_FLAT, psi).evaluate(p)
             assert np.max(np.abs(out - expected)) < 1e-14
 
-    def test_linearity(self):
-        rng = random.Random(3)
-        a = _random_spinor_field(rng)
-        b = _random_spinor_field(rng)
+    def test_linearity(self, random_poly):
+        rng = np.random.default_rng(3)
+        a, b = (SpinorField(tuple(random_poly(rng, 3) for _ in range(4))) for _ in range(2))
         for p in POINTS[:3]:
             lhs = kohn_dirac(S_FLAT, a + b).evaluate(p)
             rhs = kohn_dirac(S_FLAT, a).evaluate(p) + kohn_dirac(S_FLAT, b).evaluate(p)
@@ -146,20 +139,20 @@ class TestFullDirac:
             fd = _oracle(S_FLAT, psi, p)
             assert np.max(np.abs(out - fd)) < 1e-9
 
-    def test_finite_difference_agreement_50_fields(self):
-        rng = random.Random(7)
+    def test_finite_difference_agreement_50_fields(self, random_poly):
+        rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(50):
-            psi = _random_spinor_field(rng, degree=3)
+            psi = SpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
             for p in POINTS:
                 exact = full_dirac(S_FLAT, psi).evaluate(p)
                 approx = _oracle(S_FLAT, psi, p, h=1e-4)
                 worst = max(worst, float(np.max(np.abs(exact - approx))))
         assert worst <= 1e-6
 
-    def test_phase_invariance(self):
-        rng = random.Random(8)
-        psi = _random_spinor_field(rng)
+    def test_phase_invariance(self, random_poly):
+        rng = np.random.default_rng(8)
+        psi = SpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
         rot = psi.scale(np.exp(0.3j))
         for p in POINTS[:5]:
             assert np.max(
@@ -485,8 +478,8 @@ class TestDbarOperators:
         assert d[0] == 0
         assert ds[3] == 0
 
-    def test_identity_on_random_fields(self):
-        rng = random.Random(12)
+    def test_identity_on_random_fields(self, random_poly):
+        rng = np.random.default_rng(12)
         for _ in range(20):
             field = FormSpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
             assert max_abs(_dbar_identity_defect(field, POINTS[:10])) <= 1e-10
@@ -554,29 +547,68 @@ class TestBasis:
             for i, m in enumerate(BASIS):
                 defect = _dbar_identity_defect(FormSpinorField(_basis_field(k, m)), points)
                 assert max_abs(rows[k * 56 + i] - defect) <= 1e-14
-        assert max_abs(rows) <= 1e-10
+        # The sqrt(2) of the symbolic defect cancels in the rows: they are exact.
+        assert not np.any(rows)
 
     def test_dbar_rows_on_a_sheared_chart(self):
         # The sheared chart's connection is flat, so its own e_w(m) satisfy
-        # the identity; the Heisenberg e_w(m) with its Kohn rows do not.
+        # the identity exactly; the Heisenberg e_w(m) with its Kohn rows do not.
         points = POINTS[:10]
         derivs, values = basis_derivatives(SHEARED, points)
         kohn, _ = dirac_on_basis(SHEARED, points, derivs, values)
-        assert max_abs(dbar_identity_residual(kohn, derivs)) <= 1e-10
+        assert not np.any(dbar_identity_residual(kohn, derivs))
         heisenberg, _ = basis_derivatives(S_FLAT, points)
         assert max_abs(dbar_identity_residual(kohn, heisenberg)) > 1.0
 
     def test_coefficients_times_rows_give_the_field(self):
-        # The layout random_coefficients draws in, (4, M) per field, matches
-        # the rows: a drawn field's value is its coefficients times them.
-        rng = random.Random(13)
-        coeffs = random_coefficients(rng, FIELD_DEGREE, (4,))
+        # The coefficient layout (4, M) of a field matches the rows: its value
+        # is its coefficients times them.
+        rng = np.random.default_rng(13)
+        coeffs = rng.uniform(-1, 1, (4, 56)) + 1j * rng.uniform(-1, 1, (4, 56))
         psi = SpinorField(
             tuple(PolyExpr.from_dict(dict(zip(monomials(FIELD_DEGREE), c))) for c in coeffs)
         )
         _, full = _rows(S_FLAT, POINTS)
         value = np.einsum("j,j...->...", coeffs.reshape(-1), full)
         assert max_abs(value - full_dirac(S_FLAT, psi).evaluate(POINTS)) <= 1e-12
+
+
+class TestFamilyMaximum:
+    """``family_maximum`` of the finite-difference rows is the largest
+    residual of the fields with 4 monomials a component and coefficients of
+    modulus at most 1."""
+
+    @staticmethod
+    def _fd_rows(s: ModelBundle) -> np.ndarray:
+        _, full = _rows(s, POINTS)
+        return (full - full_dirac_fd_on_basis(s, POINTS, 1e-4)).reshape(224, -1)
+
+    @pytest.mark.parametrize("chart", ["heisenberg", "sheared"])
+    def test_the_maximizing_field_reaches_it(self, chart):
+        # Column r of coeffs is the field conj(row) / |row| (1 where row is 0)
+        # on the 4 largest |row[k M + i, r]| of each component k; the largest
+        # value of any of these fields is the maximum.
+        rows = self._fd_rows(S_FLAT if chart == "heisenberg" else SHEARED)
+        by_component = rows.reshape(4, 56, -1)
+        top = np.argsort(np.abs(by_component), axis=1)[:, -4:]
+        coeffs = np.zeros(by_component.shape, dtype=complex)
+        phases = np.exp(-1j * np.angle(np.take_along_axis(by_component, top, 1)))
+        np.put_along_axis(coeffs, top, phases, 1)
+        worst = family_maximum(rows)
+        reached = max_abs(coeffs.reshape(224, -1).T @ rows)
+        assert 0 < worst and abs(reached - worst) <= 1e-15 * worst
+
+    def test_no_member_exceeds_it(self):
+        # 1000 fields of the family: 4 distinct monomials a component, with
+        # coefficients in the unit disc, half of them on its boundary.
+        rng = np.random.default_rng(16)
+        rows = self._fd_rows(S_FLAT)
+        picks = np.argsort(rng.random((1000, 4, 56)), axis=-1)[..., :4]
+        moduli = np.where(np.arange(1000)[:, None, None] % 2, 1.0, rng.random((1000, 4, 4)))
+        values = moduli * np.exp(2j * np.pi * rng.random((1000, 4, 4)))
+        coeffs = np.zeros((1000, 4, 56), dtype=complex)
+        np.put_along_axis(coeffs, picks, values, -1)
+        assert max_abs(coeffs.reshape(1000, -1) @ rows) <= family_maximum(rows)
 
 
 class TestSWResidual:

@@ -339,96 +339,19 @@ class TestRandomPoly:
             assert len(table) == len(set(table)) == size
             assert all(sum(e) <= degree for e in table)
 
-    @pytest.mark.parametrize("degree", [2, 3])
-    def test_four_distinct_monomials(self, degree):
-        rng = random.Random(0)
-        for _ in range(200):
-            p = poly.random_poly(rng, degree)
-            assert len(p.terms) == 4 and p.degree() <= degree
-            assert all(c.real != 0 and c.imag != 0 for _, c in p.terms)
-
-    def test_seeded(self):
-        a = [poly.random_poly(random.Random(5), 3) for _ in range(2)]
-        assert a[0] == a[1]
-
     def test_uniform_stays_inside_the_open_interval(self):
         # All-zero and all-one bytes give the two ends of the range, 2^-53
-        # and 1 - 2^-53; there the coefficients 2u - 1 are still nonzero.
+        # and 1 - 2^-53; there the sample coordinates 2u - 1 are still inside
+        # (-1, 1).
         for byte, end in [(0x00, 2.0**-53), (0xFF, 1 - 2.0**-53)]:
-            stream = _ConstantBytes(byte)
-            assert np.all(poly.uniform(stream, (3, 2)) == end)
-            drawn = poly.random_coefficients(stream, 2, (3,))
-            assert np.all(np.count_nonzero(drawn, axis=-1) == 4)
-            assert np.isfinite(drawn).all()
+            drawn = poly.uniform(_ConstantBytes(byte), (3, 2))
+            assert np.all(drawn == end) and np.all(np.abs(2 * drawn - 1) < 1)
 
     def test_uniform_reads_one_stream(self):
         rng, ref = random.Random(3), random.Random(3)
         whole = poly.uniform(ref, (10,))
         parts = [poly.uniform(rng, (4,)), poly.uniform(rng, (6,))]
         assert np.array_equal(np.concatenate(parts), whole)
-
-    def test_coefficients_draw_one_polynomial_after_another(self):
-        # Each vector reads M + 8 uniforms, as the written-out sampler does:
-        # the monomials of the 4 smallest of the first M, in that order, and
-        # (2u - 1) + i(2v - 1) from the last 8 for their coefficients.
-        rng, ref = random.Random(9), random.Random(9)
-
-        def reference(m):
-            u = [
-                ((int.from_bytes(ref.randbytes(8), "little") >> 11) | 1) / 2**53
-                for _ in range(m + 8)
-            ]
-            picks = sorted(range(m), key=u.__getitem__)[:4]
-            return {
-                i: complex(2 * a - 1, 2 * b - 1)
-                for i, a, b in zip(picks, u[m : m + 4], u[m + 4 :])
-            }
-
-        drawn = poly.random_coefficients(rng, 3, (5, 4))
-        assert drawn.shape == (5, 4, 56)
-        for row in drawn.reshape(-1, 56):
-            assert {i: row[i] for i in np.flatnonzero(row)} == reference(56)
-        table = poly.monomials(2)
-        p = poly.random_poly(rng, 2)
-        assert p == PolyExpr.from_dict({table[i]: z for i, z in reference(21).items()})
-
-    def test_ties_pick_as_the_stable_sort(self):
-        # Uniforms from a set of three values tie within the 4 smallest and
-        # across the fourth; the picks and their order are those of a stable
-        # sort, the monomial of lower index first.  Every other vector is
-        # drawn without ties.
-        gen = random.Random(6)
-        words = [
-            (gen.randrange(3) if row % 2 else gen.getrandbits(52)) << 12
-            for row in range(400)
-            for _ in range(56 + 8)
-        ]
-        data = np.array(words, dtype="<u8").tobytes()
-        drawn = poly.random_coefficients(_Stream(data), 3, (400,))
-        u = poly.uniform(_Stream(data), (400, 64))
-        picks = np.argsort(u[:, :56], axis=1, kind="stable")[:, :4]
-        expected = np.zeros((400, 56), dtype=complex)
-        np.put_along_axis(expected, picks, 2 * u[:, 56:60] - 1 + 1j * (2 * u[:, 60:] - 1), axis=1)
-        assert np.array_equal(drawn, expected)
-        fourth = np.sort(u[:, :56], axis=1)[:, 3:4]
-        ties = np.count_nonzero(u[:, :56] <= fourth, axis=1) > 4
-        assert ties[1::2].all() and not ties[::2].any()
-
-    def test_degree_zero_is_refused(self):
-        # One monomial cannot hold four distinct picks.
-        with pytest.raises(ValueError, match="fewer than 4"):
-            poly.random_coefficients(random.Random(0), 0)
-
-
-class _Stream:
-    """A stream that hands out ``data`` in order."""
-
-    def __init__(self, data):
-        self.data = data
-
-    def randbytes(self, n):
-        out, self.data = self.data[:n], self.data[n:]
-        return out
 
 
 class _ConstantBytes:
