@@ -124,17 +124,6 @@ def _check(name: str, residual: float, tol: float) -> dict:
     }
 
 
-def _floor_check(name: str, value: float, floor: float) -> dict:
-    """Check that a quantity stays above a floor (nondegeneracy); a NaN
-    value gives a NaN residual."""
-    return {
-        "name": name,
-        "residual": _json_number(float(np.maximum(0.0, floor - value))),
-        "tolerance": 0.0,
-        "pass": bool(value >= floor),
-    }
-
-
 # -- suites ----------------------------------------------------------------------
 
 
@@ -324,7 +313,8 @@ def _suite_model(ns) -> dict:
         vol_min = cc.pop("contact_volume_min")
         for name, residual in sorted(cc.items()):
             checks.append(_check(f"contact_{name}", residual, tol))
-        checks.append(_floor_check("contact_volume_nondegenerate", vol_min, 1e-9))
+        # Nondegeneracy: the contact volume stays above 1e-9; NaN fails.
+        checks.append(_check("contact_volume_nondegenerate", np.maximum(0.0, 1e-9 - vol_min), 0.0))
         if ns.model == "heisenberg":
             r = max_abs(evaluate_all([frame.contact_volume], points) - 2.0)
             checks.append(_check("contact_volume_equals_2", r, tol))
@@ -458,7 +448,7 @@ def _suite_all(ns) -> dict:
     sub = {}
     ok = True
     for name in ("clifford", "selfdual", "curvature", "model", "dirac", "solution"):
-        rep = SUITES[name](_SubNS(name, ns))
+        rep = SUITES[name](_suite_ns(name, ns))
         sub[name] = rep
         ok = ok and rep["pass"]
     return {
@@ -492,17 +482,10 @@ _DEFAULTS = {
 
 
 def _parameters(ns) -> dict:
-    out = {
-        "samples": ns.samples,
-        "seed": ns.seed,
-        "tol": ns.tol,
-        "h": ns.h,
-        "perturb": ns.perturb,
-        "model": ns.model,
-    }
-    if ns.command == "solution":
-        out["scalar"] = ns.scalar
-    return out
+    """Every option of the namespace but ``--output``; ``--scalar`` only for
+    the solution suite, the one that reads it."""
+    skip = {"command", "output"} | ({"scalar"} if ns.command != "solution" else set())
+    return {k: v for k, v in vars(ns).items() if k not in skip}
 
 
 def _report(suite: str, ns, checks: list[dict]) -> dict:
@@ -515,26 +498,24 @@ def _report(suite: str, ns, checks: list[dict]) -> dict:
     }
 
 
-class _SubNS:
-    """View of the parsed namespace with suite-specific defaults filled in.
+def _suite_ns(command: str, base: argparse.Namespace) -> argparse.Namespace:
+    """The parsed namespace with the defaults of suite ``command`` filled in.
 
     ``all`` keeps samples/tol unset so every sub-suite resolves its own
     default unless the user overrode them explicitly.  Only ``model`` reads
     samples, and ``all`` passes it on: the other suites leave it None.
     ``dirac`` always runs on the Heisenberg chart; ``--model`` does not reach it.
     """
-
-    def __init__(self, command, base):
-        d = _DEFAULTS[command]
-        self.command = command
-        self.samples = base.samples if "samples" in d and base.samples is not None else d.get("samples")
-        self.tol = base.tol if base.tol is not None else d["tol"]
-        self.seed = base.seed
-        self.h = base.h
-        self.perturb = base.perturb
-        self.model = "heisenberg" if command == "dirac" else base.model
-        self.scalar = base.scalar
-        self.output = base.output
+    d = _DEFAULTS[command]
+    return argparse.Namespace(
+        **{
+            **vars(base),
+            "command": command,
+            "samples": base.samples if "samples" in d and base.samples is not None else d.get("samples"),
+            "tol": base.tol if base.tol is not None else d["tol"],
+            "model": "heisenberg" if command == "dirac" else base.model,
+        }
+    )
 
 
 def build_parser() -> _Parser:
@@ -590,7 +571,7 @@ def run(argv=None) -> int:
         # Checked again when the report is written: the directory may change meanwhile.
         if base.output and (reason := _unwritable_directory(base.output)):
             raise UsageError(f"--output: {reason}: {base.output}")
-        ns = _SubNS(base.command, base)
+        ns = _suite_ns(base.command, base)
         start = time.perf_counter()
         report = SUITES[base.command](ns)
     except (UsageError, ModelFormatError, PolySyntaxError, OverflowError) as exc:

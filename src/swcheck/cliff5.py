@@ -24,24 +24,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extalg import PAIR_INDEX, KForm, horizontal_split
+from .extalg import PAIR_INDEX, KForm, _frozen, deta, horizontal_split
 
 _I = 1j
 
 
-def _frozen(rows) -> np.ndarray:
-    m = np.array(rows, dtype=complex)
-    m.flags.writeable = False
-    return m
-
-
 #: The representation matrices kappa(e1)..kappa(e5), Gaussian-integer entries.
 GAMMA: tuple[np.ndarray, ...] = (
-    _frozen([[0, _I, 0, 0], [_I, 0, 0, 0], [0, 0, 0, _I], [0, 0, _I, 0]]),
-    _frozen([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]),
-    _frozen([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]),
-    _frozen([[0, 0, 0, _I], [0, 0, -_I, 0], [0, -_I, 0, 0], [_I, 0, 0, 0]]),
-    _frozen([[_I, 0, 0, 0], [0, -_I, 0, 0], [0, 0, _I, 0], [0, 0, 0, -_I]]),
+    _frozen([[0, _I, 0, 0], [_I, 0, 0, 0], [0, 0, 0, _I], [0, 0, _I, 0]], complex),
+    _frozen([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], complex),
+    _frozen([[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], complex),
+    _frozen([[0, 0, 0, _I], [0, 0, -_I, 0], [0, -_I, 0, 0], [_I, 0, 0, 0]], complex),
+    _frozen([[_I, 0, 0, 0], [0, -_I, 0, 0], [0, 0, _I, 0], [0, 0, 0, -_I]], complex),
 )
 
 _GAMMA_STACK = _frozen(GAMMA)
@@ -51,7 +45,7 @@ PAIR_PRODUCTS = _frozen(_GAMMA_STACK[PAIR_INDEX[0]] @ _GAMMA_STACK[PAIR_INDEX[1]
 
 #: Reference spinor spanning the -2i eigenspace of kappa(deta); corresponds
 #: to the constant function 1 under the (0, *)-form identification.
-PSI0 = _frozen([0, 0, 0, 1])
+PSI0 = _frozen([0, 0, 0, 1], complex)
 
 
 def gamma(i: int) -> np.ndarray:
@@ -74,8 +68,6 @@ def two_form_matrix(omega: KForm) -> np.ndarray:
 
 def kappa_deta() -> np.ndarray:
     """Matrix of the Clifford action of deta; equals diag(0, 2i, 0, -2i)."""
-    from .extalg import deta
-
     return two_form_matrix(deta())
 
 

@@ -47,10 +47,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extalg import PAIR_INDEX, VERTICAL, KForm, sd_project
+from .extalg import PAIR_INDEX, VERTICAL, KForm, _frozen, sd_project
 
 #: Almost complex structure on the frame: J e1 = e2, J e3 = e4, J Reeb = 0.
-J_FRAME = np.array(
+J_FRAME = _frozen(
     [
         [0.0, -1.0, 0.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0, 0.0],
@@ -59,13 +59,10 @@ J_FRAME = np.array(
         [0.0, 0.0, 0.0, 0.0, 0.0],
     ]
 )
-J_FRAME.flags.writeable = False
 
 #: Frame vectors (e_i, e_j) of the six horizontal pairs i < j, in 2-form
 #: basis order, as two stacks of shape (6, 5).
-HORIZONTAL_FRAME_PAIRS = tuple(np.eye(5)[ix[~VERTICAL[2]]] for ix in PAIR_INDEX)
-for _stack in HORIZONTAL_FRAME_PAIRS:
-    _stack.flags.writeable = False
+HORIZONTAL_FRAME_PAIRS = tuple(_frozen(np.eye(5)[ix[~VERTICAL[2]]]) for ix in PAIR_INDEX)
 
 
 # -- admissible Ricci data ---------------------------------------------------
@@ -233,7 +230,7 @@ _SQ2 = np.sqrt(2.0)
 
 #: Components of the unitary T10 frame Z_a = (e_{2a-1} - i e_{2a}) / sqrt(2)
 #: and its conjugates in the real frame; order (Z1, Z2, Zbar1, Zbar2, Reeb).
-COMPLEX_FRAME = np.array(
+COMPLEX_FRAME = _frozen(
     [
         [1 / _SQ2, -1j / _SQ2, 0, 0, 0],
         [0, 0, 1 / _SQ2, -1j / _SQ2, 0],
@@ -241,9 +238,8 @@ COMPLEX_FRAME = np.array(
         [0, 0, 1 / _SQ2, 1j / _SQ2, 0],
         [0, 0, 0, 0, 1],
     ],
-    dtype=complex,
+    complex,
 )
-COMPLEX_FRAME.flags.writeable = False
 
 _CONJ_INDEX = (2, 3, 0, 1, 4)
 

@@ -63,11 +63,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, _frozen, sigma_full, sigma_h
-from .curvature import _SQ2, admissible_ricci, ricci_form, rho_plus
-from .extalg import PAIR_INDEX, KForm, horizontal_split, sd_project
+from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, sigma_full, sigma_h
+from .curvature import admissible_ricci, ricci_form, rho_plus
+from .extalg import PAIR_INDEX, KForm, _frozen, horizontal_split, sd_project
 from .models import ModelBundle
-from .poly import PolyExpr, dot, evaluate_all, monomial_terms, monomials
+from .poly import PolyExpr, as_poly, dot, evaluate_all, monomial_terms, monomials
 
 #: Prefactor of the so(5) part of the spinorial connection, over pairs j < k.
 SO_COUPLING = 0.5
@@ -85,18 +85,12 @@ class SpinorField:
     def make(*components) -> "SpinorField":
         if len(components) != 4:
             raise ValueError("a spinor field needs 4 components")
-        return SpinorField(
-            tuple(c if isinstance(c, PolyExpr) else PolyExpr.const(c) for c in components)
-        )
-
-    @staticmethod
-    def constant(values) -> "SpinorField":
-        return SpinorField.make(*(complex(v) for v in values))
+        return SpinorField(tuple(map(as_poly, components)))
 
     @staticmethod
     def psi0(amplitude: float = 1.0) -> "SpinorField":
         """The constant reference spinor amplitude * (0, 0, 0, 1)."""
-        return SpinorField.constant(amplitude * PSI0)
+        return SpinorField.make(*(amplitude * PSI0))
 
     def evaluate(self, points) -> np.ndarray:
         """Values at a stack of points ``(..., 5)``, shape ``(..., 4)``."""
@@ -106,7 +100,7 @@ class SpinorField:
         return SpinorField(tuple(a + b for a, b in zip(self.components, other.components)))
 
     def scale(self, factor) -> "SpinorField":
-        f = factor if isinstance(factor, PolyExpr) else PolyExpr.const(factor)
+        f = as_poly(factor)
         return SpinorField(tuple(f * c for c in self.components))
 
 
@@ -348,20 +342,13 @@ def form_clifford_action(x) -> np.ndarray:
     """Clifford action of a frame vector on the (0, *)-form module.
 
     X . a = sqrt(2) ((X_H^{0,1})* ^ a - X_H^{0,1} _| a) + (-1)^(q+1) i eta(X) a
-    with X_H^{0,1} = sum_a beta_a Zbar_a, beta_a = (x_{2a-1} - i x_{2a}) / sqrt(2).
+    with X_H^{0,1} = sum_a beta_a Zbar_a, sqrt(2) beta_a = x_{2a-1} - i x_{2a}.
     The metric dual (.)* is conjugate-linear; that choice is forced by the
     Clifford relation X . X . a = -|X|^2 a.
     """
     x = np.asarray(x, dtype=complex)
-    beta = np.array(
-        [(x[0] - 1j * x[1]) / _SQ2, (x[2] - 1j * x[3]) / _SQ2], dtype=complex
-    )
-    act = _SQ2 * (
-        np.conj(beta[0]) * _WEDGE1
-        + np.conj(beta[1]) * _WEDGE2
-        - beta[0] * _CONTRACT1
-        - beta[1] * _CONTRACT2
-    )
+    b1, b2 = x[0] - 1j * x[1], x[2] - 1j * x[3]  # sqrt(2) beta_1, sqrt(2) beta_2
+    act = np.conj(b1) * _WEDGE1 + np.conj(b2) * _WEDGE2 - b1 * _CONTRACT1 - b2 * _CONTRACT2
     return act + x[4] * _REEB_ACTION
 
 

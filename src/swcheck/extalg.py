@@ -71,7 +71,9 @@ def _permutation_sign(seq, sorted_seq) -> int:
     return sign
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a, dtype=None) -> np.ndarray:
+    """A read-only copy of ``a`` as an array."""
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -96,16 +98,16 @@ WEDGE: dict[tuple[int, int], np.ndarray] = {
 # *e_I = s e_J with e_I ^ e_J = s vol; k(5-k) is even, so the same sign
 # reads e_J ^ e_I = s vol, i.e. STAR[k][J, I] = WEDGE[5-k, k][J, I, vol].
 STAR: dict[int, np.ndarray] = {
-    k: _frozen(WEDGE[DIM - k, k][:, :, 0].copy()) for k in range(DIM + 1)
+    k: _frozen(WEDGE[DIM - k, k][:, :, 0]) for k in range(DIM + 1)
 }
 
 VERTICAL: dict[int, np.ndarray] = {
-    k: _frozen(np.array([REEB_INDEX in t for t in INDEX_TUPLES[k]], dtype=bool))
+    k: _frozen([REEB_INDEX in t for t in INDEX_TUPLES[k]])
     for k in range(DIM + 1)
 }
 
 PAIR_INDEX: tuple[np.ndarray, np.ndarray] = tuple(
-    _frozen(col.copy()) for col in (np.array(INDEX_TUPLES[2]) - 1).T
+    _frozen(col) for col in (np.array(INDEX_TUPLES[2]) - 1).T
 )
 
 # beta -> *(eta ^ beta); eta ^ beta_q = sum_r WEDGE[1, 2][eta, q, r] e_r.

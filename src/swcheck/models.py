@@ -28,9 +28,9 @@ per field y.
 Torsion sign convention.  With the coordinate exterior derivative, Cartan's
 formula forces eta([X, Y]) = -deta(X, Y) for horizontal X, Y, and therefore
 the horizontal torsion of any connection preserving the contact distribution
-satisfies T(X, Y) = +deta(X, Y) Reeb.  The axiom checker uses that sign
-(``TW_TORSION_SIGN = +1``); the opposite sign is only consistent with a
-1/2-convention for the exterior derivative, which this toolkit does not use.
+satisfies T(X, Y) = +deta(X, Y) Reeb.  The axiom checker uses that sign; the
+opposite sign is only consistent with a 1/2-convention for the exterior
+derivative, which this toolkit does not use.
 """
 
 from __future__ import annotations
@@ -51,22 +51,13 @@ from .poly import (
     ZERO,
     PolyExpr,
     PolySyntaxError,
+    as_poly,
     dot,
     evaluate_all,
     max_abs,
     parse_poly,
     uniform,
 )
-
-#: Sign in the horizontal torsion axiom T(X, Y) = sign * deta(X, Y) * Reeb.
-TW_TORSION_SIGN = 1.0
-
-
-def _as_poly(v) -> PolyExpr:
-    if isinstance(v, PolyExpr):
-        return v
-    return PolyExpr.const(v)
-
 
 # -- coordinate vector fields and forms --------------------------------------
 
@@ -85,7 +76,7 @@ class VectorFieldPoly:
     def make(*components) -> "VectorFieldPoly":
         if len(components) != 5:
             raise ValueError("a vector field needs 5 components")
-        return VectorFieldPoly(tuple(_as_poly(c) for c in components))
+        return VectorFieldPoly(tuple(map(as_poly, components)))
 
     def apply(self, f: PolyExpr) -> PolyExpr:
         """Directional derivative X(f), exact."""
@@ -108,7 +99,7 @@ class VectorFieldPoly:
         return VectorFieldPoly(tuple(-c for c in self.components))
 
     def scale(self, f) -> "VectorFieldPoly":
-        f = _as_poly(f)
+        f = as_poly(f)
         return VectorFieldPoly(tuple(f * c for c in self.components))
 
 
@@ -144,7 +135,7 @@ class CoordForm:
 
     @staticmethod
     def one_form(*components) -> "CoordForm":
-        return CoordForm(1, tuple(_as_poly(c) for c in components))
+        return CoordForm(1, tuple(map(as_poly, components)))
 
     def wedge(self, other: "CoordForm") -> "CoordForm":
         k = self.degree + other.degree
@@ -405,7 +396,7 @@ def heisenberg5() -> ModelBundle:
         (0, 0, 1, 0, 0),
         (0, -y1, 0, -y2, 0),
     )
-    jmat = tuple(tuple(_as_poly(v) for v in row) for row in j_rows)
+    jmat = tuple(tuple(map(as_poly, row)) for row in j_rows)
     frame = FrameFieldSet("heisenberg", (e1, e2, e3, e4, xi), eta, jmat)
     return ModelBundle(frame, ConnectionCoefficients.flat())
 
@@ -489,9 +480,9 @@ def tw_axiom_check(
     """Residuals of the defining axioms of the Tanaka-Webster connection.
 
     (a) parallel contact form and Reeb field, (b) parallel Webster metric,
-    (c) horizontal torsion T(X, Y) = TW_TORSION_SIGN * deta(X, Y) * Reeb and
-    Reeb torsion T(Reeb, .) = (1/2) J (L_Reeb J), (d) the covariant
-    derivative of J against the Nijenhuis-type defect.
+    (c) horizontal torsion T(X, Y) = deta(X, Y) Reeb and Reeb torsion
+    T(Reeb, .) = (1/2) J (L_Reeb J), (d) the covariant derivative of J
+    against the Nijenhuis-type defect.
 
     Covariant derivatives of coefficient functions are exact polynomial
     derivatives; torsion uses exact Lie brackets.  Axiom (d) expands J e_j in
@@ -546,7 +537,7 @@ def tw_axiom_check(
     for i in range(4):
         for j in range(i + 1, 4):
             tvec = nabla[i][j] - nabla[j][i] - bracket[i, j]
-            target = frame.reeb.scale(frame.deta_pair[i, j] * TW_TORSION_SIGN)
+            target = frame.reeb.scale(frame.deta_pair[i, j])
             c_h_exprs.extend((tvec - target).components)
     out["axiom_c_horizontal_torsion"] = _max_eval(c_h_exprs, points)
     del c_h_exprs
@@ -685,16 +676,21 @@ def _parse_array(path: str, src, shape: tuple[int, ...], leaf):
 def load_model(source) -> ModelBundle:
     """Load a model from a builtin name, a JSON file path, or a dict.
 
-    The schema has fields ``chart``, ``eta`` (5 expressions), ``xi``,
-    ``frame`` (4 x 5), ``J`` (5 x 5), and optional ``gamma`` (5 x 5 x 5),
-    ``A`` (5 expressions, imaginary valued) and ``curvature``
-    (``{"ric": 5 x 5 numbers}``, validated for admissibility).  The bundle's
-    ``curvature`` is that matrix as a float array, or None without the block.
+    A model file holds one JSON object.  The schema has fields ``chart``,
+    ``eta`` (5 expressions), ``xi``, ``frame`` (4 x 5), ``J`` (5 x 5), and
+    optional ``gamma`` (5 x 5 x 5), ``A`` (5 expressions, imaginary valued)
+    and ``curvature`` (``{"ric": 5 x 5 numbers}``, validated for
+    admissibility).  The bundle's ``curvature`` is that matrix as a float
+    array, or None without the block.
     """
     if isinstance(source, str) and source == "heisenberg":
         return heisenberg5()
     if isinstance(source, (str, Path)):
         data = read_json_file(source)
+        if not isinstance(data, dict):
+            kinds = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}
+            found = kinds.get(type(data), "a number")
+            raise ModelFormatError(f"expected a JSON object, found {found}")
     elif isinstance(source, dict):
         data = source
     else:

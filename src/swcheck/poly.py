@@ -113,19 +113,11 @@ class PolyExpr:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "PolyExpr":
-        other = _coerce(other)
+        other = as_poly(other)
         if not (self.packed and other.packed):
             return self if other.is_zero() else other
         den = math.lcm(self.den, other.den)
-        re_: dict[int, int] = {}
-        im: dict[int, int] = {}
-        for p in (self, other):
-            f = den // p.den
-            for m, a, b in p.packed:
-                re_[m] = re_.get(m, 0) + a * f
-                if b:
-                    im[m] = im.get(m, 0) + b * f
-        return _from_parts(re_, im, den)
+        return _sum([(p.packed, den // p.den) for p in (self, other)], den)
 
     __radd__ = __add__
 
@@ -133,10 +125,10 @@ class PolyExpr:
         return PolyExpr(tuple((m, -a, -b) for m, a, b in self.packed), self.den)
 
     def __sub__(self, other) -> "PolyExpr":
-        return self + (-_coerce(other))
+        return self + (-as_poly(other))
 
     def __mul__(self, other) -> "PolyExpr":
-        return dot((self,), (_coerce(other),))
+        return dot((self,), (as_poly(other),))
 
     __rmul__ = __mul__
 
@@ -308,10 +300,12 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-def _coerce(v) -> PolyExpr:
+def as_poly(v) -> PolyExpr:
+    """``v`` as a PolyExpr: a PolyExpr itself, or a Python or numpy number as
+    an exact constant.  Raises TypeError for anything else."""
     if isinstance(v, PolyExpr):
         return v
-    if isinstance(v, (int, float, complex)):
+    if isinstance(v, (int, float, complex, np.number)):
         return PolyExpr.const(v)
     raise TypeError(f"cannot coerce {type(v).__name__} to PolyExpr")
 
@@ -319,7 +313,7 @@ def _coerce(v) -> PolyExpr:
 def _exact(value) -> tuple[int, int, int]:
     """(re, im, den) of an int, float or complex number, exactly: den is a
     power of two and gcd(re, im, den) is 1."""
-    if isinstance(value, int):
+    if isinstance(value, (int, np.integer)):
         return int(value), 0, 1
     c = complex(value)
     try:
@@ -352,6 +346,19 @@ def _reduced(terms: list[tuple[int, int, int]], den: int) -> PolyExpr:
     if g > 1:
         terms = [(m, a // g, b // g) for m, a, b in terms]
     return PolyExpr(tuple(terms), den // g)
+
+
+def _sum(parts, den: int) -> PolyExpr:
+    """Sum over the (terms, f) of ``parts`` of every (monomial, re, im) term
+    times the int f, over ``den``."""
+    re_: dict[int, int] = {}
+    im: dict[int, int] = {}
+    for terms, f in parts:
+        for m, a, b in terms:
+            re_[m] = re_.get(m, 0) + a * f
+            if b:
+                im[m] = im.get(m, 0) + b * f
+    return _from_parts(re_, im, den)
 
 
 def _from_parts(re_: dict[int, int], im: dict[int, int], den: int) -> PolyExpr:
@@ -518,13 +525,7 @@ class _Parser:
         while self.peek()[0] in "+-":
             terms.append(self.term(self.sign()))
         den = math.lcm(*[d for _, (_, _, d) in terms])
-        re_: dict[int, int] = {}
-        im: dict[int, int] = {}
-        for m, (a, b, d) in terms:
-            re_[m] = re_.get(m, 0) + a * (den // d)
-            if b:
-                im[m] = im.get(m, 0) + b * (den // d)
-        return _from_parts(re_, im, den)
+        return _sum([(((m, a, b),), den // d) for m, (a, b, d) in terms], den)
 
     def term(self, sign: int) -> tuple[int, _Coeff]:
         mono, coeff = self.factor(0, (sign, 0, 1))

@@ -197,7 +197,7 @@ class TestConnectionTerms:
         s = _twisted_connection()
         rng = np.random.default_rng(23)
         psi_val = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi = SpinorField.constant(psi_val)
+        psi = SpinorField.make(*psi_val)
         for p in POINTS[:10]:
             # sum_w kappa_w (1/2 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi
             gam = np.array([[[c(p) for c in row] for row in plane] for plane in s.connection.gamma])

@@ -541,13 +541,6 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="missing field"):
             load_model({"eta": ["0", "0", "0", "0", "1"]})
 
-    def test_wrong_shape(self, model_to_dict):
-        bundle = load_model("heisenberg")
-        data = model_to_dict(bundle)
-        data["frame"] = data["frame"][:3]
-        with pytest.raises(ModelFormatError, match="frame"):
-            load_model(data)
-
 
 class TestSamplePoints:
     def test_deterministic(self):

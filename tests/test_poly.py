@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swcheck import poly
+from swcheck.models import VectorFieldPoly
 from swcheck.poly import (
     ONE,
     PolyExpr,
     PolySyntaxError,
     ZERO,
+    as_poly,
     evaluate_all,
     max_abs,
     parse_poly,
@@ -198,6 +200,22 @@ class TestExactCoefficients:
             with pytest.raises(ValueError, match="not finite"):
                 parse_poly("x1") * bad
 
+    def test_as_poly_takes_numpy_scalars(self):
+        x1 = PolyExpr.variable("x1")
+        assert x1 + np.int64(2) == x1 + 2 == np.int64(2) + x1
+        assert as_poly(np.int64(2**62 + 1)) == PolyExpr.const(2**62 + 1)
+        assert as_poly(np.float32(0.5)) == PolyExpr.const(0.5)
+        field = VectorFieldPoly.make(np.int64(1), 0, np.float64(0.5), 0, x1)
+        assert field == VectorFieldPoly.make(1, 0, 0.5, 0, x1)
+
+    def test_as_poly_refuses_strings(self):
+        with pytest.raises(TypeError, match="str"):
+            as_poly("1")
+        with pytest.raises(TypeError):
+            VectorFieldPoly.make("1", 0, 0, 0, 0)
+        with pytest.raises(TypeError):
+            PolyExpr.variable("x1") + "1"
+
 
 @given(st.lists(st.tuples(_poly_strategy(), _poly_strategy()), max_size=4))
 @settings(max_examples=50, deadline=None)
@@ -332,7 +350,7 @@ class TestDegreeLimit:
                 PolyExpr.from_dict({e: 1.0})
 
 
-class TestRandomPoly:
+class TestMonomialsAndUniform:
     def test_monomial_tables(self):
         for degree, size in [(0, 1), (2, 21), (3, 56)]:
             table = poly.monomials(degree)
