@@ -17,14 +17,13 @@ verify the checks are not vacuous; with a nonzero EPS the suite must fail.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import json
 import math
 import os
-import re
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,26 +78,11 @@ class UsageError(Exception):
     pass
 
 
-#: A negative float literal: decimal, scientific notation included, or inf / nan.
-_NEGATIVE_NUMBER = re.compile(
-    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
-)
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent, so it would read the value
-        # in "--scalar -1e-3" as an option.
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _unwritable_directory(path: str) -> str | None:
-    """Why no file can be written at ``path`` because its directory is missing
-    or not writable, or None.  Creates and truncates nothing."""
+    """Why no file can be written at ``path``: it is a directory, or its directory
+    is missing or not writable; or None.  Creates and truncates nothing."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         return os.strerror(errno.ENOENT)
@@ -481,11 +465,58 @@ _DEFAULTS = {
 }
 
 
+#: The one list of options, name -> (converter, default, help): the reader,
+#: the defaults, ``--help`` and each report's parameters read it.
+OPTIONS = {
+    "samples": (int, None, "model sample points (default 1000)"),
+    "seed": (int, 0, "seed for all random draws"),
+    "tol": (float, None, "pointwise tolerance override"),
+    "h": (float, 1e-4, "finite-difference step"),
+    "scalar": (float, -4.0, "scalar curvature for the solution suite"),
+    "model": (str, "heisenberg", "builtin model name or JSON file path"),
+    "output": (str, None, "write the JSON report to this path"),
+    "perturb": (float, 0.0, "corrupt one suite input by this amount; the suite must then fail"),
+}
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command of ``argv`` and every option, as given or as ``OPTIONS``
+    defaults it.  An option is ``--name value`` or ``--name=value``, named by
+    any unique prefix; its value is the next argument whatever it looks like.
+    The one command may stand anywhere; a repeated option keeps its last value."""
+    ns = SimpleNamespace(command=None, **{k: v[1] for k, v in OPTIONS.items()})
+    commands = ", ".join(sorted(SUITES))
+    args = iter(argv)
+    for arg in args:
+        if not arg.startswith("-"):
+            if arg not in SUITES or ns.command:
+                raise UsageError(f"unexpected {arg!r}: give one command of {commands}")
+            ns.command = arg
+            continue
+        arg = "--help" if arg == "-h" else arg
+        key, eq, value = arg[2:].partition("=")
+        names = [n for n in ("help", *OPTIONS) if arg[:2] == "--" and key and n.startswith(key)]
+        name = key if key in names else names[0] if len(names) == 1 else None
+        if name is None or name == "help" and eq:
+            raise UsageError(f"{'ambiguous' if len(names) > 1 else 'unrecognized'} option {arg!r}")
+        if name == "help":
+            print(f"usage: swcheck [-h] COMMAND [--OPTION VALUE ...]\n\ncommands: {commands}\n")
+            print("options:", *(f"  --{n:<8} {t}" for n, (_, _, t) in OPTIONS.items()), sep="\n")
+            sys.exit(EXIT_PASS)
+        convert = OPTIONS[name][0]
+        try:
+            setattr(ns, name, convert(value if eq else next(args)))
+        except (StopIteration, ValueError):
+            raise UsageError(f"--{name} takes one {convert.__name__} value") from None
+    if ns.command is None:
+        raise UsageError(f"no command given: give one of {commands}")
+    return ns
+
+
 def _parameters(ns) -> dict:
-    """Every option of the namespace but ``--output``; ``--scalar`` only for
-    the solution suite, the one that reads it."""
-    skip = {"command", "output"} | ({"scalar"} if ns.command != "solution" else set())
-    return {k: v for k, v in vars(ns).items() if k not in skip}
+    """Every option but ``--output``, and ``--scalar`` only for ``solution``."""
+    skip = {"output"} | ({"scalar"} if ns.command != "solution" else set())
+    return {name: getattr(ns, name) for name in OPTIONS if name not in skip}
 
 
 def _report(suite: str, ns, checks: list[dict]) -> dict:
@@ -498,8 +529,8 @@ def _report(suite: str, ns, checks: list[dict]) -> dict:
     }
 
 
-def _suite_ns(command: str, base: argparse.Namespace) -> argparse.Namespace:
-    """The parsed namespace with the defaults of suite ``command`` filled in.
+def _suite_ns(command: str, base: SimpleNamespace) -> SimpleNamespace:
+    """The read namespace with the defaults of suite ``command`` filled in.
 
     ``all`` keeps samples/tol unset so every sub-suite resolves its own
     default unless the user overrode them explicitly.  Only ``model`` reads
@@ -507,56 +538,25 @@ def _suite_ns(command: str, base: argparse.Namespace) -> argparse.Namespace:
     ``dirac`` always runs on the Heisenberg chart; ``--model`` does not reach it.
     """
     d = _DEFAULTS[command]
-    return argparse.Namespace(
-        **{
-            **vars(base),
-            "command": command,
-            "samples": base.samples if "samples" in d and base.samples is not None else d.get("samples"),
-            "tol": base.tol if base.tol is not None else d["tol"],
-            "model": "heisenberg" if command == "dirac" else base.model,
-        }
-    )
-
-
-def build_parser() -> _Parser:
-    p = _Parser(
-        prog="swcheck",
-        description="Certify the identities of Seiberg-Witten like equations "
-        "on contact metric 5-manifolds.",
-    )
-    p.add_argument(
-        "command",
-        choices=sorted(SUITES.keys()),
-        help="check suite to run",
-    )
-    p.add_argument("--samples", type=int, default=None, help="model sample points (default 1000)")
-    p.add_argument("--seed", type=int, default=0, help="seed for all random draws")
-    p.add_argument("--tol", type=float, default=None, help="pointwise tolerance override")
-    p.add_argument("--h", type=float, default=1e-4, help="finite-difference step")
-    p.add_argument("--scalar", type=float, default=-4.0, help="scalar curvature for the solution suite")
-    p.add_argument("--model", default="heisenberg", help="builtin model name or JSON file path")
-    p.add_argument("--output", default=None, help="write the JSON report to this path")
-    p.add_argument(
-        "--perturb",
-        type=float,
-        default=0.0,
-        help="fault injection: corrupt one suite input by this amount (the suite must then fail)",
-    )
-    return p
+    ns = SimpleNamespace(**vars(base))
+    ns.command = command
+    ns.samples = base.samples if "samples" in d and base.samples is not None else d.get("samples")
+    ns.tol = base.tol if base.tol is not None else d["tol"]
+    ns.model = "heisenberg" if command == "dirac" else base.model
+    return ns
 
 
 def run(argv=None) -> int:
     try:
-        base = build_parser().parse_args(argv)
+        base = parse_args(sys.argv[1:] if argv is None else argv)
         if base.samples is not None and base.samples < 1:
             raise UsageError("--samples must be >= 1")
         if base.seed < 0:
             raise UsageError("--seed must be >= 0")
         if base.seed >= SEED_LIMIT:
             raise UsageError(f"--seed must be < 2**63 = {SEED_LIMIT}")
-        for name in ("tol", "h", "scalar", "perturb"):
-            value = getattr(base, name)
-            if value is not None and not math.isfinite(value):
+        for name, (convert, _, _) in OPTIONS.items():
+            if convert is float and not math.isfinite(getattr(base, name) or 0.0):
                 raise UsageError(f"--{name} must be finite")
         if base.tol is not None and base.tol < 0:
             raise UsageError("--tol must be >= 0")

@@ -27,6 +27,17 @@ def _refuse(token):
     raise ValueError(f"report is not strict JSON: bare {token}")
 
 
+@pytest.fixture
+def no_suite_runs(monkeypatch):
+    """Every suite raises: a usage error must come before any suite runs."""
+
+    def fail(ns):
+        raise AssertionError("a suite ran")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, fail)
+
+
 def _run(argv, capsys):
     code = run(argv)
     out = capsys.readouterr().out
@@ -123,13 +134,8 @@ class TestSolutionScale:
     @pytest.mark.parametrize("suite", ["solution", "all"])
     @pytest.mark.parametrize("scalar", ["-1e301", "-1.7e308"])
     def test_scalar_beyond_the_limit_rejected_before_any_suite_runs(
-        self, suite, scalar, monkeypatch, capsys
+        self, no_suite_runs, suite, scalar, capsys
     ):
-        def fail(ns):
-            raise AssertionError("a suite ran")
-
-        for name in cli.SUITES:
-            monkeypatch.setitem(cli.SUITES, name, fail)
         assert run([suite, "--scalar", scalar]) == EXIT_USAGE
         assert f"--scalar must be >= -1e+300, got {float(scalar)}" in capsys.readouterr().err
 
@@ -277,16 +283,61 @@ class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv, parameters",
+        [
+            (["model", "--seed=3", "--samples=2"], {"seed": 3, "samples": 2}),
+            (["model", "--samp", "3", "--se", "5"], {"samples": 3, "seed": 5}),
+            (["--samples", "2", "--seed", "4", "model"], {"samples": 2, "seed": 4}),
+            (["--samples", "2", "model", "--seed", "4"], {"samples": 2, "seed": 4}),
+            (["model", "--samples", "2", "--seed", "1", "--seed", "7"], {"samples": 2, "seed": 7}),
+            # --h is an option of its own, not a prefix of --help.
+            (["model", "--samples", "2", "--h", "0.5"], {"samples": 2, "h": 0.5}),
+        ],
+    )
+    def test_option_syntax(self, argv, parameters, capsys):
+        code, rep = _run(argv, capsys)
+        assert code == EXIT_PASS
+        assert {k: rep["parameters"][k] for k in parameters} == parameters
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--s", "3", "solution"], "ambiguous option '--s'"),
+            (["solution", "--seed"], "--seed takes one int value"),
+            (["solution", "--seed", "x"], "--seed takes one int value"),
+            # The value is the next argument, even when it looks like an option.
+            (["solution", "--seed", "--tol", "1"], "--seed takes one int value"),
+            (["solution", "--tol", "1e-3x"], "--tol takes one float value"),
+            (["solution", "--bogus", "1"], "unrecognized option '--bogus'"),
+            (["solution", "-x"], "unrecognized option '-x'"),
+            (["solution", "--help=1"], "unrecognized option '--help=1'"),
+            (["solution", "dirac"], "unexpected 'dirac'"),
+            (["solution", "solution"], "unexpected 'solution'"),
+            (["--seed", "1"], "no command given"),
+            ([], "no command given"),
+        ],
+    )
+    def test_malformed_command_line(self, no_suite_runs, argv, message, capsys):
+        assert run(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"swcheck: error: {message}")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["dirac", "--he"], ["--seed", "1", "-h"]])
+    def test_help(self, no_suite_runs, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == EXIT_PASS
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: swcheck") and err == ""
+        assert all(f"--{name}" in out for name in cli.OPTIONS)
+        assert all(suite in out for suite in cli.SUITES)
+
     def test_positive_scalar_rejected(self, capsys):
         assert run(["solution", "--scalar", "1"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("suite", ["solution", "all"])
-    def test_positive_scalar_rejected_before_any_suite_runs(self, suite, monkeypatch, capsys):
-        def fail(ns):
-            raise AssertionError("a suite ran")
-
-        for name in cli.SUITES:
-            monkeypatch.setitem(cli.SUITES, name, fail)
+    def test_positive_scalar_rejected_before_any_suite_runs(self, no_suite_runs, suite, capsys):
         assert run([suite, "--scalar", "1"]) == EXIT_USAGE
         assert "--scalar must be negative, got 1.0" in capsys.readouterr().err
 
@@ -297,24 +348,22 @@ class TestUsageErrors:
         assert err.startswith("swcheck: error: --output: ") and str(path) in err
         assert not path.parent.exists()
 
-    @pytest.mark.parametrize("writable", [True, False])
+    @pytest.mark.parametrize("case", ["missing", "read-only", "directory"])
     def test_output_directory_checked_before_any_suite_runs(
-        self, writable, tmp_path, monkeypatch, capsys
+        self, no_suite_runs, case, tmp_path, monkeypatch, capsys
     ):
-        def fail(ns):
-            raise AssertionError("a suite ran")
-
-        for name in cli.SUITES:
-            monkeypatch.setitem(cli.SUITES, name, fail)
-        if writable:
+        if case == "missing":
             path, reason = tmp_path / "missing" / "r.json", "No such file or directory"
-        else:
+        elif case == "read-only":
             # Root may write anywhere, so a read-only directory is simulated.
             monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
             path, reason = tmp_path / "r.json", "Permission denied"
+        else:
+            path, reason = tmp_path / "r.json", "Is a directory"
+            path.mkdir()
         assert run(["all", "--output", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"swcheck: error: --output: {reason}: {path}\n"
-        assert not path.exists()
+        assert list(tmp_path.rglob("*")) == ([path] if case == "directory" else [])
 
     def test_output_file_untouched_by_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "r.json"
@@ -672,31 +721,50 @@ class TestCertificates:
         assert self._failed(["curvature"], capsys) == {name: "NaN"}
 
 
-class TestDiracDraws:
-    """The sample points are drawn from the standard library's stream."""
-
-    def test_no_command_imports_numpy_random(self):
-        # Points are drawn from the standard library's random.Random, which
-        # numpy itself imports, so that no command pays for importing
-        # numpy.random.  A fresh interpreter shows it.
-        child = """
-import os, sys
+@pytest.fixture(scope="module")
+def fresh_modules():
+    """The modules a fresh interpreter holds after ``import swcheck.cli``
+    ("import"), and after ``all``, ``model`` and ``dirac``, each run clean and
+    with ``--perturb 1e-3`` ("commands")."""
+    child = """
+import json, os, sys
 import swcheck.cli as cli
-assert "numpy.random" not in sys.modules
+loaded = {"import": sorted(sys.modules)}
 codes = []
 for suite in ("all", "model", "dirac"):
     for extra in ([], ["--perturb", "1e-3"]):
         codes.append(cli.run([suite, "--output", os.devnull, *extra]))
 assert codes == [0, 1] * 3, codes
-assert "numpy.random" not in sys.modules, "a command imported numpy.random"
+print(json.dumps({**loaded, "commands": sorted(sys.modules)}))
 """
-        proc = subprocess.run(
-            [sys.executable, "-c", child],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-        )
-        assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", child],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {when: set(names) for when, names in json.loads(proc.stdout).items()}
+
+
+class TestDiracDraws:
+    """The sample points are drawn from the standard library's stream."""
+
+    def test_no_command_imports_numpy_random(self, fresh_modules):
+        # Points are drawn from the standard library's random.Random, which
+        # numpy itself imports, so that no command pays for importing
+        # numpy.random.  A fresh interpreter shows it.
+        assert "numpy.random" not in fresh_modules["import"]
+        assert "numpy.random" not in fresh_modules["commands"], "a command imported numpy.random"
+
+
+class TestColdStart:
+    """What a fresh interpreter loads on its way to a verdict."""
+
+    def test_no_command_imports_argparse(self, fresh_modules):
+        # cli reads its command line itself: argparse would load gettext and,
+        # on its first message, locale, which costs every verdict about 2 ms.
+        assert not {"argparse", "gettext", "locale"} & fresh_modules["commands"]
 
 
 # (owner, name, call, checks): call number ``call`` of ``name`` on ``owner``
