@@ -6,13 +6,14 @@ invocation or an input file was invalid, or the report could not be written.
 
 Reports are JSON with one row per check (name, residual, tolerance, pass);
 identical (suite, seed, samples) invocations produce byte-identical reports
-except for the wall-time field.  Default tolerances: 0 for the exact
-algebraic suites, 1e-12 for pointwise polynomial suites, 1e-6 for the
-finite-difference comparison (1e-10 for the dbar identity).
+except for the wall-time field.  Tolerances are fixed, one per check: 0 for
+the exact algebraic suites, 1e-12 for pointwise polynomial suites, 1e-6 for
+the finite-difference comparison at step 1e-4 (1e-10 for the dbar identity).
 
 Every suite accepts ``--perturb EPS``, a fault-injection knob that corrupts
 one well-defined input of the suite before running, so that harnesses can
-verify the checks are not vacuous; with a nonzero EPS the suite must fail.
+verify the checks are not vacuous; with an EPS well above the suite's
+tolerances, such as 1e-3, the suite must fail.
 """
 
 from __future__ import annotations
@@ -244,7 +245,6 @@ def _curvature_rows() -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _suite_curvature(ns) -> dict:
     perturb = ns.perturb
-    tol = ns.tol
     # Over every parameter vector of the box [-1, 1]^K, with the --perturb
     # shift, a residual entry is at most the sum of the unit rows' moduli
     # plus |perturb| times the shift row's; for real and for imaginary
@@ -255,11 +255,11 @@ def _suite_curvature(ns) -> dict:
         worst.extend(np.maximum.reduceat(bound, starts))
     r_rho, r_j, r_jj, r_ric, r_b = worst
     checks = [
-        _check("rho_plus_is_minus_quarter_s_deta", r_rho, tol),
-        _check("J_commutes_with_ricci", r_j, 0.0 if not perturb else tol),
+        _check("rho_plus_is_minus_quarter_s_deta", r_rho, 1e-12),
+        _check("J_commutes_with_ricci", r_j, 0.0 if not perturb else 1e-12),
         _check("ricci_J_invariance", r_jj, 1e-14),
-        _check("bianchi_correction_vanishes", r_b, tol),
-        _check("ricci_reconstruction_identity", r_ric, tol),
+        _check("bianchi_correction_vanishes", r_b, 1e-12),
+        _check("ricci_reconstruction_identity", r_ric, 1e-12),
     ]
 
     # The tensor and its residuals are linear in the Ricci parameters: the
@@ -289,27 +289,26 @@ def _suite_model(ns) -> dict:
             frame.name, frame.fields, frame.eta, tuple(tuple(r) for r in jrows)
         )
     points = sample_points(ns.samples, ns.seed)
-    tol = ns.tol
     checks = []
     # An overflowing product gives inf or NaN, which then fails its check.
     with np.errstate(over="ignore", invalid="ignore"):
         cc = models.contact_check(frame, points)
         vol_min = cc.pop("contact_volume_min")
         for name, residual in sorted(cc.items()):
-            checks.append(_check(f"contact_{name}", residual, tol))
+            checks.append(_check(f"contact_{name}", residual, 1e-12))
         # Nondegeneracy: the contact volume stays above 1e-9; NaN fails.
         checks.append(_check("contact_volume_nondegenerate", np.maximum(0.0, 1e-9 - vol_min), 0.0))
         if ns.model == "heisenberg":
             r = max_abs(evaluate_all([frame.contact_volume], points) - 2.0)
-            checks.append(_check("contact_volume_equals_2", r, tol))
+            checks.append(_check("contact_volume_equals_2", r, 1e-12))
 
         tw = models.tw_axiom_check(frame, bundle.connection, points)
         for name, residual in sorted(tw.items()):
-            checks.append(_check(f"tw_{name}", residual, tol))
+            checks.append(_check(f"tw_{name}", residual, 1e-12))
 
         cr = models.cr_check(frame, points)
         for name, residual in sorted(cr.items()):
-            checks.append(_check(f"cr_{name}", residual, tol))
+            checks.append(_check(f"cr_{name}", residual, 1e-12))
 
     return _report("model", ns, checks)
 
@@ -335,13 +334,10 @@ def _suite_dirac(ns) -> dict:
     # worst field of 4 monomials a component with coefficients in the unit disc.
     derivs, values = basis_derivatives(s, points)
     kohn, full = dirac_on_basis(s, points, derivs, values)
-    # A huge --h overflows the stencil values to inf or NaN, which then fail
-    # the finite-difference checks.
-    with np.errstate(over="ignore", invalid="ignore"):
-        fd = (full - full_dirac_fd_on_basis(s, points, ns.h)).reshape(len(full), -1)
+    fd = (full - full_dirac_fd_on_basis(s, points, 1e-4)).reshape(len(full), -1)
     dbar = dbar_identity_residual(kohn[:, :10], derivs[:10]).reshape(len(fd), -1)
-    checks.append(_check("finite_difference_agreement", family_maximum(fd), ns.tol))
-    checks.append(_check("finite_difference_agreement_degree3_basis", max_abs(fd), ns.tol))
+    checks.append(_check("finite_difference_agreement", family_maximum(fd), 1e-6))
+    checks.append(_check("finite_difference_agreement_degree3_basis", max_abs(fd), 1e-6))
     checks.append(_check("dbar_identity", family_maximum(dbar), 1e-10))
     checks.append(_check("dbar_identity_degree3_basis", max_abs(dbar), 1e-10))
 
@@ -405,8 +401,8 @@ def _suite_solution(ns) -> dict:
         # derivative, and with them D_A psi, vanishes identically.
         _check("dirac_residual", 0.0, 0.0),
         _check("curvature_residual_exact_chain", sol.r_curv, 0.0),
-        _check("curvature_residual_pointwise", r_curv / scale, ns.tol),
-        _check("sigma_vertical_part", sigma_vertical, ns.tol),
+        _check("curvature_residual_pointwise", r_curv / scale, 1e-12),
+        _check("sigma_vertical_part", sigma_vertical, 1e-12),
         _check(
             "sigma_h_equals_i_s_deta", (sol.sigma_h_psi - (1j * s_val) * deta()).norm_inf(), 0.0
         ),
@@ -418,7 +414,7 @@ def _suite_solution(ns) -> dict:
         _check(
             "scaled_spinor_mismatch_closed_form",
             abs(r_doubled - abs(3.0 * s_val / 4.0)) / scale,
-            ns.tol,
+            1e-12,
         ),
     ]
 
@@ -454,28 +450,15 @@ SUITES = {
     "all": _suite_all,
 }
 
-_DEFAULTS = {
-    "clifford": dict(tol=0.0),
-    "selfdual": dict(tol=0.0),
-    "curvature": dict(tol=1e-12),
-    "model": dict(samples=1000, tol=1e-12),
-    "dirac": dict(tol=1e-6),
-    "solution": dict(tol=1e-12),
-    "all": dict(samples=None, tol=None),
-}
-
-
 #: The one list of options, name -> (converter, default, help): the reader,
 #: the defaults, ``--help`` and each report's parameters read it.
 OPTIONS = {
-    "samples": (int, None, "model sample points (default 1000)"),
+    "samples": (int, 1000, "model sample points"),
     "seed": (int, 0, "seed for all random draws"),
-    "tol": (float, None, "pointwise tolerance override"),
-    "h": (float, 1e-4, "finite-difference step"),
     "scalar": (float, -4.0, "scalar curvature for the solution suite"),
     "model": (str, "heisenberg", "builtin model name or JSON file path"),
     "output": (str, None, "write the JSON report to this path"),
-    "perturb": (float, 0.0, "corrupt one suite input by this amount; the suite must then fail"),
+    "perturb": (float, 0.0, "corrupt one suite input by this amount (1e-3 must make it fail)"),
 }
 
 
@@ -483,7 +466,8 @@ def parse_args(argv) -> SimpleNamespace:
     """The command of ``argv`` and every option, as given or as ``OPTIONS``
     defaults it.  An option is ``--name value`` or ``--name=value``, named by
     any unique prefix; its value is the next argument whatever it looks like.
-    The one command may stand anywhere; a repeated option keeps its last value."""
+    ``--help`` is read only in full or as ``-h``.  The one command may stand
+    anywhere; a repeated option keeps its last value."""
     ns = SimpleNamespace(command=None, **{k: v[1] for k, v in OPTIONS.items()})
     commands = ", ".join(sorted(SUITES))
     args = iter(argv)
@@ -493,16 +477,15 @@ def parse_args(argv) -> SimpleNamespace:
                 raise UsageError(f"unexpected {arg!r}: give one command of {commands}")
             ns.command = arg
             continue
-        arg = "--help" if arg == "-h" else arg
-        key, eq, value = arg[2:].partition("=")
-        names = [n for n in ("help", *OPTIONS) if arg[:2] == "--" and key and n.startswith(key)]
-        name = key if key in names else names[0] if len(names) == 1 else None
-        if name is None or name == "help" and eq:
-            raise UsageError(f"{'ambiguous' if len(names) > 1 else 'unrecognized'} option {arg!r}")
-        if name == "help":
+        if arg in ("-h", "--help"):
             print(f"usage: swcheck [-h] COMMAND [--OPTION VALUE ...]\n\ncommands: {commands}\n")
-            print("options:", *(f"  --{n:<8} {t}" for n, (_, _, t) in OPTIONS.items()), sep="\n")
+            print("options:", *(f"  --{n:<8} {t} [{d}]" for n, (_, d, t) in OPTIONS.items()), sep="\n")
             sys.exit(EXIT_PASS)
+        key, eq, value = arg[2:].partition("=")
+        names = [n for n in OPTIONS if arg[:2] == "--" and key and n.startswith(key)]
+        name = key if key in names else names[0] if len(names) == 1 else None
+        if name is None:
+            raise UsageError(f"{'ambiguous' if len(names) > 1 else 'unrecognized'} option {arg!r}")
         convert = OPTIONS[name][0]
         try:
             setattr(ns, name, convert(value if eq else next(args)))
@@ -530,18 +513,15 @@ def _report(suite: str, ns, checks: list[dict]) -> dict:
 
 
 def _suite_ns(command: str, base: SimpleNamespace) -> SimpleNamespace:
-    """The read namespace with the defaults of suite ``command`` filled in.
+    """The read namespace as suite ``command`` runs it.
 
-    ``all`` keeps samples/tol unset so every sub-suite resolves its own
-    default unless the user overrode them explicitly.  Only ``model`` reads
-    samples, and ``all`` passes it on: the other suites leave it None.
-    ``dirac`` always runs on the Heisenberg chart; ``--model`` does not reach it.
+    Only ``model`` reads samples, and ``all`` passes it on: the other suites
+    leave it None.  ``dirac`` always runs on the Heisenberg chart; ``--model``
+    does not reach it.
     """
-    d = _DEFAULTS[command]
     ns = SimpleNamespace(**vars(base))
     ns.command = command
-    ns.samples = base.samples if "samples" in d and base.samples is not None else d.get("samples")
-    ns.tol = base.tol if base.tol is not None else d["tol"]
+    ns.samples = base.samples if command in ("model", "all") else None
     ns.model = "heisenberg" if command == "dirac" else base.model
     return ns
 
@@ -549,19 +529,15 @@ def _suite_ns(command: str, base: SimpleNamespace) -> SimpleNamespace:
 def run(argv=None) -> int:
     try:
         base = parse_args(sys.argv[1:] if argv is None else argv)
-        if base.samples is not None and base.samples < 1:
+        if base.samples < 1:
             raise UsageError("--samples must be >= 1")
         if base.seed < 0:
             raise UsageError("--seed must be >= 0")
         if base.seed >= SEED_LIMIT:
             raise UsageError(f"--seed must be < 2**63 = {SEED_LIMIT}")
         for name, (convert, _, _) in OPTIONS.items():
-            if convert is float and not math.isfinite(getattr(base, name) or 0.0):
+            if convert is float and not math.isfinite(getattr(base, name)):
                 raise UsageError(f"--{name} must be finite")
-        if base.tol is not None and base.tol < 0:
-            raise UsageError("--tol must be >= 0")
-        if base.h <= 0:
-            raise UsageError("--h must be positive")
         if base.command in ("solution", "all") and base.scalar >= 0:
             raise UsageError(f"--scalar must be negative, got {base.scalar}")
         if base.command in ("solution", "all") and base.scalar < -SCALAR_LIMIT:
@@ -588,7 +564,16 @@ def run(argv=None) -> int:
             print(f"swcheck: error: --output: {exc.strerror or exc}: {ns.output}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # The interpreter flushes stdout again at exit: what is still
+            # buffered goes to the null device instead of failing a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"swcheck: error: stdout: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 

@@ -579,9 +579,16 @@ class TestFamilyMaximum:
     modulus at most 1."""
 
     @staticmethod
-    def _fd_rows(s: ModelBundle) -> np.ndarray:
+    def _fd_rows(s: ModelBundle, h: float = 1e-4) -> np.ndarray:
         _, full = _rows(s, POINTS)
-        return (full - full_dirac_fd_on_basis(s, POINTS, 1e-4)).reshape(224, -1)
+        return (full - full_dirac_fd_on_basis(s, POINTS, h)).reshape(224, -1)
+
+    @pytest.mark.parametrize("h, fails", [(1e-2, True), (1e-4, False)])
+    def test_the_tolerance_rejects_a_coarse_step(self, h, fails):
+        # The dirac suite compares at step 1e-4 against 1e-6.  The check is not
+        # vacuous: at step 1e-2 the O(h^2) error of the central differences
+        # is above the tolerance.
+        assert (family_maximum(self._fd_rows(S_FLAT, h)) > 1e-6) == fails
 
     @pytest.mark.parametrize("chart", ["heisenberg", "sheared"])
     def test_the_maximizing_field_reaches_it(self, chart):
