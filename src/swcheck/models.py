@@ -217,11 +217,11 @@ class FrameFieldSet:
     J e_i, J^2 e_i (``span[i]`` is e_{i+1}, ``span[4]`` is Reeb, and
     ``span[a + 5]`` is J span[a]); their eta-values; ``deta_slot``, the
     contraction of deta with each of them; and the tables ``deta_pair``,
-    ``metric``, ``bracket`` and ``j_bracket``.  ``bracket`` computes a Lie
-    bracket only for a < b and negates it for b < a.  Exact coefficients make
-    equal fields equal by value, and a J-image or bracket of fields equal to
-    ones already seen is not built again.  What one check reads once is not
-    kept.
+    ``eta_product``, ``metric``, ``bracket`` and ``j_bracket``.  ``bracket``
+    computes a Lie bracket only for a < b and negates it for b < a.  Exact
+    coefficients make equal fields equal by value, and a J-image or bracket
+    of fields equal to ones already seen is not built again.  What one check
+    reads once is not kept.
     """
 
     name: str
@@ -287,11 +287,17 @@ class FrameFieldSet:
         """``deta_pair[i, j]`` = deta(e_{i+1}, e_{j+1})."""
         return _LazyTable(lambda i, j: dot(self.fields[i].components, self.deta_slot[j]), 5)
 
+    @cached_property
+    def eta_product(self) -> _LazyTable:
+        """``eta_product[a, b]`` = eta(span[a]) eta(span[b]) for a, b < 10,
+        built for a <= b only."""
+        eta = self.eta_span
+        return _LazyTable(lambda a, b: eta[a] * eta[b] if a <= b else self.eta_product[b, a], 10)
+
     def webster(self, a: int, b: int) -> PolyExpr:
         """g(span[a], span[b]) for a, b < 10, with the Webster metric
         g(X, Y) = deta(X, JY) + eta(X) eta(Y)."""
-        eta = self.eta_span
-        return dot(self.span[a].components, self.deta_slot[b + 5]) + eta[a] * eta[b]
+        return dot(self.span[a].components, self.deta_slot[b + 5]) + self.eta_product[a, b]
 
     @cached_property
     def metric(self) -> _LazyTable:
@@ -442,7 +448,7 @@ def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
         "contact_volume_min": float(np.min(np.abs(evaluate_all([frame.contact_volume], points)))),
         "frame_orthonormality": _max_eval([g[i, j] - delta[i][j] for i, j in pairs], points),
         "metric_J_invariance": _max_eval(
-            [frame.webster(5 + i, 5 + j) - g[i, j] + eta_of[i] * eta_of[j] for i, j in pairs],
+            [frame.webster(5 + i, 5 + j) - g[i, j] + frame.eta_product[i, j] for i, j in pairs],
             points,
         ),
         "metric_deta_compatibility": _max_eval(
@@ -467,10 +473,9 @@ def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
 def _nijenhuis_contact(frame: FrameFieldSet, j: int, l: int) -> VectorFieldPoly:
     """N(Y, Z) = J^2 [Y,Z] + [JY, JZ] - J[Y, JZ] - J[JY, Z] + deta(Y, Z) Reeb
     for Y = e_{j+1}, Z = e_{l+1}."""
-    out = frame._j(frame.j_bracket[j, l])
-    out = out + frame.bracket[j + 5, l + 5]
-    out = out - frame._j(frame.bracket[j, l + 5])
-    out = out - frame._j(frame.bracket[j + 5, l])
+    out = frame._j(frame.j_bracket[j, l]) + frame.bracket[j + 5, l + 5]
+    # J[JY, Z] + J[Y, JZ] as the one J-image of the field cr_check maps.
+    out = out - frame._j(frame.bracket[j + 5, l] + frame.bracket[j, l + 5])
     return out + frame.reeb.scale(frame.deta_pair[j, l])
 
 
@@ -554,17 +559,24 @@ def tw_axiom_check(
     # (d) nabla J against the integrability defect
     jf = J_FRAME
     d_exprs = []
-    # (1/2) deta(e_k, N_h) for the horizontal part N_h of N(e_j, e_l), by
-    # (j, l): N is antisymmetric, so it is built for j < l only, and
-    # N(e_j, e_j) = 0.  A vanishing N has every d residual equal to its
-    # left-hand side.
+    # (1/2) deta(e_k, N_h) for the horizontal part N_h = N - eta(N) Reeb of
+    # N = N(e_j, e_l), by (j, l): N is antisymmetric, so it is built for
+    # j < l only, and N(e_j, e_j) = 0.  A vanishing N has every d residual
+    # equal to its left-hand side.  deta(e_k, N_h) is
+    # -(deta(N, e_k) + eta(N) deta(e_k, Reeb)), so eta(N) is built only
+    # where some deta(e_k, Reeb) is nonzero.
+    deta_reeb = [frame.deta_pair[k, 4] for k in range(5)]
+    reeb_live = any(not d.is_zero() for d in deta_reeb)
     n_deta = {}
     for j in range(5):
         for l in range(j + 1, 5):
             n = _nijenhuis_contact(frame, j, l)
             if not _is_zero_field(n):
-                w = frame.deta.contract(n - frame.reeb.scale(frame.eta.pair_vector(n)))
-                half = [dot(f.components, w) * 0.5 for f in frame.fields]
+                eta_n = frame.eta.pair_vector(n) if reeb_live else ZERO
+                half = [
+                    dot(n.components + (eta_n,), frame.deta_slot[k] + (deta_reeb[k],)) * -0.5
+                    for k in range(5)
+                ]
                 n_deta[j, l] = half
                 n_deta[l, j] = [-h for h in half]
     # coef[k, j][m] = sum_p J_pj gamma[k][p][m] - gamma[k][j][p] J_mp, from

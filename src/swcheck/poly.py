@@ -50,6 +50,7 @@ MAX_DEGREE = (1 << _W) - 1
 # Shifts of the exponent fields (x1 highest) and of the degree field; _UNITS[v]
 # is the packed monomial x_v.
 _SHIFTS = tuple(_W * (NVARS - 1 - v) for v in range(NVARS))
+_SHIFT_ROW = np.array(_SHIFTS)
 _DEG_SHIFT = _W * NVARS
 _UNITS = tuple(1 << _DEG_SHIFT | 1 << s for s in _SHIFTS)
 #: Most decimal places of a numeric literal, so that its denominator stays small.
@@ -89,7 +90,10 @@ class PolyExpr:
     @property
     def terms(self) -> tuple[tuple[_Exponents, complex], ...]:
         d = self.den
-        return tuple((_unpack(m), complex(_ratio(a, d), _ratio(b, d))) for m, a, b in self.packed)
+        return tuple(
+            (tuple(e), complex(_ratio(a, d), _ratio(b, d)))
+            for e, (_, a, b) in zip(_exponent_rows(self.packed).tolist(), self.packed)
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -113,11 +117,7 @@ class PolyExpr:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "PolyExpr":
-        other = as_poly(other)
-        if not (self.packed and other.packed):
-            return self if other.is_zero() else other
-        den = math.lcm(self.den, other.den)
-        return _sum([(p.packed, den // p.den) for p in (self, other)], den)
+        return _add(self, as_poly(other), 1)
 
     __radd__ = __add__
 
@@ -125,7 +125,7 @@ class PolyExpr:
         return PolyExpr(tuple((m, -a, -b) for m, a, b in self.packed), self.den)
 
     def __sub__(self, other) -> "PolyExpr":
-        return self + (-as_poly(other))
+        return _add(self, as_poly(other), -1)
 
     def __mul__(self, other) -> "PolyExpr":
         return dot((self,), (as_poly(other),))
@@ -164,11 +164,9 @@ class PolyExpr:
         if not self.packed:
             return "0"
         chunks: list[str] = []
-        for m, a, b in self.packed:
+        for e, (_, a, b) in zip(_exponent_rows(self.packed).tolist(), self.packed):
             mono = "*".join(
-                f"{VARIABLES[i]}^{n}" if n > 1 else VARIABLES[i]
-                for i, n in enumerate(_unpack(m))
-                if n
+                f"{VARIABLES[i]}^{n}" if n > 1 else VARIABLES[i] for i, n in enumerate(e) if n
             )
             body, negate = _format_coeff(a, b, self.den, bool(mono))
             piece = f"{body}*{mono}" if body and mono else (body or mono or "1")
@@ -278,12 +276,15 @@ def evaluate_all(polys, points) -> np.ndarray:
     live = [i for i, p in enumerate(polys) if p.packed]
     if live:
         nonzero = [polys[i] for i in live]
-        exps = np.array([_unpack(m) for p in nonzero for m, _, _ in p.packed])
-        re_ = [_ratio(a, p.den) for p in nonzero for _, a, _ in p.packed]
-        im = [_ratio(b, p.den) for p in nonzero for _, _, b in p.packed]
+        packed = [t for p in nonzero for t in p.packed]
+        exps = _exponent_rows(packed)
+        coeffs = [_ratio(a, p.den) for p in nonzero for _, a, _ in p.packed]
         # One row per real part, then one per imaginary part if any is nonzero.
-        parts = [out.real] + ([out.imag] if any(im) else [])
-        coeffs = np.array((re_, im)[: len(parts)]).reshape(-1)
+        parts = [out.real]
+        if any(map(_IM, packed)):
+            parts.append(out.imag)
+            coeffs += [_ratio(b, p.den) for p in nonzero for _, _, b in p.packed]
+        coeffs = np.array(coeffs)
         starts = np.cumsum([0] + [len(p.packed) for p in nonzero] * len(parts))[:-1]
         exps = np.tile(exps, (len(parts), 1))
         step = max(1, BLOCK_ELEMENTS // max(len(exps), NVARS * (int(exps.max()) + 1)))
@@ -348,6 +349,16 @@ def _reduced(terms: list[tuple[int, int, int]], den: int) -> PolyExpr:
     return PolyExpr(tuple(terms), den // g)
 
 
+def _add(p: PolyExpr, q: PolyExpr, sign: int) -> PolyExpr:
+    """p + q for ``sign`` 1, p - q for -1."""
+    if not q.packed:
+        return p
+    if not p.packed:
+        return q if sign > 0 else -q
+    den = math.lcm(p.den, q.den)
+    return _sum([(p.packed, den // p.den), (q.packed, sign * (den // q.den))], den)
+
+
 def _sum(parts, den: int) -> PolyExpr:
     """Sum over the (terms, f) of ``parts`` of every (monomial, re, im) term
     times the int f, over ``den``."""
@@ -378,9 +389,11 @@ def _pack(e) -> int:
     return sum(e) << _DEG_SHIFT | sum(n << s for n, s in zip(e, _SHIFTS))
 
 
-@lru_cache(maxsize=None)
-def _unpack(m: int) -> _Exponents:
-    return tuple(m >> s & MAX_DEGREE for s in _SHIFTS)
+def _exponent_rows(terms) -> np.ndarray:
+    """Exponent rows (n1, ..., n5) of the packed monomials of (monomial, re,
+    im) terms, shape ``(len(terms), 5)``."""
+    monomials = np.array([m for m, _, _ in terms], dtype=np.int64).reshape(-1, 1)
+    return monomials >> _SHIFT_ROW & MAX_DEGREE
 
 
 def _decimal(n: int, den: int) -> str:

@@ -99,13 +99,6 @@ class TestSuitesPass:
         assert rep["F_A_plus"] == "i*deta"
         assert rep["sigma_h_psi"] == "-4i*deta"
 
-    def test_curvature_full_scale_invocation(self, capsys):
-        code, rep = _run(["curvature", "--samples", "10000", "--seed", "7"], capsys)
-        assert code == EXIT_PASS
-        by_name = {c["name"]: c for c in rep["checks"]}
-        assert by_name["rho_plus_is_minus_quarter_s_deta"]["residual"] <= 1e-12
-        assert by_name["bianchi_correction_vanishes"]["residual"] <= 1e-12
-
 
 class TestSolutionScale:
     """The two `solution` rows that square the amplitude sqrt(-s) are measured

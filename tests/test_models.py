@@ -238,9 +238,9 @@ class TestSharedTables:
         with pytest.raises(ValueError, match="2-form"):
             frame.eta.contract(frame.reeb)
 
-    def test_symbolic_calls_of_one_model_run(self, monkeypatch):
-        # Each bracket is built once per unordered pair of fields, by value, and
-        # each N(e_j, e_l) once per unordered pair.
+    @staticmethod
+    def _symbolic_calls(monkeypatch, *options) -> tuple[int, Counter]:
+        """Exit code and symbolic calls of one ``model`` run on sheared_chart_3."""
         counts = Counter()
 
         def recording(name, f):
@@ -255,11 +255,29 @@ class TestSharedTables:
             models, "_nijenhuis_contact", recording("nijenhuis", models._nijenhuis_contact)
         )
         monkeypatch.setattr(VectorFieldPoly, "apply", recording("apply", VectorFieldPoly.apply))
+        monkeypatch.setattr(FrameFieldSet, "j_apply", recording("j_apply", FrameFieldSet.j_apply))
         argv = ["model", "--model", str(SHEARED_CHART_3), "--samples", "50", "--seed", "7"]
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.run(argv)
-        assert code == 0
-        assert counts == {"lie_bracket": 23, "apply": 330, "nijenhuis": 10}
+            code = cli.run(argv + list(options))
+        return code, counts
+
+    def test_symbolic_calls_of_one_model_run(self, monkeypatch):
+        # Each bracket is built once per unordered pair of fields, by value, and
+        # each N(e_j, e_l) once per unordered pair.
+        assert self._symbolic_calls(monkeypatch) == (
+            0,
+            {"lie_bracket": 23, "apply": 330, "nijenhuis": 10, "j_apply": 8},
+        )
+
+    def test_symbolic_calls_of_one_failing_model_run(self, monkeypatch):
+        # With J perturbed, fields no longer coincide by value.  Each
+        # N(e_j, e_l) maps [JY, Z] + [Y, JZ] with one J-image; for the 6
+        # horizontal pairs that is the field cr_check maps, so cr_check
+        # builds no J-image of its own.
+        assert self._symbolic_calls(monkeypatch, "--perturb", "1e-3") == (
+            1,
+            {"lie_bracket": 32, "apply": 420, "nijenhuis": 10, "j_apply": 16},
+        )
 
 
 class TestContactCheck:
@@ -394,6 +412,82 @@ class TestDecimalChart:
         ):
             report.pop("contact_volume_min", None)
             assert max(report.values()) > 1e-12, report
+
+
+class TestLiveFamilies:
+    """On a failing chart, the residual families that share their dense terms
+    are, polynomial for polynomial, their definitions written out."""
+
+    @staticmethod
+    def _families(bundle, monkeypatch) -> dict[str, list[PolyExpr]]:
+        """The polynomials contact_check and tw_axiom_check pass to
+        models._max_eval, by report key."""
+        calls = []
+        max_eval = models._max_eval
+
+        def record(exprs, points):
+            calls.append(list(exprs))
+            return max_eval(exprs, points)
+
+        monkeypatch.setattr(models, "_max_eval", record)
+        points = sample_points(5, seed=0)
+        names = [
+            *contact_check(bundle.frame, points),
+            *tw_axiom_check(bundle.frame, bundle.connection, points),
+        ]
+        names.remove("contact_volume_min")  # evaluated without _max_eval
+        return dict(zip(names, calls, strict=True))
+
+    @pytest.mark.parametrize("chart", ["sheared_chart_3", "tilted_reeb"])
+    def test_families_equal_their_definitions(self, chart, model_to_dict, monkeypatch):
+        if chart == "tilted_reeb":
+            # The Heisenberg chart with Reeb field d/dt + 0.3*x1 d/dx2, where
+            # deta(e4, Reeb) = -0.3*x1.
+            data = model_to_dict(heisenberg5())
+            data["xi"] = [0, 0, "0.3*x1", 0, 1]
+            data["J"][0][2] = "0.001*y2"
+        else:
+            data = json.loads(SHEARED_CHART_3.read_text())
+            data["J"][0][2] = "1e-3*y2"
+        bundle = load_model(data)
+        families = self._families(bundle, monkeypatch)
+        frame = bundle.frame
+        jay, e = frame.j_apply, frame.fields
+
+        def eta(x):
+            return frame.eta.pair_vector(x)
+
+        def deta(x, y):
+            return _pair_two_by_minors(frame.deta, x, y)
+
+        def webster(x, y):
+            return deta(x, jay(y)) + eta(x) * eta(y)
+
+        def nijenhuis(y, z):
+            n = jay(jay(lie_bracket(y, z))) + lie_bracket(jay(y), jay(z))
+            n = n - jay(lie_bracket(y, jay(z))) - jay(lie_bracket(jay(y), z))
+            return n + frame.reeb.scale(deta(y, z))
+
+        pairs = [(i, j) for i in range(5) for j in range(5)]
+        j_invariance = [
+            webster(jay(e[i]), jay(e[j])) - webster(e[i], e[j]) + eta(e[i]) * eta(e[j])
+            for i, j in pairs
+        ]
+        assert families["metric_J_invariance"] == j_invariance
+        assert any(not p.is_zero() for p in j_invariance)
+        # The connection is flat, so each (d) residual is -(1/2) deta(e_k, N_h)
+        # for N_h = N - eta(N) Reeb.  The part eta(N) deta(e_k, Reeb) is
+        # nonzero only on the tilted chart.
+        n = {(j, l): nijenhuis(e[j], e[l]) for j, l in pairs}
+        reeb_part = [eta(n[p]) * deta(x, frame.reeb) for p in pairs for x in e]
+        assert any(not r.is_zero() for r in reeb_part) == (chart == "tilted_reeb")
+        axiom_d = [
+            deta(e[k], n[j, l] - frame.reeb.scale(eta(n[j, l]))) * -0.5
+            for k in range(5)
+            for j, l in pairs
+        ]
+        assert families["axiom_d_parallel_J"] == axiom_d
+        assert any(not p.is_zero() for p in axiom_d)
 
 
 class TestTanakaWebsterAxioms:
