@@ -80,8 +80,10 @@ class UsageError(Exception):
 
 
 def _unwritable_directory(path: str) -> str | None:
-    """Why no file can be written at ``path``: it is a directory, or its directory
-    is missing or not writable; or None.  Creates and truncates nothing."""
+    """Why no file can be written at ``path``: it is empty or a directory, or its
+    directory is missing or not writable; or None.  Creates and truncates nothing."""
+    if not path:
+        return os.strerror(errno.ENOENT)
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
     directory = os.path.dirname(os.path.abspath(path))
@@ -545,7 +547,7 @@ def run(argv=None) -> int:
         if base.command == "dirac" and base.model != "heisenberg":
             raise UsageError("--model: the dirac suite runs on the Heisenberg chart only")
         # Checked again when the report is written: the directory may change meanwhile.
-        if base.output and (reason := _unwritable_directory(base.output)):
+        if base.output is not None and (reason := _unwritable_directory(base.output)):
             raise UsageError(f"--output: {reason}: {base.output}")
         ns = _suite_ns(base.command, base)
         start = time.perf_counter()
@@ -556,7 +558,7 @@ def run(argv=None) -> int:
     report["wall_time_s"] = time.perf_counter() - start
 
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-    if ns.output:
+    if ns.output is not None:
         try:
             with open(ns.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

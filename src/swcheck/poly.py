@@ -6,17 +6,18 @@ This module provides the canonical-form polynomial type, exact
 differentiation, and the small expression grammar used by model definition
 files:
 
-    expr  := [sign] term (("+" | "-") term)*
-    term  := factor ("*" factor)*
-    factor:= number | number "i" | "i" | "(" complex-literal ")"
-           | variable ["^" integer]
+    expr   := [sign] term (("+" | "-") term)*
+    term   := factor ("*" factor)*
+    factor := number ["i"] | "i" | variable ["^" number]
+            | "(" [sign] (number ["i"] | "i") [sign [number] "i"] ")"
 
-Numbers are decimal (scientific notation accepted); a complex literal inside
-parentheses looks like "(1+2i)".  Whitespace is ignored.  Parsing errors
-report the offset in the source string; a literal beyond the float range
+Numbers are decimal (scientific notation accepted); an exponent is an
+integral one.  Factors come in any order ("2*x1*3i"); whitespace may
+separate tokens, and "2i" is one token ("2 i" is not "2i").  An error reports
+the offset of the first token that cannot continue the expression, or of
+the "(" of a malformed complex literal; a literal beyond the float range
 (``1e400``) or with more than ``MAX_PLACES`` = 4300 decimal places
-(``1e-5000``) is one.  Total degrees are at most ``MAX_DEGREE`` = 255,
-for the packed monomials of :class:`PolyExpr`.
+(``1e-5000``) is one.  Total degrees are at most ``MAX_DEGREE`` = 255.
 
 Coefficients are exact Gaussian rationals.  A decimal literal is n / 10^k
 and a float or complex number its binary value (``float.as_integer_ratio``).
@@ -35,7 +36,6 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -422,30 +422,45 @@ def _format_coeff(a: int, b: int, den: int, has_mono: bool) -> tuple[str, bool]:
     return f"({_decimal(a, den)}{'+' if b > 0 else '-'}{_decimal(abs(b), den)}i)", False
 
 
-# -- tokenizer and parser ------------------------------------------------------
+# -- parser --------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(
-    r"(?:(?P<whole>\d+)\.?(?P<frac>\d*)|\.(?P<tail>\d+))(?:[eE](?P<exp>[+-]?\d+))?"
+# A decimal literal, written so that each text splits into its parts one way
+# only: a failing match then backtracks in linear time, not quadratic.
+_NUMBER = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_SIGN = re.compile(r"\s*([+-]?)")
+# One factor and the separator after it.  Exactly one of the groups number,
+# name, first and missing matches; of these only missing is ever empty, and
+# power is empty when no number follows the "^".
+_FACTOR = re.compile(
+    rf"""
+    \s* (?:
+        (?P<number> {_NUMBER} i? | i (?![A-Za-z0-9]) )      # 2.5e-1, 2i or i
+      | (?P<name> [A-Za-z][A-Za-z0-9]* )                    # a variable, with an
+        (?: \s* \^ \s* (?P<power> {_NUMBER} | ) )?           #   optional exponent
+      | \( \s* (?: (?P<sign> [+-] ) \s* )?                  # (a), (bi), (i),
+        (?P<first> {_NUMBER} i? | i ) \s*                   #   (a+bi) or (a-bi)
+        (?: (?P<imag_sign> [+-] ) \s* (?P<imag> (?:{_NUMBER})? i ) \s* )? \)
+      | (?P<missing> )                                      # none: an error here
+    )
+    \s* (?P<sep> [-+*] )?
+    """,
+    re.VERBOSE,
 )
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-
-# An exact Gaussian rational (re, im, den), as the parser carries coefficients.
-_Coeff = tuple[int, int, int]
 
 
-def _literal(m: re.Match) -> tuple[int, int]:
-    """(numerator, denominator) of a matched decimal literal, exactly."""
-    text, pos = m.group(), m.start()
+def _literal(text: str, pos: int) -> tuple[int, int]:
+    """(numerator, denominator) of the decimal literal ``text`` at ``pos``, exactly."""
     if math.isinf(float(text)):
-        raise PolySyntaxError(f"numeric literal {text!r} overflows", pos)
-    frac = m.group("frac") or m.group("tail") or ""
-    digits = (m.group("whole") or "") + frac
+        raise PolySyntaxError(f"numeric literal {text[:40]!r} overflows", pos)
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = whole + frac
     # Trailing zeros move into the exponent: 1.000 is 1, not 1000 / 10^3.
     sig = digits.rstrip("0")
     if not sig.lstrip("0"):  # zero, whatever its exponent
         return 0, 1
     try:  # int() refuses more digits than sys.get_int_max_str_digits()
-        exp = int(m.group("exp") or 0) + len(digits) - len(sig) - len(frac)
+        exp = int(exp or 0) + len(digits) - len(sig) - len(frac)
         num = int(sig.lstrip("0"))
     except ValueError:
         raise PolySyntaxError(f"numeric literal {text[:40]!r} has too many digits", pos) from None
@@ -456,136 +471,70 @@ def _literal(m: re.Match) -> tuple[int, int]:
     return (num * 10**exp, 1) if exp >= 0 else (num, 10**-exp)
 
 
-def _times(x: _Coeff, y: _Coeff) -> _Coeff:
+def _number(text: str, pos: int) -> tuple[int, int, int]:
+    """(re, im, den) of a literal "a", "bi" or "i" at ``pos``, exactly."""
+    literal = text.removesuffix("i")
+    num, den = _literal(literal, pos) if literal else (1, 1)
+    return (num, 0, den) if literal == text else (0, num, den)
+
+
+def _times(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
     a, b, d = x
     c, e, f = y
     return a * c - b * e, a * e + b * c, d * f
 
 
-def _tokens(src: str) -> Iterator[tuple[str, object, int]]:
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            yield ch, ch, i
-            i += 1
-            continue
-        m = _NUMBER_RE.match(src, i)
-        if m:
-            num, den = _literal(m)
-            i = m.end()
-            if i < n and src[i] == "i":
-                yield "imag", (0, num, den), m.start()
-                i += 1
-            else:
-                yield "number", (num, 0, den), m.start()
-            continue
-        m = _NAME_RE.match(src, i)
-        if m:
-            name = m.group()
-            if name == "i":
-                yield "imag", (0, 1, 1), m.start()
-            elif name in VARIABLES:
-                yield "name", name, m.start()
-            else:
-                raise PolySyntaxError(f"unknown variable {name!r}", m.start())
-            i = m.end()
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", i)
-    yield "end", None, n
+def parse_poly(src: str) -> PolyExpr:
+    """Parse a polynomial expression into canonical form.
 
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.toks = list(_tokens(src))
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def take(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.take()
-        if tok[0] != kind:
-            raise PolySyntaxError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        return tok
-
-    def parse(self) -> PolyExpr:
-        result = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise PolySyntaxError(f"unexpected token {tok[0]!r}", tok[2])
-        return result
-
-    def sign(self) -> int:
-        """-1 after a "-", else 1; a "+" or "-" is taken."""
-        if self.peek()[0] in "+-":
-            return -1 if self.take()[0] == "-" else 1
-        return 1
-
-    def expr(self) -> PolyExpr:
-        # Each term is one (monomial, coefficient) pair; the sum is one dict
-        # over the common denominator, canonicalised once.
-        terms = [self.term(self.sign())]
-        while self.peek()[0] in "+-":
-            terms.append(self.term(self.sign()))
-        den = math.lcm(*[d for _, (_, _, d) in terms])
-        return _sum([(((m, a, b),), den // d) for m, (a, b, d) in terms], den)
-
-    def term(self, sign: int) -> tuple[int, _Coeff]:
-        mono, coeff = self.factor(0, (sign, 0, 1))
-        while self.peek()[0] == "*":
-            self.take()
-            mono, coeff = self.factor(mono, coeff)
-        return mono, coeff
-
-    def factor(self, mono: int, coeff: _Coeff) -> tuple[int, _Coeff]:
-        """The term so far, (packed monomial, coefficient), times the next factor."""
-        kind, value, pos = self.take()
-        if kind in ("number", "imag"):
-            return mono, _times(coeff, value)
-        if kind == "(":
-            return mono, _times(coeff, self._complex_literal())
-        if kind == "name":
+    Each pass of the loop matches one factor and the separator after it: a
+    "*" multiplies the next factor into the term, a "+" or "-" starts a new
+    term of that sign.  An error is reported at the first token that cannot
+    continue the expression.
+    """
+    m = _SIGN.match(src)
+    sep, pos = m[1], m.end()
+    # (monomial, re, im, den) of each term, summed over one denominator at the end.
+    terms = []
+    while sep is not None:
+        m = _FACTOR.match(src, pos)
+        if sep != "*":
+            mono, coeff = 0, (-1 if sep == "-" else 1, 0, 1)
+        if m["number"]:
+            coeff = _times(coeff, _number(m["number"], m.start("number")))
+        elif name := m["name"]:
+            if name not in VARIABLES:
+                raise PolySyntaxError(f"unknown variable {name!r}", m.start("name"))
             power = 1
-            if self.peek()[0] == "^":
-                self.take()
-                ekind, evalue, epos = self.take()
-                num, _, den = evalue if ekind == "number" else (1, 0, 2)
+            if m["power"] is not None:
+                # An empty power is not an integer.
+                num, den = _literal(m["power"], m.start("power")) if m["power"] else (1, 2)
                 if num % den or not 0 <= num // den <= MAX_DEGREE:
-                    raise PolySyntaxError(f"exponent must be an integer in 0..{MAX_DEGREE}", epos)
+                    raise PolySyntaxError(
+                        f"exponent must be an integer in 0..{MAX_DEGREE}", m.start("power")
+                    )
                 power = num // den
             if (mono >> _DEG_SHIFT) + power > MAX_DEGREE:
-                raise PolySyntaxError(f"a product of degree above {MAX_DEGREE}", pos)
-            return mono + power * _UNITS[VARIABLES.index(value)], coeff
-        raise PolySyntaxError(f"unexpected token {kind!r}", pos)
-
-    def _complex_literal(self) -> _Coeff:
-        """Literal of the shape (a), (bi), (a+bi) or (a-bi)."""
-        sign = self.sign()
-        kind, value, pos = self.take()
-        if kind not in ("number", "imag"):
-            raise PolySyntaxError("expected a numeric literal in parentheses", pos)
-        a, b, d = _times((sign, 0, 1), value)
-        if self.peek()[0] in "+-":
-            sign = self.sign()
-            kind, value, pos = self.take()
-            if kind != "imag":
-                raise PolySyntaxError("expected an imaginary part", pos)
-            _, e, f = value
-            a, b, d = a * f, b * f + sign * e * d, d * f
-        self.expect(")")
-        return a, b, d
-
-
-def parse_poly(src: str) -> PolyExpr:
-    """Parse a polynomial expression into canonical form."""
-    return _Parser(src).parse()
+                raise PolySyntaxError(f"a product of degree above {MAX_DEGREE}", m.start("name"))
+            mono += power * _UNITS[VARIABLES.index(name)]
+        elif m["first"]:
+            a, b, d = _number(m["first"], m.start("first"))
+            if m["sign"] == "-":
+                a, b = -a, -b
+            if m["imag"]:
+                _, e, f = _number(m["imag"], m.start("imag"))
+                e = -e if m["imag_sign"] == "-" else e
+                a, b, d = a * f, b * f + e * d, d * f
+            coeff = _times(coeff, (a, b, d))
+        else:
+            raise PolySyntaxError(
+                "expected a number, a variable or a complex literal such as (1+2i)",
+                m.start("missing"),
+            )
+        sep, pos = m["sep"], m.end()
+        if sep != "*":
+            terms.append((mono, *coeff))
+    if pos < len(src):
+        raise PolySyntaxError("expected '+', '-', '*' or the end", pos)
+    den = math.lcm(*[d for *_, d in terms])
+    return _sum([(((mono, a, b),), den // d) for mono, a, b, d in terms], den)

@@ -362,6 +362,13 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"swcheck: error: --output: {reason}: {path}\n"
         assert list(tmp_path.rglob("*")) == ([path] if case == "directory" else [])
 
+    @pytest.mark.parametrize("argv", [["--output", ""], ["--output="]])
+    def test_empty_output_path_is_usage_error(self, no_suite_runs, argv, capsys):
+        # An empty path names no file; it is not a request for stdout.
+        assert run(["solution", *argv]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "swcheck: error: --output: No such file or directory: \n"
+
     def test_output_file_untouched_by_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "r.json"
         path.write_text("kept")

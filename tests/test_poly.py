@@ -4,14 +4,16 @@ import functools
 import math
 import operator
 import random
+import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from swcheck import poly
-from swcheck.models import VectorFieldPoly
+from swcheck.models import ModelFormatError, VectorFieldPoly, load_model
 from swcheck.poly import (
     ONE,
     PolyExpr,
@@ -71,6 +73,10 @@ class TestParsing:
         with pytest.raises(PolySyntaxError, match="overflows") as err:
             parse_poly("x1 + 1e400*t")
         assert err.value.position == 5
+        # The message quotes at most 40 characters of a long literal.
+        with pytest.raises(PolySyntaxError, match="overflows") as err:
+            parse_poly("9" * 10**5)
+        assert len(str(err.value)) < 100
 
     def test_literals_are_exact_decimals(self):
         assert parse_poly("0.1") * 3 == parse_poly("0.3")
@@ -109,6 +115,185 @@ class TestParsing:
     def test_fractional_exponent_rejected(self):
         with pytest.raises(PolySyntaxError):
             parse_poly("x1^1.5")
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "(" + " " * 10**5,
+            "(" + "1" * 50_000 + "+" + "2" * 50_000,
+            "(-" + "1." * 50_000,
+            "x1" + " *" * 10**5,
+        ],
+        ids=["spaces", "digits", "points", "stars"],
+    )
+    def test_rejection_takes_linear_time(self, src):
+        # A pattern that can split one text two ways backtracks quadratically:
+        # minutes for these.
+        start = time.perf_counter()
+        with pytest.raises(PolySyntaxError):
+            parse_poly(src)
+        assert time.perf_counter() - start < 2
+
+
+# Inputs at the edges of the grammar.  An accepted one maps to its exact value,
+# {exponents: coefficient}, every coefficient a binary fraction; a rejected one
+# to the offset of the first token that cannot continue the expression, or of
+# the "(" of a malformed complex literal.
+_NEAR_MISSES = [
+    ("2*x1*3i", {(1, 0, 0, 0, 0): 6j}),
+    ("x1 ^ 2", {(2, 0, 0, 0, 0): 1}),
+    ("( -2.5e-1 - i )", {(0, 0, 0, 0, 0): -0.25 - 1j}),
+    ("(i)", {(0, 0, 0, 0, 0): 1j}),
+    ("(-i)", {(0, 0, 0, 0, 0): -1j}),
+    ("(1-i)", {(0, 0, 0, 0, 0): 1 - 1j}),
+    ("5.", {(0, 0, 0, 0, 0): 5}),
+    (".5", {(0, 0, 0, 0, 0): 0.5}),
+    ("0e999999999", {}),
+    ("x1^0e9", {(0, 0, 0, 0, 0): 1}),
+    ("x1^2.0", {(2, 0, 0, 0, 0): 1}),
+    ("-(2i)*t", {(0, 0, 0, 0, 1): -2j}),
+    ("(1+2)", 0),
+    ("(1 + 2 i)", 0),
+    ("2 i", 2),
+    ("2x1", 1),
+    ("(1+2i", 0),
+    ("((1))", 0),
+    ("x1**2", 3),
+    ("x1^-1", 3),
+    ("x1^", 3),
+    ("x1^2^3", 4),
+    ("i^2", 1),
+    ("1e", 1),
+    ("x1 x2 + z3", 3),
+    ("x1 - - t", 5),
+    ("", 0),
+    ("+", 1),
+    ("x1 +", 4),
+]
+
+
+class TestNearMisses:
+    @pytest.mark.parametrize("src, expected", _NEAR_MISSES)
+    def test_outcome(self, src, expected):
+        if isinstance(expected, dict):
+            assert parse_poly(src) == PolyExpr.from_dict(expected)
+        else:
+            with pytest.raises(PolySyntaxError) as err:
+                parse_poly(src)
+            assert err.value.position == expected
+
+    @pytest.mark.parametrize("src", ["x1^-1", "x1^"])
+    def test_exponent_without_a_number(self, src):
+        with pytest.raises(PolySyntaxError, match=r"exponent must be an integer in 0\.\.255"):
+            parse_poly(src)
+
+    def test_imaginary_unit_takes_no_exponent(self):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly("i^2")
+        assert "unknown variable" not in str(err.value)
+
+
+# A literal of at least this magnitude, halfway between the largest float and
+# 2^1024, rounds to inf.
+_FLOAT_LIMIT = 2**1024 - 2**970
+
+
+@st.composite
+def _decimal_literals(draw):
+    """Leading zeros, up to 25 digits and trailing zeros, with or without a
+    point among them, and an exponent in [-400, 300] or none.  The zeros, the
+    point and the exponent are drawn near the ends of their ranges as often as
+    anywhere, so that literals past MAX_PLACES or the float range are common.
+    Past 4300 digits Fraction(text) would refuse the text, as int() does."""
+    digits = (
+        "0" * draw(st.integers(0, 3) | st.integers(3900, 4240))
+        + draw(st.text("0123456789", min_size=1, max_size=25))
+        + "0" * draw(st.integers(0, 30))
+    )
+    point = draw(st.none() | st.integers(0, 1) | st.integers(0, len(digits)))
+    text = digits if point is None else f"{digits[:point]}.{digits[point:]}"
+    exp = draw(st.none() | st.integers(-400, -380) | st.integers(-400, 300) | st.integers(280, 300))
+    if exp is not None:
+        text += draw(st.sampled_from(["e", "E", "e+"] if exp >= 0 else ["e", "E"])) + str(exp)
+    return text
+
+
+def _rejection(text: str) -> str | None:
+    """Why the literal ``text`` is rejected, or None."""
+    value = Fraction(text)
+    if abs(value) >= _FLOAT_LIMIT:
+        return "overflows"
+    # n / 10^k in lowest terms has a denominator dividing 10^k.
+    if 10**poly.MAX_PLACES % value.denominator:
+        return "decimal places"
+    return None
+
+
+@given(
+    _decimal_literals(),
+    _decimal_literals(),
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from("+-"),
+    st.sampled_from(["real", "imaginary", "complex"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_literals_are_exact_or_rejected_at_their_offset(a, b, sign, imag_sign, shape):
+    # Each literal is compared with Fraction(text), in "t*a", "t*ai" or
+    # "t*(±a±bi)".
+    if shape == "complex":
+        src = f"t*({sign}{a}{imag_sign}{b}i)"
+        literals = [(a, 3 + len(sign)), (b, 4 + len(sign) + len(a))]
+        s = -1 if sign == "-" else 1
+        expected = (s * Fraction(a), (1 if imag_sign == "+" else -1) * Fraction(b))
+    else:
+        src = f"t*{a}" + ("i" if shape == "imaginary" else "")
+        literals = [(a, 2)]
+        expected = (Fraction(a), 0) if shape == "real" else (0, Fraction(a))
+    failures = [(pos, why) for text, pos in literals if (why := _rejection(text))]
+    if failures:
+        pos, why = failures[0]
+        with pytest.raises(PolySyntaxError, match=why) as err:
+            parse_poly(src)
+        assert err.value.position == pos
+        return
+    p = parse_poly(src)
+    ((_, re_, im),) = p.packed or ((0, 0, 0),)
+    assert (Fraction(re_, p.den), Fraction(im, p.den)) == expected
+
+
+@st.composite
+def _token_lists(draw):
+    """The tokens of a valid expression, a complex literal being one token."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    tokens = [sign] if sign else []
+    for k in range(draw(st.integers(1, 5))):
+        if k:
+            tokens.append(draw(st.sampled_from("+-*")))
+        factor = draw(
+            st.sampled_from(["x1", "y2", "t", "2", "0.5", "2.5e-1", "3i", "i", "(1-2i)", "( -i )"])
+        )
+        power = factor in poly.VARIABLES and draw(st.booleans())
+        tokens += [factor, "^", "2"] if power else [factor]
+    return tokens
+
+
+@given(_token_lists(), st.sampled_from("#$z;"), st.data())
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_character_outside_the_grammar_is_reported_at_its_offset(
+    model_to_dict, tokens, bad, data
+):
+    k = data.draw(st.integers(0, len(tokens)))
+    src = " ".join(tokens[:k] + [bad] + tokens[k:])
+    offset = len(" ".join(tokens[:k] + [""]))
+    with pytest.raises(PolySyntaxError) as err:
+        parse_poly(src)
+    assert err.value.position == offset
+    model = model_to_dict(load_model("heisenberg"))
+    model["eta"][0] = src
+    with pytest.raises(ModelFormatError, match=rf"^eta\[0\]: .* at position {offset}$"):
+        load_model(model)
 
 
 class TestCanonicalForm:
