@@ -291,27 +291,29 @@ def _suite_model(ns) -> dict:
             frame.name, frame.fields, frame.eta, tuple(tuple(r) for r in jrows)
         )
     points = sample_points(ns.samples, ns.seed)
+    # The residual families by row name, in report order.
+    contact = models.contact_check(frame)
+    families = [(f"contact_{name}", contact[name]) for name in sorted(contact)]
+    families.append(("contact_volume", [frame.contact_volume]))
+    tw = models.tw_axiom_check(frame, bundle.connection)
+    cr = models.cr_check(frame)
+    families += [(f"tw_{name}", tw[name]) for name in sorted(tw)]
+    families += [(f"cr_{name}", cr[name]) for name in sorted(cr)]
     checks = []
     # An overflowing product gives inf or NaN, which then fails its check.
     with np.errstate(over="ignore", invalid="ignore"):
-        cc = models.contact_check(frame, points)
-        vol_min = cc.pop("contact_volume_min")
-        for name, residual in sorted(cc.items()):
-            checks.append(_check(f"contact_{name}", residual, 1e-12))
-        # Nondegeneracy: the contact volume stays above 1e-9; NaN fails.
-        checks.append(_check("contact_volume_nondegenerate", np.maximum(0.0, 1e-9 - vol_min), 0.0))
-        if ns.model == "heisenberg":
-            r = max_abs(evaluate_all([frame.contact_volume], points) - 2.0)
-            checks.append(_check("contact_volume_equals_2", r, 1e-12))
-
-        tw = models.tw_axiom_check(frame, bundle.connection, points)
-        for name, residual in sorted(tw.items()):
-            checks.append(_check(f"tw_{name}", residual, 1e-12))
-
-        cr = models.cr_check(frame, points)
-        for name, residual in sorted(cr.items()):
-            checks.append(_check(f"cr_{name}", residual, 1e-12))
-
+        for name, polys in families:
+            if name == "contact_volume":
+                # Nondegeneracy: the contact volume stays above 1e-9; NaN fails.
+                volume = evaluate_all(polys, points)
+                gap = np.maximum(0.0, 1e-9 - float(np.min(np.abs(volume))))
+                checks.append(_check("contact_volume_nondegenerate", gap, 0.0))
+                if ns.model == "heisenberg":
+                    checks.append(_check("contact_volume_equals_2", max_abs(volume - 2.0), 1e-12))
+                continue
+            # Zero polynomials would only add columns of zeros.
+            values = evaluate_all([p for p in polys if not p.is_zero()], points)
+            checks.append(_check(name, max_abs(values), 1e-12))
     return _report("model", ns, checks)
 
 

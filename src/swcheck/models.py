@@ -9,13 +9,13 @@ values at one point.
 
 All differential computations are exact: coefficient functions are
 :class:`~swcheck.poly.PolyExpr` polynomials with exact Gaussian-rational
-coefficients, Lie brackets and exterior derivatives are computed
-symbolically, and residual reports only evaluate the resulting polynomials,
-on the whole array of sample points at once
-(:func:`~swcheck.poly.evaluate_all`).  A model file's decimal literals are
+coefficients, and Lie brackets and exterior derivatives are computed
+symbolically.  The checks (``contact_check``, ``tw_axiom_check``,
+``cr_check``) evaluate nothing: each returns its residual families, lists of
+polynomials by row name, and the ``model`` suite of :mod:`swcheck.cli`
+measures them on the sample points.  A model file's decimal literals are
 read exactly, and a JSON number as its shortest decimal text (``repr``), so
-a residual identity that holds on the chart cancels to the zero polynomial,
-and a check built only of those evaluates nothing and reports exactly 0.0.
+a residual identity that holds on the chart cancels to the zero polynomial.
 What the model checks share
 (``deta``, the contact volume, the Webster metric of the frame, and the
 eta-values and Lie brackets of the frame fields and their J-images) is built
@@ -53,8 +53,6 @@ from .poly import (
     PolySyntaxError,
     as_poly,
     dot,
-    evaluate_all,
-    max_abs,
     parse_poly,
     uniform,
 )
@@ -415,22 +413,18 @@ def sample_points(n: int, seed: int) -> np.ndarray:
     return 2.0 * uniform(random.Random(seed), (n, 5)) - 1.0
 
 
-# -- residual machinery ---------------------------------------------------------
+# -- residual families --------------------------------------------------------------
 
 
-def _max_eval(exprs: list[PolyExpr], points) -> float:
-    # Zero polynomials would only add columns of zeros.
-    return max_abs(evaluate_all([e for e in exprs if not e.is_zero()], points))
+def contact_check(frame: FrameFieldSet) -> dict[str, list[PolyExpr]]:
+    """Residual families of the contact metric structure, each zero where
+    its identity holds.
 
-
-def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
-    """Pointwise residuals of the contact metric structure.
-
-    Reports the Reeb normalization, horizontality of the frame, the contact
-    volume (as a minimum, since the condition is nonvanishing), frame
-    orthonormality under the Webster metric, J-invariance and
-    deta-compatibility of the metric, consistency of J with the frame
-    (J e1 = e2, J e3 = e4, J Reeb = 0) and the identity J^2 = -Id + eta (x) Reeb.
+    The Reeb normalization, horizontality of the frame, frame orthonormality
+    under the Webster metric, J-invariance and deta-compatibility of the
+    metric, consistency of J with the frame (J e1 = e2, J e3 = e4,
+    J Reeb = 0) and the identity J^2 = -Id + eta (x) Reeb.  The contact
+    volume, an inequality, is ``frame.contact_volume``.
     """
     eta_of = frame.eta_span
     g = frame.metric
@@ -439,34 +433,25 @@ def contact_check(frame: FrameFieldSet, points) -> dict[str, float]:
     delta = [[ONE if i == j else ZERO for j in range(5)] for i in range(5)]
     xi_comps, eta_comps = frame.reeb.components, frame.eta.coeffs
     jmat = frame.jmat
-
-    # Each family of residual polynomials is evaluated as soon as it is built,
-    # so that one family at a time is held.
     return {
-        "reeb_normalization": _max_eval([eta_of[4] - ONE], points),
-        "eta_on_horizontal": _max_eval(eta_of[:4], points),
-        "contact_volume_min": float(np.min(np.abs(evaluate_all([frame.contact_volume], points)))),
-        "frame_orthonormality": _max_eval([g[i, j] - delta[i][j] for i, j in pairs], points),
-        "metric_J_invariance": _max_eval(
-            [frame.webster(5 + i, 5 + j) - g[i, j] + frame.eta_product[i, j] for i, j in pairs],
-            points,
-        ),
-        "metric_deta_compatibility": _max_eval(
-            [frame.webster(5 + i, j) - frame.deta_pair[i, j] for i, j in pairs], points
-        ),
-        "frame_J_consistency": _max_eval(
+        "reeb_normalization": [eta_of[4] - ONE],
+        "eta_on_horizontal": list(eta_of[:4]),
+        "frame_orthonormality": [g[i, j] - delta[i][j] for i, j in pairs],
+        "metric_J_invariance": [
+            frame.webster(5 + i, 5 + j) - g[i, j] + frame.eta_product[i, j] for i, j in pairs
+        ],
+        "metric_deta_compatibility": [
+            frame.webster(5 + i, j) - frame.deta_pair[i, j] for i, j in pairs
+        ],
+        "frame_J_consistency": list(
             (je[0] - frame.fields[1]).components
             + (je[2] - frame.fields[3]).components
-            + je[4].components,
-            points,
+            + je[4].components
         ),
-        "J_square_identity": _max_eval(
-            [
-                dot(jmat[c], [row[d] for row in jmat]) + delta[c][d] - xi_comps[c] * eta_comps[d]
-                for c, d in pairs
-            ],
-            points,
-        ),
+        "J_square_identity": [
+            dot(jmat[c], [row[d] for row in jmat]) + delta[c][d] - xi_comps[c] * eta_comps[d]
+            for c, d in pairs
+        ],
     }
 
 
@@ -480,9 +465,10 @@ def _nijenhuis_contact(frame: FrameFieldSet, j: int, l: int) -> VectorFieldPoly:
 
 
 def tw_axiom_check(
-    frame: FrameFieldSet, conn: ConnectionCoefficients, points
-) -> dict[str, float]:
-    """Residuals of the defining axioms of the Tanaka-Webster connection.
+    frame: FrameFieldSet, conn: ConnectionCoefficients
+) -> dict[str, list[PolyExpr]]:
+    """Residual families of the defining axioms of the Tanaka-Webster
+    connection, each zero where its axiom holds.
 
     (a) parallel contact form and Reeb field, (b) parallel Webster metric,
     (c) horizontal torsion T(X, Y) = deta(X, Y) Reeb and Reeb torsion
@@ -507,8 +493,6 @@ def tw_axiom_check(
             for m, g in enumerate(row):
                 if not g.is_zero():
                     gamma.setdefault((k, j), []).append((m, g))
-    # Each axiom's residual polynomials are evaluated as soon as they are
-    # built, so that one axiom's are held at a time.
     out = {}
 
     # (a) parallel eta and Reeb
@@ -520,8 +504,7 @@ def tw_axiom_check(
                 expr = expr - g * eta_of[m]
             a_exprs.append(expr)
         a_exprs.extend(nabla[k][4].components)
-    out["axiom_a_parallel_eta_xi"] = _max_eval(a_exprs, points)
-    del a_exprs
+    out["axiom_a_parallel_eta_xi"] = a_exprs
 
     # (b) parallel metric
     b_exprs = []
@@ -534,8 +517,7 @@ def tw_axiom_check(
                 for m, g in gamma.get((k, j), ()):
                     expr = expr - g * gmat[i, m]
                 b_exprs.append(expr)
-    out["axiom_b_parallel_metric"] = _max_eval(b_exprs, points)
-    del b_exprs
+    out["axiom_b_parallel_metric"] = b_exprs
 
     # (c) torsion
     c_h_exprs = []
@@ -544,8 +526,7 @@ def tw_axiom_check(
             tvec = nabla[i][j] - nabla[j][i] - bracket[i, j]
             target = frame.reeb.scale(frame.deta_pair[i, j])
             c_h_exprs.extend((tvec - target).components)
-    out["axiom_c_horizontal_torsion"] = _max_eval(c_h_exprs, points)
-    del c_h_exprs
+    out["axiom_c_horizontal_torsion"] = c_h_exprs
 
     c_xi_exprs = []
     for j in range(5):
@@ -553,8 +534,7 @@ def tw_axiom_check(
         lie_j = bracket[4, 5 + j] - frame.j_bracket[4, j]
         target = frame._j(lie_j).scale(0.5)
         c_xi_exprs.extend((tvec - target).components)
-    out["axiom_c_reeb_torsion"] = _max_eval(c_xi_exprs, points)
-    del c_xi_exprs
+    out["axiom_c_reeb_torsion"] = c_xi_exprs
 
     # (d) nabla J against the integrability defect
     jf = J_FRAME
@@ -600,14 +580,14 @@ def tw_axiom_check(
                 if (j, l) in n_deta:
                     lhs = lhs - n_deta[j, l][k]
                 d_exprs.append(lhs)
-    out["axiom_d_parallel_J"] = _max_eval(d_exprs, points)
+    out["axiom_d_parallel_J"] = d_exprs
     return out
 
 
-def cr_check(frame: FrameFieldSet, points) -> dict[str, float]:
-    """Integrability residuals of the underlying almost CR structure.
+def cr_check(frame: FrameFieldSet) -> dict[str, list[PolyExpr]]:
+    """Integrability residual families of the underlying almost CR structure.
 
-    Reports the components of
+    The components of
     N(X, Y) = J([JX, Y] + [X, JY]) - [JX, JY] + [X, Y]
     over horizontal frame pairs, and the contact-metric-to-CR criterion
     eta([JX, Y]) = -eta([X, JY]).
@@ -623,10 +603,7 @@ def cr_check(frame: FrameFieldSet, points) -> dict[str, float]:
             n = n - bracket[5 + i, 5 + j] + bracket[i, j]
             n_exprs.extend(n.components)
             eta_exprs.append(frame.eta.pair_vector(jx_y) + frame.eta.pair_vector(x_jy))
-    return {
-        "integrability": _max_eval(n_exprs, points),
-        "eta_bracket_criterion": _max_eval(eta_exprs, points),
-    }
+    return {"integrability": n_exprs, "eta_bracket_criterion": eta_exprs}
 
 
 # -- model files ---------------------------------------------------------------

@@ -37,6 +37,7 @@ from swcheck.models import (
     sample_points,
     tw_axiom_check,
 )
+from swcheck.poly import evaluate_all, max_abs
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -148,11 +149,8 @@ def test_criterion_6_heisenberg_model():
     points = sample_points(1000, seed=0)
     vol = frame.contact_volume
     worst_vol = max(abs(vol(p) - 2.0) for p in points)
-    tw = tw_axiom_check(frame, conn, points)
-    cr = cr_check(frame, points)
-    cc = contact_check(frame, points)
-    cc.pop("contact_volume_min")
-    worst = max(max(tw.values()), max(cr.values()), max(cc.values()))
+    families = {**tw_axiom_check(frame, conn), **cr_check(frame), **contact_check(frame)}
+    worst = max(max_abs(evaluate_all(polys, points)) for polys in families.values())
     ok = worst_vol <= 1e-12 and worst <= 1e-12
     _report(
         6,

@@ -280,12 +280,16 @@ class TestSharedTables:
         )
 
 
+def _measured(families, points, evaluate=evaluate_all) -> dict[str, float]:
+    """The largest modulus of each residual family at the points."""
+    return {name: max_abs(evaluate(polys, points)) for name, polys in families.items()}
+
+
 class TestContactCheck:
     def test_heisenberg_passes(self, heis):
         frame, _ = heis
-        report = contact_check(frame, POINTS)
-        vol_min = report.pop("contact_volume_min")
-        assert vol_min == pytest.approx(2.0)
+        report = _measured(contact_check(frame), POINTS)
+        assert np.min(np.abs(evaluate_all([frame.contact_volume], POINTS))) == pytest.approx(2.0)
         assert all(v <= 1e-12 for v in report.values()), report
 
     def test_scaled_frame_fails_orthonormality(self, heis):
@@ -293,26 +297,30 @@ class TestContactCheck:
         fields = list(frame.fields)
         fields[1] = fields[1].scale(2)
         broken = FrameFieldSet(frame.name, tuple(fields), frame.eta, frame.jmat)
-        report = contact_check(broken, POINTS[:20])
+        report = _measured(contact_check(broken), POINTS[:20])
         assert report["frame_orthonormality"] >= 1.0
 
     def test_reeb_exact(self, heis):
         frame, _ = heis
-        report = contact_check(frame, POINTS[:5])
+        report = _measured(contact_check(frame), POINTS[:5])
         assert report["reeb_normalization"] == 0.0
 
 
-def _model_residuals(bundle, points):
-    return {
-        **contact_check(bundle.frame, points),
-        **tw_axiom_check(bundle.frame, bundle.connection, points),
-        **cr_check(bundle.frame, points),
+def _model_residuals(bundle, points, evaluate=evaluate_all):
+    """Each check's measured families, and the least contact volume."""
+    frame = bundle.frame
+    families = {
+        **contact_check(frame),
+        **tw_axiom_check(frame, bundle.connection),
+        **cr_check(frame),
     }
+    volume = evaluate([frame.contact_volume], points)
+    return {**_measured(families, points, evaluate), "contact_volume_min": np.min(np.abs(volume))}
 
 
 class TestDecimalChart:
     @pytest.mark.parametrize("j02", [None, "1e-3*y2"])
-    def test_residuals_match_pointwise_evaluation(self, j02, sheared_chart, monkeypatch):
+    def test_residuals_match_pointwise_evaluation(self, j02, sheared_chart):
         if j02:
             sheared_chart["J"][0][2] = j02
         bundle = load_model(sheared_chart)
@@ -324,8 +332,7 @@ class TestDecimalChart:
                 len(pts), len(polys)
             )
 
-        monkeypatch.setattr(models, "evaluate_all", by_call)
-        reference = _model_residuals(bundle, points)
+        reference = _model_residuals(bundle, points, by_call)
         assert residuals.keys() == reference.keys()
         for name, value in residuals.items():
             assert abs(value - reference[name]) <= 1e-15 * max(reference[name], 1e-15), name
@@ -335,41 +342,30 @@ class TestDecimalChart:
         assert (max(residuals.values()) > 0) == bool(j02)
 
     @staticmethod
-    def _live_residuals(data, monkeypatch) -> list[int]:
+    def _live_residuals(data) -> list[int]:
         """Nonzero residual polynomials that contact_check, tw_axiom_check and
         cr_check build on the chart of a model-file dict, one count per check."""
-        families = []
-        max_eval = models._max_eval
-
-        def record(exprs, points):
-            families[-1].append(exprs)
-            return max_eval(exprs, points)
-
-        monkeypatch.setattr(models, "_max_eval", record)
         bundle = load_model(data)
-        points = sample_points(5, seed=0)
         live = []
-        for check in (
-            lambda: contact_check(bundle.frame, points),
-            lambda: tw_axiom_check(bundle.frame, bundle.connection, points),
-            lambda: cr_check(bundle.frame, points),
+        for families in (
+            contact_check(bundle.frame),
+            tw_axiom_check(bundle.frame, bundle.connection),
+            cr_check(bundle.frame),
         ):
-            families.append([])
-            check()
-            assert families[-1]
-            live.append(sum(not e.is_zero() for f in families[-1] for e in f))
+            assert families
+            live.append(sum(not e.is_zero() for f in families.values() for e in f))
         return live
 
-    def test_residual_families_cancel_exactly(self, monkeypatch):
+    def test_residual_families_cancel_exactly(self):
         # Every residual polynomial the three checks build on the decimal
         # chart is exactly zero, so none is evaluated.  On the perturbed
         # chart each check builds live ones.
         data = json.loads(SHEARED_CHART_3.read_text())
-        assert self._live_residuals(data, monkeypatch) == [0, 0, 0]
+        assert self._live_residuals(data) == [0, 0, 0]
         data["J"][0][2] = "1e-3*y2"
-        assert all(self._live_residuals(data, monkeypatch))
+        assert all(self._live_residuals(data))
 
-    def test_numbers_and_strings_of_one_value_cancel(self, monkeypatch):
+    def test_numbers_and_strings_of_one_value_cancel(self):
         # The Heisenberg chart in the coordinate x2' = x2 + 0.1*x1: e1 gets
         # the constant component 0.1 along x2', written as a JSON number,
         # while eta and J carry 0.1 in strings.  eta(e1) and J e1 - e2
@@ -391,7 +387,7 @@ class TestDecimalChart:
                 [0, "-y1", 0, "-y2", 0],
             ],
         }
-        assert self._live_residuals(data, monkeypatch) == [0, 0, 0]
+        assert self._live_residuals(data) == [0, 0, 0]
         report = _model_residuals(load_model(data), sample_points(20, seed=1))
         assert report.pop("contact_volume_min") > 0
         assert set(report.values()) == {0.0}
@@ -405,12 +401,12 @@ class TestDecimalChart:
         sheared_chart["J"][0][2] = "1e-3*y2"
         bundle = load_model(sheared_chart)
         points = sample_points(40, seed=3)
-        for report in (
-            contact_check(bundle.frame, points),
-            tw_axiom_check(bundle.frame, bundle.connection, points),
-            cr_check(bundle.frame, points),
+        for families in (
+            contact_check(bundle.frame),
+            tw_axiom_check(bundle.frame, bundle.connection),
+            cr_check(bundle.frame),
         ):
-            report.pop("contact_volume_min", None)
+            report = _measured(families, points)
             assert max(report.values()) > 1e-12, report
 
 
@@ -418,28 +414,8 @@ class TestLiveFamilies:
     """On a failing chart, the residual families that share their dense terms
     are, polynomial for polynomial, their definitions written out."""
 
-    @staticmethod
-    def _families(bundle, monkeypatch) -> dict[str, list[PolyExpr]]:
-        """The polynomials contact_check and tw_axiom_check pass to
-        models._max_eval, by report key."""
-        calls = []
-        max_eval = models._max_eval
-
-        def record(exprs, points):
-            calls.append(list(exprs))
-            return max_eval(exprs, points)
-
-        monkeypatch.setattr(models, "_max_eval", record)
-        points = sample_points(5, seed=0)
-        names = [
-            *contact_check(bundle.frame, points),
-            *tw_axiom_check(bundle.frame, bundle.connection, points),
-        ]
-        names.remove("contact_volume_min")  # evaluated without _max_eval
-        return dict(zip(names, calls, strict=True))
-
     @pytest.mark.parametrize("chart", ["sheared_chart_3", "tilted_reeb"])
-    def test_families_equal_their_definitions(self, chart, model_to_dict, monkeypatch):
+    def test_families_equal_their_definitions(self, chart, model_to_dict):
         if chart == "tilted_reeb":
             # The Heisenberg chart with Reeb field d/dt + 0.3*x1 d/dx2, where
             # deta(e4, Reeb) = -0.3*x1.
@@ -450,8 +426,8 @@ class TestLiveFamilies:
             data = json.loads(SHEARED_CHART_3.read_text())
             data["J"][0][2] = "1e-3*y2"
         bundle = load_model(data)
-        families = self._families(bundle, monkeypatch)
         frame = bundle.frame
+        families = {**contact_check(frame), **tw_axiom_check(frame, bundle.connection)}
         jay, e = frame.j_apply, frame.fields
 
         def eta(x):
@@ -493,7 +469,7 @@ class TestLiveFamilies:
 class TestTanakaWebsterAxioms:
     def test_heisenberg_passes_all_axioms(self, heis):
         frame, conn = heis
-        report = tw_axiom_check(frame, conn, POINTS)
+        report = _measured(tw_axiom_check(frame, conn), POINTS)
         assert all(v <= 1e-12 for v in report.values()), report
 
     def test_horizontal_torsion_value(self, heis):
@@ -526,14 +502,14 @@ class TestTanakaWebsterAxioms:
             tuple(tuple(tuple(row) for row in plane) for plane in gamma),
             ConnectionCoefficients.flat().a_form,
         )
-        report = tw_axiom_check(frame, conn, POINTS[:10])
+        report = _measured(tw_axiom_check(frame, conn), POINTS[:10])
         assert report["axiom_b_parallel_metric"] >= 1.9
 
 
 class TestCRCheck:
     def test_heisenberg_is_integrable(self, heis):
         frame, _ = heis
-        report = cr_check(frame, POINTS)
+        report = _measured(cr_check(frame), POINTS)
         assert all(v <= 1e-12 for v in report.values()), report
 
     def test_perturbed_j_breaks_integrability(self, heis):
@@ -544,7 +520,7 @@ class TestCRCheck:
         broken = FrameFieldSet(
             frame.name, frame.fields, frame.eta, tuple(tuple(r) for r in jrows)
         )
-        report = cr_check(broken, POINTS[:50])
+        report = _measured(cr_check(broken), POINTS[:50])
         assert report["integrability"] > 0.01
 
     def test_nijenhuis_vanishes_on_equal_arguments(self, heis):
