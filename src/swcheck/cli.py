@@ -12,8 +12,8 @@ the finite-difference comparison at step 1e-4 (1e-10 for the dbar identity).
 
 Every suite accepts ``--perturb EPS``, a fault-injection knob that corrupts
 one well-defined input of the suite before running, so that harnesses can
-verify the checks are not vacuous; with an EPS well above the suite's
-tolerances, such as 1e-3, the suite must fail.
+verify the checks are not vacuous; with an EPS of either sign well above the
+suite's tolerances, such as 1e-3 or -1e-3, the suite must fail.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ EXIT_USAGE = 2
 #: ``seed``, fits a signed 64-bit integer.
 SEED_LIMIT = 2**63
 
-#: Largest |--scalar|.  The solution suite's doubled spinor 2 sqrt(-s) psi0
-#: has a bilinear of size 4|s|, and the self-dual projection adds two such
-#: terms, which overflows a float from about |s| = 2e307 on.
+#: Largest |--scalar|, and the inverse of the smallest.  The solution suite's
+#: doubled spinor 2 sqrt(-s) psi0 has a bilinear of size 4|s|, and the
+#: self-dual projection adds two such terms, which overflows a float from
+#: about |s| = 2e307 on.  Two rows are measured relative to |s|, and near the
+#: subnormals that scale no longer resolves a --perturb fault.
 SCALAR_LIMIT = 1e300
 
 
@@ -184,7 +186,7 @@ def _suite_selfdual(ns) -> dict:
 
     r = np.max([(hodge_star(hodge_star(b)) - b).norm_inf() for b in bases])
     if perturb:
-        r += perturb
+        r += abs(perturb)
     checks.append(_check("hodge_star_involution_32_basis_forms", r, 0.0))
 
     vol = volume_form()
@@ -278,10 +280,8 @@ def _suite_curvature(ns) -> dict:
 
 
 def _suite_model(ns) -> dict:
-    try:
-        bundle = load_model(ns.model)
-    except ModelFormatError as exc:
-        raise ModelFormatError(f"{ns.model}: {exc}") from exc
+    """The rows of ``ns.bundle``, the chart that ``run`` loaded."""
+    bundle = ns.bundle
     frame = bundle.frame
     if ns.perturb:
         y2 = PolyExpr.variable("y2")
@@ -395,9 +395,8 @@ def _suite_solution(ns) -> dict:
     r_curv, sigma_vertical = sw_residual(sol.f_a, psi)
     r_doubled, _ = sw_residual(sol.f_a, (2.0 * sol.amplitude) * PSI0)
     # The amplitude sqrt(-s) squares back to -s only up to rounding relative
-    # to |s|, so the two rows that square it are measured relative to
-    # max(1, |s|).
-    scale = max(1.0, abs(s_val))
+    # to |s|, so the two rows that square it are measured relative to |s|.
+    scale = abs(s_val)
 
     checks = [
         # The connection is in a gauge normal at the point (its 1-form
@@ -521,7 +520,8 @@ def _suite_ns(command: str, base: SimpleNamespace) -> SimpleNamespace:
 
     Only ``model`` reads samples, and ``all`` passes it on: the other suites
     leave it None.  ``dirac`` always runs on the Heisenberg chart; ``--model``
-    does not reach it.
+    does not reach it.  ``bundle``, the chart that ``run`` loaded for
+    ``model`` and ``all``, passes through.
     """
     ns = SimpleNamespace(**vars(base))
     ns.command = command
@@ -546,13 +546,22 @@ def run(argv=None) -> int:
             raise UsageError(f"--scalar must be negative, got {base.scalar}")
         if base.command in ("solution", "all") and base.scalar < -SCALAR_LIMIT:
             raise UsageError(f"--scalar must be >= -{SCALAR_LIMIT:g}, got {base.scalar}")
+        if base.command in ("solution", "all") and base.scalar > -1 / SCALAR_LIMIT:
+            raise UsageError(f"--scalar must be <= -{1 / SCALAR_LIMIT:g}, got {base.scalar}")
         if base.command == "dirac" and base.model != "heisenberg":
             raise UsageError("--model: the dirac suite runs on the Heisenberg chart only")
+        if base.command not in ("model", "all") and base.model != "heisenberg":
+            raise UsageError(f"--model: the {base.command} suite reads no chart")
         # Checked again when the report is written: the directory may change meanwhile.
         if base.output is not None and (reason := _unwritable_directory(base.output)):
             raise UsageError(f"--output: {reason}: {base.output}")
         ns = _suite_ns(base.command, base)
         start = time.perf_counter()
+        if base.command in ("model", "all"):
+            try:
+                ns.bundle = load_model(base.model)
+            except ModelFormatError as exc:
+                raise ModelFormatError(f"{base.model}: {exc}") from exc
         report = SUITES[base.command](ns)
     except (UsageError, ModelFormatError, PolySyntaxError, OverflowError) as exc:
         print(f"swcheck: error: {exc}", file=sys.stderr)

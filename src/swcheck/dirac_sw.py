@@ -88,9 +88,9 @@ class SpinorField:
         return SpinorField(tuple(map(as_poly, components)))
 
     @staticmethod
-    def psi0(amplitude: float = 1.0) -> "SpinorField":
-        """The constant reference spinor amplitude * (0, 0, 0, 1)."""
-        return SpinorField.make(*(amplitude * PSI0))
+    def psi0() -> "SpinorField":
+        """The constant reference spinor (0, 0, 0, 1)."""
+        return SpinorField.make(*PSI0)
 
     def evaluate(self, points) -> np.ndarray:
         """Values at a stack of points ``(..., 5)``, shape ``(..., 4)``."""
@@ -184,7 +184,7 @@ def _frame_values(s: ModelBundle, points) -> np.ndarray:
     return frame.reshape(points.shape[:-1] + (5, 5))
 
 
-def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float = 1e-4) -> np.ndarray:
+def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float) -> np.ndarray:
     """Finite-difference oracle for the full Dirac operator on a stack of points.
 
     ``points`` has shape ``(..., 5)`` and ``psi_vals`` holds the spinor

@@ -669,8 +669,9 @@ def load_model(source) -> ModelBundle:
     ``eta`` (5 expressions), ``xi``, ``frame`` (4 x 5), ``J`` (5 x 5), and
     optional ``gamma`` (5 x 5 x 5), ``A`` (5 expressions, imaginary valued)
     and ``curvature`` (``{"ric": 5 x 5 numbers}``, validated for
-    admissibility).  The bundle's ``curvature`` is that matrix as a float
-    array, or None without the block.
+    admissibility).  Any other field is refused, so that a misspelled
+    optional field is not silently left out.  The bundle's ``curvature`` is
+    that matrix as a float array, or None without the block.
     """
     if isinstance(source, str) and source == "heisenberg":
         return heisenberg5()
@@ -688,6 +689,9 @@ def load_model(source) -> ModelBundle:
     for key in ("eta", "xi", "frame", "J"):
         if key not in data:
             raise ModelFormatError(f"missing field {key!r}")
+    for key in data:
+        if key not in ("chart", "eta", "xi", "frame", "J", "gamma", "A", "curvature"):
+            raise ModelFormatError(f"unknown field {key!r}")
 
     eta = CoordForm.one_form(*_parse_array("eta", data["eta"], (5,), _parse_field))
     xi = VectorFieldPoly(_parse_array("xi", data["xi"], (5,), _parse_field))
@@ -712,6 +716,9 @@ def load_model(source) -> ModelBundle:
         csrc = data["curvature"]
         if not isinstance(csrc, dict) or "ric" not in csrc:
             raise ModelFormatError('curvature: expected an object with a "ric" matrix')
+        for key in csrc:
+            if key != "ric":
+                raise ModelFormatError(f"unknown field 'curvature.{key}'")
         ric = np.array(_parse_array("curvature.ric", csrc["ric"], (5, 5), _parse_number))
         bad = ricci_violations(ric)
         if bad:

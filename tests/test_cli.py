@@ -102,7 +102,8 @@ class TestSuitesPass:
 
 class TestSolutionScale:
     """The two `solution` rows that square the amplitude sqrt(-s) are measured
-    relative to max(1, |s|); beyond cli.SCALAR_LIMIT the chain would overflow."""
+    relative to |s|; beyond cli.SCALAR_LIMIT the chain would overflow, and
+    below its inverse that scale no longer resolves the --perturb fault."""
 
     def test_clean_run_passes_at_every_decade(self, capsys):
         for k in range(-300, 301):
@@ -113,6 +114,23 @@ class TestSolutionScale:
         rng = np.random.default_rng(1400)
         for s in -rng.uniform(1, 10, 200) * 10.0 ** rng.integers(3, 20, 200):
             assert run(["solution", "--scalar", repr(float(s))]) == EXIT_PASS, s
+            capsys.readouterr()
+
+    def test_random_scalars_pass_clean_and_fail_perturbed(self, capsys):
+        rng = np.random.default_rng(3200)
+        for s in -rng.uniform(1, 10, 100) * 10.0 ** rng.integers(-300, 300, 100):
+            argv = ["solution", "--scalar", repr(float(s))]
+            assert run(argv) == EXIT_PASS, s
+            assert run(argv + ["--perturb", "1e-3"]) == EXIT_FAIL, s
+            assert run(argv + ["--perturb", "-1e-3"]) == EXIT_FAIL, s
+            capsys.readouterr()
+
+    def test_perturbed_run_fails_at_every_decade(self, capsys):
+        # Scaled by max(1, |s|), the fault moved the squared rows by about
+        # |s| * 5e-4, which passed for every |s| <= 1e-9.
+        for k in range(-300, 301):
+            argv = ["solution", "--scalar", repr(-(10.0**k)), "--perturb", "1e-3"]
+            assert run(argv) == EXIT_FAIL, k
             capsys.readouterr()
 
     def test_perturbed_run_fails_without_overflow_at_the_limit(self, capsys):
@@ -129,6 +147,14 @@ class TestSolutionScale:
     ):
         assert run([suite, "--scalar", scalar]) == EXIT_USAGE
         assert f"--scalar must be >= -1e+300, got {float(scalar)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["solution", "all"])
+    @pytest.mark.parametrize("scalar", ["-1e-301", "-5e-324"])
+    def test_scalar_below_the_inverse_limit_rejected_before_any_suite_runs(
+        self, no_suite_runs, suite, scalar, capsys
+    ):
+        assert run([suite, "--scalar", scalar]) == EXIT_USAGE
+        assert f"--scalar must be <= -1e-300, got {float(scalar)}" in capsys.readouterr().err
 
 
 class TestStackedEvaluation:
@@ -258,6 +284,16 @@ class TestNegativeControls:
         assert code == EXIT_FAIL
         assert rep["pass"] is False
         assert any(not c["pass"] for c in rep["checks"])
+
+    @pytest.mark.parametrize("eps", ["1e-3", "-1e-3"])
+    @pytest.mark.parametrize(
+        "suite", ["clifford", "selfdual", "curvature", "model", "dirac", "solution", "all"]
+    )
+    def test_either_sign_fails_with_no_negative_residual(self, suite, eps, capsys):
+        code, rep = _run([suite, "--perturb", eps, "--samples", "50"], capsys)
+        assert code == EXIT_FAIL
+        reports = rep["suites"].values() if suite == "all" else [rep]
+        assert min(c["residual"] for r in reports for c in r["checks"]) >= 0.0
 
     def test_broken_model_file_fails_checks(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
@@ -597,6 +633,36 @@ class TestUsageErrors:
         code = run(["dirac", "--model", "/nonexistent.json", "--samples", "2"])
         assert code == EXIT_USAGE
         assert "Heisenberg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["clifford", "selfdual", "curvature", "solution"])
+    def test_suites_without_a_chart_refuse_a_model(self, no_suite_runs, suite, capsys):
+        assert run([suite, "--model", "/nonexistent.json"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"swcheck: error: --model: the {suite} suite reads no chart\n"
+
+    @pytest.mark.parametrize("suite", ["model", "all"])
+    def test_model_file_read_before_any_suite_runs(self, no_suite_runs, suite, capsys):
+        assert run([suite, "--model", "/nonexistent.json"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("swcheck: error: /nonexistent.json: cannot read")
+
+    @pytest.mark.parametrize(
+        "key, value, where",
+        [
+            ("gama", [[["0"] * 5] * 5] * 5, "unknown field 'gama'"),
+            ("curvature", {"ric": [[0.0] * 5] * 5, "rik": 1}, "unknown field 'curvature.rik'"),
+        ],
+    )
+    def test_unknown_field_is_usage_error(
+        self, no_suite_runs, key, value, where, tmp_path, capsys, model_to_dict
+    ):
+        # A misspelled optional field would otherwise leave the chart on the
+        # flat connection, or drop its declared Ricci matrix, without a word.
+        data = model_to_dict(load_model("heisenberg"))
+        data[key] = value
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(data))
+        assert run(["model", "--model", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"swcheck: error: {path}: {where}\n"
 
     def test_curvature_block_violation_is_usage_error(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
