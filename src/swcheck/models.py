@@ -413,7 +413,7 @@ def sample_points(n: int, seed: int) -> np.ndarray:
     return 2.0 * uniform(random.Random(seed), (n, 5)) - 1.0
 
 
-# -- residual families --------------------------------------------------------------
+# -- residual families ---------------------------------------------------------
 
 
 def contact_check(frame: FrameFieldSet) -> dict[str, list[PolyExpr]]:

@@ -126,8 +126,8 @@ class TestSolutionScale:
             capsys.readouterr()
 
     def test_perturbed_run_fails_at_every_decade(self, capsys):
-        # Scaled by max(1, |s|), the fault moved the squared rows by about
-        # |s| * 5e-4, which passed for every |s| <= 1e-9.
+        # The fault moves the squared rows by about |s| * 5e-4, so only a
+        # scale of |s| shows it at every |s|.
         for k in range(-300, 301):
             argv = ["solution", "--scalar", repr(-(10.0**k)), "--perturb", "1e-3"]
             assert run(argv) == EXIT_FAIL, k
