@@ -223,56 +223,42 @@ def _suite_selfdual(ns) -> dict:
     return _report("selfdual", ns, checks)
 
 
-def _curvature_rows() -> list[tuple[np.ndarray, np.ndarray]]:
-    """For the Ricci checks, then the Bianchi check: the residual rows as a
-    complex ``(K, R)`` array, and the first of the R entries of each check.
+def _box_bound(rows, perturb: float) -> float:
+    """Largest modulus over the box ``[-1, 1]^K`` and the ``--perturb`` shift of a
+    linear residual, from its ``rows`` on the K unit vectors and, last, the shift:
+    the sum of the unit moduli plus |perturb| times the shift's.  For real or
+    imaginary entries, as every curvature residual has, the bound is attained."""
+    moduli = np.abs(np.reshape(rows, (len(rows), -1)))
+    return np.max(np.sum(moduli[:-1], axis=0) + abs(perturb) * moduli[-1])
 
-    Every residual is linear in the parameters of ``admissible_ricci`` (4)
-    or ``admissible_torsion`` (6) and in the ``--perturb`` shift of R11 or
-    tau12: row k is the residual of unit parameter k, the last row that of
-    the shift.  The Ricci residuals are real, and B is imaginary.
-    """
+
+def _suite_curvature(ns) -> dict:
+    perturb = ns.perturb
+    # Every residual is linear in the parameters of admissible_ricci (4) or
+    # admissible_torsion (6) and in the --perturb shift of R11 or tau12: each
+    # stack holds the unit parameter vectors, then the shift.
     unit = np.eye(25).reshape(25, 5, 5)  # E_ij at 5 i + j
     ric = np.concatenate([curvature.admissible_ricci(*np.eye(4)), unit[:1]])
     tau = np.concatenate([curvature.admissible_torsion(np.eye(6)), unit[1:2]])
     j = curvature.J_FRAME
     jh, ric_h = j[:4, :4], ric[:, :4, :4]
     rho = curvature.rho_plus(ric) + (curvature.scalar_curvature(ric) / 4.0) * deta()
-    recon = curvature.ricci_reconstruction_defect(ric)
     bianchi = curvature.bianchi_b(tau, *curvature.HORIZONTAL_FRAME_PAIRS)
-    out = []
-    for residuals in ([rho.coeffs, j @ ric - ric @ j, jh.T @ ric_h @ jh - ric_h, recon], [bianchi]):
-        flat = np.concatenate([np.reshape(r, (len(r), -1)) for r in residuals], axis=1)
-        out.append((flat, np.cumsum([0] + [r[0].size for r in residuals[:-1]])))
-    return out
-
-
-def _suite_curvature(ns) -> dict:
-    perturb = ns.perturb
-    # Over every parameter vector of the box [-1, 1]^K, with the --perturb
-    # shift, a residual entry is at most the sum of the unit rows' moduli
-    # plus |perturb| times the shift row's; for real and for imaginary
-    # entries, as all of these are, that is its maximum.
-    worst = []
-    for rows, starts in _curvature_rows():
-        bound = np.sum(np.abs(rows[:-1]), axis=0) + abs(perturb) * np.abs(rows[-1])
-        worst.extend(np.maximum.reduceat(bound, starts))
-    r_rho, r_j, r_jj, r_ric, r_b = worst
+    recon = curvature.ricci_reconstruction_defect(ric)
+    tol_j = 0.0 if not perturb else 1e-12
     checks = [
-        _check("rho_plus_is_minus_quarter_s_deta", r_rho, 1e-12),
-        _check("J_commutes_with_ricci", r_j, 0.0 if not perturb else 1e-12),
-        _check("ricci_J_invariance", r_jj, 1e-14),
-        _check("bianchi_correction_vanishes", r_b, 1e-12),
-        _check("ricci_reconstruction_identity", r_ric, 1e-12),
+        _check("rho_plus_is_minus_quarter_s_deta", _box_bound(rho.coeffs, perturb), 1e-12),
+        _check("J_commutes_with_ricci", _box_bound(j @ ric - ric @ j, perturb), tol_j),
+        _check("ricci_J_invariance", _box_bound(jh.T @ ric_h @ jh - ric_h, perturb), 1e-14),
+        _check("bianchi_correction_vanishes", _box_bound(bianchi, perturb), 1e-12),
+        _check("ricci_reconstruction_identity", _box_bound(recon, perturb), 1e-12),
     ]
 
     # The tensor and its residuals are linear in the Ricci parameters: the
     # four unit parameter vectors certify every admissible Ricci matrix.
-    ric = curvature.admissible_ricci(*np.eye(4))
-    j = curvature.J_FRAME
-    t4 = curvature.curvature_tensor(ric)
+    t4 = curvature.curvature_tensor(ric[:4])
     z = curvature.COMPLEX_FRAME
-    r_trace = np.max(np.abs(curvature.ricci_trace(t4) - 1j * z @ (j @ ric) @ z.T))
+    r_trace = np.max(np.abs(curvature.ricci_trace(t4) - 1j * z @ (j @ ric[:4]) @ z.T))
     r = np.max([*curvature.symmetry_check(t4).values(), r_trace])
     checks.append(_check("curvature_tensor_symmetries_and_trace", r, 1e-12))
 
@@ -291,29 +277,25 @@ def _suite_model(ns) -> dict:
             frame.name, frame.fields, frame.eta, tuple(tuple(r) for r in jrows)
         )
     points = sample_points(ns.samples, ns.seed)
-    # The residual families by row name, in report order.
-    contact = models.contact_check(frame)
-    families = [(f"contact_{name}", contact[name]) for name in sorted(contact)]
-    families.append(("contact_volume", [frame.contact_volume]))
-    tw = models.tw_axiom_check(frame, bundle.connection)
-    cr = models.cr_check(frame)
-    families += [(f"tw_{name}", tw[name]) for name in sorted(tw)]
-    families += [(f"cr_{name}", cr[name]) for name in sorted(cr)]
     checks = []
+
+    def measure(prefix, families):
+        # One row per family, in name order; zero polynomials would only add zeros.
+        for name in sorted(families):
+            values = evaluate_all([p for p in families[name] if not p.is_zero()], points)
+            checks.append(_check(f"{prefix}_{name}", max_abs(values), 1e-12))
+
     # An overflowing product gives inf or NaN, which then fails its check.
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, polys in families:
-            if name == "contact_volume":
-                # Nondegeneracy: the contact volume stays above 1e-9; NaN fails.
-                volume = evaluate_all(polys, points)
-                gap = np.maximum(0.0, 1e-9 - float(np.min(np.abs(volume))))
-                checks.append(_check("contact_volume_nondegenerate", gap, 0.0))
-                if ns.model == "heisenberg":
-                    checks.append(_check("contact_volume_equals_2", max_abs(volume - 2.0), 1e-12))
-                continue
-            # Zero polynomials would only add columns of zeros.
-            values = evaluate_all([p for p in polys if not p.is_zero()], points)
-            checks.append(_check(name, max_abs(values), 1e-12))
+        measure("contact", models.contact_check(frame))
+        # Nondegeneracy: the contact volume stays above 1e-9; NaN fails.
+        volume = evaluate_all([frame.contact_volume], points)
+        gap = np.maximum(0.0, 1e-9 - float(np.min(np.abs(volume))))
+        checks.append(_check("contact_volume_nondegenerate", gap, 0.0))
+        if ns.model == "heisenberg":
+            checks.append(_check("contact_volume_equals_2", max_abs(volume - 2.0), 1e-12))
+        measure("tw", models.tw_axiom_check(frame, bundle.connection))
+        measure("cr", models.cr_check(frame))
     return _report("model", ns, checks)
 
 

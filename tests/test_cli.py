@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,39 @@ class TestSharedSymbolicWork:
         assert len(set(j_args)) == len(j_args)
         fields = load_model(chart).frame.fields[:4]
         assert [sum(x == f for x in j_args) for f in fields] == [1] * 4
+
+    @pytest.mark.parametrize("perturb", ["0", "1e-3"])
+    def test_model_measures_each_check_as_it_returns(self, perturb, monkeypatch, capsys):
+        # The contact families and the contact volume are evaluated before
+        # tw_axiom_check builds its families, and those before cr_check runs:
+        # no two checks' families are held at once.  One evaluation per family.
+        events = []
+        tw_axiom_check, cr_check, evaluate_all = models.tw_axiom_check, models.cr_check, cli.evaluate_all
+
+        def record(name, fn):
+            def recorded(*args):
+                events.append(name)
+                return fn(*args)
+
+            return recorded
+
+        monkeypatch.setattr(models, "tw_axiom_check", record("tw", tw_axiom_check))
+        monkeypatch.setattr(models, "cr_check", record("cr", cr_check))
+        monkeypatch.setattr(cli, "evaluate_all", record("evaluate", evaluate_all))
+        chart = str(DATA / "sheared_chart_3.json")
+        argv = ["model", "--model", chart, "--samples", "5", "--perturb", perturb]
+        code, rep = _run(argv, capsys)
+        assert code == (EXIT_FAIL if float(perturb) else EXIT_PASS)
+        counts = Counter(c["name"].split("_")[0] for c in rep["checks"])
+        assert events == (
+            ["evaluate"] * counts["contact"]
+            + ["tw"]
+            + ["evaluate"] * counts["tw"]
+            + ["cr"]
+            + ["evaluate"] * counts["cr"]
+        )
+        # On this chart the one volume row is contact_volume_nondegenerate.
+        assert counts["contact"] == len(models.contact_check(load_model(chart).frame)) + 1
 
     def test_dirac_basis_rows_from_one_derivative_table(self, monkeypatch, capsys):
         # The basis rows read the derivatives e_w(m) of the 56 monomials from
@@ -677,16 +711,27 @@ class TestUsageErrors:
         assert "constraint R12=0 violated" in err
 
 
+#: The five linear curvature rows, in report order: each is one ``_box_bound``
+#: call, in this order.
+CURVATURE_ROWS = [
+    "rho_plus_is_minus_quarter_s_deta",
+    "J_commutes_with_ricci",
+    "ricci_J_invariance",
+    "bianchi_correction_vanishes",
+    "ricci_reconstruction_identity",
+]
+
+
 class TestCurvatureRows:
-    """The five linear curvature residuals are parameter vectors, with the
-    ``--perturb`` shift as a last entry, times rows built once on the unit
-    parameter vectors and the shifted entry (``cli._curvature_rows``)."""
+    """Each of the five linear curvature residuals is bounded over the box of
+    parameter vectors, with the ``--perturb`` shift, by ``cli._box_bound`` on
+    its library residual on the unit parameter vectors with the shift last."""
 
     @staticmethod
-    def _direct(ric_params, tau_params):
-        """The residual vectors of the five sampled checks, straight from the
-        library functions, on the Ricci matrices and torsions of the
-        parameter rows (the last column shifts R11 or tau12)."""
+    def _residuals(ric_params, tau_params):
+        """The five residuals in report order, straight from the library
+        functions, on the Ricci matrices and torsions of the parameter rows
+        (the last column shifts R11 or tau12)."""
         ric = curvature.admissible_ricci(*ric_params[:, :4].T)
         ric[:, 0, 0] += ric_params[:, 4]
         tau = curvature.admissible_torsion(tau_params[:, :6])
@@ -694,10 +739,13 @@ class TestCurvatureRows:
         j = curvature.J_FRAME
         jh, ric_h = j[:4, :4], ric[:, :4, :4]
         rho = curvature.rho_plus(ric) + (curvature.scalar_curvature(ric) / 4.0) * extalg.deta()
-        recon = curvature.ricci_reconstruction_defect(ric)
-        ricci = [rho.coeffs, j @ ric - ric @ j, jh.T @ ric_h @ jh - ric_h, recon]
-        bianchi = curvature.bianchi_b(tau, *curvature.HORIZONTAL_FRAME_PAIRS)
-        return np.concatenate([r.reshape(len(ric), -1) for r in ricci], axis=1), bianchi
+        return [
+            rho.coeffs,
+            j @ ric - ric @ j,
+            jh.T @ ric_h @ jh - ric_h,
+            curvature.bianchi_b(tau, *curvature.HORIZONTAL_FRAME_PAIRS),
+            curvature.ricci_reconstruction_defect(ric),
+        ]
 
     @pytest.mark.parametrize("shift", ["none", "perturb", "random"])
     def test_rows_times_parameters_are_the_direct_residuals(self, shift):
@@ -710,22 +758,27 @@ class TestCurvatureRows:
         for k in (4, 6):
             last = {"none": 0.0, "perturb": 1e-3, "random": rng.uniform(-1, 1, n)}[shift]
             params.append(np.column_stack([rng.uniform(-1, 1, (n, k)), np.broadcast_to(last, n)]))
-        (ric_rows, ric_starts), (tau_rows, tau_starts) = cli._curvature_rows()
-        assert ric_rows.shape == (5, 57) and tau_rows.shape == (7, 6)
-        assert list(ric_starts) == [0, 10, 35, 51] and list(tau_starts) == [0]
-        # Ricci residuals are real and B is imaginary.
-        assert not np.any(ric_rows.imag) and not np.any(tau_rows.real)
-        ricci, bianchi = self._direct(*params)
-        assert np.max(np.abs(params[0] @ ric_rows - ricci)) <= 1e-15
-        assert np.max(np.abs(params[1] @ tau_rows - bianchi)) <= 1e-15
+        unit = self._residuals(np.eye(5), np.eye(7))
+        direct = self._residuals(*params)
+        for name, rows, residual in zip(CURVATURE_ROWS, unit, direct):
+            p = params[1] if name == "bianchi_correction_vanishes" else params[0]
+            assert len(rows) == p.shape[1], name
+            assert np.max(np.abs(np.tensordot(p, rows, axes=1) - residual)) <= 1e-15, name
+            # _box_bound's bound is attained on real or on imaginary entries:
+            # the Ricci residuals are real, and B is imaginary.
+            part = rows.real if name == "bianchi_correction_vanishes" else rows.imag
+            assert not np.any(part), name
 
-    def test_admissible_rows_are_exactly_zero(self):
-        # So a clean run reports exactly 0.0; the shifted entry's row turns
-        # every check on.
-        (ric_rows, ric_starts), (tau_rows, _) = cli._curvature_rows()
-        assert not np.any(ric_rows[:4]) and not np.any(tau_rows[:6])
-        shifted = np.maximum.reduceat(np.abs(ric_rows[4]), ric_starts)
-        assert list(shifted) == [0.25, 1.0, 1.0, 1.0] and np.max(np.abs(tau_rows[6])) == 0.5
+    def test_admissible_rows_are_exactly_zero(self, capsys):
+        # So a clean run reports exactly 0.0; the shift row turns every
+        # linear check on, and at --perturb 1 each reads its shift row's
+        # largest modulus.  The tensor check reads no shift.
+        unit = self._residuals(np.eye(5), np.eye(7))
+        assert not any(np.any(rows[:-1]) for rows in unit)
+        code, rep = _run(["curvature", "--perturb", "1"], capsys)
+        assert code == EXIT_FAIL
+        assert [c["name"] for c in rep["checks"][:5]] == CURVATURE_ROWS
+        assert [c["residual"] for c in rep["checks"]] == [0.25, 1.0, 1.0, 0.5, 1.0, 0.0]
 
 
 class TestCertificates:
@@ -776,36 +829,26 @@ class TestCertificates:
         assert failed["sd_projection_orthogonal"] > 0
 
     @pytest.mark.parametrize("row", [0, -1], ids=["unit_row", "shift_row"])
-    @pytest.mark.parametrize(
-        "group, check, name",
-        [
-            pytest.param(*case, id=case[-1])
-            for case in [
-                (0, 0, "rho_plus_is_minus_quarter_s_deta"),
-                (0, 1, "J_commutes_with_ricci"),
-                (0, 2, "ricci_J_invariance"),
-                (0, 3, "ricci_reconstruction_identity"),
-                (1, 0, "bianchi_correction_vanishes"),
-            ]
-        ],
-    )
+    @pytest.mark.parametrize("call, name", list(enumerate(CURVATURE_ROWS)), ids=CURVATURE_ROWS)
     def test_nan_curvature_row_fails_the_checks_that_read_it(
-        self, group, check, name, row, monkeypatch, capsys
+        self, call, name, row, monkeypatch, capsys
     ):
-        # One NaN entry, in the first column of check ``check`` of the Ricci
-        # (group 0) or torsion (group 1) rows, of a unit-parameter row or of
-        # the shift row: NaN times the zero --perturb is NaN too.
-        original = cli._curvature_rows
+        # One NaN entry, in the first entry of a unit-parameter row or of the
+        # shift row of the residual that call ``call`` of _box_bound bounds:
+        # NaN times the zero --perturb is NaN too.
+        box_bound, calls = cli._box_bound, []
 
-        def with_nan():
-            rows = original()
-            values, starts = rows[group]
-            values[row, starts[check]] = np.nan
-            return rows
+        def with_nan(rows, perturb):
+            rows = np.array(rows)
+            if len(calls) == call:
+                rows.reshape(len(rows), -1)[row, 0] = np.nan
+            calls.append(rows.shape)
+            return box_bound(rows, perturb)
 
-        monkeypatch.setattr(cli, "_curvature_rows", with_nan)
+        monkeypatch.setattr(cli, "_box_bound", with_nan)
         # ``_run`` refuses bare NaN tokens: a NaN residual is the string "NaN".
         assert self._failed(["curvature"], capsys) == {name: "NaN"}
+        assert len(calls) == len(CURVATURE_ROWS)
 
 
 @pytest.fixture(scope="module")
