@@ -500,15 +500,15 @@ def _report(suite: str, ns, checks: list[dict]) -> dict:
 def _suite_ns(command: str, base: SimpleNamespace) -> SimpleNamespace:
     """The read namespace as suite ``command`` runs it.
 
-    Only ``model`` reads samples, and ``all`` passes it on: the other suites
-    leave it None.  ``dirac`` always runs on the Heisenberg chart; ``--model``
-    does not reach it.  ``bundle``, the chart that ``run`` loaded for
+    Only ``model`` reads samples and a chart, and ``all`` passes them on: the
+    other suites leave samples None and record the Heisenberg chart, as each
+    does when run alone.  ``bundle``, the chart that ``run`` loaded for
     ``model`` and ``all``, passes through.
     """
     ns = SimpleNamespace(**vars(base))
     ns.command = command
     ns.samples = base.samples if command in ("model", "all") else None
-    ns.model = "heisenberg" if command == "dirac" else base.model
+    ns.model = base.model if command in ("model", "all") else "heisenberg"
     return ns
 
 

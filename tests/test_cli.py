@@ -87,6 +87,21 @@ class TestSuitesPass:
         assert rep["suites"]["dirac"]["model"] == "heisenberg"
         assert rep["suites"]["dirac"]["parameters"]["model"] == "heisenberg"
 
+    def test_all_sub_reports_are_the_single_commands(self, capsys):
+        # Only model reads the chart: every other sub-report of all --model
+        # records the Heisenberg chart, as that command does when run alone.
+        chart = str(DATA / "sheared_chart_3.json")
+        common = ["--samples", "5", "--seed", "3"]
+        code, rep = _run(["all", "--model", chart, *common], capsys)
+        assert code == EXIT_PASS
+        for name, sub in rep["suites"].items():
+            argv = [name, *common] + ["--model", chart] * (name == "model")
+            _, single = _run(argv, capsys)
+            single.pop("wall_time_s")
+            assert sub == single, name
+            assert sub["model"] == sub["parameters"]["model"]
+            assert sub["model"] == (chart if name == "model" else "heisenberg"), name
+
     def test_clifford_suite_is_exact(self, capsys):
         code, rep = _run(["clifford"], capsys)
         exact = [c for c in rep["checks"] if c["tolerance"] == 0.0]
