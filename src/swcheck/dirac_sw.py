@@ -147,7 +147,7 @@ def _clifford(w: int, psi: SpinorField) -> SpinorField:
 
 
 #: kappa(e_1), ..., kappa(e_5) side by side, shape (4, 20).
-_GAMMA_ROW = np.hstack(GAMMA)
+_GAMMA_ROW = _frozen(np.hstack(GAMMA))
 
 
 def _dirac(s: ModelBundle, psi: SpinorField, n: int) -> SpinorField:
@@ -321,21 +321,12 @@ def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
 
 # -- identification with (0, *)-forms -----------------------------------------
 
-# Basis of the exterior module: (1, tb1, tb2, tb1 ^ tb2).
-_WEDGE1 = np.zeros((4, 4), dtype=complex)
-_WEDGE1[1, 0] = 1
-_WEDGE1[3, 2] = 1
-_WEDGE2 = np.zeros((4, 4), dtype=complex)
-_WEDGE2[2, 0] = 1
-_WEDGE2[3, 1] = -1
-_CONTRACT1 = np.zeros((4, 4), dtype=complex)
-_CONTRACT1[0, 1] = 1
-_CONTRACT1[2, 3] = 1
-_CONTRACT2 = np.zeros((4, 4), dtype=complex)
-_CONTRACT2[0, 2] = 1
-_CONTRACT2[1, 3] = -1
+# Wedge with tb1 and with tb2 on the basis (1, tb1, tb2, tb1 ^ tb2) of the
+# exterior module.  Contraction is the adjoint of the wedge: its transpose.
+_WEDGE1 = _frozen([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]], complex)
+_WEDGE2 = _frozen([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]], complex)
 #: Reeb action (-1)^(q+1) i on the degree-q summand.
-_REEB_ACTION = np.diag([-1j, 1j, 1j, -1j])
+_REEB_ACTION = _frozen(np.diag([-1j, 1j, 1j, -1j]))
 
 
 def form_clifford_action(x) -> np.ndarray:
@@ -348,7 +339,7 @@ def form_clifford_action(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     b1, b2 = x[0] - 1j * x[1], x[2] - 1j * x[3]  # sqrt(2) beta_1, sqrt(2) beta_2
-    act = np.conj(b1) * _WEDGE1 + np.conj(b2) * _WEDGE2 - b1 * _CONTRACT1 - b2 * _CONTRACT2
+    act = np.conj(b1) * _WEDGE1 + np.conj(b2) * _WEDGE2 - b1 * _WEDGE1.T - b2 * _WEDGE2.T
     return act + x[4] * _REEB_ACTION
 
 
@@ -381,7 +372,7 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     rows of ``_SQ2_ZBAR_Z`` times the e_w(m).
     """
     phi = IDENTIFICATION
-    mats = np.array([-_CONTRACT1, -_CONTRACT2, _WEDGE1, _WEDGE2])
+    mats = np.array([-_WEDGE1.T, -_WEDGE2.T, _WEDGE1, _WEDGE2])
     lhs = _contract(_SQ2_ZBAR_Z @ derivs, mats)
     # Phi (m e_k) = sum_j Phi[j, k] m e_j.
     rhs = np.tensordot(phi, kohn.reshape((4, -1) + kohn.shape[1:]), axes=(0, 0))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from swcheck import dirac_sw
 from swcheck.cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full
 from swcheck.curvature import COMPLEX_FRAME, admissible_ricci, ricci_form
 from swcheck.dirac_sw import (
@@ -346,6 +347,11 @@ class TestIdentification:
         )
         assert np.array_equal(IDENTIFICATION, expected)
         assert not IDENTIFICATION.flags.writeable
+        # So are the tables of the Clifford actions, and the contractions,
+        # the transposes of the wedges, with them.
+        for name in ("_WEDGE1", "_WEDGE2", "_REEB_ACTION", "_GAMMA_ROW"):
+            table = getattr(dirac_sw, name)
+            assert not table.flags.writeable and not table.T.flags.writeable, name
 
     def test_intertwiner_space_is_one_dimensional_and_is_the_table(self):
         # The reference derivation: the intertwining system solved by SVD.
