@@ -221,18 +221,19 @@ class TestSharedSymbolicWork:
         # tw_axiom_check builds its families, and those before cr_check runs:
         # no two checks' families are held at once.  One evaluation per family.
         events = []
-        tw_axiom_check, cr_check, evaluate_all = models.tw_axiom_check, models.cr_check, cli.evaluate_all
 
-        def record(name, fn):
+        def record(owner, name, event):
+            fn = getattr(owner, name)
+
             def recorded(*args):
-                events.append(name)
+                events.append(event)
                 return fn(*args)
 
-            return recorded
+            monkeypatch.setattr(owner, name, recorded)
 
-        monkeypatch.setattr(models, "tw_axiom_check", record("tw", tw_axiom_check))
-        monkeypatch.setattr(models, "cr_check", record("cr", cr_check))
-        monkeypatch.setattr(cli, "evaluate_all", record("evaluate", evaluate_all))
+        record(models, "tw_axiom_check", "tw")
+        record(models, "cr_check", "cr")
+        record(cli, "evaluate_all", "evaluate")
         chart = str(DATA / "sheared_chart_3.json")
         argv = ["model", "--model", chart, "--samples", "5", "--perturb", perturb]
         code, rep = _run(argv, capsys)
