@@ -77,23 +77,14 @@ class TestSuitesPass:
             "solution",
         }
 
-    def test_all_on_a_model_file_runs_dirac_on_heisenberg(self, tmp_path, capsys, model_to_dict):
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(model_to_dict(load_model("heisenberg"))))
-        code, rep = _run(["all", "--samples", "20", "--model", str(path)], capsys)
-        assert code == EXIT_PASS
-        assert rep["model"] == str(path)
-        assert rep["suites"]["model"]["model"] == str(path)
-        assert rep["suites"]["dirac"]["model"] == "heisenberg"
-        assert rep["suites"]["dirac"]["parameters"]["model"] == "heisenberg"
-
-    def test_all_sub_reports_are_the_single_commands(self, capsys):
+    def test_all_on_a_model_file_runs_dirac_on_heisenberg(self, capsys):
         # Only model reads the chart: every other sub-report of all --model
         # records the Heisenberg chart, as that command does when run alone.
         chart = str(DATA / "sheared_chart_3.json")
         common = ["--samples", "5", "--seed", "3"]
         code, rep = _run(["all", "--model", chart, *common], capsys)
         assert code == EXIT_PASS
+        assert rep["model"] == chart
         for name, sub in rep["suites"].items():
             argv = [name, *common] + ["--model", chart] * (name == "model")
             _, single = _run(argv, capsys)
@@ -796,6 +787,33 @@ class TestCurvatureRows:
         assert [c["name"] for c in rep["checks"][:5]] == CURVATURE_ROWS
         assert [c["residual"] for c in rep["checks"]] == [0.25, 1.0, 1.0, 0.5, 1.0, 0.0]
 
+    @pytest.mark.parametrize("k", range(10))
+    def test_a_fault_along_each_parameter_fails_once(self, k, monkeypatch, capsys):
+        # The unit residuals are all 0, so they cannot show which parameter
+        # vectors cli stacks: add 1e-3 E_12 in proportion to parameter k of
+        # the Ricci matrix (k < 4) or of the torsion.  A stack that dropped a
+        # unit vector would read 0 here, and one that held it twice 2e-3.
+        fault = np.zeros((5, 5))
+        fault[0, 1] = 1e-3
+        ricci, torsion = curvature.admissible_ricci, curvature.admissible_torsion
+        if k < 4:
+            def faulty(*params):
+                return ricci(*params) + np.multiply.outer(params[k], fault)
+
+            monkeypatch.setattr(curvature, "admissible_ricci", faulty)
+            names = CURVATURE_ROWS[1:3] + ["curvature_tensor_symmetries_and_trace"]
+            expected = dict.fromkeys(names, 1e-3)
+        else:
+            def faulty(params):
+                return torsion(params) + np.multiply.outer(np.asarray(params)[..., k - 4], fault)
+
+            monkeypatch.setattr(curvature, "admissible_torsion", faulty)
+            expected = {"bianchi_correction_vanishes": 5e-4}
+        code, rep = _run(["curvature"], capsys)
+        assert code == EXIT_FAIL
+        failed = {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
+        assert failed == pytest.approx(expected, rel=1e-12)
+
 
 class TestCertificates:
     """clifford, selfdual and curvature certify their identities on bases and
@@ -852,19 +870,24 @@ class TestCertificates:
         # One NaN entry, in the first entry of a unit-parameter row or of the
         # shift row of the residual that call ``call`` of _box_bound bounds:
         # NaN times the zero --perturb is NaN too.
-        box_bound, calls = cli._box_bound, []
+        box_bound, stacks = cli._box_bound, []
 
         def with_nan(rows, perturb):
+            stacks.append(np.array(rows))
             rows = np.array(rows)
-            if len(calls) == call:
+            if len(stacks) == call + 1:
                 rows.reshape(len(rows), -1)[row, 0] = np.nan
-            calls.append(rows.shape)
             return box_bound(rows, perturb)
 
         monkeypatch.setattr(cli, "_box_bound", with_nan)
         # ``_run`` refuses bare NaN tokens: a NaN residual is the string "NaN".
         assert self._failed(["curvature"], capsys) == {name: "NaN"}
-        assert len(calls) == len(CURVATURE_ROWS)
+        # cli bounds each residual on exactly the unit vectors and the shift,
+        # so the certificate covers the whole box.
+        unit = TestCurvatureRows._residuals(np.eye(5), np.eye(7))
+        assert len(stacks) == len(unit)
+        for k, (stack, rows) in enumerate(zip(stacks, unit)):
+            assert np.array_equal(stack, rows), CURVATURE_ROWS[k]
 
 
 @pytest.fixture(scope="module")
