@@ -10,7 +10,9 @@ values at one point.
 All differential computations are exact: coefficient functions are
 :class:`~swcheck.poly.PolyExpr` polynomials with exact Gaussian-rational
 coefficients, and Lie brackets and exterior derivatives are computed
-symbolically.  The checks (``contact_check``, ``tw_axiom_check``,
+symbolically.  Each quantity is differentiated once, and each bracket
+component and each coefficient of a wedge product or exterior derivative is
+one ``poly.dot``.  The checks (``contact_check``, ``tw_axiom_check``,
 ``cr_check``) evaluate nothing: each returns its residual families, lists of
 polynomials by row name, and the ``model`` suite of :mod:`swcheck.cli`
 measures them on the sample points.  A model file's decimal literals are
@@ -18,8 +20,9 @@ read exactly, and a JSON number as its shortest decimal text (``repr``), so
 a residual identity that holds on the chart cancels to the zero polynomial.
 What the model checks share
 (``deta``, the contact volume, the Webster metric of the frame, and the
-eta-values and Lie brackets of the frame fields and their J-images) is built
-once per frame, in tables on :class:`FrameFieldSet` that fill on first use.
+eta-values, Jacobians and Lie brackets of the frame fields and their
+J-images) is built once per frame, in tables on :class:`FrameFieldSet` that
+fill on first use: a field's Jacobian is shared by all its brackets.
 Antisymmetric quantities are built once per unordered pair: [y, x] is
 -[x, y], N(e_l, e_j) is -N(e_j, e_l), and deta(x, y) is x dotted with the
 contraction of deta with y (``CoordForm.contract``), which is built once
@@ -83,6 +86,11 @@ class VectorFieldPoly:
             [ZERO if comp.is_zero() else f.diff(c) for c, comp in enumerate(self.components)],
         )
 
+    @cached_property
+    def jacobian(self) -> tuple[tuple[PolyExpr, ...], ...]:
+        """``jacobian[c][d]`` = d X_c / dx_d, built on first read."""
+        return tuple(map(gradient, self.components))
+
     def __add__(self, other: "VectorFieldPoly") -> "VectorFieldPoly":
         return VectorFieldPoly(
             tuple(a + b for a, b in zip(self.components, other.components))
@@ -104,11 +112,16 @@ class VectorFieldPoly:
 ZERO_FIELD = VectorFieldPoly.make(0, 0, 0, 0, 0)
 
 
+def gradient(f: PolyExpr) -> tuple[PolyExpr, ...]:
+    """The five partial derivatives of f, exact."""
+    return tuple(f.diff(v) for v in range(5))
+
+
 def lie_bracket(x: VectorFieldPoly, y: VectorFieldPoly) -> VectorFieldPoly:
-    """[X, Y], computed exactly on the polynomial coefficients."""
-    return VectorFieldPoly(
-        tuple(x.apply(yc) - y.apply(xc) for xc, yc in zip(x.components, y.components))
-    )
+    """[X, Y], computed exactly on the polynomial coefficients: component c is
+    sum_d x_d dY_c/dx_d - y_d dX_c/dx_d, one ``dot`` over the two Jacobians."""
+    xy = x.components + tuple(-c for c in y.components)
+    return VectorFieldPoly(tuple(dot(xy, dy + dx) for dx, dy in zip(x.jacobian, y.jacobian)))
 
 
 @dataclass(frozen=True)
@@ -140,12 +153,13 @@ class CoordForm:
         if k > 5:
             raise ValueError("degree overflow")
         table = WEDGE[self.degree, other.degree]
-        out = [ZERO] * table.shape[2]
+        # Coefficient r is one dot over the signed products that land on it.
+        left, right = ([[] for _ in range(table.shape[2])] for _ in range(2))
         for p, q, r in zip(*np.nonzero(table)):
-            a, b = self.coeffs[p], other.coeffs[q]
-            if not (a.is_zero() or b.is_zero()):
-                out[r] = out[r] + a * b if table[p, q, r] > 0 else out[r] - a * b
-        return CoordForm(k, tuple(out))
+            a = self.coeffs[p]
+            left[r].append(a if table[p, q, r] > 0 else -a)
+            right[r].append(other.coeffs[q])
+        return CoordForm(k, tuple(map(dot, left, right)))
 
     def pair_vector(self, x: VectorFieldPoly) -> PolyExpr:
         if self.degree != 1:
@@ -172,16 +186,19 @@ class CoordForm:
 def exterior_d(form: CoordForm) -> CoordForm:
     """Coordinate exterior derivative, exact on polynomial coefficients.
 
-    d(c dx_I) = sum_v (dc/dx_v) dx_v ^ dx_I, signed by ``WEDGE[1, degree]``.
+    d(c dx_I) = sum_v (dc/dx_v) dx_v ^ dx_I, signed by ``WEDGE[1, degree]``,
+    each output coefficient summed in one ``dot``.
     """
+    if form.degree == 5:
+        raise ValueError("degree overflow")
     table = WEDGE[1, form.degree]
-    out = [ZERO] * table.shape[2]
+    signs, partials = ([[] for _ in range(table.shape[2])] for _ in range(2))
     for v, p, r in zip(*np.nonzero(table)):
         c = form.coeffs[p]
-        dc = ZERO if c.is_zero() else c.diff(int(v))
-        if not dc.is_zero():
-            out[r] = out[r] + dc if table[v, p, r] > 0 else out[r] - dc
-    return CoordForm(form.degree + 1, tuple(out))
+        if not c.is_zero():
+            signs[r].append(ONE if table[v, p, r] > 0 else -ONE)
+            partials[r].append(c.diff(int(v)))
+    return CoordForm(form.degree + 1, tuple(map(dot, signs, partials)))
 
 
 # -- frame sets and connections ------------------------------------------------
@@ -215,11 +232,12 @@ class FrameFieldSet:
     J e_i, J^2 e_i (``span[i]`` is e_{i+1}, ``span[4]`` is Reeb, and
     ``span[a + 5]`` is J span[a]); their eta-values; ``deta_slot``, the
     contraction of deta with each of them; and the tables ``deta_pair``,
-    ``eta_product``, ``metric``, ``bracket`` and ``j_bracket``.  ``bracket``
-    computes a Lie bracket only for a < b and negates it for b < a.  Exact
-    coefficients make equal fields equal by value, and a J-image or bracket
-    of fields equal to ones already seen is not built again.  What one check
-    reads once is not kept.
+    ``metric``, ``bracket`` and ``j_bracket``.  ``bracket`` computes a Lie
+    bracket only for a < b and negates it for b < a.  Exact coefficients make
+    equal fields equal by value; ``span`` holds one object per value, so each
+    field's Jacobian is built once, and a J-image or bracket of fields equal
+    to ones already seen is not built again.  What one check reads once is
+    not kept.
     """
 
     name: str
@@ -265,7 +283,9 @@ class FrameFieldSet:
     @cached_property
     def span(self) -> tuple[VectorFieldPoly, ...]:
         je = tuple(self._j(f) for f in self.fields)
-        return self.fields + je + tuple(self._j(f) for f in je)
+        # Equal fields are one object, which builds its Jacobian once.
+        first: dict[VectorFieldPoly, VectorFieldPoly] = {}
+        return tuple(first.setdefault(x, x) for x in self.fields + je + tuple(map(self._j, je)))
 
     @cached_property
     def eta_span(self) -> tuple[PolyExpr, ...]:
@@ -285,17 +305,11 @@ class FrameFieldSet:
         """``deta_pair[i, j]`` = deta(e_{i+1}, e_{j+1})."""
         return _LazyTable(lambda i, j: dot(self.fields[i].components, self.deta_slot[j]), 5)
 
-    @cached_property
-    def eta_product(self) -> _LazyTable:
-        """``eta_product[a, b]`` = eta(span[a]) eta(span[b]) for a, b < 10,
-        built for a <= b only."""
-        eta = self.eta_span
-        return _LazyTable(lambda a, b: eta[a] * eta[b] if a <= b else self.eta_product[b, a], 10)
-
     def webster(self, a: int, b: int) -> PolyExpr:
         """g(span[a], span[b]) for a, b < 10, with the Webster metric
-        g(X, Y) = deta(X, JY) + eta(X) eta(Y)."""
-        return dot(self.span[a].components, self.deta_slot[b + 5]) + self.eta_product[a, b]
+        g(X, Y) = deta(X, JY) + eta(X) eta(Y), in one ``dot``."""
+        eta = self.eta_span
+        return dot(self.span[a].components + (eta[a],), self.deta_slot[b + 5] + (eta[b],))
 
     @cached_property
     def metric(self) -> _LazyTable:
@@ -438,7 +452,7 @@ def contact_check(frame: FrameFieldSet) -> dict[str, list[PolyExpr]]:
         "eta_on_horizontal": list(eta_of[:4]),
         "frame_orthonormality": [g[i, j] - delta[i][j] for i, j in pairs],
         "metric_J_invariance": [
-            frame.webster(5 + i, 5 + j) - g[i, j] + frame.eta_product[i, j] for i, j in pairs
+            frame.webster(5 + i, 5 + j) - g[i, j] + eta_of[i] * eta_of[j] for i, j in pairs
         ],
         "metric_deta_compatibility": [
             frame.webster(5 + i, j) - frame.deta_pair[i, j] for i, j in pairs
@@ -495,11 +509,17 @@ def tw_axiom_check(
                     gamma.setdefault((k, j), []).append((m, g))
     out = {}
 
+    def along_frame(f: PolyExpr) -> list[PolyExpr]:
+        # e_k(f) for every k, with f differentiated once.
+        grad = gradient(f)
+        return [dot(x.components, grad) for x in frame.fields]
+
     # (a) parallel eta and Reeb
+    d_eta = [along_frame(eta_of[j]) for j in range(5)]
     a_exprs = []
     for k in range(5):
         for j in range(5):
-            expr = frame.fields[k].apply(eta_of[j])
+            expr = d_eta[j][k]
             for m, g in gamma.get((k, j), ()):
                 expr = expr - g * eta_of[m]
             a_exprs.append(expr)
@@ -507,11 +527,12 @@ def tw_axiom_check(
     out["axiom_a_parallel_eta_xi"] = a_exprs
 
     # (b) parallel metric
+    d_g = {(i, j): along_frame(gmat[i, j]) for i in range(5) for j in range(i, 5)}
     b_exprs = []
     for k in range(5):
         for i in range(5):
             for j in range(i, 5):
-                expr = frame.fields[k].apply(gmat[i, j])
+                expr = d_g[i, j][k]
                 for m, g in gamma.get((k, i), ()):
                     expr = expr - g * gmat[m, j]
                 for m, g in gamma.get((k, j), ()):

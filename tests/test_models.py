@@ -3,8 +3,10 @@ solution, model files."""
 
 import contextlib
 import io
+import itertools
 import json
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from swcheck.curvature import (
 )
 from swcheck import extalg
 from swcheck.dirac_sw import canonical_solution
-from swcheck.extalg import INDEX_TUPLES, PAIR_INDEX, deta
+from swcheck.extalg import INDEX_TUPLES, PAIR_INDEX, WEDGE, deta
 from swcheck.models import (
     ConnectionCoefficients,
     CoordForm,
@@ -81,19 +83,6 @@ class TestHeisenbergStructure:
         br = lie_bracket(frame.fields[0], frame.fields[1])
         assert [str(c) for c in br.components] == ["0", "0", "0", "0", "-1"]
 
-    def test_bracket_antisymmetry_and_jacobi_exact(self, heis):
-        frame, _ = heis
-        f = frame.fields
-        for i in range(5):
-            for j in range(5):
-                assert _is_zero(lie_bracket(f[i], f[j]) + lie_bracket(f[j], f[i]))
-        for i, j, k in [(0, 1, 2), (0, 2, 4), (1, 3, 0), (2, 3, 4)]:
-            jac = (
-                lie_bracket(f[i], lie_bracket(f[j], f[k]))
-                + lie_bracket(f[j], lie_bracket(f[k], f[i]))
-                + lie_bracket(f[k], lie_bracket(f[i], f[j]))
-            )
-            assert _is_zero(jac)
 
 
 def _rand_poly(rng, max_degree=3) -> PolyExpr:
@@ -116,6 +105,93 @@ def _rand_form(rng, degree, max_degree=3) -> CoordForm:
             for _ in INDEX_TUPLES[degree]
         ),
     )
+
+
+def _perturbed(frame: FrameFieldSet) -> FrameFieldSet:
+    """The frame with J[0][2] shifted by 1e-3*y2, as ``model --perturb 1e-3`` does."""
+    jrows = [list(row) for row in frame.jmat]
+    jrows[0][2] = jrows[0][2] + 1e-3 * PolyExpr.variable("y2")
+    return FrameFieldSet(frame.name, frame.fields, frame.eta, tuple(map(tuple, jrows)))
+
+
+def _field_set(name: str) -> list[VectorFieldPoly]:
+    """Nonzero test fields: the Heisenberg frame, random fields, or the
+    distinct nonzero fields e_i and J e_i of sheared_chart_3, clean or with J
+    perturbed."""
+    if name == "heisenberg":
+        return list(heisenberg5().frame.fields)
+    if name == "random":
+        rng = np.random.default_rng(600)
+        return [VectorFieldPoly(_rand_form(rng, 1, 2).coeffs) for _ in range(5)]
+    frame = load_model(SHEARED_CHART_3).frame
+    if name.endswith("perturbed"):
+        frame = _perturbed(frame)
+    return [x for x in dict.fromkeys(frame.span[:10]) if not _is_zero(x)]
+
+
+FIELD_SETS = pytest.mark.parametrize(
+    "fields",
+    ["heisenberg", "random", "sheared_chart_3", "sheared_chart_3_perturbed"],
+    indirect=True,
+)
+
+
+@pytest.fixture(scope="module")
+def fields(request):
+    return _field_set(request.param)
+
+
+class TestLieBracket:
+    """The bracket from cached Jacobians against its definition and identities."""
+
+    @FIELD_SETS
+    def test_bracket_is_the_commutator_of_derivations(self, fields):
+        # [X, Y]_c = X(Y_c) - Y(X_c), by the directional derivatives of apply.
+        for x, y in itertools.product(fields, repeat=2):
+            by_apply = [x.apply(yc) - y.apply(xc) for xc, yc in zip(x.components, y.components)]
+            assert list(lie_bracket(x, y).components) == by_apply
+
+    @FIELD_SETS
+    def test_bracket_antisymmetry_and_jacobi_exact(self, fields):
+        f = fields
+        br = {(i, j): lie_bracket(f[i], f[j]) for i in range(len(f)) for j in range(len(f))}
+        for i, j in br:
+            assert _is_zero(br[i, j] + br[j, i])
+        assert any(not _is_zero(b) for b in br.values())
+        for i, j, k in itertools.combinations(range(len(f)), 3):
+            jac = (
+                lie_bracket(f[i], br[j, k])
+                + lie_bracket(f[j], br[k, i])
+                + lie_bracket(f[k], br[i, j])
+            )
+            assert _is_zero(jac), (i, j, k)
+
+    def test_jacobian_is_built_once(self):
+        x = _field_set("random")[0]
+        assert x.jacobian is x.jacobian
+        assert x.jacobian == tuple(tuple(c.diff(d) for d in range(5)) for c in x.components)
+
+
+def _wedge_by_pairs(a: CoordForm, b: CoordForm) -> tuple[PolyExpr, ...]:
+    """The coefficients of a ^ b, adding one signed product at a time: the
+    reference for ``CoordForm.wedge``."""
+    table = WEDGE[a.degree, b.degree]
+    out = [ZERO] * table.shape[2]
+    for p, q, r in zip(*np.nonzero(table)):
+        prod = a.coeffs[p] * b.coeffs[q]
+        out[r] = out[r] + prod if table[p, q, r] > 0 else out[r] - prod
+    return tuple(out)
+
+
+def _d_by_pairs(form: CoordForm) -> tuple[PolyExpr, ...]:
+    """The coefficients of d(form), adding one signed partial derivative at a
+    time: the reference for ``exterior_d``."""
+    table = WEDGE[1, form.degree]
+    out = [ZERO] * table.shape[2]
+    for v, p, r in zip(*np.nonzero(table)):
+        dc = form.coeffs[p].diff(int(v))
+        out[r] = out[r] + dc if table[v, p, r] > 0 else out[r] - dc
+    return tuple(out)
 
 
 def _signed_sum(a: CoordForm, b: CoordForm, sign: int) -> tuple[PolyExpr, ...]:
@@ -144,6 +220,36 @@ class TestCoordForm:
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="overflow"):
             _rand_form(rng, 3).wedge(_rand_form(rng, 3))
+
+    def test_d_of_a_five_form_is_a_degree_overflow(self):
+        with pytest.raises(ValueError, match="degree overflow"):
+            exterior_d(_rand_form(np.random.default_rng(2), 5))
+
+    @pytest.mark.parametrize("ka, kb", [(ka, kb) for ka in range(6) for kb in range(6 - ka)])
+    def test_wedge_and_d_match_pairwise_sums(self, ka, kb):
+        rng = np.random.default_rng(700 + 6 * ka + kb)
+        for _ in range(3):
+            a, b = _rand_form(rng, ka), _rand_form(rng, kb)
+            assert a.wedge(b).coeffs == _wedge_by_pairs(a, b)
+            if ka < 5:
+                assert exterior_d(a).coeffs == _d_by_pairs(a)
+
+    @pytest.mark.parametrize("perturb", [False, True], ids=["clean", "perturbed"])
+    def test_wedge_and_d_match_pairwise_sums_on_a_chart(self, perturb):
+        # The chart's eta and deta, and the 1-forms with the components of
+        # its fields e_i and J e_i.
+        frame = load_model(SHEARED_CHART_3).frame
+        if perturb:
+            frame = _perturbed(frame)
+        eta, deta = frame.eta, frame.deta
+        assert deta.coeffs == _d_by_pairs(eta)
+        assert frame.contact_volume == _wedge_by_pairs(eta.wedge(deta), deta)[0]
+        forms = [CoordForm(1, x.components) for x in frame.span[:10]]
+        for a, b in itertools.combinations(forms, 2):
+            assert a.wedge(b).coeffs == _wedge_by_pairs(a, b)
+            assert a.wedge(b).wedge(deta).coeffs == _wedge_by_pairs(a.wedge(b), deta)
+        for a in forms:
+            assert exterior_d(a).coeffs == _d_by_pairs(a)
 
     def test_coefficient_count_is_checked(self):
         with pytest.raises(ValueError, match="needs 10 coefficients"):
@@ -240,12 +346,17 @@ class TestSharedTables:
 
     @staticmethod
     def _symbolic_calls(monkeypatch, *options) -> tuple[int, Counter]:
-        """Exit code and symbolic calls of one ``model`` run on sheared_chart_3."""
+        """Exit code and symbolic calls of one ``model`` run on sheared_chart_3.
+        ``jacobian`` counts the Jacobians built, each of a field unequal by
+        value to the others."""
         counts = Counter()
+        built = []
 
         def recording(name, f):
             def wrapped(*args):
                 counts[name] += 1
+                if name == "jacobian":
+                    built.append(args[0])
                 return f(*args)
 
             return wrapped
@@ -256,27 +367,36 @@ class TestSharedTables:
         )
         monkeypatch.setattr(VectorFieldPoly, "apply", recording("apply", VectorFieldPoly.apply))
         monkeypatch.setattr(FrameFieldSet, "j_apply", recording("j_apply", FrameFieldSet.j_apply))
+        monkeypatch.setattr(PolyExpr, "diff", recording("diff", PolyExpr.diff))
+        jacobian = cached_property(recording("jacobian", VectorFieldPoly.jacobian.func))
+        jacobian.__set_name__(VectorFieldPoly, "jacobian")
+        monkeypatch.setattr(VectorFieldPoly, "jacobian", jacobian)
         argv = ["model", "--model", str(SHEARED_CHART_3), "--samples", "50", "--seed", "7"]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.run(argv + list(options))
+        assert len(set(built)) == len(built)
         return code, counts
 
     def test_symbolic_calls_of_one_model_run(self, monkeypatch):
         # Each bracket is built once per unordered pair of fields, by value, and
-        # each N(e_j, e_l) once per unordered pair.
+        # each N(e_j, e_l) once per unordered pair.  Each of the 7 distinct
+        # fields that brackets read builds one Jacobian, 25 derivatives; each
+        # of the 5 eta(e_j) and 15 g(e_i, e_j) that axioms (a) and (b)
+        # differentiate is differentiated once, 5 derivatives; deta takes 20.
+        # No bracket or axiom calls apply.
         assert self._symbolic_calls(monkeypatch) == (
             0,
-            {"lie_bracket": 23, "apply": 330, "nijenhuis": 10, "j_apply": 8},
+            {"lie_bracket": 23, "nijenhuis": 10, "j_apply": 8, "jacobian": 7, "diff": 295},
         )
 
     def test_symbolic_calls_of_one_failing_model_run(self, monkeypatch):
-        # With J perturbed, fields no longer coincide by value.  Each
-        # N(e_j, e_l) maps [JY, Z] + [Y, JZ] with one J-image; for the 6
-        # horizontal pairs that is the field cr_check maps, so cr_check
-        # builds no J-image of its own.
+        # With J perturbed, fields no longer coincide by value: 9 distinct
+        # fields build their Jacobians.  Each N(e_j, e_l) maps
+        # [JY, Z] + [Y, JZ] with one J-image; for the 6 horizontal pairs that
+        # is the field cr_check maps, so cr_check builds no J-image of its own.
         assert self._symbolic_calls(monkeypatch, "--perturb", "1e-3") == (
             1,
-            {"lie_bracket": 32, "apply": 420, "nijenhuis": 10, "j_apply": 16},
+            {"lie_bracket": 32, "nijenhuis": 10, "j_apply": 16, "jacobian": 9, "diff": 345},
         )
 
 
