@@ -84,7 +84,6 @@ class TestHeisenbergStructure:
         assert [str(c) for c in br.components] == ["0", "0", "0", "0", "-1"]
 
 
-
 def _rand_poly(rng, max_degree=3) -> PolyExpr:
     """A few monomials of degree <= max_degree with small Gaussian-integer
     coefficients, so that every sum and product below is exact."""
