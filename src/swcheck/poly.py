@@ -18,6 +18,8 @@ the offset of the first token that cannot continue the expression, or of
 the "(" of a malformed complex literal; a literal beyond the float range
 (``1e400``) or with more than ``MAX_PLACES`` = 4300 decimal places
 (``1e-5000``) is one.  Total degrees are at most ``MAX_DEGREE`` = 255.
+Each distinct literal text is converted once (a bounded cache), and a
+refused one is reported at the offset of each of its occurrences.
 
 Coefficients are exact Gaussian rationals.  A decimal literal is n / 10^k
 and a float or complex number its binary value (``float.as_integer_ratio``).
@@ -53,6 +55,7 @@ _SHIFTS = tuple(_W * (NVARS - 1 - v) for v in range(NVARS))
 _SHIFT_ROW = np.array(_SHIFTS)
 _DEG_SHIFT = _W * NVARS
 _UNITS = tuple(1 << _DEG_SHIFT | 1 << s for s in _SHIFTS)
+_UNIT_OF = dict(zip(VARIABLES, _UNITS))
 #: Most decimal places of a numeric literal, so that its denominator stays small.
 MAX_PLACES = 4300
 # The imaginary numerator of a (monomial, re, im) term.
@@ -448,10 +451,14 @@ _FACTOR = re.compile(
 )
 
 
-def _literal(text: str, pos: int) -> tuple[int, int]:
-    """(numerator, denominator) of the decimal literal ``text`` at ``pos``, exactly."""
+class _Refused(ValueError):
+    """A literal the grammar matches but whose value is refused."""
+
+
+def _literal(text: str) -> tuple[int, int]:
+    """(numerator, denominator) of the decimal literal ``text``, exactly."""
     if math.isinf(float(text)):
-        raise PolySyntaxError(f"numeric literal {text[:40]!r} overflows", pos)
+        raise _Refused(f"numeric literal {text[:40]!r} overflows")
     mantissa, _, exp = text.lower().partition("e")
     whole, _, frac = mantissa.partition(".")
     digits = whole + frac
@@ -463,19 +470,29 @@ def _literal(text: str, pos: int) -> tuple[int, int]:
         exp = int(exp or 0) + len(digits) - len(sig) - len(frac)
         num = int(sig.lstrip("0"))
     except ValueError:
-        raise PolySyntaxError(f"numeric literal {text[:40]!r} has too many digits", pos) from None
+        raise _Refused(f"numeric literal {text[:40]!r} has too many digits") from None
     if exp < -MAX_PLACES:
-        raise PolySyntaxError(
-            f"numeric literal {text[:40]!r} has more than {MAX_PLACES} decimal places", pos
-        )
+        raise _Refused(f"numeric literal {text[:40]!r} has more than {MAX_PLACES} decimal places")
     return (num * 10**exp, 1) if exp >= 0 else (num, 10**-exp)
 
 
-def _number(text: str, pos: int) -> tuple[int, int, int]:
-    """(re, im, den) of a literal "a", "bi" or "i" at ``pos``, exactly."""
+@lru_cache(maxsize=1024)
+def _number(text: str) -> tuple[int, int, int]:
+    """(re, im, den) of a literal "a", "bi" or "i", exactly.  Each text is
+    converted once; a refusal is not cached, and ``_read`` reports it at the
+    offset of each occurrence."""
     literal = text.removesuffix("i")
-    num, den = _literal(literal, pos) if literal else (1, 1)
+    num, den = _literal(literal) if literal else (1, 1)
     return (num, 0, den) if literal == text else (0, num, den)
+
+
+def _read(text: str, m: re.Match, group: str) -> tuple[int, int, int]:
+    """``_number(text)`` for the text of ``group`` in ``m``; a refused literal
+    is a PolySyntaxError at that group's offset."""
+    try:
+        return _number(text)
+    except _Refused as exc:
+        raise PolySyntaxError(str(exc), m.start(group)) from None
 
 
 def _times(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -498,32 +515,34 @@ def parse_poly(src: str) -> PolyExpr:
     terms = []
     while sep is not None:
         m = _FACTOR.match(src, pos)
+        number, name, power, sign, first, imag_sign, imag, _, after = m.groups()
         if sep != "*":
             mono, coeff = 0, (-1 if sep == "-" else 1, 0, 1)
-        if m["number"]:
-            coeff = _times(coeff, _number(m["number"], m.start("number")))
-        elif name := m["name"]:
-            if name not in VARIABLES:
+        if number:
+            coeff = _times(coeff, _read(number, m, "number"))
+        elif name:
+            unit = _UNIT_OF.get(name)
+            if unit is None:
                 raise PolySyntaxError(f"unknown variable {name!r}", m.start("name"))
-            power = 1
-            if m["power"] is not None:
+            n = 1
+            if power is not None:
                 # An empty power is not an integer.
-                num, den = _literal(m["power"], m.start("power")) if m["power"] else (1, 2)
+                num, _, den = _read(power, m, "power") if power else (1, 0, 2)
                 if num % den or not 0 <= num // den <= MAX_DEGREE:
                     raise PolySyntaxError(
                         f"exponent must be an integer in 0..{MAX_DEGREE}", m.start("power")
                     )
-                power = num // den
-            if (mono >> _DEG_SHIFT) + power > MAX_DEGREE:
+                n = num // den
+            if (mono >> _DEG_SHIFT) + n > MAX_DEGREE:
                 raise PolySyntaxError(f"a product of degree above {MAX_DEGREE}", m.start("name"))
-            mono += power * _UNITS[VARIABLES.index(name)]
-        elif m["first"]:
-            a, b, d = _number(m["first"], m.start("first"))
-            if m["sign"] == "-":
+            mono += n * unit
+        elif first:
+            a, b, d = _read(first, m, "first")
+            if sign == "-":
                 a, b = -a, -b
-            if m["imag"]:
-                _, e, f = _number(m["imag"], m.start("imag"))
-                e = -e if m["imag_sign"] == "-" else e
+            if imag:
+                _, e, f = _read(imag, m, "imag")
+                e = -e if imag_sign == "-" else e
                 a, b, d = a * f, b * f + e * d, d * f
             coeff = _times(coeff, (a, b, d))
         else:
@@ -531,7 +550,7 @@ def parse_poly(src: str) -> PolyExpr:
                 "expected a number, a variable or a complex literal such as (1+2i)",
                 m.start("missing"),
             )
-        sep, pos = m["sep"], m.end()
+        sep, pos = after, m.end()
         if sep != "*":
             terms.append((mono, *coeff))
     if pos < len(src):

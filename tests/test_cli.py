@@ -291,7 +291,8 @@ class TestSharedSymbolicWork:
 
     def test_contact_volume_built_once(self, monkeypatch, capsys):
         # Both contact-volume rows read the one contact volume
-        # eta ^ deta ^ deta of the frame: two wedge products in all.
+        # eta ^ (deta ^ deta) of the frame: two wedge products in all, the
+        # 2-form square first, so that the 1-form multiplies one 4-form.
         wedges = []
         wedge = models.CoordForm.wedge
 
@@ -302,7 +303,7 @@ class TestSharedSymbolicWork:
         monkeypatch.setattr(models.CoordForm, "wedge", record_wedge)
         code, rep = _run(["model", "--samples", "3"], capsys)
         assert code == EXIT_PASS
-        assert wedges == [(1, 2), (3, 2)]
+        assert wedges == [(2, 2), (1, 4)]
         assert "contact_volume_equals_2" in {c["name"] for c in rep["checks"]}
 
 
@@ -653,6 +654,24 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == EXIT_USAGE
         assert str(path) in err and "UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # json.loads raises a plain ValueError beyond the int-string limit
+            # and a RecursionError for arrays nested beyond the recursion limit.
+            '{"eta": [' + "1" * 5000 + "]}",
+            "[" * 100000 + "]" * 100000,
+        ],
+        ids=["long_integer", "deep_nesting"],
+    )
+    def test_json_that_json_loads_rejects_is_usage_error(self, text, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code = run(["model", "--model", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"{path}: not valid JSON" in err
 
     def test_directory_as_model_file_is_usage_error(self, tmp_path, capsys):
         code = run(["model", "--model", str(tmp_path)])

@@ -343,11 +343,45 @@ class TestSharedTables:
         with pytest.raises(ValueError, match="2-form"):
             frame.eta.contract(frame.reeb)
 
+    @pytest.mark.parametrize(
+        "name", ["heisenberg", "sheared_chart_3", "perturbed", "negated_e2_e4"]
+    )
+    def test_tables_shared_up_to_sign_equal_their_definitions(self, name):
+        # The tables read a field equal to another up to sign from that
+        # field's entries, negated.  With e2 and e4 negated, J e1 == -e2.
+        frame = heisenberg5().frame if name == "heisenberg" else load_model(SHEARED_CHART_3).frame
+        if name == "perturbed":
+            frame = _perturbed(frame)
+        elif name == "negated_e2_e4":
+            e1, e2, e3, e4, xi = frame.fields
+            frame = FrameFieldSet(frame.name, (e1, -e2, e3, -e4, xi), frame.eta, frame.jmat)
+        span = frame.span
+        shared = [a for a, (r, s) in enumerate(frame.sign) if r != a]
+        # Perturbed, only J e4 == -e3 (so J J e4 == -J e3) and
+        # J J Reeb == J Reeb == 0 are left.
+        assert shared if name != "perturbed" else shared == [8, 13, 14]
+        if name == "negated_e2_e4":
+            assert frame.sign[5] == (1, -1)
+        for a, (r, s) in enumerate(frame.sign):
+            assert span[a] == (span[r] if s > 0 else -span[r])
+            assert r == min(k for k in range(15) if span[k] in (span[a], -span[a]))
+
+        def g(x, y):
+            eta_x, eta_y = frame.eta.pair_vector(x), frame.eta.pair_vector(y)
+            return dot(x.components + (eta_x,), frame.deta.contract(frame.j_apply(y)) + (eta_y,))
+
+        for a in range(10):
+            assert span[a + 5] == frame.j_apply(span[a]), a
+            assert frame.deta_slot[a] == frame.deta.contract(span[a]), a
+            for b in range(10):
+                assert frame.bracket[a, b] == lie_bracket(span[a], span[b]), (a, b)
+                assert frame.webster(a, b) == g(span[a], span[b]), (a, b)
+
     @staticmethod
     def _symbolic_calls(monkeypatch, *options) -> tuple[int, Counter]:
         """Exit code and symbolic calls of one ``model`` run on sheared_chart_3.
-        ``jacobian`` counts the Jacobians built, each of a field unequal by
-        value to the others."""
+        ``jacobian`` counts the Jacobians built, each of a field unequal to the
+        others by value and up to sign."""
         counts = Counter()
         built = []
 
@@ -373,29 +407,32 @@ class TestSharedTables:
         argv = ["model", "--model", str(SHEARED_CHART_3), "--samples", "50", "--seed", "7"]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.run(argv + list(options))
-        assert len(set(built)) == len(built)
+        assert len(set(built) | {-x for x in built}) == 2 * len(built)
         return code, counts
 
     def test_symbolic_calls_of_one_model_run(self, monkeypatch):
-        # Each bracket is built once per unordered pair of fields, by value, and
-        # each N(e_j, e_l) once per unordered pair.  Each of the 7 distinct
-        # fields that brackets read builds one Jacobian, 25 derivatives; each
-        # of the 5 eta(e_j) and 15 g(e_i, e_j) that axioms (a) and (b)
-        # differentiate is differentiated once, 5 derivatives; deta takes 20.
-        # No bracket or axiom calls apply.
+        # J e1 == e2 and J e3 == e4, so J e2 == -e1 and J e4 == -e3: the 10
+        # fields e_i, J e_i are e1..e4, Reeb and the zero field up to sign.
+        # Each bracket is built once per unordered pair of those, the 10 pairs
+        # of e1..e4, Reeb, and each N(e_j, e_l) once per unordered pair.  Each
+        # of the 5 fields builds one Jacobian, 25 derivatives; each of the 5
+        # eta(e_j) and 15 g(e_i, e_j) that axioms (a) and (b) differentiate is
+        # differentiated once, 5 derivatives; deta takes 20.  J is applied to
+        # e1..e4 and Reeb once each, and every other J-image is one of theirs
+        # up to sign.  No bracket or axiom calls apply.
         assert self._symbolic_calls(monkeypatch) == (
             0,
-            {"lie_bracket": 23, "nijenhuis": 10, "j_apply": 8, "jacobian": 7, "diff": 295},
+            {"lie_bracket": 10, "nijenhuis": 10, "j_apply": 5, "jacobian": 5, "diff": 245},
         )
 
     def test_symbolic_calls_of_one_failing_model_run(self, monkeypatch):
-        # With J perturbed, fields no longer coincide by value: 9 distinct
-        # fields build their Jacobians.  Each N(e_j, e_l) maps
+        # With J perturbed, only J e4 == -e3 is left: the 8 fields e1..e4,
+        # Reeb, J e1..J e3 build their Jacobians.  Each N(e_j, e_l) maps
         # [JY, Z] + [Y, JZ] with one J-image; for the 6 horizontal pairs that
         # is the field cr_check maps, so cr_check builds no J-image of its own.
         assert self._symbolic_calls(monkeypatch, "--perturb", "1e-3") == (
             1,
-            {"lie_bracket": 32, "nijenhuis": 10, "j_apply": 16, "jacobian": 9, "diff": 345},
+            {"lie_bracket": 26, "nijenhuis": 10, "j_apply": 14, "jacobian": 8, "diff": 320},
         )
 
 

@@ -78,6 +78,16 @@ class TestParsing:
             parse_poly("9" * 10**5)
         assert len(str(err.value)) < 100
 
+    @pytest.mark.parametrize("order", [1, -1], ids=["alone_first", "in_a_sum_first"])
+    def test_a_cached_literal_is_refused_at_each_offset(self, order):
+        # Each literal text is converted once; the refusal is reported at the
+        # offset of the occurrence that is parsed, whichever came first.
+        poly._number.cache_clear()
+        for src, position in [("1e400", 0), ("x1 + 1e400", 5)][::order]:
+            with pytest.raises(PolySyntaxError, match="overflows") as err:
+                parse_poly(src)
+            assert err.value.position == position
+
     def test_literals_are_exact_decimals(self):
         assert parse_poly("0.1") * 3 == parse_poly("0.3")
         assert parse_poly("2.5e-1") == parse_poly("0.25") == parse_poly("(25e-2+0i)")
