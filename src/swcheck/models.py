@@ -244,13 +244,13 @@ class FrameFieldSet:
     contraction of deta with each of them; and the tables ``deta_pair``,
     ``metric``, ``bracket`` and ``j_bracket``.  ``bracket`` computes a Lie
     bracket only for a < b and negates it for b < a.  Exact coefficients make
-    equal fields equal by value; ``span`` holds one object per value, shared
-    up to sign: ``sign[a]`` names the first field equal to span[a] or to its
-    negative, and J, the contraction with deta, the bracket and the Webster
-    metric, all linear in each field, read that field's entries and negate
-    them.  So each field's Jacobian is built once, and a J-image or bracket
-    of fields equal up to sign to ones already seen is not built again.  What
-    one check reads once is not kept.
+    equal fields equal by value, so the tables are shared up to sign:
+    ``sign[a]`` names the first field equal to span[a] or to its negative,
+    and J, the contraction with deta, the bracket and the Webster metric, all
+    linear in each field, read that field's entries and negate them.  So each
+    field's Jacobian is built once, and a J-image or bracket of fields equal
+    up to sign to ones already seen is not built again.  What one check reads
+    once is not kept.
     """
 
     name: str
@@ -298,10 +298,8 @@ class FrameFieldSet:
 
     @cached_property
     def span(self) -> tuple[VectorFieldPoly, ...]:
-        je = tuple(self._j(f) for f in self.fields)
-        # Equal fields are one object, which builds its Jacobian once.
-        first: dict[VectorFieldPoly, VectorFieldPoly] = {}
-        return tuple(first.setdefault(x, x) for x in self.fields + je + tuple(map(self._j, je)))
+        je = tuple(map(self._j, self.fields))
+        return self.fields + je + tuple(map(self._j, je))
 
     @cached_property
     def sign(self) -> tuple[tuple[int, int], ...]:
