@@ -33,17 +33,15 @@ from .cliff5 import GAMMA, PSI0
 from .dirac_sw import (
     IDENTIFICATION,
     SpinorField,
-    _clifford,
     basis_derivatives,
     canonical_solution,
     dbar_identity_residual,
     dirac_on_basis,
+    dirac_operators,
     family_maximum,
     form_clifford_action,
     full_dirac,
     full_dirac_fd_on_basis,
-    kohn_dirac,
-    spin_covariant_derivative,
     sw_residual,
 )
 from .extalg import (
@@ -68,6 +66,10 @@ EXIT_USAGE = 2
 #: Seeds run below 2**63: every accepted seed, and so every report's
 #: ``seed``, fits a signed 64-bit integer.
 SEED_LIMIT = 2**63
+
+#: Most --samples: the points are one ``random.Random.randbytes`` draw of 320
+#: bits each, and it takes its bit count as a C int.
+SAMPLES_LIMIT = (2**31 - 1) // 320
 
 #: Largest |--scalar|, and the inverse of the smallest.  The solution suite's
 #: doubled spinor 2 sqrt(-s) psi0 has a bilinear of size 4|s|, and the
@@ -307,12 +309,9 @@ def _suite_dirac(ns) -> dict:
     psi0 = SpinorField.psi0()
     if ns.perturb:
         psi0 = psi0 + SpinorField.make(ns.perturb * PolyExpr.variable("x1"), 0, 0, 0)
-    # full_dirac is kohn_dirac plus the Reeb term: the Kohn part is built once.
-    kohn0 = kohn_dirac(s, psi0)
-    r = max_abs((kohn0 + _clifford(5, spin_covariant_derivative(s, 5, psi0))).evaluate(points))
-    rk = max_abs(kohn0.evaluate(points))
-    checks.append(_check("full_dirac_psi0_zero", r, 0.0))
-    checks.append(_check("kohn_dirac_psi0_zero", rk, 0.0))
+    kohn0, full0 = dirac_operators(s, psi0)
+    checks.append(_check("full_dirac_psi0_zero", max_abs(full0.evaluate(points)), 0.0))
+    checks.append(_check("kohn_dirac_psi0_zero", max_abs(kohn0.evaluate(points)), 0.0))
 
     # Each check is linear in the field: its residuals are computed once on the
     # basis fields m e_k (m a monomial of degree <= 3), one row per basis field.
@@ -517,6 +516,8 @@ def run(argv=None) -> int:
         base = parse_args(sys.argv[1:] if argv is None else argv)
         if base.samples < 1:
             raise UsageError("--samples must be >= 1")
+        if base.samples > SAMPLES_LIMIT:
+            raise UsageError(f"--samples must be <= {SAMPLES_LIMIT}")
         if base.seed < 0:
             raise UsageError("--seed must be >= 0")
         if base.seed >= SEED_LIMIT:
@@ -539,12 +540,13 @@ def run(argv=None) -> int:
             raise UsageError(f"--output: {reason}: {base.output}")
         ns = _suite_ns(base.command, base)
         start = time.perf_counter()
-        if base.command in ("model", "all"):
-            try:
+        try:
+            if base.command in ("model", "all"):
                 ns.bundle = load_model(base.model)
-            except ModelFormatError as exc:
-                raise ModelFormatError(f"{base.model}: {exc}") from exc
-        report = SUITES[base.command](ns)
+            report = SUITES[base.command](ns)
+        except (ModelFormatError, OverflowError) as exc:
+            # A chart file that fails to load, or whose checks overflow a degree.
+            raise type(exc)(f"{base.model}: {exc}") from exc
     except (UsageError, ModelFormatError, PolySyntaxError, OverflowError) as exc:
         print(f"swcheck: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -226,20 +226,13 @@ def ric_identity_check(ric: np.ndarray) -> float:
 
 # -- (4,0) curvature tensor ---------------------------------------------------
 
-_SQ2 = np.sqrt(2.0)
-
-#: Components of the unitary T10 frame Z_a = (e_{2a-1} - i e_{2a}) / sqrt(2)
-#: and its conjugates in the real frame; order (Z1, Z2, Zbar1, Zbar2, Reeb).
-COMPLEX_FRAME = _frozen(
-    [
-        [1 / _SQ2, -1j / _SQ2, 0, 0, 0],
-        [0, 0, 1 / _SQ2, -1j / _SQ2, 0],
-        [1 / _SQ2, 1j / _SQ2, 0, 0, 0],
-        [0, 0, 1 / _SQ2, 1j / _SQ2, 0],
-        [0, 0, 0, 0, 1],
-    ],
-    complex,
-)
+#: sqrt(2) times the unitary frame Z_a = (e_{2a-1} - i e_{2a}) / sqrt(2) and its
+#: conjugates, rows (Z1, Z2, Zbar1, Zbar2) in the real frame: Gaussian integers.
+#: The sqrt(2) of the Clifford action cancels the 1/sqrt(2) of the frame, so
+#: the dbar rows stay exact.
+SQ2_UNITARY_FRAME = _frozen([[1, -1j, 0, 0, 0], [0, 0, 1, -1j, 0], [1, 1j, 0, 0, 0], [0, 0, 1, 1j, 0]])
+#: The frame (Z1, Z2, Zbar1, Zbar2, Reeb) in the real frame.
+COMPLEX_FRAME = _frozen(np.vstack([SQ2_UNITARY_FRAME / np.sqrt(2.0), np.eye(5)[4]]))
 
 _CONJ_INDEX = (2, 3, 0, 1, 4)
 

@@ -20,11 +20,11 @@ only the A convention is exposed there.
 
 The Kohn-Dirac operator sums the horizontal Clifford derivatives,
 D_H = sum_{i<=4} kappa(e_i) nabla_i, and the full operator adds the Reeb
-term kappa(e_5) nabla_5.
+term kappa(e_5) nabla_5; ``dirac_operators`` returns both.
 
 The operators map polynomial fields to polynomial fields:
-``spin_covariant_derivative``, ``kohn_dirac`` and ``full_dirac`` return a
-:class:`SpinorField`, derived once and exactly; callers evaluate the result
+``spin_covariant_derivative``, ``dirac_operators`` and ``full_dirac`` return
+:class:`SpinorField` values, derived once and exactly; callers evaluate them
 at points.  Fields are evaluated on stacks of points, ``(..., 5)`` arrays,
 through :func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the
 independent oracle: it takes central differences of the spinor values on
@@ -44,7 +44,7 @@ the monomials instead.  Both pass through the same assembly, one contraction
 of the derivative and connection channels with their Clifford matrices, so
 the oracle shares everything with the exact path but the derivative.  The
 dbar rows read the same e_w(m), so they hold on any chart whose connection
-is flat.
+is flat, and the unitary frame from the table ``curvature.SQ2_UNITARY_FRAME``.
 
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+; ``sw_residual`` takes the curvature
@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, sigma_full, sigma_h
-from .curvature import admissible_ricci, ricci_form, rho_plus
+from .curvature import SQ2_UNITARY_FRAME, admissible_ricci, ricci_form, rho_plus
 from .extalg import PAIR_INDEX, KForm, _frozen, horizontal_split, sd_project
 from .models import ModelBundle
 from .poly import PolyExpr, as_poly, dot, evaluate_all, monomial_terms, monomials
@@ -142,29 +142,23 @@ def spin_covariant_derivative(s: ModelBundle, w: int, psi: SpinorField) -> Spino
     return out
 
 
-def _clifford(w: int, psi: SpinorField) -> SpinorField:
-    return SpinorField(_mat_apply(GAMMA[w - 1], psi.components))
-
-
 #: kappa(e_1), ..., kappa(e_5) side by side, shape (4, 20).
 _GAMMA_ROW = _frozen(np.hstack(GAMMA))
 
 
-def _dirac(s: ModelBundle, psi: SpinorField, n: int) -> SpinorField:
-    """sum_{w <= n} kappa(e_w) nabla_w psi, as one constant matrix applied to
-    the stacked covariant derivatives: each component is one exact sum."""
-    derivs = [c for w in range(1, n + 1) for c in spin_covariant_derivative(s, w, psi).components]
-    return SpinorField(_mat_apply(_GAMMA_ROW[:, : 4 * n], derivs))
-
-
-def kohn_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
-    """Horizontal Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi."""
-    return _dirac(s, psi, 4)
+def dirac_operators(s: ModelBundle, psi: SpinorField) -> tuple[SpinorField, SpinorField]:
+    """The Kohn-Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi and the full
+    operator, Kohn plus the Reeb term kappa(e_5) nabla_5 psi: the symbolic twin
+    of ``dirac_on_basis``.  The five covariant derivatives are taken once, and
+    each component of each operator is one exact sum over them."""
+    derivs = [c for w in range(1, 6) for c in spin_covariant_derivative(s, w, psi).components]
+    kohn = SpinorField(_mat_apply(_GAMMA_ROW[:, :16], derivs[:16]))
+    return kohn, kohn + SpinorField(_mat_apply(GAMMA[4], derivs[16:]))
 
 
 def full_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
     """Full Dirac operator, the Kohn-Dirac part plus the Reeb term."""
-    return _dirac(s, psi, 5)
+    return dirac_operators(s, psi)[1]
 
 
 def fd_stencil(points, h: float) -> np.ndarray:
@@ -281,8 +275,8 @@ def _contract(channels, mats) -> np.ndarray:
 
 
 def dirac_on_basis(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, np.ndarray]:
-    """``kohn_dirac`` and ``full_dirac`` of every basis field m e_k at a stack
-    of points, each of shape ``(4 M, ..., 4)``, from the derivatives e_w(m),
+    """``dirac_operators`` of every basis field m e_k at a stack of points,
+    each of shape ``(4 M, ..., 4)``, from the derivatives e_w(m),
     ``(..., 5, M)``, and the values of the monomials, ``(..., M)``: those of
     ``basis_derivatives``, or their central differences for the oracle.
 
@@ -333,12 +327,12 @@ def form_clifford_action(x) -> np.ndarray:
     """Clifford action of a frame vector on the (0, *)-form module.
 
     X . a = sqrt(2) ((X_H^{0,1})* ^ a - X_H^{0,1} _| a) + (-1)^(q+1) i eta(X) a
-    with X_H^{0,1} = sum_a beta_a Zbar_a, sqrt(2) beta_a = x_{2a-1} - i x_{2a}.
-    The metric dual (.)* is conjugate-linear; that choice is forced by the
-    Clifford relation X . X . a = -|X|^2 a.
+    with X_H^{0,1} = sum_a beta_a Zbar_a, sqrt(2) beta_a = sqrt(2) g(X, Z_a):
+    rows of ``SQ2_UNITARY_FRAME``.  The metric dual (.)* is conjugate-linear;
+    that choice is forced by the Clifford relation X . X . a = -|X|^2 a.
     """
     x = np.asarray(x, dtype=complex)
-    b1, b2 = x[0] - 1j * x[1], x[2] - 1j * x[3]  # sqrt(2) beta_1, sqrt(2) beta_2
+    b1, b2 = SQ2_UNITARY_FRAME[:2] @ x
     act = np.conj(b1) * _WEDGE1 + np.conj(b2) * _WEDGE2 - b1 * _WEDGE1.T - b2 * _WEDGE2.T
     return act + x[4] * _REEB_ACTION
 
@@ -354,11 +348,6 @@ IDENTIFICATION = _frozen([[0, 0, 1, 0], [0, 0, 0, 1j], [0, 1j, 0, 0], [1, 0, 0, 
 
 # -- dbar operators on a flat chart --------------------------------------------
 
-#: sqrt(2) times the rows Z1, Z2, Zbar1, Zbar2 of ``curvature.COMPLEX_FRAME``,
-#: written out: the sqrt(2) of the Clifford action and the 1/sqrt(2) of the
-#: frame cancel, and the dbar rows are exact.
-_SQ2_ZBAR_Z = _frozen([[1, -1j, 0, 0, 0], [0, 0, 1, -1j, 0], [1, 1j, 0, 0, 0], [0, 0, 1, 1j, 0]])
-
 
 def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f for every basis form
@@ -369,11 +358,11 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     ``basis_derivatives``, both of that chart at the same points.  With the
     flat connection dbar_H and dbar_H* act componentwise, through the wedge
     and contraction matrices, on sqrt(2) Z_a(m) and sqrt(2) Zbar_a(m): the
-    rows of ``_SQ2_ZBAR_Z`` times the e_w(m).
+    rows of ``SQ2_UNITARY_FRAME`` times the e_w(m).
     """
     phi = IDENTIFICATION
     mats = np.array([-_WEDGE1.T, -_WEDGE2.T, _WEDGE1, _WEDGE2])
-    lhs = _contract(_SQ2_ZBAR_Z @ derivs, mats)
+    lhs = _contract(SQ2_UNITARY_FRAME @ derivs, mats)
     # Phi (m e_k) = sum_j Phi[j, k] m e_j.
     rhs = np.tensordot(phi, kohn.reshape((4, -1) + kohn.shape[1:]), axes=(0, 0))
     rhs = rhs.reshape(lhs.shape)

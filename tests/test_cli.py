@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from swcheck import cli, cliff5, curvature, dirac_sw, extalg, models, poly
-from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
+from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, SAMPLES_LIMIT, run
 from swcheck.dirac_sw import SpinorField
 from swcheck.models import load_model
 from swcheck.poly import PolyExpr
@@ -245,9 +245,9 @@ class TestSharedSymbolicWork:
         # one power-table pass over their live partials and the monomials, and
         # the oracle from one pass over the monomials on the stencil; no
         # polynomial of the basis is built or evaluated.  What is left of
-        # VectorFieldPoly.apply is the symbolic operators on psi0 (kohn_dirac
-        # 16 and the Reeb term 4) and on the phase-invariance field and its
-        # rotation (20 each).
+        # VectorFieldPoly.apply is the symbolic operators on psi0 (20, the
+        # Kohn and full operators from one call) and on the phase-invariance
+        # field and its rotation (20 each).
         applies, passes, evaluations = [], [], []
         apply = models.VectorFieldPoly.apply
         monomial_terms, evaluate_all = dirac_sw.monomial_terms, dirac_sw.evaluate_all
@@ -275,8 +275,9 @@ class TestSharedSymbolicWork:
 
     def test_dirac_builds_the_kohn_part_of_psi0_once(self, monkeypatch, capsys):
         # full_dirac_psi0_zero adds the Reeb term to the Kohn-Dirac operator of
-        # psi0 that kohn_dirac_psi0_zero reads: five covariant derivatives of
-        # psi0, and five each for the phase-invariance field and its rotation.
+        # psi0 that kohn_dirac_psi0_zero reads, both from one dirac_operators
+        # call: five covariant derivatives of psi0, and five each for the
+        # phase-invariance field and its rotation.
         directions = []
         derivative = dirac_sw.spin_covariant_derivative
 
@@ -284,8 +285,7 @@ class TestSharedSymbolicWork:
             directions.append(w)
             return derivative(s, w, psi)
 
-        for owner in (dirac_sw, cli):
-            monkeypatch.setattr(owner, "spin_covariant_derivative", record)
+        monkeypatch.setattr(dirac_sw, "spin_covariant_derivative", record)
         assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
         assert sorted(directions) == sorted([1, 2, 3, 4, 5] * 3)
 
@@ -486,6 +486,15 @@ class TestUsageErrors:
     def test_invalid_samples(self, capsys):
         assert run(["curvature", "--samples", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("samples", [SAMPLES_LIMIT + 1, 10**15])
+    @pytest.mark.parametrize("suite", ["model", "all", "curvature"])
+    def test_samples_above_the_draw_limit(self, suite, samples, capsys):
+        # One randbytes call draws every point, 320 bits each, and takes its
+        # bit count as a C int: a larger count is refused before any draw.
+        assert SAMPLES_LIMIT == 6710886
+        assert run([suite, "--samples", str(samples)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "swcheck: error: --samples must be <= 6710886\n"
+
     @pytest.mark.parametrize(
         "suite", ["clifford", "selfdual", "curvature", "model", "dirac", "all"]
     )
@@ -646,6 +655,17 @@ class TestUsageErrors:
         code = run(["model", "--model", str(path), "--samples", "5"])
         assert code == EXIT_USAGE
         assert "a product of degree above 255" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["model", "all"])
+    def test_product_overflow_names_the_chart(self, suite, tmp_path, capsys):
+        # The Reeb field parses, but the checks multiply it past degree 255.
+        data = json.loads((DATA / "sheared_chart_3.json").read_text())
+        data["xi"][4] = "1 + x1^200"
+        path = tmp_path / "reeb.json"
+        path.write_text(json.dumps(data))
+        assert run([suite, "--model", str(path), "--samples", "5"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"swcheck: error: {path}: a product of degree above 255\n"
 
     def test_non_utf8_model_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -958,8 +978,8 @@ class TestColdStart:
 # (owner, name, call, checks): call number ``call`` of ``name`` on ``owner``
 # returning one NaN entry fails exactly ``checks`` of ``dirac --samples 2``.
 _DIRAC_NAN_CASES = [
-    # psi0 is evaluated once on the point array for full_dirac, then for
-    # kohn_dirac.
+    # psi0's full Dirac operator is evaluated once on the point array, then
+    # its Kohn-Dirac operator.
     (SpinorField, "evaluate", 1, ["full_dirac_psi0_zero"]),
     (SpinorField, "evaluate", 2, ["kohn_dirac_psi0_zero"]),
     # The family maximum and the basis maximum read the same basis rows, and

@@ -9,6 +9,7 @@ from swcheck.curvature import (
     COMPLEX_FRAME,
     HORIZONTAL_FRAME_PAIRS,
     J_FRAME,
+    SQ2_UNITARY_FRAME,
     admissible_ricci,
     admissible_torsion,
     bianchi_b,
@@ -320,6 +321,20 @@ class TestCurvatureTensor:
             t = curvature_tensor(c)
             rho = (J_FRAME @ c).astype(complex)
             assert np.max(np.abs(ricci_trace(t) - z @ (1j * rho) @ z.T)) < 1e-13
+
+    def test_complex_frame_is_the_written_out_frame(self):
+        # COMPLEX_FRAME is SQ2_UNITARY_FRAME / sqrt(2) with the Reeb row:
+        # element for element the literal that wrote it out.
+        sq2 = np.sqrt(2.0)
+        literal = [
+            [1 / sq2, -1j / sq2, 0, 0, 0],
+            [0, 0, 1 / sq2, -1j / sq2, 0],
+            [1 / sq2, 1j / sq2, 0, 0, 0],
+            [0, 0, 1 / sq2, 1j / sq2, 0],
+            [0, 0, 0, 0, 1],
+        ]
+        assert np.array_equal(COMPLEX_FRAME, np.array(literal, complex))
+        assert np.array_equal(SQ2_UNITARY_FRAME, sq2 * COMPLEX_FRAME[:4])
 
     def test_components_real(self):
         # Conjugation symmetry: the components on the real frame e_p, with

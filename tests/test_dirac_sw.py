@@ -22,13 +22,13 @@ from swcheck.dirac_sw import (
     canonical_solution,
     dbar_identity_residual,
     dirac_on_basis,
+    dirac_operators,
     family_maximum,
     fd_stencil,
     form_clifford_action,
     full_dirac,
     full_dirac_fd,
     full_dirac_fd_on_basis,
-    kohn_dirac,
     spin_covariant_derivative,
     sw_residual,
 )
@@ -92,7 +92,8 @@ class TestSpinCovariantDerivative:
 class TestKohnDirac:
     def test_psi0_in_kernel(self):
         for p in POINTS[:5]:
-            assert np.array_equal(kohn_dirac(S_FLAT, SpinorField.psi0()).evaluate(p), np.zeros(4))
+            kohn = dirac_operators(S_FLAT, SpinorField.psi0())[0]
+            assert np.array_equal(kohn.evaluate(p), np.zeros(4))
 
     def test_t_dependent_field_closed_form(self):
         # e_i(t) = (y1, 0, y2, 0), so D_H (t,0,0,0) picks up the horizontal
@@ -101,15 +102,15 @@ class TestKohnDirac:
         basis0 = np.array([1, 0, 0, 0], dtype=complex)
         for p in POINTS[:5]:
             expected = p[1] * (GAMMA[0] @ basis0) + p[3] * (GAMMA[2] @ basis0)
-            out = kohn_dirac(S_FLAT, psi).evaluate(p)
+            out = dirac_operators(S_FLAT, psi)[0].evaluate(p)
             assert np.max(np.abs(out - expected)) < 1e-14
 
     def test_linearity(self, random_poly):
         rng = np.random.default_rng(3)
         a, b = (SpinorField(tuple(random_poly(rng, 3) for _ in range(4))) for _ in range(2))
         for p in POINTS[:3]:
-            lhs = kohn_dirac(S_FLAT, a + b).evaluate(p)
-            rhs = kohn_dirac(S_FLAT, a).evaluate(p) + kohn_dirac(S_FLAT, b).evaluate(p)
+            lhs = dirac_operators(S_FLAT, a + b)[0].evaluate(p)
+            rhs = sum(dirac_operators(S_FLAT, f)[0].evaluate(p) for f in (a, b))
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -121,7 +122,8 @@ class TestFullDirac:
     def test_reduces_to_kohn_on_t_independent_fields(self):
         psi = SpinorField.make(parse_poly("x1*y2"), parse_poly("y1^2"), 0, 0)
         for p in POINTS[:5]:
-            diff = full_dirac(S_FLAT, psi).evaluate(p) - kohn_dirac(S_FLAT, psi).evaluate(p)
+            kohn, full = dirac_operators(S_FLAT, psi)
+            diff = full.evaluate(p) - kohn.evaluate(p)
             assert np.max(np.abs(diff)) == 0
 
     def test_reeb_component_closed_form(self):
@@ -189,6 +191,35 @@ _TWISTED_PSI = SpinorField.make(
     parse_poly("(1+2i)*x1*y1*t"),
     parse_poly("y2^2 + 0.5*x2 - 3i"),
 )
+
+
+class TestDiracOperators:
+    """``dirac_operators`` is, term by term, the Clifford sums of the covariant
+    derivatives of ``spin_covariant_derivative``: Kohn over e_1, ..., e_4, and
+    full with the Reeb term added."""
+
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_kohn_and_full_are_the_written_out_sums(self, twisted, random_poly):
+        s = _twisted_connection() if twisted else S_FLAT
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            psi = SpinorField(tuple(random_poly(rng, 3) for _ in range(4)))
+            # kappa(e_w) nabla_w psi, component j = sum_k kappa_w[j, k] (nabla_w psi)_k.
+            terms = []
+            for w in range(1, 6):
+                nabla = spin_covariant_derivative(s, w, psi).components
+                terms.append(
+                    [
+                        sum((PolyExpr.const(a) * c for a, c in zip(row, nabla) if a), PolyExpr())
+                        for row in GAMMA[w - 1]
+                    ]
+                )
+            kohn = tuple(sum(t, PolyExpr()) for t in zip(*terms[:4]))
+            full = tuple(k + r for k, r in zip(kohn, terms[4]))
+            assert any(not r.is_zero() for r in terms[4])
+            got_kohn, got_full = dirac_operators(s, psi)
+            assert got_kohn.components == kohn
+            assert got_full.components == full
 
 
 class TestConnectionTerms:
@@ -496,7 +527,7 @@ def _dbar_identity_defect(field: FormSpinorField, points) -> np.ndarray:
     one field and evaluated at ``points``."""
     phi = IDENTIFICATION
     d, ds = dbar_pair(field)
-    dirac = kohn_dirac(S_FLAT, field.to_spinor_field(phi))
+    dirac = dirac_operators(S_FLAT, field.to_spinor_field(phi))[0]
     lhs = np.sqrt(2) * (d.evaluate(points) + ds.evaluate(points))
     return lhs - dirac.evaluate(points) @ phi.conj()
 
@@ -539,8 +570,9 @@ class TestBasis:
             for i, m in enumerate(BASIS):
                 psi = SpinorField(_basis_field(k, m))
                 row = k * len(BASIS) + i
-                assert max_abs(full[row] - full_dirac(s, psi).evaluate(POINTS)) <= 1e-13
-                assert max_abs(kohn[row] - kohn_dirac(s, psi).evaluate(POINTS)) <= 1e-13
+                kohn_psi, full_psi = dirac_operators(s, psi)
+                assert max_abs(full[row] - full_psi.evaluate(POINTS)) <= 1e-13
+                assert max_abs(kohn[row] - kohn_psi.evaluate(POINTS)) <= 1e-13
                 assert max_abs(oracle[row] - _oracle(s, psi, POINTS, h=1e-4)) <= 1e-13
 
     def test_dbar_rows_are_the_identity_on_each_basis_field(self):
