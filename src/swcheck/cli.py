@@ -314,13 +314,13 @@ def _suite_dirac(ns) -> dict:
     checks.append(_check("kohn_dirac_psi0_zero", max_abs(kohn0.evaluate(points)), 0.0))
 
     # Each check is linear in the field: its residuals are computed once on the
-    # basis fields m e_k (m a monomial of degree <= 3), one row per basis field.
-    # The basis rows bound every such field, and family_maximum gives the exact
-    # worst field of 4 monomials a component with coefficients in the unit disc.
+    # basis fields m e_k (m a monomial of degree <= 3), which bound every such
+    # field; family_maximum gives the exact worst field of 4 monomials a
+    # component with coefficients in the unit disc.
     derivs, values = basis_derivatives(s, points)
-    kohn, full = dirac_on_basis(s, points, derivs, values)
-    fd = (full - full_dirac_fd_on_basis(s, points, 1e-4)).reshape(len(full), -1)
-    dbar = dbar_identity_residual(kohn[:, :10], derivs[:10]).reshape(len(fd), -1)
+    kohn, fd = dirac_on_basis(s, points, derivs, values)
+    fd -= full_dirac_fd_on_basis(s, points, 1e-4)
+    dbar = dbar_identity_residual(kohn[:10], derivs[:10])
     checks.append(_check("finite_difference_agreement", family_maximum(fd), 1e-6))
     checks.append(_check("finite_difference_agreement_degree3_basis", max_abs(fd), 1e-6))
     checks.append(_check("dbar_identity", family_maximum(dbar), 1e-10))

@@ -32,19 +32,16 @@ the stencil around every point and shares only the connection terms with
 the exact path.  Since every operator here is linear, ``dirac_on_basis``,
 ``full_dirac_fd_on_basis`` and ``dbar_identity_residual`` give their values
 on all basis fields m e_k with m a monomial of degree at most FIELD_DEGREE
-at once, one row per field; a polynomial field of that degree is a
-combination of the rows, and ``family_maximum`` takes the largest residual
-of a family of such fields straight from them.  The basis rows need only
-the scalar derivatives e_w(m) of the monomials.  ``basis_derivatives``
-gives them exactly, from
-the partials n_c x^(e - u_c) of each monomial x^e, taken numerically from
-one power table (``poly.monomial_terms``) with no symbolic monomial built,
-and the frame components; the basis oracle takes central differences of
-the monomials instead.  Both pass through the same assembly, one contraction
-of the derivative and connection channels with their Clifford matrices, so
-the oracle shares everything with the exact path but the derivative.  The
-dbar rows read the same e_w(m), so they hold on any chart whose connection
-is flat, and the unitary frame from the table ``curvature.SQ2_UNITARY_FRAME``.
+at once, a 4 x 4 matrix per point and monomial; a polynomial field of that
+degree is a combination of them, and ``family_maximum`` takes the largest
+residual of a family of such fields straight from them.  They need only the
+derivatives e_w(m) of the monomials: exact from ``basis_derivatives``, with
+no symbolic monomial built, or central differences for the basis oracle.
+Both pass through the same assembly, one matrix product of the derivative
+and connection channels with their Clifford matrices, so the oracle shares
+everything with the exact path but the derivative.  The dbar identity reads
+the same e_w(m), so it holds on any chart with a flat connection, and the
+unitary frame from the table ``curvature.SQ2_UNITARY_FRAME``.
 
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+; ``sw_residual`` takes the curvature
@@ -146,19 +143,23 @@ def spin_covariant_derivative(s: ModelBundle, w: int, psi: SpinorField) -> Spino
 _GAMMA_ROW = _frozen(np.hstack(GAMMA))
 
 
+def _covariant_derivatives(s: ModelBundle, psi: SpinorField) -> list[PolyExpr]:
+    """The components of nabla_1 psi, ..., nabla_5 psi, one after another."""
+    return [c for w in range(1, 6) for c in spin_covariant_derivative(s, w, psi).components]
+
+
 def dirac_operators(s: ModelBundle, psi: SpinorField) -> tuple[SpinorField, SpinorField]:
     """The Kohn-Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi and the full
-    operator, Kohn plus the Reeb term kappa(e_5) nabla_5 psi: the symbolic twin
+    operator, which adds the Reeb term kappa(e_5) nabla_5 psi: the symbolic twin
     of ``dirac_on_basis``.  The five covariant derivatives are taken once, and
     each component of each operator is one exact sum over them."""
-    derivs = [c for w in range(1, 6) for c in spin_covariant_derivative(s, w, psi).components]
-    kohn = SpinorField(_mat_apply(_GAMMA_ROW[:, :16], derivs[:16]))
-    return kohn, kohn + SpinorField(_mat_apply(GAMMA[4], derivs[16:]))
+    derivs = _covariant_derivatives(s, psi)
+    return tuple(SpinorField(_mat_apply(_GAMMA_ROW[:, :n], derivs[:n])) for n in (16, 20))
 
 
 def full_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
-    """Full Dirac operator, the Kohn-Dirac part plus the Reeb term."""
-    return dirac_operators(s, psi)[1]
+    """Full Dirac operator, one exact sum over the five covariant derivatives."""
+    return SpinorField(_mat_apply(_GAMMA_ROW, _covariant_derivatives(s, psi)))
 
 
 def fd_stencil(points, h: float) -> np.ndarray:
@@ -211,9 +212,9 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float) -> np.
 # fields the suite certifies have components of degree at most FIELD_DEGREE.
 # So each is computed once on the 4 M basis fields m e_k (m one of the M
 # monomials of ``poly.monomials(FIELD_DEGREE)``, e_k a unit vector), as a
-# stack with one row per basis field, k * M + i for m = monomials[i]; the
-# field with coefficients c (shape (4, M)) then has the value
-# ``c.reshape(-1) @ rows.reshape(4 * M, -1)``.
+# stack (..., 4, 4, M) of 4 x 4 matrices: [..., j, k, i] is component j of the
+# operator on monomials[i] e_k.  The field with coefficients c (shape (4, M))
+# has the value ``np.einsum("ki,...jki->...j", c, basis)``.
 
 #: Largest total degree of the field components that the basis spans.
 FIELD_DEGREE = 3
@@ -221,20 +222,20 @@ FIELD_DEGREE = 3
 FIELD_TERMS = 4
 
 
-def family_maximum(rows) -> float:
+def family_maximum(basis) -> float:
     """The largest residual entry of every field whose four components each
     have at most FIELD_TERMS monomials of degree at most FIELD_DEGREE, with
-    complex coefficients of modulus at most 1, from the basis rows
-    ``(4 M, R)``.
+    complex coefficients of modulus at most 1, from the basis values
+    ``(..., 4, 4, M)``.
 
-    Entry r of the field c is sum_{k, i} c[k, i] rows[k M + i, r], at most
-    the sum over k of the FIELD_TERMS largest |rows[k M + i, r]|; the field
-    with c = conj(row) / |row| (1 where row is 0) on those monomials
-    reaches it.  ``np.sort``
-    puts NaN last, so a NaN entry gives NaN.
-    """
-    moduli = np.sort(np.abs(rows).reshape(4, -1, rows.shape[-1]), axis=1)
-    return float(np.max(moduli[:, -FIELD_TERMS:].sum(axis=(0, 1))))
+    Entry (..., j) of the field c is sum_{k, i} c[k, i] basis[..., j, k, i],
+    at most the sum over k of the FIELD_TERMS largest |basis[..., j, k, i]|;
+    the field with c = conj(b) / |b| (1 where b is 0) on those monomials
+    reaches it.  ``np.sort`` puts NaN last, so a NaN entry gives NaN.  The
+    4 FIELD_TERMS moduli of an entry, k-major, are one contiguous sum."""
+    moduli = np.abs(basis)
+    moduli.sort(axis=-1)
+    return float(np.max(moduli[..., -FIELD_TERMS:].reshape(moduli.shape[:-2] + (-1,)).sum(-1)))
 
 
 def _monomial_values(coeffs, exps, points) -> np.ndarray:
@@ -269,14 +270,13 @@ def basis_derivatives(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
 def _contract(channels, mats) -> np.ndarray:
     """``sum_q f_q(m) mats[q] e_k`` for the columns k of the ``(Q, 4, 4)``
     matrices, from the values ``(..., Q, M)`` of the scalars f_q(m) for every
-    monomial m: shape ``(4 M, ..., 4)``, row k * M + i for m = monomials[i]."""
-    rows = np.einsum("...qm,qjk->km...j", channels, mats)
-    return rows.reshape((-1,) + rows.shape[2:])
+    monomial m, shape ``(..., 4, 4, M)``: a ``(16, Q) @ (Q, M)`` product a point."""
+    return (np.reshape(mats, (-1, 16)).T @ channels).reshape(channels.shape[:-2] + (4, 4, -1))
 
 
 def dirac_on_basis(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, np.ndarray]:
     """``dirac_operators`` of every basis field m e_k at a stack of points,
-    each of shape ``(4 M, ..., 4)``, from the derivatives e_w(m),
+    each of shape ``(..., 4, 4, M)``, from the derivatives e_w(m),
     ``(..., 5, M)``, and the values of the monomials, ``(..., M)``: those of
     ``basis_derivatives``, or their central differences for the oracle.
 
@@ -294,12 +294,14 @@ def dirac_on_basis(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, 
             channels.append(next(coeffs)[..., None] * values)
             mats.append(GAMMA[w - 1] @ m)
     n = len(mats) - 1 - len(terms[4])  # the Kohn channels, then the Reeb ones
-    kohn = _contract(np.stack(channels[:n], -2), np.array(mats[:n]))
-    return kohn, kohn + _contract(np.stack(channels[n:], -2), np.array(mats[n:]))
+    kohn = _contract(np.stack(channels[:n], -2), mats[:n])
+    full = _contract(np.stack(channels[n:], -2), mats[n:])
+    full += kohn
+    return kohn, full
 
 
 def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
-    """``full_dirac_fd`` on every basis field, shape ``(4 M, ..., 4)``.
+    """``full_dirac_fd`` on every basis field, shape ``(..., 4, 4, M)``.
 
     The monomials are evaluated once on the stencil of all points.  Their
     central differences (m(p + h e_c) - m(p - h e_c)) / 2h, contracted with
@@ -352,7 +354,7 @@ IDENTIFICATION = _frozen([[0, 0, 1, 0], [0, 0, 0, 1j], [0, 1j, 0, 0], [1, 0, 0, 
 def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f for every basis form
     field f = m e_k at a stack of points of a chart with a flat connection:
-    shape ``(4 M, ..., 4)``, one row per basis field.
+    shape ``(..., 4, 4, M)``.
 
     ``kohn`` is D_H on the spinor basis fields and ``derivs`` the e_w(m) of
     ``basis_derivatives``, both of that chart at the same points.  With the
@@ -360,13 +362,11 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     and contraction matrices, on sqrt(2) Z_a(m) and sqrt(2) Zbar_a(m): the
     rows of ``SQ2_UNITARY_FRAME`` times the e_w(m).
     """
-    phi = IDENTIFICATION
-    mats = np.array([-_WEDGE1.T, -_WEDGE2.T, _WEDGE1, _WEDGE2])
-    lhs = _contract(SQ2_UNITARY_FRAME @ derivs, mats)
-    # Phi (m e_k) = sum_j Phi[j, k] m e_j.
-    rhs = np.tensordot(phi, kohn.reshape((4, -1) + kohn.shape[1:]), axes=(0, 0))
-    rhs = rhs.reshape(lhs.shape)
-    return lhs - rhs @ phi.conj()
+    lhs = _contract(SQ2_UNITARY_FRAME @ derivs, [-_WEDGE1.T, -_WEDGE2.T, _WEDGE1, _WEDGE2])
+    # Phi^H K Phi: Phi (m e_k) = sum_j Phi[j, k] m e_j, then Phi^-1 = Phi^H.
+    rhs = (IDENTIFICATION.T @ kohn).reshape(kohn.shape[:-3] + (4, -1))
+    lhs -= (IDENTIFICATION.conj().T @ rhs).reshape(lhs.shape)
+    return lhs
 
 
 # -- Seiberg-Witten residuals ---------------------------------------------------

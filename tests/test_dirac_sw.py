@@ -114,7 +114,28 @@ class TestKohnDirac:
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+#: The dirac suite's phase-invariance field: degree 2, every component nonzero.
+_PHASE_PSI = SpinorField.make(
+    parse_poly("1 + x1*y1 - 0.5*t"),
+    parse_poly("(1-2i)*x2 + y2^2"),
+    parse_poly("0.5i*t^2 - x1"),
+    parse_poly("y1*x2 + 3"),
+)
+
+
 class TestFullDirac:
+    @pytest.mark.parametrize("twisted", [False, True])
+    def test_is_the_full_operator_of_dirac_operators(self, twisted, random_poly):
+        # One 20-column sum over the five covariant derivatives, term by term
+        # the Kohn sum plus the Reeb term.
+        s = _twisted_connection() if twisted else S_FLAT
+        rng = np.random.default_rng(41)
+        fields = [_PHASE_PSI] + [
+            SpinorField(tuple(random_poly(rng, 3) for _ in range(4))) for _ in range(3)
+        ]
+        for psi in fields:
+            assert full_dirac(s, psi).components == dirac_operators(s, psi)[1].components
+
     def test_psi0_in_kernel_exactly(self):
         for p in POINTS:
             assert np.array_equal(full_dirac(S_FLAT, SpinorField.psi0()).evaluate(p), np.zeros(4))
@@ -543,8 +564,8 @@ def _rows(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestBasis:
-    """The rows of the basis arrays are the symbolic operators, and the
-    oracle, on the basis fields m e_k, row k * M + i for m = monomials[i]."""
+    """Entry [..., j, k, i] of the basis arrays is component j of the symbolic
+    operators, and of the oracle, on the basis field monomials[i] e_k."""
 
     @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "twisted"])
     @pytest.mark.parametrize("stencil", [False, True])
@@ -565,26 +586,25 @@ class TestBasis:
         kohn, full = _rows(s, POINTS)
         oracle = full_dirac_fd_on_basis(s, POINTS, 1e-4)
         assert len(BASIS) == 56
-        assert kohn.shape == full.shape == oracle.shape == (224, 20, 4)
+        assert kohn.shape == full.shape == oracle.shape == (20, 4, 4, 56)
         for k in range(4):
             for i, m in enumerate(BASIS):
                 psi = SpinorField(_basis_field(k, m))
-                row = k * len(BASIS) + i
                 kohn_psi, full_psi = dirac_operators(s, psi)
-                assert max_abs(full[row] - full_psi.evaluate(POINTS)) <= 1e-13
-                assert max_abs(kohn[row] - kohn_psi.evaluate(POINTS)) <= 1e-13
-                assert max_abs(oracle[row] - _oracle(s, psi, POINTS, h=1e-4)) <= 1e-13
+                assert max_abs(full[..., k, i] - full_psi.evaluate(POINTS)) <= 1e-13
+                assert max_abs(kohn[..., k, i] - kohn_psi.evaluate(POINTS)) <= 1e-13
+                assert max_abs(oracle[..., k, i] - _oracle(s, psi, POINTS, h=1e-4)) <= 1e-13
 
     def test_dbar_rows_are_the_identity_on_each_basis_field(self):
         points = POINTS[:10]
         derivs, values = basis_derivatives(S_FLAT, points)
         kohn, _ = dirac_on_basis(S_FLAT, points, derivs, values)
         rows = dbar_identity_residual(kohn, derivs)
-        assert rows.shape == (224, 10, 4)
+        assert rows.shape == (10, 4, 4, 56)
         for k in range(4):
             for i, m in enumerate(BASIS):
                 defect = _dbar_identity_defect(FormSpinorField(_basis_field(k, m)), points)
-                assert max_abs(rows[k * 56 + i] - defect) <= 1e-14
+                assert max_abs(rows[..., k, i] - defect) <= 1e-14
         # The sqrt(2) of the symbolic defect cancels in the rows: they are exact.
         assert not np.any(rows)
 
@@ -598,16 +618,37 @@ class TestBasis:
         heisenberg, _ = basis_derivatives(S_FLAT, points)
         assert max_abs(dbar_identity_residual(kohn, heisenberg)) > 1.0
 
+    @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "twisted"])
+    def test_operators_are_the_einsum_contraction_bit_for_bit(self, chart):
+        # Each operator is sum_q f_q(m) mats[q] e_k over its channels: e_w(m)
+        # with kappa(e_w), and c_t m with kappa(e_w) M_t for each connection
+        # term (c_t, M_t) of nabla_w.  Kohn takes w <= 4, full every w.
+        s = {"heisenberg": S_FLAT, "sheared": SHEARED, "twisted": _twisted_connection()}[chart]
+        derivs, values = basis_derivatives(s, POINTS)
+        channels, mats, reference = [], [], []
+        for w in range(1, 6):
+            channels.append(derivs[:, w - 1])
+            mats.append(GAMMA[w - 1])
+            for coeff, m in dirac_sw._connection_terms(s, w):
+                channels.append(evaluate_all([coeff], POINTS) * values)
+                mats.append(GAMMA[w - 1] @ m)
+            if w >= 4:
+                stack = np.stack(channels, -2)
+                reference.append(np.einsum("...qm,qjk->...jkm", stack, np.array(mats)))
+        for got, want in zip(dirac_on_basis(s, POINTS, derivs, values), reference):
+            assert got.shape == (20, 4, 4, 56)
+            assert np.array_equal(got, want)
+
     def test_coefficients_times_rows_give_the_field(self):
-        # The coefficient layout (4, M) of a field matches the rows: its value
-        # is its coefficients times them.
+        # The coefficient layout (4, M) of a field matches the basis values:
+        # its value is its coefficients times them, summed over k and i.
         rng = np.random.default_rng(13)
         coeffs = rng.uniform(-1, 1, (4, 56)) + 1j * rng.uniform(-1, 1, (4, 56))
         psi = SpinorField(
             tuple(PolyExpr.from_dict(dict(zip(monomials(FIELD_DEGREE), c))) for c in coeffs)
         )
         _, full = _rows(S_FLAT, POINTS)
-        value = np.einsum("j,j...->...", coeffs.reshape(-1), full)
+        value = np.einsum("ki,...jki->...j", coeffs, full)
         assert max_abs(value - full_dirac(S_FLAT, psi).evaluate(POINTS)) <= 1e-12
 
 
@@ -619,7 +660,7 @@ class TestFamilyMaximum:
     @staticmethod
     def _fd_rows(s: ModelBundle, h: float = 1e-4) -> np.ndarray:
         _, full = _rows(s, POINTS)
-        return (full - full_dirac_fd_on_basis(s, POINTS, h)).reshape(224, -1)
+        return full - full_dirac_fd_on_basis(s, POINTS, h)
 
     @pytest.mark.parametrize("h, fails", [(1e-2, True), (1e-4, False)])
     def test_the_tolerance_rejects_a_coarse_step(self, h, fails):
@@ -628,32 +669,62 @@ class TestFamilyMaximum:
         # is above the tolerance.
         assert (family_maximum(self._fd_rows(S_FLAT, h)) > 1e-6) == fails
 
+    @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "random"])
+    def test_equals_the_row_formula_bit_for_bit(self, chart):
+        # The same 16 moduli an entry, added in the same order as on the basis
+        # rows (4 M, R): row k M + i for monomials[i] e_k, column (point, j).
+        # The finite-difference residuals carry few significant bits, so their
+        # sums do not round; on random values a sequential sum of the 16 moduli
+        # differs from the rows' pairwise one in about half of the entries.
+        if chart == "random":
+            rng = np.random.default_rng(17)
+            basis = rng.normal(size=(20, 4, 4, 56)) + 1j * rng.normal(size=(20, 4, 4, 56))
+        else:
+            basis = self._fd_rows(S_FLAT if chart == "heisenberg" else SHEARED)
+        rows = np.moveaxis(basis, (-2, -1), (0, 1)).reshape(224, -1)
+        moduli = np.sort(np.abs(rows).reshape(4, 56, -1), axis=1)
+        sums = moduli[:, -4:].sum(axis=(0, 1)).reshape(20, 4)
+        assert family_maximum(basis) == float(np.max(sums))
+        assert [[family_maximum(b) for b in by_point] for by_point in basis] == sums.tolist()
+
     @pytest.mark.parametrize("chart", ["heisenberg", "sheared"])
     def test_the_maximizing_field_reaches_it(self, chart):
-        # Column r of coeffs is the field conj(row) / |row| (1 where row is 0)
-        # on the 4 largest |row[k M + i, r]| of each component k; the largest
-        # value of any of these fields is the maximum.
-        rows = self._fd_rows(S_FLAT if chart == "heisenberg" else SHEARED)
-        by_component = rows.reshape(4, 56, -1)
-        top = np.argsort(np.abs(by_component), axis=1)[:, -4:]
-        coeffs = np.zeros(by_component.shape, dtype=complex)
-        phases = np.exp(-1j * np.angle(np.take_along_axis(by_component, top, 1)))
-        np.put_along_axis(coeffs, top, phases, 1)
-        worst = family_maximum(rows)
-        reached = max_abs(coeffs.reshape(224, -1).T @ rows)
+        # Entry (p, j) has its field: conj(b) / |b| (1 where b is 0) on the 4
+        # largest |b[p, j, k, i]| over i, for each component k.  The largest
+        # value of any of these fields at any entry is the maximum.
+        basis = self._fd_rows(S_FLAT if chart == "heisenberg" else SHEARED)
+        top = np.argsort(np.abs(basis), axis=-1)[..., -4:]
+        coeffs = np.zeros(basis.shape, dtype=complex)
+        phases = np.exp(-1j * np.angle(np.take_along_axis(basis, top, -1)))
+        np.put_along_axis(coeffs, top, phases, -1)
+        worst = family_maximum(basis)
+        reached = max_abs(np.einsum("pjki,qlki->pjql", coeffs, basis))
         assert 0 < worst and abs(reached - worst) <= 1e-15 * worst
 
     def test_no_member_exceeds_it(self):
         # 1000 fields of the family: 4 distinct monomials a component, with
-        # coefficients in the unit disc, half of them on its boundary.
+        # coefficients in the unit disc, half of them on its boundary.  Then,
+        # for each entry (p, j), its maximizing field with every phase moved by
+        # up to 0.1.  No field exceeds the bound of any entry, family_maximum
+        # of that entry alone, and the second kind come within 1% of the bound
+        # at their own entry, so the bounds are read on the right axes.
         rng = np.random.default_rng(16)
-        rows = self._fd_rows(S_FLAT)
+        basis = self._fd_rows(S_FLAT)
         picks = np.argsort(rng.random((1000, 4, 56)), axis=-1)[..., :4]
         moduli = np.where(np.arange(1000)[:, None, None] % 2, 1.0, rng.random((1000, 4, 4)))
         values = moduli * np.exp(2j * np.pi * rng.random((1000, 4, 4)))
         coeffs = np.zeros((1000, 4, 56), dtype=complex)
         np.put_along_axis(coeffs, picks, values, -1)
-        assert max_abs(coeffs.reshape(1000, -1) @ rows) <= family_maximum(rows)
+        top = np.argsort(np.abs(basis), axis=-1)[..., -4:]
+        phases = rng.uniform(-0.1, 0.1, top.shape) - np.angle(np.take_along_axis(basis, top, -1))
+        near = np.zeros(basis.shape, dtype=complex)
+        np.put_along_axis(near, top, np.exp(1j * phases), -1)
+        coeffs = np.concatenate([coeffs, near.reshape(80, 4, 56)])
+        fields = np.abs(np.einsum("fki,pjki->fpj", coeffs, basis)).reshape(1080, 80)
+        bounds = np.array([[family_maximum(b) for b in by_point] for by_point in basis])
+        assert np.all(fields <= bounds.reshape(80))
+        assert np.all(fields[1000:].diagonal() >= 0.99 * bounds.reshape(80))
+        assert np.max(bounds) == family_maximum(basis)
 
 
 class TestSWResidual:
