@@ -313,10 +313,9 @@ def _suite_dirac(ns) -> dict:
     checks.append(_check("full_dirac_psi0_zero", max_abs(full0.evaluate(points)), 0.0))
     checks.append(_check("kohn_dirac_psi0_zero", max_abs(kohn0.evaluate(points)), 0.0))
 
-    # Each check is linear in the field: its residuals are computed once on the
-    # basis fields m e_k (m a monomial of degree <= 3), which bound every such
-    # field; family_maximum gives the exact worst field of 4 monomials a
-    # component with coefficients in the unit disc.
+    # Each check is linear in the field, so it is computed once on the basis fields
+    # m e_k (m a monomial of degree <= 3); family_maximum gives the exact worst field
+    # of 4 monomials a component with coefficients in the unit disc.
     derivs, values = basis_derivatives(s, points)
     kohn, fd = dirac_on_basis(s, points, derivs, values)
     fd -= full_dirac_fd_on_basis(s, points, 1e-4)

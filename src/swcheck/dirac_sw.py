@@ -56,6 +56,7 @@ dimension 5; the Dirac equation constrains a full spinor field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -109,23 +110,25 @@ def _mat_apply(m: np.ndarray, components) -> tuple[PolyExpr, ...]:
     )
 
 
-def _connection_terms(s: ModelBundle, w: int) -> list[tuple[PolyExpr, np.ndarray]]:
+@lru_cache(maxsize=20)
+def _connection_terms(s: ModelBundle, w: int) -> tuple[tuple[PolyExpr, np.ndarray], ...]:
     """Zeroth-order terms of nabla_w as (coefficient, constant matrix) pairs.
 
     SO_COUPLING Gamma^k_{wj} kappa(e_j) kappa(e_k) for each j < k with a
     nonzero Christoffel (omega_jk(e_w) = Gamma^k_{wj} in a g-orthonormal
-    frame), then U1_COUPLING A(e_w) Id when A(e_w) is nonzero.
+    frame), then U1_COUPLING A(e_w) Id when A(e_w) is nonzero.  Every operator
+    reads them, so they are built once per chart and direction, read-only.
     """
     gam = s.connection.gamma[w - 1]
     terms = [
-        (gam[j][k], SO_COUPLING * m)
+        (gam[j][k], _frozen(SO_COUPLING * m))
         for (j, k), m in zip(zip(*PAIR_INDEX), PAIR_PRODUCTS)
         if not gam[j][k].is_zero()
     ]
     a_w = s.connection.a_form.pair_vector(s.frame.fields[w - 1])
     if not a_w.is_zero():
-        terms.append((a_w, U1_COUPLING * np.eye(4)))
-    return terms
+        terms.append((a_w, _frozen(U1_COUPLING * np.eye(4))))
+    return tuple(terms)
 
 
 def spin_covariant_derivative(s: ModelBundle, w: int, psi: SpinorField) -> SpinorField:
@@ -233,8 +236,7 @@ def family_maximum(basis) -> float:
     the field with c = conj(b) / |b| (1 where b is 0) on those monomials
     reaches it.  ``np.sort`` puts NaN last, so a NaN entry gives NaN.  The
     4 FIELD_TERMS moduli of an entry, k-major, are one contiguous sum."""
-    moduli = np.abs(basis)
-    moduli.sort(axis=-1)
+    moduli = np.sort(np.abs(basis), axis=-1)
     return float(np.max(moduli[..., -FIELD_TERMS:].reshape(moduli.shape[:-2] + (-1,)).sum(-1)))
 
 
@@ -296,8 +298,7 @@ def dirac_on_basis(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, 
     n = len(mats) - 1 - len(terms[4])  # the Kohn channels, then the Reeb ones
     kohn = _contract(np.stack(channels[:n], -2), mats[:n])
     full = _contract(np.stack(channels[n:], -2), mats[n:])
-    full += kohn
-    return kohn, full
+    return kohn, np.add(full, kohn, out=full)
 
 
 def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
@@ -309,8 +310,7 @@ def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
     """
     exps = np.array(monomials(FIELD_DEGREE))
     values = _monomial_values(np.ones(len(exps)), exps, fd_stencil(points, h))
-    diffs = values[..., 1:6, :] - values[..., 6:, :]
-    diffs /= 2 * h
+    diffs = (values[..., 1:6, :] - values[..., 6:, :]) / (2 * h)
     derivs = _frame_values(s, points) @ diffs
     return dirac_on_basis(s, points, derivs, values[..., 0, :])[1]
 
@@ -365,8 +365,7 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     lhs = _contract(SQ2_UNITARY_FRAME @ derivs, [-_WEDGE1.T, -_WEDGE2.T, _WEDGE1, _WEDGE2])
     # Phi^H K Phi: Phi (m e_k) = sum_j Phi[j, k] m e_j, then Phi^-1 = Phi^H.
     rhs = (IDENTIFICATION.T @ kohn).reshape(kohn.shape[:-3] + (4, -1))
-    lhs -= (IDENTIFICATION.conj().T @ rhs).reshape(lhs.shape)
-    return lhs
+    return np.subtract(lhs, (IDENTIFICATION.conj().T @ rhs).reshape(lhs.shape), out=lhs)
 
 
 # -- Seiberg-Witten residuals ---------------------------------------------------

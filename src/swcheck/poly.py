@@ -32,7 +32,6 @@ evaluation, which rounds each coefficient once.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -220,8 +219,11 @@ def dot(a, b) -> PolyExpr:
 
 @lru_cache(maxsize=None)
 def monomials(degree: int) -> tuple[_Exponents, ...]:
-    """Exponent tuples of total degree at most ``degree``: C(degree + 5, 5) of them."""
-    return tuple(e for e in itertools.product(range(degree + 1), repeat=NVARS) if sum(e) <= degree)
+    """The C(degree + 5, 5) exponent tuples of total degree at most ``degree``, sorted."""
+    exps = [()]
+    for _ in range(NVARS):
+        exps = [e + (n,) for e in exps for n in range(degree + 1 - sum(e))]
+    return tuple(exps)
 
 
 def uniform(rng, shape: tuple[int, ...] = ()) -> np.ndarray:

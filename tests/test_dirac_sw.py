@@ -246,6 +246,13 @@ class TestDiracOperators:
 class TestConnectionTerms:
     """The so(5) and U(1) terms of nabla, on a connection with nonzero Christoffels."""
 
+    def test_built_once_per_chart_and_direction_read_only(self):
+        s = _twisted_connection()
+        for w in range(1, 6):
+            terms = dirac_sw._connection_terms(s, w)
+            assert terms and terms is dirac_sw._connection_terms(s, w)
+            assert not any(m.flags.writeable for _, m in terms)
+
     def test_constant_spinor_matches_written_out_formula(self):
         s = _twisted_connection()
         rng = np.random.default_rng(23)

@@ -1,6 +1,7 @@
 """Polynomial expressions: grammar, canonical form, exact calculus."""
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -551,6 +552,9 @@ class TestMonomialsAndUniform:
             table = poly.monomials(degree)
             assert len(table) == len(set(table)) == size
             assert all(sum(e) <= degree for e in table)
+            # In the order of the filtered product, the first exponent slowest.
+            product = itertools.product(range(degree + 1), repeat=5)
+            assert table == tuple(e for e in product if sum(e) <= degree)
 
     def test_uniform_stays_inside_the_open_interval(self):
         # All-zero and all-one bytes give the two ends of the range, 2^-53
