@@ -154,10 +154,11 @@ def _covariant_derivatives(s: ModelBundle, psi: SpinorField) -> list[PolyExpr]:
 def dirac_operators(s: ModelBundle, psi: SpinorField) -> tuple[SpinorField, SpinorField]:
     """The Kohn-Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi and the full
     operator, which adds the Reeb term kappa(e_5) nabla_5 psi: the symbolic twin
-    of ``dirac_on_basis``.  The five covariant derivatives are taken once, and
-    each component of each operator is one exact sum over them."""
+    of ``dirac_on_basis``.  The five covariant derivatives are taken once; Kohn
+    is one exact sum over the first four, and full adds the Reeb term to it."""
     derivs = _covariant_derivatives(s, psi)
-    return tuple(SpinorField(_mat_apply(_GAMMA_ROW[:, :n], derivs[:n])) for n in (16, 20))
+    kohn = SpinorField(_mat_apply(_GAMMA_ROW[:, :16], derivs[:16]))
+    return kohn, kohn + SpinorField(_mat_apply(_GAMMA_ROW[:, 16:], derivs[16:]))
 
 
 def full_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
@@ -228,8 +229,7 @@ FIELD_TERMS = 4
 def family_maximum(basis) -> float:
     """The largest residual entry of every field whose four components each
     have at most FIELD_TERMS monomials of degree at most FIELD_DEGREE, with
-    complex coefficients of modulus at most 1, from the basis values
-    ``(..., 4, 4, M)``.
+    complex coefficients in the unit disc, from the basis values ``(..., 4, 4, M)``.
 
     Entry (..., j) of the field c is sum_{k, i} c[k, i] basis[..., j, k, i],
     at most the sum over k of the FIELD_TERMS largest |basis[..., j, k, i]|;
