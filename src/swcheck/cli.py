@@ -35,13 +35,13 @@ from .dirac_sw import (
     SpinorField,
     basis_derivatives,
     canonical_solution,
+    contract,
     dbar_identity_residual,
-    dirac_on_basis,
     dirac_operators,
     family_maximum,
     form_clifford_action,
     full_dirac,
-    full_dirac_fd_on_basis,
+    kohn_on_basis,
     sw_residual,
 )
 from .extalg import (
@@ -315,11 +315,13 @@ def _suite_dirac(ns) -> dict:
 
     # Each check is linear in the field, so it is computed once on the basis fields
     # m e_k (m a monomial of degree <= 3); family_maximum gives the exact worst field
-    # of 4 monomials a component with coefficients in the unit disc.
-    derivs, values = basis_derivatives(s, points)
-    kohn, fd = dirac_on_basis(s, points, derivs, values)
-    fd -= full_dirac_fd_on_basis(s, points, 1e-4)
-    dbar = dbar_identity_residual(kohn[:10], derivs[:10])
+    # of 4 monomials a component with coefficients in the unit disc.  The full
+    # operator minus its oracle is the exact e_w(m) minus their central differences,
+    # contracted with kappa(e_w); the dbar rows read Kohn at the first 10 points.
+    derivs, fd_derivs, values = basis_derivatives(s, points, 1e-4)
+    fd = contract(derivs - fd_derivs, GAMMA)
+    kohn = kohn_on_basis(s, points[:10], derivs[:10], values[:10])
+    dbar = dbar_identity_residual(kohn, derivs[:10])
     checks.append(_check("finite_difference_agreement", family_maximum(fd), 1e-6))
     checks.append(_check("finite_difference_agreement_degree3_basis", max_abs(fd), 1e-6))
     checks.append(_check("dbar_identity", family_maximum(dbar), 1e-10))

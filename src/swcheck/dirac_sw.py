@@ -29,19 +29,18 @@ at points.  Fields are evaluated on stacks of points, ``(..., 5)`` arrays,
 through :func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the
 independent oracle: it takes central differences of the spinor values on
 the stencil around every point and shares only the connection terms with
-the exact path.  Since every operator here is linear, ``dirac_on_basis``,
-``full_dirac_fd_on_basis`` and ``dbar_identity_residual`` give their values
-on all basis fields m e_k with m a monomial of degree at most FIELD_DEGREE
-at once, a 4 x 4 matrix per point and monomial; a polynomial field of that
-degree is a combination of them, and ``family_maximum`` takes the largest
-residual of a family of such fields straight from them.  They need only the
-derivatives e_w(m) of the monomials: exact from ``basis_derivatives``, with
-no symbolic monomial built, or central differences for the basis oracle.
-Both pass through the same assembly, one matrix product of the derivative
-and connection channels with their Clifford matrices, so the oracle shares
-everything with the exact path but the derivative.  The dbar identity reads
-the same e_w(m), so it holds on any chart with a flat connection, and the
-unitary frame from the table ``curvature.SQ2_UNITARY_FRAME``.
+the exact path.  Since every operator here is linear, ``kohn_on_basis`` and
+``dbar_identity_residual`` give their values on all basis fields m e_k with
+m a monomial of degree at most FIELD_DEGREE at once, a 4 x 4 matrix per
+point and monomial; a polynomial field of that degree is a combination of
+them, and ``family_maximum`` takes the largest residual of a family of such
+fields straight from them.  They need only the derivatives e_w(m) of the
+monomials, which ``basis_derivatives`` gives exactly, with no symbolic
+monomial built, and as central differences.  The full operator minus its
+oracle on the basis shares everything but that table, so it is the table's
+difference contracted with kappa(e_w): ``contract(derivs - fd_derivs, GAMMA)``.
+The dbar identity reads the same e_w(m), so it holds on any chart with a flat
+connection, and the unitary frame from the table ``curvature.SQ2_UNITARY_FRAME``.
 
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+; ``sw_residual`` takes the curvature
@@ -153,8 +152,8 @@ def _covariant_derivatives(s: ModelBundle, psi: SpinorField) -> list[PolyExpr]:
 
 def dirac_operators(s: ModelBundle, psi: SpinorField) -> tuple[SpinorField, SpinorField]:
     """The Kohn-Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi and the full
-    operator, which adds the Reeb term kappa(e_5) nabla_5 psi: the symbolic twin
-    of ``dirac_on_basis``.  The five covariant derivatives are taken once; Kohn
+    operator, which adds the Reeb term kappa(e_5) nabla_5 psi; Kohn's numeric
+    twin is ``kohn_on_basis``.  The five covariant derivatives are taken once; Kohn
     is one exact sum over the first four, and full adds the Reeb term to it."""
     derivs = _covariant_derivatives(s, psi)
     kohn = SpinorField(_mat_apply(_GAMMA_ROW[:, :16], derivs[:16]))
@@ -192,7 +191,7 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float) -> np.
     ``(..., 4)``, or ``(F, ..., 4)``.  The exact directional derivatives are
     replaced with central differences along the chart coordinates; only the
     connection terms are shared with the exact path.  This is the per-field
-    reference that ``full_dirac_fd_on_basis`` is tested against.
+    reference that the finite-difference rows of the basis are tested against.
     """
     psi_p = psi_vals[..., 0, :]
     # e_w(psi) = sum_c e_w^c d_c psi, with d_c psi the central differences.
@@ -212,13 +211,15 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float) -> np.
 
 # -- the operators on the basis fields m e_k ------------------------------------
 #
-# Both Dirac operators, their oracle and the dbar identity are linear, and the
-# fields the suite certifies have components of degree at most FIELD_DEGREE.
-# So each is computed once on the 4 M basis fields m e_k (m one of the M
-# monomials of ``poly.monomials(FIELD_DEGREE)``, e_k a unit vector), as a
-# stack (..., 4, 4, M) of 4 x 4 matrices: [..., j, k, i] is component j of the
-# operator on monomials[i] e_k.  The field with coefficients c (shape (4, M))
-# has the value ``np.einsum("ki,...jki->...j", c, basis)``.
+# The Kohn operator, the full operator minus its oracle and the dbar identity
+# are linear, and the fields the suite certifies have components of degree at
+# most FIELD_DEGREE.  So each is computed once on the 4 M basis fields m e_k
+# (m one of the M monomials of ``poly.monomials(FIELD_DEGREE)``, e_k a unit
+# vector), as a stack (..., 4, 4, M) of 4 x 4 matrices: [..., j, k, i] is
+# component j of the operator on monomials[i] e_k.  The field with
+# coefficients c (shape (4, M)) has the value
+# ``np.einsum("ki,...jki->...j", c, basis)``.  The full operator minus the
+# oracle is ``contract(derivs - fd_derivs, GAMMA)``: only e_w(m) differs.
 
 #: Largest total degree of the field components that the basis spans.
 FIELD_DEGREE = 3
@@ -248,15 +249,16 @@ def _monomial_values(coeffs, exps, points) -> np.ndarray:
     return terms.T.reshape(points.shape[:-1] + (len(exps),))
 
 
-def basis_derivatives(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
+def basis_derivatives(s: ModelBundle, points, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """e_w(m) for the five frame fields and every basis monomial m at a stack
-    of points, shape ``(..., 5, M)``, and the values of the monomials,
-    ``(..., M)``.
+    of points, shape ``(..., 5, M)``, the same with central differences at
+    step h, and the values of the monomials, ``(..., M)``.
 
     By the chain rule e_w(m) = sum_c e_w^c d_c m, with d_c m = n_c x^(e - u_c)
     for m = x^e: the partials with n_c > 0 and the monomials are evaluated in
-    one pass, the others are exactly 0, and the frame components are
-    evaluated once.
+    one pass, the others are exactly 0.  The central differences
+    (m(p + h u_c) - m(p - h u_c)) / 2h come from one pass over the monomials on
+    the stencil.  Both tables read the one evaluation of the frame components.
     """
     exps = np.array(monomials(FIELD_DEGREE))
     c, i = np.nonzero(exps.T)
@@ -266,27 +268,29 @@ def basis_derivatives(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
     )
     partials = np.zeros(vals.shape[:-1] + (5, len(exps)), dtype=complex)
     partials[..., c, i] = vals[..., : len(c)]
-    return _frame_values(s, points) @ partials, vals[..., len(c) :]
+    stencil = _monomial_values(np.ones(len(exps)), exps, fd_stencil(points, h)[..., 1:, :])
+    diffs = (stencil[..., :5, :] - stencil[..., 5:, :]) / (2 * h)
+    frame = _frame_values(s, points)
+    return frame @ partials, frame @ diffs, vals[..., len(c) :]
 
 
-def _contract(channels, mats) -> np.ndarray:
+def contract(channels, mats) -> np.ndarray:
     """``sum_q f_q(m) mats[q] e_k`` for the columns k of the ``(Q, 4, 4)``
     matrices, from the values ``(..., Q, M)`` of the scalars f_q(m) for every
     monomial m, shape ``(..., 4, 4, M)``: a ``(16, Q) @ (Q, M)`` product a point."""
     return (np.reshape(mats, (-1, 16)).T @ channels).reshape(channels.shape[:-2] + (4, 4, -1))
 
 
-def dirac_on_basis(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, np.ndarray]:
-    """``dirac_operators`` of every basis field m e_k at a stack of points,
-    each of shape ``(..., 4, 4, M)``, from the derivatives e_w(m),
-    ``(..., 5, M)``, and the values of the monomials, ``(..., M)``: those of
-    ``basis_derivatives``, or their central differences for the oracle.
+def kohn_on_basis(s: ModelBundle, points, derivs, values) -> np.ndarray:
+    """The Kohn-Dirac operator of every basis field m e_k at a stack of points,
+    shape ``(..., 4, 4, M)``, from the e_w(m) of ``basis_derivatives``,
+    ``(..., 5, M)``, and the values of the monomials, ``(..., M)``.
 
     nabla_w (m e_k) = e_w(m) e_k + sum_t c_t m M_t e_k over the connection
-    terms (c_t, M_t) of ``_connection_terms``; each operator is one
-    contraction of these channels with their Clifford matrices.
+    terms (c_t, M_t) of ``_connection_terms``; the operator is one contraction
+    of these channels for w <= 4 with their Clifford matrices.
     """
-    terms = [_connection_terms(s, w) for w in range(1, 6)]
+    terms = [_connection_terms(s, w) for w in range(1, 5)]
     coeffs = iter(np.moveaxis(evaluate_all([c for ts in terms for c, _ in ts], points), -1, 0))
     channels, mats = [], []
     for w, ts in enumerate(terms, 1):
@@ -295,24 +299,7 @@ def dirac_on_basis(s: ModelBundle, points, derivs, values) -> tuple[np.ndarray, 
         for _, m in ts:
             channels.append(next(coeffs)[..., None] * values)
             mats.append(GAMMA[w - 1] @ m)
-    n = len(mats) - 1 - len(terms[4])  # the Kohn channels, then the Reeb ones
-    kohn = _contract(np.stack(channels[:n], -2), mats[:n])
-    full = _contract(np.stack(channels[n:], -2), mats[n:])
-    return kohn, np.add(full, kohn, out=full)
-
-
-def full_dirac_fd_on_basis(s: ModelBundle, points, h: float) -> np.ndarray:
-    """``full_dirac_fd`` on every basis field, shape ``(..., 4, 4, M)``.
-
-    The monomials are evaluated once on the stencil of all points.  Their
-    central differences (m(p + h e_c) - m(p - h e_c)) / 2h, contracted with
-    the frame components, stand in for the exact e_w(m) in ``dirac_on_basis``.
-    """
-    exps = np.array(monomials(FIELD_DEGREE))
-    values = _monomial_values(np.ones(len(exps)), exps, fd_stencil(points, h))
-    diffs = (values[..., 1:6, :] - values[..., 6:, :]) / (2 * h)
-    derivs = _frame_values(s, points) @ diffs
-    return dirac_on_basis(s, points, derivs, values[..., 0, :])[1]
+    return contract(np.stack(channels, -2), mats)
 
 
 # -- identification with (0, *)-forms -----------------------------------------
@@ -362,7 +349,7 @@ def dbar_identity_residual(kohn, derivs) -> np.ndarray:
     and contraction matrices, on sqrt(2) Z_a(m) and sqrt(2) Zbar_a(m): the
     rows of ``SQ2_UNITARY_FRAME`` times the e_w(m).
     """
-    lhs = _contract(SQ2_UNITARY_FRAME @ derivs, [-_WEDGE1.T, -_WEDGE2.T, _WEDGE1, _WEDGE2])
+    lhs = contract(SQ2_UNITARY_FRAME @ derivs, [-_WEDGE1.T, -_WEDGE2.T, _WEDGE1, _WEDGE2])
     # Phi^H K Phi: Phi (m e_k) = sum_j Phi[j, k] m e_j, then Phi^-1 = Phi^H.
     rhs = (IDENTIFICATION.T @ kohn).reshape(kohn.shape[:-3] + (4, -1))
     return np.subtract(lhs, (IDENTIFICATION.conj().T @ rhs).reshape(lhs.shape), out=lhs)

@@ -243,11 +243,14 @@ class TestSharedSymbolicWork:
     def test_dirac_basis_rows_from_one_derivative_table(self, monkeypatch, capsys):
         # The basis rows read the derivatives e_w(m) of the 56 monomials from
         # one power-table pass over their live partials and the monomials, and
-        # the oracle from one pass over the monomials on the stencil; no
-        # polynomial of the basis is built or evaluated.  What is left of
-        # VectorFieldPoly.apply is the symbolic operators on psi0 (20, the
-        # Kohn and full operators from one call) and on the phase-invariance
-        # field and its rotation (20 each).
+        # their central differences from one pass over the monomials on the
+        # stencil around each point; no polynomial of the basis is built or
+        # evaluated.  What is left of VectorFieldPoly.apply is the symbolic
+        # operators on psi0 (20, the Kohn and full operators from one call)
+        # and on the phase-invariance field and its rotation (20 each).
+        # Besides the spinor fields, evaluate_all reads the 25 frame
+        # components once, for both tables, and Kohn's connection
+        # coefficients (none on Heisenberg) at the 10 points of the dbar rows.
         applies, passes, evaluations = [], [], []
         apply = models.VectorFieldPoly.apply
         monomial_terms, evaluate_all = dirac_sw.monomial_terms, dirac_sw.evaluate_all
@@ -261,7 +264,7 @@ class TestSharedSymbolicWork:
             return monomial_terms(coeffs, exps, points)
 
         def record_evaluate_all(polys, points):
-            evaluations.append(len(polys))
+            evaluations.append((len(polys), np.shape(points)))
             return evaluate_all(polys, points)
 
         monkeypatch.setattr(models.VectorFieldPoly, "apply", record_apply)
@@ -270,8 +273,9 @@ class TestSharedSymbolicWork:
         assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
         assert len(applies) == 60
         live = sum(np.count_nonzero(e) for e in poly.monomials(dirac_sw.FIELD_DEGREE))
-        assert passes == [(live + 56, 20), (56, 20 * 11)]
-        assert max(evaluations) < 56
+        assert passes == [(live + 56, 20), (56, 20 * 10)]
+        spinors = [(4, (20, 5))] * 2 + [(4, (5, 5))] * 4
+        assert evaluations == spinors[:2] + [(25, (20, 5)), (0, (10, 5))] + spinors[2:]
 
     def test_dirac_builds_the_kohn_part_of_psi0_once(self, monkeypatch, capsys):
         # full_dirac_psi0_zero adds the Reeb term to the Kohn-Dirac operator of
@@ -983,10 +987,11 @@ _DIRAC_NAN_CASES = [
     (SpinorField, "evaluate", 1, ["full_dirac_psi0_zero"]),
     (SpinorField, "evaluate", 2, ["kohn_dirac_psi0_zero"]),
     # The family maximum and the basis maximum read the same basis rows, and
-    # np.sort puts NaN last, so a NaN in a basis row fails both checks.
+    # np.sort puts NaN last, so a NaN in a basis row fails both checks.  The
+    # one contraction cli makes itself is the finite-difference rows.
     (
         cli,
-        "full_dirac_fd_on_basis",
+        "contract",
         1,
         ["finite_difference_agreement", "finite_difference_agreement_degree3_basis"],
     ),
@@ -1145,6 +1150,8 @@ class TestReports:
             ("all_seed0_perturbed", ["all", "--seed", "0", "--perturb", "1e-3"], EXIT_FAIL),
             ("model_chart", _CHART, EXIT_PASS),
             ("model_chart_perturbed", _CHART + ["--perturb", "1e-3"], EXIT_FAIL),
+            ("dirac_seed3", ["dirac", "--seed", "3"], EXIT_PASS),
+            ("dirac_seed3_perturbed", ["dirac", "--seed", "3", "--perturb", "1e-3"], EXIT_FAIL),
         ],
     )
     def test_golden_report(self, name, argv, code, monkeypatch, tmp_path):

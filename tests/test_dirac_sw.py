@@ -20,15 +20,15 @@ from swcheck.dirac_sw import (
     _mat_apply,
     basis_derivatives,
     canonical_solution,
+    contract,
     dbar_identity_residual,
-    dirac_on_basis,
     dirac_operators,
     family_maximum,
     fd_stencil,
     form_clifford_action,
     full_dirac,
     full_dirac_fd,
-    full_dirac_fd_on_basis,
+    kohn_on_basis,
     spin_covariant_derivative,
     sw_residual,
 )
@@ -565,9 +565,34 @@ def _basis_field(k: int, m: PolyExpr) -> tuple[PolyExpr, ...]:
     return tuple(m if j == k else PolyExpr() for j in range(4))
 
 
-def _rows(s: ModelBundle, points) -> tuple[np.ndarray, np.ndarray]:
-    """``dirac_on_basis`` of chart ``s`` at ``points``, from its own e_w(m)."""
-    return dirac_on_basis(s, points, *basis_derivatives(s, points))
+def _kohn(s: ModelBundle, points) -> np.ndarray:
+    """``kohn_on_basis`` of chart ``s`` at ``points``, from its own e_w(m)."""
+    derivs, _, values = basis_derivatives(s, points, 1e-4)
+    return kohn_on_basis(s, points, derivs, values)
+
+
+def _fd_rows(s: ModelBundle, h: float = 1e-4) -> np.ndarray:
+    """The full operator minus its oracle at step h on every basis field at
+    POINTS, as the dirac suite computes it."""
+    derivs, fd_derivs, _ = basis_derivatives(s, POINTS, h)
+    return contract(derivs - fd_derivs, GAMMA)
+
+
+def _einsum_operators(s: ModelBundle, derivs, values) -> list[np.ndarray]:
+    """Kohn and the full operator on the basis fields at POINTS from the
+    derivative table ``derivs``: sum_q f_q(m) mats[q] e_k over the channels,
+    e_w(m) with kappa(e_w) and c_t m with kappa(e_w) M_t for each connection
+    term (c_t, M_t) of nabla_w, as one einsum; Kohn takes w <= 4, full every w."""
+    channels, mats, out = [], [], []
+    for w in range(1, 6):
+        channels.append(derivs[:, w - 1])
+        mats.append(GAMMA[w - 1])
+        for coeff, m in dirac_sw._connection_terms(s, w):
+            channels.append(evaluate_all([coeff], POINTS) * values)
+            mats.append(GAMMA[w - 1] @ m)
+        if w >= 4:
+            out.append(np.einsum("...qm,qjk->...jkm", np.stack(channels, -2), np.array(mats)))
+    return out
 
 
 class TestBasis:
@@ -578,35 +603,55 @@ class TestBasis:
     @pytest.mark.parametrize("stencil", [False, True])
     def test_derivatives_are_the_symbolic_partials_bit_for_bit(self, chart, stencil):
         # The values and partials from the power table are the evaluate_all
-        # values of the exact monomials and of their exact partials.
+        # values of the exact monomials and of their exact partials, and the
+        # central differences are those of the exact monomials' real values.
         s = {"heisenberg": S_FLAT, "sheared": SHEARED, "twisted": _twisted_connection()}[chart]
         points = fd_stencil(POINTS, 1e-4) if stencil else POINTS
-        derivs, values = basis_derivatives(s, points)
+        derivs, fd_derivs, values = basis_derivatives(s, points, 1e-4)
         partials = evaluate_all([m.diff(c) for c in range(5) for m in BASIS], points)
         partials = partials.reshape(points.shape[:-1] + (5, len(BASIS)))
+        on_stencil = evaluate_all(BASIS, fd_stencil(points, 1e-4)).real
+        diffs = (on_stencil[..., 1:6, :] - on_stencil[..., 6:, :]) / (2 * 1e-4)
         assert np.array_equal(values, evaluate_all(BASIS, points))
         assert np.array_equal(derivs, _frame_values(s, points) @ partials)
+        assert np.array_equal(fd_derivs, _frame_values(s, points) @ diffs)
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_rows_are_the_operators_on_each_basis_field(self, twisted):
         s = _twisted_connection() if twisted else S_FLAT
-        kohn, full = _rows(s, POINTS)
-        oracle = full_dirac_fd_on_basis(s, POINTS, 1e-4)
+        kohn, fd = _kohn(s, POINTS), _fd_rows(s)
         assert len(BASIS) == 56
-        assert kohn.shape == full.shape == oracle.shape == (20, 4, 4, 56)
+        assert kohn.shape == fd.shape == (20, 4, 4, 56)
         for k in range(4):
             for i, m in enumerate(BASIS):
                 psi = SpinorField(_basis_field(k, m))
                 kohn_psi, full_psi = dirac_operators(s, psi)
-                assert max_abs(full[..., k, i] - full_psi.evaluate(POINTS)) <= 1e-13
                 assert max_abs(kohn[..., k, i] - kohn_psi.evaluate(POINTS)) <= 1e-13
-                assert max_abs(oracle[..., k, i] - _oracle(s, psi, POINTS, h=1e-4)) <= 1e-13
+                fd_psi = full_psi.evaluate(POINTS) - _oracle(s, psi, POINTS, h=1e-4)
+                assert max_abs(fd[..., k, i] - fd_psi) <= 1e-13
+
+    @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "twisted"])
+    def test_fd_rows_are_the_assembled_operators_difference(self, chart):
+        # The full operator assembled from the exact e_w(m), minus the same
+        # assembly from the central differences: the connection channels
+        # cancel.  On charts without connection terms every Clifford entry has
+        # one nonzero product, so both round alike and the moduli the checks
+        # read are the same bits; the twisted connection's channels leave a
+        # rounding difference.
+        s = {"heisenberg": S_FLAT, "sheared": SHEARED, "twisted": _twisted_connection()}[chart]
+        derivs, fd_derivs, values = basis_derivatives(s, POINTS, 1e-4)
+        assembled = _einsum_operators(s, derivs, values)[1]
+        assembled -= _einsum_operators(s, fd_derivs, values)[1]
+        rows = _fd_rows(s)
+        if chart == "twisted":
+            assert 0 < max_abs(assembled - rows) <= 1e-15
+        else:
+            assert np.array_equal(np.abs(assembled), np.abs(rows))
 
     def test_dbar_rows_are_the_identity_on_each_basis_field(self):
         points = POINTS[:10]
-        derivs, values = basis_derivatives(S_FLAT, points)
-        kohn, _ = dirac_on_basis(S_FLAT, points, derivs, values)
-        rows = dbar_identity_residual(kohn, derivs)
+        derivs, _, values = basis_derivatives(S_FLAT, points, 1e-4)
+        rows = dbar_identity_residual(kohn_on_basis(S_FLAT, points, derivs, values), derivs)
         assert rows.shape == (10, 4, 4, 56)
         for k in range(4):
             for i, m in enumerate(BASIS):
@@ -619,32 +664,19 @@ class TestBasis:
         # The sheared chart's connection is flat, so its own e_w(m) satisfy
         # the identity exactly; the Heisenberg e_w(m) with its Kohn rows do not.
         points = POINTS[:10]
-        derivs, values = basis_derivatives(SHEARED, points)
-        kohn, _ = dirac_on_basis(SHEARED, points, derivs, values)
+        derivs, _, values = basis_derivatives(SHEARED, points, 1e-4)
+        kohn = kohn_on_basis(SHEARED, points, derivs, values)
         assert not np.any(dbar_identity_residual(kohn, derivs))
-        heisenberg, _ = basis_derivatives(S_FLAT, points)
+        heisenberg, _, _ = basis_derivatives(S_FLAT, points, 1e-4)
         assert max_abs(dbar_identity_residual(kohn, heisenberg)) > 1.0
 
     @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "twisted"])
     def test_operators_are_the_einsum_contraction_bit_for_bit(self, chart):
-        # Each operator is sum_q f_q(m) mats[q] e_k over its channels: e_w(m)
-        # with kappa(e_w), and c_t m with kappa(e_w) M_t for each connection
-        # term (c_t, M_t) of nabla_w.  Kohn takes w <= 4, full every w.
         s = {"heisenberg": S_FLAT, "sheared": SHEARED, "twisted": _twisted_connection()}[chart]
-        derivs, values = basis_derivatives(s, POINTS)
-        channels, mats, reference = [], [], []
-        for w in range(1, 6):
-            channels.append(derivs[:, w - 1])
-            mats.append(GAMMA[w - 1])
-            for coeff, m in dirac_sw._connection_terms(s, w):
-                channels.append(evaluate_all([coeff], POINTS) * values)
-                mats.append(GAMMA[w - 1] @ m)
-            if w >= 4:
-                stack = np.stack(channels, -2)
-                reference.append(np.einsum("...qm,qjk->...jkm", stack, np.array(mats)))
-        for got, want in zip(dirac_on_basis(s, POINTS, derivs, values), reference):
-            assert got.shape == (20, 4, 4, 56)
-            assert np.array_equal(got, want)
+        derivs, _, values = basis_derivatives(s, POINTS, 1e-4)
+        kohn = kohn_on_basis(s, POINTS, derivs, values)
+        assert kohn.shape == (20, 4, 4, 56)
+        assert np.array_equal(kohn, _einsum_operators(s, derivs, values)[0])
 
     def test_coefficients_times_rows_give_the_field(self):
         # The coefficient layout (4, M) of a field matches the basis values:
@@ -654,9 +686,8 @@ class TestBasis:
         psi = SpinorField(
             tuple(PolyExpr.from_dict(dict(zip(monomials(FIELD_DEGREE), c))) for c in coeffs)
         )
-        _, full = _rows(S_FLAT, POINTS)
-        value = np.einsum("ki,...jki->...j", coeffs, full)
-        assert max_abs(value - full_dirac(S_FLAT, psi).evaluate(POINTS)) <= 1e-12
+        value = np.einsum("ki,...jki->...j", coeffs, _kohn(S_FLAT, POINTS))
+        assert max_abs(value - dirac_operators(S_FLAT, psi)[0].evaluate(POINTS)) <= 1e-12
 
 
 class TestFamilyMaximum:
@@ -664,17 +695,12 @@ class TestFamilyMaximum:
     residual of the fields with 4 monomials a component and coefficients of
     modulus at most 1."""
 
-    @staticmethod
-    def _fd_rows(s: ModelBundle, h: float = 1e-4) -> np.ndarray:
-        _, full = _rows(s, POINTS)
-        return full - full_dirac_fd_on_basis(s, POINTS, h)
-
     @pytest.mark.parametrize("h, fails", [(1e-2, True), (1e-4, False)])
     def test_the_tolerance_rejects_a_coarse_step(self, h, fails):
         # The dirac suite compares at step 1e-4 against 1e-6.  The check is not
         # vacuous: at step 1e-2 the O(h^2) error of the central differences
         # is above the tolerance.
-        assert (family_maximum(self._fd_rows(S_FLAT, h)) > 1e-6) == fails
+        assert (family_maximum(_fd_rows(S_FLAT, h)) > 1e-6) == fails
 
     @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "random"])
     def test_equals_the_row_formula_bit_for_bit(self, chart):
@@ -687,7 +713,7 @@ class TestFamilyMaximum:
             rng = np.random.default_rng(17)
             basis = rng.normal(size=(20, 4, 4, 56)) + 1j * rng.normal(size=(20, 4, 4, 56))
         else:
-            basis = self._fd_rows(S_FLAT if chart == "heisenberg" else SHEARED)
+            basis = _fd_rows(S_FLAT if chart == "heisenberg" else SHEARED)
         rows = np.moveaxis(basis, (-2, -1), (0, 1)).reshape(224, -1)
         moduli = np.sort(np.abs(rows).reshape(4, 56, -1), axis=1)
         sums = moduli[:, -4:].sum(axis=(0, 1)).reshape(20, 4)
@@ -699,7 +725,7 @@ class TestFamilyMaximum:
         # Entry (p, j) has its field: conj(b) / |b| (1 where b is 0) on the 4
         # largest |b[p, j, k, i]| over i, for each component k.  The largest
         # value of any of these fields at any entry is the maximum.
-        basis = self._fd_rows(S_FLAT if chart == "heisenberg" else SHEARED)
+        basis = _fd_rows(S_FLAT if chart == "heisenberg" else SHEARED)
         top = np.argsort(np.abs(basis), axis=-1)[..., -4:]
         coeffs = np.zeros(basis.shape, dtype=complex)
         phases = np.exp(-1j * np.angle(np.take_along_axis(basis, top, -1)))
@@ -716,7 +742,7 @@ class TestFamilyMaximum:
         # of that entry alone, and the second kind come within 1% of the bound
         # at their own entry, so the bounds are read on the right axes.
         rng = np.random.default_rng(16)
-        basis = self._fd_rows(S_FLAT)
+        basis = _fd_rows(S_FLAT)
         picks = np.argsort(rng.random((1000, 4, 56)), axis=-1)[..., :4]
         moduli = np.where(np.arange(1000)[:, None, None] % 2, 1.0, rng.random((1000, 4, 4)))
         values = moduli * np.exp(2j * np.pi * rng.random((1000, 4, 4)))

@@ -27,8 +27,8 @@ PACKAGE = Path(swcheck.__file__).parent
 #: Functions no command calls, by "module.qualname", with the reason each stays.
 NEVER_CALLED = {
     "cli.main": "the console entry point (project.scripts); tests call cli.run",
-    "dirac_sw.full_dirac_fd": "the per-field oracle that full_dirac_fd_on_basis is tested "
-    "against; perfbench/tracing.py wraps it by name",
+    "dirac_sw.full_dirac_fd": "the per-field oracle that the finite-difference rows of the "
+    "basis are tested against; perfbench/tracing.py wraps it by name",
     "curvature.torsion_violations": "the reference that shows admissible_torsion and its "
     "sampler are admissible",
     "curvature.random_admissible_ricci": "perfbench/tracing.py wraps it by name",
