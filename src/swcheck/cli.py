@@ -41,7 +41,6 @@ from .dirac_sw import (
     family_maximum,
     form_clifford_action,
     full_dirac,
-    kohn_on_basis,
     sw_residual,
 )
 from .extalg import (
@@ -315,13 +314,14 @@ def _suite_dirac(ns) -> dict:
 
     # Each check is linear in the field, so it is computed once on the basis fields
     # m e_k (m a monomial of degree <= 3); family_maximum gives the exact worst field
-    # of 4 monomials a component with coefficients in the unit disc.  The full
-    # operator minus its oracle is the exact e_w(m) minus their central differences,
-    # contracted with kappa(e_w); the dbar rows read Kohn at the first 10 points.
-    derivs, fd_derivs, values = basis_derivatives(s, points, 1e-4)
+    # of 4 monomials a component with coefficients in the unit disc.  Both pairs of
+    # rows are one contraction of the derivative table e_w(m): the full operator
+    # minus its oracle is the exact e_w(m) minus their central differences,
+    # contracted with kappa(e_w), and the dbar rows contract the exact e_w(m) at
+    # the first 10 points with the constant map of the flat identity.
+    derivs, fd_derivs = basis_derivatives(s, points, 1e-4)
     fd = contract(derivs - fd_derivs, GAMMA)
-    kohn = kohn_on_basis(s, points[:10], derivs[:10], values[:10])
-    dbar = dbar_identity_residual(kohn, derivs[:10])
+    dbar = dbar_identity_residual(s, derivs[:10])
     checks.append(_check("finite_difference_agreement", family_maximum(fd), 1e-6))
     checks.append(_check("finite_difference_agreement_degree3_basis", max_abs(fd), 1e-6))
     checks.append(_check("dbar_identity", family_maximum(dbar), 1e-10))
@@ -372,8 +372,10 @@ def _suite_solution(ns) -> dict:
     s_val = ns.scalar
     sol = canonical_solution(s_val)
     psi = sol.amplitude * PSI0
+    # Scaled by 1 + |EPS|: at EPS = -2 a factor 1 + EPS would be -1, a U(1)
+    # gauge transformation that no row can see.
     if ns.perturb:
-        psi = psi * (1.0 + ns.perturb)
+        psi = psi * (1.0 + abs(ns.perturb))
     r_curv, sigma_vertical = sw_residual(sol.f_a, psi)
     r_doubled, _ = sw_residual(sol.f_a, (2.0 * sol.amplitude) * PSI0)
     # The amplitude sqrt(-s) squares back to -s only up to rounding relative

@@ -29,18 +29,17 @@ at points.  Fields are evaluated on stacks of points, ``(..., 5)`` arrays,
 through :func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the
 independent oracle: it takes central differences of the spinor values on
 the stencil around every point and shares only the connection terms with
-the exact path.  Since every operator here is linear, ``kohn_on_basis`` and
-``dbar_identity_residual`` give their values on all basis fields m e_k with
-m a monomial of degree at most FIELD_DEGREE at once, a 4 x 4 matrix per
-point and monomial; a polynomial field of that degree is a combination of
-them, and ``family_maximum`` takes the largest residual of a family of such
-fields straight from them.  They need only the derivatives e_w(m) of the
-monomials, which ``basis_derivatives`` gives exactly, with no symbolic
-monomial built, and as central differences.  The full operator minus its
-oracle on the basis shares everything but that table, so it is the table's
-difference contracted with kappa(e_w): ``contract(derivs - fd_derivs, GAMMA)``.
-The dbar identity reads the same e_w(m), so it holds on any chart with a flat
-connection, and the unitary frame from the table ``curvature.SQ2_UNITARY_FRAME``.
+the exact path.  Since every residual here is linear, its values on all
+basis fields m e_k with m a monomial of degree at most FIELD_DEGREE are taken
+at once, a 4 x 4 matrix per point and monomial; a polynomial field of that
+degree is a combination of them, and ``family_maximum`` takes the largest
+residual of a family of such fields straight from them.  Each is one
+``contract`` of the derivatives e_w(m) of the monomials, which
+``basis_derivatives`` gives exactly, with no symbolic monomial built, and as
+central differences.  The full operator minus its oracle is the difference
+of the two tables contracted with kappa(e_w).  On a chart with no connection
+terms along e_1, ..., e_4 the dbar identity is the exact table contracted
+with ``_DBAR_MAP``, Phi^H times the defect of Phi's intertwining relation.
 
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+; ``sw_residual`` takes the curvature
@@ -101,12 +100,14 @@ class SpinorField:
         return SpinorField(tuple(f * c for c in self.components))
 
 
-def _mat_apply(m: np.ndarray, components) -> tuple[PolyExpr, ...]:
-    """A constant matrix applied to a column of polynomial components."""
-    return tuple(
-        dot([c for a, c in zip(row, components) if a != 0], [PolyExpr.const(a) for a in row if a != 0])
-        for row in m
-    )
+def _exact_rows(m) -> tuple[tuple[tuple[int, PolyExpr], ...], ...]:
+    """The nonzero entries of each row of a constant matrix, as (column, exact constant) pairs."""
+    return tuple(tuple((k, PolyExpr.const(a)) for k, a in enumerate(row) if a != 0) for row in m)
+
+
+def _mat_apply(rows, components) -> tuple[PolyExpr, ...]:
+    """The matrix of ``_exact_rows`` ``rows`` applied to a column of polynomial components."""
+    return tuple(dot([components[k] for k, _ in row], [a for _, a in row]) for row in rows)
 
 
 @lru_cache(maxsize=20)
@@ -137,12 +138,14 @@ def spin_covariant_derivative(s: ModelBundle, w: int, psi: SpinorField) -> Spino
     ew = s.frame.fields[w - 1]
     out = SpinorField(tuple(ew.apply(c) for c in psi.components))
     for coeff, m in _connection_terms(s, w):
-        out = out + SpinorField(_mat_apply(m, psi.components)).scale(coeff)
+        out = out + SpinorField(_mat_apply(_exact_rows(m), psi.components)).scale(coeff)
     return out
 
 
 #: kappa(e_1), ..., kappa(e_5) side by side, shape (4, 20).
 _GAMMA_ROW = _frozen(np.hstack(GAMMA))
+#: Its ``_exact_rows``, of all of it, of the Kohn part and of the Reeb part.
+_FULL_ROWS, _KOHN_ROWS, _REEB_ROWS = map(_exact_rows, (_GAMMA_ROW, _GAMMA_ROW[:, :16], GAMMA[4]))
 
 
 def _covariant_derivatives(s: ModelBundle, psi: SpinorField) -> list[PolyExpr]:
@@ -152,17 +155,17 @@ def _covariant_derivatives(s: ModelBundle, psi: SpinorField) -> list[PolyExpr]:
 
 def dirac_operators(s: ModelBundle, psi: SpinorField) -> tuple[SpinorField, SpinorField]:
     """The Kohn-Dirac operator sum_{i<=4} kappa(e_i) nabla_i psi and the full
-    operator, which adds the Reeb term kappa(e_5) nabla_5 psi; Kohn's numeric
-    twin is ``kohn_on_basis``.  The five covariant derivatives are taken once; Kohn
-    is one exact sum over the first four, and full adds the Reeb term to it."""
+    operator, which adds the Reeb term kappa(e_5) nabla_5 psi.  The five
+    covariant derivatives are taken once; Kohn is one exact sum over the first
+    four, and full adds the Reeb term to it."""
     derivs = _covariant_derivatives(s, psi)
-    kohn = SpinorField(_mat_apply(_GAMMA_ROW[:, :16], derivs[:16]))
-    return kohn, kohn + SpinorField(_mat_apply(_GAMMA_ROW[:, 16:], derivs[16:]))
+    kohn = SpinorField(_mat_apply(_KOHN_ROWS, derivs))
+    return kohn, kohn + SpinorField(_mat_apply(_REEB_ROWS, derivs[16:]))
 
 
 def full_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
     """Full Dirac operator, one exact sum over the five covariant derivatives."""
-    return SpinorField(_mat_apply(_GAMMA_ROW, _covariant_derivatives(s, psi)))
+    return SpinorField(_mat_apply(_FULL_ROWS, _covariant_derivatives(s, psi)))
 
 
 def fd_stencil(points, h: float) -> np.ndarray:
@@ -211,15 +214,15 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float) -> np.
 
 # -- the operators on the basis fields m e_k ------------------------------------
 #
-# The Kohn operator, the full operator minus its oracle and the dbar identity
-# are linear, and the fields the suite certifies have components of degree at
-# most FIELD_DEGREE.  So each is computed once on the 4 M basis fields m e_k
-# (m one of the M monomials of ``poly.monomials(FIELD_DEGREE)``, e_k a unit
-# vector), as a stack (..., 4, 4, M) of 4 x 4 matrices: [..., j, k, i] is
-# component j of the operator on monomials[i] e_k.  The field with
-# coefficients c (shape (4, M)) has the value
-# ``np.einsum("ki,...jki->...j", c, basis)``.  The full operator minus the
-# oracle is ``contract(derivs - fd_derivs, GAMMA)``: only e_w(m) differs.
+# The full operator minus its oracle and the dbar identity are linear, and the
+# fields the suite certifies have components of degree at most FIELD_DEGREE.
+# So each is computed once on the 4 M basis fields m e_k (m one of the M
+# monomials of ``poly.monomials(FIELD_DEGREE)``, e_k a unit vector), as a stack
+# (..., 4, 4, M) of 4 x 4 matrices: [..., j, k, i] is component j of the
+# operator on monomials[i] e_k.  The field with coefficients c (shape (4, M))
+# has the value ``np.einsum("ki,...jki->...j", c, basis)``.  Each stack is one
+# ``contract`` of e_w(m) with constant matrices: ``contract(derivs - fd_derivs,
+# GAMMA)``, and ``contract(derivs[..., :4, :], _DBAR_MAP)`` on a flat chart.
 
 #: Largest total degree of the field components that the basis spans.
 FIELD_DEGREE = 3
@@ -249,29 +252,25 @@ def _monomial_values(coeffs, exps, points) -> np.ndarray:
     return terms.T.reshape(points.shape[:-1] + (len(exps),))
 
 
-def basis_derivatives(s: ModelBundle, points, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def basis_derivatives(s: ModelBundle, points, h: float) -> tuple[np.ndarray, np.ndarray]:
     """e_w(m) for the five frame fields and every basis monomial m at a stack
-    of points, shape ``(..., 5, M)``, the same with central differences at
-    step h, and the values of the monomials, ``(..., M)``.
+    of points, shape ``(..., 5, M)``, and the same with central differences at
+    step h.
 
     By the chain rule e_w(m) = sum_c e_w^c d_c m, with d_c m = n_c x^(e - u_c)
-    for m = x^e: the partials with n_c > 0 and the monomials are evaluated in
-    one pass, the others are exactly 0.  The central differences
-    (m(p + h u_c) - m(p - h u_c)) / 2h come from one pass over the monomials on
-    the stencil.  Both tables read the one evaluation of the frame components.
+    for m = x^e: the partials with n_c > 0 are evaluated in one pass, the
+    others are exactly 0.  The central differences (m(p + h u_c) -
+    m(p - h u_c)) / 2h come from one pass over the monomials on the stencil.
+    Both tables read the one evaluation of the frame components.
     """
     exps = np.array(monomials(FIELD_DEGREE))
     c, i = np.nonzero(exps.T)
-    lowered = exps[i] - np.eye(5, dtype=int)[c]
-    vals = _monomial_values(
-        np.concatenate([exps.T[c, i], np.ones(len(exps))]), np.concatenate([lowered, exps]), points
-    )
-    partials = np.zeros(vals.shape[:-1] + (5, len(exps)), dtype=complex)
-    partials[..., c, i] = vals[..., : len(c)]
+    partials = np.zeros(np.shape(points)[:-1] + (5, len(exps)), dtype=complex)
+    partials[..., c, i] = _monomial_values(exps.T[c, i], exps[i] - np.eye(5, dtype=int)[c], points)
     stencil = _monomial_values(np.ones(len(exps)), exps, fd_stencil(points, h)[..., 1:, :])
     diffs = (stencil[..., :5, :] - stencil[..., 5:, :]) / (2 * h)
     frame = _frame_values(s, points)
-    return frame @ partials, frame @ diffs, vals[..., len(c) :]
+    return frame @ partials, frame @ diffs
 
 
 def contract(channels, mats) -> np.ndarray:
@@ -279,27 +278,6 @@ def contract(channels, mats) -> np.ndarray:
     matrices, from the values ``(..., Q, M)`` of the scalars f_q(m) for every
     monomial m, shape ``(..., 4, 4, M)``: a ``(16, Q) @ (Q, M)`` product a point."""
     return (np.reshape(mats, (-1, 16)).T @ channels).reshape(channels.shape[:-2] + (4, 4, -1))
-
-
-def kohn_on_basis(s: ModelBundle, points, derivs, values) -> np.ndarray:
-    """The Kohn-Dirac operator of every basis field m e_k at a stack of points,
-    shape ``(..., 4, 4, M)``, from the e_w(m) of ``basis_derivatives``,
-    ``(..., 5, M)``, and the values of the monomials, ``(..., M)``.
-
-    nabla_w (m e_k) = e_w(m) e_k + sum_t c_t m M_t e_k over the connection
-    terms (c_t, M_t) of ``_connection_terms``; the operator is one contraction
-    of these channels for w <= 4 with their Clifford matrices.
-    """
-    terms = [_connection_terms(s, w) for w in range(1, 5)]
-    coeffs = iter(np.moveaxis(evaluate_all([c for ts in terms for c, _ in ts], points), -1, 0))
-    channels, mats = [], []
-    for w, ts in enumerate(terms, 1):
-        channels.append(derivs[..., w - 1, :])
-        mats.append(GAMMA[w - 1])
-        for _, m in ts:
-            channels.append(next(coeffs)[..., None] * values)
-            mats.append(GAMMA[w - 1] @ m)
-    return contract(np.stack(channels, -2), mats)
 
 
 # -- identification with (0, *)-forms -----------------------------------------
@@ -337,22 +315,33 @@ IDENTIFICATION = _frozen([[0, 0, 1, 0], [0, 0, 0, 1j], [0, 1j, 0, 0], [1, 0, 0, 
 
 # -- dbar operators on a flat chart --------------------------------------------
 
+#: The dbar identity on a chart with a flat connection, for w = 1..4: the
+#: Clifford action of e_w on the forms minus Phi^H kappa(e_w) Phi.  Both sides
+#: are linear in the e_w(m) with these constant coefficients.  The entries are
+#: Gaussian integers, and since Phi intertwines the two actions the map is
+#: exactly zero.
+_DBAR_MAP = _frozen(
+    [
+        form_clifford_action(x) - IDENTIFICATION.conj().T @ g @ IDENTIFICATION
+        for x, g in zip(np.eye(4, 5), GAMMA)
+    ]
+)
 
-def dbar_identity_residual(kohn, derivs) -> np.ndarray:
+
+def dbar_identity_residual(s: ModelBundle, derivs) -> np.ndarray:
     """sqrt(2) (dbar_H + dbar_H*) f - Phi^-1 D_H Phi f for every basis form
-    field f = m e_k at a stack of points of a chart with a flat connection:
-    shape ``(..., 4, 4, M)``.
+    field f = m e_k at a stack of points of chart ``s``: shape ``(..., 4, 4, M)``.
 
-    ``kohn`` is D_H on the spinor basis fields and ``derivs`` the e_w(m) of
-    ``basis_derivatives``, both of that chart at the same points.  With the
+    ``derivs`` is the e_w(m) of ``basis_derivatives`` for that chart.  With a
     flat connection dbar_H and dbar_H* act componentwise, through the wedge
-    and contraction matrices, on sqrt(2) Z_a(m) and sqrt(2) Zbar_a(m): the
-    rows of ``SQ2_UNITARY_FRAME`` times the e_w(m).
+    and contraction matrices, on sqrt(2) Z_a(m) and sqrt(2) Zbar_a(m), and
+    D_H is sum_{w<=4} e_w(m) kappa(e_w): so the residual is one contraction of
+    the e_w(m) with ``_DBAR_MAP``.  Raises ValueError if nabla_w has
+    connection terms for some w <= 4, where the identity gains them.
     """
-    lhs = contract(SQ2_UNITARY_FRAME @ derivs, [-_WEDGE1.T, -_WEDGE2.T, _WEDGE1, _WEDGE2])
-    # Phi^H K Phi: Phi (m e_k) = sum_j Phi[j, k] m e_j, then Phi^-1 = Phi^H.
-    rhs = (IDENTIFICATION.T @ kohn).reshape(kohn.shape[:-3] + (4, -1))
-    return np.subtract(lhs, (IDENTIFICATION.conj().T @ rhs).reshape(lhs.shape), out=lhs)
+    if any(_connection_terms(s, w) for w in range(1, 5)):
+        raise ValueError("the dbar identity needs a connection with no terms along e_1, ..., e_4")
+    return contract(derivs[..., :4, :], _DBAR_MAP)
 
 
 # -- Seiberg-Witten residuals ---------------------------------------------------

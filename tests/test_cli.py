@@ -147,6 +147,14 @@ class TestSolutionScale:
         by_name = {c["name"]: c["residual"] for c in rep["checks"]}
         assert by_name["curvature_residual_pointwise"] == pytest.approx(5.0025e-4)
 
+    @pytest.mark.parametrize("eps", ["1e-3", "2"])
+    def test_a_fault_of_either_sign_reads_the_same(self, eps, capsys):
+        # The spinor is scaled by 1 + |EPS|: at EPS = -2 a factor 1 + EPS is
+        # -1, a U(1) gauge transformation under which every row reads 0.
+        code, rep = _run(["solution", "--perturb", eps], capsys)
+        assert code == EXIT_FAIL
+        assert _run(["solution", "--perturb", f"-{eps}"], capsys)[1]["checks"] == rep["checks"]
+
     @pytest.mark.parametrize("suite", ["solution", "all"])
     @pytest.mark.parametrize("scalar", ["-1e301", "-1.7e308"])
     def test_scalar_beyond_the_limit_rejected_before_any_suite_runs(
@@ -242,15 +250,14 @@ class TestSharedSymbolicWork:
 
     def test_dirac_basis_rows_from_one_derivative_table(self, monkeypatch, capsys):
         # The basis rows read the derivatives e_w(m) of the 56 monomials from
-        # one power-table pass over their live partials and the monomials, and
-        # their central differences from one pass over the monomials on the
-        # stencil around each point; no polynomial of the basis is built or
-        # evaluated.  What is left of VectorFieldPoly.apply is the symbolic
-        # operators on psi0 (20, the Kohn and full operators from one call)
-        # and on the phase-invariance field and its rotation (20 each).
-        # Besides the spinor fields, evaluate_all reads the 25 frame
-        # components once, for both tables, and Kohn's connection
-        # coefficients (none on Heisenberg) at the 10 points of the dbar rows.
+        # one power-table pass over their live partials, and their central
+        # differences from one pass over the monomials on the stencil around
+        # each point; no polynomial of the basis is built or evaluated, and
+        # no monomial value.  What is left of VectorFieldPoly.apply is the
+        # symbolic operators on psi0 (20, the Kohn and full operators from one
+        # call) and on the phase-invariance field and its rotation (20 each).
+        # Besides the spinor fields, evaluate_all reads only the 25 frame
+        # components, once, for both tables.
         applies, passes, evaluations = [], [], []
         apply = models.VectorFieldPoly.apply
         monomial_terms, evaluate_all = dirac_sw.monomial_terms, dirac_sw.evaluate_all
@@ -273,9 +280,9 @@ class TestSharedSymbolicWork:
         assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
         assert len(applies) == 60
         live = sum(np.count_nonzero(e) for e in poly.monomials(dirac_sw.FIELD_DEGREE))
-        assert passes == [(live + 56, 20), (56, 20 * 10)]
+        assert passes == [(live, 20), (56, 20 * 10)]
         spinors = [(4, (20, 5))] * 2 + [(4, (5, 5))] * 4
-        assert evaluations == spinors[:2] + [(25, (20, 5)), (0, (10, 5))] + spinors[2:]
+        assert evaluations == spinors[:2] + [(25, (20, 5))] + spinors[2:]
 
     def test_dirac_builds_the_kohn_part_of_psi0_once(self, monkeypatch, capsys):
         # full_dirac_psi0_zero adds the Reeb term to the Kohn-Dirac operator of
@@ -331,7 +338,7 @@ class TestNegativeControls:
         assert rep["pass"] is False
         assert any(not c["pass"] for c in rep["checks"])
 
-    @pytest.mark.parametrize("eps", ["1e-3", "-1e-3"])
+    @pytest.mark.parametrize("eps", ["1e-3", "-1e-3", "2", "-2"])
     @pytest.mark.parametrize(
         "suite", ["clifford", "selfdual", "curvature", "model", "dirac", "solution", "all"]
     )

@@ -9,13 +9,14 @@ import pytest
 
 from swcheck import dirac_sw
 from swcheck.cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full
-from swcheck.curvature import COMPLEX_FRAME, admissible_ricci, ricci_form
+from swcheck.curvature import COMPLEX_FRAME, SQ2_UNITARY_FRAME, admissible_ricci, ricci_form
 from swcheck.dirac_sw import (
     FIELD_DEGREE,
     IDENTIFICATION,
     SO_COUPLING,
     U1_COUPLING,
     SpinorField,
+    _exact_rows,
     _frame_values,
     _mat_apply,
     basis_derivatives,
@@ -28,7 +29,6 @@ from swcheck.dirac_sw import (
     form_clifford_action,
     full_dirac,
     full_dirac_fd,
-    kohn_on_basis,
     spin_covariant_derivative,
     sw_residual,
 )
@@ -243,6 +243,19 @@ class TestDiracOperators:
             assert got_full.components == full
 
 
+    def test_clifford_constants_are_built_once(self, monkeypatch, random_poly):
+        # The nonzero entries of the kappa(e_w) are exact constants built at
+        # import: on a chart without connection terms, once the frame's
+        # derivatives are cached, neither operator builds a constant.
+        psi = SpinorField(tuple(random_poly(np.random.default_rng(33), 3) for _ in range(4)))
+        full_dirac(S_FLAT, psi)
+        built = []
+        const = PolyExpr.const
+        monkeypatch.setattr(PolyExpr, "const", staticmethod(lambda v: built.append(v) or const(v)))
+        kohn, full = dirac_operators(S_FLAT, psi)
+        assert full_dirac(S_FLAT, psi) == full and not built
+
+
 class TestConnectionTerms:
     """The so(5) and U(1) terms of nabla, on a connection with nonzero Christoffels."""
 
@@ -408,7 +421,7 @@ class TestIdentification:
         assert not IDENTIFICATION.flags.writeable
         # So are the tables of the Clifford actions, and the contractions,
         # the transposes of the wedges, with them.
-        for name in ("_WEDGE1", "_WEDGE2", "_REEB_ACTION", "_GAMMA_ROW"):
+        for name in ("_WEDGE1", "_WEDGE2", "_REEB_ACTION", "_GAMMA_ROW", "_DBAR_MAP"):
             table = getattr(dirac_sw, name)
             assert not table.flags.writeable and not table.T.flags.writeable, name
 
@@ -481,7 +494,7 @@ class FormSpinorField:
 
     def to_spinor_field(self, phi: np.ndarray) -> SpinorField:
         """Push through the identification matrix (constant coefficients)."""
-        return SpinorField(_mat_apply(phi, self.components))
+        return SpinorField(_mat_apply(_exact_rows(phi), self.components))
 
 
 @lru_cache(maxsize=1)
@@ -565,24 +578,25 @@ def _basis_field(k: int, m: PolyExpr) -> tuple[PolyExpr, ...]:
     return tuple(m if j == k else PolyExpr() for j in range(4))
 
 
-def _kohn(s: ModelBundle, points) -> np.ndarray:
-    """``kohn_on_basis`` of chart ``s`` at ``points``, from its own e_w(m)."""
-    derivs, _, values = basis_derivatives(s, points, 1e-4)
-    return kohn_on_basis(s, points, derivs, values)
+def _flat_kohn(derivs) -> np.ndarray:
+    """The Kohn operator on every basis field of a chart with no connection
+    terms along e_1, ..., e_4, from its e_w(m): sum_{w<=4} e_w(m) kappa(e_w) e_k."""
+    return contract(derivs[..., :4, :], GAMMA[:4])
 
 
 def _fd_rows(s: ModelBundle, h: float = 1e-4) -> np.ndarray:
     """The full operator minus its oracle at step h on every basis field at
     POINTS, as the dirac suite computes it."""
-    derivs, fd_derivs, _ = basis_derivatives(s, POINTS, h)
+    derivs, fd_derivs = basis_derivatives(s, POINTS, h)
     return contract(derivs - fd_derivs, GAMMA)
 
 
-def _einsum_operators(s: ModelBundle, derivs, values) -> list[np.ndarray]:
+def _einsum_operators(s: ModelBundle, derivs) -> list[np.ndarray]:
     """Kohn and the full operator on the basis fields at POINTS from the
     derivative table ``derivs``: sum_q f_q(m) mats[q] e_k over the channels,
     e_w(m) with kappa(e_w) and c_t m with kappa(e_w) M_t for each connection
     term (c_t, M_t) of nabla_w, as one einsum; Kohn takes w <= 4, full every w."""
+    values = evaluate_all(BASIS, POINTS)
     channels, mats, out = [], [], []
     for w in range(1, 6):
         channels.append(derivs[:, w - 1])
@@ -595,6 +609,45 @@ def _einsum_operators(s: ModelBundle, derivs, values) -> list[np.ndarray]:
     return out
 
 
+def _two_sided_dbar(phi: np.ndarray, derivs) -> np.ndarray:
+    """The dbar identity on a flat chart with identification ``phi``, its two
+    sides taken apart: sqrt(2) (dbar_H + dbar_H*), the wedges and contractions
+    on sqrt(2) Z_a(m) and sqrt(2) Zbar_a(m), minus phi^H K phi for the flat Kohn
+    operator K; phi (m e_k) = sum_j phi[j, k] m e_j."""
+    wedges = [-dirac_sw._WEDGE1.T, -dirac_sw._WEDGE2.T, dirac_sw._WEDGE1, dirac_sw._WEDGE2]
+    lhs = contract(SQ2_UNITARY_FRAME @ derivs, wedges)
+    kohn = _flat_kohn(derivs)
+    rhs = (phi.T @ kohn).reshape(kohn.shape[:-3] + (4, -1))
+    return lhs - (phi.conj().T @ rhs).reshape(lhs.shape)
+
+
+def _dbar_map(phi: np.ndarray) -> np.ndarray:
+    """``_DBAR_MAP`` built from the identification ``phi``."""
+    actions = [form_clifford_action(x) for x in np.eye(4, 5)]
+    return np.array([a - phi.conj().T @ g @ phi for a, g in zip(actions, GAMMA)])
+
+
+#: Identifications that are not intertwiners: row 0 negated, rows 0 and 1
+#: swapped, and row 0 times i.
+_MUTATED_IDENTIFICATIONS = {
+    "negated": np.diag([-1, 1, 1, 1]) @ IDENTIFICATION,
+    "swapped": IDENTIFICATION[[1, 0, 2, 3]],
+    "times_i": np.diag([1j, 1, 1, 1]) @ IDENTIFICATION,
+}
+
+
+def _reeb_only_connection() -> ModelBundle:
+    """The Heisenberg frame with Christoffels only along the Reeb field and
+    A(e_w) = 0 for w <= 4: nabla_5 has connection terms, nabla_1..4 none."""
+    gamma = [[[PolyExpr() for _ in range(5)] for _ in range(5)] for _ in range(5)]
+    gamma[4][0][1] = parse_poly("x1 - 2*t")
+    gamma[4][2][3] = parse_poly("0.5")
+    conn = ConnectionCoefficients(
+        tuple(tuple(tuple(row) for row in plane) for plane in gamma), S_FLAT.connection.a_form
+    )
+    return ModelBundle(S_FLAT.frame, conn)
+
+
 class TestBasis:
     """Entry [..., j, k, i] of the basis arrays is component j of the symbolic
     operators, and of the oracle, on the basis field monomials[i] e_k."""
@@ -602,31 +655,35 @@ class TestBasis:
     @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "twisted"])
     @pytest.mark.parametrize("stencil", [False, True])
     def test_derivatives_are_the_symbolic_partials_bit_for_bit(self, chart, stencil):
-        # The values and partials from the power table are the evaluate_all
-        # values of the exact monomials and of their exact partials, and the
+        # The partials from the power table are the evaluate_all values of
+        # the exact partials of the monomials, and the
         # central differences are those of the exact monomials' real values.
         s = {"heisenberg": S_FLAT, "sheared": SHEARED, "twisted": _twisted_connection()}[chart]
         points = fd_stencil(POINTS, 1e-4) if stencil else POINTS
-        derivs, fd_derivs, values = basis_derivatives(s, points, 1e-4)
+        derivs, fd_derivs = basis_derivatives(s, points, 1e-4)
         partials = evaluate_all([m.diff(c) for c in range(5) for m in BASIS], points)
         partials = partials.reshape(points.shape[:-1] + (5, len(BASIS)))
         on_stencil = evaluate_all(BASIS, fd_stencil(points, 1e-4)).real
         diffs = (on_stencil[..., 1:6, :] - on_stencil[..., 6:, :]) / (2 * 1e-4)
-        assert np.array_equal(values, evaluate_all(BASIS, points))
         assert np.array_equal(derivs, _frame_values(s, points) @ partials)
         assert np.array_equal(fd_derivs, _frame_values(s, points) @ diffs)
 
     @pytest.mark.parametrize("twisted", [False, True])
     def test_rows_are_the_operators_on_each_basis_field(self, twisted):
+        # The finite-difference rows on both charts; the flat chart's Kohn
+        # operator, which the dbar rows read, is the table contracted with
+        # kappa(e_1), ..., kappa(e_4).
         s = _twisted_connection() if twisted else S_FLAT
-        kohn, fd = _kohn(s, POINTS), _fd_rows(s)
+        fd = _fd_rows(s)
+        kohn = _flat_kohn(basis_derivatives(s, POINTS, 1e-4)[0])
         assert len(BASIS) == 56
         assert kohn.shape == fd.shape == (20, 4, 4, 56)
         for k in range(4):
             for i, m in enumerate(BASIS):
                 psi = SpinorField(_basis_field(k, m))
                 kohn_psi, full_psi = dirac_operators(s, psi)
-                assert max_abs(kohn[..., k, i] - kohn_psi.evaluate(POINTS)) <= 1e-13
+                if not twisted:
+                    assert max_abs(kohn[..., k, i] - kohn_psi.evaluate(POINTS)) <= 1e-13
                 fd_psi = full_psi.evaluate(POINTS) - _oracle(s, psi, POINTS, h=1e-4)
                 assert max_abs(fd[..., k, i] - fd_psi) <= 1e-13
 
@@ -639,9 +696,9 @@ class TestBasis:
         # read are the same bits; the twisted connection's channels leave a
         # rounding difference.
         s = {"heisenberg": S_FLAT, "sheared": SHEARED, "twisted": _twisted_connection()}[chart]
-        derivs, fd_derivs, values = basis_derivatives(s, POINTS, 1e-4)
-        assembled = _einsum_operators(s, derivs, values)[1]
-        assembled -= _einsum_operators(s, fd_derivs, values)[1]
+        derivs, fd_derivs = basis_derivatives(s, POINTS, 1e-4)
+        assembled = _einsum_operators(s, derivs)[1]
+        assembled -= _einsum_operators(s, fd_derivs)[1]
         rows = _fd_rows(s)
         if chart == "twisted":
             assert 0 < max_abs(assembled - rows) <= 1e-15
@@ -650,8 +707,7 @@ class TestBasis:
 
     def test_dbar_rows_are_the_identity_on_each_basis_field(self):
         points = POINTS[:10]
-        derivs, _, values = basis_derivatives(S_FLAT, points, 1e-4)
-        rows = dbar_identity_residual(kohn_on_basis(S_FLAT, points, derivs, values), derivs)
+        rows = dbar_identity_residual(S_FLAT, basis_derivatives(S_FLAT, points, 1e-4)[0])
         assert rows.shape == (10, 4, 4, 56)
         for k in range(4):
             for i, m in enumerate(BASIS):
@@ -661,22 +717,69 @@ class TestBasis:
         assert not np.any(rows)
 
     def test_dbar_rows_on_a_sheared_chart(self):
-        # The sheared chart's connection is flat, so its own e_w(m) satisfy
-        # the identity exactly; the Heisenberg e_w(m) with its Kohn rows do not.
-        points = POINTS[:10]
-        derivs, _, values = basis_derivatives(SHEARED, points, 1e-4)
-        kohn = kohn_on_basis(SHEARED, points, derivs, values)
-        assert not np.any(dbar_identity_residual(kohn, derivs))
-        heisenberg, _, _ = basis_derivatives(S_FLAT, points, 1e-4)
-        assert max_abs(dbar_identity_residual(kohn, heisenberg)) > 1.0
+        # The sheared chart's connection is flat, so its own e_w(m) satisfy the
+        # identity exactly, and the rows are its two sides taken apart.
+        derivs = basis_derivatives(SHEARED, POINTS[:10], 1e-4)[0]
+        rows = dbar_identity_residual(SHEARED, derivs)
+        assert not np.any(rows)
+        assert np.array_equal(rows, _two_sided_dbar(IDENTIFICATION, derivs))
+
+    def test_dbar_map_is_phi_h_times_the_intertwiner_defects(self):
+        # Phi^H (Phi A_w - kappa(e_w) Phi) = A_w - Phi^H kappa(e_w) Phi, since
+        # Phi is unitary; the defects are those of the intertwiner row of the
+        # dirac suite, for e_1, ..., e_4.
+        phi = IDENTIFICATION
+        defects = [
+            phi @ form_clifford_action(x) - gamma(w) @ phi for w, x in enumerate(np.eye(4, 5), 1)
+        ]
+        assert np.array_equal(dirac_sw._DBAR_MAP, phi.conj().T @ np.array(defects))
+        assert dirac_sw._DBAR_MAP.shape == (4, 4, 4) and not np.any(dirac_sw._DBAR_MAP)
+
+    @pytest.mark.parametrize("chart", ["heisenberg", "sheared"])
+    @pytest.mark.parametrize("mutation", sorted(_MUTATED_IDENTIFICATIONS))
+    def test_mutated_identification_rows_are_the_two_sided_formula(self, chart, mutation):
+        # With an identification that intertwines nothing, the map is not zero
+        # and the rows read the defect: one contraction with the map rebuilt
+        # from it is its two sides taken apart, bit for bit.
+        s = S_FLAT if chart == "heisenberg" else SHEARED
+        phi = _MUTATED_IDENTIFICATIONS[mutation]
+        derivs = basis_derivatives(s, POINTS[:10], 1e-4)[0]
+        rows = contract(derivs[..., :4, :], _dbar_map(phi))
+        assert max_abs(rows) > 1.0
+        assert np.array_equal(rows, _two_sided_dbar(phi, derivs))
+
+    @pytest.mark.parametrize("chart", ["twisted", "a_along_e1"])
+    def test_dbar_rows_refuse_connection_terms_along_e1_to_e4(self, chart):
+        # There the identity gains the connection terms, which the map lacks.
+        if chart == "twisted":
+            s = _twisted_connection()
+        else:
+            s = _heisenberg_with_a(CoordForm.one_form(1j, 0, 0, 0, 0))
+        derivs = basis_derivatives(s, POINTS[:10], 1e-4)[0]
+        with pytest.raises(ValueError, match="e_1, ..., e_4"):
+            dbar_identity_residual(s, derivs)
+
+    def test_dbar_rows_accept_connection_terms_along_the_reeb_field(self):
+        # The Kohn operator reads nabla_1, ..., nabla_4 only.
+        s = _reeb_only_connection()
+        assert dirac_sw._connection_terms(s, 5)
+        derivs = basis_derivatives(s, POINTS[:10], 1e-4)[0]
+        rows = dbar_identity_residual(s, derivs)
+        assert rows.shape == (10, 4, 4, 56) and not np.any(rows)
 
     @pytest.mark.parametrize("chart", ["heisenberg", "sheared", "twisted"])
     def test_operators_are_the_einsum_contraction_bit_for_bit(self, chart):
+        # Both pairs of basis rows are one contract of the derivative table:
+        # the finite-difference rows with kappa(e_w) on every chart, and the
+        # dbar rows with their map on the flat charts.
         s = {"heisenberg": S_FLAT, "sheared": SHEARED, "twisted": _twisted_connection()}[chart]
-        derivs, _, values = basis_derivatives(s, POINTS, 1e-4)
-        kohn = kohn_on_basis(s, POINTS, derivs, values)
-        assert kohn.shape == (20, 4, 4, 56)
-        assert np.array_equal(kohn, _einsum_operators(s, derivs, values)[0])
+        derivs, fd_derivs = basis_derivatives(s, POINTS, 1e-4)
+        fd = _fd_rows(s)
+        assert fd.shape == (20, 4, 4, 56)
+        assert np.array_equal(fd, np.einsum("...qm,qjk->...jkm", derivs - fd_derivs, GAMMA))
+        if chart != "twisted":
+            dbar = np.einsum("...qm,qjk->...jkm", derivs[..., :4, :], dirac_sw._DBAR_MAP)
+            assert np.array_equal(dbar_identity_residual(s, derivs), dbar)
 
     def test_coefficients_times_rows_give_the_field(self):
         # The coefficient layout (4, M) of a field matches the basis values:
@@ -686,7 +789,8 @@ class TestBasis:
         psi = SpinorField(
             tuple(PolyExpr.from_dict(dict(zip(monomials(FIELD_DEGREE), c))) for c in coeffs)
         )
-        value = np.einsum("ki,...jki->...j", coeffs, _kohn(S_FLAT, POINTS))
+        kohn = _flat_kohn(basis_derivatives(S_FLAT, POINTS, 1e-4)[0])
+        value = np.einsum("ki,...jki->...j", coeffs, kohn)
         assert max_abs(value - dirac_operators(S_FLAT, psi)[0].evaluate(POINTS)) <= 1e-12
 
 

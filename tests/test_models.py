@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from swcheck import cli, models
+from swcheck import cli, curvature, models
 from swcheck.curvature import (
     admissible_ricci,
     random_admissible_ricci,
@@ -660,6 +660,69 @@ class TestTanakaWebsterAxioms:
         )
         report = _measured(tw_axiom_check(frame, conn), POINTS[:10])
         assert report["axiom_b_parallel_metric"] >= 1.9
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["clean", "perturbed"])
+    @ON_BOTH_CHARTS
+    def test_christoffel_terms_are_the_frame_matrix_products(
+        self, chart, perturbed, seed, random_poly
+    ):
+        # Each family with the symbols Gamma_k[j][m] = gamma[k][j][m], minus
+        # the family of the flat connection, is exactly what the symbols add:
+        # (a) -Gamma_k eta, then nabla_k e_5 = Gamma_k[4] F, where row m of F
+        #     holds the components of e_m;
+        # (b) -(Gamma_k g)[i][j] - (Gamma_k g^T)[j][i] for i <= j, where g is
+        #     not symmetric once J is perturbed;
+        # (c) the nabla fields of the torsion, (Gamma_i[j] - Gamma_j[i]) F;
+        # (d) (J^T Gamma_k g - Gamma_k J^T g)[j][l], J the constant J_FRAME.
+        frame = load_model(chart).frame
+        if perturbed:  # as the model suite perturbs J
+            jrows = [list(row) for row in frame.jmat]
+            jrows[0][2] = jrows[0][2] + 1e-3 * PolyExpr.variable("y2")
+            frame = FrameFieldSet(frame.name, frame.fields, frame.eta, tuple(map(tuple, jrows)))
+        rng = default_rng(seed)
+        # About 30% of the 125 symbols are random complex polynomials of degree <= 2.
+        symbols = [random_poly(rng, 2) if rng.random() < 0.3 else ZERO for _ in range(125)]
+        gam = [[symbols[25 * k + 5 * j : 25 * k + 5 * j + 5] for j in range(5)] for k in range(5)]
+        conn = ConnectionCoefficients(
+            tuple(tuple(map(tuple, plane)) for plane in gam), ConnectionCoefficients.flat().a_form
+        )
+        flat = tw_axiom_check(frame, ConnectionCoefficients.flat())
+        got = {
+            name: [p - q for p, q in zip(family, flat[name], strict=True)]
+            for name, family in tw_axiom_check(frame, conn).items()
+        }
+
+        def mul(a, b):
+            return [[dot(row, col) for col in zip(*b)] for row in a]
+
+        g = [[frame.metric[i, j] for j in range(5)] for i in range(5)]
+        g_t = [list(col) for col in zip(*g)]
+        f = [list(x.components) for x in frame.fields]
+        j_t = [[PolyExpr.const(x) for x in col] for col in curvature.J_FRAME.T]
+        eta = frame.eta_span[:5]
+        a, b, d = [], [], []
+        for k, gk in enumerate(gam):
+            a += [-dot(row, eta) for row in gk] + mul([gk[4]], f)[0]
+            gg, ggt = mul(gk, g), mul(gk, g_t)
+            b += [-gg[i][j] - ggt[j][i] for i in range(5) for j in range(i, 5)]
+            left, right = mul(mul(j_t, gk), g), mul(mul(gk, j_t), g)
+            d += [left[j][l] - right[j][l] for j in range(5) for l in range(5)]
+
+        def torsion(i, j):
+            return mul([[p - q for p, q in zip(gam[i][j], gam[j][i])]], f)[0]
+
+        horizontal = [c for i in range(4) for j in range(i + 1, 4) for c in torsion(i, j)]
+        assert got == {
+            "axiom_a_parallel_eta_xi": a,
+            "axiom_b_parallel_metric": b,
+            "axiom_c_horizontal_torsion": horizontal,
+            "axiom_c_reeb_torsion": [c for j in range(5) for c in torsion(4, j)],
+            "axiom_d_parallel_J": d,
+        }
+        if perturbed:
+            assert any(g[i][j] != g[j][i] for i in range(5) for j in range(i))
 
 
 class TestCRCheck:
