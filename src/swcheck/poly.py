@@ -306,6 +306,35 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
+#: Binary places kept of each coefficient modulus in :func:`coefficient_bound`.
+_GUARD = 64
+
+
+def coefficient_bound(p: PolyExpr) -> float:
+    """The sum of the coefficient moduli of ``p``, an upper bound on ``|p(x)|``
+    over the box ``[-1, 1]^5``, without evaluating ``p``; 0.0 only for zero.
+
+    The sum is taken over ``den * 2^64``, each modulus ``|a + bi| / den`` as
+    the integer ``ceil(sqrt(a^2 + b^2) * 2^64)``, which is exact when ``b``
+    is 0, and then rounded once, upward, to a float; it reads inf beyond the
+    float range, as :func:`_ratio` does.  A real polynomial skips the square
+    roots, which cost several times the rest.
+    """
+    if not p.packed:
+        return 0.0
+    if any(map(_IM, p.packed)):
+        total = sum(math.isqrt(((a * a + b * b) << 2 * _GUARD) - 1) + 1 for _, a, b in p.packed)
+    else:
+        total = sum(abs(a) for _, a, _ in p.packed) << _GUARD
+    den = p.den << _GUARD
+    try:
+        q = total / den
+    except OverflowError:
+        return math.inf
+    n, d = q.as_integer_ratio()
+    return q if n * den >= total * d else math.nextafter(q, math.inf)
+
+
 def as_poly(v) -> PolyExpr:
     """``v`` as a PolyExpr: a PolyExpr itself, or a Python or numpy number as
     an exact constant.  Raises TypeError for anything else."""

@@ -216,36 +216,44 @@ class TestSharedSymbolicWork:
 
     @pytest.mark.parametrize("perturb", ["0", "1e-3"])
     def test_model_measures_each_check_as_it_returns(self, perturb, monkeypatch, capsys):
-        # The contact families and the contact volume are evaluated before
-        # tw_axiom_check builds its families, and those before cr_check runs:
-        # no two checks' families are held at once.  One evaluation per family.
+        # Each check's families are bounded, one coefficient_bound per
+        # polynomial, before the next check builds its own: no two checks'
+        # families are held at once.  The contact volume is the one
+        # evaluation, between the contact families and tw_axiom_check.
         events = []
 
         def record(owner, name, event):
             fn = getattr(owner, name)
 
             def recorded(*args):
-                events.append(event)
-                return fn(*args)
+                out = fn(*args)
+                events.append((event, sum(map(len, out.values())) if event in checks else 1))
+                return out
 
             monkeypatch.setattr(owner, name, recorded)
 
+        checks = ("contact", "tw", "cr")
+        record(models, "contact_check", "contact")
         record(models, "tw_axiom_check", "tw")
         record(models, "cr_check", "cr")
+        record(cli, "coefficient_bound", "bound")
         record(cli, "evaluate_all", "evaluate")
         chart = str(DATA / "sheared_chart_3.json")
         argv = ["model", "--model", chart, "--samples", "5", "--perturb", perturb]
         code, rep = _run(argv, capsys)
         assert code == (EXIT_FAIL if float(perturb) else EXIT_PASS)
-        counts = Counter(c["name"].split("_")[0] for c in rep["checks"])
+        sizes = dict(e for e in events if e[0] in checks)
         assert events == (
-            ["evaluate"] * counts["contact"]
-            + ["tw"]
-            + ["evaluate"] * counts["tw"]
-            + ["cr"]
-            + ["evaluate"] * counts["cr"]
+            [("contact", sizes["contact"])]
+            + [("bound", 1)] * sizes["contact"]
+            + [("evaluate", 1)]
+            + [("tw", sizes["tw"])]
+            + [("bound", 1)] * sizes["tw"]
+            + [("cr", sizes["cr"])]
+            + [("bound", 1)] * sizes["cr"]
         )
         # On this chart the one volume row is contact_volume_nondegenerate.
+        counts = Counter(c["name"].split("_")[0] for c in rep["checks"])
         assert counts["contact"] == len(models.contact_check(load_model(chart).frame)) + 1
 
     def test_dirac_basis_rows_from_one_derivative_table(self, monkeypatch, capsys):
@@ -1025,12 +1033,14 @@ class TestNonFiniteEvaluations:
             pytest.param("sheared", True, id="sheared_perturbed"),
         ],
     )
-    def test_each_model_check(self, chart, perturb, sheared_chart, tmp_path, nan_on_call, capsys):
-        # On a clean chart the residual identities cancel exactly, so only the
-        # contact volume is a nonzero polynomial; under --perturb most residual
-        # polynomials of the sheared chart are live.  Each evaluation of a live
-        # polynomial feeds one check, which its NaN fails; the one evaluation
-        # of the contact volume feeds both volume rows on Heisenberg.
+    def test_each_model_check(
+        self, chart, perturb, sheared_chart, tmp_path, nan_on_call, monkeypatch, capsys
+    ):
+        # The residual rows are coefficient bounds and evaluate nothing: the
+        # one evaluation is the contact volume, which feeds both volume rows on
+        # Heisenberg and the one on the sheared chart, clean or perturbed, and
+        # its NaN fails them and no other row.  An infinite bound of the first
+        # polynomial of a family fails that family's row and changes no other.
         volume_rows = {"contact_volume_nondegenerate"}
         if chart == "heisenberg":
             volume_rows.add("contact_volume_equals_2")
@@ -1039,24 +1049,44 @@ class TestNonFiniteEvaluations:
             (tmp_path / "sheared.json").write_text(json.dumps(sheared_chart))
         argv = ["model", "--model", chart, "--samples", "5"] + ["--perturb", "1e-3"] * perturb
         values = nan_on_call([cli], "evaluate_all", 0)
-        code, rep = _run(argv, capsys)
+        code, base = _run(argv, capsys)
         assert code == (EXIT_FAIL if perturb else EXIT_PASS)
-        live = [call for call, v in enumerate(values, 1) if np.size(v)]
-        hits = []
-        for call in live:
-            nan_on_call([cli], "evaluate_all", call)
+        assert len(values) == 1
+        nan_on_call([cli], "evaluate_all", 1)
+        code, rep = _run(argv, capsys)
+        nans = {c["name"] for c in rep["checks"] if c["residual"] == "NaN"}
+        assert code == EXIT_FAIL and nans == volume_rows
+        assert nans <= self._failed(rep).keys()
+
+        # The bound calls (None) in order, each row's name after the calls that
+        # feed it: the number of the first call of each row.
+        bound, check, trace = cli.coefficient_bound, cli._check, []
+        monkeypatch.setattr(cli, "coefficient_bound", lambda p: trace.append(None) or bound(p))
+        monkeypatch.setattr(cli, "_check", lambda name, *a: trace.append(name) or check(name, *a))
+        _run(argv, capsys)
+        firsts, calls, start = {}, 0, 0
+        for event in trace:
+            if event is None:
+                calls += 1
+                start = start or calls
+            elif start:
+                firsts[event], start = start, 0
+        assert len(firsts) == len(base["checks"]) - len(volume_rows)
+        monkeypatch.setattr(cli, "_check", check)
+
+        rows = {c["name"]: c for c in base["checks"]}
+        for name, call in firsts.items():
+            count = [0]
+
+            def infinite_at_call(p, call=call):
+                count[0] += 1
+                return math.inf if count[0] == call else bound(p)
+
+            monkeypatch.setattr(cli, "coefficient_bound", infinite_at_call)
             code, rep = _run(argv, capsys)
-            nans = {c["name"] for c in rep["checks"] if c["residual"] == "NaN"}
-            assert code == EXIT_FAIL and (len(nans) == 1 or nans == volume_rows), (call, nans)
-            assert nans <= self._failed(rep).keys()
-            hits.append(nans)
-        hit = set().union(*hits)
-        assert sum(map(len, hits)) == len(hit)
-        assert volume_rows in hits
-        if not perturb:
-            assert hit == volume_rows
-        else:
-            assert len(hit) >= 10
+            changed = {c["name"]: c for c in rep["checks"] if c != rows[c["name"]]}
+            assert code == EXIT_FAIL and list(changed) == [name], (call, changed)
+            assert changed[name]["residual"] == "Infinity" and not changed[name]["pass"]
 
     @pytest.mark.parametrize(
         "owner, name, call, checks", [pytest.param(*c, id=c[-1][-1]) for c in _DIRAC_NAN_CASES]

@@ -8,19 +8,21 @@ import random
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from swcheck import poly
-from swcheck.models import ModelFormatError, VectorFieldPoly, load_model
+from swcheck import models, poly
+from swcheck.models import ModelFormatError, VectorFieldPoly, load_model, sample_points
 from swcheck.poly import (
     ONE,
     PolyExpr,
     PolySyntaxError,
     ZERO,
     as_poly,
+    coefficient_bound,
     evaluate_all,
     max_abs,
     parse_poly,
@@ -724,3 +726,151 @@ class TestEvaluateAll:
         assert np.all(values[:, 0] == math.inf)
         assert np.all(values[:, 1].real == math.inf) and np.all(values[:, 1].imag == -math.inf)
         assert np.all(values[:, 2] == 1) and max_abs(values) == math.inf
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _families(chart: str, perturb: float = 0.0) -> dict[str, list[PolyExpr]]:
+    """Every residual family that ``model --model <chart> --perturb <perturb>``
+    measures, J[0][2] shifted by ``perturb * y2`` as the suite does it."""
+    bundle = load_model(str(DATA / chart))
+    frame = bundle.frame
+    if perturb:
+        jrows = [list(row) for row in frame.jmat]
+        jrows[0][2] = jrows[0][2] + perturb * PolyExpr.variable("y2")
+        frame = models.FrameFieldSet(frame.name, frame.fields, frame.eta, tuple(map(tuple, jrows)))
+    return {
+        **models.contact_check(frame),
+        **models.tw_axiom_check(frame, bundle.connection),
+        **models.cr_check(frame),
+    }
+
+
+def _random_polys(seed: int) -> list[PolyExpr]:
+    """Ten real and ten complex polynomials of up to 8 terms and degree 6,
+    coefficients uniform in (-2, 2) and (-2, 2) + i(-2, 2)."""
+    rng = np.random.default_rng(seed)
+    table = poly.monomials(6)
+    out = []
+    for k in range(20):
+        picks = rng.choice(len(table), rng.integers(1, 9), replace=False)
+        coeffs = rng.uniform(-2, 2, len(picks))
+        if k % 2:
+            coeffs = coeffs + 1j * rng.uniform(-2, 2, len(picks))
+        out.append(PolyExpr.from_dict({table[i]: c for i, c in zip(picks, coeffs)}))
+    return out
+
+
+def _modulus_sum(p: PolyExpr, bits: int, upward: bool) -> Fraction:
+    """The sum of the coefficient moduli of ``p`` as a Fraction, each modulus
+    rounded to ``bits`` binary places, upward or downward; exact for a real
+    or Pythagorean coefficient."""
+    total = Fraction(0)
+    for _, a, b in p.packed:
+        n = (a * a + b * b) << 2 * bits
+        root = math.isqrt(n)
+        total += Fraction(root + (upward and root * root < n), p.den << bits)
+    return total
+
+
+_CORNERS = list(itertools.product((-1, 1), repeat=5))
+
+
+def _squares_at_corners(p: PolyExpr) -> list[Fraction]:
+    """|p|^2 at each of the 32 corners of [-1, 1]^5, exactly: p at a corner
+    is the sum of its coefficients times signs."""
+    rows = poly._exponent_rows(p.packed).tolist()
+    out = []
+    for corner in _CORNERS:
+        re_ = im = 0
+        for e, (_, a, b) in zip(rows, p.packed):
+            sign = math.prod(c**n for c, n in zip(corner, e))
+            re_, im = re_ + sign * a, im + sign * b
+        out.append(Fraction(re_ * re_ + im * im, p.den * p.den))
+    return out
+
+
+class TestCoefficientBound:
+    """coefficient_bound(p) is sum |c| over the coefficients of p: no value of
+    p on the box [-1, 1]^5 exceeds it, and it is computed from the exact
+    coefficients, rounded once upward."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_at_least_the_exact_value_at_every_corner(self, seed):
+        for p in _random_polys(seed) + [parse_poly("x1 + x2 - 0.1*t + (3-4i)*y1*y2")]:
+            assert Fraction(coefficient_bound(p)) ** 2 >= max(_squares_at_corners(p)), p
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_at_least_the_values_at_the_sample_points(self, seed):
+        points = sample_points(1000, seed)
+        polys = _random_polys(seed)
+        values = np.max(np.abs(evaluate_all(polys, points)), axis=0)
+        assert np.all(values <= [coefficient_bound(p) for p in polys])
+
+    @pytest.mark.parametrize("perturb", [0.0, 1e-3])
+    def test_at_least_every_sheared_chart_family_at_the_corners_and_sample_points(self, perturb):
+        points = sample_points(1000, 0)
+        live = 0
+        for name, polys in _families("sheared_chart_3.json", perturb).items():
+            for p in polys:
+                bound = coefficient_bound(p)
+                assert max_abs(evaluate_all([p], points)) <= bound, name
+                assert Fraction(bound) ** 2 >= max(_squares_at_corners(p)), name
+                live += not p.is_zero()
+        # Clean, every family is exactly zero; perturbed, most are live.
+        assert live == 0 if not perturb else live >= 100
+
+    def test_zero_only_for_the_zero_polynomial(self):
+        assert coefficient_bound(ZERO) == 0.0
+        assert coefficient_bound(parse_poly("x1 - x1")) == 0.0
+        # Below the smallest float, a nonzero sum still rounds up to it.
+        for src in ["1e-4000*x1", "(1e-400+1e-400i)*t^3"]:
+            assert coefficient_bound(parse_poly(src)) == 5e-324
+        assert coefficient_bound(parse_poly("1e-320i")) == math.nextafter(1e-320, 1)
+        for p in _random_polys(3):
+            assert coefficient_bound(p) > 0
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_never_below_the_exact_sum(self, seed):
+        # |2^63 + i| exceeds the float 2^63 by less than 2^-63: its modulus
+        # rounds up to the next float, 2^63 + 2^11.
+        edge = [parse_poly("0.1*x1 + 0.2*y1"), parse_poly("1 - 1e-30*t")]
+        edge.append(PolyExpr.const(2**63 + 1j))
+        assert coefficient_bound(edge[-1]) == 2.0**63 + 2**11
+        for p in _random_polys(seed) + edge:
+            bound = Fraction(coefficient_bound(p))
+            below = Fraction(math.nextafter(coefficient_bound(p), -math.inf))
+            # Each modulus to 200 places, rounded upward, is above the exact
+            # modulus; the float below the bound is below the exact sum.
+            assert bound >= _modulus_sum(p, 200, upward=True), p
+            assert below < _modulus_sum(p, 200, upward=False), p
+
+    def test_real_and_pythagorean_sums_are_exact(self):
+        # 0.1 + 0.2 rounds to 0.30000000000000004 > 3/10, the least float above.
+        assert coefficient_bound(parse_poly("0.1*x1 - 0.2*y1")) == 0.1 + 0.2
+        assert coefficient_bound(parse_poly("(0.6+0.8i)*x1 - (3-4i)*t + 0.25")) == 6.25
+        assert coefficient_bound(parse_poly("-2*x1^3*t")) == 2.0
+        p = PolyExpr.const(0.1)
+        assert Fraction(coefficient_bound(p)) == _modulus_sum(p, 0, upward=True)
+
+    def test_inf_past_the_float_range(self):
+        assert coefficient_bound(parse_poly("1e300*1e300*x1")) == math.inf
+        assert coefficient_bound(parse_poly("1e308*x1 + 1e308i*y1")) == math.inf
+        assert coefficient_bound(parse_poly("1e308*x1 - 8e307*y1")) == math.inf
+        largest = coefficient_bound(parse_poly("1e308*x1 - 7.9e307*y1"))
+        assert largest == math.nextafter(1.79e308, math.inf)
+        # The overflow chart: a family whose coefficients round to inf bounds
+        # to inf, and fails its row; model --model overflow_model.json exits 1
+        # (test_cli.py, TestNonFiniteEvaluations).
+        infinite = set()
+        for name, polys in _families("overflow_model.json").items():
+            if any(math.isinf(abs(c)) for p in polys for _, c in p.terms):
+                assert max(map(coefficient_bound, polys)) == math.inf, name
+                infinite.add(name)
+        assert infinite == {
+            "frame_orthonormality",
+            "eta_bracket_criterion",
+            "axiom_a_parallel_eta_xi",
+            "axiom_b_parallel_metric",
+        }
