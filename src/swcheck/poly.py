@@ -315,17 +315,17 @@ def coefficient_bound(p: PolyExpr) -> float:
     over the box ``[-1, 1]^5``, without evaluating ``p``; 0.0 only for zero.
 
     The sum is taken over ``den * 2^64``, each modulus ``|a + bi| / den`` as
-    the integer ``ceil(sqrt(a^2 + b^2) * 2^64)``, which is exact when ``b``
-    is 0, and then rounded once, upward, to a float; it reads inf beyond the
-    float range, as :func:`_ratio` does.  A real polynomial skips the square
-    roots, which cost several times the rest.
+    the integer ``ceil(sqrt(a^2 + b^2) * 2^64)``, which is ``|a| * 2^64``
+    when ``b`` is 0 and is taken so, without the square root that costs
+    several times the rest; the sum is then rounded once, upward, to a
+    float, and reads inf beyond the float range, as :func:`_ratio` does.
     """
     if not p.packed:
         return 0.0
-    if any(map(_IM, p.packed)):
-        total = sum(math.isqrt(((a * a + b * b) << 2 * _GUARD) - 1) + 1 for _, a, b in p.packed)
-    else:
-        total = sum(abs(a) for _, a, _ in p.packed) << _GUARD
+    total = sum(
+        math.isqrt(((a * a + b * b) << 2 * _GUARD) - 1) + 1 if b else abs(a) << _GUARD
+        for _, a, b in p.packed
+    )
     den = p.den << _GUARD
     try:
         q = total / den

@@ -356,6 +356,32 @@ class TestNegativeControls:
         reports = rep["suites"].values() if suite == "all" else [rep]
         assert min(c["residual"] for r in reports for c in r["checks"]) >= 0.0
 
+    def test_model_fails_a_fault_every_sample_misses(self, capsys):
+        # At --perturb 2e-14 on the sheared chart, two identity residuals stay
+        # below the 1e-12 tolerance at all 1000 default sample points, but
+        # their coefficient bounds exceed it: the rows fail, at any --samples.
+        chart, eps = str(DATA / "sheared_chart_3.json"), 2e-14
+        frame = load_model(chart).frame
+        jrows = [list(row) for row in frame.jmat]
+        jrows[0][2] = jrows[0][2] + eps * PolyExpr.variable("y2")
+        frame = models.FrameFieldSet(
+            frame.name, frame.fields, frame.eta, tuple(tuple(r) for r in jrows)
+        )
+        families = {
+            "contact_J_square_identity": models.contact_check(frame)["J_square_identity"],
+            "cr_eta_bracket_criterion": models.cr_check(frame)["eta_bracket_criterion"],
+        }
+        points = models.sample_points(1000, 0)
+        for samples in ("1", "1000"):
+            argv = ["model", "--model", chart, "--perturb", str(eps), "--samples", samples]
+            code, rep = _run(argv, capsys)
+            rows = {c["name"]: c for c in rep["checks"]}
+            assert code == EXIT_FAIL
+            for name, family in families.items():
+                sampled = poly.max_abs(poly.evaluate_all(family, points))
+                assert sampled < 1e-12 < rows[name]["residual"], name
+                assert rows[name]["pass"] is False, name
+
     def test_broken_model_file_fails_checks(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
         data["frame"][1] = ["0", "2", "0", "0", "0"]  # e2 scaled by 2
