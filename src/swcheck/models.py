@@ -15,7 +15,8 @@ component and each coefficient of a wedge product or exterior derivative is
 one ``poly.dot``.  The checks (``contact_check``, ``tw_axiom_check``,
 ``cr_check``) evaluate nothing: each returns its residual families, lists of
 polynomials by row name, and the ``model`` suite of :mod:`swcheck.cli`
-measures them on the sample points.  A model file's decimal literals are
+bounds them over the box from their exact coefficients.  A constant is not
+differentiated.  A model file's decimal literals are
 read exactly, and a JSON number as its shortest decimal text (``repr``), so
 a residual identity that holds on the chart cancels to the zero polynomial.
 What the model checks share
@@ -116,6 +117,8 @@ class VectorFieldPoly:
 
     def scale(self, f) -> "VectorFieldPoly":
         f = as_poly(f)
+        if f.is_zero():
+            return ZERO_FIELD
         return VectorFieldPoly(tuple(f * c for c in self.components))
 
 
@@ -555,7 +558,9 @@ def tw_axiom_check(
     out = {}
 
     def along_frame(f: PolyExpr) -> list[PolyExpr]:
-        # e_k(f) for every k, with f differentiated once.
+        # e_k(f) for every k, with f differentiated once; a constant has none.
+        if f.degree() == 0:
+            return [ZERO] * 5
         grad = gradient(f)
         return [dot(x.components, grad) for x in frame.fields]
 

@@ -124,6 +124,8 @@ class PolyExpr:
     __radd__ = __add__
 
     def __neg__(self) -> "PolyExpr":
+        if not self.packed:
+            return self
         return PolyExpr(tuple((m, -a, -b) for m, a, b in self.packed), self.den)
 
     def __sub__(self, other) -> "PolyExpr":
@@ -306,7 +308,8 @@ def max_abs(values) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
-#: Binary places kept of each coefficient modulus in :func:`coefficient_bound`.
+#: Binary places kept of each coefficient modulus in :func:`coefficient_bound`
+#: and :func:`modulus_lower_bound`.
 _GUARD = 64
 
 
@@ -314,25 +317,57 @@ def coefficient_bound(p: PolyExpr) -> float:
     """The sum of the coefficient moduli of ``p``, an upper bound on ``|p(x)|``
     over the box ``[-1, 1]^5``, without evaluating ``p``; 0.0 only for zero.
 
-    The sum is taken over ``den * 2^64``, each modulus ``|a + bi| / den`` as
-    the integer ``ceil(sqrt(a^2 + b^2) * 2^64)``, which is ``|a| * 2^64``
-    when ``b`` is 0 and is taken so, without the square root that costs
-    several times the rest; the sum is then rounded once, upward, to a
-    float, and reads inf beyond the float range, as :func:`_ratio` does.
+    The sum is taken over ``den * 2^64`` (:func:`_modulus_sum`), then rounded
+    once, upward, to a float, and reads inf beyond the float range, as
+    :func:`_ratio` does.
     """
     if not p.packed:
         return 0.0
-    total = sum(
-        math.isqrt(((a * a + b * b) << 2 * _GUARD) - 1) + 1 if b else abs(a) << _GUARD
-        for _, a, b in p.packed
+    return _directed(_modulus_sum(p.packed, True), p.den << _GUARD, True)
+
+
+def modulus_lower_bound(p: PolyExpr) -> float:
+    """A lower bound on ``|p(x)|`` over the box ``[-1, 1]^5``, without
+    evaluating ``p``: the modulus of the constant term less the sum of the
+    other coefficient moduli.
+
+    Both are taken over ``den * 2^64`` as in :func:`coefficient_bound`, the
+    constant's modulus rounded down and the others' up, and their difference
+    is rounded once, downward, to a float.  So it is exact for a constant
+    whose modulus is a float, 0.0 for zero, negative where the constant term
+    does not dominate, and never NaN: -inf only when the other moduli sum past
+    the float range.
+    """
+    terms = p.packed
+    # The constant term, monomial 0, is the last in canonical order.
+    split = len(terms) - (bool(terms) and not terms[-1][0])
+    low = _modulus_sum(terms[split:], False) - _modulus_sum(terms[:split], True)
+    return _directed(low, p.den << _GUARD, False)
+
+
+def _modulus_sum(terms, up: bool) -> int:
+    """The sum of ``|a + bi| * 2^64`` over the (monomial, a, b) ``terms``, each
+    modulus rounded to an int, upward if ``up``, else downward (the ceiling of
+    ``sqrt(n)`` is ``isqrt(n - 1) + 1`` for n >= 1).  A real one is
+    ``|a| * 2^64`` exactly, taken so, without the square root that costs
+    several times the rest."""
+    return sum(
+        math.isqrt(((a * a + b * b) << 2 * _GUARD) - up) + up if b else abs(a) << _GUARD
+        for _, a, b in terms
     )
-    den = p.den << _GUARD
-    try:
-        q = total / den
-    except OverflowError:
-        return math.inf
-    n, d = q.as_integer_ratio()
-    return q if n * den >= total * d else math.nextafter(q, math.inf)
+
+
+def _directed(n: int, d: int, up: bool) -> float:
+    """n / d, for d > 0, rounded once to a float, upward if ``up``, else
+    downward; inf upward and the largest float downward past it, and alike
+    below the negative range."""
+    q = _ratio(n, d)
+    if math.isinf(q):
+        return q if (q > 0) == up else math.nextafter(q, 0)
+    num, den = q.as_integer_ratio()
+    if (num * d >= n * den) if up else (num * d <= n * den):
+        return q
+    return math.nextafter(q, math.inf if up else -math.inf)
 
 
 def as_poly(v) -> PolyExpr:

@@ -218,8 +218,9 @@ class TestSharedSymbolicWork:
     def test_model_measures_each_check_as_it_returns(self, perturb, monkeypatch, capsys):
         # Each check's families are bounded, one coefficient_bound per
         # polynomial, before the next check builds its own: no two checks'
-        # families are held at once.  The contact volume is the one
-        # evaluation, between the contact families and tw_axiom_check.
+        # families are held at once.  The contact volume is bounded from below
+        # once, between the contact families and tw_axiom_check, and no point
+        # is drawn.
         events = []
 
         def record(owner, name, event):
@@ -237,7 +238,8 @@ class TestSharedSymbolicWork:
         record(models, "tw_axiom_check", "tw")
         record(models, "cr_check", "cr")
         record(cli, "coefficient_bound", "bound")
-        record(cli, "evaluate_all", "evaluate")
+        record(cli, "modulus_lower_bound", "floor")
+        record(cli, "sample_points", "draw")
         chart = str(DATA / "sheared_chart_3.json")
         argv = ["model", "--model", chart, "--samples", "5", "--perturb", perturb]
         code, rep = _run(argv, capsys)
@@ -246,7 +248,7 @@ class TestSharedSymbolicWork:
         assert events == (
             [("contact", sizes["contact"])]
             + [("bound", 1)] * sizes["contact"]
-            + [("evaluate", 1)]
+            + [("floor", 1)]
             + [("tw", sizes["tw"])]
             + [("bound", 1)] * sizes["tw"]
             + [("cr", sizes["cr"])]
@@ -381,6 +383,48 @@ class TestNegativeControls:
                 sampled = poly.max_abs(poly.evaluate_all(family, points))
                 assert sampled < 1e-12 < rows[name]["residual"], name
                 assert rows[name]["pass"] is False, name
+
+    @staticmethod
+    def _scaled_eta_chart(tmp_path, model_to_dict, factor: str) -> str:
+        """The Heisenberg chart with eta scaled by the polynomial ``factor`` f:
+        its contact volume is 2 f^3."""
+        data = model_to_dict(load_model("heisenberg"))
+        f = poly.parse_poly(factor)
+        data["eta"] = [str(f * poly.parse_poly(c)) for c in data["eta"]]
+        path = tmp_path / "scaled_eta.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_volume_vanishing_inside_the_box_fails_at_any_samples(
+        self, tmp_path, capsys, model_to_dict
+    ):
+        # The volume 2 (x1^2 + ... + t^2)^3 vanishes at the origin only: at
+        # the 1000 default sample points its modulus stays above 1e-9, but its
+        # lower bound over the box is -250: no constant term, and the other
+        # coefficient moduli sum to 2 * 5^3.
+        chart = self._scaled_eta_chart(tmp_path, model_to_dict, "x1^2 + y1^2 + x2^2 + y2^2 + t^2")
+        volume = load_model(chart).frame.contact_volume
+        assert poly.max_abs(1 / poly.evaluate_all([volume], models.sample_points(1000, 0))) < 1e9
+        for samples in ("1", "1000"):
+            code, rep = _run(["model", "--model", chart, "--samples", samples], capsys)
+            rows = {c["name"]: c for c in rep["checks"]}
+            assert code == EXIT_FAIL
+            assert rows["contact_volume_nondegenerate"]["residual"] == 1e-9 + 250
+            assert rows["contact_volume_nondegenerate"]["pass"] is False
+
+    def test_volume_away_from_zero_passes(self, tmp_path, capsys, model_to_dict):
+        # The volume 2 (1 + 0.1 x1)^3 is not constant, and its constant term 2
+        # exceeds the sum 0.662 of its other coefficient moduli.
+        chart = self._scaled_eta_chart(tmp_path, model_to_dict, "1 + 0.1*x1")
+        assert load_model(chart).frame.contact_volume.degree() == 3
+        _, rep = _run(["model", "--model", chart], capsys)
+        rows = {c["name"]: c for c in rep["checks"]}
+        assert rows["contact_volume_nondegenerate"] == {
+            "name": "contact_volume_nondegenerate",
+            "residual": 0.0,
+            "tolerance": 0.0,
+            "pass": True,
+        }
 
     def test_broken_model_file_fails_checks(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
@@ -912,20 +956,31 @@ class TestCertificates:
         return {c["name"]: c["residual"] for c in rep["checks"] if not c["pass"]}
 
     @pytest.mark.parametrize("perturb", ["0", "1e-3"])
-    @pytest.mark.parametrize("suite", ["clifford", "selfdual", "curvature", "dirac"])
+    @pytest.mark.parametrize(
+        "suite", ["clifford", "selfdual", "curvature", "dirac", "model", "model_sheared"]
+    )
     def test_reports_do_not_depend_on_seed_or_samples(self, suite, perturb, capsys):
         # The seed moves dirac's points, so only --samples varies there; no
-        # report echoes --samples.
+        # report but model's echoes --samples.  model draws nothing: on the
+        # builtin chart and on a model file its whole report, the volume rows
+        # included, is the same apart from its parameters.
+        argv = [suite]
+        if suite == "model_sheared":
+            argv = ["model", "--model", str(DATA / "sheared_chart_3.json")]
         runs = [[], ["--samples", "1"], ["--samples", "20000"]]
         if suite != "dirac":
             runs.append(["--seed", "1", "--samples", "3"])
         reports = []
         for extra in runs:
-            _, rep = _run([suite, "--perturb", perturb] + extra, capsys)
+            _, rep = _run(argv + ["--perturb", perturb] + extra, capsys)
             rep.pop("wall_time_s")
+            samples = rep["parameters"].pop("samples")
+            if argv[0] == "model":
+                assert samples == (int(extra[-1]) if extra else 1000)
+            else:
+                assert samples is None
             rep["parameters"].pop("seed")
             reports.append(rep)
-        assert reports[0]["parameters"]["samples"] is None
         assert all(rep == reports[0] for rep in reports)
 
     def test_non_skew_pair_product_fails_sigma_certificate(self, monkeypatch, capsys):
@@ -1060,13 +1115,16 @@ class TestNonFiniteEvaluations:
         ],
     )
     def test_each_model_check(
-        self, chart, perturb, sheared_chart, tmp_path, nan_on_call, monkeypatch, capsys
+        self, chart, perturb, sheared_chart, tmp_path, monkeypatch, capsys
     ):
-        # The residual rows are coefficient bounds and evaluate nothing: the
-        # one evaluation is the contact volume, which feeds both volume rows on
-        # Heisenberg and the one on the sheared chart, clean or perturbed, and
-        # its NaN fails them and no other row.  An infinite bound of the first
-        # polynomial of a family fails that family's row and changes no other.
+        # Every row is read from exact coefficients and evaluates nothing.  The
+        # contact volume feeds both volume rows on Heisenberg and the one on
+        # the sheared chart, clean or perturbed: an infinite bound of its
+        # non-constant terms, or a constant term past the float range that
+        # they cancel at x1 = -1 (where inf - inf would be a NaN that a Python
+        # max(0, nan) drops), fails them and no other row.  An infinite bound
+        # of the first polynomial of a family fails that family's row and
+        # changes no other.
         volume_rows = {"contact_volume_nondegenerate"}
         if chart == "heisenberg":
             volume_rows.add("contact_volume_equals_2")
@@ -1074,15 +1132,18 @@ class TestNonFiniteEvaluations:
             chart = str(tmp_path / "sheared.json")
             (tmp_path / "sheared.json").write_text(json.dumps(sheared_chart))
         argv = ["model", "--model", chart, "--samples", "5"] + ["--perturb", "1e-3"] * perturb
-        values = nan_on_call([cli], "evaluate_all", 0)
         code, base = _run(argv, capsys)
         assert code == (EXIT_FAIL if perturb else EXIT_PASS)
-        assert len(values) == 1
-        nan_on_call([cli], "evaluate_all", 1)
-        code, rep = _run(argv, capsys)
-        nans = {c["name"] for c in rep["checks"] if c["residual"] == "NaN"}
-        assert code == EXIT_FAIL and nans == volume_rows
-        assert nans <= self._failed(rep).keys()
+        rows = {c["name"]: c for c in base["checks"]}
+        huge, x1 = PolyExpr.const(10**400), PolyExpr.variable("x1")
+        for volume, gap in [(2 + huge * x1, "Infinity"), (huge + huge * x1, 1e-9)]:
+            monkeypatch.setattr(models.FrameFieldSet, "contact_volume", volume)
+            code, rep = _run(argv, capsys)
+            changed = {c["name"]: c for c in rep["checks"] if c != rows[c["name"]]}
+            assert code == EXIT_FAIL and changed.keys() == volume_rows
+            assert changed["contact_volume_nondegenerate"]["residual"] == gap
+            assert not any(c["pass"] for c in changed.values())
+        monkeypatch.undo()
 
         # The bound calls (None) in order, each row's name after the calls that
         # feed it: the number of the first call of each row.
@@ -1097,10 +1158,10 @@ class TestNonFiniteEvaluations:
                 start = start or calls
             elif start:
                 firsts[event], start = start, 0
-        assert len(firsts) == len(base["checks"]) - len(volume_rows)
+        # The nondegenerate row alone reads no coefficient bound.
+        assert len(firsts) == len(base["checks"]) - 1
         monkeypatch.setattr(cli, "_check", check)
 
-        rows = {c["name"]: c for c in base["checks"]}
         for name, call in firsts.items():
             count = [0]
 

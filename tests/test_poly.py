@@ -5,6 +5,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -25,6 +26,7 @@ from swcheck.poly import (
     coefficient_bound,
     evaluate_all,
     max_abs,
+    modulus_lower_bound,
     parse_poly,
 )
 
@@ -874,3 +876,86 @@ class TestCoefficientBound:
             "axiom_a_parallel_eta_xi",
             "axiom_b_parallel_metric",
         }
+
+
+def _split_constant(p: PolyExpr) -> tuple[PolyExpr, PolyExpr]:
+    """The constant term of ``p`` and the other terms, each over the den of ``p``."""
+    return (
+        PolyExpr(tuple(t for t in p.packed if not t[0]), p.den),
+        PolyExpr(tuple(t for t in p.packed if t[0]), p.den),
+    )
+
+
+class TestModulusLowerBound:
+    """modulus_lower_bound(p) is |c_0| - sum |c| over the other coefficients
+    of p: no value of |p| on the box [-1, 1]^5 is below it, and it is computed
+    from the exact coefficients, rounded once downward."""
+
+    @staticmethod
+    def _polys(seed: int) -> list[PolyExpr]:
+        # Each random polynomial, and the same with a constant added that
+        # dominates the other terms, so that its bound is positive.
+        out = []
+        for p in _random_polys(seed):
+            out += [p, p + 1.25 * coefficient_bound(p)]
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_at_most_the_exact_minimum_at_the_corners(self, seed):
+        extra = [parse_poly("3 - x1 + 0.5i*y1*t"), parse_poly("(3-4i) + 4*x1")]
+        positive = 0
+        for p in self._polys(seed) + extra:
+            low = modulus_lower_bound(p)
+            if low > 0:
+                positive += 1
+                assert Fraction(low) ** 2 <= min(_squares_at_corners(p)), p
+        assert positive >= 22
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_at_most_the_values_at_the_sample_points(self, seed):
+        points = sample_points(1000, seed)
+        polys = self._polys(seed)
+        values = np.min(np.abs(evaluate_all(polys, points)), axis=0)
+        assert np.all(np.array([modulus_lower_bound(p) for p in polys]) <= values)
+
+    def test_exact_for_constants_and_zero_for_zero(self):
+        assert modulus_lower_bound(ZERO) == 0.0
+        assert modulus_lower_bound(parse_poly("x1 - x1")) == 0.0
+        for c in [2, -2.5, 0.1, 1e-320, 3 - 4j, 1.5e308j, -(2.0**-1074)]:
+            assert modulus_lower_bound(PolyExpr.const(c)) == abs(c), c
+        # No constant term: minus the coefficient bound.
+        assert modulus_lower_bound(parse_poly("x1 - 0.5*t")) == -1.5
+
+    def test_rounds_downward(self):
+        # 1 - 0.1 is 9/10, and the float 0.9 is above it: the bound is the
+        # float below, where coefficient_bound rounds 1 + 0.1 up to the float 1.1.
+        assert modulus_lower_bound(parse_poly("1 - 0.1*x1")) == math.nextafter(0.9, 0)
+        assert coefficient_bound(parse_poly("1 - 0.1*x1")) == 1.1
+        # The float sqrt(2) is above |1 + i|.
+        assert modulus_lower_bound(PolyExpr.const(1 + 1j)) == math.nextafter(math.sqrt(2), 0)
+        # Below zero too: the float -0.3 is above -3/10.
+        assert modulus_lower_bound(parse_poly("0.1 - 0.4*y1")) == math.nextafter(-0.3, -1)
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_never_above_the_exact_difference(self, seed):
+        edge = [parse_poly("1 - 0.1*x1"), parse_poly("0.1 - 0.2*y1"), PolyExpr.const(2**63 + 1j)]
+        for p in self._polys(seed) + edge:
+            const, rest = _split_constant(p)
+            low = modulus_lower_bound(p)
+            above = Fraction(math.nextafter(low, math.inf))
+            # Each modulus to 200 places, the constant's rounded down and the
+            # others' up, gives a difference below the exact one; the float
+            # above the bound is above the exact difference.
+            lower = _modulus_sum(const, 200, upward=False) - _modulus_sum(rest, 200, upward=True)
+            upper = _modulus_sum(const, 200, upward=True) - _modulus_sum(rest, 200, upward=False)
+            assert Fraction(low) <= lower, p
+            assert above > upper, p
+
+    def test_past_the_float_range(self):
+        # Other moduli past the float range give -inf, a constant past it the
+        # largest float; both past it and cancelling give the exact 0.0, where
+        # floats would give inf - inf, a NaN that Python's max(0, nan) drops.
+        assert modulus_lower_bound(parse_poly("1 + 1e308*x1 + 1e308*y1")) == -math.inf
+        assert modulus_lower_bound(parse_poly("1e300*1e300 - x1")) == sys.float_info.max
+        assert modulus_lower_bound(parse_poly("1e300*1e300 + 1e300*1e300*x1")) == 0.0
+        assert modulus_lower_bound(parse_poly("1e300*1e300 + 1e300*1e300i*x1")) == 0.0

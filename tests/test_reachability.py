@@ -43,7 +43,6 @@ NEVER_CALLED = {
     "poly._decimal": "part of PolyExpr.__str__",
     "poly.PolyExpr.terms": "the exponent view, with coefficients rounded to floats, that "
     "__call__ reads and perfbench/tracing.py counts as poly.eval.terms",
-    "poly.PolyExpr.degree": "states the total-degree cap in the poly tests",
     "poly.PolyExpr.from_dict": "perfbench/tracing.py counts its calls as poly.from_dict.calls, "
     "and the tests build fields from coefficient tables with it",
     "poly._pack": "part of PolyExpr.from_dict",
