@@ -312,9 +312,10 @@ def _suite_dirac(ns) -> dict:
     psi0 = SpinorField.psi0()
     if ns.perturb:
         psi0 = psi0 + SpinorField.make(ns.perturb * PolyExpr.variable("x1"), 0, 0, 0)
+    # Coefficient bounds of psi0's exact operators over the box: 0.0 only for zero.
     kohn0, full0 = dirac_operators(s, psi0)
-    checks.append(_check("full_dirac_psi0_zero", max_abs(full0.evaluate(points)), 0.0))
-    checks.append(_check("kohn_dirac_psi0_zero", max_abs(kohn0.evaluate(points)), 0.0))
+    for name, op in (("full_dirac_psi0_zero", full0), ("kohn_dirac_psi0_zero", kohn0)):
+        checks.append(_check(name, max(map(coefficient_bound, op.components)), 0.0))
 
     # Each check is linear in the field, so it is computed once on the basis fields
     # m e_k (m a monomial of degree <= 3); family_maximum gives the exact worst field
@@ -344,10 +345,12 @@ def _suite_dirac(ns) -> dict:
     psi = SpinorField.make(
         1 + x1 * y1 - 0.5 * t, (1 - 2j) * x2 + y2 * y2, 0.5j * t * t - x1, y1 * x2 + 3
     )
+    # The operator is linear and exact: D (c psi) is c D psi, term by term.
     phase = np.exp(1j * 0.7)
     psi_rot = psi.scale(phase)
+    d = full_dirac(s, psi)
     few = points[:5]
-    moduli = np.abs(full_dirac(s, psi_rot).evaluate(few)) - np.abs(full_dirac(s, psi).evaluate(few))
+    moduli = np.abs(d.scale(phase).evaluate(few)) - np.abs(d.evaluate(few))
     sigma_diff = cliff5.sigma_full(psi_rot.evaluate(few)) - cliff5.sigma_full(psi.evaluate(few))
     r = np.max([max_abs(moduli), max_abs(sigma_diff.coeffs)])
     checks.append(_check("phase_invariance", r, 1e-12))

@@ -20,13 +20,16 @@ only the A convention is exposed there.
 
 The Kohn-Dirac operator sums the horizontal Clifford derivatives,
 D_H = sum_{i<=4} kappa(e_i) nabla_i, and the full operator adds the Reeb
-term kappa(e_5) nabla_5; ``dirac_operators`` returns both.
+term kappa(e_5) nabla_5; ``dirac_operators`` returns both, and
+``full_dirac`` the second.
 
 The operators map polynomial fields to polynomial fields:
 ``spin_covariant_derivative``, ``dirac_operators`` and ``full_dirac`` return
-:class:`SpinorField` values, derived once and exactly; callers evaluate them
-at points.  Fields are evaluated on stacks of points, ``(..., 5)`` arrays,
-through :func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the
+:class:`SpinorField` values, derived once and exactly, and linear: the
+operator of c psi is c times that of psi, term by term.  Callers bound them
+over the box from their exact coefficients (``poly.coefficient_bound``) or
+evaluate them on stacks of points, ``(..., 5)`` arrays, through
+:func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the
 independent oracle: it takes central differences of the spinor values on
 the stencil around every point and shares only the connection terms with
 the exact path.  Since every residual here is linear, its values on all
@@ -142,10 +145,9 @@ def spin_covariant_derivative(s: ModelBundle, w: int, psi: SpinorField) -> Spino
     return out
 
 
-#: kappa(e_1), ..., kappa(e_5) side by side, shape (4, 20).
-_GAMMA_ROW = _frozen(np.hstack(GAMMA))
-#: Its ``_exact_rows``, of all of it, of the Kohn part and of the Reeb part.
-_FULL_ROWS, _KOHN_ROWS, _REEB_ROWS = map(_exact_rows, (_GAMMA_ROW, _GAMMA_ROW[:, :16], GAMMA[4]))
+#: The ``_exact_rows`` of kappa(e_1), ..., kappa(e_4) side by side, shape
+#: (4, 16), and of kappa(e_5).
+_KOHN_ROWS, _REEB_ROWS = _exact_rows(np.hstack(GAMMA[:4])), _exact_rows(GAMMA[4])
 
 
 def _covariant_derivatives(s: ModelBundle, psi: SpinorField) -> list[PolyExpr]:
@@ -164,8 +166,8 @@ def dirac_operators(s: ModelBundle, psi: SpinorField) -> tuple[SpinorField, Spin
 
 
 def full_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
-    """Full Dirac operator, one exact sum over the five covariant derivatives."""
-    return SpinorField(_mat_apply(_FULL_ROWS, _covariant_derivatives(s, psi)))
+    """Full Dirac operator, the second of ``dirac_operators``."""
+    return dirac_operators(s, psi)[1]
 
 
 def fd_stencil(points, h: float) -> np.ndarray:

@@ -239,11 +239,6 @@ def uniform(rng, shape: tuple[int, ...] = ()) -> np.ndarray:
     return ((words >> np.uint64(11)) | np.uint64(1)).reshape(shape) * 2.0**-53
 
 
-#: Most elements in a temporary array of :func:`evaluate_all`: each block of
-#: points times the number of terms (or of power-table entries) stays below it.
-BLOCK_ELEMENTS = 2**14
-
-
 def monomial_terms(coeffs, exps, points) -> np.ndarray:
     """The terms ``c * x1^n1 * y1^n2 * x2^n3 * y2^n4 * t^n5`` for every real
     coefficient ``c = coeffs[j]`` and exponent row ``(n1, ..., n5) = exps[j]``
@@ -269,10 +264,11 @@ def evaluate_all(polys, points) -> np.ndarray:
     ``points`` has shape ``(..., 5)``.  The terms of all nonzero polynomials
     are stacked once, each coefficient rounded once to a complex float (±inf
     beyond the float range), with the real and imaginary parts of ``c`` taken
-    separately.  For each block of points :func:`monomial_terms` gives every
-    term and ``np.add.reduceat`` sums each polynomial's terms.  The pairwise
-    sums of ``reduceat`` may round differently from ``__call__``, so a value
-    may differ from it in the last places.
+    separately.  One pass of :func:`monomial_terms` gives every term at every
+    point, a ``(terms, points)`` array, and ``np.add.reduceat`` sums each
+    polynomial's terms.  The pairwise sums of ``reduceat`` may round
+    differently from ``__call__``, so a value may differ from it in the last
+    places; a point's values do not depend on the other points.
     """
     x = np.asarray(points, dtype=float)
     if x.shape[-1:] != (NVARS,):
@@ -293,13 +289,10 @@ def evaluate_all(polys, points) -> np.ndarray:
             coeffs += [_ratio(b, p.den) for p in nonzero for _, _, b in p.packed]
         coeffs = np.array(coeffs)
         starts = np.cumsum([0] + [len(p.packed) for p in nonzero] * len(parts))[:-1]
-        exps = np.tile(exps, (len(parts), 1))
-        step = max(1, BLOCK_ELEMENTS // max(len(exps), NVARS * (int(exps.max()) + 1)))
-        for b in range(0, len(x), step):
-            terms = monomial_terms(coeffs, exps, x[b : b + step])
-            sums = np.add.reduceat(terms, starts, axis=0).reshape(len(parts), len(live), -1)
-            for part, s in zip(parts, sums):
-                part[b : b + step, live] = s.T
+        terms = monomial_terms(coeffs, np.tile(exps, (len(parts), 1)), x)
+        sums = np.add.reduceat(terms, starts, axis=0).reshape(len(parts), len(live), -1)
+        for part, s in zip(parts, sums):
+            part[:, live] = s.T
     return out.reshape(shape)
 
 

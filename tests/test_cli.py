@@ -1,5 +1,6 @@
 """Command-line front end: suites, exit codes, report determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,6 @@ import pytest
 
 from swcheck import cli, cliff5, curvature, dirac_sw, extalg, models, poly
 from swcheck.cli import EXIT_FAIL, EXIT_PASS, EXIT_USAGE, SAMPLES_LIMIT, run
-from swcheck.dirac_sw import SpinorField
 from swcheck.models import load_model
 from swcheck.poly import PolyExpr
 
@@ -265,9 +265,11 @@ class TestSharedSymbolicWork:
         # each point; no polynomial of the basis is built or evaluated, and
         # no monomial value.  What is left of VectorFieldPoly.apply is the
         # symbolic operators on psi0 (20, the Kohn and full operators from one
-        # call) and on the phase-invariance field and its rotation (20 each).
-        # Besides the spinor fields, evaluate_all reads only the 25 frame
-        # components, once, for both tables.
+        # call) and on the phase-invariance field (20; its rotation scales
+        # the operator).  The psi0 rows are coefficient bounds, so evaluate_all
+        # reads the 25 frame components, once, for both tables, then the
+        # operator on the phase-invariance field and its rotation, and the
+        # two fields.
         applies, passes, evaluations = [], [], []
         apply = models.VectorFieldPoly.apply
         monomial_terms, evaluate_all = dirac_sw.monomial_terms, dirac_sw.evaluate_all
@@ -288,17 +290,16 @@ class TestSharedSymbolicWork:
         monkeypatch.setattr(dirac_sw, "monomial_terms", record_terms)
         monkeypatch.setattr(dirac_sw, "evaluate_all", record_evaluate_all)
         assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
-        assert len(applies) == 60
+        assert len(applies) == 40
         live = sum(np.count_nonzero(e) for e in poly.monomials(dirac_sw.FIELD_DEGREE))
         assert passes == [(live, 20), (56, 20 * 10)]
-        spinors = [(4, (20, 5))] * 2 + [(4, (5, 5))] * 4
-        assert evaluations == spinors[:2] + [(25, (20, 5))] + spinors[2:]
+        assert evaluations == [(25, (20, 5))] + [(4, (5, 5))] * 4
 
     def test_dirac_builds_the_kohn_part_of_psi0_once(self, monkeypatch, capsys):
         # full_dirac_psi0_zero adds the Reeb term to the Kohn-Dirac operator of
         # psi0 that kohn_dirac_psi0_zero reads, both from one dirac_operators
-        # call: five covariant derivatives of psi0, and five each for the
-        # phase-invariance field and its rotation.
+        # call: five covariant derivatives of psi0, and five for the
+        # phase-invariance field, whose rotation scales its operator.
         directions = []
         derivative = dirac_sw.spin_covariant_derivative
 
@@ -308,7 +309,7 @@ class TestSharedSymbolicWork:
 
         monkeypatch.setattr(dirac_sw, "spin_covariant_derivative", record)
         assert _run(["dirac", "--samples", "3"], capsys)[0] == EXIT_PASS
-        assert sorted(directions) == sorted([1, 2, 3, 4, 5] * 3)
+        assert sorted(directions) == sorted([1, 2, 3, 4, 5] * 2)
 
     def test_contact_volume_built_once(self, monkeypatch, capsys):
         # Both contact-volume rows read the one contact volume
@@ -983,6 +984,18 @@ class TestCertificates:
             reports.append(rep)
         assert all(rep == reports[0] for rep in reports)
 
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    @pytest.mark.parametrize("eps", ["0", "1e-3", "-1e-3", "1e-30", "5e-324", "1e300"])
+    def test_psi0_rows_read_the_fault_exactly(self, eps, seed, capsys):
+        # The fault adds EPS x1 to psi0's first component: both operators of the
+        # result are EPS times the first column of kappa(e_1), a constant of
+        # modulus |EPS|.  Each row is its coefficient bound over the box,
+        # exactly |EPS| at every seed, and 0.0 clean.
+        code, rep = _run(["dirac", "--seed", seed, "--perturb", eps], capsys)
+        rows = {c["name"]: c["residual"] for c in rep["checks"]}
+        assert rows["full_dirac_psi0_zero"] == rows["kohn_dirac_psi0_zero"] == abs(float(eps))
+        assert code == (EXIT_FAIL if float(eps) else EXIT_PASS)
+
     def test_non_skew_pair_product_fails_sigma_certificate(self, monkeypatch, capsys):
         # kappa(e1) kappa(e3) is not in kappa(deta), and its entry [0, 0] does
         # not reach sigma_h(psi0): only the certificate reads it.
@@ -1077,11 +1090,14 @@ class TestColdStart:
 
 # (owner, name, call, checks): call number ``call`` of ``name`` on ``owner``
 # returning one NaN entry fails exactly ``checks`` of ``dirac --samples 2``.
+# ``cli.coefficient_bound`` never returns NaN, but inf past the float range:
+# its case returns inf.
 _DIRAC_NAN_CASES = [
-    # psi0's full Dirac operator is evaluated once on the point array, then
-    # its Kohn-Dirac operator.
-    (SpinorField, "evaluate", 1, ["full_dirac_psi0_zero"]),
-    (SpinorField, "evaluate", 2, ["kohn_dirac_psi0_zero"]),
+    # The four components of psi0's full Dirac operator are bounded, then the
+    # four of its Kohn-Dirac operator: the last call of one row, the first of
+    # the other.
+    (cli, "coefficient_bound", 4, ["full_dirac_psi0_zero"]),
+    (cli, "coefficient_bound", 5, ["kohn_dirac_psi0_zero"]),
     # The family maximum and the basis maximum read the same basis rows, and
     # np.sort puts NaN last, so a NaN in a basis row fails both checks.  The
     # one contraction cli makes itself is the finite-difference rows.
@@ -1178,12 +1194,20 @@ class TestNonFiniteEvaluations:
     @pytest.mark.parametrize(
         "owner, name, call, checks", [pytest.param(*c, id=c[-1][-1]) for c in _DIRAC_NAN_CASES]
     )
-    def test_each_dirac_check(self, owner, name, call, checks, nan_on_call, capsys):
-        nan_on_call([owner], name, call)
+    def test_each_dirac_check(
+        self, owner, name, call, checks, nan_on_call, monkeypatch, capsys
+    ):
+        if name == "coefficient_bound":
+            bound, count = cli.coefficient_bound, itertools.count(1)
+            monkeypatch.setattr(cli, name, lambda p: math.inf if next(count) == call else bound(p))
+            residual = "Infinity"
+        else:
+            nan_on_call([owner], name, call)
+            residual = "NaN"
         code, rep = _run(["dirac", "--samples", "2"], capsys)
         failed = self._failed(rep)
         assert code == EXIT_FAIL and list(failed) == checks
-        assert all(r == "NaN" for r in failed.values())
+        assert all(r == residual for r in failed.values())
 
     def test_each_dirac_check_has_a_case(self, capsys):
         code, rep = _run(["dirac", "--samples", "2"], capsys)

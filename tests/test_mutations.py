@@ -9,7 +9,7 @@ named in ``KILLED``.  A mutation that no command kills is pinned in
 ``SURVIVES`` with the ROADMAP item that is to kill it, and every command
 must still exit 0.  So a killed mutation that starts to survive fails the
 test, and so does a pinned survivor that starts to fail: it then moves to
-``KILLED``.  Each child takes about 0.1 s.
+``KILLED``.  Each child takes about 0.15 to 0.25 s on a 2-core machine.
 """
 
 import json
@@ -31,6 +31,12 @@ MUTATIONS = {
     "U1_COUPLING = 0.25": ("dirac_sw", "U1_COUPLING", "0.25"),
     "U1_COUPLING = 0": ("dirac_sw", "U1_COUPLING", "0"),
     "IDENTIFICATION rows 0 and 1 swapped": ("dirac_sw", "IDENTIFICATION", "old[[1, 0, 2, 3]]"),
+    "IDENTIFICATION row 0 negated": ("dirac_sw", "IDENTIFICATION", "np.diag([-1, 1, 1, 1]) @ old"),
+    "J_FRAME negated": ("curvature", "J_FRAME", "-old"),
+    "SQ2_UNITARY_FRAME conjugated": ("curvature", "SQ2_UNITARY_FRAME", "old.conj()"),
+    "PSI0 reversed": ("cliff5", "PSI0", "old[[3, 2, 1, 0]]"),
+    "PAIR_PRODUCTS negated": ("cliff5", "PAIR_PRODUCTS", "-old"),
+    "CONTACT_STAR negated": ("extalg", "CONTACT_STAR", "-old"),
 }
 
 _COUPLINGS = (
@@ -50,6 +56,14 @@ SURVIVOR_COMMANDS = ("all", "dirac", "solution")
 #: Killed mutations: the command that exits 1, and the row it fails.
 KILLED = {
     "IDENTIFICATION rows 0 and 1 swapped": ("dirac", "identification_unitary_intertwiner"),
+    "IDENTIFICATION row 0 negated": ("dirac", "identification_unitary_intertwiner"),
+    "J_FRAME negated": ("curvature", "rho_plus_is_minus_quarter_s_deta"),
+    # Also both dbar_identity_degree3_basis and identification_unitary_intertwiner:
+    # the frame is read by the form Clifford action that Phi intertwines.
+    "SQ2_UNITARY_FRAME conjugated": ("dirac", "dbar_identity"),
+    "PSI0 reversed": ("clifford", "deta_action_on_psi0"),
+    "PAIR_PRODUCTS negated": ("clifford", "sigma_h_psi0"),
+    "CONTACT_STAR negated": ("selfdual", "deta_self_dual"),
 }
 
 # Runs in the child: argv[1] is the JSON (module, constant, expression) of the

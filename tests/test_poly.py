@@ -693,20 +693,19 @@ class TestEvaluateAll:
             evaluate_all([ONE], np.zeros((2, 4)))
 
     def test_block_boundary_in_points(self):
-        # Three blocks of points and a short last one.
+        # Many points in the one pass: every value is exact, as __call__'s.
         polys = [parse_poly("x1 - 2*y1*t"), parse_poly("(1+1i)*x2 + y2")]
-        step = poly.BLOCK_ELEMENTS // (5 * 2)
-        points = np.random.default_rng(1).integers(-4, 5, size=(3 * step + 7, 5)) / 2
+        points = np.random.default_rng(1).integers(-4, 5, size=(4921, 5)) / 2
         values = evaluate_all(polys, points)
         assert np.array_equal(values, _by_call(polys, points))
 
     def test_block_boundary_in_terms(self):
-        # More terms than one block holds: one point per block, each value as
+        # More than 2^14 terms at several points in one pass: each value is as
         # if that point were evaluated alone.
         exps = [tuple(int(d) for d in np.base_repr(n, 7).zfill(5)) for n in range(7**5)]
         rng = np.random.default_rng(2)
         big = PolyExpr.from_dict({e: complex(*rng.normal(size=2)) for e in exps})
-        assert len(big.terms) > poly.BLOCK_ELEMENTS
+        assert len(big.terms) > 2**14
         polys = [parse_poly("x1"), big]
         points = rng.uniform(-1, 1, size=(3, 5))
         values = evaluate_all(polys, points)
