@@ -23,6 +23,7 @@ suite's tolerances, such as 1e-3 or -1e-3, the suite must fail.
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import math
 import os
@@ -522,6 +523,25 @@ def _suite_ns(command: str, base: SimpleNamespace) -> SimpleNamespace:
 
 
 def run(argv=None) -> int:
+    """Run the command of ``argv`` (default ``sys.argv[1:]``), print or write
+    its report, and return the exit code.
+
+    The verdict freezes the objects that exist before it (``gc.freeze``), so
+    its collections skip what the imports left young, and it restores the
+    collector on every return or raise.  A process that has frozen objects of
+    its own keeps them as they are.
+    """
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _verdict(argv)
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _verdict(argv) -> int:
     try:
         base = parse_args(sys.argv[1:] if argv is None else argv)
         if base.samples < 1:
@@ -545,6 +565,9 @@ def run(argv=None) -> int:
             raise UsageError("--model: the dirac suite runs on the Heisenberg chart only")
         if base.command not in ("model", "all") and base.model != "heisenberg":
             raise UsageError(f"--model: the {base.command} suite reads no chart")
+        if not base.model:
+            # An empty path would read as the current directory.
+            raise UsageError(f"--model: {os.strerror(errno.ENOENT)}: ")
         # Checked again when the report is written: the directory may change meanwhile.
         if base.output is not None and (reason := _unwritable_directory(base.output)):
             raise UsageError(f"--output: {reason}: {base.output}")

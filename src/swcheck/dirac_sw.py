@@ -72,6 +72,8 @@ from .poly import PolyExpr, as_poly, dot, evaluate_all, monomial_terms, monomial
 SO_COUPLING = 0.5
 #: Prefactor of the U(1) part (determinant-line convention).
 U1_COUPLING = 0.5
+#: The 1/4 of the curvature equation F_A^+ = -(1/4) sigma(psi)^+.
+SW_COUPLING = 0.25
 
 
 @dataclass(frozen=True)
@@ -358,7 +360,7 @@ def sw_residual(f_a: KForm, psi) -> tuple[float, float]:
     """
     f_h, _ = horizontal_split(f_a)
     sigma_h_part, sigma_v = horizontal_split(sigma_full(psi))
-    resid = sd_project(f_h).plus + 0.25 * sd_project(sigma_h_part).plus
+    resid = sd_project(f_h).plus + SW_COUPLING * sd_project(sigma_h_part).plus
     return resid.norm_inf(), sigma_v.norm_inf()
 
 
@@ -396,7 +398,7 @@ def canonical_solution(s: float) -> CanonicalSolution:
     sigma_exact = (-s) * sigma_h(PSI0)  # quadratic scaling, applied exactly
     rho_p = rho_plus(ric)
     f_a_plus = 1j * rho_p
-    r_curv = (f_a_plus + 0.25 * sd_project(sigma_exact).plus).norm_inf()
+    r_curv = (f_a_plus + SW_COUPLING * sd_project(sigma_exact).plus).norm_inf()
     return CanonicalSolution(
         amplitude=float(np.sqrt(-s)),
         f_a=1j * ricci_form(ric),

@@ -1,5 +1,6 @@
 """Command-line front end: suites, exit codes, report determinism."""
 
+import gc
 import itertools
 import json
 import math
@@ -815,6 +816,14 @@ class TestUsageErrors:
         assert run([suite, "--model", "/nonexistent.json"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("swcheck: error: /nonexistent.json: cannot read")
 
+    @pytest.mark.parametrize("suite", ["model", "all"])
+    @pytest.mark.parametrize("argv", [["--model", ""], ["--model="]])
+    def test_empty_model_path_is_usage_error(self, no_suite_runs, suite, argv, capsys):
+        # An empty path would read as the current directory, a directory.
+        assert run([suite, *argv]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err == "swcheck: error: --model: No such file or directory: \n"
+
     @pytest.mark.parametrize(
         "key, value, where",
         [
@@ -856,6 +865,72 @@ CURVATURE_ROWS = [
     "bianchi_correction_vanishes",
     "ricci_reconstruction_identity",
 ]
+
+
+class TestCollectorScope:
+    """A verdict freezes the objects that exist before it and unfreezes them
+    on every way out; a caller's own frozen set is left as it is."""
+
+    @staticmethod
+    def _counting_suite(monkeypatch, command, counts, raise_=None):
+        suite = cli.SUITES[command]
+
+        def counted(ns):
+            counts.append(gc.get_freeze_count())
+            if raise_:
+                raise raise_
+            return suite(ns)
+
+        monkeypatch.setitem(cli.SUITES, command, counted)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solution"], EXIT_PASS),
+            (["solution", "--perturb", "1e-3"], EXIT_FAIL),
+            (["solution", "--scalar", "1"], EXIT_USAGE),
+        ],
+    )
+    def test_count_restored_on_return(self, argv, code, monkeypatch, capsys):
+        before, counts = gc.get_freeze_count(), []
+        self._counting_suite(monkeypatch, "solution", counts)
+        assert run(argv) == code
+        assert gc.get_freeze_count() == before
+        assert all(n > 0 for n in counts) and len(counts) == (code != EXIT_USAGE)
+
+    def test_count_restored_when_the_report_cannot_be_written(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The directory goes missing between the check and the write.
+        monkeypatch.setattr(cli, "_unwritable_directory", lambda path: None)
+        before = gc.get_freeze_count()
+        assert run(["solution", "--output", str(tmp_path / "missing" / "r.json")]) == EXIT_USAGE
+        assert gc.get_freeze_count() == before
+
+    def test_count_restored_when_a_suite_raises(self, monkeypatch, capsys):
+        before, counts = gc.get_freeze_count(), []
+        self._counting_suite(monkeypatch, "solution", counts, RuntimeError("suite failed"))
+        with pytest.raises(RuntimeError, match="suite failed"):
+            run(["solution"])
+        assert gc.get_freeze_count() == before
+        assert counts and counts[0] > 0
+
+    def test_a_frozen_set_of_the_caller_is_kept(self, monkeypatch, capsys):
+        # Under pytest a frozen object of the harness may die during the run,
+        # so the count can fall: a sentinel shows that nothing is unfrozen.
+        counts, sentinel = [], [object()]
+        self._counting_suite(monkeypatch, "solution", counts)
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert not any(o is sentinel for o in gc.get_objects())
+            assert run(["solution"]) == EXIT_PASS
+            assert len(counts) == 1 and 0 < counts[0] <= frozen
+            assert 0 < gc.get_freeze_count() <= counts[0]
+            assert not any(o is sentinel for o in gc.get_objects())
+        finally:
+            gc.unfreeze()
+        assert any(o is sentinel for o in gc.get_objects())
 
 
 class TestCurvatureRows:
