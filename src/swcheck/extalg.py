@@ -27,6 +27,7 @@ frozen into read-only constant tables with entries in {-1, 0, 1}:
 * ``STAR[k]``: the (C(5, 5-k), C(5, k)) matrix of the Hodge star on
   k-forms, read off ``WEDGE`` as e_I ^ *e_I = vol;
 * ``CONTACT_STAR``: the 10 x 10 matrix of beta -> *(eta ^ beta);
+* ``DETA``: the coefficients of the contact 2-form deta = e1^e2 + e3^e4;
 * ``VERTICAL[k]``: which degree-k basis forms contain the Reeb index;
 * ``PAIR_INDEX``: zero-based frame indices (i, j) of the 2-form basis.
 
@@ -113,6 +114,8 @@ PAIR_INDEX: tuple[np.ndarray, np.ndarray] = tuple(
 # beta -> *(eta ^ beta); eta ^ beta_q = sum_r WEDGE[1, 2][eta, q, r] e_r.
 CONTACT_STAR = _frozen(STAR[3] @ WEDGE[1, 2][REEB_INDEX - 1].T)
 
+DETA = _frozen([t in ((1, 2), (3, 4)) for t in INDEX_TUPLES[2]], complex)
+
 @dataclass(frozen=True, eq=False)
 class KForm:
     """Constant-coefficient k-form over the frame coframe e1..e4, eta.
@@ -198,8 +201,8 @@ def basis_form(*indices: int) -> KForm:
 
 
 def deta() -> KForm:
-    """The model contact 2-form e1^e2 + e3^e4."""
-    return basis_form(1, 2) + basis_form(3, 4)
+    """The model contact 2-form e1^e2 + e3^e4, read from ``DETA`` at call time."""
+    return KForm(2, DETA)
 
 
 def volume_form() -> KForm:

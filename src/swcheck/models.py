@@ -410,15 +410,6 @@ class ConnectionCoefficients:
         z = tuple(tuple(tuple(ZERO for _ in range(5)) for _ in range(5)) for _ in range(5))
         return ConnectionCoefficients(z, CoordForm.one_form(0, 0, 0, 0, 0))
 
-    def nabla(self, frame: FrameFieldSet, i: int, j: int) -> VectorFieldPoly:
-        """Covariant derivative of e_{j+1} along e_{i+1} as a vector field."""
-        out = ZERO_FIELD
-        for k in range(5):
-            g = self.gamma[i][j][k]
-            if not g.is_zero():
-                out = out + frame.fields[k].scale(g)
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class ModelBundle:
@@ -537,25 +528,23 @@ def tw_axiom_check(
     T(Reeb, .) = (1/2) J (L_Reeb J), (d) the covariant derivative of J
     against the Nijenhuis-type defect.
 
-    Covariant derivatives of coefficient functions are exact polynomial
-    derivatives; torsion uses exact Lie brackets.  Axiom (d) expands J e_j in
-    the frame via the standard block matrix, so the frame should satisfy the
-    J-consistency invariants (validated by :func:`contact_check`) for the
-    report to be meaningful.
+    The families of the flat connection are built first, from exact
+    derivatives along the frame and exact Lie brackets.  The Christoffel
+    symbols enter linearly, as products of 5 x 5 matrices through
+    ``poly.dot``, and only when some symbol is nonzero.  With Gamma_k the
+    matrix ``gamma[k]``, F the rows of frame components, g the
+    ``frame.metric`` table and J the constant ``J_FRAME``, they add
+    (a) -Gamma_k eta, and nabla_k Reeb = Gamma_k[4] F;
+    (b) -(Gamma_k g)[i][j] - (Gamma_k g^T)[j][i] for i <= j;
+    (c) the torsion's (Gamma_i[j] - Gamma_j[i]) F;
+    (d) (J^T Gamma_k g - Gamma_k J^T g)[j][l].
+    Axiom (d) expands J e_j in the frame by J_FRAME, so the frame should
+    satisfy the J-consistency invariants (validated by :func:`contact_check`)
+    for the report to be meaningful.
     """
     eta_of = frame.eta_span
-    nabla = [[conn.nabla(frame, i, j) for j in range(5)] for i in range(5)]
     bracket = frame.bracket
-    gmat = frame.metric
-    # gamma[k, j]: the (m, gamma[k][j][m]) with a nonzero symbol, listed once;
-    # a flat chart has none.
-    gamma: dict[tuple[int, int], list[tuple[int, PolyExpr]]] = {}
-    for k, plane in enumerate(conn.gamma):
-        for j, row in enumerate(plane):
-            for m, g in enumerate(row):
-                if not g.is_zero():
-                    gamma.setdefault((k, j), []).append((m, g))
-    out = {}
+    g = [[frame.metric[i, j] for j in range(5)] for i in range(5)]
 
     def along_frame(f: PolyExpr) -> list[PolyExpr]:
         # e_k(f) for every k, with f differentiated once; a constant has none.
@@ -564,95 +553,75 @@ def tw_axiom_check(
         grad = gradient(f)
         return [dot(x.components, grad) for x in frame.fields]
 
-    # (a) parallel eta and Reeb
+    # The flat connection: (a) e_k(eta(e_j)) and nabla_k Reeb = 0, (b) e_k(g_ij)
+    # for i <= j, (c) the torsion fields minus their targets.
     d_eta = [along_frame(eta_of[j]) for j in range(5)]
-    a_exprs = []
-    for k in range(5):
-        for j in range(5):
-            expr = d_eta[j][k]
-            for m, g in gamma.get((k, j), ()):
-                expr = expr - g * eta_of[m]
-            a_exprs.append(expr)
-        a_exprs.extend(nabla[k][4].components)
-    out["axiom_a_parallel_eta_xi"] = a_exprs
-
-    # (b) parallel metric
-    d_g = {(i, j): along_frame(gmat[i, j]) for i in range(5) for j in range(i, 5)}
-    b_exprs = []
-    for k in range(5):
-        for i in range(5):
-            for j in range(i, 5):
-                expr = d_g[i, j][k]
-                for m, g in gamma.get((k, i), ()):
-                    expr = expr - g * gmat[m, j]
-                for m, g in gamma.get((k, j), ()):
-                    expr = expr - g * gmat[i, m]
-                b_exprs.append(expr)
-    out["axiom_b_parallel_metric"] = b_exprs
-
-    # (c) torsion
-    c_h_exprs = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            tvec = nabla[i][j] - nabla[j][i] - bracket[i, j]
-            target = frame.reeb.scale(frame.deta_pair[i, j])
-            c_h_exprs.extend((tvec - target).components)
-    out["axiom_c_horizontal_torsion"] = c_h_exprs
-
-    c_xi_exprs = []
-    for j in range(5):
-        tvec = nabla[4][j] - nabla[j][4] - bracket[4, j]
-        lie_j = bracket[4, 5 + j] - frame.j_bracket[4, j]
-        target = frame._j(lie_j).scale(0.5)
-        c_xi_exprs.extend((tvec - target).components)
-    out["axiom_c_reeb_torsion"] = c_xi_exprs
-
-    # (d) nabla J against the integrability defect
-    jf = J_FRAME
-    d_exprs = []
-    # (1/2) deta(e_k, N_h) for the horizontal part N_h = N - eta(N) Reeb of
-    # N = N(e_j, e_l), by (j, l): N is antisymmetric, so it is built for
-    # j < l only, and N(e_j, e_j) = 0.  A vanishing N has every d residual
-    # equal to its left-hand side.  deta(e_k, N_h) is
-    # -(deta(N, e_k) + eta(N) deta(e_k, Reeb)), so eta(N) is built only
-    # where some deta(e_k, Reeb) is nonzero.
+    d_g = [along_frame(g[i][j]) for i in range(5) for j in range(i, 5)]
+    h_torsion = [
+        -bracket[i, j] - frame.reeb.scale(frame.deta_pair[i, j])
+        for i in range(4)
+        for j in range(i + 1, 4)
+    ]
+    reeb_torsion = [
+        -bracket[4, j] - frame._j(bracket[4, 5 + j] - frame.j_bracket[4, j]).scale(0.5)
+        for j in range(5)
+    ]
+    # (d) -(1/2) deta(e_k, N_h) at n_half[k][j][l], for the horizontal part
+    # N_h = N - eta(N) Reeb of N = N(e_j, e_l).  N is antisymmetric, so it is
+    # built for j < l only, and N(e_j, e_j) = 0.  deta(e_k, N_h) is
+    # -(deta(N, e_k) + eta(N) deta(e_k, Reeb)), so eta(N) is built only where
+    # some deta(e_k, Reeb) is nonzero.
     deta_reeb = [frame.deta_pair[k, 4] for k in range(5)]
-    reeb_live = any(not d.is_zero() for d in deta_reeb)
-    n_deta = {}
+    reeb_live = any(not x.is_zero() for x in deta_reeb)
+    n_half = [[[ZERO] * 5 for _ in range(5)] for _ in range(5)]
     for j in range(5):
         for l in range(j + 1, 5):
             n = _nijenhuis_contact(frame, j, l)
             if not _is_zero_field(n):
                 eta_n = frame.eta.pair_vector(n) if reeb_live else ZERO
-                half = [
-                    dot(n.components + (eta_n,), frame.deta_slot[k] + (deta_reeb[k],)) * -0.5
-                    for k in range(5)
-                ]
-                n_deta[j, l] = half
-                n_deta[l, j] = [-h for h in half]
-    # coef[k, j][m] = sum_p J_pj gamma[k][p][m] - gamma[k][j][p] J_mp, from
-    # the nonzero symbols only.
-    coef: dict[tuple[int, int], dict[int, PolyExpr]] = {}
-    for (k, a), row in gamma.items():
-        for b, g in row:
-            for j in map(int, np.flatnonzero(jf[a])):
-                c = coef.setdefault((k, j), {})
-                c[b] = c.get(b, ZERO) + jf[a, j] * g
-            c = coef.setdefault((k, a), {})
-            for m in map(int, np.flatnonzero(jf[:, b])):
-                c[m] = c.get(m, ZERO) - g * jf[m, b]
-    for k in range(5):
-        for j in range(5):
-            terms = [(m, c) for m, c in coef.get((k, j), {}).items() if not c.is_zero()]
-            for l in range(5):
-                lhs = ZERO
-                for m, c in terms:
-                    lhs = lhs + c * gmat[m, l]
-                if (j, l) in n_deta:
-                    lhs = lhs - n_deta[j, l][k]
-                d_exprs.append(lhs)
-    out["axiom_d_parallel_J"] = d_exprs
-    return out
+                for k in range(5):
+                    half = dot(n.components + (eta_n,), frame.deta_slot[k] + (deta_reeb[k],)) * 0.5
+                    n_half[k][j][l], n_half[k][l][j] = half, -half
+    out = {
+        "axiom_a_parallel_eta_xi": [
+            x for k in range(5) for x in [de[k] for de in d_eta] + [ZERO] * 5
+        ],
+        "axiom_b_parallel_metric": [x[k] for k in range(5) for x in d_g],
+        "axiom_c_horizontal_torsion": [c for t in h_torsion for c in t.components],
+        "axiom_c_reeb_torsion": [c for t in reeb_torsion for c in t.components],
+        "axiom_d_parallel_J": [x for plane in n_half for row in plane for x in row],
+    }
+    gam = conn.gamma
+    if all(s.is_zero() for plane in gam for row in plane for s in row):
+        return out
+
+    # The Christoffel terms, as products of 5 x 5 matrices.
+    f = [x.components for x in frame.fields]
+    jt = [[as_poly(c) for c in col] for col in J_FRAME.T]
+
+    def mul(x, y):
+        return [[dot(row, col) for col in zip(*y)] for row in x]
+
+    def torsion(i, j):
+        return mul([[p - q for p, q in zip(gam[i][j], gam[j][i])]], f)[0]
+
+    a, b, d = [], [], []
+    for gk in gam:
+        gg = mul(gk, g)
+        comm = [[p - q for p, q in zip(*rows)] for rows in zip(mul(jt, gk), mul(gk, jt))]
+        a += [-dot(row, eta_of[:5]) for row in gk] + mul([gk[4]], f)[0]
+        b += [-gg[i][j] - dot(gk[j], g[i]) for i in range(5) for j in range(i, 5)]
+        d += [x for row in mul(comm, g) for x in row]
+    terms = {
+        "axiom_a_parallel_eta_xi": a,
+        "axiom_b_parallel_metric": b,
+        "axiom_c_horizontal_torsion": [
+            c for i in range(4) for j in range(i + 1, 4) for c in torsion(i, j)
+        ],
+        "axiom_c_reeb_torsion": [c for j in range(5) for c in torsion(4, j)],
+        "axiom_d_parallel_J": d,
+    }
+    return {name: [p + q for p, q in zip(out[name], terms[name], strict=True)] for name in out}
 
 
 def cr_check(frame: FrameFieldSet) -> dict[str, list[PolyExpr]]:
@@ -711,13 +680,13 @@ def _parse_number(path: str, src) -> float:
 
 
 def _parse_field(path: str, src) -> PolyExpr:
-    if isinstance(src, (int, float)):
+    if isinstance(src, bool) or not isinstance(src, (int, float, str)):
+        raise ModelFormatError(f"{path}: expected a string or number")
+    if not isinstance(src, str):
         # A JSON number reads as its shortest decimal text, so 0.1 and "0.1"
         # are the same exact value.
         _parse_number(path, src)
         src = repr(src)
-    elif not isinstance(src, str):
-        raise ModelFormatError(f"{path}: expected a string or number")
     try:
         return parse_poly(src)
     except PolySyntaxError as exc:
@@ -738,13 +707,13 @@ def _parse_array(path: str, src, shape: tuple[int, ...], leaf):
 def load_model(source) -> ModelBundle:
     """Load a model from a builtin name, a JSON file path, or a dict.
 
-    A model file holds one JSON object.  The schema has fields ``chart``,
-    ``eta`` (5 expressions), ``xi``, ``frame`` (4 x 5), ``J`` (5 x 5), and
-    optional ``gamma`` (5 x 5 x 5), ``A`` (5 expressions, imaginary valued)
-    and ``curvature`` (``{"ric": 5 x 5 numbers}``, validated for
-    admissibility).  Any other field is refused, so that a misspelled
-    optional field is not silently left out.  The bundle's ``curvature`` is
-    that matrix as a float array, or None without the block.
+    A model file holds one JSON object.  The schema has fields ``eta``
+    (5 expressions), ``xi``, ``frame`` (4 x 5), ``J`` (5 x 5), and optional
+    ``chart`` (a string), ``gamma`` (5 x 5 x 5), ``A`` (5 expressions,
+    imaginary valued) and ``curvature`` (``{"ric": 5 x 5 numbers}``,
+    validated for admissibility).  Any other field is refused, so that a
+    misspelled optional field is not silently left out.  The bundle's
+    ``curvature`` is that matrix as a float array, or None without the block.
     """
     if isinstance(source, str) and source == "heisenberg":
         return heisenberg5()
@@ -771,7 +740,10 @@ def load_model(source) -> ModelBundle:
     frame_rows = _parse_array("frame", data["frame"], (4, 5), _parse_field)
     fields = tuple(map(VectorFieldPoly, frame_rows)) + (xi,)
     jrows = _parse_array("J", data["J"], (5, 5), _parse_field)
-    frame = FrameFieldSet(str(data.get("chart", "custom")), fields, eta, jrows)
+    chart = data.get("chart", "custom")
+    if not isinstance(chart, str):
+        raise ModelFormatError("chart: expected a string")
+    frame = FrameFieldSet(chart, fields, eta, jrows)
 
     conn = ConnectionCoefficients.flat()
     if "gamma" in data:

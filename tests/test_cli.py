@@ -94,6 +94,21 @@ class TestSuitesPass:
             assert sub["model"] == sub["parameters"]["model"]
             assert sub["model"] == (chart if name == "model" else "heisenberg"), name
 
+    @pytest.mark.parametrize("perturb", ["0", "1e-3"])
+    def test_all_zero_gamma_reports_the_rows_of_no_gamma(self, perturb, tmp_path, capsys):
+        # A gamma block of zeros is the flat connection, which a chart without
+        # the block has: the Christoffel terms add nothing, passing or failing.
+        data = json.loads((DATA / "sheared_chart_3.json").read_text())
+        data["gamma"] = [[["0"] * 5 for _ in range(5)] for _ in range(5)]
+        path = tmp_path / "zero_gamma.json"
+        path.write_text(json.dumps(data))
+        rows = []
+        for chart in (DATA / "sheared_chart_3.json", path):
+            code, rep = _run(["model", "--model", str(chart), "--perturb", perturb], capsys)
+            rows.append((code, rep["checks"]))
+        assert rows[0] == rows[1]
+        assert rows[0][0] == (EXIT_PASS if perturb == "0" else EXIT_FAIL)
+
     def test_clifford_suite_is_exact(self, capsys):
         code, rep = _run(["clifford"], capsys)
         exact = [c for c in rep["checks"] if c["tolerance"] == 0.0]
@@ -632,6 +647,27 @@ class TestUsageErrors:
         path.write_text(text)
         assert run(["model", "--model", str(path)]) == EXIT_USAGE
         assert f"{path}: expected a JSON object, found {found}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chart", [{"a": 1}, 5, [1], None, True])
+    def test_chart_name_not_a_string_is_usage_error(self, chart, tmp_path, capsys):
+        data = json.loads((DATA / "sheared_chart_3.json").read_text())
+        data["chart"] = chart
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(data))
+        assert run(["model", "--model", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"swcheck: error: {path}: chart: expected a string\n"
+
+    @pytest.mark.parametrize("value", [True, False, None, {"x1": 1}])
+    def test_polynomial_entry_not_a_string_or_number_is_usage_error(
+        self, value, tmp_path, capsys
+    ):
+        data = json.loads((DATA / "sheared_chart_3.json").read_text())
+        data["eta"][0] = value
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps(data))
+        assert run(["model", "--model", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"swcheck: error: {path}: eta[0]: expected a string or number\n"
 
     def test_malformed_model_file_reports_file_and_position(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))

@@ -630,24 +630,20 @@ class TestTanakaWebsterAxioms:
         assert all(v <= 1e-12 for v in report.values()), report
 
     def test_horizontal_torsion_value(self, heis):
-        # T(e1, e2) = -[e1, e2] = +Reeb = deta(e1, e2) Reeb with Gamma = 0.
+        # T(e1, e2) = -[e1, e2] = +Reeb = deta(e1, e2) Reeb with Gamma = 0,
+        # where every nabla_{e_i} e_j vanishes.
         frame, conn = heis
-        tvec = (
-            conn.nabla(frame, 0, 1)
-            - conn.nabla(frame, 1, 0)
-            - lie_bracket(frame.fields[0], frame.fields[1])
-        )
+        assert conn == ConnectionCoefficients.flat()
+        tvec = -lie_bracket(frame.fields[0], frame.fields[1])
         assert [str(c) for c in tvec.components] == ["0", "0", "0", "0", "1"]
 
     def test_torsion_endomorphism_vanishes(self, heis):
-        # tau(e_j) = T(Reeb, e_j) is the zero polynomial field for every j.
+        # tau(e_j) = T(Reeb, e_j) = -[Reeb, e_j] with Gamma = 0 is the zero
+        # polynomial field for every j.
         frame, conn = heis
+        assert conn == ConnectionCoefficients.flat()
         for j in range(5):
-            tvec = (
-                conn.nabla(frame, 4, j)
-                - conn.nabla(frame, j, 4)
-                - lie_bracket(frame.reeb, frame.fields[j])
-            )
+            tvec = -lie_bracket(frame.reeb, frame.fields[j])
             assert _is_zero(tvec), j
 
     def test_broken_connection_fails_metric_axiom(self, heis):

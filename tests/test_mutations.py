@@ -37,6 +37,7 @@ MUTATIONS = {
     "PSI0 reversed": ("cliff5", "PSI0", "old[[3, 2, 1, 0]]"),
     "PAIR_PRODUCTS negated": ("cliff5", "PAIR_PRODUCTS", "-old"),
     "CONTACT_STAR negated": ("extalg", "CONTACT_STAR", "-old"),
+    "DETA negated": ("extalg", "DETA", "-old"),
     "SW_COUPLING = 0.5": ("dirac_sw", "SW_COUPLING", "0.5"),
 }
 
@@ -65,6 +66,9 @@ KILLED = {
     "PSI0 reversed": ("clifford", "deta_action_on_psi0"),
     "PAIR_PRODUCTS negated": ("clifford", "sigma_h_psi0"),
     "CONTACT_STAR negated": ("selfdual", "deta_self_dual"),
+    # Also sigma_h_scaling_identity, curvature's rho_plus_is_minus_quarter_s_deta
+    # and the two chain rows of solution, which compare against deta() too.
+    "DETA negated": ("clifford", "sigma_h_psi0"),
     # Also curvature_residual_exact_chain and scaled_spinor_mismatch_closed_form:
     # sw_residual and canonical_solution both read the coupling.
     "SW_COUPLING = 0.5": ("solution", "curvature_residual_pointwise"),

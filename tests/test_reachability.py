@@ -2,8 +2,9 @@
 
 A fresh interpreter runs ``cli.run`` under ``sys.setprofile`` on every suite
 at a small ``--samples``, clean and under ``--perturb``; on the ``model``
-suite for the builtin chart, both charts in ``tests/data`` and a model file
-with ``gamma``, ``A`` and ``curvature``; and on a few usage errors.  The
+suite for the builtin chart, both charts in ``tests/data``, a model file
+with ``gamma``, ``A`` and ``curvature`` and one with a nonzero Christoffel
+symbol; and on a few usage errors.  The
 profiler is installed before ``swcheck`` is imported, so the tables built at
 import count as calls.  Every named function of the package that no run
 calls is pinned in ``NEVER_CALLED`` with the reason it stays.  Code that the
@@ -102,8 +103,12 @@ def _invocations(tmp_path, sheared_chart) -> list[tuple[list[str], int]]:
         A=["0", "0", "0", "0", "2i"],
         curvature={"ric": [[0.5 if i == j < 4 else 0.0 for j in range(5)] for i in range(5)]},
     )
+    # The rich chart's gamma is all zero; this one reaches the Christoffel
+    # terms of tw_axiom_check.
+    christoffel = dict(sheared_chart, gamma=[[["0"] * 5 for _ in range(5)] for _ in range(5)])
+    christoffel["gamma"][0][0][0] = "1"
     malformed = dict(sheared_chart, eta=["x1 +", "0", "0", "0", "1"])
-    for name, model in (("rich", rich), ("malformed", malformed)):
+    for name, model in (("rich", rich), ("christoffel", christoffel), ("malformed", malformed)):
         (tmp_path / f"{name}.json").write_text(json.dumps(model), encoding="utf-8")
 
     runs = []
@@ -114,6 +119,7 @@ def _invocations(tmp_path, sheared_chart) -> list[tuple[list[str], int]]:
         (DATA / "sheared_chart_3.json", 0),
         (DATA / "overflow_model.json", 1),
         (tmp_path / "rich.json", 0),
+        (tmp_path / "christoffel.json", 1),
     ):
         runs.append((["model", "--samples", "3", "--model", str(chart)], code))
         runs.append((["model", "--samples", "3", "--model", str(chart), "--perturb", "1e-3"], 1))
