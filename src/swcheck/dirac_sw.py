@@ -8,9 +8,9 @@ The spinorial covariant derivative along a frame vector e_W is
                   + (1/2) A(e_W) psi,
 
 with omega_jk(e_W) = g(nabla_{e_W} e_j, e_k) read off the frame Christoffel
-symbols and A the imaginary-valued U(1) connection 1-form, both read from
-the ``connection`` of a :class:`~swcheck.models.ModelBundle`, the chart that
-the covariant derivative and the Dirac operators take as first argument.  The
+symbols and A the imaginary-valued U(1) connection 1-form, the ``gamma``
+and ``a_form`` of a :class:`~swcheck.models.ModelBundle`, the chart that the
+covariant derivative and the Dirac operators take as first argument.  The
 so(5) term is the standard spin connection, (1/4) sum_{j,k} = (1/2)
 sum_{j<k}; the 1/2 on the A term is the determinant-line convention.  Both
 prefactors are isolated in the module constants below.  Only equal
@@ -42,7 +42,7 @@ residual of a family of such fields straight from them.  Each is one
 central differences.  The full operator minus its oracle is the difference
 of the two tables contracted with kappa(e_w).  On a chart with no connection
 terms along e_1, ..., e_4 the dbar identity is the exact table contracted
-with ``_DBAR_MAP``, Phi^H times the defect of Phi's intertwining relation.
+with ``_DBAR_MAP``, Phi^H times the ``intertwiner_defects`` of e_1, ..., e_4.
 
 The curvature equation couples the self-dual part of F_A with the spinor
 bilinear: F_A^+ = -(1/4) sigma(psi)^+; ``sw_residual`` takes the curvature
@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, sigma_full, sigma_h
+from .cliff5 import GAMMA, PAIR_PRODUCTS, PSI0, gamma, sigma_full, sigma_h
 from .curvature import SQ2_UNITARY_FRAME, admissible_ricci, ricci_form, rho_plus
 from .extalg import PAIR_INDEX, KForm, _frozen, horizontal_split, sd_project
 from .models import ModelBundle
@@ -124,13 +124,13 @@ def _connection_terms(s: ModelBundle, w: int) -> tuple[tuple[PolyExpr, np.ndarra
     frame), then U1_COUPLING A(e_w) Id when A(e_w) is nonzero.  Every operator
     reads them, so they are built once per chart and direction, read-only.
     """
-    gam = s.connection.gamma[w - 1]
+    gam = s.gamma[w - 1]
     terms = [
         (gam[j][k], _frozen(SO_COUPLING * m))
         for (j, k), m in zip(zip(*PAIR_INDEX), PAIR_PRODUCTS)
         if not gam[j][k].is_zero()
     ]
-    a_w = s.connection.a_form.pair_vector(s.frame.fields[w - 1])
+    a_w = s.a_form.pair_vector(s.frame.fields[w - 1])
     if not a_w.is_zero():
         terms.append((a_w, _frozen(U1_COUPLING * np.eye(4))))
     return tuple(terms)
@@ -317,19 +317,24 @@ def form_clifford_action(x) -> np.ndarray:
 IDENTIFICATION = _frozen([[0, 0, 1, 0], [0, 0, 0, 1j], [0, 1j, 0, 0], [1, 0, 0, 0]])
 
 
+def intertwiner_defects() -> np.ndarray:
+    """Phi^H Phi - Id, then Phi (e_w .) - kappa(e_w) Phi for w = 1..5, with
+    Phi the module's ``IDENTIFICATION`` when called: shape (6, 4, 4), exactly
+    zero since Phi is a unitary intertwiner."""
+    phi = IDENTIFICATION
+    defects = [phi @ form_clifford_action(x) - gamma(w) @ phi for w, x in enumerate(np.eye(5), 1)]
+    return np.array([phi.conj().T @ phi - np.eye(4), *defects])
+
+
 # -- dbar operators on a flat chart --------------------------------------------
 
 #: The dbar identity on a chart with a flat connection, for w = 1..4: the
-#: Clifford action of e_w on the forms minus Phi^H kappa(e_w) Phi.  Both sides
+#: Clifford action of e_w on the forms minus Phi^H kappa(e_w) Phi, which is
+#: Phi^H times the intertwiner defect of e_w, Phi being unitary.  Both sides
 #: are linear in the e_w(m) with these constant coefficients.  The entries are
-#: Gaussian integers, and since Phi intertwines the two actions the map is
-#: exactly zero.
-_DBAR_MAP = _frozen(
-    [
-        form_clifford_action(x) - IDENTIFICATION.conj().T @ g @ IDENTIFICATION
-        for x, g in zip(np.eye(4, 5), GAMMA)
-    ]
-)
+#: Gaussian integers, and the map is exactly zero.  It is derived at import,
+#: from the ``IDENTIFICATION`` of that time.
+_DBAR_MAP = _frozen(IDENTIFICATION.conj().T @ intertwiner_defects()[1:5])
 
 
 def dbar_identity_residual(s: ModelBundle, derivs) -> np.ndarray:

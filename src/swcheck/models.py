@@ -44,8 +44,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -217,21 +217,6 @@ def exterior_d(form: CoordForm) -> CoordForm:
 # -- frame sets and connections ------------------------------------------------
 
 
-class _LazyTable:
-    """Square table whose entry ``[a, b]`` is ``build(a, b)``, built on first read."""
-
-    def __init__(self, build, n: int):
-        self._build = build
-        self._rows = [[None] * n for _ in range(n)]
-
-    def __getitem__(self, index: tuple[int, int]):
-        a, b = index
-        value = self._rows[a][b]
-        if value is None:
-            value = self._rows[a][b] = self._build(a, b)
-        return value
-
-
 def _is_zero_field(x: VectorFieldPoly) -> bool:
     return all(c.is_zero() for c in x.components)
 
@@ -245,18 +230,18 @@ class FrameFieldSet:
     J e_i, J^2 e_i (``span[i]`` is e_{i+1}, ``span[4]`` is Reeb, and
     ``span[a + 5]`` is J span[a]); their eta-values; ``deta_slot``, the
     contraction of deta with each of them; and the tables ``deta_pair``,
-    ``metric``, ``bracket`` and ``j_bracket``.  ``bracket`` computes a Lie
-    bracket only for a < b and negates it for b < a.  Exact coefficients make
-    equal fields equal by value, so the tables are shared up to sign:
-    ``sign[a]`` names the first field equal to span[a] or to its negative,
-    and J, the contraction with deta, the bracket and the Webster metric, all
-    linear in each field, read that field's entries and negate them.  So each
-    field's Jacobian is built once, and a J-image or bracket of fields equal
-    up to sign to ones already seen is not built again.  What one check reads
-    once is not kept.
+    ``metric`` and ``bracket``, per-frame ``functools.cache`` memos called
+    as ``frame.bracket(a, b)``.  ``bracket`` computes a Lie bracket only for
+    a < b and negates it for b < a.  Exact coefficients make equal fields
+    equal by value, so the tables are shared up to sign: ``sign[a]`` names
+    the first field equal to span[a] or to its negative, and J, the
+    contraction with deta, the bracket and the Webster metric, all linear in
+    each field, read that field's entries and negate them.  So each field's
+    Jacobian is built once, and a J-image or bracket of fields equal up to
+    sign to ones already seen is not built again.  What one check reads once
+    is not kept.
     """
 
-    name: str
     fields: tuple[VectorFieldPoly, ...]  # e1..e4, Reeb
     eta: CoordForm
     jmat: tuple[tuple[PolyExpr, ...], ...]  # coordinate matrix of J
@@ -266,6 +251,11 @@ class FrameFieldSet:
             raise ValueError("a frame set needs 5 vector fields")
         if self.eta.degree != 1:
             raise ValueError("eta must be a 1-form")
+        # Per-frame memos: each table entry is built on its first call, and
+        # ``_j`` keeps the J-images by value.
+        for table in ("deta_pair", "metric", "bracket"):
+            object.__setattr__(self, table, cache(getattr(self, table)))
+        object.__setattr__(self, "_j_images", {})
 
     @property
     def reeb(self) -> VectorFieldPoly:
@@ -273,10 +263,6 @@ class FrameFieldSet:
 
     def j_apply(self, x: VectorFieldPoly) -> VectorFieldPoly:
         return VectorFieldPoly(tuple(dot(row, x.components) for row in self.jmat))
-
-    @cached_property
-    def _j_images(self) -> dict[VectorFieldPoly, VectorFieldPoly]:
-        return {}
 
     def _j(self, x: VectorFieldPoly) -> VectorFieldPoly:
         # J of the zero field (J Reeb, a vanishing bracket) is the zero field,
@@ -320,6 +306,16 @@ class FrameFieldSet:
                 out.append((a, 1))
         return tuple(out)
 
+    def _shared(self, table, n: int, a: int, b: int):
+        """``table(r, q)`` for the representatives r, q of span[a], span[b]
+        (``sign``), negated where one of the two is; None where (r, q) is
+        (a, b) or lies outside the n x n table."""
+        (r, s), (q, t) = self.sign[a], self.sign[b]
+        if (r, q) == (a, b) or max(r, q) >= n:
+            return None
+        x = table(r, q)
+        return x if s == t else -x
+
     @cached_property
     def eta_span(self) -> tuple[PolyExpr, ...]:
         """eta(span[a]) for a < 10."""
@@ -336,90 +332,67 @@ class FrameFieldSet:
             out.append(slot if s > 0 else tuple(-c for c in slot))
         return tuple(out)
 
-    @cached_property
-    def deta_pair(self) -> _LazyTable:
-        """``deta_pair[i, j]`` = deta(e_{i+1}, e_{j+1})."""
-        return _LazyTable(lambda i, j: dot(self.fields[i].components, self.deta_slot[j]), 5)
+    def deta_pair(self, i: int, j: int) -> PolyExpr:
+        """deta(e_{i+1}, e_{j+1})."""
+        return dot(self.fields[i].components, self.deta_slot[j])
 
     def webster(self, a: int, b: int) -> PolyExpr:
         """g(span[a], span[b]) for a, b < 10, with the Webster metric
         g(X, Y) = deta(X, JY) + eta(X) eta(Y), in one ``dot``.  g is bilinear,
         so where span[a] and span[b] are frame fields up to sign, it is the
         ``metric`` entry of those fields."""
-        (r, s), (q, t) = self.sign[a], self.sign[b]
-        if r < 5 and q < 5 and (r, q) != (a, b):
-            g = self.metric[r, q]
-            return g if s == t else -g
+        if (g := self._shared(self.metric, 5, a, b)) is not None:
+            return g
         eta = self.eta_span
         return dot(self.span[a].components + (eta[a],), self.deta_slot[b + 5] + (eta[b],))
 
-    @cached_property
-    def metric(self) -> _LazyTable:
-        """``metric[i, j]`` = g(e_{i+1}, e_{j+1}), which both contact_check and
-        tw_axiom_check read; the entries with J e_i, which only contact_check
-        reads, are built by ``webster`` and not kept."""
-        return _LazyTable(self.webster, 5)
+    def metric(self, i: int, j: int) -> PolyExpr:
+        """g(e_{i+1}, e_{j+1}), which both contact_check and tw_axiom_check
+        read; the entries with J e_i, which only contact_check reads, are
+        built by ``webster`` and not kept."""
+        return self.webster(i, j)
 
-    @cached_property
-    def bracket(self) -> _LazyTable:
-        """``bracket[a, b]`` = [span[a], span[b]] for a, b < 10.  Only a < b of
-        fields that are their own representatives is a Lie bracket: [x, x] is
-        the zero field, [y, x] is -[x, y], and [s x, t y] is s t [x, y], which
-        the negation gives exactly.  Where J e1 == e2, [e1, J e1] is [e1, e2]."""
-
-        def build(a, b):
-            (r, s), (q, t) = self.sign[a], self.sign[b]
-            if (r, q) != (a, b):
-                x = self.bracket[r, q]
-                return x if s == t else -x
-            if b <= a:
-                return ZERO_FIELD if a == b else -self.bracket[b, a]
-            x, y = self.span[a], self.span[b]
-            # A bracket with the zero field (J Reeb) is the zero field.
-            if _is_zero_field(x) or _is_zero_field(y):
-                return ZERO_FIELD
-            return lie_bracket(x, y)
-
-        return _LazyTable(build, 10)
-
-    @cached_property
-    def j_bracket(self) -> _LazyTable:
-        """``j_bracket[i, j]`` = J [e_{i+1}, e_{j+1}]."""
-        return _LazyTable(lambda i, j: self._j(self.bracket[i, j]), 5)
+    def bracket(self, a: int, b: int) -> VectorFieldPoly:
+        """[span[a], span[b]] for a, b < 10.  Only a < b of fields that are
+        their own representatives is a Lie bracket: [x, x] is the zero field,
+        [y, x] is -[x, y], and [s x, t y] is s t [x, y], which the negation
+        gives exactly.  Where J e1 == e2, [e1, J e1] is [e1, e2]."""
+        if (x := self._shared(self.bracket, 10, a, b)) is not None:
+            return x
+        if b <= a:
+            return ZERO_FIELD if a == b else -self.bracket(b, a)
+        x, y = self.span[a], self.span[b]
+        # A bracket with the zero field (J Reeb) is the zero field.
+        if _is_zero_field(x) or _is_zero_field(y):
+            return ZERO_FIELD
+        return lie_bracket(x, y)
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Frame Christoffel symbols and the U(1) connection 1-form.
+#: The flat connection: every frame Christoffel symbol, and the U(1)
+#: connection 1-form, zero.
+FLAT_GAMMA = tuple(tuple(tuple(ZERO for _ in range(5)) for _ in range(5)) for _ in range(5))
+FLAT_A = CoordForm.one_form(0, 0, 0, 0, 0)
 
-    ``gamma[i][j][k]`` is the e_{k+1} component of the covariant derivative
-    of e_{j+1} along e_{i+1}.  ``a_form`` is the coordinate 1-form of the
-    determinant-line connection; it must be imaginary valued.
-    """
 
-    gamma: tuple[tuple[tuple[PolyExpr, ...], ...], ...]
-    a_form: CoordForm
+@dataclass(frozen=True, eq=False)
+class ModelBundle:
+    """A chart: its frame; its frame Christoffel symbols, ``gamma[i][j][k]``
+    the e_{k+1} component of the covariant derivative of e_{j+1} along
+    e_{i+1}; ``a_form``, the coordinate 1-form of the determinant-line
+    connection, which must be imaginary valued; and, from a model file, its
+    declared Webster-Ricci matrix (a real 5x5 array).  The connection
+    defaults to the flat one.  Bundles compare by identity, since arrays
+    have no single-valued ``==``."""
+
+    frame: FrameFieldSet
+    gamma: tuple[tuple[tuple[PolyExpr, ...], ...], ...] = FLAT_GAMMA
+    a_form: CoordForm = FLAT_A
+    curvature: np.ndarray | None = None
 
     def __post_init__(self):
         for c, a in enumerate(self.a_form.coeffs):
             if any(re_ for _, re_, _ in a.packed):
                 raise ValueError(f"A[{c}]: the U(1) connection 1-form must be imaginary valued")
-
-    @staticmethod
-    def flat() -> "ConnectionCoefficients":
-        z = tuple(tuple(tuple(ZERO for _ in range(5)) for _ in range(5)) for _ in range(5))
-        return ConnectionCoefficients(z, CoordForm.one_form(0, 0, 0, 0, 0))
-
-
-@dataclass(frozen=True, eq=False)
-class ModelBundle:
-    """A chart: its frame, its connection and, from a model file, its
-    declared Webster-Ricci matrix (a real 5x5 array).  Bundles compare by
-    identity, since arrays have no single-valued ``==``."""
-
-    frame: FrameFieldSet
-    connection: ConnectionCoefficients
-    curvature: np.ndarray | None = None
 
 
 def heisenberg5() -> ModelBundle:
@@ -447,8 +420,7 @@ def heisenberg5() -> ModelBundle:
         (0, -y1, 0, -y2, 0),
     )
     jmat = tuple(tuple(map(as_poly, row)) for row in j_rows)
-    frame = FrameFieldSet("heisenberg", (e1, e2, e3, e4, xi), eta, jmat)
-    return ModelBundle(frame, ConnectionCoefficients.flat())
+    return ModelBundle(FrameFieldSet((e1, e2, e3, e4, xi), eta, jmat))
 
 
 def sample_points(n: int, seed: int) -> np.ndarray:
@@ -482,12 +454,12 @@ def contact_check(frame: FrameFieldSet) -> dict[str, list[PolyExpr]]:
     return {
         "reeb_normalization": [eta_of[4] - ONE],
         "eta_on_horizontal": list(eta_of[:4]),
-        "frame_orthonormality": [g[i, j] - delta[i][j] for i, j in pairs],
+        "frame_orthonormality": [g(i, j) - delta[i][j] for i, j in pairs],
         "metric_J_invariance": [
-            frame.webster(5 + i, 5 + j) - g[i, j] + eta_of[i] * eta_of[j] for i, j in pairs
+            frame.webster(5 + i, 5 + j) - g(i, j) + eta_of[i] * eta_of[j] for i, j in pairs
         ],
         "metric_deta_compatibility": [
-            frame.webster(5 + i, j) - frame.deta_pair[i, j] for i, j in pairs
+            frame.webster(5 + i, j) - frame.deta_pair(i, j) for i, j in pairs
         ],
         "frame_J_consistency": list(
             (je[0] - frame.fields[1]).components
@@ -511,15 +483,14 @@ def _nijenhuis_contact(frame: FrameFieldSet, j: int, l: int) -> VectorFieldPoly:
     build it once.  Fused rows would build it in each check; on perturbed
     charts that is about 28.9k exact products per run against 25.3k.
     """
-    out = frame._j(frame.j_bracket[j, l]) + frame.bracket[j + 5, l + 5]
+    bracket = frame.bracket
+    out = frame._j(frame._j(bracket(j, l))) + bracket(j + 5, l + 5)
     # J[JY, Z] + J[Y, JZ] as the one J-image of the field cr_check maps.
-    out = out - frame._j(frame.bracket[j + 5, l] + frame.bracket[j, l + 5])
-    return out + frame.reeb.scale(frame.deta_pair[j, l])
+    out = out - frame._j(bracket(j + 5, l) + bracket(j, l + 5))
+    return out + frame.reeb.scale(frame.deta_pair(j, l))
 
 
-def tw_axiom_check(
-    frame: FrameFieldSet, conn: ConnectionCoefficients
-) -> dict[str, list[PolyExpr]]:
+def tw_axiom_check(frame: FrameFieldSet, gamma) -> dict[str, list[PolyExpr]]:
     """Residual families of the defining axioms of the Tanaka-Webster
     connection, each zero where its axiom holds.
 
@@ -530,10 +501,11 @@ def tw_axiom_check(
 
     The families of the flat connection are built first, from exact
     derivatives along the frame and exact Lie brackets.  The Christoffel
-    symbols enter linearly, as products of 5 x 5 matrices through
-    ``poly.dot``, and only when some symbol is nonzero.  With Gamma_k the
-    matrix ``gamma[k]``, F the rows of frame components, g the
-    ``frame.metric`` table and J the constant ``J_FRAME``, they add
+    symbols ``gamma`` (laid out as ``ModelBundle.gamma``) enter linearly, as
+    products of 5 x 5 matrices through ``poly.dot``, and only when some
+    symbol is nonzero.  With Gamma_k the matrix ``gamma[k]``, F the rows of
+    frame components, g the ``frame.metric`` table and J the constant
+    ``J_FRAME``, they add
     (a) -Gamma_k eta, and nabla_k Reeb = Gamma_k[4] F;
     (b) -(Gamma_k g)[i][j] - (Gamma_k g^T)[j][i] for i <= j;
     (c) the torsion's (Gamma_i[j] - Gamma_j[i]) F;
@@ -544,7 +516,7 @@ def tw_axiom_check(
     """
     eta_of = frame.eta_span
     bracket = frame.bracket
-    g = [[frame.metric[i, j] for j in range(5)] for i in range(5)]
+    g = [[frame.metric(i, j) for j in range(5)] for i in range(5)]
 
     def along_frame(f: PolyExpr) -> list[PolyExpr]:
         # e_k(f) for every k, with f differentiated once; a constant has none.
@@ -558,12 +530,12 @@ def tw_axiom_check(
     d_eta = [along_frame(eta_of[j]) for j in range(5)]
     d_g = [along_frame(g[i][j]) for i in range(5) for j in range(i, 5)]
     h_torsion = [
-        -bracket[i, j] - frame.reeb.scale(frame.deta_pair[i, j])
+        -bracket(i, j) - frame.reeb.scale(frame.deta_pair(i, j))
         for i in range(4)
         for j in range(i + 1, 4)
     ]
     reeb_torsion = [
-        -bracket[4, j] - frame._j(bracket[4, 5 + j] - frame.j_bracket[4, j]).scale(0.5)
+        -bracket(4, j) - frame._j(bracket(4, 5 + j) - frame._j(bracket(4, j))).scale(0.5)
         for j in range(5)
     ]
     # (d) -(1/2) deta(e_k, N_h) at n_half[k][j][l], for the horizontal part
@@ -571,7 +543,7 @@ def tw_axiom_check(
     # built for j < l only, and N(e_j, e_j) = 0.  deta(e_k, N_h) is
     # -(deta(N, e_k) + eta(N) deta(e_k, Reeb)), so eta(N) is built only where
     # some deta(e_k, Reeb) is nonzero.
-    deta_reeb = [frame.deta_pair[k, 4] for k in range(5)]
+    deta_reeb = [frame.deta_pair(k, 4) for k in range(5)]
     reeb_live = any(not x.is_zero() for x in deta_reeb)
     n_half = [[[ZERO] * 5 for _ in range(5)] for _ in range(5)]
     for j in range(5):
@@ -591,8 +563,7 @@ def tw_axiom_check(
         "axiom_c_reeb_torsion": [c for t in reeb_torsion for c in t.components],
         "axiom_d_parallel_J": [x for plane in n_half for row in plane for x in row],
     }
-    gam = conn.gamma
-    if all(s.is_zero() for plane in gam for row in plane for s in row):
+    if all(s.is_zero() for plane in gamma for row in plane for s in row):
         return out
 
     # The Christoffel terms, as products of 5 x 5 matrices.
@@ -603,10 +574,10 @@ def tw_axiom_check(
         return [[dot(row, col) for col in zip(*y)] for row in x]
 
     def torsion(i, j):
-        return mul([[p - q for p, q in zip(gam[i][j], gam[j][i])]], f)[0]
+        return mul([[p - q for p, q in zip(gamma[i][j], gamma[j][i])]], f)[0]
 
     a, b, d = [], [], []
-    for gk in gam:
+    for gk in gamma:
         gg = mul(gk, g)
         comm = [[p - q for p, q in zip(*rows)] for rows in zip(mul(jt, gk), mul(gk, jt))]
         a += [-dot(row, eta_of[:5]) for row in gk] + mul([gk[4]], f)[0]
@@ -638,9 +609,9 @@ def cr_check(frame: FrameFieldSet) -> dict[str, list[PolyExpr]]:
     for i in range(4):
         for j in range(i + 1, 4):
             # [JX, Y], [X, JY], [JX, JY], [X, Y] for X = e_{i+1}, Y = e_{j+1}
-            jx_y, x_jy = bracket[5 + i, j], bracket[i, 5 + j]
+            jx_y, x_jy = bracket(5 + i, j), bracket(i, 5 + j)
             n = frame._j(jx_y + x_jy)
-            n = n - bracket[5 + i, 5 + j] + bracket[i, j]
+            n = n - bracket(5 + i, 5 + j) + bracket(i, j)
             n_exprs.extend(n.components)
             eta_exprs.append(frame.eta.pair_vector(jx_y) + frame.eta.pair_vector(x_jy))
     return {"integrability": n_exprs, "eta_bracket_criterion": eta_exprs}
@@ -709,11 +680,13 @@ def load_model(source) -> ModelBundle:
 
     A model file holds one JSON object.  The schema has fields ``eta``
     (5 expressions), ``xi``, ``frame`` (4 x 5), ``J`` (5 x 5), and optional
-    ``chart`` (a string), ``gamma`` (5 x 5 x 5), ``A`` (5 expressions,
-    imaginary valued) and ``curvature`` (``{"ric": 5 x 5 numbers}``,
-    validated for admissibility).  Any other field is refused, so that a
-    misspelled optional field is not silently left out.  The bundle's
-    ``curvature`` is that matrix as a float array, or None without the block.
+    ``chart`` (a string, a label that nothing reads), ``gamma``
+    (5 x 5 x 5), ``A`` (5 expressions, imaginary valued) and ``curvature``
+    (``{"ric": 5 x 5 numbers}``, validated for admissibility).  Any other
+    field is refused, so that a misspelled optional field is not silently
+    left out.  Without ``gamma`` and ``A`` the connection is flat.  The
+    bundle's ``curvature`` is that matrix as a float array, or None without
+    the block.
     """
     if isinstance(source, str) and source == "heisenberg":
         return heisenberg5()
@@ -740,33 +713,30 @@ def load_model(source) -> ModelBundle:
     frame_rows = _parse_array("frame", data["frame"], (4, 5), _parse_field)
     fields = tuple(map(VectorFieldPoly, frame_rows)) + (xi,)
     jrows = _parse_array("J", data["J"], (5, 5), _parse_field)
-    chart = data.get("chart", "custom")
-    if not isinstance(chart, str):
+    if not isinstance(data.get("chart", ""), str):
         raise ModelFormatError("chart: expected a string")
-    frame = FrameFieldSet(chart, fields, eta, jrows)
-
-    conn = ConnectionCoefficients.flat()
+    gamma = FLAT_GAMMA
     if "gamma" in data:
         gamma = _parse_array("gamma", data["gamma"], (5, 5, 5), _parse_field)
-        conn = ConnectionCoefficients(gamma, conn.a_form)
+    a_form = FLAT_A
     if "A" in data:
         a_form = CoordForm.one_form(*_parse_array("A", data["A"], (5,), _parse_field))
-        try:
-            conn = ConnectionCoefficients(conn.gamma, a_form)
-        except ValueError as exc:
-            raise ModelFormatError(str(exc)) from exc
 
-    ric = None
-    if "curvature" in data:
-        csrc = data["curvature"]
-        if not isinstance(csrc, dict) or "ric" not in csrc:
-            raise ModelFormatError('curvature: expected an object with a "ric" matrix')
-        for key in csrc:
-            if key != "ric":
-                raise ModelFormatError(f"unknown field 'curvature.{key}'")
-        ric = np.array(_parse_array("curvature.ric", csrc["ric"], (5, 5), _parse_number))
-        bad = ricci_violations(ric)
-        if bad:
-            raise ModelFormatError("curvature.ric: " + "; ".join(bad))
-
-    return ModelBundle(frame, conn, ric)
+    # A real-valued A is reported before any fault of the curvature block.
+    try:
+        bundle = ModelBundle(FrameFieldSet(fields, eta, jrows), gamma, a_form)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
+    if "curvature" not in data:
+        return bundle
+    csrc = data["curvature"]
+    if not isinstance(csrc, dict) or "ric" not in csrc:
+        raise ModelFormatError('curvature: expected an object with a "ric" matrix')
+    for key in csrc:
+        if key != "ric":
+            raise ModelFormatError(f"unknown field 'curvature.{key}'")
+    ric = np.array(_parse_array("curvature.ric", csrc["ric"], (5, 5), _parse_number))
+    bad = ricci_violations(ric)
+    if bad:
+        raise ModelFormatError("curvature.ric: " + "; ".join(bad))
+    return replace(bundle, curvature=ric)

@@ -89,19 +89,19 @@ def sheared_chart():
 
 def _model_to_dict(bundle) -> dict:
     """Canonical model-file dict of a model (polynomials in canonical text);
-    ``gamma`` and ``A`` are written only when not identically zero."""
-    frame, conn = bundle.frame, bundle.connection
+    ``gamma`` and ``A`` are written only when not identically zero, and
+    ``chart``, a label that nothing reads, not at all."""
+    frame = bundle.frame
     out = {
-        "chart": frame.name,
         "eta": [str(c) for c in frame.eta.coeffs],
         "xi": [str(c) for c in frame.reeb.components],
         "frame": [[str(c) for c in field.components] for field in frame.fields[:4]],
         "J": [[str(c) for c in row] for row in frame.jmat],
     }
-    if not all(g.is_zero() for plane in conn.gamma for row in plane for g in row):
-        out["gamma"] = [[[str(g) for g in row] for row in plane] for plane in conn.gamma]
-    if not all(c.is_zero() for c in conn.a_form.coeffs):
-        out["A"] = [str(c) for c in conn.a_form.coeffs]
+    if not all(g.is_zero() for plane in bundle.gamma for row in plane for g in row):
+        out["gamma"] = [[[str(g) for g in row] for row in plane] for plane in bundle.gamma]
+    if not all(c.is_zero() for c in bundle.a_form.coeffs):
+        out["A"] = [str(c) for c in bundle.a_form.coeffs]
     if bundle.curvature is not None:
         out["curvature"] = {"ric": bundle.curvature.tolist()}
     return out

@@ -144,11 +144,11 @@ def test_criterion_5_curvature_properties():
 
 def test_criterion_6_heisenberg_model():
     bundle = heisenberg5()
-    frame, conn = bundle.frame, bundle.connection
+    frame = bundle.frame
     points = sample_points(1000, seed=0)
     vol = frame.contact_volume
     worst_vol = max(abs(vol(p) - 2.0) for p in points)
-    families = {**tw_axiom_check(frame, conn), **cr_check(frame), **contact_check(frame)}
+    families = {**tw_axiom_check(frame, bundle.gamma), **cr_check(frame), **contact_check(frame)}
     worst = max(max_abs(evaluate_all(polys, points)) for polys in families.values())
     ok = worst_vol <= 1e-12 and worst <= 1e-12
     _report(

@@ -1,5 +1,6 @@
 """Command-line front end: suites, exit codes, report determinism."""
 
+import dataclasses
 import gc
 import itertools
 import json
@@ -383,9 +384,7 @@ class TestNegativeControls:
         frame = load_model(chart).frame
         jrows = [list(row) for row in frame.jmat]
         jrows[0][2] = jrows[0][2] + eps * PolyExpr.variable("y2")
-        frame = models.FrameFieldSet(
-            frame.name, frame.fields, frame.eta, tuple(tuple(r) for r in jrows)
-        )
+        frame = dataclasses.replace(frame, jmat=tuple(map(tuple, jrows)))
         families = {
             "contact_J_square_identity": models.contact_check(frame)["J_square_identity"],
             "cr_eta_bracket_criterion": models.cr_check(frame)["eta_bracket_criterion"],
@@ -827,14 +826,18 @@ class TestUsageErrors:
         assert str(tmp_path) in err and "cannot read" in err
 
     def test_real_valued_a_is_usage_error(self, tmp_path, capsys, model_to_dict):
+        # A real A is reported before a ragged or inadmissible curvature block.
         data = model_to_dict(load_model("heisenberg"))
         data["A"] = ["1", 0, 0, 0, 0]
         path = tmp_path / "real_a.json"
-        path.write_text(json.dumps(data))
-        code = run(["model", "--model", str(path), "--samples", "5"])
-        err = capsys.readouterr().err
-        assert code == EXIT_USAGE
-        assert str(path) in err and "A[0]" in err
+        message = "A[0]: the U(1) connection 1-form must be imaginary valued"
+        for curvature in (None, {"ric": [[1]]}, {"ric": [[1] * 5] * 5}):
+            if curvature is not None:
+                data["curvature"] = curvature
+            path.write_text(json.dumps(data))
+            code = run(["model", "--model", str(path), "--samples", "5"])
+            assert code == EXIT_USAGE
+            assert capsys.readouterr().err == f"swcheck: error: {path}: {message}\n"
 
     def test_dirac_rejects_other_models(self, capsys):
         code = run(["dirac", "--model", "/nonexistent.json", "--samples", "2"])
@@ -1219,7 +1222,7 @@ _DIRAC_NAN_CASES = [
         ["finite_difference_agreement", "finite_difference_agreement_degree3_basis"],
     ),
     (cli, "dbar_identity_residual", 1, ["dbar_identity", "dbar_identity_degree3_basis"]),
-    (cli, "form_clifford_action", 2, ["identification_unitary_intertwiner"]),
+    (dirac_sw, "form_clifford_action", 2, ["identification_unitary_intertwiner"]),
     # sigma_full once for the rotated spinor, once for the original.
     (cliff5, "sigma_full", 2, ["phase_invariance"]),
 ]
@@ -1401,6 +1404,28 @@ class TestReports:
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    @pytest.mark.parametrize("perturb", ["0", "1e-3"])
+    def test_chart_is_only_a_label(self, perturb, tmp_path, capsys):
+        # No row or report reads chart: files that differ only in it, or that
+        # leave it out, give one report, byte for byte apart from the wall
+        # time line, clean and perturbed.
+        data = json.loads((DATA / "sheared_chart_3.json").read_text())
+        path = tmp_path / "chart.json"
+        reports = set()
+        for chart in ("sheared_heisenberg_3", "another label", None):
+            if chart is None:
+                del data["chart"]
+            else:
+                data["chart"] = chart
+            path.write_text(json.dumps(data))
+            code = run(["model", "--model", str(path), "--perturb", perturb])
+            lines = capsys.readouterr().out.splitlines()
+            kept = [line for line in lines if not line.startswith('  "wall_time_s": ')]
+            assert len(kept) == len(lines) - 1
+            reports.add((code, "\n".join(kept)))
+        assert len(reports) == 1
+        assert reports.pop()[0] == (EXIT_PASS if perturb == "0" else EXIT_FAIL)
 
     @pytest.mark.parametrize(
         "name, argv, code",

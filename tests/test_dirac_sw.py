@@ -1,5 +1,6 @@
 """Dirac operators, the form identification, and the solution verifier."""
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -29,12 +30,14 @@ from swcheck.dirac_sw import (
     form_clifford_action,
     full_dirac,
     full_dirac_fd,
+    intertwiner_defects,
     spin_covariant_derivative,
     sw_residual,
 )
 from swcheck.extalg import PAIR_INDEX, KForm, deta, horizontal_split, sd_project
 from swcheck.models import (
-    ConnectionCoefficients,
+    FLAT_A,
+    FLAT_GAMMA,
     CoordForm,
     ModelBundle,
     VectorFieldPoly,
@@ -59,7 +62,7 @@ BASIS = tuple(PolyExpr.from_dict({e: 1}) for e in monomials(FIELD_DEGREE))
 
 def _heisenberg_with_a(a_form: CoordForm) -> ModelBundle:
     """The Heisenberg frame and flat connection, with U(1) 1-form ``a_form``."""
-    return ModelBundle(S_FLAT.frame, ConnectionCoefficients(S_FLAT.connection.gamma, a_form))
+    return ModelBundle(S_FLAT.frame, a_form=a_form)
 
 
 def _oracle(s: ModelBundle, psi: SpinorField, points, h: float = 1e-4) -> np.ndarray:
@@ -217,10 +220,7 @@ def _twisted_connection() -> ModelBundle:
     a_form = CoordForm.one_form(
         parse_poly("i*y1"), 0, parse_poly("2i*x1*t"), parse_poly("-0.5i"), parse_poly("-i")
     )
-    conn = ConnectionCoefficients(
-        tuple(tuple(tuple(row) for row in plane) for plane in gamma), a_form
-    )
-    return ModelBundle(S_FLAT.frame, conn)
+    return ModelBundle(S_FLAT.frame, tuple(tuple(map(tuple, plane)) for plane in gamma), a_form)
 
 
 _TWISTED_PSI = SpinorField.make(
@@ -290,8 +290,8 @@ class TestConnectionTerms:
         psi = SpinorField.make(*psi_val)
         for p in POINTS[:10]:
             # sum_w kappa_w (1/2 sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + 1/2 A(e_w)) psi
-            gam = np.array([[[c(p) for c in row] for row in plane] for plane in s.connection.gamma])
-            a_vals = np.array([c(p) for c in s.connection.a_form.coeffs])
+            gam = np.array([[[c(p) for c in row] for row in plane] for plane in s.gamma])
+            a_vals = np.array([c(p) for c in s.a_form.coeffs])
             frame_vals = np.array([[c(p) for c in f.components] for f in s.frame.fields]).T
             expected = np.zeros(4, dtype=complex)
             for w in range(5):
@@ -328,11 +328,11 @@ class TestConnectionTerms:
                     x * (psi_at(p + h * e) - psi_at(p - h * e)) / (2 * h)
                     for x, e in zip(frame_w, np.eye(5))
                 )
-                a_w = sum(a(p) * x for a, x in zip(s.connection.a_form.coeffs, frame_w))
+                a_w = sum(a(p) * x for a, x in zip(s.a_form.coeffs, frame_w))
                 m = 0.5 * a_w * np.eye(4)
                 for j in range(5):
                     for k in range(j + 1, 5):
-                        m = m + 0.5 * s.connection.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
+                        m = m + 0.5 * s.gamma[w][j][k](p) * (GAMMA[j] @ GAMMA[k])
                 expected += GAMMA[w] @ (deriv + m @ psi_at(p))
             assert np.max(np.abs(row - expected)) <= 1e-12
 
@@ -380,7 +380,7 @@ class TestCouplingOnSasakianChart:
         assert [a_form.pair_vector(e) for e in S_FLAT.frame.fields] == list(
             map(PolyExpr.const, SASAKI_A)
         )
-        s = ModelBundle(S_FLAT.frame, ConnectionCoefficients(gamma, a_form))
+        s = ModelBundle(S_FLAT.frame, gamma, a_form)
         assert all(c.is_zero() for c in full_dirac(s, SpinorField.psi0()).components)
 
 
@@ -659,10 +659,7 @@ def _reeb_only_connection() -> ModelBundle:
     gamma = [[[PolyExpr() for _ in range(5)] for _ in range(5)] for _ in range(5)]
     gamma[4][0][1] = parse_poly("x1 - 2*t")
     gamma[4][2][3] = parse_poly("0.5")
-    conn = ConnectionCoefficients(
-        tuple(tuple(tuple(row) for row in plane) for plane in gamma), S_FLAT.connection.a_form
-    )
-    return ModelBundle(S_FLAT.frame, conn)
+    return ModelBundle(S_FLAT.frame, tuple(tuple(map(tuple, plane)) for plane in gamma))
 
 
 class TestBasis:
@@ -750,7 +747,21 @@ class TestBasis:
             phi @ form_clifford_action(x) - gamma(w) @ phi for w, x in enumerate(np.eye(4, 5), 1)
         ]
         assert np.array_equal(dirac_sw._DBAR_MAP, phi.conj().T @ np.array(defects))
+        assert np.array_equal(intertwiner_defects()[1:5], defects)
         assert dirac_sw._DBAR_MAP.shape == (4, 4, 4) and not np.any(dirac_sw._DBAR_MAP)
+
+    def test_intertwiner_defects_read_the_identification_when_called(self, monkeypatch):
+        # Exact zeros for IDENTIFICATION; a mutated table, set after import,
+        # reaches the defects but not _DBAR_MAP, which import derived.
+        assert intertwiner_defects().shape == (6, 4, 4) and not np.any(intertwiner_defects())
+        for phi in _MUTATED_IDENTIFICATIONS.values():
+            monkeypatch.setattr(dirac_sw, "IDENTIFICATION", phi)
+            defects = intertwiner_defects()
+            assert np.array_equal(defects[0], phi.conj().T @ phi - np.eye(4))
+            for w, x in enumerate(np.eye(5), 1):
+                assert np.array_equal(defects[w], phi @ form_clifford_action(x) - gamma(w) @ phi)
+            assert max_abs(defects) > 1.0
+            assert not np.any(dirac_sw._DBAR_MAP)
 
     @pytest.mark.parametrize("chart", ["heisenberg", "sheared"])
     @pytest.mark.parametrize("mutation", sorted(_MUTATED_IDENTIFICATIONS))
@@ -935,12 +946,24 @@ class TestSWResidual:
 
 class TestConnectionValidation:
     def test_real_valued_a_rejected(self):
-        with pytest.raises(ValueError, match="imaginary"):
-            _heisenberg_with_a(CoordForm.one_form(0, 0, 0, 0, 1))
+        # ModelBundle refuses an A with a real part in any coefficient, and
+        # names the first such coefficient.
+        for c, value in itertools.product(range(5), ["1", "x1 + 2i*t", "0.5*y2"]):
+            coeffs = ["i*x2"] * c + [value] + ["2"] * (4 - c)
+            with pytest.raises(ValueError) as err:
+                ModelBundle(S_FLAT.frame, a_form=CoordForm.one_form(*map(parse_poly, coeffs)))
+            assert str(err.value) == f"A[{c}]: the U(1) connection 1-form must be imaginary valued"
 
     def test_imaginary_a_accepted(self):
         s = _heisenberg_with_a(CoordForm.one_form(0, 0, 0, 0, 2j))
-        assert s.connection.a_form.coeffs[4]((0, 0, 0, 0, 0)) == 2j
+        assert s.a_form.coeffs[4]((0, 0, 0, 0, 0)) == 2j
+
+    def test_connection_defaults_to_flat(self):
+        s = ModelBundle(S_FLAT.frame)
+        assert s.gamma is FLAT_GAMMA and s.a_form is FLAT_A and s.curvature is None
+        assert all(c.is_zero() for plane in s.gamma for row in plane for c in row)
+        assert all(c.is_zero() for c in s.a_form.coeffs)
+        assert not any(dirac_sw._connection_terms(s, w) for w in range(1, 6))
 
 
 class TestCanonicalSolution:

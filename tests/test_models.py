@@ -2,6 +2,7 @@
 solution, model files."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -28,9 +29,11 @@ from swcheck import extalg
 from swcheck.dirac_sw import canonical_solution
 from swcheck.extalg import INDEX_TUPLES, PAIR_INDEX, WEDGE, deta
 from swcheck.models import (
-    ConnectionCoefficients,
+    FLAT_A,
+    FLAT_GAMMA,
     CoordForm,
     FrameFieldSet,
+    ModelBundle,
     ModelFormatError,
     VectorFieldPoly,
     contact_check,
@@ -58,7 +61,7 @@ def _is_zero(field: VectorFieldPoly) -> bool:
 @pytest.fixture(scope="module")
 def heis():
     bundle = heisenberg5()
-    return bundle.frame, bundle.connection
+    return bundle.frame, bundle.gamma
 
 
 class TestHeisenbergStructure:
@@ -110,7 +113,7 @@ def _perturbed(frame: FrameFieldSet) -> FrameFieldSet:
     """The frame with J[0][2] shifted by 1e-3*y2, as ``model --perturb 1e-3`` does."""
     jrows = [list(row) for row in frame.jmat]
     jrows[0][2] = jrows[0][2] + 1e-3 * PolyExpr.variable("y2")
-    return FrameFieldSet(frame.name, frame.fields, frame.eta, tuple(map(tuple, jrows)))
+    return dataclasses.replace(frame, jmat=tuple(map(tuple, jrows)))
 
 
 def _field_set(name: str) -> list[VectorFieldPoly]:
@@ -313,7 +316,7 @@ class TestSharedTables:
         frame = load_model(chart).frame
         for a in range(10):
             for b in range(10):
-                assert frame.bracket[a, b] == lie_bracket(frame.span[a], frame.span[b]), (a, b)
+                assert frame.bracket(a, b) == lie_bracket(frame.span[a], frame.span[b]), (a, b)
 
     @ON_BOTH_CHARTS
     def test_contraction_matches_minor_expansion(self, chart):
@@ -354,7 +357,7 @@ class TestSharedTables:
             frame = _perturbed(frame)
         elif name == "negated_e2_e4":
             e1, e2, e3, e4, xi = frame.fields
-            frame = FrameFieldSet(frame.name, (e1, -e2, e3, -e4, xi), frame.eta, frame.jmat)
+            frame = dataclasses.replace(frame, fields=(e1, -e2, e3, -e4, xi))
         span = frame.span
         shared = [a for a, (r, s) in enumerate(frame.sign) if r != a]
         # Perturbed, only J e4 == -e3 (so J J e4 == -J e3) and
@@ -374,8 +377,23 @@ class TestSharedTables:
             assert span[a + 5] == frame.j_apply(span[a]), a
             assert frame.deta_slot[a] == frame.deta.contract(span[a]), a
             for b in range(10):
-                assert frame.bracket[a, b] == lie_bracket(span[a], span[b]), (a, b)
+                assert frame.bracket(a, b) == lie_bracket(span[a], span[b]), (a, b)
                 assert frame.webster(a, b) == g(span[a], span[b]), (a, b)
+
+    def test_tables_are_per_frame(self):
+        # A frame made by dataclasses.replace, as the model suite perturbs J,
+        # starts with tables of its own, and a frame's tables keep each entry.
+        frame = load_model(SHEARED_CHART_3).frame
+        pairs = [(a, b) for a in range(10) for b in range(10)]
+        clean = {p: frame.bracket(*p) for p in pairs}
+        perturbed = _perturbed(frame)
+        for table in ("deta_pair", "metric", "bracket"):
+            assert getattr(perturbed, table) is not getattr(frame, table)
+        assert perturbed.bracket.cache_info().currsize == 0
+        assert any(perturbed.bracket(*p) != clean[p] for p in pairs)
+        for a, b in pairs:
+            assert frame.bracket(a, b) is clean[a, b]
+            assert perturbed.bracket(a, b) == lie_bracket(perturbed.span[a], perturbed.span[b])
 
     @staticmethod
     def _symbolic_calls(monkeypatch, *options) -> tuple[int, Counter]:
@@ -453,7 +471,7 @@ class TestContactCheck:
         frame, _ = heis
         fields = list(frame.fields)
         fields[1] = fields[1].scale(2)
-        broken = FrameFieldSet(frame.name, tuple(fields), frame.eta, frame.jmat)
+        broken = dataclasses.replace(frame, fields=tuple(fields))
         report = _measured(contact_check(broken), POINTS[:20])
         assert report["frame_orthonormality"] >= 1.0
 
@@ -468,7 +486,7 @@ def _model_residuals(bundle, points, evaluate=evaluate_all):
     frame = bundle.frame
     families = {
         **contact_check(frame),
-        **tw_axiom_check(frame, bundle.connection),
+        **tw_axiom_check(frame, bundle.gamma),
         **cr_check(frame),
     }
     volume = evaluate([frame.contact_volume], points)
@@ -506,7 +524,7 @@ class TestDecimalChart:
         live = []
         for families in (
             contact_check(bundle.frame),
-            tw_axiom_check(bundle.frame, bundle.connection),
+            tw_axiom_check(bundle.frame, bundle.gamma),
             cr_check(bundle.frame),
         ):
             assert families
@@ -560,7 +578,7 @@ class TestDecimalChart:
         points = sample_points(40, seed=3)
         for families in (
             contact_check(bundle.frame),
-            tw_axiom_check(bundle.frame, bundle.connection),
+            tw_axiom_check(bundle.frame, bundle.gamma),
             cr_check(bundle.frame),
         ):
             report = _measured(families, points)
@@ -584,7 +602,7 @@ class TestLiveFamilies:
             data["J"][0][2] = "1e-3*y2"
         bundle = load_model(data)
         frame = bundle.frame
-        families = {**contact_check(frame), **tw_axiom_check(frame, bundle.connection)}
+        families = {**contact_check(frame), **tw_axiom_check(frame, bundle.gamma)}
         jay, e = frame.j_apply, frame.fields
 
         def eta(x):
@@ -625,23 +643,23 @@ class TestLiveFamilies:
 
 class TestTanakaWebsterAxioms:
     def test_heisenberg_passes_all_axioms(self, heis):
-        frame, conn = heis
-        report = _measured(tw_axiom_check(frame, conn), POINTS)
+        frame, gamma = heis
+        report = _measured(tw_axiom_check(frame, gamma), POINTS)
         assert all(v <= 1e-12 for v in report.values()), report
 
     def test_horizontal_torsion_value(self, heis):
         # T(e1, e2) = -[e1, e2] = +Reeb = deta(e1, e2) Reeb with Gamma = 0,
         # where every nabla_{e_i} e_j vanishes.
-        frame, conn = heis
-        assert conn == ConnectionCoefficients.flat()
+        frame, gamma = heis
+        assert gamma == FLAT_GAMMA
         tvec = -lie_bracket(frame.fields[0], frame.fields[1])
         assert [str(c) for c in tvec.components] == ["0", "0", "0", "0", "1"]
 
     def test_torsion_endomorphism_vanishes(self, heis):
         # tau(e_j) = T(Reeb, e_j) = -[Reeb, e_j] with Gamma = 0 is the zero
         # polynomial field for every j.
-        frame, conn = heis
-        assert conn == ConnectionCoefficients.flat()
+        frame, gamma = heis
+        assert gamma == FLAT_GAMMA
         for j in range(5):
             tvec = -lie_bracket(frame.reeb, frame.fields[j])
             assert _is_zero(tvec), j
@@ -651,11 +669,8 @@ class TestTanakaWebsterAxioms:
         frame, _ = heis
         gamma = [[[PolyExpr() for _ in range(5)] for _ in range(5)] for _ in range(5)]
         gamma[0][0][0] = PolyExpr.const(1)
-        conn = ConnectionCoefficients(
-            tuple(tuple(tuple(row) for row in plane) for plane in gamma),
-            ConnectionCoefficients.flat().a_form,
-        )
-        report = _measured(tw_axiom_check(frame, conn), POINTS[:10])
+        gamma = tuple(tuple(map(tuple, plane)) for plane in gamma)
+        report = _measured(tw_axiom_check(frame, gamma), POINTS[:10])
         assert report["axiom_b_parallel_metric"] >= 1.9
 
 
@@ -677,24 +692,21 @@ class TestTanakaWebsterAxioms:
         if perturbed:  # as the model suite perturbs J
             jrows = [list(row) for row in frame.jmat]
             jrows[0][2] = jrows[0][2] + 1e-3 * PolyExpr.variable("y2")
-            frame = FrameFieldSet(frame.name, frame.fields, frame.eta, tuple(map(tuple, jrows)))
+            frame = dataclasses.replace(frame, jmat=tuple(map(tuple, jrows)))
         rng = default_rng(seed)
         # About 30% of the 125 symbols are random complex polynomials of degree <= 2.
         symbols = [random_poly(rng, 2) if rng.random() < 0.3 else ZERO for _ in range(125)]
         gam = [[symbols[25 * k + 5 * j : 25 * k + 5 * j + 5] for j in range(5)] for k in range(5)]
-        conn = ConnectionCoefficients(
-            tuple(tuple(map(tuple, plane)) for plane in gam), ConnectionCoefficients.flat().a_form
-        )
-        flat = tw_axiom_check(frame, ConnectionCoefficients.flat())
+        flat = tw_axiom_check(frame, FLAT_GAMMA)
         got = {
             name: [p - q for p, q in zip(family, flat[name], strict=True)]
-            for name, family in tw_axiom_check(frame, conn).items()
+            for name, family in tw_axiom_check(frame, tuple(map(tuple, gam))).items()
         }
 
         def mul(a, b):
             return [[dot(row, col) for col in zip(*b)] for row in a]
 
-        g = [[frame.metric[i, j] for j in range(5)] for i in range(5)]
+        g = [[frame.metric(i, j) for j in range(5)] for i in range(5)]
         g_t = [list(col) for col in zip(*g)]
         f = [list(x.components) for x in frame.fields]
         j_t = [[PolyExpr.const(x) for x in col] for col in curvature.J_FRAME.T]
@@ -733,9 +745,7 @@ class TestCRCheck:
         y2 = PolyExpr.variable("y2")
         jrows = [list(row) for row in frame.jmat]
         jrows[0][2] = jrows[0][2] + 0.1 * y2
-        broken = FrameFieldSet(
-            frame.name, frame.fields, frame.eta, tuple(tuple(r) for r in jrows)
-        )
+        broken = dataclasses.replace(frame, jmat=tuple(map(tuple, jrows)))
         report = _measured(cr_check(broken), POINTS[:50])
         assert report["integrability"] > 0.01
 
@@ -775,15 +785,12 @@ class TestSyntheticModel:
 class TestModelFiles:
     def test_builtin_heisenberg(self):
         bundle = load_model("heisenberg")
-        assert bundle.frame.name == "heisenberg"
-        assert bundle.connection == ConnectionCoefficients.flat()
+        assert bundle.gamma is FLAT_GAMMA and bundle.a_form is FLAT_A
         assert bundle.curvature is None
 
     def test_round_trip_is_canonical(self, tmp_path, heis, model_to_dict):
-        frame, conn = heis
-        from swcheck.models import ModelBundle
-
-        bundle = ModelBundle(frame, conn, random_admissible_ricci(default_rng(0)))
+        frame, gamma = heis
+        bundle = ModelBundle(frame, gamma, curvature=random_admissible_ricci(default_rng(0)))
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model_to_dict(bundle)))
         loaded = load_model(path)

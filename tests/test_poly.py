@@ -1,5 +1,6 @@
 """Polynomial expressions: grammar, canonical form, exact calculus."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -740,10 +741,10 @@ def _families(chart: str, perturb: float = 0.0) -> dict[str, list[PolyExpr]]:
     if perturb:
         jrows = [list(row) for row in frame.jmat]
         jrows[0][2] = jrows[0][2] + perturb * PolyExpr.variable("y2")
-        frame = models.FrameFieldSet(frame.name, frame.fields, frame.eta, tuple(map(tuple, jrows)))
+        frame = dataclasses.replace(frame, jmat=tuple(map(tuple, jrows)))
     return {
         **models.contact_check(frame),
-        **models.tw_axiom_check(frame, bundle.connection),
+        **models.tw_axiom_check(frame, bundle.gamma),
         **models.cr_check(frame),
     }
 
