@@ -3,15 +3,15 @@ Seiberg-Witten like equations on the contact 5-frame.
 
 The spinorial covariant derivative along a frame vector e_W is
 
-    nabla_W psi = e_W(psi)
-                  + (1/2) sum_{j<k} omega_jk(e_W) kappa(e_j) kappa(e_k) psi
-                  + (1/2) A(e_W) psi,
+    nabla_W psi = e_W(psi) + Omega_W psi,
+    Omega_W = (1/2) sum_{j<k} omega_jk(e_W) kappa(e_j) kappa(e_k) + (1/2) A(e_W) Id,
 
 with omega_jk(e_W) = g(nabla_{e_W} e_j, e_k) read off the frame Christoffel
 symbols and A the imaginary-valued U(1) connection 1-form, the ``gamma``
 and ``a_form`` of a :class:`~swcheck.models.ModelBundle`, the chart that the
-covariant derivative and the Dirac operators take as first argument.  The
-so(5) term is the standard spin connection, (1/4) sum_{j,k} = (1/2)
+covariant derivative and the Dirac operators take as first argument; each
+Omega_W is one exact 4 x 4 matrix of polynomials (``_connection_matrix``).
+The so(5) term is the standard spin connection, (1/4) sum_{j,k} = (1/2)
 sum_{j<k}; the 1/2 on the A term is the determinant-line convention.  Both
 prefactors are isolated in the module constants below.  Only equal
 prefactors give D_A psi0 = 0 on the Sasakian circle bundle over H^2 x H^2,
@@ -31,10 +31,10 @@ over the box from their exact coefficients (``poly.coefficient_bound``) or
 evaluate them on stacks of points, ``(..., 5)`` arrays, through
 :func:`~swcheck.poly.evaluate_all`.  ``full_dirac_fd`` is the
 independent oracle: it takes central differences of the spinor values on
-the stencil around every point and shares only the connection terms with
-the exact path.  Since every residual here is linear, its values on all
-basis fields m e_k with m a monomial of degree at most FIELD_DEGREE are taken
-at once, a 4 x 4 matrix per point and monomial; a polynomial field of that
+the stencil around every point and shares only Omega_W with the exact path.
+Since every residual here is linear, its values on all basis fields m e_k
+with m a monomial of degree at most FIELD_DEGREE are taken at once, a
+4 x 4 matrix per point and monomial; a polynomial field of that
 degree is a combination of them, and ``family_maximum`` takes the largest
 residual of a family of such fields straight from them.  Each is one
 ``contract`` of the derivatives e_w(m) of the monomials, which
@@ -105,56 +105,43 @@ class SpinorField:
         return SpinorField(tuple(f * c for c in self.components))
 
 
-def _exact_rows(m) -> tuple[tuple[tuple[int, PolyExpr], ...], ...]:
-    """The nonzero entries of each row of a constant matrix, as (column, exact constant) pairs."""
-    return tuple(tuple((k, PolyExpr.const(a)) for k, a in enumerate(row) if a != 0) for row in m)
-
-
-def _mat_apply(rows, components) -> tuple[PolyExpr, ...]:
-    """The matrix of ``_exact_rows`` ``rows`` applied to a column of polynomial components."""
-    return tuple(dot([components[k] for k, _ in row], [a for _, a in row]) for row in rows)
-
-
 @lru_cache(maxsize=20)
-def _connection_terms(s: ModelBundle, w: int) -> tuple[tuple[PolyExpr, np.ndarray], ...]:
-    """Zeroth-order terms of nabla_w as (coefficient, constant matrix) pairs.
-
-    SO_COUPLING Gamma^k_{wj} kappa(e_j) kappa(e_k) for each j < k with a
-    nonzero Christoffel (omega_jk(e_w) = Gamma^k_{wj} in a g-orthonormal
-    frame), then U1_COUPLING A(e_w) Id when A(e_w) is nonzero.  Every operator
-    reads them, so they are built once per chart and direction, read-only.
-    """
-    gam = s.gamma[w - 1]
-    terms = [
-        (gam[j][k], _frozen(SO_COUPLING * m))
-        for (j, k), m in zip(zip(*PAIR_INDEX), PAIR_PRODUCTS)
-        if not gam[j][k].is_zero()
-    ]
-    a_w = s.a_form.pair_vector(s.frame.fields[w - 1])
-    if not a_w.is_zero():
-        terms.append((a_w, _frozen(U1_COUPLING * np.eye(4))))
-    return tuple(terms)
+def _connection_matrix(s: ModelBundle, w: int) -> tuple[tuple[PolyExpr, ...], ...]:
+    """Omega_w, the zeroth-order part of nabla_w, as an exact 4 x 4 matrix:
+    SO_COUPLING sum_{j<k} Gamma^k_{wj} kappa(e_j) kappa(e_k) + U1_COUPLING A(e_w) Id,
+    with omega_jk(e_w) = Gamma^k_{wj} in a g-orthonormal frame.  Each entry is
+    one ``dot`` of the ten Gamma^k_{wj} and A(e_w), times their couplings, with
+    the matrices' entries; () when all eleven are zero.  The couplings and
+    ``PAIR_PRODUCTS`` are read when called; it is built once per chart and
+    direction, read-only."""
+    gam, a_w = s.gamma[w - 1], s.a_form.pair_vector(s.frame.fields[w - 1])
+    coeffs = [gam[j][k] for j, k in zip(*PAIR_INDEX)] + [a_w]
+    if all(c.is_zero() for c in coeffs):
+        return ()
+    so, u1 = PolyExpr.const(SO_COUPLING), PolyExpr.const(U1_COUPLING)
+    coeffs = [so * c for c in coeffs[:10]] + [u1 * a_w]
+    mats = np.concatenate([PAIR_PRODUCTS, np.eye(4)[None]])
+    return tuple(
+        tuple(dot(coeffs, [PolyExpr.const(a) for a in mats[:, j, k]]) for k in range(4))
+        for j in range(4)
+    )
 
 
 def spin_covariant_derivative(s: ModelBundle, w: int, psi: SpinorField) -> SpinorField:
     """Spinorial covariant derivative along frame direction w in 1..5."""
     if not 1 <= w <= 5:
         raise ValueError(f"frame index must be in 1..5, got {w}")
-    ew = s.frame.fields[w - 1]
-    out = SpinorField(tuple(ew.apply(c) for c in psi.components))
-    for coeff, m in _connection_terms(s, w):
-        out = out + SpinorField(_mat_apply(_exact_rows(m), psi.components)).scale(coeff)
-    return out
+    out = tuple(s.frame.fields[w - 1].apply(c) for c in psi.components)
+    if omega := _connection_matrix(s, w):
+        out = tuple(c + dot(row, psi.components) for c, row in zip(out, omega))
+    return SpinorField(out)
 
 
-#: The ``_exact_rows`` of kappa(e_1), ..., kappa(e_4) side by side, shape
-#: (4, 16), and of kappa(e_5).
-_KOHN_ROWS, _REEB_ROWS = _exact_rows(np.hstack(GAMMA[:4])), _exact_rows(GAMMA[4])
-
-
-def _covariant_derivatives(s: ModelBundle, psi: SpinorField) -> list[PolyExpr]:
-    """The components of nabla_1 psi, ..., nabla_5 psi, one after another."""
-    return [c for w in range(1, 6) for c in spin_covariant_derivative(s, w, psi).components]
+#: kappa(e_1), ..., kappa(e_4) side by side as exact constants, 4 rows of 16,
+#: and kappa(e_5), 4 rows of 4.
+_KOHN_ROWS, _REEB_ROWS = (
+    tuple(tuple(map(PolyExpr.const, row)) for row in m) for m in (np.hstack(GAMMA[:4]), GAMMA[4])
+)
 
 
 def dirac_operators(s: ModelBundle, psi: SpinorField) -> tuple[SpinorField, SpinorField]:
@@ -162,9 +149,9 @@ def dirac_operators(s: ModelBundle, psi: SpinorField) -> tuple[SpinorField, Spin
     operator, which adds the Reeb term kappa(e_5) nabla_5 psi.  The five
     covariant derivatives are taken once; Kohn is one exact sum over the first
     four, and full adds the Reeb term to it."""
-    derivs = _covariant_derivatives(s, psi)
-    kohn = SpinorField(_mat_apply(_KOHN_ROWS, derivs))
-    return kohn, kohn + SpinorField(_mat_apply(_REEB_ROWS, derivs[16:]))
+    derivs = [c for w in range(1, 6) for c in spin_covariant_derivative(s, w, psi).components]
+    kohn = SpinorField(tuple(dot(row, derivs[:16]) for row in _KOHN_ROWS))
+    return kohn, kohn + SpinorField(tuple(dot(row, derivs[16:]) for row in _REEB_ROWS))
 
 
 def full_dirac(s: ModelBundle, psi: SpinorField) -> SpinorField:
@@ -196,9 +183,9 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float) -> np.
     values on ``fd_stencil(points, h)``, shape ``(..., 11, 4)``, or a stack
     of them for F fields, ``(F, ..., 11, 4)``; the result has shape
     ``(..., 4)``, or ``(F, ..., 4)``.  The exact directional derivatives are
-    replaced with central differences along the chart coordinates; only the
-    connection terms are shared with the exact path.  This is the per-field
-    reference that the finite-difference rows of the basis are tested against.
+    replaced with central differences along the chart coordinates; only
+    Omega_w is shared with the exact path.  This is the per-field reference
+    that the finite-difference rows of the basis are tested against.
     """
     psi_p = psi_vals[..., 0, :]
     # e_w(psi) = sum_c e_w^c d_c psi, with d_c psi the central differences.
@@ -208,10 +195,10 @@ def full_dirac_fd(s: ModelBundle, psi_vals: np.ndarray, points, h: float) -> np.
     out = np.zeros(psi_p.shape, dtype=complex)
     for w in range(1, 6):
         deriv = derivs[..., w - 1, :]
-        terms = _connection_terms(s, w)
-        coeffs = evaluate_all([coeff for coeff, _ in terms], points)
-        for t, (_, m) in enumerate(terms):
-            deriv += coeffs[..., t, None] * (psi_p @ m.T)
+        if omega := _connection_matrix(s, w):
+            # Omega_w at every point, shape (..., 4, 4), times psi(p).
+            omega_p = evaluate_all([a for row in omega for a in row], points)
+            deriv += (omega_p.reshape(omega_p.shape[:-1] + (4, 4)) @ psi_p[..., None])[..., 0]
         out += deriv @ GAMMA[w - 1].T
     return out
 
@@ -348,7 +335,7 @@ def dbar_identity_residual(s: ModelBundle, derivs) -> np.ndarray:
     the e_w(m) with ``_DBAR_MAP``.  Raises ValueError if nabla_w has
     connection terms for some w <= 4, where the identity gains them.
     """
-    if any(_connection_terms(s, w) for w in range(1, 5)):
+    if any(_connection_matrix(s, w) for w in range(1, 5)):
         raise ValueError("the dbar identity needs a connection with no terms along e_1, ..., e_4")
     return contract(derivs[..., :4, :], _DBAR_MAP)
 

@@ -624,10 +624,22 @@ class ModelFormatError(ValueError):
     """Schema violation in a model definition, with the offending field path."""
 
 
+def _unique_fields(pairs) -> dict:
+    """A JSON object, refusing a repeated key, which ``json.loads`` drops for its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ModelFormatError(f"duplicate field {key!r}")
+        out[key] = value
+    return out
+
+
 def read_json_file(path):
-    """Decode a UTF-8 JSON file; any failure is a located ModelFormatError."""
+    """Decode a UTF-8 JSON file; any failure or repeated key is a located ModelFormatError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_fields)
+    except ModelFormatError:  # a repeated key, kept from the ValueError branch below
+        raise
     except OSError as exc:
         raise ModelFormatError(f"cannot read: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -882,6 +882,26 @@ class TestUsageErrors:
         assert run(["model", "--model", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"swcheck: error: {path}: {where}\n"
 
+    @pytest.mark.parametrize("block", ["top_level", "curvature"])
+    def test_duplicate_field_is_usage_error(
+        self, no_suite_runs, block, tmp_path, capsys, model_to_dict
+    ):
+        # json.loads keeps the last of two equal keys: a malformed first eta,
+        # or a first ric, would be dropped without a word.
+        data = model_to_dict(load_model("heisenberg"))
+        data["curvature"] = {"ric": [[0.0] * 5] * 5}
+        text = json.dumps(data)
+        if block == "top_level":
+            text = '{"eta": ["x1 +", "0", "0", "0", "1"], ' + text[1:]
+            key = "eta"
+        else:
+            text = text.replace('"curvature": {', '"curvature": {"ric": [[1]], ')
+            key = "ric"
+        path = tmp_path / "duplicate.json"
+        path.write_text(text)
+        assert run(["model", "--model", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"swcheck: error: {path}: duplicate field '{key}'\n"
+
     def test_curvature_block_violation_is_usage_error(self, tmp_path, capsys, model_to_dict):
         data = model_to_dict(load_model("heisenberg"))
         ric = np.zeros((5, 5))

@@ -17,9 +17,7 @@ from swcheck.dirac_sw import (
     SO_COUPLING,
     U1_COUPLING,
     SpinorField,
-    _exact_rows,
     _frame_values,
-    _mat_apply,
     basis_derivatives,
     canonical_solution,
     contract,
@@ -47,6 +45,7 @@ from swcheck.models import (
 )
 from swcheck.poly import (
     PolyExpr,
+    dot,
     evaluate_all,
     max_abs,
     monomials,
@@ -274,14 +273,45 @@ class TestDiracOperators:
 
 
 class TestConnectionTerms:
-    """The so(5) and U(1) terms of nabla, on a connection with nonzero Christoffels."""
+    """Omega_w, the so(5) and U(1) terms of nabla_w, mostly on a connection
+    with nonzero Christoffels."""
 
     def test_built_once_per_chart_and_direction_read_only(self):
+        # One exact 4 x 4 matrix of polynomials per direction, nested tuples
+        # of frozen PolyExpr, so no caller can change the memoized value.
         s = _twisted_connection()
         for w in range(1, 6):
-            terms = dirac_sw._connection_terms(s, w)
-            assert terms and terms is dirac_sw._connection_terms(s, w)
-            assert not any(m.flags.writeable for _, m in terms)
+            omega = dirac_sw._connection_matrix(s, w)
+            assert omega and omega is dirac_sw._connection_matrix(s, w)
+            assert type(omega) is tuple and all(type(row) is tuple for row in omega)
+            assert [len(row) for row in omega] == [4] * 4
+            assert all(isinstance(a, PolyExpr) for row in omega for a in row)
+
+    @pytest.mark.parametrize("chart", ["twisted", "sasakian", "heisenberg", "sheared"])
+    def test_matrix_is_the_written_out_sum_exactly(self, chart):
+        # SO_COUPLING sum_{j<k} Gamma^k_{wj} kappa_j kappa_k + U1_COUPLING A(e_w) Id,
+        # entry by entry, in exact arithmetic; () where it is zero, in every
+        # direction of the two flat charts.
+        s = {
+            "twisted": _twisted_connection(),
+            "sasakian": _sasakian_chart(),
+            "heisenberg": S_FLAT,
+            "sheared": SHEARED,
+        }[chart]
+        so, u1 = PolyExpr.const(SO_COUPLING), PolyExpr.const(U1_COUPLING)
+        nonzero = 0
+        for w in range(1, 6):
+            a_w = s.a_form.pair_vector(s.frame.fields[w - 1])
+            expected = [[u1 * a_w if j == k else PolyExpr() for k in range(4)] for j in range(4)]
+            for j, k in itertools.combinations(range(5), 2):
+                m = GAMMA[j] @ GAMMA[k]
+                for r, c in itertools.product(range(4), range(4)):
+                    expected[r][c] += so * s.gamma[w - 1][j][k] * PolyExpr.const(m[r, c])
+            if all(a.is_zero() for row in expected for a in row):
+                expected = ()
+            nonzero += bool(expected)
+            assert dirac_sw._connection_matrix(s, w) == tuple(map(tuple, expected))
+        assert nonzero == {"twisted": 5, "sasakian": 2}.get(chart, 0)
 
     def test_constant_spinor_matches_written_out_formula(self):
         s = _twisted_connection()
@@ -382,6 +412,15 @@ class TestCouplingOnSasakianChart:
         )
         s = ModelBundle(S_FLAT.frame, gamma, a_form)
         assert all(c.is_zero() for c in full_dirac(s, SpinorField.psi0()).components)
+
+
+def _sasakian_chart() -> ModelBundle:
+    """The Heisenberg frame with the constant Christoffels SASAKI_GAMMA and
+    A = i dx1 + i dx2, so that A(e_{w+1}) = SASAKI_A[w]."""
+    gamma = tuple(
+        tuple(tuple(map(PolyExpr.const, row)) for row in plane) for plane in SASAKI_GAMMA
+    )
+    return ModelBundle(S_FLAT.frame, gamma, CoordForm.one_form(1j, 0, 1j, 0, 0))
 
 
 class TestStackedEvaluation:
@@ -511,7 +550,8 @@ class FormSpinorField:
 
     def to_spinor_field(self, phi: np.ndarray) -> SpinorField:
         """Push through the identification matrix (constant coefficients)."""
-        return SpinorField(_mat_apply(_exact_rows(phi), self.components))
+        rows = [[PolyExpr.const(a) for a in row] for row in phi]
+        return SpinorField(tuple(dot(row, self.components) for row in rows))
 
 
 @lru_cache(maxsize=1)
@@ -611,16 +651,19 @@ def _fd_rows(s: ModelBundle, h: float = 1e-4) -> np.ndarray:
 def _einsum_operators(s: ModelBundle, derivs) -> list[np.ndarray]:
     """Kohn and the full operator on the basis fields at POINTS from the
     derivative table ``derivs``: sum_q f_q(m) mats[q] e_k over the channels,
-    e_w(m) with kappa(e_w) and c_t m with kappa(e_w) M_t for each connection
-    term (c_t, M_t) of nabla_w, as one einsum; Kohn takes w <= 4, full every w."""
+    e_w(m) with kappa(e_w) and Omega_w[j][k] m with kappa(e_w) E_jk for each
+    nonzero entry of the connection matrix Omega_w of nabla_w (E_jk the matrix
+    unit), as one einsum; Kohn takes w <= 4, full every w."""
     values = evaluate_all(BASIS, POINTS)
     channels, mats, out = [], [], []
     for w in range(1, 6):
         channels.append(derivs[:, w - 1])
         mats.append(GAMMA[w - 1])
-        for coeff, m in dirac_sw._connection_terms(s, w):
-            channels.append(evaluate_all([coeff], POINTS) * values)
-            mats.append(GAMMA[w - 1] @ m)
+        for j, row in enumerate(dirac_sw._connection_matrix(s, w)):
+            for k, entry in enumerate(row):
+                if not entry.is_zero():
+                    channels.append(evaluate_all([entry], POINTS) * values)
+                    mats.append(np.outer(GAMMA[w - 1][:, j], np.eye(4)[k]))
         if w >= 4:
             out.append(np.einsum("...qm,qjk->...jkm", np.stack(channels, -2), np.array(mats)))
     return out
@@ -790,7 +833,7 @@ class TestBasis:
     def test_dbar_rows_accept_connection_terms_along_the_reeb_field(self):
         # The Kohn operator reads nabla_1, ..., nabla_4 only.
         s = _reeb_only_connection()
-        assert dirac_sw._connection_terms(s, 5)
+        assert dirac_sw._connection_matrix(s, 5)
         derivs = basis_derivatives(s, POINTS[:10], 1e-4)[0]
         rows = dbar_identity_residual(s, derivs)
         assert rows.shape == (10, 4, 4, 56) and not np.any(rows)
@@ -963,7 +1006,7 @@ class TestConnectionValidation:
         assert s.gamma is FLAT_GAMMA and s.a_form is FLAT_A and s.curvature is None
         assert all(c.is_zero() for plane in s.gamma for row in plane for c in row)
         assert all(c.is_zero() for c in s.a_form.coeffs)
-        assert not any(dirac_sw._connection_terms(s, w) for w in range(1, 6))
+        assert not any(dirac_sw._connection_matrix(s, w) for w in range(1, 6))
 
 
 class TestCanonicalSolution:

@@ -36,6 +36,8 @@ MUTATIONS = {
     "SQ2_UNITARY_FRAME conjugated": ("curvature", "SQ2_UNITARY_FRAME", "old.conj()"),
     "PSI0 reversed": ("cliff5", "PSI0", "old[[3, 2, 1, 0]]"),
     "PAIR_PRODUCTS negated": ("cliff5", "PAIR_PRODUCTS", "-old"),
+    "GAMMA kappa(e1) negated": ("cliff5", "GAMMA", "(-old[0],) + old[1:]"),
+    "GAMMA kappa(e5) negated": ("cliff5", "GAMMA", "old[:4] + (-old[4],)"),
     "CONTACT_STAR negated": ("extalg", "CONTACT_STAR", "-old"),
     "DETA negated": ("extalg", "DETA", "-old"),
     "SW_COUPLING = 0.5": ("dirac_sw", "SW_COUPLING", "0.5"),
@@ -69,6 +71,19 @@ KILLED = {
     "SQ2_UNITARY_FRAME conjugated": ("dirac", "dbar_identity"),
     "PSI0 reversed": ("clifford", "deta_action_on_psi0"),
     "PAIR_PRODUCTS negated": ("clifford", "sigma_h_psi0"),
+    # A negated generator keeps the Clifford relations, so the clifford suite's
+    # anticommutation, skew-Hermitian and unitary rows pass.  The suite's
+    # kappa(deta) = kappa(e1) kappa(e2) + kappa(e3) kappa(e4) changes, so
+    # deta_action_on_psi0 fails too.  dirac_sw is imported after the patch, so its kappa rows and
+    # _DBAR_MAP see it: both dbar_identity rows and
+    # identification_unitary_intertwiner fail.  cliff5.PAIR_PRODUCTS, derived
+    # inside cliff5 before the patch, does not, so the sigma rows pass.
+    "GAMMA kappa(e1) negated": ("clifford", "deta_matrix_diagonal"),
+    # Only this row: -kappa(e5) with kappa(e1), ..., kappa(e4) is the other
+    # irreducible representation of Cl(5), so every Clifford relation holds,
+    # and the dbar map reads e_1, ..., e_4 only.  On the flat chart no Dirac
+    # operator row (psi0, finite differences, phase) fails with -kappa(e5).
+    "GAMMA kappa(e5) negated": ("dirac", "identification_unitary_intertwiner"),
     "CONTACT_STAR negated": ("selfdual", "deta_self_dual"),
     # Also sigma_h_scaling_identity, curvature's rho_plus_is_minus_quarter_s_deta
     # and the two chain rows of solution, which compare against deta() too.
